@@ -19,6 +19,7 @@ from .matrices import (
     Matrix,
     SnfCertificate,
     det,
+    elementary_divisors,
     image_basis,
     inverse,
     is_exact_at,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
-from .matrices import Matrix, snf
+from .matrices import Matrix, elementary_divisors
 from .rings import Ring
 
 
@@ -74,8 +74,8 @@ class FgModule:
 
 def cokernel(mat: Matrix) -> FgModule:
     """Canonical form of the cokernel of a matrix acting on columns."""
-    cert = snf(mat)
-    return FgModule.make(mat.ring, mat.rows - cert.rank, cert.divisors)
+    divisors = elementary_divisors(mat)
+    return FgModule.make(mat.ring, mat.rows - len(divisors), divisors)
 
 
 def module_iso(first: FgModule, second: FgModule) -> bool:

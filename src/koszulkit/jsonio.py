@@ -21,10 +21,43 @@ from .rings import Ring, ring_from_token
 
 _SAFE_INT = 2 ** 53
 
+# Python refuses int <-> str conversions beyond 4300 decimal digits by
+# default.  Longer integers are converted in halves of at most this many
+# digits, so no interpreter-wide setting has to change.
+_DIGIT_CHUNK = 3000
+
+
+def _int_to_decimal(value: int) -> str:
+    if value < 0:
+        return "-" + _int_to_decimal(-value)
+    if value.bit_length() <= 3 * _DIGIT_CHUNK:
+        return str(value)
+    k = value.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(value, 10 ** k)
+    return _int_to_decimal(high) + _int_to_decimal(low).zfill(k)
+
+
+def _decimal_to_int(digits: str) -> int:
+    if len(digits) <= _DIGIT_CHUNK:
+        return int(digits)
+    k = len(digits) // 2
+    return _decimal_to_int(digits[:-k]) * 10 ** k + _decimal_to_int(digits[-k:])
+
+
+def _parse_int(text: str) -> int:
+    body = text.strip()
+    if len(body) <= _DIGIT_CHUNK:
+        return int(body)
+    sign, digits = (body[0], body[1:]) if body[0] in "+-" else ("", body)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    value = _decimal_to_int(digits)
+    return -value if sign == "-" else value
+
 
 def element_to_json(ring: Ring, value):
     if ring.token == "Z":
-        return value if -_SAFE_INT < value < _SAFE_INT else str(value)
+        return value if -_SAFE_INT < value < _SAFE_INT else _int_to_decimal(value)
     return list(value)
 
 
@@ -36,7 +69,7 @@ def element_from_json(ring: Ring, data):
             return data
         if isinstance(data, str):
             try:
-                return int(data)
+                return _parse_int(data)
             except ValueError:
                 raise InvalidInputError(f"bad integer literal {data!r}") from None
         raise InvalidInputError(f"bad integer entry {data!r}")

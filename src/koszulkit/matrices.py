@@ -1,17 +1,23 @@
 """Dense matrices over a coefficient domain and exact linear algebra.
 
-The central algorithm diagonalizes a matrix by unimodular row and column
-transforms and returns the full witness (U, D, V) with U*A*V == D, a
-divisibility chain on the diagonal, and canonical-associate divisors.
-Solving, kernel and image bases, and exactness checks are all derived
-from that certificate.  Matrices with zero rows or columns are
-first-class throughout; empty complexes and vanishing truncations
-depend on them.
+One elimination kernel, ``_echelon``, does every unimodular reduction in
+the library.  It builds the Hermite normal form of a list of vectors by
+adding them one at a time to a fully reduced basis (Kannan and Bachem,
+1979): pivots are canonical associates and every entry in a pivot
+column is reduced modulo its pivot, so intermediate entries stay as
+small as the Hermite forms they pass through.  It repeats its row
+operations on a transform only when the caller passes one.
 
-Pivoting always picks the entry of smallest Euclidean measure (absolute
-value over Z, degree over F_p[x]), which keeps entry growth tame at the
-scales this library targets.  Determinants use Bareiss fraction-free
-elimination so the unimodularity check never divides inexactly.
+On top of it, ``snf`` alternates the kernel on rows and columns until
+the matrix is diagonal and returns the full witness (U, D, V) with
+U*A*V == D, a divisibility chain on the diagonal, and canonical
+divisors; ``elementary_divisors`` and ``rank`` take the same path
+without building U or V.  Solving, kernel and image bases and inverses
+read their answer off one echelon form and its transform.  Matrices
+with zero rows or columns are first-class throughout; empty complexes
+and vanishing truncations depend on them.  Determinants use Bareiss
+fraction-free elimination so the unimodularity check never divides
+inexactly.
 """
 
 from __future__ import annotations
@@ -60,8 +66,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
-        z, o = ring.zero, ring.one
-        return cls._raw(ring, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._raw(ring, n, n, _identity_rows(ring, n))
 
     @classmethod
     def diagonal(cls, ring: Ring, diag: Sequence, rows: int | None = None, cols: int | None = None) -> "Matrix":
@@ -245,138 +250,247 @@ class SnfCertificate:
         return True
 
 
+def _identity_rows(ring: Ring, n: int) -> list:
+    z, o = ring.zero, ring.one
+    return [[o if i == j else z for j in range(n)] for i in range(n)]
+
+
+def _columns(mat: Matrix) -> list:
+    if not mat.rows:
+        return [[] for _ in range(mat.cols)]
+    return [list(col) for col in zip(*mat.entries)]
+
+
+def _from_columns(ring: Ring, height: int, cols: list) -> Matrix:
+    if not cols:
+        return Matrix.zeros(ring, height, 0)
+    return Matrix._raw(ring, height, len(cols), zip(*cols))
+
+
+# The elimination kernel.  Elements of both rings are falsy exactly when
+# they are zero (0 and the empty tuple), which the loops below use as
+# their zero test.
+
+
+def _submul(ring: Ring, row: list, q, other: list, start: int = 0):
+    """row -= q * other, where ``other`` is zero before ``start``."""
+    sub, mul = ring.sub, ring.mul
+    for j in range(start, len(other)):
+        y = other[j]
+        if y:
+            row[j] = sub(row[j], mul(q, y))
+
+
+def _combine(ring: Ring, a, x: list, b, y: list) -> list:
+    """The row a * x + b * y."""
+    add, mul = ring.add, ring.mul
+    out = []
+    for xi, yi in zip(x, y):
+        if not yi:
+            out.append(mul(a, xi) if xi else xi)
+        else:
+            out.append(add(mul(a, xi), mul(b, yi)) if xi else mul(b, yi))
+    return out
+
+
+def _reduce(ring: Ring, row: list, pivots: list, basis: list, first: int = 0,
+            trans: Optional[list] = None, btrans: Optional[list] = None):
+    """Reduce ``row`` modulo the echelon rows ``basis[first:]``.
+
+    Afterwards each entry of ``row`` in one of their pivot columns is a
+    remainder of division by that pivot; ``trans`` follows along.
+    """
+    divmod_ = ring.divmod
+    for k in range(first, len(pivots)):
+        c = pivots[k]
+        x = row[c]
+        if x:
+            q = divmod_(x, basis[k][c])[0]
+            if q:
+                _submul(ring, row, q, basis[k], c)
+                if trans is not None:
+                    _submul(ring, trans, q, btrans[k])
+
+
+def _echelon(ring: Ring, rows: list, width: int, trans: Optional[list] = None):
+    """Hermite normal form of the lattice spanned by ``rows``.
+
+    The one elimination routine of the library.  Rows enter one at a
+    time into a basis that is kept fully reduced, as in Kannan and
+    Bachem (1979): pivots are canonical associates and every entry in a
+    pivot column is reduced modulo its pivot, which is what keeps
+    intermediate entries polynomially bounded instead of compounding
+    from one step to the next.  A new row is cleared pivot by pivot, by
+    an exact multiple of the basis row when the pivot divides its entry
+    and by a 2x2 gcd transform otherwise.
+
+    ``rows`` is consumed.  ``trans``, when given, holds one row per
+    input row (identity rows, or a transform built so far) and every
+    row operation is repeated on it; without it no transform work is
+    done.  Returns ``(pivots, basis, basis_trans, null_trans)``: the
+    pivot columns in increasing order, the echelon rows, their
+    transform rows, and the transform rows of the input rows that
+    became zero, which for identity ``trans`` are a basis of the left
+    kernel.
+    """
+    tracking = trans is not None
+    divmod_, neg = ring.divmod, ring.neg
+    pivots, basis, btrans, null = [], [], [], []
+
+    def settle(k):
+        # basis[k] is new or has a new pivot: restore full reduction.
+        row = basis[k]
+        _reduce(ring, row, pivots, basis, k + 1, btrans[k] if tracking else None, btrans)
+        c = pivots[k]
+        p = row[c]
+        for j in range(k):
+            x = basis[j][c]
+            if x:
+                q = divmod_(x, p)[0]
+                if q:
+                    _submul(ring, basis[j], q, row, c)
+                    if tracking:
+                        _submul(ring, btrans[j], q, btrans[k])
+                    _reduce(ring, basis[j], pivots, basis, k + 1, btrans[j] if tracking else None, btrans)
+
+    for i, row in enumerate(rows):
+        t = trans[i] if tracking else None
+        c = k = 0
+        while True:
+            while c < width and not row[c]:
+                c += 1
+            if c == width:
+                if tracking:
+                    null.append(t)
+                break
+            while k < len(pivots) and pivots[k] < c:
+                k += 1
+            if k == len(pivots) or pivots[k] != c:
+                unit = ring.normalize(row[c])[0]
+                if unit != ring.one:
+                    inv = ring.unit_inverse(unit)
+                    row = [ring.mul(inv, x) for x in row]
+                    if tracking:
+                        t = [ring.mul(inv, x) for x in t]
+                pivots.insert(k, c)
+                basis.insert(k, row)
+                if tracking:
+                    btrans.insert(k, t)
+                settle(k)
+                break
+            h = basis[k]
+            p, x = h[c], row[c]
+            q, rem = divmod_(x, p)
+            if not rem:
+                _submul(ring, row, q, h, c)
+                if tracking:
+                    _submul(ring, t, q, btrans[k])
+            else:
+                g, s, u = ring.ext_gcd(p, x)
+                a, b = neg(divmod_(p, g)[0]), divmod_(x, g)[0]
+                basis[k], row = _combine(ring, s, h, u, row), _combine(ring, b, h, a, row)
+                if tracking:
+                    bt = btrans[k]
+                    btrans[k], t = _combine(ring, s, bt, u, t), _combine(ring, b, bt, a, t)
+                settle(k)
+            c += 1
+            k += 1
+    return pivots, basis, (btrans if tracking else None), null
+
+
+def _is_diagonal(vecs: list) -> bool:
+    return all(not x for k, vec in enumerate(vecs) for j, x in enumerate(vec) if j != k)
+
+
+def _diagonal_form(mat: Matrix, track: bool):
+    """Diagonalize by the kernel on rows, then columns, and so on.
+
+    After the first row pass the nonzero rows form an r x n echelon
+    block of full rank; after the first column pass it is an r x r
+    triangular block, and every further pass works on that block only.
+    Each pass either keeps the first unsettled diagonal entry, in which
+    case its row and column are already clear, or replaces it by a
+    proper divisor, so the alternation ends.
+
+    Returns ``(diagonal, u, v)`` with U*A*V == D for U the rows ``u`` and
+    V the columns ``v``, both None unless ``track``.
+    """
+    ring = mat.ring
+    u = _identity_rows(ring, mat.rows) if track else None
+    v = _identity_rows(ring, mat.cols) if track else None
+    pivots, vecs, u, u_null = _echelon(ring, [list(row) for row in mat.entries], mat.cols, u)
+    r = len(pivots)
+    v_null = []
+    width, on_rows = mat.cols, True
+    while not _is_diagonal(vecs):
+        vecs = [[vec[j] for vec in vecs] for j in range(width)]
+        if on_rows:
+            _, vecs, v, null = _echelon(ring, vecs, r, v)
+            v_null += null
+        else:
+            _, vecs, u, _ = _echelon(ring, vecs, r, u)
+        width, on_rows = r, not on_rows
+    diagonal = [vecs[k][k] for k in range(r)]
+    if track:
+        u, v = u + u_null, v + v_null
+    return diagonal, u, v
+
+
+def _chain(ring: Ring, diagonal: list, u: Optional[list] = None, v: Optional[list] = None):
+    """Make a diagonal of canonical associates a divisibility chain.
+
+    Each pair d_i, d_j (i < j) with d_i not dividing d_j becomes
+    gcd, lcm by a 2x2 unimodular transform on rows i, j of U and
+    columns i, j of V; pairs already in order are left alone, so a
+    diagonal that is a chain costs no transform work.
+    """
+    mul, sub = ring.mul, ring.sub
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            a, b = diagonal[i], diagonal[j]
+            if ring.divides(a, b):
+                continue
+            g, s, t = ring.ext_gcd(a, b)
+            aq, bq = ring.div_exact(a, g), ring.div_exact(b, g)
+            diagonal[i], diagonal[j] = g, mul(aq, b)
+            if u is None:
+                continue
+            # rows i += j; columns (i, j) *= [[s, -bq], [t, aq]]; row j -= t*bq * row i
+            q = mul(t, bq)
+            ui = [ring.add(x, y) for x, y in zip(u[i], u[j])]
+            u[i], u[j] = ui, [sub(y, mul(q, x)) for x, y in zip(ui, u[j])]
+            v[i], v[j] = (_combine(ring, s, v[i], t, v[j]),
+                          _combine(ring, ring.neg(bq), v[i], aq, v[j]))
+
+
 def snf(mat: Matrix) -> SnfCertificate:
     """Smith normal form with transform certificate.
 
-    Pivot choice: smallest nonzero measure in the remaining submatrix.
-    After diagonalization the divisor chain is repaired with 2x2
-    unimodular blocks and every divisor is scaled to its canonical
-    associate.
+    The kernel alternates on rows and columns until the matrix is
+    diagonal; the diagonal is then made a divisibility chain.  U and V
+    accumulate only the kernel's transforms and one 2x2 transform per
+    divisor pair that is out of order.
     """
     ring = mat.ring
-    m, n = mat.rows, mat.cols
-    a = [list(row) for row in mat.entries]
-    u = [list(row) for row in Matrix.identity(ring, m).entries]
-    v = [list(row) for row in Matrix.identity(ring, n).entries]
-    is_zero, measure = ring.is_zero, ring.measure
-    add, sub, mul = ring.add, ring.sub, ring.mul
-
-    def row_submul(target: list, i: int, j: int, q):
-        # rows[i] -= q * rows[j]
-        ri, rj = target[i], target[j]
-        target[i] = [sub(x, mul(q, y)) for x, y in zip(ri, rj)]
-
-    def col_submul(target: list, i: int, j: int, q):
-        # cols[i] -= q * cols[j]
-        for row in target:
-            row[i] = sub(row[i], mul(q, row[j]))
-
-    def col_swap(target: list, i: int, j: int):
-        for row in target:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        best = None
-        for i in range(t, m):
-            ai = a[i]
-            for j in range(t, n):
-                x = ai[j]
-                if not is_zero(x):
-                    w = measure(x)
-                    if best is None or w < best[0]:
-                        best = (w, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-            u[t], u[bi] = u[bi], u[t]
-        if bj != t:
-            col_swap(a, t, bj)
-            col_swap(v, t, bj)
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                x = a[i][t]
-                if is_zero(x):
-                    continue
-                q, r = ring.divmod(x, a[t][t])
-                if not is_zero(q):
-                    row_submul(a, i, t, q)
-                    row_submul(u, i, t, q)
-                if not is_zero(r):
-                    a[t], a[i] = a[i], a[t]
-                    u[t], u[i] = u[i], u[t]
-                    dirty = True
-            if dirty:
-                continue
-            dirty = False
-            for j in range(t + 1, n):
-                x = a[t][j]
-                if is_zero(x):
-                    continue
-                q, r = ring.divmod(x, a[t][t])
-                if not is_zero(q):
-                    col_submul(a, j, t, q)
-                    col_submul(v, j, t, q)
-                if not is_zero(r):
-                    col_swap(a, t, j)
-                    col_swap(v, t, j)
-                    dirty = True
-            if dirty:
-                continue
-            if any(not is_zero(a[i][t]) for i in range(t + 1, m)):
-                continue
-            break
-        t += 1
-    r = t
-
-    # Repair the divisibility chain with 2x2 unimodular transforms.
-    while True:
-        fixed = True
-        for i in range(r - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if ring.div_exact(dj, di) is not None:
-                continue
-            fixed = False
-            # rows[i] += rows[i+1]; the only nonzero entry added is at column i+1
-            a[i][i + 1] = add(a[i][i + 1], dj)
-            u[i] = [add(x, y) for x, y in zip(u[i], u[i + 1])]
-            g, s, tt = ring.ext_gcd(di, dj)
-            aq = ring.div_exact(di, g)
-            bq = ring.div_exact(dj, g)
-            nbq = ring.neg(bq)
-            for target in (a, v):
-                for row in target:
-                    x, y = row[i], row[i + 1]
-                    row[i] = add(mul(s, x), mul(tt, y))
-                    row[i + 1] = add(mul(nbq, x), mul(aq, y))
-            q = ring.div_exact(a[i + 1][i], a[i][i])
-            row_submul(a, i + 1, i, q)
-            row_submul(u, i + 1, i, q)
-        if fixed:
-            break
-
-    for i in range(r):
-        unit, canon = ring.normalize(a[i][i])
-        if unit != ring.one:
-            inv = ring.unit_inverse(unit)
-            a[i] = [mul(inv, x) for x in a[i]]
-            u[i] = [mul(inv, x) for x in u[i]]
-
-    divisors = tuple(a[i][i] for i in range(r))
+    diagonal, u, v = _diagonal_form(mat, track=True)
+    _chain(ring, diagonal, u, v)
     return SnfCertificate(
-        U=Matrix._raw(ring, m, m, u),
-        D=Matrix._raw(ring, m, n, a),
-        V=Matrix._raw(ring, n, n, v),
-        divisors=divisors,
+        U=Matrix._raw(ring, mat.rows, mat.rows, u),
+        D=Matrix.diagonal(ring, diagonal, mat.rows, mat.cols),
+        V=_from_columns(ring, mat.cols, v),
+        divisors=tuple(diagonal),
     )
 
 
+def elementary_divisors(mat: Matrix) -> tuple:
+    """The divisors of ``snf(mat)``, computed without U or V."""
+    diagonal, _, _ = _diagonal_form(mat, track=False)
+    _chain(mat.ring, diagonal)
+    return tuple(diagonal)
+
+
 def rank(mat: Matrix) -> int:
-    return snf(mat).rank
+    return len(_echelon(mat.ring, [list(row) for row in mat.entries], mat.cols)[0])
 
 
 def det(mat: Matrix):
@@ -411,230 +525,88 @@ def is_unimodular(mat: Matrix) -> bool:
     return mat.is_square() and mat.ring.is_unit(det(mat))
 
 
-def _row_hermite(ring: Ring, rows: list) -> list:
-    """Row-echelon reduction by unimodular row operations.
-
-    Pivots become canonical associates, entries above a pivot are
-    reduced modulo it, so the output rows span the same lattice with
-    controlled entry sizes.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    is_zero = ring.is_zero
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        piv = next((i for i in range(r, m) if not is_zero(rows[i][c])), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, m):
-            if is_zero(rows[i][c]):
-                continue
-            g, s, t = ring.ext_gcd(rows[r][c], rows[i][c])
-            a_div = ring.div_exact(rows[r][c], g)
-            b_div = ring.div_exact(rows[i][c], g)
-            top = [ring.add(ring.mul(s, x), ring.mul(t, y)) for x, y in zip(rows[r], rows[i])]
-            bottom = [ring.sub(ring.mul(a_div, y), ring.mul(b_div, x)) for x, y in zip(rows[r], rows[i])]
-            rows[r], rows[i] = top, bottom
-        unit, _ = ring.normalize(rows[r][c])
-        if unit != ring.one:
-            inv = ring.unit_inverse(unit)
-            rows[r] = [ring.mul(inv, x) for x in rows[r]]
-        for i in range(r):
-            q, _ = ring.divmod(rows[i][c], rows[r][c])
-            if not is_zero(q):
-                rows[i] = [ring.sub(x, ring.mul(q, y)) for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return rows
-
-
 def reduce_column_basis(mat: Matrix) -> Matrix:
-    """Column-equivalent matrix with Hermite-reduced entries.
+    """Column-equivalent matrix in column Hermite form.
 
-    Used on every emitted kernel/image basis: cascaded constructions
-    would otherwise compound transform entries exponentially.
+    Used on every emitted kernel basis: cascaded constructions would
+    otherwise compound transform entries.  Dependent columns come out
+    as zero columns at the end.
     """
     if mat.cols == 0 or mat.rows == 0:
         return mat
     ring = mat.ring
-    reduced = _row_hermite(ring, [list(row) for row in zip(*mat.entries)])
-    return Matrix._raw(ring, mat.rows, mat.cols, zip(*reduced))
-
-
-def _reduce_mod_columns(ring: Ring, sol: list, basis: Matrix) -> list:
-    """Shrink solution columns modulo a reduced kernel basis."""
-    pivots = []
-    cols = list(zip(*basis.entries)) if basis.rows else []
-    for col in cols:
-        row = next((i for i, x in enumerate(col) if not ring.is_zero(x)), None)
-        if row is not None:
-            pivots.append((row, col))
-    for j in range(len(sol[0]) if sol else 0):
-        for row, col in pivots:
-            q, _ = ring.divmod(sol[row][j], col[row])
-            if not ring.is_zero(q):
-                for i in range(len(sol)):
-                    sol[i][j] = ring.sub(sol[i][j], ring.mul(q, col[i]))
-    return sol
-
-
-def _column_echelon(mat: Matrix):
-    """Column echelon form by unimodular column operations.
-
-    Returns (columns, transform columns, pivot rows): the first
-    len(pivots) columns form an echelon basis of the column lattice,
-    the remaining transform columns span the kernel.  Entry growth is
-    kept down by always pivoting on the smallest measure and reducing
-    earlier columns against each new pivot, which is what makes the
-    stacked linear systems elsewhere in the library tractable.
-    """
-    ring = mat.ring
-    m, n = mat.rows, mat.cols
-    is_zero, measure = ring.is_zero, ring.measure
-    sub, mul = ring.sub, ring.mul
-    cols = [[row[j] for row in mat.entries] for j in range(n)]
-    q = [[ring.one if i == j else ring.zero for i in range(n)] for j in range(n)]
-    pivots = []
-    r = 0
-    for i in range(m):
-        if r == n:
-            break
-        placed = False
-        while True:
-            best = None
-            for j in range(r, n):
-                x = cols[j][i]
-                if not is_zero(x):
-                    w = measure(x)
-                    if best is None or w < best[0]:
-                        best = (w, j)
-            if best is None:
-                break
-            placed = True
-            j = best[1]
-            if j != r:
-                cols[r], cols[j] = cols[j], cols[r]
-                q[r], q[j] = q[j], q[r]
-            piv = cols[r][i]
-            clean = True
-            for j in range(r + 1, n):
-                x = cols[j][i]
-                if is_zero(x):
-                    continue
-                quo, rem = ring.divmod(x, piv)
-                if not is_zero(quo):
-                    cj, cr = cols[j], cols[r]
-                    cols[j] = [sub(a, mul(quo, b)) for a, b in zip(cj, cr)]
-                    qj, qr = q[j], q[r]
-                    q[j] = [sub(a, mul(quo, b)) for a, b in zip(qj, qr)]
-                if not is_zero(rem):
-                    clean = False
-            if clean:
-                break
-        if placed:
-            unit, _ = ring.normalize(cols[r][i])
-            if unit != ring.one:
-                inv = ring.unit_inverse(unit)
-                cols[r] = [mul(inv, x) for x in cols[r]]
-                q[r] = [mul(inv, x) for x in q[r]]
-            piv = cols[r][i]
-            for j in range(r):
-                quo, _ = ring.divmod(cols[j][i], piv)
-                if not is_zero(quo):
-                    cj, cr = cols[j], cols[r]
-                    cols[j] = [sub(a, mul(quo, b)) for a, b in zip(cj, cr)]
-                    qj, qr = q[j], q[r]
-                    q[j] = [sub(a, mul(quo, b)) for a, b in zip(qj, qr)]
-            pivots.append(i)
-            r += 1
-    return cols, q, pivots
+    basis = _echelon(ring, _columns(mat), mat.rows)[1]
+    basis += [[ring.zero] * mat.rows for _ in range(mat.cols - len(basis))]
+    return _from_columns(ring, mat.rows, basis)
 
 
 def solve(mat: Matrix, rhs: Matrix) -> Optional[Matrix]:
     """Solve mat * X == rhs exactly; None iff no solution exists.
 
-    Decided by unimodular column elimination: forward substitution
-    along the echelon pivots either divides exactly at every step and
-    ends on a zero residual, or there is no solution over the ring.
-    The returned solution is reduced modulo the kernel lattice, so
-    repeated calls on equal inputs return identical, small output.
+    The kernel brings the columns of ``mat`` to echelon form with their
+    transform.  Forward substitution along the pivots either divides
+    exactly at every step and ends on a zero residual, or there is no
+    solution over the ring.  The solution is reduced modulo the Hermite
+    basis of the kernel lattice, so it is the same for every way of
+    writing the same system.
     """
     if mat.ring != rhs.ring:
         raise DomainMismatchError("mixed-ring solve")
     if mat.rows != rhs.rows:
         raise DimensionError("right-hand side has wrong height")
     ring = mat.ring
-    is_zero = ring.is_zero
-    cols, transform, pivots = _column_echelon(mat)
-    r = len(pivots)
-    residual = [list(row) for row in rhs.entries]
-    width = rhs.cols
-    y = [[ring.zero] * width for _ in range(mat.cols)]
-    for k, pivot_row in enumerate(pivots):
-        col = cols[k]
-        piv = col[pivot_row]
-        for j in range(width):
-            quo = ring.div_exact(residual[pivot_row][j], piv)
-            if quo is None:
-                return None
-            if not is_zero(quo):
-                y[k][j] = quo
-                for i in range(pivot_row, mat.rows):
-                    residual[i][j] = ring.sub(residual[i][j], ring.mul(quo, col[i]))
-    for row in residual:
-        if any(not is_zero(x) for x in row):
+    n = mat.cols
+    pivots, cols, trans, null = _echelon(ring, _columns(mat), mat.rows, _identity_rows(ring, n))
+    solution = []
+    for residual in _columns(rhs):
+        x = [ring.zero] * n
+        for c, col, t in zip(pivots, cols, trans):
+            if residual[c]:
+                q = ring.div_exact(residual[c], col[c])
+                if q is None:
+                    return None
+                _submul(ring, residual, q, col, c)
+                _submul(ring, x, ring.neg(q), t)
+        if any(residual):
             return None
-    solution = [[ring.zero] * width for _ in range(mat.cols)]
-    for k in range(r):
-        trans = transform[k]
-        yk = y[k]
-        for j in range(width):
-            c = yk[j]
-            if is_zero(c):
-                continue
-            for i in range(mat.cols):
-                solution[i][j] = ring.add(solution[i][j], ring.mul(c, trans[i]))
-    if r == mat.cols or width == 0:
-        return Matrix._raw(ring, mat.cols, width, solution)
-    kernel = Matrix._raw(ring, mat.cols, mat.cols - r, zip(*transform[r:]))
-    reduced = _reduce_mod_columns(ring, solution, kernel)
-    return Matrix._raw(ring, mat.cols, width, reduced)
+        solution.append(x)
+    if null and solution:
+        kernel_pivots, kernel, _, _ = _echelon(ring, null, n)
+        for x in solution:
+            _reduce(ring, x, kernel_pivots, kernel)
+    return _from_columns(ring, n, solution) if solution else Matrix.zeros(ring, n, 0)
 
 
 def inverse(mat: Matrix) -> Matrix:
-    """Exact inverse of a unimodular matrix: V * D^{-1} * U."""
+    """Exact inverse of a unimodular matrix.
+
+    The Hermite form of a unimodular matrix is the identity, so the row
+    transform that produces it is the inverse.
+    """
     if not mat.is_square():
         raise DimensionError("inverse of a non-square matrix")
     ring = mat.ring
-    cert = snf(mat)
-    if cert.rank != mat.rows or any(not ring.is_unit(d) for d in cert.divisors):
+    n = mat.rows
+    pivots, basis, trans, _ = _echelon(ring, [list(row) for row in mat.entries], n, _identity_rows(ring, n))
+    if len(pivots) != n or any(basis[k][k] != ring.one for k in range(n)):
         raise DimensionError("matrix is not unimodular")
-    dinv = Matrix.diagonal(ring, [ring.unit_inverse(d) for d in cert.divisors])
-    return cert.V * dinv * cert.U
+    return Matrix._raw(ring, n, n, trans)
 
 
 def kernel_basis(mat: Matrix) -> Matrix:
     """Basis of {x : mat*x == 0}; free and saturated over a PID."""
-    _, transform, pivots = _column_echelon(mat)
-    r = len(pivots)
-    kernel = Matrix._raw(mat.ring, mat.cols, mat.cols - r, zip(*transform[r:])) \
-        if r < mat.cols else Matrix.zeros(mat.ring, mat.cols, 0)
-    return reduce_column_basis(kernel)
+    null = _echelon(mat.ring, _columns(mat), mat.rows, _identity_rows(mat.ring, mat.cols))[3]
+    return reduce_column_basis(_from_columns(mat.ring, mat.cols, null))
 
 
 def image_basis(mat: Matrix) -> Matrix:
-    """Basis of the column-span lattice.
+    """Basis of the column-span lattice, in column Hermite form.
 
     An injective matrix is returned unchanged, so constructions that
     corestrict an injective map keep their coordinates on the nose.
     """
-    cols, _, pivots = _column_echelon(mat)
-    r = len(pivots)
-    if r == mat.cols:
-        return mat
-    return Matrix._raw(mat.ring, mat.rows, r, zip(*cols[:r]))
+    basis = _echelon(mat.ring, _columns(mat), mat.rows)[1]
+    return mat if len(basis) == mat.cols else _from_columns(mat.ring, mat.rows, basis)
 
 
 def is_exact_at(first: Matrix, second: Matrix) -> bool:
@@ -650,8 +622,3 @@ def is_exact_at(first: Matrix, second: Matrix) -> bool:
         raise NotAComplexError("composite of the two maps is nonzero")
     ker = kernel_basis(second)
     return solve(first, ker) is not None
-
-
-def in_span(span: Matrix, vectors: Matrix) -> bool:
-    """Whether every column of ``vectors`` lies in the column span."""
-    return solve(span, vectors) is not None

@@ -2,14 +2,18 @@
 statement over freshly generated instances and reports every violation.
 
 Reports are deterministic in (params, seed): per-trial randomness comes
-from the derived trial generator and failures are sorted by their trial
-seed, so two runs with the same parameters serialize identically.
+from the derived trial generator and failures are sorted by trial index,
+so two runs with the same parameters serialize identically.  A trial
+that raises an unexpected exception is recorded as a ``crashed``
+failure naming the exception type and the library function it came
+from; the remaining trials still run.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import traceback
 from dataclasses import dataclass, field
 
 from . import jsonio
@@ -89,11 +93,25 @@ class SuiteReport:
             "ring": self.ring,
             "seed": self.seed,
             "trials": self.trials,
-            "failures": sorted(self.failures, key=lambda f: f["seed"]),
+            "failures": sorted(self.failures, key=_trial_index),
         }
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
+
+
+def _trial_index(failure: dict) -> int:
+    return int(failure["seed"].rsplit("/", 1)[1])
+
+
+def _crash_stage(error: BaseException) -> str:
+    """The innermost koszulkit function on the traceback, as module.function."""
+    stage = "suites"
+    for frame, _ in traceback.walk_tb(error.__traceback__):
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("koszulkit."):
+            stage = f"{module[len('koszulkit.'):]}.{frame.f_code.co_name}"
+    return stage
 
 
 # ---------------------------------------------------------------------------
@@ -356,5 +374,12 @@ def run_suite(name: str, params: GenParams) -> SuiteReport:
                 "instance": None,
                 "assertion": f"trial aborted: {error}",
             })
-    report.failures.sort(key=lambda f: f["seed"])
+        except Exception as error:
+            stage = _crash_stage(error)
+            report.failures.append({
+                "seed": seed_token,
+                "instance": None,
+                "assertion": f"trial crashed in {stage}: {type(error).__name__}: {error}",
+                "crashed": {"error": type(error).__name__, "stage": stage},
+            })
     return report

@@ -3,10 +3,12 @@ from pathlib import Path
 
 import pytest
 
+from koszulkit import jsonio
 from koszulkit.cli import main
 from koszulkit.complexes import ComplexSes, kernel_image_sequences
 from koszulkit.errors import HypothesisNotMetError, InvalidInputError
 from koszulkit.jsonio import chain_map_from_json
+from koszulkit.rings import ZZ
 from koszulkit.sfiltering import idempotent_split
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -40,6 +42,21 @@ def test_snf_large_entries_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "snf", "--ring", "Z", "--in", path)
     assert code == 0
     assert json.loads(out)["divisors"] == [str(big)]
+
+
+def test_snf_entry_beyond_int_str_limit_roundtrips(tmp_path, capsys):
+    # Python refuses int <-> str conversions past 4300 digits by default.
+    big = -(10 ** 4999 + 7)
+    literal = jsonio.element_to_json(ZZ, big)
+    assert len(literal) == 5001
+    assert jsonio.element_from_json(ZZ, literal) == big
+    path = write_json(tmp_path, "m.json", {"rows": 1, "cols": 1, "entries": [[literal]]})
+    code, out, _ = run_cli(capsys, "snf", "--ring", "Z", "--in", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified"] is True
+    assert jsonio.element_from_json(ZZ, payload["divisors"][0]) == -big
+    assert jsonio.element_from_json(ZZ, payload["D"]["entries"][0][0]) == -big
 
 
 def complex_payload():

@@ -88,12 +88,14 @@ def test_snf_agrees_with_sympy():
     from sympy.matrices.normalforms import invariant_factors
 
     rng = random.Random(23)
-    for _ in range(60):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+    shapes = [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(60)]
+    shapes += [(n, n) for n in range(6, 21)]
+    shapes += [(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(25)]
+    for rows, cols in shapes:
         a = rand_int_matrix(rng, rows, cols, bound=15)
         mine = [d for d in snf(a).divisors]
         theirs = [int(x) for x in invariant_factors(sympy.Matrix(list(map(list, a.entries)))) if int(x) != 0]
-        assert mine == theirs
+        assert mine == theirs, (rows, cols)
 
 
 def test_snf_invariant_under_unimodular_transport():

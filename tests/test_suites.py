@@ -2,8 +2,9 @@ import pytest
 
 from koszulkit.errors import InvalidInputError
 from koszulkit.generators import GenParams
+from koszulkit.matrices import Matrix, inverse
 from koszulkit.rings import ZZ, fpx
-from koszulkit.suites import SUITES, run_suite
+from koszulkit.suites import SUITES, TrialFailure, run_suite
 
 EXPECTED_SUITES = {
     "lemma2_4", "lemma2_5", "remark3_2", "prop3_4", "prop3_5", "lemma3_6",
@@ -52,3 +53,29 @@ def test_report_payload_shape():
     assert payload["seed"] == 11
     assert payload["trials"] == 3
     assert payload["failures"] == []
+
+
+def test_crashing_trial_is_recorded_with_type_and_stage(monkeypatch):
+    def body(params, trial):
+        if trial == 1:
+            inverse(Matrix.zeros(params.ring, 2, 3))
+
+    monkeypatch.setitem(SUITES, "lemma2_4", body)
+    report = run_suite("lemma2_4", GenParams(ring=ZZ, seed=0, trials=3))
+    assert len(report.failures) == 1
+    failure = report.failures[0]
+    assert failure["seed"] == "Z/0/1"
+    assert failure["crashed"] == {"error": "DimensionError", "stage": "matrices.inverse"}
+    assert failure["assertion"].startswith("trial crashed in matrices.inverse: DimensionError")
+
+
+def test_failures_sort_by_numeric_trial_index(monkeypatch):
+    def body(params, trial):
+        if trial in (2, 10):
+            raise TrialFailure(f"trial {trial}", None)
+
+    monkeypatch.setitem(SUITES, "lemma2_4", body)
+    report = run_suite("lemma2_4", GenParams(ring=ZZ, seed=0, trials=11))
+    expected = ["Z/0/2", "Z/0/10"]
+    assert [f["seed"] for f in report.failures] == expected
+    assert [f["seed"] for f in report.to_json()["failures"]] == expected
