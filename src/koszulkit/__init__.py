@@ -2,7 +2,10 @@
 
 Coefficients are exact (integers or polynomials over a prime field);
 every construction either verifies at build time or returns an
-independently checkable certificate.
+independently checkable certificate.  Public constructors of complexes,
+chain maps, homotopies and presented maps always check their law;
+internal constructions whose law follows from verified inputs by block
+algebra (shifts, cones, cylinders, direct sums, composites) skip it.
 """
 
 from .errors import (
@@ -55,7 +58,6 @@ from .complexes import (
     homology_table,
     homotopy_between,
     is_acyclic,
-    is_quasi_iso,
     kernel_image_sequences,
     nullhomotopy,
     quasi_iso_degree,

@@ -3,9 +3,15 @@
 Differentials decrease degree.  Degrees are arbitrary integers; support
 is explicit and never inferred from zero matrices, although degrees of
 rank zero are normalized away so that equality of complexes is plain
-structural equality.  Every constructor checks d(n) . d(n+1) == 0 and
-every chain map checks the commutation law, so invalid data fails fast
-at construction.
+structural equality.
+
+Verification policy.  The public constructors of ``ChainComplex``,
+``ChainMap`` and ``Homotopy`` check shapes, the ring and the law
+(d.d == 0, commutation, the homotopy identity), so invalid data fails
+fast.  Only shifts, cones, cylinders, direct sums, identities, sums and
+composites use the private ``_trusted`` path, which skips the law: it
+follows from their verified inputs by block algebra.  Anything built
+from solved or eliminated data keeps the full check as its certificate.
 
 Sign conventions.  The shift negates differentials degree by degree for
 odd shifts.  The cone of f : X -> Y has degree-n part X_{n-1} (+) Y_n
@@ -44,10 +50,47 @@ from .matrices import (
 from .rings import Ring
 
 
-class ChainComplex:
+def _nonzero_blocks(ring: Ring, blocks: Mapping[int, Matrix], shape, what: str) -> dict:
+    """Check each block's ring and its shape ``shape(n)``; keep the nonzero ones."""
+    clean = {}
+    for n, mat in blocks.items():
+        n = int(n)
+        rows, cols = shape(n)
+        if mat.ring != ring:
+            raise InvalidInputError(f"{what} over the wrong ring")
+        if mat.rows != rows or mat.cols != cols:
+            raise DimensionError(f"{what} at degree {n} has shape {mat.rows}x{mat.cols}, expected {rows}x{cols}")
+        if rows and cols and not mat.is_zero():
+            clean[n] = mat
+    return clean
+
+
+class _Checked:
+    """Immutable; ``__init__`` runs ``_fill`` (shapes, rings, normalization)
+    and then the law, ``_trusted`` runs ``_fill`` only."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _trusted(cls, *args):
+        out = object.__new__(cls)
+        out._fill(*args)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class ChainComplex(_Checked):
     __slots__ = ("ring", "ranks", "diffs")
 
     def __init__(self, ring: Ring, ranks: Mapping[int, int], diffs: Mapping[int, Matrix]):
+        self._fill(ring, ranks, diffs)
+        for n, mat in self.diffs.items():
+            if n + 1 in self.diffs and not (mat * self.diffs[n + 1]).is_zero():
+                raise NotAComplexError(f"d({n}) . d({n + 1}) is nonzero")
+
+    def _fill(self, ring: Ring, ranks: Mapping[int, int], diffs: Mapping[int, Matrix]):
         clean_ranks = {}
         for n, r in ranks.items():
             n, r = int(n), int(r)
@@ -55,26 +98,11 @@ class ChainComplex:
                 raise InvalidInputError("negative rank")
             if r:
                 clean_ranks[n] = r
-        clean_diffs = {}
-        for n, mat in diffs.items():
-            n = int(n)
-            rows = clean_ranks.get(n - 1, 0)
-            cols = clean_ranks.get(n, 0)
-            if mat.ring != ring:
-                raise InvalidInputError("differential over the wrong ring")
-            if mat.rows != rows or mat.cols != cols:
-                raise DimensionError(f"differential at degree {n} has shape {mat.rows}x{mat.cols}, expected {rows}x{cols}")
-            if rows and cols and not mat.is_zero():
-                clean_diffs[n] = mat
+        clean_diffs = _nonzero_blocks(
+            ring, diffs, lambda n: (clean_ranks.get(n - 1, 0), clean_ranks.get(n, 0)), "differential")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "ranks", clean_ranks)
         object.__setattr__(self, "diffs", clean_diffs)
-        for n in clean_diffs:
-            if n + 1 in clean_diffs and not (clean_diffs[n] * clean_diffs[n + 1]).is_zero():
-                raise NotAComplexError(f"d({n}) . d({n + 1}) is nonzero")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChainComplex is immutable")
 
     @property
     def support(self) -> tuple:
@@ -122,40 +150,30 @@ class ChainComplex:
 
 
 def zero_complex(ring: Ring) -> ChainComplex:
-    return ChainComplex(ring, {}, {})
+    return ChainComplex._trusted(ring, {}, {})
 
 
 def two_term(mat: Matrix, top_degree: int = 1) -> ChainComplex:
     """The complex [R^cols -> R^rows] with ``mat`` in degree ``top_degree``."""
-    return ChainComplex(mat.ring, {top_degree: mat.cols, top_degree - 1: mat.rows}, {top_degree: mat})
+    return ChainComplex._trusted(mat.ring, {top_degree: mat.cols, top_degree - 1: mat.rows}, {top_degree: mat})
 
 
-class ChainMap:
+class ChainMap(_Checked):
     __slots__ = ("source", "target", "components")
 
     def __init__(self, source: ChainComplex, target: ChainComplex, components: Mapping[int, Matrix]):
+        self._fill(source, target, components)
+        for n in set(source.ranks) | set(target.ranks):
+            if target.d(n) * self.at(n) != self.at(n - 1) * source.d(n):
+                raise InvalidInputError(f"components do not commute with differentials at degree {n}")
+
+    def _fill(self, source: ChainComplex, target: ChainComplex, components: Mapping[int, Matrix]):
         if source.ring != target.ring:
             raise InvalidInputError("chain map across different rings")
-        clean = {}
-        for n, mat in components.items():
-            n = int(n)
-            rows, cols = target.rank(n), source.rank(n)
-            if mat.rows != rows or mat.cols != cols:
-                raise DimensionError(f"component at degree {n} has shape {mat.rows}x{mat.cols}, expected {rows}x{cols}")
-            if rows and cols and not mat.is_zero():
-                clean[n] = mat
+        clean = _nonzero_blocks(source.ring, components, lambda n: (target.rank(n), source.rank(n)), "component")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", clean)
-        degrees = set(source.ranks) | set(target.ranks)
-        for n in degrees:
-            lhs = target.d(n) * self.at(n)
-            rhs = self.at(n - 1) * source.d(n)
-            if lhs != rhs:
-                raise InvalidInputError(f"components do not commute with differentials at degree {n}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChainMap is immutable")
 
     def at(self, n: int) -> Matrix:
         got = self.components.get(n)
@@ -166,31 +184,31 @@ class ChainMap:
     @classmethod
     def identity(cls, complex_: ChainComplex) -> "ChainMap":
         comps = {n: Matrix.identity(complex_.ring, r) for n, r in complex_.ranks.items()}
-        return cls(complex_, complex_, comps)
+        return cls._trusted(complex_, complex_, comps)
 
     @classmethod
     def zero(cls, source: ChainComplex, target: ChainComplex) -> "ChainMap":
-        return cls(source, target, {})
+        return cls._trusted(source, target, {})
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other."""
         if other.target != self.source:
             raise DimensionError("chain maps do not compose")
         degrees = set(other.components) | set(self.components)
-        return ChainMap(other.source, self.target, {n: self.at(n) * other.at(n) for n in degrees})
+        return ChainMap._trusted(other.source, self.target, {n: self.at(n) * other.at(n) for n in degrees})
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
         self._parallel(other)
         degrees = set(self.components) | set(other.components)
-        return ChainMap(self.source, self.target, {n: self.at(n) + other.at(n) for n in degrees})
+        return ChainMap._trusted(self.source, self.target, {n: self.at(n) + other.at(n) for n in degrees})
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
         self._parallel(other)
         degrees = set(self.components) | set(other.components)
-        return ChainMap(self.source, self.target, {n: self.at(n) - other.at(n) for n in degrees})
+        return ChainMap._trusted(self.source, self.target, {n: self.at(n) - other.at(n) for n in degrees})
 
     def __neg__(self) -> "ChainMap":
-        return ChainMap(self.source, self.target, {n: -m for n, m in self.components.items()})
+        return ChainMap._trusted(self.source, self.target, {n: -m for n, m in self.components.items()})
 
     def _parallel(self, other: "ChainMap"):
         if self.source != other.source or self.target != other.target:
@@ -221,33 +239,25 @@ class ChainMap:
         return f"ChainMap(degrees={sorted(self.components)})"
 
 
-class Homotopy:
+class Homotopy(_Checked):
     """Degreewise witness H with dH + Hd == lhs - rhs."""
 
     __slots__ = ("lhs", "rhs", "components")
 
     def __init__(self, lhs: ChainMap, rhs: ChainMap, components: Mapping[int, Matrix]):
+        self._fill(lhs, rhs, components)
+        X, Y = lhs.source, lhs.target
+        for n in set(X.ranks) | set(Y.ranks):
+            if lhs.at(n) - rhs.at(n) != Y.d(n + 1) * self.at(n) + self.at(n - 1) * X.d(n):
+                raise InvalidInputError(f"homotopy identity fails at degree {n}")
+
+    def _fill(self, lhs: ChainMap, rhs: ChainMap, components: Mapping[int, Matrix]):
         lhs._parallel(rhs)
         X, Y = lhs.source, lhs.target
-        clean = {}
-        for n, mat in components.items():
-            n = int(n)
-            rows, cols = Y.rank(n + 1), X.rank(n)
-            if mat.rows != rows or mat.cols != cols:
-                raise DimensionError(f"homotopy component at degree {n} has wrong shape")
-            if rows and cols and not mat.is_zero():
-                clean[n] = mat
+        clean = _nonzero_blocks(X.ring, components, lambda n: (Y.rank(n + 1), X.rank(n)), "homotopy component")
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "components", clean)
-        for n in set(X.ranks) | set(Y.ranks):
-            want = lhs.at(n) - rhs.at(n)
-            have = Y.d(n + 1) * self.at(n) + self.at(n - 1) * X.d(n)
-            if want != have:
-                raise InvalidInputError(f"homotopy identity fails at degree {n}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Homotopy is immutable")
 
     def at(self, n: int) -> Matrix:
         got = self.components.get(n)
@@ -270,11 +280,11 @@ def shift(complex_: ChainComplex, k: int) -> ChainComplex:
         diffs = {n - k: m for n, m in complex_.diffs.items()}
     else:
         diffs = {n - k: -m for n, m in complex_.diffs.items()}
-    return ChainComplex(complex_.ring, ranks, diffs)
+    return ChainComplex._trusted(complex_.ring, ranks, diffs)
 
 
 def shift_map(f: ChainMap, k: int) -> ChainMap:
-    return ChainMap(shift(f.source, k), shift(f.target, k), {n - k: m for n, m in f.components.items()})
+    return ChainMap._trusted(shift(f.source, k), shift(f.target, k), {n - k: m for n, m in f.components.items()})
 
 
 @dataclass(frozen=True)
@@ -296,12 +306,12 @@ def cone(f: ChainMap) -> Cone:
         if sum(rows) == 0 or sum(cols) == 0:
             continue
         diffs[n] = block(ring, [[-X.d(n - 1), None], [-f.at(n - 1), Y.d(n)]], rows, cols)
-    c = ChainComplex(ring, ranks, diffs)
-    incl = ChainMap(Y, c, {
+    c = ChainComplex._trusted(ring, ranks, diffs)
+    incl = ChainMap._trusted(Y, c, {
         n: vstack([Matrix.zeros(ring, X.rank(n - 1), Y.rank(n)), Matrix.identity(ring, Y.rank(n))])
         for n in Y.ranks
     })
-    proj = ChainMap(c, shift(X, -1), {
+    proj = ChainMap._trusted(c, shift(X, -1), {
         n: hstack([Matrix.identity(ring, X.rank(n - 1)), Matrix.zeros(ring, X.rank(n - 1), Y.rank(n))])
         for n in degrees if X.rank(n - 1)
     })
@@ -326,7 +336,7 @@ def cylinder(f: ChainMap) -> ChainComplex:
              [None, -X.d(n - 1), None],
              [None, -f.at(n - 1), Y.d(n)]],
             rows, cols)
-    return ChainComplex(ring, ranks, diffs)
+    return ChainComplex._trusted(ring, ranks, diffs)
 
 
 @dataclass(frozen=True)
@@ -341,17 +351,17 @@ def structure_maps(f: ChainMap) -> StructureMaps:
     X, Y = f.source, f.target
     ring = X.ring
     cyl = cylinder(f)
-    j1 = ChainMap(X, cyl, {
+    j1 = ChainMap._trusted(X, cyl, {
         n: vstack([Matrix.identity(ring, X.rank(n)),
                    Matrix.zeros(ring, X.rank(n - 1) + Y.rank(n), X.rank(n))])
         for n in X.ranks
     })
-    j2 = ChainMap(Y, cyl, {
+    j2 = ChainMap._trusted(Y, cyl, {
         n: vstack([Matrix.zeros(ring, X.rank(n) + X.rank(n - 1), Y.rank(n)),
                    Matrix.identity(ring, Y.rank(n))])
         for n in Y.ranks
     })
-    p = ChainMap(cyl, Y, {
+    p = ChainMap._trusted(cyl, Y, {
         n: hstack([f.at(n), Matrix.zeros(ring, Y.rank(n), X.rank(n - 1)),
                    Matrix.identity(ring, Y.rank(n))])
         for n in cyl.ranks if Y.rank(n)
@@ -379,7 +389,7 @@ def cyl_functorial(f: ChainMap, g: ChainMap, a: ChainMap, b: ChainMap) -> ChainM
             [None, a.at(n - 1), None],
             [None, None, b.at(n)],
         ], rows, cols)
-    return ChainMap(src, tgt, comps)
+    return ChainMap._trusted(src, tgt, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -464,16 +474,8 @@ class TruncationTriple:
     proj: ChainMap
 
     def degreewise_exact(self) -> bool:
-        X = self.incl.target
-        for m in set(X.ranks) | set(self.upper.ranks) | set(self.lower.ranks):
-            inc, pr = self.incl.at(m), self.proj.at(m)
-            if kernel_basis(inc).cols:
-                return False
-            if not cokernel(pr).is_zero():
-                return False
-            if not is_exact_at(inc, pr):
-                return False
-        return True
+        degrees = set(self.incl.target.ranks) | set(self.upper.ranks) | set(self.lower.ranks)
+        return not any(_ses_failure(self.incl.at(m), self.proj.at(m)) for m in degrees)
 
 
 def truncation_triple(complex_: ChainComplex, n: int) -> TruncationTriple:
@@ -722,10 +724,6 @@ def quasi_iso_degree(f: ChainMap):
     return math.inf
 
 
-def is_quasi_iso(f: ChainMap) -> bool:
-    return quasi_iso_degree(f) == math.inf
-
-
 # ---------------------------------------------------------------------------
 # Short exact sequences of complexes.
 
@@ -741,13 +739,9 @@ class ComplexSes:
         self.sub = sub
         self.quo = quo
         for n in set(sub.source.ranks) | set(sub.target.ranks) | set(quo.target.ranks):
-            inc, pr = sub.at(n), quo.at(n)
-            if kernel_basis(inc).cols:
-                raise InvalidInputError(f"inclusion is not injective at degree {n}")
-            if not cokernel(pr).is_zero():
-                raise InvalidInputError(f"projection is not surjective at degree {n}")
-            if not is_exact_at(inc, pr):
-                raise InvalidInputError(f"sequence is not exact at degree {n}")
+            failure = _ses_failure(sub.at(n), quo.at(n))
+            if failure:
+                raise InvalidInputError(f"{failure} at degree {n}")
 
     @property
     def left(self) -> ChainComplex:
@@ -762,14 +756,18 @@ class ComplexSes:
         return self.quo.target
 
 
-def _free_ses_exact(first: Matrix, second: Matrix) -> bool:
-    if not (second * first).is_zero():
-        return False
+def _ses_failure(first: Matrix, second: Matrix) -> Optional[str]:
+    """How 0 -> . -first-> . -second-> . -> 0 first fails to be exact, or None.
+
+    Requires second * first == 0 (``is_exact_at`` raises otherwise).
+    """
     if kernel_basis(first).cols:
-        return False
+        return "inclusion is not injective"
     if not cokernel(second).is_zero():
-        return False
-    return is_exact_at(first, second)
+        return "projection is not surjective"
+    if not is_exact_at(first, second):
+        return "sequence is not exact"
+    return None
 
 
 def kernel_image_sequences(ses: ComplexSes, n: int) -> tuple[bool, bool]:
@@ -788,14 +786,14 @@ def kernel_image_sequences(ses: ComplexSes, n: int) -> tuple[bool, bool]:
     onto = solve(kz, ses.quo.at(n) * ky)
     if into is None or onto is None:
         raise NotAComplexError("maps do not restrict to kernels")
-    kernels_exact = _free_ses_exact(into, onto)
+    kernels_exact = (onto * into).is_zero() and not _ses_failure(into, onto)
 
     bx, by, bz = image_basis(X.d(n)), image_basis(Y.d(n)), image_basis(Z.d(n))
     into_im = solve(by, ses.sub.at(n - 1) * bx)
     onto_im = solve(bz, ses.quo.at(n - 1) * by)
     if into_im is None or onto_im is None:
         raise NotAComplexError("maps do not restrict to images")
-    images_exact = _free_ses_exact(into_im, onto_im)
+    images_exact = (onto_im * into_im).is_zero() and not _ses_failure(into_im, onto_im)
     return kernels_exact, images_exact
 
 
@@ -863,10 +861,12 @@ class DirectSum:
 
 
 def direct_sum(*parts: ChainComplex) -> DirectSum:
+    if not parts:
+        raise InvalidInputError("direct sum of no complexes")
     ring = parts[0].ring
-    degrees = set()
-    for part in parts:
-        degrees |= set(part.ranks)
+    if any(part.ring != ring for part in parts):
+        raise InvalidInputError("direct sum across different rings")
+    degrees = set().union(*(part.ranks for part in parts))
     ranks = {n: sum(p.rank(n) for p in parts) for n in degrees}
     diffs = {}
     for n in degrees | {n + 1 for n in degrees}:
@@ -876,33 +876,15 @@ def direct_sum(*parts: ChainComplex) -> DirectSum:
             continue
         grid = [[p.d(n) if i == j else None for j in range(len(parts))] for i, p in enumerate(parts)]
         diffs[n] = block(ring, grid, rows, cols)
-    total = ChainComplex(ring, ranks, diffs)
-    inclusions = []
-    projections = []
+    total = ChainComplex._trusted(ring, ranks, diffs)
+    inclusions, projections = [], []
     for idx, part in enumerate(parts):
-        inc = {}
-        pr = {}
-        for n in part.ranks:
-            before = sum(p.rank(n) for p in parts[:idx])
-            after = sum(p.rank(n) for p in parts[idx + 1:])
-            inc[n] = vstack([Matrix.zeros(ring, before, part.rank(n)),
-                             Matrix.identity(ring, part.rank(n)),
-                             Matrix.zeros(ring, after, part.rank(n))])
-        for n in total.ranks:
-            if part.rank(n):
-                before = sum(p.rank(n) for p in parts[:idx])
-                after = sum(p.rank(n) for p in parts[idx + 1:])
-                pr[n] = hstack([Matrix.zeros(ring, part.rank(n), before),
-                                Matrix.identity(ring, part.rank(n)),
-                                Matrix.zeros(ring, part.rank(n), after)])
-        inclusions.append(ChainMap(part, total, inc))
-        projections.append(ChainMap(total, part, pr))
+        inc = {
+            n: vstack([Matrix.zeros(ring, sum(p.rank(n) for p in parts[:idx]), r),
+                       Matrix.identity(ring, r),
+                       Matrix.zeros(ring, sum(p.rank(n) for p in parts[idx + 1:]), r)])
+            for n, r in part.ranks.items()
+        }
+        inclusions.append(ChainMap._trusted(part, total, inc))
+        projections.append(ChainMap._trusted(total, part, {n: m.transpose() for n, m in inc.items()}))
     return DirectSum(total, tuple(inclusions), tuple(projections))
-
-
-def direct_sum_maps(total_source: DirectSum, total_target: DirectSum, maps) -> ChainMap:
-    """Block-diagonal chain map between direct sums of equal length."""
-    composite = ChainMap.zero(total_source.complex, total_target.complex)
-    for inc, f, pr in zip(total_target.inclusions, maps, total_source.projections):
-        composite = composite + inc.compose(f).compose(pr)
-    return composite

@@ -133,8 +133,8 @@ def h0_augmentation(complex_: ChainComplex) -> Augmentation:
     bottom = h0_presentation(complex_)
     zero_mod = PresentedModule.free(ring, 0)
     target = PresentedKoszul(zero_mod, bottom, PresentedMap.zero(zero_mod, bottom))
-    degree0 = PresentedMap(PresentedModule.free(ring, complex_.rank(0)), bottom,
-                           Matrix.identity(ring, complex_.rank(0)), check=False)
+    degree0 = PresentedMap._trusted(PresentedModule.free(ring, complex_.rank(0)), bottom,
+                                    Matrix.identity(ring, complex_.rank(0)))
     degree1 = PresentedMap.zero(PresentedModule.free(ring, complex_.rank(1)), zero_mod)
     return Augmentation(complex_, target, degree0, degree1)
 
@@ -466,7 +466,7 @@ class PresentedKoszul:
         ring = complex_.ring
         top = PresentedModule.free(ring, complex_.rank(1))
         bottom = PresentedModule.free(ring, complex_.rank(0))
-        return cls(top, bottom, PresentedMap(top, bottom, complex_.d(1), check=False))
+        return cls(top, bottom, PresentedMap._trusted(top, bottom, complex_.d(1)))
 
     def h0(self) -> PresentedModule:
         return self.d.cokernel_module()
@@ -548,12 +548,12 @@ def resolve_in_kos1(target: PresentedKoszul) -> Resolution:
     cover = ChainComplex(ring, {1: basis.cols, 0: g0}, {1: basis})
     free0 = PresentedModule.free(ring, g0)
     free1 = PresentedModule.free(ring, basis.cols)
-    e0 = PresentedMap(free0, target.bottom, Matrix.identity(ring, g0), check=False)
+    e0 = PresentedMap._trusted(free0, target.bottom, Matrix.identity(ring, g0))
     stacked = solve(hstack([target.d.matrix, target.bottom.relations]), basis)
     if stacked is None:
         raise InvalidInputError("cover basis does not lift through the boundary")
     lift = stacked.take_rows(range(target.top.gens))
-    e1 = PresentedMap(free1, target.top, lift, check=False)
+    e1 = PresentedMap._trusted(free1, target.top, lift)
     k0 = image_basis(target.bottom.relations)
     pre = kernel_basis(hstack([lift, target.top.relations]))
     k1_raw = pre.take_rows(range(basis.cols)) if pre.cols else Matrix.zeros(ring, basis.cols, 0)
@@ -600,7 +600,7 @@ def e_functor(x: PresentedKoszul) -> CanonicalTriple:
     epi = PresentedKoszulMap(
         x, right,
         PresentedMap.zero(x.top, zero_mod),
-        PresentedMap(x.bottom, h0_module, Matrix.identity(ring, x.bottom.gens), check=False))
+        PresentedMap._trusted(x.bottom, h0_module, Matrix.identity(ring, x.bottom.gens)))
     return CanonicalTriple(PresentedSes(mono, epi))
 
 

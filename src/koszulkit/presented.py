@@ -6,6 +6,10 @@ relations.  Everything reduces to exact solving against column spans:
 kernels and images come out as presented modules with explicit
 inclusion maps, and short-exactness of a pair of maps is decidable.
 
+``PresentedMap`` checks that its matrix carries relations into
+relations; ``PresentedMap._trusted`` skips that for maps that do so by
+construction (identities, composites, kernel, image and pushout legs).
+
 The two diagram-level checks at the bottom verify, on concrete module
 data, that a square in a morphism of short exact sequences is a pushout
 precisely when the last vertical map is an isomorphism, and that the
@@ -74,33 +78,43 @@ class PresentedMap:
 
     __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source: PresentedModule, target: PresentedModule, matrix: Matrix, check: bool = True):
+    def __init__(self, source: PresentedModule, target: PresentedModule, matrix: Matrix):
+        self._fill(source, target, matrix)
+        if source.relations.cols and not target.contains(matrix * source.relations):
+            raise InvalidInputError("matrix does not carry relations into relations")
+
+    @classmethod
+    def _trusted(cls, source: PresentedModule, target: PresentedModule, matrix: Matrix) -> "PresentedMap":
+        """Shape and ring checks only, for maps that carry relations by construction."""
+        out = object.__new__(cls)
+        out._fill(source, target, matrix)
+        return out
+
+    def _fill(self, source: PresentedModule, target: PresentedModule, matrix: Matrix):
         if matrix.rows != target.gens or matrix.cols != source.gens:
             raise DimensionError("map matrix has wrong shape")
         if source.ring != target.ring or matrix.ring != source.ring:
             raise InvalidInputError("map across different rings")
-        if check and source.relations.cols and not target.contains(matrix * source.relations):
-            raise InvalidInputError("matrix does not carry relations into relations")
         self.source = source
         self.target = target
         self.matrix = matrix
 
     @classmethod
     def identity(cls, module: PresentedModule) -> "PresentedMap":
-        return cls(module, module, Matrix.identity(module.ring, module.gens), check=False)
+        return cls._trusted(module, module, Matrix.identity(module.ring, module.gens))
 
     @classmethod
     def zero(cls, source: PresentedModule, target: PresentedModule) -> "PresentedMap":
-        return cls(source, target, Matrix.zeros(source.ring, target.gens, source.gens), check=False)
+        return cls._trusted(source, target, Matrix.zeros(source.ring, target.gens, source.gens))
 
     def compose(self, other: "PresentedMap") -> "PresentedMap":
         """self after other."""
         if other.target is not self.source and other.target != self.source:
             raise DimensionError("maps do not compose")
-        return PresentedMap(other.source, self.target, self.matrix * other.matrix, check=False)
+        return PresentedMap._trusted(other.source, self.target, self.matrix * other.matrix)
 
     def add(self, other: "PresentedMap") -> "PresentedMap":
-        return PresentedMap(self.source, self.target, self.matrix + other.matrix, check=False)
+        return PresentedMap._trusted(self.source, self.target, self.matrix + other.matrix)
 
     def equals(self, other: "PresentedMap") -> bool:
         """Equality as module maps: the difference vanishes on generators."""
@@ -119,18 +133,18 @@ class PresentedMap:
 
     def kernel(self) -> tuple[PresentedModule, "PresentedMap"]:
         gens_mat = self.preimage_of_relations()
-        inner = PresentedMap(PresentedModule.free(self.source.ring, gens_mat.cols), self.source,
-                             gens_mat, check=False)
+        inner = PresentedMap._trusted(PresentedModule.free(self.source.ring, gens_mat.cols), self.source,
+                                      gens_mat)
         rels = inner.preimage_of_relations()
         module = PresentedModule(self.source.ring, gens_mat.cols, rels)
-        return module, PresentedMap(module, self.source, gens_mat, check=False)
+        return module, PresentedMap._trusted(module, self.source, gens_mat)
 
     def image(self) -> tuple[PresentedModule, "PresentedMap", "PresentedMap"]:
         """Return (image, inclusion into target, epi from source)."""
         rels = self.preimage_of_relations()
         module = PresentedModule(self.source.ring, self.source.gens, rels)
-        incl = PresentedMap(module, self.target, self.matrix, check=False)
-        epi = PresentedMap(self.source, module, Matrix.identity(self.source.ring, self.source.gens), check=False)
+        incl = PresentedMap._trusted(module, self.target, self.matrix)
+        epi = PresentedMap._trusted(self.source, module, Matrix.identity(self.source.ring, self.source.gens))
         return module, incl, epi
 
     def cokernel_module(self) -> PresentedModule:
@@ -160,10 +174,10 @@ def pushout(left: PresentedMap, right: PresentedMap) -> tuple[PresentedModule, P
     anti = vstack([left.matrix, -right.matrix])
     obj = PresentedModule(ring, ambient.gens, hstack([ambient.relations, anti]))
     ga, gb = left.target.gens, right.target.gens
-    leg_a = PresentedMap(left.target, obj,
-                         vstack([Matrix.identity(ring, ga), Matrix.zeros(ring, gb, ga)]), check=False)
-    leg_b = PresentedMap(right.target, obj,
-                         vstack([Matrix.zeros(ring, ga, gb), Matrix.identity(ring, gb)]), check=False)
+    leg_a = PresentedMap._trusted(left.target, obj,
+                                  vstack([Matrix.identity(ring, ga), Matrix.zeros(ring, gb, ga)]))
+    leg_b = PresentedMap._trusted(right.target, obj,
+                                  vstack([Matrix.zeros(ring, ga, gb), Matrix.identity(ring, gb)]))
     return obj, leg_a, leg_b
 
 
@@ -173,8 +187,8 @@ def pushout_of_span(first: Matrix, second: Matrix) -> tuple[PresentedModule, Pre
         raise DimensionError("span legs must share their source dimension")
     ring = first.ring
     src = PresentedModule.free(ring, first.cols)
-    f = PresentedMap(src, PresentedModule.free(ring, first.rows), first, check=False)
-    a = PresentedMap(src, PresentedModule.free(ring, second.rows), second, check=False)
+    f = PresentedMap._trusted(src, PresentedModule.free(ring, first.rows), first)
+    a = PresentedMap._trusted(src, PresentedModule.free(ring, second.rows), second)
     return pushout(f, a)
 
 
@@ -188,11 +202,11 @@ def pullback(left: PresentedMap, right: PresentedMap) -> tuple[PresentedModule, 
         raise InvalidInputError("cospan legs must share their target")
     ring = left.source.ring
     ambient = direct_sum_modules([left.source, right.source])
-    diff = PresentedMap(ambient, left.target, hstack([left.matrix, -right.matrix]), check=False)
+    diff = PresentedMap._trusted(ambient, left.target, hstack([left.matrix, -right.matrix]))
     module, incl = diff.kernel()
     ga = left.source.gens
-    leg_a = PresentedMap(module, left.source, incl.matrix.take_rows(range(ga)), check=False)
-    leg_b = PresentedMap(module, right.source, incl.matrix.take_rows(range(ga, ambient.gens)), check=False)
+    leg_a = PresentedMap._trusted(module, left.source, incl.matrix.take_rows(range(ga)))
+    leg_b = PresentedMap._trusted(module, right.source, incl.matrix.take_rows(range(ga, ambient.gens)))
     return module, incl, leg_a, leg_b
 
 
@@ -202,7 +216,7 @@ def factor_through_pullback(module: PresentedModule, incl: PresentedMap, stacked
     sol = solve(hstack([incl.matrix, ambient.relations]), stacked.matrix)
     if sol is None:
         return None
-    return PresentedMap(stacked.source, module, sol.take_rows(range(module.gens)), check=False)
+    return PresentedMap._trusted(stacked.source, module, sol.take_rows(range(module.gens)))
 
 
 def is_short_exact(mono: PresentedMap, epi: PresentedMap) -> bool:
@@ -257,9 +271,9 @@ def cobase_change_check(diagram: SesMorphism) -> bool:
     """
     diagram.validate()
     obj, _, _ = pushout(diagram.left, diagram.top_mono)
-    comparison = PresentedMap(
+    comparison = PresentedMap._trusted(
         obj, diagram.bottom_mono.target,
-        hstack([diagram.bottom_mono.matrix, diagram.middle.matrix]), check=False)
+        hstack([diagram.bottom_mono.matrix, diagram.middle.matrix]))
     return comparison.is_iso() == diagram.right.is_iso()
 
 
@@ -303,14 +317,14 @@ def nine_term_sequences(grid: ThreeByThree) -> tuple[bool, bool]:
     (f, g), (fp, gp), (fpp, gpp) = grid.cols
 
     obj, _, _ = pushout(f, ix)
-    mono1 = PresentedMap(obj, iy.target, hstack([iy.matrix, fp.matrix]), check=False)
+    mono1 = PresentedMap._trusted(obj, iy.target, hstack([iy.matrix, fp.matrix]))
     epi1 = pz.compose(gp)
     first = is_short_exact(mono1, epi1)
 
     module, incl, _, _ = pullback(pz, gpp)
-    stacked = PresentedMap(
+    stacked = PresentedMap._trusted(
         gp.source, direct_sum_modules([pz.source, gpp.source]),
-        vstack([gp.matrix, py.matrix]), check=False)
+        vstack([gp.matrix, py.matrix]))
     into = factor_through_pullback(module, incl, stacked)
     second = False
     if into is not None:

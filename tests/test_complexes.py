@@ -34,7 +34,7 @@ from koszulkit.errors import HypothesisNotMetError, InvalidInputError, NotACompl
 from koszulkit.fgmodules import FgModule, module_iso
 from koszulkit.generators import GenParams, gen_a_object, gen_chain_map, trial_rng
 from koszulkit.matrices import Matrix
-from koszulkit.rings import ZZ
+from koszulkit.rings import ZZ, fpx
 
 Z2 = two_term(Matrix(ZZ, [[2]]))
 Z6 = two_term(Matrix(ZZ, [[6]]))
@@ -303,3 +303,14 @@ def test_chain_retraction():
     # multiplication by 2 is a mono with no retraction at all
     doubling = ChainMap(Z2, Z2, {1: Matrix(ZZ, [[2]]), 0: Matrix(ZZ, [[2]])})
     assert chain_retraction(doubling) is None
+
+
+def test_direct_sum_rejects_no_parts():
+    with pytest.raises(InvalidInputError):
+        direct_sum()
+
+
+def test_direct_sum_rejects_mixed_rings():
+    over_f2 = two_term(Matrix(fpx(2), [[(0, 1)]]))
+    with pytest.raises(InvalidInputError):
+        direct_sum(Z2, over_f2)

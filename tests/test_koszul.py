@@ -93,10 +93,10 @@ def test_h0_augmentation_naturality():
         left = h0_map(f).compose(
             PresentedMap(PresentedModule.free(ZZ, x.rank(0)),
                          h0_augmentation(x).degree0.target,
-                         Matrix.identity(ZZ, x.rank(0)), check=False))
+                         Matrix.identity(ZZ, x.rank(0))))
         right = h0_augmentation(y).degree0.compose(
             PresentedMap(PresentedModule.free(ZZ, x.rank(0)),
-                         PresentedModule.free(ZZ, y.rank(0)), f.at(0), check=False))
+                         PresentedModule.free(ZZ, y.rank(0)), f.at(0)))
         assert left.matrix == right.matrix or left.target.contains(left.matrix - right.matrix)
 
 
