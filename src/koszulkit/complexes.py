@@ -131,9 +131,6 @@ class ChainComplex(_Checked):
     def is_zero_complex(self) -> bool:
         return not self.ranks
 
-    def total_rank(self) -> int:
-        return sum(self.ranks.values())
-
     def euler_characteristic(self) -> int:
         return sum(r if n % 2 == 0 else -r for n, r in self.ranks.items())
 

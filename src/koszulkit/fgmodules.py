@@ -3,8 +3,10 @@
 A module is recorded as a free rank plus a torsion list of canonical
 divisors chained by divisibility, which is the classification of f.g.
 modules over a PID.  Arbitrary divisor lists are re-normalized into a
-chain by factoring and regrouping prime powers, so isomorphism testing
-is a plain equality of canonical forms.
+chain by the gcd/lcm repair that also orders SNF diagonals, so no
+divisor is ever factored and isomorphism testing is a plain equality of
+canonical forms.  Primes enter only through ``length_at`` and the K0
+classes.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
-from .matrices import Matrix, elementary_divisors
+from .matrices import Matrix, _chain, elementary_divisors
 from .rings import Ring
 
 
@@ -27,35 +29,20 @@ class FgModule:
         """Canonicalize an arbitrary torsion-divisor list into a chain.
 
         Units are dropped; a zero divisor is rejected (a free summand
-        must be counted in ``free_rank``).  Prime-power contributions
-        are regrouped so the result satisfies t1 | t2 | ... .
+        must be counted in ``free_rank``).  Each out-of-order pair of
+        canonical associates becomes its gcd and lcm, so the result
+        satisfies t1 | t2 | ... without factoring any divisor.
         """
         if free_rank < 0:
             raise InvalidInputError("negative free rank")
-        exponents: dict = {}
+        chain = []
         for d in divisors:
             _, canon = ring.normalize(ring.validate(d))
             if ring.is_zero(canon):
                 raise InvalidInputError("zero torsion divisor")
-            if ring.is_unit(canon):
-                continue
-            for p, e in ring.factor(canon).items():
-                exponents.setdefault(p, []).append(e)
-        if not exponents:
-            return cls(ring, free_rank, ())
-        width = max(len(v) for v in exponents.values())
-        for v in exponents.values():
-            v.sort(reverse=True)
-            v.extend([0] * (width - len(v)))
-        chain = []
-        for k in range(width):
-            factor = ring.one
-            for p in sorted(exponents):
-                for _ in range(exponents[p][k]):
-                    factor = ring.mul(factor, p)
-            chain.append(factor)
-        chain.reverse()
-        return cls(ring, free_rank, tuple(chain))
+            chain.append(canon)
+        _chain(ring, chain)
+        return cls(ring, free_rank, tuple(d for d in chain if not ring.is_unit(d)))
 
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.torsion

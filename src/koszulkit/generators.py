@@ -184,7 +184,7 @@ def gen_koszul(params: GenParams, trial: int, acyclic: bool = False,
     p0, _ = rand_unimodular(rng, ring, r)
     _, p1inv = rand_unimodular(rng, ring, r)
     boundary = p0 * Matrix.diagonal(ring, divisors) * p1inv
-    expected = FgModule.make(ring, 0, [d for d in divisors if not ring.is_unit(d)])
+    expected = FgModule.make(ring, 0, divisors)
     return KoszulSample(two_term(boundary), tuple(divisors), expected)
 
 

@@ -36,7 +36,10 @@ class PresentedModule:
     relations: Matrix
 
     def __post_init__(self):
-        if self.relations.rows != self.gens or self.relations.ring != self.ring:
+        if self.relations.ring != self.ring:
+            raise InvalidInputError(f"relations matrix over {self.relations.ring.token}, "
+                                    f"module over {self.ring.token}")
+        if self.relations.rows != self.gens:
             raise DimensionError("relations matrix must have one row per generator")
 
     @classmethod
@@ -61,7 +64,11 @@ class PresentedModule:
 
 
 def direct_sum_modules(parts: Sequence[PresentedModule]) -> PresentedModule:
+    if not parts:
+        raise InvalidInputError("direct sum of no modules")
     ring = parts[0].ring
+    if any(p.ring != ring for p in parts):
+        raise InvalidInputError("direct sum across different rings")
     gens = sum(p.gens for p in parts)
     rels = []
     offset = 0
@@ -70,7 +77,7 @@ def direct_sum_modules(parts: Sequence[PresentedModule]) -> PresentedModule:
         bottom = Matrix.zeros(ring, gens - offset - p.gens, p.relations.cols)
         rels.append(vstack([top, p.relations, bottom]))
         offset += p.gens
-    return PresentedModule(ring, gens, hstack(rels) if rels else Matrix.zeros(ring, gens, 0))
+    return PresentedModule(ring, gens, hstack(rels))
 
 
 class PresentedMap:

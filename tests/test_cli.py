@@ -1,4 +1,6 @@
 import json
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -69,6 +71,46 @@ def test_homology_command(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "homology", "--in", path)
     assert code == 0
     assert json.loads(out)["homology"]["0"] == {"free_rank": 0, "torsion": [6]}
+
+
+class RunTooLong(Exception):
+    pass
+
+
+@contextmanager
+def wall_clock_limit(seconds):
+    """Fail the test once the body runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise RunTooLong
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    expired = False
+    try:
+        yield
+    except RunTooLong:
+        expired = True
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    if expired:
+        # Failing here keeps the interrupted frames, whose tracebacks can
+        # lack line numbers, out of the report.
+        pytest.fail(f"run exceeded {seconds * 1000:.0f} ms", pytrace=False)
+
+
+@pytest.mark.parametrize("ring, entry", [
+    ("Z", str(10 ** 24 + 7)),            # a 25-digit prime
+    ("fpx:101", [3, 1, 0, 0, 0, 0, 1]),  # x^6 + x + 3, irreducible over F_101
+], ids=["Z-25-digit-prime", "F101x-degree-6-irreducible"])
+def test_homology_of_large_prime_needs_no_factoring(tmp_path, capsys, ring, entry):
+    payload = {"ring": ring, "ranks": {"1": 1, "0": 1},
+               "differentials": {"1": {"rows": 1, "cols": 1, "entries": [[entry]]}}}
+    path = write_json(tmp_path, "c.json", payload)
+    with wall_clock_limit(0.05):
+        code, out, _ = run_cli(capsys, "homology", "--in", path)
+    assert code == 0
+    assert json.loads(out)["homology"] == {"0": {"free_rank": 0, "torsion": [entry]},
+                                           "1": {"free_rank": 0, "torsion": []}}
 
 
 def test_k0_command(tmp_path, capsys):

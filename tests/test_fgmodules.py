@@ -26,6 +26,7 @@ def test_canonicalization():
     assert FgModule.make(ZZ, 0, [-6]).torsion == (6,)
     assert FgModule.make(ZZ, 0, [1, 1]).torsion == ()
     assert FgModule.make(ZZ, 2, []).free_rank == 2
+    assert FgModule.make(ZZ, 0, [12, 18, 5]).torsion == (6, 180)
     # (x)(x+1) and (x) regroup into a chain over F2[x]
     x = F2.poly([0, 1])
     xp1 = F2.poly([1, 1])

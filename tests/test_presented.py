@@ -1,6 +1,6 @@
 import pytest
 
-from koszulkit.errors import InvalidInputError
+from koszulkit.errors import DimensionError, InvalidInputError
 from koszulkit.fgmodules import FgModule
 from koszulkit.matrices import Matrix
 from koszulkit.presented import (
@@ -16,7 +16,7 @@ from koszulkit.presented import (
     pushout,
     pushout_of_span,
 )
-from koszulkit.rings import ZZ
+from koszulkit.rings import ZZ, fpx
 
 
 def free(n):
@@ -193,3 +193,20 @@ def test_nine_term_split_grid():
     )
     first, second = nine_term_sequences(grid)
     assert first and second
+
+
+def test_direct_sum_modules_rejects_no_parts():
+    with pytest.raises(InvalidInputError, match="no modules"):
+        direct_sum_modules([])
+
+
+def test_direct_sum_modules_rejects_mixed_rings():
+    with pytest.raises(InvalidInputError, match="different rings"):
+        direct_sum_modules([cyclic(2), PresentedModule.cyclic(fpx(2), (0, 1))])
+
+
+def test_presented_module_rejects_relations_over_another_ring():
+    with pytest.raises(InvalidInputError, match="fpx:2.*Z"):
+        PresentedModule(ZZ, 1, Matrix(fpx(2), [[(1,)]]))
+    with pytest.raises(DimensionError):
+        PresentedModule(ZZ, 2, Matrix(ZZ, [[1]]))
