@@ -8,6 +8,7 @@ failures was emitted), 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -198,7 +199,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="koszulkit",
                                      description="Exact chain-complex calculator over a PID")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -228,8 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "suite":
             status = _cmd_suite(args)

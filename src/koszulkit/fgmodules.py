@@ -5,8 +5,11 @@ divisors chained by divisibility, which is the classification of f.g.
 modules over a PID.  Arbitrary divisor lists are re-normalized into a
 chain by the gcd/lcm repair that also orders SNF diagonals, so no
 divisor is ever factored and isomorphism testing is a plain equality of
-canonical forms.  Primes enter only through ``length_at`` and the K0
-classes.
+canonical forms.  Primes enter only through ``length_at``, which checks
+its argument with a primality test (``Ring.is_canonical_prime``: strong
+probable primes, a proof below 3.317e24, over Z; Rabin's irreducibility
+test over F_p[x]) and factors nothing, and through the K0 classes, which
+factor each divisor with ``Ring.factor``.
 """
 
 from __future__ import annotations

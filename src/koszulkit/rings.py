@@ -10,29 +10,167 @@ nothing in the library ever rounds, so all results are exact.
 Canonical associates are nonnegative integers and monic polynomials, so
 elementary-divisor lists coming out of diagonalization are directly
 comparable.
+
+Prime factorization (needed only for K0 classes) is exact.  It runs in
+expected polynomial time over F_p[x]; over Z it takes about sqrt(q)
+steps, q the second-largest prime factor, so at most about n^(1/4):
+
+* Z: trial division by the primes below 1000, then ``is_prime`` on the
+  cofactor, integer roots for perfect powers, and Pollard's rho with
+  Brent's cycle finding and batched gcds (Brent, BIT 1980) on other
+  composite parts.  ``is_prime`` is a strong probable-prime test to the
+  first 13 prime bases, which proves primality below 3.317e24
+  (Sorenson--Webster 2017); above that bound a strong Lucas test is
+  added, so a "prime" there is a Baillie--PSW probable prime (no
+  composite passing it is known).
+* F_p[x]: square-free, distinct-degree and Cantor--Zassenhaus
+  equal-degree factorization (Math. Comp. 1981), with the random
+  splitting polynomials drawn from a generator seeded by the input, so
+  every run takes the same splits.  Irreducibility is Rabin's test.
+
+Both ``factor`` methods return their dict sorted by prime.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from functools import lru_cache
 
 from .errors import DomainMismatchError, InvalidInputError, NotFactorableError
 
+_TRIAL_PRIMES = tuple(n for n in range(2, 1000)
+                      if all(n % d for d in range(2, math.isqrt(n) + 1)))
+_SPRP_BASES = _TRIAL_PRIMES[:13]             # 2, 3, 5, ..., 41
+_SPRP_PROOF_BOUND = 3317044064679887385961981  # smallest spsp to all 13 bases
+_RHO_BATCH = 128
+
 
 def is_prime(n: int) -> bool:
+    """Primality of an integer: a proof below 3.317e24, BPSW above.
+
+    Trial division by the primes below 1000, then a strong probable-prime
+    test to the bases 2, 3, ..., 41, which no composite below
+    3 317 044 064 679 887 385 961 981 passes; larger survivors must also
+    pass a strong Lucas test (Baillie--PSW).
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _TRIAL_PRIMES:
+        if n % p == 0:
+            return n == p
+        if p * p > n:
+            return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SPRP_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
-    return True
+    return n < _SPRP_PROOF_BOUND or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test, Selfridge parameters, for odd
+    n > 1000."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4  # P = 1
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) % n, (D * U + V) % n
+            U = (U + n if U % 2 else U) // 2  # halve modulo odd n
+            V = (V + n if V % 2 else V) // 2
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _perfect_power(n: int):
+    """(r, k) with n == r**k for a prime k, or None; for n with no prime
+    factor below 1000."""
+    for k in _TRIAL_PRIMES:
+        if 1000 ** k > n:
+            return None
+        r = 1 << -(-n.bit_length() // k)  # Newton's method from above
+        while True:
+            s = ((k - 1) * r + n // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+        if r ** k == n:
+            return r, k
+    return None
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of the composite n (Pollard rho, Brent's cycle
+    finding, gcds batched over ``_RHO_BATCH`` steps).  The constants
+    c = 1, 2, ... are tried in turn, so the split is deterministic."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 class Ring:
@@ -87,7 +225,11 @@ class Ring:
         raise NotImplementedError
 
     def factor(self, a) -> dict:
-        """Factor into canonical primes: a = unit * prod(p**m)."""
+        """Factor into canonical primes: a = unit * prod(p**m), keys sorted."""
+        raise NotImplementedError
+
+    def _is_irreducible(self, p) -> bool:
+        """Primality of a canonical non-unit, without factoring it."""
         raise NotImplementedError
 
     # Derived helpers.
@@ -108,10 +250,9 @@ class Ring:
     def is_canonical_prime(self, p) -> bool:
         if self.is_zero(p) or self.is_unit(p):
             return False
-        unit, canon = self.normalize(p)
-        if canon != p:
+        if self.normalize(p)[1] != p:
             return False
-        return self.factor(p) == {p: 1}
+        return self._is_irreducible(p)
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.token == other.token
@@ -185,15 +326,26 @@ class IntegerRing(Ring):
         if c == 0 or c == 1:
             raise NotFactorableError(f"cannot factor {a!r}")
         result: dict[int, int] = {}
-        for p in itertools.chain((2,), itertools.count(3, 2)):
+        for p in _TRIAL_PRIMES:
             if p * p > c:
                 break
             while c % p == 0:
                 c //= p
                 result[p] = result.get(p, 0) + 1
-        if c > 1:
-            result[c] = result.get(c, 0) + 1
-        return result
+        pending = [(c, 1)] if c > 1 else []
+        while pending:
+            n, m = pending.pop()
+            if is_prime(n):
+                result[n] = result.get(n, 0) + m
+            elif (power := _perfect_power(n)) is not None:
+                pending.append((power[0], m * power[1]))
+            else:
+                d = _pollard_brent(n)
+                pending += [(d, m), (n // d, m)]
+        return dict(sorted(result.items()))
+
+    def _is_irreducible(self, p):
+        return is_prime(p)
 
 
 class PrimeFieldPolynomialRing(Ring):
@@ -315,32 +467,115 @@ class PrimeFieldPolynomialRing(Ring):
         inv = self.unit_inverse(unit)
         return canon, self.mul(inv, old_s), self.mul(inv, old_t)
 
-    def _monic_by_degree(self, degree: int):
-        for lower in itertools.product(range(self.p), repeat=degree):
-            yield tuple(lower) + (1,)
+    def gcd(self, a, b):
+        """The monic gcd, by Euclid without the Bezout cofactors."""
+        self.validate(a), self.validate(b)
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.normalize(a)[1]
+
+    def _powmod(self, a, e: int, f):
+        """a**e modulo f, for e >= 1."""
+        out = self.divmod(a, f)[1]
+        for bit in bin(e)[3:]:
+            out = self.divmod(self.mul(out, out), f)[1]
+            if bit == "1":
+                out = self.divmod(self.mul(out, a), f)[1]
+        return out
+
+    def _squarefree(self, f) -> list:
+        """Pairs (g, m) with f = prod g**m, each g square-free, monic and
+        nonconstant, for monic f."""
+        p = self.p
+        out, scale = [], 1
+        while len(f) > 1:
+            df = self.poly([i * c for i, c in enumerate(f)][1:])
+            if df:
+                c = self.gcd(f, df)
+                if c == self.one:  # f is square-free
+                    out.append((f, scale))
+                    break
+                w, i = self.divmod(f, c)[0], 1
+                while len(w) > 1:
+                    y = self.gcd(w, c)
+                    part = self.divmod(w, y)[0]
+                    if len(part) > 1:
+                        out.append((part, i * scale))
+                    w, c, i = y, self.divmod(c, y)[0], i + 1
+                f = c  # every multiplicity left is a multiple of p
+            f, scale = f[::p], scale * p  # p-th root: only x^(kp) terms remain
+        return out
+
+    def _distinct_degree(self, f) -> list:
+        """Pairs (d, g): g is the product of the degree-d irreducible
+        factors of the square-free monic f."""
+        x = (0, 1)
+        out, h, d = [], x, 0
+        while len(f) - 1 >= 2 * (d + 1):
+            d += 1
+            h = self._powmod(h, self.p, f)  # x^(p^d) mod f
+            g = self.gcd(f, self.sub(h, x))
+            if len(g) > 1:
+                out.append((d, g))
+                f = self.divmod(f, g)[0]
+                h = self.divmod(h, f)[1]
+        if len(f) > 1:
+            out.append((len(f) - 1, f))
+        return out
+
+    def _equal_degree(self, f, d: int) -> list:
+        """Cantor--Zassenhaus: the degree-d irreducible factors of f, a
+        product of distinct monic irreducibles of degree d.  The random
+        splitting polynomials come from a generator seeded by f, so every
+        run takes the same splits."""
+        p = self.p
+        rng = None
+        pending, out = [f], []
+        while pending:
+            g = pending.pop()
+            if len(g) - 1 == d:
+                out.append(g)
+                continue
+            rng = rng or random.Random(repr(f))
+            while True:
+                h = self.poly([rng.randrange(p) for _ in range(len(g) - 1)])
+                if p == 2:  # trace map h + h^2 + ... + h^(2^(d-1))
+                    t = s = h
+                    for _ in range(d - 1):
+                        s = self._powmod(s, 2, g)
+                        t = self.add(t, s)
+                else:
+                    t = self.sub(self._powmod(h, (p ** d - 1) // 2, g), self.one)
+                split = self.gcd(g, t)
+                if 1 < len(split) < len(g):
+                    break
+            pending += [split, self.divmod(g, split)[0]]
+        return out
 
     def factor(self, a):
         self.validate(a)
         if self.is_zero(a) or self.is_unit(a):
             raise NotFactorableError(f"cannot factor {a!r}")
-        _, rem = self.normalize(a)
+        _, f = self.normalize(a)
         result: dict[tuple, int] = {}
-        degree = 1
-        while len(rem) > 1:
-            if len(rem) - 1 < 2 * degree:
-                result[rem] = result.get(rem, 0) + 1
-                break
-            for cand in self._monic_by_degree(degree):
-                while True:
-                    q, r = self.divmod(rem, cand)
-                    if r:
-                        break
-                    rem = q
-                    result[cand] = result.get(cand, 0) + 1
-                if len(rem) - 1 < 2 * degree:
-                    break
-            degree += 1
-        return result
+        for part, mult in self._squarefree(f):
+            for d, same_degree in self._distinct_degree(part):
+                for q in self._equal_degree(same_degree, d):
+                    result[q] = result.get(q, 0) + mult
+        return dict(sorted(result.items()))
+
+    def _is_irreducible(self, f):
+        """Rabin's test: x^(p^n) = x mod f, and x^(p^(n/q)) - x is prime to
+        f for each prime q dividing n = deg f."""
+        n = len(f) - 1
+        x = (0, 1)
+        checkpoints = {n // q for q in range(2, n + 1) if n % q == 0 and is_prime(q)}
+        h = x
+        for i in range(1, n + 1):
+            h = self._powmod(h, self.p, f)
+            if i in checkpoints and len(self.gcd(f, self.sub(h, x))) > 1:
+                return False
+        return h == self.divmod(x, f)[1]
 
 
 ZZ = IntegerRing()

@@ -1,12 +1,10 @@
 import json
-import signal
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from koszulkit import jsonio
-from koszulkit.cli import main
+from koszulkit.cli import _build_parser, main
 from koszulkit.complexes import ComplexSes, kernel_image_sequences
 from koszulkit.errors import HypothesisNotMetError, InvalidInputError
 from koszulkit.jsonio import chain_map_from_json
@@ -73,36 +71,11 @@ def test_homology_command(tmp_path, capsys):
     assert json.loads(out)["homology"]["0"] == {"free_rank": 0, "torsion": [6]}
 
 
-class RunTooLong(Exception):
-    pass
-
-
-@contextmanager
-def wall_clock_limit(seconds):
-    """Fail the test once the body runs longer than ``seconds``."""
-    def expire(signum, frame):
-        raise RunTooLong
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    expired = False
-    try:
-        yield
-    except RunTooLong:
-        expired = True
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    if expired:
-        # Failing here keeps the interrupted frames, whose tracebacks can
-        # lack line numbers, out of the report.
-        pytest.fail(f"run exceeded {seconds * 1000:.0f} ms", pytrace=False)
-
-
 @pytest.mark.parametrize("ring, entry", [
     ("Z", str(10 ** 24 + 7)),            # a 25-digit prime
     ("fpx:101", [3, 1, 0, 0, 0, 0, 1]),  # x^6 + x + 3, irreducible over F_101
 ], ids=["Z-25-digit-prime", "F101x-degree-6-irreducible"])
-def test_homology_of_large_prime_needs_no_factoring(tmp_path, capsys, ring, entry):
+def test_homology_of_large_prime_needs_no_factoring(tmp_path, capsys, wall_clock_limit, ring, entry):
     payload = {"ring": ring, "ranks": {"1": 1, "0": 1},
                "differentials": {"1": {"rows": 1, "cols": 1, "entries": [[entry]]}}}
     path = write_json(tmp_path, "c.json", payload)
@@ -111,6 +84,17 @@ def test_homology_of_large_prime_needs_no_factoring(tmp_path, capsys, ring, entr
     assert code == 0
     assert json.loads(out)["homology"] == {"0": {"free_rank": 0, "torsion": [entry]},
                                            "1": {"free_rank": 0, "torsion": []}}
+
+
+def test_k0_of_large_prime_is_fast(tmp_path, capsys, wall_clock_limit):
+    prime = 10 ** 24 + 7  # above the trial-division range, below the proof bound
+    payload = {"ring": "Z", "ranks": {"1": 1, "0": 1},
+               "differentials": {"1": {"rows": 1, "cols": 1, "entries": [[str(prime)]]}}}
+    path = write_json(tmp_path, "c.json", payload)
+    with wall_clock_limit(0.05):
+        code, out, _ = run_cli(capsys, "k0", "--in", path)
+    assert code == 0
+    assert json.loads(out) == {"rank": 1, "torsion": [{"mult": 1, "prime": str(prime)}]}
 
 
 def test_k0_command(tmp_path, capsys):
@@ -133,6 +117,32 @@ def test_truncate_and_split_commands(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "split", "--in", path, "--degree", "0")
     assert code == 0
     assert json.loads(out)["identities_hold"] is True
+
+
+def test_reused_parser_keeps_no_parsed_state(tmp_path, capsys):
+    payload = {"ring": "Z", "ranks": {"2": 1, "1": 2, "0": 1},
+               "differentials": {"2": {"rows": 2, "cols": 1, "entries": [[3], [0]]},
+                                 "1": {"rows": 1, "cols": 2, "entries": [[0, 2]]}}}
+    path = write_json(tmp_path, "c.json", payload)
+    calls = [("homology", "--in", path, "--degree", "0"),
+             ("homology", "--in", path),
+             ("truncate", "--in", path, "--degree", "0", "--side", "ge"),
+             ("truncate", "--in", path, "--degree", "0", "--side", "le")]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert fresh[0] != fresh[1] and fresh[2] != fresh[3]
+    _build_parser.cache_clear()
+    assert [run_cli(capsys, *argv) for argv in calls] == fresh
+
+
+def test_parser_is_built_once(tmp_path, capsys):
+    path = write_json(tmp_path, "c.json", complex_payload())
+    _build_parser.cache_clear()
+    for command in ("homology", "k0", "kappa", "homology"):
+        assert run_cli(capsys, command, "--in", path)[0] == 0
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_cone_cyl_commands(tmp_path, capsys):

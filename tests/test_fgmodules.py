@@ -63,3 +63,14 @@ def test_length_at_polynomials():
     x = F2.poly([0, 1])
     module = FgModule.make(F2, 0, [F2.mul(x, x)])
     assert length_at(module, x) == 2
+
+
+def test_length_at_tests_primality_without_factoring(wall_clock_limit):
+    prime = 10 ** 24 + 7
+    with wall_clock_limit(0.05):
+        assert length_at(FgModule.make(ZZ, 0, [prime]), prime) == 1
+    F101 = fpx(101)
+    # (x^3 + x + 1)(x^3 + x + 3): two irreducible cubics, so no root in F_101
+    sextic = F101.mul(F101.poly([1, 1, 0, 1]), F101.poly([3, 1, 0, 1]))
+    with pytest.raises(InvalidInputError):
+        length_at(FgModule.make(F101, 0, [sextic]), sextic)

@@ -117,3 +117,22 @@ def test_class_arithmetic():
     assert (a + b).as_dict() == {3: 2}
     with pytest.raises(InvalidInputError):
         a + K0TorsionClass.make(fpx(2), {})
+
+
+@pytest.mark.parametrize("constants, degree", [((11,), 12), ((3, 6), 6)],
+                         ids=["degree-12-irreducible", "two-degree-6-irreducibles"])
+def test_k0_class_over_f101_is_fast(wall_clock_limit, constants, degree):
+    sympy = pytest.importorskip("sympy")
+    F101 = fpx(101)
+    x = sympy.symbols("x")
+    primes = []
+    for c in constants:  # x^degree + x + c
+        assert sympy.Poly(x ** degree + x + c, x, modulus=101).is_irreducible
+        primes.append(F101.poly([c, 1] + [0] * (degree - 2) + [1]))
+    h0 = F101.one
+    for prime in primes:
+        h0 = F101.mul(h0, prime)
+    complex_ = two_term(Matrix(F101, [[h0]]))
+    with wall_clock_limit(1.0):
+        cls = class_kos_isom(complex_)
+    assert cls.rank == 1 and cls.torsion.as_dict() == {prime: 1 for prime in primes}
