@@ -225,7 +225,11 @@ class Ring:
         raise NotImplementedError
 
     def factor(self, a) -> dict:
-        """Factor into canonical primes: a = unit * prod(p**m), keys sorted."""
+        """Factor into canonical primes: a = unit * prod(p**m).
+
+        The keys are sorted, so iterating the result does not depend on the
+        order in which trial division, rho or the random splits find the
+        primes."""
         raise NotImplementedError
 
     def _is_irreducible(self, p) -> bool:
@@ -467,13 +471,6 @@ class PrimeFieldPolynomialRing(Ring):
         inv = self.unit_inverse(unit)
         return canon, self.mul(inv, old_s), self.mul(inv, old_t)
 
-    def gcd(self, a, b):
-        """The monic gcd, by Euclid without the Bezout cofactors."""
-        self.validate(a), self.validate(b)
-        while b:
-            a, b = b, self.divmod(a, b)[1]
-        return self.normalize(a)[1]
-
     def _powmod(self, a, e: int, f):
         """a**e modulo f, for e >= 1."""
         out = self.divmod(a, f)[1]
@@ -492,9 +489,6 @@ class PrimeFieldPolynomialRing(Ring):
             df = self.poly([i * c for i, c in enumerate(f)][1:])
             if df:
                 c = self.gcd(f, df)
-                if c == self.one:  # f is square-free
-                    out.append((f, scale))
-                    break
                 w, i = self.divmod(f, c)[0], 1
                 while len(w) > 1:
                     y = self.gcd(w, c)
@@ -529,14 +523,13 @@ class PrimeFieldPolynomialRing(Ring):
         splitting polynomials come from a generator seeded by f, so every
         run takes the same splits."""
         p = self.p
-        rng = None
+        rng = random.Random(repr(f))
         pending, out = [f], []
         while pending:
             g = pending.pop()
             if len(g) - 1 == d:
                 out.append(g)
                 continue
-            rng = rng or random.Random(repr(f))
             while True:
                 h = self.poly([rng.randrange(p) for _ in range(len(g) - 1)])
                 if p == 2:  # trace map h + h^2 + ... + h^(2^(d-1))
