@@ -90,10 +90,12 @@ def matrix_from_json(ring: Ring, data) -> Matrix:
     if not isinstance(data, dict):
         raise InvalidInputError("matrix JSON must be an object")
     try:
-        rows, cols = int(data["rows"]), int(data["cols"])
-        entries = data["entries"]
-    except (KeyError, TypeError, ValueError):
+        rows, cols, entries = data["rows"], data["cols"], data["entries"]
+    except KeyError:
         raise InvalidInputError("matrix JSON needs rows, cols, entries") from None
+    for size in (rows, cols):
+        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+            raise InvalidInputError(f"matrix shape {size!r} is not a nonnegative integer")
     if not isinstance(entries, list) or len(entries) != rows:
         raise InvalidInputError("matrix JSON has the wrong number of rows")
     parsed = []

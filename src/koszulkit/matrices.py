@@ -13,7 +13,10 @@ the matrix is diagonal and returns the full witness (U, D, V) with
 U*A*V == D, a divisibility chain on the diagonal, and canonical
 divisors; ``elementary_divisors`` and ``rank`` take the same path
 without building U or V.  Solving, kernel and image bases and inverses
-read their answer off one echelon form and its transform.  Matrices
+read their answer off one echelon form and its transform.  Products
+and row operations run on the ring's row kernels (``Ring.dot``,
+``submul`` and ``combine``), which skip zero entries over F_p[x] and
+reduce mod p once per output entry, not once per term.  Matrices
 with zero rows or columns are first-class throughout; empty complexes
 and vanishing truncations depend on them.  Determinants use Bareiss
 fraction-free elimination so the unimodularity check never divides
@@ -116,18 +119,10 @@ class Matrix:
         ring = self.ring
         if self.cols == 0:
             return Matrix.zeros(ring, self.rows, other.cols)
-        add, mul, zero = ring.add, ring.mul, ring.zero
+        dot = ring.dot
         bt = list(zip(*other.entries))
-        out = []
-        for arow in self.entries:
-            orow = []
-            for bcol in bt:
-                acc = zero
-                for x, y in zip(arow, bcol):
-                    acc = add(acc, mul(x, y))
-                orow.append(acc)
-            out.append(orow)
-        return Matrix._raw(ring, self.rows, other.cols, out)
+        return Matrix._raw(ring, self.rows, other.cols,
+                           [[dot(arow, bcol) for bcol in bt] for arow in self.entries])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
@@ -269,28 +264,7 @@ def _from_columns(ring: Ring, height: int, cols: list) -> Matrix:
 
 # The elimination kernel.  Elements of both rings are falsy exactly when
 # they are zero (0 and the empty tuple), which the loops below use as
-# their zero test.
-
-
-def _submul(ring: Ring, row: list, q, other: list, start: int = 0):
-    """row -= q * other, where ``other`` is zero before ``start``."""
-    sub, mul = ring.sub, ring.mul
-    for j in range(start, len(other)):
-        y = other[j]
-        if y:
-            row[j] = sub(row[j], mul(q, y))
-
-
-def _combine(ring: Ring, a, x: list, b, y: list) -> list:
-    """The row a * x + b * y."""
-    add, mul = ring.add, ring.mul
-    out = []
-    for xi, yi in zip(x, y):
-        if not yi:
-            out.append(mul(a, xi) if xi else xi)
-        else:
-            out.append(add(mul(a, xi), mul(b, yi)) if xi else mul(b, yi))
-    return out
+# their zero test; row arithmetic goes through the ring's row kernels.
 
 
 def _reduce(ring: Ring, row: list, pivots: list, basis: list, first: int = 0,
@@ -300,16 +274,16 @@ def _reduce(ring: Ring, row: list, pivots: list, basis: list, first: int = 0,
     Afterwards each entry of ``row`` in one of their pivot columns is a
     remainder of division by that pivot; ``trans`` follows along.
     """
-    divmod_ = ring.divmod
+    divmod_, submul = ring.divmod, ring.submul
     for k in range(first, len(pivots)):
         c = pivots[k]
         x = row[c]
         if x:
             q = divmod_(x, basis[k][c])[0]
             if q:
-                _submul(ring, row, q, basis[k], c)
+                submul(row, q, basis[k], c)
                 if trans is not None:
-                    _submul(ring, trans, q, btrans[k])
+                    submul(trans, q, btrans[k])
 
 
 def _echelon(ring: Ring, rows: list, width: int, trans: Optional[list] = None):
@@ -334,7 +308,7 @@ def _echelon(ring: Ring, rows: list, width: int, trans: Optional[list] = None):
     kernel.
     """
     tracking = trans is not None
-    divmod_, neg = ring.divmod, ring.neg
+    divmod_, neg, submul, combine = ring.divmod, ring.neg, ring.submul, ring.combine
     pivots, basis, btrans, null = [], [], [], []
 
     def settle(k):
@@ -348,9 +322,9 @@ def _echelon(ring: Ring, rows: list, width: int, trans: Optional[list] = None):
             if x:
                 q = divmod_(x, p)[0]
                 if q:
-                    _submul(ring, basis[j], q, row, c)
+                    submul(basis[j], q, row, c)
                     if tracking:
-                        _submul(ring, btrans[j], q, btrans[k])
+                        submul(btrans[j], q, btrans[k])
                     _reduce(ring, basis[j], pivots, basis, k + 1, btrans[j] if tracking else None, btrans)
 
     for i, row in enumerate(rows):
@@ -382,16 +356,16 @@ def _echelon(ring: Ring, rows: list, width: int, trans: Optional[list] = None):
             p, x = h[c], row[c]
             q, rem = divmod_(x, p)
             if not rem:
-                _submul(ring, row, q, h, c)
+                submul(row, q, h, c)
                 if tracking:
-                    _submul(ring, t, q, btrans[k])
+                    submul(t, q, btrans[k])
             else:
                 g, s, u = ring.ext_gcd(p, x)
                 a, b = neg(divmod_(p, g)[0]), divmod_(x, g)[0]
-                basis[k], row = _combine(ring, s, h, u, row), _combine(ring, b, h, a, row)
+                basis[k], row = combine(s, h, u, row), combine(b, h, a, row)
                 if tracking:
                     bt = btrans[k]
-                    btrans[k], t = _combine(ring, s, bt, u, t), _combine(ring, b, bt, a, t)
+                    btrans[k], t = combine(s, bt, u, t), combine(b, bt, a, t)
                 settle(k)
             c += 1
             k += 1
@@ -444,7 +418,7 @@ def _chain(ring: Ring, diagonal: list, u: Optional[list] = None, v: Optional[lis
     columns i, j of V; pairs already in order are left alone, so a
     diagonal that is a chain costs no transform work.
     """
-    mul, sub = ring.mul, ring.sub
+    mul, sub, combine = ring.mul, ring.sub, ring.combine
     for i in range(len(diagonal)):
         for j in range(i + 1, len(diagonal)):
             a, b = diagonal[i], diagonal[j]
@@ -455,12 +429,14 @@ def _chain(ring: Ring, diagonal: list, u: Optional[list] = None, v: Optional[lis
             diagonal[i], diagonal[j] = g, mul(aq, b)
             if u is None:
                 continue
-            # rows i += j; columns (i, j) *= [[s, -bq], [t, aq]]; row j -= t*bq * row i
-            q = mul(t, bq)
-            ui = [ring.add(x, y) for x, y in zip(u[i], u[j])]
-            u[i], u[j] = ui, [sub(y, mul(q, x)) for x, y in zip(ui, u[j])]
-            v[i], v[j] = (_combine(ring, s, v[i], t, v[j]),
-                          _combine(ring, ring.neg(bq), v[i], aq, v[j]))
+            # rows (i, j) := [[1, 1], [-q, 1 - q]] (i, j) with q = t*bq, that
+            # is rows i += j, then row j -= q * row i;
+            # columns (i, j) *= [[s, -bq], [t, aq]]
+            q, one = mul(t, bq), ring.one
+            u[i], u[j] = (combine(one, u[i], one, u[j]),
+                          combine(ring.neg(q), u[i], sub(one, q), u[j]))
+            v[i], v[j] = (combine(s, v[i], t, v[j]),
+                          combine(ring.neg(bq), v[i], aq, v[j]))
 
 
 def snf(mat: Matrix) -> SnfCertificate:
@@ -565,8 +541,8 @@ def solve(mat: Matrix, rhs: Matrix) -> Optional[Matrix]:
                 q = ring.div_exact(residual[c], col[c])
                 if q is None:
                     return None
-                _submul(ring, residual, q, col, c)
-                _submul(ring, x, ring.neg(q), t)
+                ring.submul(residual, q, col, c)
+                ring.submul(x, ring.neg(q), t)
         if any(residual):
             return None
         solution.append(x)

@@ -11,6 +11,18 @@ Canonical associates are nonnegative integers and monic polynomials, so
 elementary-divisor lists coming out of diagonalization are directly
 comparable.
 
+Three row kernels, ``dot``, ``submul`` (row -= q * other) and ``combine``
+(a * x + b * y), carry the matrix product and every row operation of
+the elimination core in ``matrices``.  Over Z they are native int
+arithmetic on whole rows.  Over F_p[x] they skip zero entries and add
+every term of an output entry into one list of plain integer
+coefficients, then reduce mod p and trim once for that entry, where the
+scalar ``add`` and ``mul`` would reduce and trim once per term.
+Kronecker substitution (multiplying polynomials packed into one
+integer) is not used: it beats the schoolbook product only from about
+degree 8, and on inputs with small entries nearly all products in
+elimination are of lower degree.
+
 Prime factorization (needed only for K0 classes) is exact.  It runs in
 expected polynomial time over F_p[x]; over Z it takes about sqrt(q)
 steps, q the second-largest prime factor, so at most about n^(1/4):
@@ -35,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from functools import lru_cache
 
@@ -224,6 +237,22 @@ class Ring:
         """Return (g, s, t) with g = s*a + t*b and g the canonical gcd."""
         raise NotImplementedError
 
+    # Row kernels: the arithmetic under matrix products and elimination,
+    # on rows that are equal-length sequences of elements.
+
+    def dot(self, row, col):
+        """The sum of row[i] * col[i]."""
+        raise NotImplementedError
+
+    def submul(self, row: list, q, other, start: int = 0):
+        """row -= q * other in place, from index ``start`` on; ``other``
+        must be zero before ``start``."""
+        raise NotImplementedError
+
+    def combine(self, a, x, b, y) -> list:
+        """The row a * x + b * y."""
+        raise NotImplementedError
+
     def factor(self, a) -> dict:
         """Factor into canonical primes: a = unit * prod(p**m).
 
@@ -324,6 +353,18 @@ class IntegerRing(Ring):
             return -old_r, -old_s, -old_t
         return old_r, old_s, old_t
 
+    def dot(self, row, col):
+        return sum(map(operator.mul, row, col))
+
+    def submul(self, row, q, other, start=0):
+        for j in range(start, len(other)):
+            y = other[j]
+            if y:
+                row[j] -= q * y
+
+    def combine(self, a, x, b, y):
+        return [a * xi + b * yi for xi, yi in zip(x, y)]
+
     def factor(self, a):
         self.validate(a)
         _, c = self.normalize(a)
@@ -387,6 +428,18 @@ class PrimeFieldPolynomialRing(Ring):
     def poly(self, coeffs) -> tuple:
         """Build an element from arbitrary integer coefficients."""
         return self._trim([c % self.p for c in coeffs])
+
+    @staticmethod
+    def _addmul(acc: list, a, b):
+        """acc += a * b, on little-endian integer coefficients that are
+        not reduced mod p."""
+        short = len(a) + len(b) - 1 - len(acc)
+        if short > 0:
+            acc += [0] * short
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b, i):
+                    acc[j] += ca * cb
 
     def is_zero(self, a):
         return not a
@@ -470,6 +523,33 @@ class PrimeFieldPolynomialRing(Ring):
         unit, canon = self.normalize(old_r)
         inv = self.unit_inverse(unit)
         return canon, self.mul(inv, old_s), self.mul(inv, old_t)
+
+    def dot(self, row, col):
+        acc = []
+        for a, b in zip(row, col):
+            if a and b:
+                self._addmul(acc, a, b)
+        return self.poly(acc)
+
+    def submul(self, row, q, other, start=0):
+        nq = [-c for c in q]
+        for j in range(start, len(other)):
+            y = other[j]
+            if y:
+                acc = list(row[j])
+                self._addmul(acc, nq, y)
+                row[j] = self.poly(acc)
+
+    def combine(self, a, x, b, y):
+        out = []
+        for xi, yi in zip(x, y):
+            acc = []
+            if a and xi:
+                self._addmul(acc, a, xi)
+            if b and yi:
+                self._addmul(acc, b, yi)
+            out.append(self.poly(acc))
+        return out
 
     def _powmod(self, a, e: int, f):
         """a**e modulo f, for e >= 1."""

@@ -236,6 +236,18 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize("shape", [
+    {"rows": 0, "cols": -3, "entries": []},
+    {"rows": 1.5, "cols": 1, "entries": [[2]]},
+    {"rows": True, "cols": 1, "entries": [[2]]},
+    {"rows": 1, "cols": "1", "entries": [[2]]},
+], ids=["negative", "float", "bool", "string"])
+def test_bad_matrix_shape_exits_2(tmp_path, capsys, shape):
+    path = write_json(tmp_path, "m.json", shape)
+    code, out, err = run_cli(capsys, "snf", "--ring", "Z", "--in", path)
+    assert code == 2 and out == "" and "shape" in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "snf", "--in", "/nonexistent/file.json")
     assert code == 2 and err
