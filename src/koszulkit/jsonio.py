@@ -86,6 +86,27 @@ def matrix_to_json(mat: Matrix) -> dict:
     }
 
 
+def _count(value, what: str) -> int:
+    """``value`` if it is a JSON integer >= 0 (not a boolean), else refuse it."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise InvalidInputError(f"{what} {value!r} is not a nonnegative integer")
+    return value
+
+
+def _ranks_from_json(data) -> dict:
+    ranks = data.get("ranks", {})
+    if not isinstance(ranks, dict):
+        raise InvalidInputError("bad ranks table")
+    out = {}
+    for n, r in ranks.items():
+        try:
+            degree = int(n)
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"bad degree key {n!r}") from None
+        out[degree] = _count(r, "rank")
+    return out
+
+
 def matrix_from_json(ring: Ring, data) -> Matrix:
     if not isinstance(data, dict):
         raise InvalidInputError("matrix JSON must be an object")
@@ -94,8 +115,7 @@ def matrix_from_json(ring: Ring, data) -> Matrix:
     except KeyError:
         raise InvalidInputError("matrix JSON needs rows, cols, entries") from None
     for size in (rows, cols):
-        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-            raise InvalidInputError(f"matrix shape {size!r} is not a nonnegative integer")
+        _count(size, "matrix shape")
     if not isinstance(entries, list) or len(entries) != rows:
         raise InvalidInputError("matrix JSON has the wrong number of rows")
     parsed = []
@@ -122,10 +142,7 @@ def complex_from_json(data, ring: Optional[Ring] = None) -> ChainComplex:
         if not isinstance(token, str):
             raise InvalidInputError("complex JSON needs a ring token")
         ring = ring_from_token(token)
-    try:
-        ranks = {int(n): int(r) for n, r in data.get("ranks", {}).items()}
-    except (TypeError, ValueError, AttributeError):
-        raise InvalidInputError("bad ranks table") from None
+    ranks = _ranks_from_json(data)
     diffs_data = data.get("differentials", {})
     if not isinstance(diffs_data, dict):
         raise InvalidInputError("bad differentials table")
@@ -225,10 +242,7 @@ def presented_koszul_from_json(data, ring: Optional[Ring] = None) -> PresentedKo
         if not isinstance(token, str):
             raise InvalidInputError("presented complex JSON needs a ring token")
         ring = ring_from_token(token)
-    try:
-        ranks = {int(n): int(r) for n, r in data.get("ranks", {}).items()}
-    except (TypeError, ValueError, AttributeError):
-        raise InvalidInputError("bad ranks table") from None
+    ranks = _ranks_from_json(data)
     if any(n not in (0, 1) for n in ranks):
         raise InvalidInputError("presented complexes live in degrees 0 and 1")
     g1, g0 = ranks.get(1, 0), ranks.get(0, 0)

@@ -21,21 +21,38 @@ with zero rows or columns are first-class throughout; empty complexes
 and vanishing truncations depend on them.  Determinants use Bareiss
 fraction-free elimination so the unimodularity check never divides
 inexactly.
+
+The constructions above this module ask the same elimination questions
+of the same matrices again and again, so ``kernel_basis``, ``solve``,
+``elementary_divisors`` and ``reduce_column_basis`` each sit behind an
+LRU cache of ``MEMO_SIZE`` (128) entries.  The cache is keyed by matrix
+value, ring included: equal matrices share an entry however they were
+built, and the same entries over two rings never do.  It keeps up to
+``MEMO_SIZE`` inputs and results of each function alive.  Results are
+immutable matrices, tuples or None, so sharing them is safe, and
+exceptions are never cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, DomainMismatchError, NotAComplexError
 from .rings import Ring
 
+# Entries kept by the LRU cache of each memoized elimination function.
+MEMO_SIZE = 128
+
 
 class Matrix:
-    """Immutable row-major matrix over a fixed ring."""
+    """Immutable row-major matrix over a fixed ring.
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    Its hash is computed on first use and kept in ``_hash``.
+    """
+
+    __slots__ = ("ring", "rows", "cols", "entries", "_hash")
 
     def __init__(self, ring: Ring, rows: Sequence[Sequence]):
         nrows = len(rows)
@@ -87,6 +104,8 @@ class Matrix:
         return cls(ring, [[v] for v in values])
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Matrix)
             and self.ring == other.ring
@@ -96,7 +115,12 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.ring.token, self.rows, self.cols, self.entries))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.ring.token, self.rows, self.cols, self.entries))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return f"Matrix({self.ring.token}, {self.rows}x{self.cols}, {list(map(list, self.entries))})"
@@ -243,6 +267,25 @@ class SnfCertificate:
             if not ring.divides(a, b):
                 return False
         return True
+
+
+def _memoized(fn):
+    """``fn`` behind an LRU cache of ``MEMO_SIZE`` entries keyed by its arguments.
+
+    The result stays a plain function (``inspect.isfunction`` holds, as
+    it does not for an ``lru_cache`` object), so code that wraps the
+    module's public functions still finds it; ``cache_info`` and
+    ``cache_clear`` are those of the cache.
+    """
+    cached = lru_cache(maxsize=MEMO_SIZE)(fn)
+
+    @wraps(fn)
+    def memoized(*args, **kwargs):
+        return cached(*args, **kwargs)
+
+    memoized.cache_info = cached.cache_info
+    memoized.cache_clear = cached.cache_clear
+    return memoized
 
 
 def _identity_rows(ring: Ring, n: int) -> list:
@@ -458,6 +501,7 @@ def snf(mat: Matrix) -> SnfCertificate:
     )
 
 
+@_memoized
 def elementary_divisors(mat: Matrix) -> tuple:
     """The divisors of ``snf(mat)``, computed without U or V."""
     diagonal, _, _ = _diagonal_form(mat, track=False)
@@ -501,6 +545,7 @@ def is_unimodular(mat: Matrix) -> bool:
     return mat.is_square() and mat.ring.is_unit(det(mat))
 
 
+@_memoized
 def reduce_column_basis(mat: Matrix) -> Matrix:
     """Column-equivalent matrix in column Hermite form.
 
@@ -516,6 +561,7 @@ def reduce_column_basis(mat: Matrix) -> Matrix:
     return _from_columns(ring, mat.rows, basis)
 
 
+@_memoized
 def solve(mat: Matrix, rhs: Matrix) -> Optional[Matrix]:
     """Solve mat * X == rhs exactly; None iff no solution exists.
 
@@ -569,6 +615,7 @@ def inverse(mat: Matrix) -> Matrix:
     return Matrix._raw(ring, n, n, trans)
 
 
+@_memoized
 def kernel_basis(mat: Matrix) -> Matrix:
     """Basis of {x : mat*x == 0}; free and saturated over a PID."""
     null = _echelon(mat.ring, _columns(mat), mat.rows, _identity_rows(mat.ring, mat.cols))[3]

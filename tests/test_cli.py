@@ -248,6 +248,25 @@ def test_bad_matrix_shape_exits_2(tmp_path, capsys, shape):
     assert code == 2 and out == "" and "shape" in err
 
 
+@pytest.mark.parametrize("rank", [1.5, True, "1", -1], ids=["float", "bool", "string", "negative"])
+def test_bad_complex_rank_exits_2(tmp_path, capsys, rank):
+    payload = complex_payload()
+    payload["ranks"]["1"] = rank
+    path = write_json(tmp_path, "c.json", payload)
+    code, out, err = run_cli(capsys, "homology", "--in", path)
+    assert code == 2 and out == "" and "rank" in err
+
+
+@pytest.mark.parametrize("rank", [3.5, "3"], ids=["float", "string"])
+def test_bad_presented_rank_exits_2(tmp_path, capsys, rank):
+    payload = {"ring": "Z", "ranks": {"1": 0, "0": rank},
+               "presentations": {"0": {"rows": 3, "cols": 3,
+                                       "entries": [[2, 0, 0], [0, 3, 0], [0, 0, 5]]}}}
+    path = write_json(tmp_path, "p.json", payload)
+    code, out, err = run_cli(capsys, "resolve", "--in", path)
+    assert code == 2 and out == "" and "rank" in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "snf", "--in", "/nonexistent/file.json")
     assert code == 2 and err
