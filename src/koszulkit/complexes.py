@@ -13,6 +13,15 @@ composites use the private ``_trusted`` path, which skips the law: it
 follows from their verified inputs by block algebra.  Anything built
 from solved or eliminated data keeps the full check as its certificate.
 
+Homology and exactness.  Questions that only read invariants never
+build a kernel basis or solve a system: ``homology`` is read off the
+(memoized) elementary divisors of d_n and d_{n+1}, so a homology table
+diagonalizes each differential once, and the injectivity and exactness
+tests behind ``ComplexSes`` count divisors the same way.  This relies
+on the d.d == 0 invariant that every ``ChainComplex`` carries.  Kernel
+bases and solving remain where a construction needs actual maps:
+truncations, splittings, lifts and the kernel/image sequences.
+
 Sign conventions.  The shift negates differentials degree by degree for
 odd shifts.  The cone of f : X -> Y has degree-n part X_{n-1} (+) Y_n
 with differential [[-dX, 0], [-f, dY]], and the cylinder has
@@ -38,6 +47,7 @@ from .fgmodules import FgModule, cokernel
 from .matrices import (
     Matrix,
     block,
+    elementary_divisors,
     hstack,
     image_basis,
     is_exact_at,
@@ -50,11 +60,18 @@ from .matrices import (
 from .rings import Ring
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is an ``int`` and not a ``bool``, else refuse it."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInputError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def _nonzero_blocks(ring: Ring, blocks: Mapping[int, Matrix], shape, what: str) -> dict:
-    """Check each block's ring and its shape ``shape(n)``; keep the nonzero ones."""
+    """Check each block's degree, ring and shape ``shape(n)``; keep the nonzero ones."""
     clean = {}
     for n, mat in blocks.items():
-        n = int(n)
+        _integer(n, f"{what} degree")
         rows, cols = shape(n)
         if mat.ring != ring:
             raise InvalidInputError(f"{what} over the wrong ring")
@@ -93,8 +110,8 @@ class ChainComplex(_Checked):
     def _fill(self, ring: Ring, ranks: Mapping[int, int], diffs: Mapping[int, Matrix]):
         clean_ranks = {}
         for n, r in ranks.items():
-            n, r = int(n), int(r)
-            if r < 0:
+            _integer(n, "degree")
+            if _integer(r, "rank") < 0:
                 raise InvalidInputError("negative rank")
             if r:
                 clean_ranks[n] = r
@@ -393,13 +410,25 @@ def cyl_functorial(f: ChainMap, g: ChainMap, a: ChainMap, b: ChainMap) -> ChainM
 # Homology.
 
 
+def _divisors(complex_: ChainComplex, n: int) -> tuple:
+    """Elementary divisors of d_n; a zero differential has none."""
+    mat = complex_.diffs.get(n)
+    return () if mat is None else elementary_divisors(mat)
+
+
 def homology(complex_: ChainComplex, n: int) -> FgModule:
-    """Canonical form of (kernel of d_n) / (image of d_{n+1})."""
-    ker = kernel_basis(complex_.d(n))
-    inside = solve(ker, complex_.d(n + 1))
-    if inside is None:
-        raise NotAComplexError("image does not lie in the kernel")
-    return cokernel(inside)
+    """Canonical form of (kernel of d_n) / (image of d_{n+1}).
+
+    Read off the elementary divisors of the two differentials; no kernel
+    basis is built and nothing is solved.  Over a PID the image of d_n is
+    a submodule of a free module, hence free, so the kernel of d_n is a
+    direct summand of R^{r_n}.  Since every ``ChainComplex`` satisfies
+    d.d == 0 (checked when it is built), the image of d_{n+1} lies in
+    that summand, and the quotient is the torsion of the cokernel of
+    d_{n+1} plus a free part of rank r_n - rank d_n - rank d_{n+1}.
+    """
+    top = _divisors(complex_, n + 1)
+    return FgModule.make(complex_.ring, complex_.rank(n) - len(_divisors(complex_, n)) - len(top), top)
 
 
 def homology_table(complex_: ChainComplex) -> dict:
@@ -758,7 +787,7 @@ def _ses_failure(first: Matrix, second: Matrix) -> Optional[str]:
 
     Requires second * first == 0 (``is_exact_at`` raises otherwise).
     """
-    if kernel_basis(first).cols:
+    if len(elementary_divisors(first)) < first.cols:
         return "inclusion is not injective"
     if not cokernel(second).is_zero():
         return "projection is not surjective"

@@ -41,7 +41,7 @@ from .complexes import (
 )
 from .errors import InvalidInputError
 from .fgmodules import FgModule, cokernel
-from .matrices import Matrix, hstack, image_basis, kernel_basis, solve, vstack
+from .matrices import Matrix, elementary_divisors, hstack, image_basis, kernel_basis, solve, vstack
 from .presented import PresentedModule, PresentedMap, is_short_exact
 
 
@@ -63,7 +63,7 @@ class Kos1Membership:
 def in_kos1(complex_: ChainComplex) -> Kos1Membership:
     """Two-term in degrees {1, 0}, injective boundary, torsion H0."""
     concentrated = all(n in (0, 1) for n in complex_.ranks)
-    injective = concentrated and kernel_basis(complex_.d(1)).cols == 0
+    injective = concentrated and len(elementary_divisors(complex_.d(1))) == complex_.rank(1)
     torsion = concentrated and cokernel(complex_.d(1)).free_rank == 0
     return Kos1Membership(concentrated and injective and torsion, concentrated, injective, torsion)
 

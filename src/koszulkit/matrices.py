@@ -13,7 +13,8 @@ the matrix is diagonal and returns the full witness (U, D, V) with
 U*A*V == D, a divisibility chain on the diagonal, and canonical
 divisors; ``elementary_divisors`` and ``rank`` take the same path
 without building U or V.  Solving, kernel and image bases and inverses
-read their answer off one echelon form and its transform.  Products
+read their answer off one echelon form and its transform; the
+exactness test ``is_exact_at`` reads elementary divisors alone.  Products
 and row operations run on the ring's row kernels (``Ring.dot``,
 ``submul`` and ``combine``), which skip zero entries over F_p[x] and
 reduce mod p once per output entry, not once per term.  Matrices
@@ -635,13 +636,21 @@ def image_basis(mat: Matrix) -> Matrix:
 def is_exact_at(first: Matrix, second: Matrix) -> bool:
     """Whether image(first) == kernel(second) as submodules.
 
-    Requires second*first == 0 (raises otherwise); exactness then
-    reduces to each kernel-basis column of ``second`` lying in the
-    column span of ``first``.
+    Requires second*first == 0 (raises otherwise), so image(first) lies
+    in kernel(second).  The answer is read off the elementary divisors
+    of the two maps; no kernel basis is built and nothing is solved.
+    Over a PID the kernel of ``second`` is a direct summand (its image
+    is free), so it is saturated: it is the saturation of any submodule
+    of the same rank inside it.  The two submodules are therefore equal
+    exactly when rank first + rank second == first.rows and the image
+    of ``first`` is saturated, that is, when every elementary divisor of
+    ``first`` is a unit.
     """
     if second.cols != first.rows:
         raise DimensionError("maps do not compose")
     if not (second * first).is_zero():
         raise NotAComplexError("composite of the two maps is nonzero")
-    ker = kernel_basis(second)
-    return solve(first, ker) is not None
+    divisors = elementary_divisors(first)
+    if len(divisors) + len(elementary_divisors(second)) != first.rows:
+        return False
+    return all(map(first.ring.is_unit, divisors))

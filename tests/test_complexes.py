@@ -53,6 +53,25 @@ def test_construction_rejects_bad_square():
                      {2: Matrix(ZZ, [[1]]), 1: Matrix(ZZ, [[2]])})
 
 
+@pytest.mark.parametrize("ranks, diffs", [
+    ({1: 1.9, 0: True}, {1: Matrix(ZZ, [[6]])}),
+    ({"1": "1", 0: 1}, {}),
+    ({"1": 1, 0: 1}, {}),
+    ({1: 1, 0: 1.0}, {}),
+    ({1: 1, 0: 1}, {"1": Matrix(ZZ, [[6]])}),
+    ({1: 1, 0: 1}, {1.0: Matrix(ZZ, [[6]])}),
+    ({True: 1, 0: 1}, {}),
+])
+def test_construction_refuses_non_integer_degrees_and_ranks(ranks, diffs):
+    with pytest.raises(InvalidInputError):
+        ChainComplex(ZZ, ranks, diffs)
+
+
+def test_chain_map_refuses_non_integer_degrees():
+    with pytest.raises(InvalidInputError):
+        ChainMap(Z6, Z6, {"1": Matrix(ZZ, [[1]]), 0: Matrix(ZZ, [[1]])})
+
+
 def test_chain_map_law_checked():
     with pytest.raises(InvalidInputError):
         ChainMap(Z2, Z6, {1: Matrix(ZZ, [[1]]), 0: Matrix(ZZ, [[1]])})

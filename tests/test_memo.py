@@ -1,8 +1,8 @@
 """The LRU caches behind kernel_basis, solve, elementary_divisors and
 reduce_column_basis: results equal an uncached recomputation, equal
 matrices share an entry however they were built, entries never cross
-rings, the size stays bounded, and the memoized names stay plain
-functions."""
+rings, the size stays bounded, the memoized names stay plain
+functions, and a homology table diagonalizes each differential once."""
 
 import inspect
 import random
@@ -10,6 +10,7 @@ import random
 import pytest
 
 from koszulkit import matrices
+from koszulkit.complexes import ChainComplex, homology_table
 from koszulkit.errors import DimensionError
 from koszulkit.generators import rand_matrix
 from koszulkit.matrices import (
@@ -147,3 +148,22 @@ def test_matrix_hash_is_computed_once_and_matches_equality():
     assert hash(m) == hash(same) and m == same
     assert m._hash == hash(m)
     assert Matrix(F2, [[(1, 1)]]) != Matrix(F3, [[(1, 1)]])
+
+
+def test_homology_table_diagonalizes_each_differential_once():
+    # Z --[2, 0]^T--> Z^2 --[[0, 3], [0, 0]]--> Z^2 --[0, 5]--> Z in degrees 3..0
+    complex_ = ChainComplex(ZZ, {3: 1, 2: 2, 1: 2, 0: 1}, {
+        3: Matrix(ZZ, [[2], [0]]),
+        2: Matrix(ZZ, [[0, 3], [0, 0]]),
+        1: Matrix(ZZ, [[0, 5]]),
+    })
+    clear_all()
+    table = homology_table(complex_)
+    assert {n: (h.free_rank, h.torsion) for n, h in table.items()} == {
+        3: (0, ()), 2: (0, (2,)), 1: (0, (3,)), 0: (0, (5,))}
+    m = len(complex_.diffs)
+    assert elementary_divisors.cache_info().misses == m
+    assert elementary_divisors.cache_info().hits == m
+    for fn in (kernel_basis, solve):
+        info = fn.cache_info()
+        assert info.hits + info.misses == 0
