@@ -22,6 +22,18 @@ on the d.d == 0 invariant that every ``ChainComplex`` carries.  Kernel
 bases and solving remain where a construction needs actual maps:
 truncations, splittings, lifts and the kernel/image sequences.
 
+Homotopy solving.  ``homotopy_between``, ``nullhomotopy`` and
+``chain_retraction`` each ask for one matrix X_n per degree subject to
+equations sum(A . X_n . B) == C.  One private solver answers all three:
+under row-major vectorization vec(A X B) == (A (x) B^T) vec(X)
+(Henderson and Searle, 1981), so each term is a Kronecker block, the
+blocks assemble into one system and the memoized ``solve`` runs once.
+All degrees are solved jointly, since a greedy degree-by-degree pass
+can commit to choices that block the next degree.  The unknowns are
+stacked degree after degree in the order of the ranks, each row-major,
+and ``solve`` returns the canonical solution of that system, so the
+witnesses are deterministic.
+
 Sign conventions.  The shift negates differentials degree by degree for
 odd shifts.  The cone of f : X -> Y has degree-n part X_{n-1} (+) Y_n
 with differential [[-dX, 0], [-f, dY]], and the cylinder has
@@ -35,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Optional
 
 from .errors import (
@@ -46,6 +59,7 @@ from .errors import (
 from .fgmodules import FgModule, cokernel
 from .matrices import (
     Matrix,
+    _kron,
     block,
     elementary_divisors,
     hstack,
@@ -133,12 +147,6 @@ class ChainComplex(_Checked):
         if got is not None:
             return got
         return Matrix.zeros(self.ring, self.rank(n - 1), self.rank(n))
-
-    def bottom(self) -> Optional[int]:
-        return min(self.ranks) if self.ranks else None
-
-    def top(self) -> Optional[int]:
-        return max(self.ranks) if self.ranks else None
 
     def degree_range(self) -> range:
         if not self.ranks:
@@ -551,25 +559,17 @@ def truncation_splitting(complex_: ChainComplex, n: int) -> TruncationSplitting:
             raise InvalidInputError(f"homology at degree {m} is not torsion")
     triple = truncation_triple(complex_, n)
     mid = n + 1
-    r = complex_.rank(mid)
-    ker = kernel_basis(complex_.d(mid))
-    image = image_basis(complex_.d(mid))
-    corestriction = solve(image, complex_.d(mid))
-    if corestriction is None:
-        raise NotAComplexError("differential does not factor through its image basis")
-    section = solve(corestriction, Matrix.identity(ring, image.cols))
+    ker, corestriction = triple.incl.at(mid), triple.proj.at(mid)
+    section = solve(corestriction, Matrix.identity(ring, corestriction.rows))
     if section is None:
         raise InvalidInputError("image corestriction admits no section")
-    projector = Matrix.identity(ring, r) - section * corestriction
-    retraction = solve(ker, projector)
+    retraction = solve(ker, Matrix.identity(ring, ker.rows) - section * corestriction)
     if retraction is None:
         raise InvalidInputError("complementary projector does not land in the kernel")
     u_comps = {m: Matrix.identity(ring, complex_.rank(m)) for m in complex_.ranks if m > mid}
-    if ker.cols and r:
-        u_comps[mid] = retraction
+    u_comps[mid] = retraction
     v_comps = {m: Matrix.identity(ring, complex_.rank(m)) for m in complex_.ranks if m <= n}
-    if image.cols and r:
-        v_comps[mid] = section
+    v_comps[mid] = section
     u = ChainMap(complex_, triple.upper, u_comps)
     v = ChainMap(triple.lower, complex_, v_comps)
     return TruncationSplitting(triple, u, v)
@@ -594,9 +594,7 @@ def tau_le_map(f: ChainMap, n: int) -> ChainMap:
     low_y, _ = _tau_le(f.target, n)
     comps = {m: f.at(m) for m in low_x.ranks if m <= n}
     if low_x.rank(n + 1):
-        bx = image_basis(f.source.d(n + 1))
-        by = image_basis(f.target.d(n + 1))
-        moved = solve(by, f.at(n) * bx)
+        moved = solve(low_y.d(n + 1), f.at(n) * low_x.d(n + 1))
         if moved is None:
             raise InvalidInputError("map does not restrict to images")
         comps[n + 1] = moved
@@ -607,131 +605,70 @@ def tau_le_map(f: ChainMap, n: int) -> ChainMap:
 # Homotopy solving.
 
 
-def nullhomotopy(u: ChainMap) -> Optional[Homotopy]:
-    """Solve dH + Hd == u as one stacked linear system.
+def _solve_degreewise(ring: Ring, shapes: Mapping[int, tuple], equations) -> Optional[dict]:
+    """Solve jointly for one matrix X_n per degree; None iff no exact solution.
 
-    Returns None iff the system has no exact solution.  All degreewise
-    unknowns are solved jointly; a greedy degree-by-degree pass would
-    commit to choices that can block the next degree.
+    ``shapes`` maps each degree with an unknown to its (rows, cols), in
+    the order the unknowns are stacked.  An equation is a pair
+    (terms, rhs) asking that the sum of left . X_n . right over its terms
+    (left, n, right), at most one per degree, equal rhs; a term in a
+    degree without an unknown has a zero dimension and drops out.
     """
-    X, Y = u.source, u.target
-    ring = X.ring
-    var_degrees = [n for n in X.ranks if Y.rank(n + 1)]
-    offsets = {}
-    total = 0
-    for n in var_degrees:
-        offsets[n] = total
-        total += Y.rank(n + 1) * X.rank(n)
-    eq_degrees = [n for n in X.ranks if Y.rank(n)]
-    rows = []
-    rhs = []
-    zero, add = ring.zero, ring.add
-    for n in eq_degrees:
-        d_target = Y.d(n + 1).entries
-        d_source = X.d(n).entries
-        comp = u.at(n).entries
-        xr = X.rank(n)
-        xr_prev = X.rank(n - 1)
-        for i in range(Y.rank(n)):
-            for j in range(xr):
-                row = [zero] * total
-                if n in offsets:
-                    base = offsets[n]
-                    for k in range(Y.rank(n + 1)):
-                        row[base + k * xr + j] = add(row[base + k * xr + j], d_target[i][k])
-                if n - 1 in offsets:
-                    base = offsets[n - 1]
-                    for l in range(xr_prev):
-                        idx = base + i * xr_prev + l
-                        row[idx] = add(row[idx], d_source[l][j])
-                rows.append(row)
-                rhs.append([comp[i][j]])
-    system = Matrix._raw(ring, len(rows), total, rows)
-    target = Matrix._raw(ring, len(rhs), 1, rhs)
-    sol = solve(system, target)
+    grid = []
+    target = []
+    for terms, rhs in equations:
+        cells = dict.fromkeys(shapes)
+        for left, n, right in terms:
+            if n in cells:
+                cells[n] = _kron(left, right.transpose())
+        grid.append(list(cells.values()))
+        target.extend([x] for row in rhs.entries for x in row)
+    heights = [rhs.rows * rhs.cols for _, rhs in equations]
+    system = block(ring, grid, heights, [rows * cols for rows, cols in shapes.values()])
+    sol = solve(system, Matrix._raw(ring, len(target), 1, target))
     if sol is None:
         return None
-    flat = [sol.entries[i][0] for i in range(total)]
-    comps = {}
-    for n in var_degrees:
-        base = offsets[n]
-        h_rows = Y.rank(n + 1)
-        h_cols = X.rank(n)
-        comps[n] = Matrix._raw(ring, h_rows, h_cols,
-                               [flat[base + k * h_cols:base + (k + 1) * h_cols] for k in range(h_rows)])
-    return Homotopy(u, ChainMap.zero(X, Y), comps)
+    flat = iter([row[0] for row in sol.entries])
+    return {n: Matrix._raw(ring, rows, cols, [[next(flat) for _ in range(cols)] for _ in range(rows)])
+            for n, (rows, cols) in shapes.items()}
 
 
 def homotopy_between(u: ChainMap, v: ChainMap) -> Optional[Homotopy]:
-    found = nullhomotopy(u - v)
-    if found is None:
-        return None
-    return Homotopy(u, v, found.components)
+    """Solve dH + Hd == u - v in all degrees at once; None iff no exact solution exists."""
+    diff = u - v
+    X, Y = u.source, u.target
+    ring = X.ring
+    eye = partial(Matrix.identity, ring)
+    shapes = {n: (Y.rank(n + 1), r) for n, r in X.ranks.items() if Y.rank(n + 1)}
+    equations = [([(Y.d(n + 1), n, eye(r)), (eye(Y.rank(n)), n - 1, X.d(n))], diff.at(n))
+                 for n, r in X.ranks.items() if Y.rank(n)]
+    comps = _solve_degreewise(ring, shapes, equations)
+    return None if comps is None else Homotopy(u, v, comps)
+
+
+def nullhomotopy(u: ChainMap) -> Optional[Homotopy]:
+    """A homotopy from u to the zero map; None iff none exists."""
+    return homotopy_between(u, ChainMap.zero(u.source, u.target))
 
 
 def chain_retraction(incl: ChainMap) -> Optional[ChainMap]:
     """Solve for a chain map r with r . incl == id on the source.
 
-    The chain-map law and the retraction identity are stacked into one
-    linear system, so the result is a genuine chain-level retraction.
+    The chain-map law and the retraction identity are solved jointly,
+    so the result is a genuine chain-level retraction.
     """
     A, B = incl.source, incl.target
     ring = A.ring
-    var_degrees = [n for n in B.ranks if A.rank(n)]
-    offsets = {}
-    total = 0
-    for n in var_degrees:
-        offsets[n] = total
-        total += A.rank(n) * B.rank(n)
-    rows = []
-    rhs = []
-    zero, add, one = ring.zero, ring.add, ring.one
-
-    def var_index(n, i, j):
-        return offsets[n] + i * B.rank(n) + j
-
-    degrees = set(A.ranks) | set(B.ranks)
-    for n in degrees:
-        # chain law: dA(n) * r_n - r_{n-1} * dB(n) == 0
-        if A.rank(n - 1) and B.rank(n):
-            da = A.d(n).entries
-            db = B.d(n).entries
-            for i in range(A.rank(n - 1)):
-                for j in range(B.rank(n)):
-                    row = [zero] * total
-                    if n in offsets:
-                        for k in range(A.rank(n)):
-                            idx = var_index(n, k, j)
-                            row[idx] = add(row[idx], da[i][k])
-                    if n - 1 in offsets:
-                        for l in range(B.rank(n - 1)):
-                            idx = var_index(n - 1, i, l)
-                            row[idx] = ring.sub(row[idx], db[l][j])
-                    rows.append(row)
-                    rhs.append([zero])
-        # retraction law: r_n * incl_n == id
-        if A.rank(n):
-            inc = incl.at(n).entries
-            for i in range(A.rank(n)):
-                for j in range(A.rank(n)):
-                    row = [zero] * total
-                    if n in offsets:
-                        for k in range(B.rank(n)):
-                            idx = var_index(n, i, k)
-                            row[idx] = add(row[idx], inc[k][j])
-                    rows.append(row)
-                    rhs.append([one if i == j else zero])
-    sol = solve(Matrix._raw(ring, len(rows), total, rows), Matrix._raw(ring, len(rhs), 1, rhs))
-    if sol is None:
-        return None
-    flat = [sol.entries[i][0] for i in range(total)]
-    comps = {}
-    for n in var_degrees:
-        base = offsets[n]
-        r_rows, r_cols = A.rank(n), B.rank(n)
-        comps[n] = Matrix._raw(ring, r_rows, r_cols,
-                               [flat[base + i * r_cols:base + (i + 1) * r_cols] for i in range(r_rows)])
-    return ChainMap(B, A, comps)
+    eye = partial(Matrix.identity, ring)
+    shapes = {n: (A.rank(n), r) for n, r in B.ranks.items() if A.rank(n)}
+    equations = []
+    for n in set(A.ranks) | set(B.ranks):
+        # dA(n) . r_n - r_{n-1} . dB(n) == 0 and r_n . incl_n == id
+        equations.append(([(A.d(n), n, eye(B.rank(n))), (eye(A.rank(n - 1)), n - 1, -B.d(n))],
+                          Matrix.zeros(ring, A.rank(n - 1), B.rank(n))))
+        equations.append(([(eye(A.rank(n)), n, incl.at(n))], eye(A.rank(n))))
+    comps = _solve_degreewise(ring, shapes, equations)
+    return None if comps is None else ChainMap(B, A, comps)
 
 
 # ---------------------------------------------------------------------------

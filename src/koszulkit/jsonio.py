@@ -2,12 +2,15 @@
 
 Integers ride as JSON numbers up to 53 bits and as decimal strings
 beyond that; polynomial elements ride as little-endian coefficient
-arrays.  Certificates serialize with all their matrices, so an external
-tool can re-verify them without this library.
+arrays.  A string integer must be plain ASCII decimal (``-?[0-9]+``),
+and a degree key must be ``str(d)`` for an integer d, so no two keys
+name the same degree.  Certificates serialize with all their matrices,
+so an external tool can re-verify them without this library.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .complexes import ChainComplex, ChainMap
@@ -20,6 +23,7 @@ from .presented import PresentedMap, PresentedModule
 from .rings import Ring, ring_from_token
 
 _SAFE_INT = 2 ** 53
+_DECIMAL = re.compile("-?[0-9]+")
 
 # Python refuses int <-> str conversions beyond 4300 decimal digits by
 # default.  Longer integers are converted in halves of at most this many
@@ -45,14 +49,24 @@ def _decimal_to_int(digits: str) -> int:
 
 
 def _parse_int(text: str) -> int:
-    body = text.strip()
-    if len(body) <= _DIGIT_CHUNK:
-        return int(body)
-    sign, digits = (body[0], body[1:]) if body[0] in "+-" else ("", body)
-    if not (digits.isascii() and digits.isdigit()):
+    """The integer written as plain ASCII decimal ``-?[0-9]+``; else ValueError."""
+    if not _DECIMAL.fullmatch(text):
         raise ValueError(text)
-    value = _decimal_to_int(digits)
-    return -value if sign == "-" else value
+    value = _decimal_to_int(text.lstrip("-"))
+    return -value if text[0] == "-" else value
+
+
+def _degree(key) -> int:
+    """The degree d whose key is ``str(d)``, the only form ``complex_to_json`` writes.
+
+    Keys longer than ``_DIGIT_CHUNK`` are refused, so ``int`` and ``str``
+    stay within the interpreter's digit limit.
+    """
+    if isinstance(key, str) and len(key) <= _DIGIT_CHUNK and _DECIMAL.fullmatch(key):
+        degree = int(key)
+        if str(degree) == key:
+            return degree
+    raise InvalidInputError(f"bad degree key {key!r}")
 
 
 def element_to_json(ring: Ring, value):
@@ -99,11 +113,7 @@ def _ranks_from_json(data) -> dict:
         raise InvalidInputError("bad ranks table")
     out = {}
     for n, r in ranks.items():
-        try:
-            degree = int(n)
-        except (TypeError, ValueError):
-            raise InvalidInputError(f"bad degree key {n!r}") from None
-        out[degree] = _count(r, "rank")
+        out[_degree(n)] = _count(r, "rank")
     return out
 
 
@@ -146,13 +156,7 @@ def complex_from_json(data, ring: Optional[Ring] = None) -> ChainComplex:
     diffs_data = data.get("differentials", {})
     if not isinstance(diffs_data, dict):
         raise InvalidInputError("bad differentials table")
-    diffs = {}
-    for n, m in diffs_data.items():
-        try:
-            degree = int(n)
-        except ValueError:
-            raise InvalidInputError(f"bad degree key {n!r}") from None
-        diffs[degree] = matrix_from_json(ring, m)
+    diffs = {_degree(n): matrix_from_json(ring, m) for n, m in diffs_data.items()}
     return ChainComplex(ring, ranks, diffs)
 
 
@@ -172,13 +176,7 @@ def chain_map_from_json(data, ring: Optional[Ring] = None) -> ChainMap:
     comps_data = data.get("components", {})
     if not isinstance(comps_data, dict):
         raise InvalidInputError("bad components table")
-    comps = {}
-    for n, m in comps_data.items():
-        try:
-            degree = int(n)
-        except ValueError:
-            raise InvalidInputError(f"bad degree key {n!r}") from None
-        comps[degree] = matrix_from_json(source.ring, m)
+    comps = {_degree(n): matrix_from_json(source.ring, m) for n, m in comps_data.items()}
     return ChainMap(source, target, comps)
 
 

@@ -100,10 +100,6 @@ class Matrix:
             data[i][i] = ring.validate(d)
         return cls._raw(ring, rows, cols, data)
 
-    @classmethod
-    def column(cls, ring: Ring, values: Sequence) -> "Matrix":
-        return cls(ring, [[v] for v in values])
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -218,6 +214,17 @@ def block(ring: Ring, grid: Sequence[Sequence[Optional[Matrix]]], row_sizes: Seq
             cells.append(cell)
         rows.append(hstack(cells) if cells else Matrix.zeros(ring, row_sizes[bi], 0))
     return vstack(rows) if rows else Matrix.zeros(ring, 0, sum(col_sizes))
+
+
+def _kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product: block (i, k) is a[i][k] * b.
+
+    Under row-major vectorization vec(a * X * b^T) == _kron(a, b) * vec(X).
+    """
+    mul, zero = a.ring.mul, a.ring.zero
+    return Matrix._raw(a.ring, a.rows * b.rows, a.cols * b.cols,
+                       [[mul(x, y) if x and y else zero for x in arow for y in brow]
+                        for arow in a.entries for brow in b.entries])
 
 
 def block_diag(ring: Ring, mats: Sequence[Matrix]) -> Matrix:

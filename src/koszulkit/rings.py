@@ -219,11 +219,7 @@ class Ring:
         raise NotImplementedError
 
     def divmod(self, a, b):
-        """Euclidean division a = q*b + r with measure(r) < measure(b)."""
-        raise NotImplementedError
-
-    def measure(self, a) -> int:
-        """Euclidean size used for pivot selection: |a| resp. deg-based."""
+        """Euclidean division a = q*b + r with |r| < |b| over Z, deg r < deg b over F_p[x]."""
         raise NotImplementedError
 
     def normalize(self, a):
@@ -327,9 +323,6 @@ class IntegerRing(Ring):
 
     def divmod(self, a, b):
         return divmod(a, b)
-
-    def measure(self, a):
-        return abs(a)
 
     def normalize(self, a):
         return (-1, -a) if a < 0 else (1, a)
@@ -490,9 +483,6 @@ class PrimeFieldPolynomialRing(Ring):
                 for j, cb in enumerate(b):
                     rem[i - db + j] = (rem[i - db + j] - q * cb) % p
         return self._trim(quot), self._trim(rem)
-
-    def measure(self, a):
-        return len(a)
 
     def normalize(self, a):
         if not a:

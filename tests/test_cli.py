@@ -267,6 +267,48 @@ def test_bad_presented_rank_exits_2(tmp_path, capsys, rank):
     assert code == 2 and out == "" and "rank" in err
 
 
+# Degree keys that Python's int() reads as the degree given here; only
+# str(degree) itself is a degree key.
+NON_CANONICAL_KEYS = [("1_0", 10), (" 1", 1), ("+1", 1), ("01", 1)]
+
+
+def keyed_complex(key, degree, table):
+    """[Z -6-> Z] in degrees (degree, degree - 1), keyed by ``key`` in ``table``."""
+    top = {"ranks": str(degree), "differentials": str(degree), table: key}
+    return {"ring": "Z", "ranks": {top["ranks"]: 1, str(degree - 1): 1},
+            "differentials": {top["differentials"]: {"rows": 1, "cols": 1, "entries": [[6]]}}}
+
+
+@pytest.mark.parametrize("table", ["ranks", "differentials"])
+@pytest.mark.parametrize("key, degree", NON_CANONICAL_KEYS, ids=[k for k, _ in NON_CANONICAL_KEYS])
+def test_non_canonical_complex_degree_key_exits_2(tmp_path, capsys, key, degree, table):
+    path = write_json(tmp_path, "c.json", keyed_complex(key, degree, table))
+    code, out, err = run_cli(capsys, "homology", "--in", path)
+    assert code == 2 and out == "" and "degree key" in err
+
+
+@pytest.mark.parametrize("key, degree", NON_CANONICAL_KEYS, ids=[k for k, _ in NON_CANONICAL_KEYS])
+def test_non_canonical_chain_map_degree_key_exits_2(tmp_path, capsys, key, degree):
+    complex_ = keyed_complex(str(degree), degree, "ranks")
+    one = {"rows": 1, "cols": 1, "entries": [[1]]}
+    payload = {"source": complex_, "target": complex_, "components": {key: one, str(degree - 1): one}}
+    path = write_json(tmp_path, "f.json", payload)
+    code, out, err = run_cli(capsys, "cone", "--in", path)
+    assert code == 2 and out == "" and "degree key" in err
+
+
+@pytest.mark.parametrize("literal", ["1_2", " +6 ", "+6", "6\n", "\u0666"],
+                         ids=["underscore", "padded", "plus", "newline", "arabic-indic"])
+def test_non_decimal_integer_string_exits_2(tmp_path, capsys, literal):
+    path = write_json(tmp_path, "m.json", {"rows": 1, "cols": 1, "entries": [[literal]]})
+    code, out, err = run_cli(capsys, "snf", "--ring", "Z", "--in", path)
+    assert code == 2 and out == "" and "integer" in err
+
+
+def test_decimal_integer_strings_parse():
+    assert [jsonio.element_from_json(ZZ, s) for s in ("-12", "007", "-0")] == [-12, 7, 0]
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "snf", "--in", "/nonexistent/file.json")
     assert code == 2 and err

@@ -30,7 +30,7 @@ from koszulkit.complexes import (
     two_term,
     zero_complex,
 )
-from koszulkit.errors import HypothesisNotMetError, InvalidInputError, NotAComplexError
+from koszulkit.errors import DimensionError, HypothesisNotMetError, InvalidInputError, NotAComplexError
 from koszulkit.fgmodules import FgModule, module_iso
 from koszulkit.generators import GenParams, gen_a_object, gen_chain_map, trial_rng
 from koszulkit.matrices import Matrix
@@ -39,6 +39,7 @@ from koszulkit.rings import ZZ, fpx
 Z2 = two_term(Matrix(ZZ, [[2]]))
 Z6 = two_term(Matrix(ZZ, [[6]]))
 PARAMS = GenParams(ring=ZZ, seed=99)
+F3 = fpx(3)
 
 
 def three_term():
@@ -270,6 +271,37 @@ def test_nullhomotopy_of_identity_iff_acyclic():
         assert (witness is not None) == is_acyclic(sample)
 
 
+def test_nullhomotopy_of_identity_iff_acyclic_over_f3x():
+    params = GenParams(ring=F3, seed=99)
+    for trial in range(12):
+        rng = trial_rng(params, trial)
+        sample = gen_a_object(params, trial, rng=rng, acyclic=bool(trial % 2)).complex
+        witness = nullhomotopy(ChainMap.identity(sample))
+        assert (witness is not None) == is_acyclic(sample)
+
+
+def test_nullhomotopy_components_are_pinned():
+    # An acyclic Z^2 -> Z^4 -> Z^2 whose contracting homotopies are not
+    # unique.  The solver stacks the unknowns H_1, H_0 in the order of the
+    # ranks, each row-major, and returns the canonical solution of that
+    # system; stacking H_0 first gives another homotopy, and reading the
+    # solution back column-major breaks the homotopy identity.
+    sample = ChainComplex(ZZ, {2: 2, 1: 4, 0: 2}, {
+        2: Matrix(ZZ, [[1, 0], [3, 0], [4, 1], [1, 3]]),
+        1: Matrix(ZZ, [[-10, 7, -3, 1], [-7, 6, -3, 1]]),
+    })
+    found = nullhomotopy(ChainMap.identity(sample))
+    assert found.components == {
+        1: Matrix(ZZ, [[0, 4, -3, 1], [0, 6, -5, 2]]),
+        0: Matrix(ZZ, [[2, -3], [7, -10], [14, -20], [14, -20]]),
+    }
+
+
+def test_homotopy_between_refuses_non_parallel_maps():
+    with pytest.raises(DimensionError):
+        homotopy_between(ChainMap.identity(Z2), ChainMap.identity(Z6))
+
+
 def test_homotopy_validation():
     with pytest.raises(InvalidInputError):
         Homotopy(ChainMap.identity(Z2), ChainMap.zero(Z2, Z2), {0: Matrix(ZZ, [[1]])})
@@ -322,6 +354,19 @@ def test_chain_retraction():
     # multiplication by 2 is a mono with no retraction at all
     doubling = ChainMap(Z2, Z2, {1: Matrix(ZZ, [[2]]), 0: Matrix(ZZ, [[2]])})
     assert chain_retraction(doubling) is None
+
+
+def test_chain_retraction_over_f3x():
+    x = F3.poly([0, 1])
+    cyclic = two_term(Matrix(F3, [[F3.poly([1, 1])]]))
+    times_x = ChainMap(cyclic, cyclic, {1: Matrix(F3, [[x]]), 0: Matrix(F3, [[x]])})
+    maps = structure_maps(times_x)
+    for end in (maps.j1, maps.j2):
+        retraction = chain_retraction(end)
+        assert retraction is not None
+        assert retraction.compose(end) == ChainMap.identity(end.source)
+    # multiplication by x is a mono but x is not a unit
+    assert chain_retraction(times_x) is None
 
 
 def test_direct_sum_rejects_no_parts():
