@@ -15,8 +15,8 @@ divisors; ``elementary_divisors`` and ``rank`` take the same path
 without building U or V.  Solving, kernel and image bases and inverses
 read their answer off one echelon form and its transform; the
 exactness test ``is_exact_at`` reads elementary divisors alone.  Products
-and row operations run on the ring's row kernels (``Ring.dot``,
-``submul`` and ``combine``), which skip zero entries over F_p[x] and
+and row operations run on the ring's kernels (``Ring.product``,
+``submul`` and ``combine``), which skip zero entries and, over F_p[x],
 reduce mod p once per output entry, not once per term.  Matrices
 with zero rows or columns are first-class throughout; empty complexes
 and vanishing truncations depend on them.  Determinants use Bareiss
@@ -94,6 +94,8 @@ class Matrix:
         n = len(diag)
         rows = n if rows is None else rows
         cols = n if cols is None else cols
+        if n > min(rows, cols):
+            raise DimensionError(f"a diagonal of length {n} does not fit in {rows}x{cols}")
         z = ring.zero
         data = [[z] * cols for _ in range(rows)]
         for i, d in enumerate(diag):
@@ -133,17 +135,14 @@ class Matrix:
         return Matrix._raw(self.ring, self.cols, self.rows, zip(*self.entries)) if self.rows and self.cols else Matrix.zeros(self.ring, self.cols, self.rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.ring != other.ring:
             raise DomainMismatchError("matrix product across different rings")
         if self.cols != other.rows:
             raise DimensionError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        ring = self.ring
-        if self.cols == 0:
-            return Matrix.zeros(ring, self.rows, other.cols)
-        dot = ring.dot
-        bt = list(zip(*other.entries))
-        return Matrix._raw(ring, self.rows, other.cols,
-                           [[dot(arow, bcol) for bcol in bt] for arow in self.entries])
+        return Matrix._raw(self.ring, self.rows, other.cols,
+                           self.ring.product(self.entries, other.entries, other.cols))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
@@ -254,7 +253,11 @@ class SnfCertificate:
         return len(self.divisors)
 
     def verify(self, source: Matrix) -> bool:
+        """Whether this certifies ``source``; False for a source of
+        another ring or shape."""
         ring = source.ring
+        if ring != self.D.ring or (source.rows, source.cols) != (self.D.rows, self.D.cols):
+            return False
         if self.U * source * self.V != self.D:
             return False
         if not (is_unimodular(self.U) and is_unimodular(self.V)):

@@ -11,13 +11,20 @@ Canonical associates are nonnegative integers and monic polynomials, so
 elementary-divisor lists coming out of diagonalization are directly
 comparable.
 
-Three row kernels, ``dot``, ``submul`` (row -= q * other) and ``combine``
-(a * x + b * y), carry the matrix product and every row operation of
-the elimination core in ``matrices``.  Over Z they are native int
-arithmetic on whole rows.  Over F_p[x] they skip zero entries and add
-every term of an output entry into one list of plain integer
-coefficients, then reduce mod p and trim once for that entry, where the
-scalar ``add`` and ``mul`` would reduce and trim once per term.
+Three ring kernels carry the matrix product and every row operation of
+the elimination core in ``matrices``: ``product`` (the rows of a matrix
+product), ``submul`` (row -= q * other) and ``combine`` (a * x + b * y).
+``product`` sums each output row as a combination of the rows of the
+right factor, over the nonzero entries of the left row only (Gustavson,
+ACM TOMS 4, 1978).  Over Z the kernels are native int arithmetic on
+whole rows; a left row with more nonzero entries than zeros is instead
+taken as dot products with the columns of the right factor, which C
+sums faster once few terms can be skipped.  Over F_p[x] the kernels
+skip zero entries and add every term of an output entry into one list
+of plain integer coefficients, then reduce mod p and trim once for that
+entry, where the scalar ``add`` and ``mul`` would reduce and trim once
+per term.  Division by a unit (most divisions under elimination divide
+by the pivot 1) returns at once without a division loop.
 Kronecker substitution (multiplying polynomials packed into one
 integer) is not used: it beats the schoolbook product only from about
 degree 8, and on inputs with small entries nearly all products in
@@ -233,11 +240,15 @@ class Ring:
         """Return (g, s, t) with g = s*a + t*b and g the canonical gcd."""
         raise NotImplementedError
 
-    # Row kernels: the arithmetic under matrix products and elimination,
+    # Ring kernels: the arithmetic under matrix products and elimination,
     # on rows that are equal-length sequences of elements.
 
-    def dot(self, row, col):
-        """The sum of row[i] * col[i]."""
+    def product(self, left, right, width: int) -> list:
+        """The rows of left * right, as new lists, for ``right`` of
+        ``width`` columns.
+
+        Output row i is the sum of left[i][k] * right[k] over the nonzero
+        left[i][k] alone."""
         raise NotImplementedError
 
     def submul(self, row: list, q, other, start: int = 0):
@@ -346,8 +357,25 @@ class IntegerRing(Ring):
             return -old_r, -old_s, -old_t
         return old_r, old_s, old_t
 
-    def dot(self, row, col):
-        return sum(map(operator.mul, row, col))
+    def product(self, left, right, width):
+        out, cols = [], None
+        for row in left:
+            if 2 * row.count(0) < len(row):
+                if cols is None:
+                    cols = list(zip(*right))
+                out.append([sum(map(operator.mul, row, col)) for col in cols])
+                continue
+            acc = None
+            for a, r in zip(row, right):
+                if a:
+                    if acc is None:
+                        acc = list(r) if a == 1 else [a * y for y in r]
+                    elif a == 1:
+                        acc = list(map(operator.add, acc, r))
+                    else:
+                        acc = [x + a * y for x, y in zip(acc, r)]
+            out.append([0] * width if acc is None else acc)
+        return out
 
     def submul(self, row, q, other, start=0):
         for j in range(start, len(other)):
@@ -471,6 +499,11 @@ class PrimeFieldPolynomialRing(Ring):
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
         p = self.p
+        if len(b) == 1:
+            if b[0] == 1:
+                return a, ()
+            inv = pow(b[0], -1, p)
+            return tuple(c * inv % p for c in a), ()
         rem = list(a)
         db = len(b) - 1
         lead_inv = pow(b[-1], -1, p)
@@ -514,12 +547,21 @@ class PrimeFieldPolynomialRing(Ring):
         inv = self.unit_inverse(unit)
         return canon, self.mul(inv, old_s), self.mul(inv, old_t)
 
-    def dot(self, row, col):
-        acc = []
-        for a, b in zip(row, col):
-            if a and b:
-                self._addmul(acc, a, b)
-        return self.poly(acc)
+    def product(self, left, right, width):
+        addmul, poly = self._addmul, self.poly
+        out = []
+        for row in left:
+            accs = [None] * width  # unreduced sums, only where a term lands
+            for a, r in zip(row, right):
+                if a:
+                    for j, b in enumerate(r):
+                        if b:
+                            acc = accs[j]
+                            if acc is None:
+                                accs[j] = acc = []
+                            addmul(acc, a, b)
+            out.append([() if acc is None else poly(acc) for acc in accs])
+        return out
 
     def submul(self, row, q, other, start=0):
         nq = [-c for c in q]

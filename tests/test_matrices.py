@@ -248,3 +248,28 @@ def test_polynomial_snf_example():
     cert = snf(a)
     assert cert.divisors == (F2.one, F2.poly([0, 1, 1]))
     assert cert.verify(a)
+
+
+def test_product_with_a_non_matrix_is_a_type_error():
+    with pytest.raises(TypeError):
+        Matrix(ZZ, [[1, 2]]) * 3
+    with pytest.raises(TypeError):
+        3 * Matrix(ZZ, [[1, 2]])
+
+
+def test_diagonal_must_fit_the_shape():
+    with pytest.raises(DimensionError):
+        Matrix.diagonal(ZZ, [1, 2], 1, 1)
+    with pytest.raises(DimensionError):
+        Matrix.diagonal(ZZ, [1, 2], 3, 1)
+    assert Matrix.diagonal(ZZ, [1, 2], 2, 3) == Matrix(ZZ, [[1, 0, 0], [0, 2, 0]])
+    assert Matrix.diagonal(ZZ, [], 0, 2) == Matrix.zeros(ZZ, 0, 2)
+
+
+def test_verify_refuses_a_foreign_source():
+    a = Matrix(ZZ, [[2, 4], [6, 8]])
+    cert = snf(a)
+    assert cert.verify(a)
+    assert not cert.verify(Matrix(ZZ, [[2, 4, 1], [6, 8, 1]]))
+    assert not cert.verify(Matrix(ZZ, [[2, 4]]))
+    assert not cert.verify(Matrix(F2, [[F2.one, F2.zero], [F2.zero, F2.one]]))

@@ -149,3 +149,16 @@ def test_polynomial_division():
     q, r = F3.divmod(a, b)
     assert F3.add(F3.mul(q, b), r) == a
     assert len(r) < len(b)
+
+
+@pytest.mark.parametrize("a", [(), (1,), (2, 0, 1), (0, 0, 0, 2)])
+@pytest.mark.parametrize("b", [(1,), (2,)])
+def test_polynomial_division_by_a_unit(a, b):
+    q, r = F3.divmod(a, b)
+    assert r == ()
+    assert F3.mul(q, b) == a
+    F3.validate(q)
+
+
+def test_polynomial_division_of_zero():
+    assert F3.divmod((), (1, 2)) == ((), ())
