@@ -24,14 +24,16 @@ fraction-free elimination so the unimodularity check never divides
 inexactly.
 
 The constructions above this module ask the same elimination questions
-of the same matrices again and again, so ``kernel_basis``, ``solve``,
-``elementary_divisors`` and ``reduce_column_basis`` each sit behind an
-LRU cache of ``MEMO_SIZE`` (128) entries.  The cache is keyed by matrix
-value, ring included: equal matrices share an entry however they were
-built, and the same entries over two rings never do.  It keeps up to
-``MEMO_SIZE`` inputs and results of each function alive.  Results are
-immutable matrices, tuples or None, so sharing them is safe, and
-exceptions are never cached.
+of the same matrices again and again, so ``elementary_divisors`` and
+the private ``_column_form`` each sit behind an LRU cache of
+``MEMO_SIZE`` (128) entries.  ``solve``, ``kernel_basis`` and
+``image_basis`` all read ``_column_form``, so a matrix is eliminated
+once for every right-hand side and every question about it.  The cache
+is keyed by matrix value, ring included: equal matrices share an entry
+however they were built, and the same entries over two rings never do.
+It keeps up to ``MEMO_SIZE`` inputs and results of each function
+alive.  Results are tuples, so sharing them is safe, and exceptions
+are never cached.
 """
 
 from __future__ import annotations
@@ -557,31 +559,26 @@ def is_unimodular(mat: Matrix) -> bool:
 
 
 @_memoized
-def reduce_column_basis(mat: Matrix) -> Matrix:
-    """Column-equivalent matrix in column Hermite form.
-
-    Used on every emitted kernel basis: cascaded constructions would
-    otherwise compound transform entries.  Dependent columns come out
-    as zero columns at the end.
-    """
-    if mat.cols == 0 or mat.rows == 0:
-        return mat
-    ring = mat.ring
-    basis = _echelon(ring, _columns(mat), mat.rows)[1]
-    basis += [[ring.zero] * mat.rows for _ in range(mat.cols - len(basis))]
-    return _from_columns(ring, mat.rows, basis)
+def _column_form(mat: Matrix) -> tuple:
+    """The column echelon form that ``solve``, ``kernel_basis`` and
+    ``image_basis`` read: ``(pivots, cols, trans, kernel_pivots, kernel)``,
+    the echelon columns of ``mat`` with their pivots and transform rows,
+    then the Hermite basis of its kernel lattice with its pivots."""
+    ring, n = mat.ring, mat.cols
+    pivots, cols, trans, null = _echelon(ring, _columns(mat), mat.rows, _identity_rows(ring, n))
+    kernel_pivots, kernel, _, _ = _echelon(ring, null, n)
+    return (tuple(pivots), tuple(map(tuple, cols)), tuple(map(tuple, trans)),
+            tuple(kernel_pivots), tuple(map(tuple, kernel)))
 
 
-@_memoized
 def solve(mat: Matrix, rhs: Matrix) -> Optional[Matrix]:
     """Solve mat * X == rhs exactly; None iff no solution exists.
 
-    The kernel brings the columns of ``mat`` to echelon form with their
-    transform.  Forward substitution along the pivots either divides
-    exactly at every step and ends on a zero residual, or there is no
-    solution over the ring.  The solution is reduced modulo the Hermite
-    basis of the kernel lattice, so it is the same for every way of
-    writing the same system.
+    Forward substitution along the pivots of the column echelon form of
+    ``mat`` either divides exactly at every step and ends on a zero
+    residual, or there is no solution over the ring.  The solution is
+    reduced modulo the Hermite basis of the kernel lattice, so it is the
+    same for every way of writing the same system.
     """
     if mat.ring != rhs.ring:
         raise DomainMismatchError("mixed-ring solve")
@@ -589,7 +586,7 @@ def solve(mat: Matrix, rhs: Matrix) -> Optional[Matrix]:
         raise DimensionError("right-hand side has wrong height")
     ring = mat.ring
     n = mat.cols
-    pivots, cols, trans, null = _echelon(ring, _columns(mat), mat.rows, _identity_rows(ring, n))
+    pivots, cols, trans, kernel_pivots, kernel = _column_form(mat)
     solution = []
     for residual in _columns(rhs):
         x = [ring.zero] * n
@@ -602,11 +599,8 @@ def solve(mat: Matrix, rhs: Matrix) -> Optional[Matrix]:
                 ring.submul(x, ring.neg(q), t)
         if any(residual):
             return None
+        _reduce(ring, x, kernel_pivots, kernel)
         solution.append(x)
-    if null and solution:
-        kernel_pivots, kernel, _, _ = _echelon(ring, null, n)
-        for x in solution:
-            _reduce(ring, x, kernel_pivots, kernel)
     return _from_columns(ring, n, solution) if solution else Matrix.zeros(ring, n, 0)
 
 
@@ -626,11 +620,11 @@ def inverse(mat: Matrix) -> Matrix:
     return Matrix._raw(ring, n, n, trans)
 
 
-@_memoized
 def kernel_basis(mat: Matrix) -> Matrix:
-    """Basis of {x : mat*x == 0}; free and saturated over a PID."""
-    null = _echelon(mat.ring, _columns(mat), mat.rows, _identity_rows(mat.ring, mat.cols))[3]
-    return reduce_column_basis(_from_columns(mat.ring, mat.cols, null))
+    """Basis of {x : mat*x == 0}; free and saturated over a PID, and in
+    column Hermite form so cascaded constructions do not compound
+    transform entries."""
+    return _from_columns(mat.ring, mat.cols, _column_form(mat)[4])
 
 
 def image_basis(mat: Matrix) -> Matrix:
@@ -639,8 +633,8 @@ def image_basis(mat: Matrix) -> Matrix:
     An injective matrix is returned unchanged, so constructions that
     corestrict an injective map keep their coordinates on the nose.
     """
-    basis = _echelon(mat.ring, _columns(mat), mat.rows)[1]
-    return mat if len(basis) == mat.cols else _from_columns(mat.ring, mat.rows, basis)
+    cols = _column_form(mat)[1]
+    return mat if len(cols) == mat.cols else _from_columns(mat.ring, mat.rows, cols)
 
 
 def is_exact_at(first: Matrix, second: Matrix) -> bool:

@@ -13,6 +13,7 @@ from koszulkit.fgmodules import cokernel  # noqa: E402
 from koszulkit.matrices import (  # noqa: E402
     Matrix,
     elementary_divisors,
+    hstack,
     image_basis,
     inverse,
     kernel_basis,
@@ -81,6 +82,9 @@ def test_kernel_basis_is_annihilated_and_saturated(a):
     assert k.cols == a.cols - rank(a)
     assert (a * k).is_zero()
     assert all(a.ring.is_unit(d) for d in elementary_divisors(k))
+    # k is in column Hermite form: doubling its columns makes it
+    # non-injective, so image_basis eliminates them and must give k back.
+    assert image_basis(hstack([k, k])) == k
 
 
 @PROPERTY
