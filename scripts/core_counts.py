@@ -1,0 +1,97 @@
+"""Matrix work done by one harness core, counted in one process.
+
+Usage, from the root of a source checkout (koszulkit is imported from
+``src/``; the core is read from ``perfbench/run.py`` and
+``perfbench/workloads.py``, which the script imports and never changes):
+
+    python3 scripts/core_counts.py --workload harness-z|harness-fpx
+                                   [--seconds 20] [--seed 0]
+
+The core is the list of property-suite trials that
+``perfbench/run.py --workload W --seconds S`` runs in each pass, in the
+order that ``--seed`` shuffles it into.  Here every trial of it runs
+once, in one process, so the elimination caches stay warm from trial to
+trial (unlike the benchmark's forked passes), and the script prints:
+
+* ``products``: calls of ``Matrix.__mul__``;
+* ``empty_operand_products``: those calls where an operand has no rows
+  or no columns;
+* ``raw_calls``: calls of ``Matrix._raw``, the constructor every
+  computed matrix goes through;
+* ``cpu_s``: the process CPU time of the core, counters included;
+* ``reports_sha256``: SHA-256 of the concatenated JSON suite reports.
+
+Two commits do the same matrix work in the same way exactly when the
+counts agree, and produce the same output exactly when the hashes do;
+compare CPU times only between alternating runs on one machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import run  # noqa: E402
+import workloads  # noqa: E402
+from koszulkit.matrices import Matrix  # noqa: E402
+
+
+def core(workload: str, seconds: float, seed: int) -> list:
+    """The trials of one pass of ``perfbench/run.py``, in its order."""
+    size = run.HarnessWorkload(workload, seed, seconds).core_size
+    ops = workloads.harness_ops(size, 0)
+    random.Random(seed).shuffle(ops)
+    return ops
+
+
+def count_matrix_work() -> dict:
+    """Wrap ``Matrix.__mul__`` and ``Matrix._raw`` with counters."""
+    counts = {"products": 0, "empty_operand_products": 0, "raw_calls": 0}
+    mul, raw = Matrix.__mul__, Matrix._raw.__func__
+
+    def counted_mul(self, other):
+        counts["products"] += 1
+        if isinstance(other, Matrix) and not (self.rows and self.cols and other.rows and other.cols):
+            counts["empty_operand_products"] += 1
+        return mul(self, other)
+
+    def counted_raw(cls, *args):
+        counts["raw_calls"] += 1
+        return raw(cls, *args)
+
+    Matrix.__mul__ = counted_mul
+    Matrix._raw = classmethod(counted_raw)
+    return counts
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workload", required=True, choices=("harness-z", "harness-fpx"))
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+
+    ring, max_entry = workloads.harness_ring(args.workload)
+    ops = core(args.workload, args.seconds, args.seed)
+    counts = count_matrix_work()
+    digest = hashlib.sha256()
+    start = time.process_time()
+    for op in ops:
+        digest.update(workloads.run_harness_op(ring, max_entry, op)[1].encode())
+    cpu = time.process_time() - start
+    print(json.dumps({"workload": args.workload, "trials": len(ops), **counts,
+                      "cpu_s": round(cpu, 3), "reports_sha256": digest.hexdigest()}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,6 +13,16 @@ composites use the private ``_trusted`` path, which skips the law: it
 follows from their verified inputs by block algebra.  Anything built
 from solved or eliminated data keeps the full check as its certificate.
 
+Law checks multiply only blocks that exist.  Differentials and
+components are stored only where they are nonzero, so an absent block
+is zero, and so is any product with it.  At each degree the checks of
+``ChainMap`` and ``Homotopy`` form a product only when both of its
+factors are present; a side of the law left with no blocks is zero, so
+the other side must be zero, and a degree with no blocks on either side
+holds trivially.  ``compose`` likewise multiplies only where both maps
+have a component, and sums and differences take a block without a
+partner as it is (negated when it is subtracted).
+
 Homology and exactness.  Questions that only read invariants never
 build a kernel basis or solve a system: ``homology`` is read off the
 (memoized) elementary divisors of d_n and d_{n+1}, so a homology table
@@ -94,6 +104,33 @@ def _nonzero_blocks(ring: Ring, blocks: Mapping[int, Matrix], shape, what: str) 
         if rows and cols and not mat.is_zero():
             clean[n] = mat
     return clean
+
+
+def _product(a: Optional[Matrix], b: Optional[Matrix]) -> Optional[Matrix]:
+    """``a * b``, or None (a zero block) when either factor is absent."""
+    return None if a is None or b is None else a * b
+
+
+def _sums_agree(left, right) -> bool:
+    """Whether the blocks in ``left`` and in ``right`` have equal sums.
+
+    None stands for an absent, hence zero, block and adds nothing; a
+    side with no blocks at all is zero, so the other side must be zero.
+    """
+    a, b = _sum(left), _sum(right)
+    if a is None:
+        return b is None or b.is_zero()
+    if b is None:
+        return a.is_zero()
+    return a == b
+
+
+def _sum(blocks) -> Optional[Matrix]:
+    total = None
+    for m in blocks:
+        if m is not None:
+            total = m if total is None else total + m
+    return total
 
 
 class _Checked:
@@ -185,8 +222,9 @@ class ChainMap(_Checked):
 
     def __init__(self, source: ChainComplex, target: ChainComplex, components: Mapping[int, Matrix]):
         self._fill(source, target, components)
+        dX, dY, f = source.diffs.get, target.diffs.get, self.components.get
         for n in set(source.ranks) | set(target.ranks):
-            if target.d(n) * self.at(n) != self.at(n - 1) * source.d(n):
+            if not _sums_agree([_product(dY(n), f(n))], [_product(f(n - 1), dX(n))]):
                 raise InvalidInputError(f"components do not commute with differentials at degree {n}")
 
     def _fill(self, source: ChainComplex, target: ChainComplex, components: Mapping[int, Matrix]):
@@ -216,18 +254,22 @@ class ChainMap(_Checked):
         """self after other."""
         if other.target != self.source:
             raise DimensionError("chain maps do not compose")
-        degrees = set(other.components) | set(self.components)
-        return ChainMap._trusted(other.source, self.target, {n: self.at(n) * other.at(n) for n in degrees})
+        f, g = self.components, other.components
+        return ChainMap._trusted(other.source, self.target, {n: f[n] * g[n] for n in g if n in f})
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
         self._parallel(other)
-        degrees = set(self.components) | set(other.components)
-        return ChainMap._trusted(self.source, self.target, {n: self.at(n) + other.at(n) for n in degrees})
+        comps = dict(self.components)
+        for n, m in other.components.items():
+            comps[n] = comps[n] + m if n in comps else m
+        return ChainMap._trusted(self.source, self.target, comps)
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
         self._parallel(other)
-        degrees = set(self.components) | set(other.components)
-        return ChainMap._trusted(self.source, self.target, {n: self.at(n) - other.at(n) for n in degrees})
+        comps = dict(self.components)
+        for n, m in other.components.items():
+            comps[n] = comps[n] - m if n in comps else -m
+        return ChainMap._trusted(self.source, self.target, comps)
 
     def __neg__(self) -> "ChainMap":
         return ChainMap._trusted(self.source, self.target, {n: -m for n, m in self.components.items()})
@@ -269,8 +311,11 @@ class Homotopy(_Checked):
     def __init__(self, lhs: ChainMap, rhs: ChainMap, components: Mapping[int, Matrix]):
         self._fill(lhs, rhs, components)
         X, Y = lhs.source, lhs.target
+        dX, dY, H = X.diffs.get, Y.diffs.get, self.components.get
         for n in set(X.ranks) | set(Y.ranks):
-            if lhs.at(n) - rhs.at(n) != Y.d(n + 1) * self.at(n) + self.at(n - 1) * X.d(n):
+            # lhs_n == rhs_n + dH + Hd, which is lhs_n - rhs_n == dH + Hd
+            if not _sums_agree([lhs.components.get(n)],
+                               [rhs.components.get(n), _product(dY(n + 1), H(n)), _product(H(n - 1), dX(n))]):
                 raise InvalidInputError(f"homotopy identity fails at degree {n}")
 
     def _fill(self, lhs: ChainMap, rhs: ChainMap, components: Mapping[int, Matrix]):

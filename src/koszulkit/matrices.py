@@ -34,6 +34,13 @@ however they were built, and the same entries over two rings never do.
 It keeps up to ``MEMO_SIZE`` inputs and results of each function
 alive.  Results are tuples, so sharing them is safe, and exceptions
 are never cached.
+
+``Matrix.zeros`` and ``Matrix.identity`` return one shared instance per
+(ring, shape), each from an LRU cache of ``MEMO_SIZE`` entries, since
+the constructions above build the same zero and identity blocks over
+and over.  A matrix is immutable, so sharing is safe; a shared block
+keeps its hash, and equality returns at once on the same instance.
+Each cache keeps up to ``MEMO_SIZE`` blocks alive.
 """
 
 from __future__ import annotations
@@ -79,17 +86,21 @@ class Matrix:
         object.__setattr__(m, "ring", ring)
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", tuple(tuple(r) for r in entries))
+        object.__setattr__(m, "entries", tuple(map(tuple, entries)))
         return m
 
-    @classmethod
-    def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
+    @staticmethod
+    @lru_cache(maxsize=MEMO_SIZE)
+    def zeros(ring: Ring, rows: int, cols: int) -> "Matrix":
+        """The rows x cols zero matrix, one shared instance per key."""
         z = ring.zero
-        return cls._raw(ring, rows, cols, [[z] * cols for _ in range(rows)])
+        return Matrix._raw(ring, rows, cols, [[z] * cols for _ in range(rows)])
 
-    @classmethod
-    def identity(cls, ring: Ring, n: int) -> "Matrix":
-        return cls._raw(ring, n, n, _identity_rows(ring, n))
+    @staticmethod
+    @lru_cache(maxsize=MEMO_SIZE)
+    def identity(ring: Ring, n: int) -> "Matrix":
+        """The n x n identity matrix, one shared instance per key."""
+        return Matrix._raw(ring, n, n, _identity_rows(ring, n))
 
     @classmethod
     def diagonal(cls, ring: Ring, diag: Sequence, rows: int | None = None, cols: int | None = None) -> "Matrix":

@@ -24,7 +24,8 @@ ways cross between 40 % and 50 % zeros).  Over F_p[x] the kernels
 skip zero entries and add every term of an output entry into one list
 of plain integer coefficients, then reduce mod p and trim once for that
 entry, where the scalar ``add`` and ``mul`` would reduce and trim once
-per term.  Division by 1 (most divisions under elimination divide by
+per term; a product entry whose only term is 1 * b is b itself, with
+no copy and no reduction.  Division by 1 (most divisions under elimination divide by
 the pivot 1) returns at once without a division loop.
 Kronecker substitution (multiplying polynomials packed into one
 integer) is not used: it beats the schoolbook product only from about
@@ -541,19 +542,27 @@ class PrimeFieldPolynomialRing(Ring):
         return canon, self.mul(inv, old_s), self.mul(inv, old_t)
 
     def product(self, left, right, width):
-        addmul, poly = self._addmul, self.poly
+        addmul, poly, one = self._addmul, self.poly, self.one
         out = []
         for row in left:
-            accs = [None] * width  # unreduced sums, only where a term lands
+            # Only where a term lands: b itself while the one term is 1*b
+            # (b is reduced already), else a list of unreduced sums.
+            accs = [None] * width
             for a, r in zip(row, right):
                 if a:
+                    is_one = a == one
                     for j, b in enumerate(r):
                         if b:
                             acc = accs[j]
                             if acc is None:
+                                if is_one:
+                                    accs[j] = b
+                                    continue
                                 accs[j] = acc = []
+                            elif type(acc) is tuple:
+                                accs[j] = acc = list(acc)
                             addmul(acc, a, b)
-            out.append([() if acc is None else poly(acc) for acc in accs])
+            out.append([() if acc is None else acc if type(acc) is tuple else poly(acc) for acc in accs])
         return out
 
     def submul(self, row, q, other, start=0):

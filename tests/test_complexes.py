@@ -378,3 +378,99 @@ def test_direct_sum_rejects_mixed_rings():
     over_f2 = two_term(Matrix(fpx(2), [[(0, 1)]]))
     with pytest.raises(InvalidInputError):
         direct_sum(Z2, over_f2)
+
+
+# The law checks multiply only blocks that exist; a side of the law with
+# no blocks is zero, so the other side must be zero.  Each case below has
+# a failing degree where only one side, or both, has blocks.
+
+
+def lifted(ring, rows):
+    """Small integers as constants of ``ring``."""
+    return Matrix(ring, [[x if ring is ZZ else ring.poly([x]) for x in row] for row in rows])
+
+
+def small_complex(ring, ranks, diffs):
+    return ChainComplex(ring, ranks, {n: lifted(ring, m) for n, m in diffs.items()})
+
+
+def small_map(source, target, comps):
+    return ChainMap(source, target, {n: lifted(source.ring, m) for n, m in comps.items()})
+
+
+def small_homotopy(lhs, rhs, comps):
+    return Homotopy(lhs, rhs, {n: lifted(lhs.source.ring, m) for n, m in comps.items()})
+
+
+@pytest.mark.parametrize("ring", [ZZ, F3], ids=["Z", "F3x"])
+def test_chain_map_law_where_only_the_target_side_has_blocks(ring):
+    # At degree 1, d_Y(1) . f_1 exists; f_0 . d_X(1) does not (X_0 = 0).
+    X = small_complex(ring, {1: 1}, {})
+    Y = small_complex(ring, {1: 1, 0: 1}, {1: [[1]]})
+    with pytest.raises(InvalidInputError, match="degree 1"):
+        small_map(X, Y, {1: [[1]]})
+    # A lone side that multiplies out to zero passes.
+    Y = small_complex(ring, {1: 2, 0: 1}, {1: [[1, 1]]})
+    assert small_map(X, Y, {1: [[1], [-1]]}).components
+
+
+@pytest.mark.parametrize("ring", [ZZ, F3], ids=["Z", "F3x"])
+def test_chain_map_law_where_only_the_source_side_has_blocks(ring):
+    # At degree 1, f_0 . d_X(1) exists; d_Y(1) . f_1 does not (Y_1 = 0).
+    X = small_complex(ring, {1: 1, 0: 1}, {1: [[1]]})
+    Y = small_complex(ring, {0: 1}, {})
+    with pytest.raises(InvalidInputError, match="degree 1"):
+        small_map(X, Y, {0: [[1]]})
+    X = small_complex(ring, {1: 1, 0: 2}, {1: [[1], [-1]]})
+    assert small_map(X, Y, {0: [[1, 1]]}).components
+
+
+@pytest.mark.parametrize("ring", [ZZ, F3], ids=["Z", "F3x"])
+def test_chain_map_law_where_both_sides_have_blocks(ring):
+    X = small_complex(ring, {1: 1, 0: 1}, {1: [[2]]})
+    with pytest.raises(InvalidInputError, match="degree 1"):
+        small_map(X, X, {1: [[1]], 0: [[2]]})  # 2 . 1 against 2 . 2
+    assert small_map(X, X, {1: [[2]], 0: [[2]]}).components
+
+
+@pytest.mark.parametrize("ring", [ZZ, F3], ids=["Z", "F3x"])
+def test_homotopy_law_where_only_dh_has_blocks(ring):
+    # At degree 0, d_Y(1) . H_0 exists; H_{-1} does not, nor do the maps.
+    X = small_complex(ring, {0: 1}, {})
+    Y = small_complex(ring, {1: 1, 0: 1}, {1: [[1]]})
+    zero = ChainMap.zero(X, Y)
+    with pytest.raises(InvalidInputError, match="degree 0"):
+        small_homotopy(zero, zero, {0: [[1]]})
+    assert small_homotopy(small_map(X, Y, {0: [[1]]}), zero, {0: [[1]]}).components
+
+
+@pytest.mark.parametrize("ring", [ZZ, F3], ids=["Z", "F3x"])
+def test_homotopy_law_where_only_hd_has_blocks(ring):
+    # At degree 1, H_0 . d_X(1) exists; H_1 does not (Y_2 = 0), nor do the maps.
+    X = small_complex(ring, {1: 1, 0: 1}, {1: [[1]]})
+    Y = small_complex(ring, {1: 1}, {})
+    zero = ChainMap.zero(X, Y)
+    with pytest.raises(InvalidInputError, match="degree 1"):
+        small_homotopy(zero, zero, {0: [[1]]})
+    assert small_homotopy(small_map(X, Y, {1: [[1]]}), zero, {0: [[1]]}).components
+
+
+@pytest.mark.parametrize("ring", [ZZ, F3], ids=["Z", "F3x"])
+def test_homotopy_law_where_dh_and_hd_both_have_blocks(ring):
+    # The acyclic Z -> Z^2 -> Z; at degree 1, d(2) . H_1 and H_0 . d(1) both exist.
+    C = small_complex(ring, {2: 1, 1: 2, 0: 1}, {2: [[1], [0]], 1: [[0, 1]]})
+    ident, zero = ChainMap.identity(C), ChainMap.zero(C, C)
+    with pytest.raises(InvalidInputError, match="degree 1"):
+        small_homotopy(ident, zero, {0: [[0], [1]], 1: [[1, 1]]})
+    assert small_homotopy(ident, zero, {0: [[0], [1]], 1: [[1, 0]]}).components
+
+
+@pytest.mark.parametrize("ring", [ZZ, F3], ids=["Z", "F3x"])
+def test_homotopy_law_where_only_the_maps_have_blocks(ring):
+    C = small_complex(ring, {1: 1, 0: 1}, {1: [[2]]})
+    ident, zero = ChainMap.identity(C), ChainMap.zero(C, C)
+    with pytest.raises(InvalidInputError, match="homotopy identity fails"):
+        Homotopy(ident, zero, {})  # lhs - rhs != 0, and no H terms anywhere
+    with pytest.raises(InvalidInputError, match="homotopy identity fails"):
+        Homotopy(ident, ident + ident, {})  # lhs and rhs both present, unequal
+    assert Homotopy(ident, ident, {}).components == {}

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from koszulkit import matrices
-from koszulkit.complexes import ChainComplex, homology_table
+from koszulkit.complexes import ChainComplex, ChainMap, Homotopy, homology_table
 from koszulkit.errors import DimensionError
 from koszulkit.generators import rand_matrix
 from koszulkit.matrices import (
@@ -220,3 +220,46 @@ def test_homology_table_diagonalizes_each_differential_once():
     assert elementary_divisors.cache_info().hits == m
     info = _column_form.cache_info()
     assert info.hits + info.misses == 0
+
+
+def test_zeros_and_identity_are_shared_per_ring_and_shape():
+    assert Matrix.zeros(ZZ, 2, 3) is Matrix.zeros(ZZ, 2, 3)
+    assert Matrix.identity(F3, 2) is Matrix.identity(F3, 2)
+    assert Matrix.zeros(ZZ, 2, 3) is not Matrix.zeros(ZZ, 3, 2)
+    assert Matrix.zeros(ZZ, 2, 3) == Matrix(ZZ, [[0, 0, 0], [0, 0, 0]])
+    assert Matrix.identity(F3, 2) == Matrix(F3, [[(1,), ()], [(), (1,)]])
+    # A shared instance keeps its hash.
+    assert hash(Matrix.identity(ZZ, 3)) == Matrix.identity(ZZ, 3)._hash
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (1, 1), (2, 3)])
+def test_shared_zeros_and_identity_never_cross_rings(shape):
+    # Over F_2[x] and F_3[x] these have equal entries; each keeps its ring.
+    for build in (lambda ring: Matrix.zeros(ring, *shape), lambda ring: Matrix.identity(ring, shape[0])):
+        over_f2, over_f3 = build(F2), build(F3)
+        assert over_f2 is not over_f3 and over_f2 != over_f3
+        assert over_f2.ring == F2 and over_f3.ring == F3
+        assert build(F2) is over_f2 and build(F3) is over_f3
+
+
+def test_shared_constructors_stay_within_the_cache_size():
+    for n in range(MEMO_SIZE + 20):
+        Matrix.zeros(ZZ, n, 1)
+        Matrix.identity(ZZ, n)
+    for cached in (Matrix.zeros, Matrix.identity):
+        info = cached.cache_info()
+        assert info.maxsize == MEMO_SIZE
+        assert info.currsize == MEMO_SIZE
+
+
+def test_absent_blocks_read_as_zeros_of_the_right_shape():
+    # Ranks 2 and 3 with no differential; a map and a homotopy with no components.
+    X = ChainComplex(ZZ, {1: 3, 0: 2}, {})
+    f = ChainMap.zero(X, X)
+    h = Homotopy(f, f, {})
+    for got, shape in [(X.d(1), (2, 3)), (X.d(2), (3, 0)), (X.d(0), (0, 2)), (X.d(7), (0, 0)),
+                       (f.at(1), (3, 3)), (f.at(0), (2, 2)), (f.at(5), (0, 0)),
+                       (h.at(0), (3, 2)), (h.at(1), (0, 3)), (h.at(-1), (2, 0))]:
+        assert (got.rows, got.cols) == shape
+        assert got.ring == ZZ and got.is_zero()
+        assert got is Matrix.zeros(ZZ, *shape)

@@ -123,7 +123,8 @@ def _lift(ring, rows):
     ([[1, 2], [0, 5]], [[], []], 0),                                   # width 0
     ([[], []], [], 3),                                                 # inner dimension 0
     ([[1, 1], [2, 0]], [[1, -1], [-1, 1]], 2),                         # exact cancellation
-], ids=["zero-row", "half", "dense", "one", "width0", "inner0", "cancel"])
+    ([[1, 1, 0], [2, 1, 0]], [[5, 7], [0, 3], [4, 6]], 2),             # lone 1*b; 1*b, then a second term
+], ids=["zero-row", "half", "dense", "one", "width0", "inner0", "cancel", "lone-one"])
 def test_product_edges(ring, left, right, width):
     left, right = _lift(ring, left), _lift(ring, right)
     assert ring.product(left, right, width) == scalar_product(ring, left, right, width)
