@@ -18,6 +18,8 @@ trial (unlike the benchmark's forked passes), and the script prints:
   or no columns;
 * ``raw_calls``: calls of ``Matrix._raw``, the constructor every
   computed matrix goes through;
+* ``negations``: calls of ``Matrix.__neg__``;
+* ``zero_negations``: those calls on a zero matrix;
 * ``cpu_s``: the process CPU time of the core, counters included;
 * ``reports_sha256``: SHA-256 of the concatenated JSON suite reports.
 
@@ -54,9 +56,10 @@ def core(workload: str, seconds: float, seed: int) -> list:
 
 
 def count_matrix_work() -> dict:
-    """Wrap ``Matrix.__mul__`` and ``Matrix._raw`` with counters."""
-    counts = {"products": 0, "empty_operand_products": 0, "raw_calls": 0}
-    mul, raw = Matrix.__mul__, Matrix._raw.__func__
+    """Wrap ``Matrix.__mul__``, ``Matrix._raw`` and ``Matrix.__neg__`` with counters."""
+    counts = {"products": 0, "empty_operand_products": 0, "raw_calls": 0,
+              "negations": 0, "zero_negations": 0}
+    mul, raw, neg = Matrix.__mul__, Matrix._raw.__func__, Matrix.__neg__
 
     def counted_mul(self, other):
         counts["products"] += 1
@@ -68,8 +71,15 @@ def count_matrix_work() -> dict:
         counts["raw_calls"] += 1
         return raw(cls, *args)
 
+    def counted_neg(self):
+        counts["negations"] += 1
+        if self.is_zero():
+            counts["zero_negations"] += 1
+        return neg(self)
+
     Matrix.__mul__ = counted_mul
     Matrix._raw = classmethod(counted_raw)
+    Matrix.__neg__ = counted_neg
     return counts
 
 

@@ -3,6 +3,9 @@ library operation, with JSON in and JSON out.
 
 Exit codes: 0 success, 1 property violation (a suite report with
 failures was emitted), 2 invalid input.
+
+Only ``snf`` and ``suite`` take ``--ring``; every other input names its
+own ring in its ``"ring"`` token.
 """
 
 from __future__ import annotations
@@ -207,7 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--ring", default="Z", help="Z or fpx:<p>")
         p.add_argument("--in", dest="infile", default=None, help="input JSON file (default: stdin)")
         p.add_argument("--fixture", default=None, help="curated fixture file used as input")
         p.add_argument("--out", default=None, help="output JSON file (default: stdout)")
@@ -215,6 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         common(p)
+        if name == "snf":
+            p.add_argument("--ring", default="Z", help="Z or fpx:<p>")
         if name == "homology":
             p.add_argument("--degree", type=int, default=None)
         if name in ("truncate", "split"):
@@ -225,6 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite")
     p.add_argument("name", choices=sorted(SUITES))
     common(p)
+    p.add_argument("--ring", default="Z", help="Z or fpx:<p>")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
     return parser

@@ -51,6 +51,13 @@ X_n (+) X_{n-1} (+) Y_n with differential
 [[dX, id, 0], [0, -dX, 0], [0, -f, dY]].  This is the unique sign choice
 for these block shapes under which d.d == 0, the three structure maps
 are chain maps, and the cylinder projection splits the end inclusion.
+
+Direct-sum layouts.  A cone is the sum of the shifted complexes
+(X, 1), (Y, 0), a cylinder of (X, 0), (X, 1), (Y, 0) and a direct sum
+of its parts with shift 0, where (C, s) puts C_{n-s} in degree n.  One
+private layout places their blocks (an absent block stays None, so only
+stored blocks are ever negated) and gives each summand's inclusion,
+whose transpose is the matching projection.
 """
 
 from __future__ import annotations
@@ -70,16 +77,15 @@ from .fgmodules import FgModule, cokernel
 from .matrices import (
     Matrix,
     _kron,
+    _selection,
     block,
     elementary_divisors,
-    hstack,
     image_basis,
     is_exact_at,
     is_unimodular,
     inverse,
     kernel_basis,
     solve,
-    vstack,
 )
 from .rings import Ring
 
@@ -354,6 +360,41 @@ def shift_map(f: ChainMap, k: int) -> ChainMap:
     return ChainMap._trusted(shift(f.source, k), shift(f.target, k), {n - k: m for n, m in f.components.items()})
 
 
+class _Layout:
+    """Degree n is C_{n-s} (+) ... over the pairs (C, s) of ``parts``.
+
+    ``degrees`` (where some summand lives) orders the ranks, and so the
+    homotopy solvers' unknowns.  ``grid(n)`` gives the blocks of d_n by
+    summand, None for a zero block.
+    """
+
+    __slots__ = ("parts", "complex")
+
+    def __init__(self, parts: list, degrees: set, grid):
+        ring = parts[0][0].ring
+        self.parts = parts
+        diffs = {}
+        for n in degrees | {n + 1 for n in degrees}:
+            cells = grid(n)
+            if any(cell is not None for row in cells for cell in row):
+                diffs[n] = block(ring, cells, self.sizes(n - 1), self.sizes(n))
+        self.complex = ChainComplex._trusted(ring, {n: sum(self.sizes(n)) for n in degrees}, diffs)
+
+    def sizes(self, n: int) -> list:
+        """The ranks of the summands at degree n."""
+        return [c.rank(n - s) for c, s in self.parts]
+
+    def inclusion(self, i: int, n: int) -> Matrix:
+        """Summand i into the sum at degree n; its transpose projects back."""
+        sizes = self.sizes(n)
+        start = sum(sizes[:i])
+        return _selection(self.complex.ring, sum(sizes), range(start, start + sizes[i]))
+
+
+def _negated(mat: Optional[Matrix]) -> Optional[Matrix]:
+    return None if mat is None else -mat
+
+
 @dataclass(frozen=True)
 class Cone:
     complex: ChainComplex
@@ -363,47 +404,28 @@ class Cone:
 
 def cone(f: ChainMap) -> Cone:
     X, Y = f.source, f.target
-    ring = X.ring
-    degrees = {n + 1 for n in X.ranks} | set(Y.ranks)
-    ranks = {n: X.rank(n - 1) + Y.rank(n) for n in degrees}
-    diffs = {}
-    for n in degrees | {n + 1 for n in degrees}:
-        rows = [X.rank(n - 2), Y.rank(n - 1)]
-        cols = [X.rank(n - 1), Y.rank(n)]
-        if sum(rows) == 0 or sum(cols) == 0:
-            continue
-        diffs[n] = block(ring, [[-X.d(n - 1), None], [-f.at(n - 1), Y.d(n)]], rows, cols)
-    c = ChainComplex._trusted(ring, ranks, diffs)
-    incl = ChainMap._trusted(Y, c, {
-        n: vstack([Matrix.zeros(ring, X.rank(n - 1), Y.rank(n)), Matrix.identity(ring, Y.rank(n))])
-        for n in Y.ranks
-    })
+    layout = _Layout([(X, 1), (Y, 0)], {n + 1 for n in X.ranks} | set(Y.ranks),
+                     lambda n: [[_negated(X.diffs.get(n - 1)), None],
+                                [_negated(f.components.get(n - 1)), Y.diffs.get(n)]])
+    c = layout.complex
+    incl = ChainMap._trusted(Y, c, {n: layout.inclusion(1, n) for n in Y.ranks})
     proj = ChainMap._trusted(c, shift(X, -1), {
-        n: hstack([Matrix.identity(ring, X.rank(n - 1)), Matrix.zeros(ring, X.rank(n - 1), Y.rank(n))])
-        for n in degrees if X.rank(n - 1)
-    })
+        n: layout.inclusion(0, n).transpose() for n in c.ranks if X.rank(n - 1)})
     return Cone(c, incl, proj)
 
 
-def cylinder(f: ChainMap) -> ChainComplex:
+def _cylinder(f: ChainMap) -> _Layout:
     X, Y = f.source, f.target
-    ring = X.ring
-    degrees = set(X.ranks) | {n + 1 for n in X.ranks} | set(Y.ranks)
-    ranks = {n: X.rank(n) + X.rank(n - 1) + Y.rank(n) for n in degrees}
-    diffs = {}
-    for n in degrees | {n + 1 for n in degrees}:
-        rows = [X.rank(n - 1), X.rank(n - 2), Y.rank(n - 1)]
-        cols = [X.rank(n), X.rank(n - 1), Y.rank(n)]
-        if sum(rows) == 0 or sum(cols) == 0:
-            continue
-        ident = Matrix.identity(ring, X.rank(n - 1))
-        diffs[n] = block(
-            ring,
-            [[X.d(n), ident, None],
-             [None, -X.d(n - 1), None],
-             [None, -f.at(n - 1), Y.d(n)]],
-            rows, cols)
-    return ChainComplex._trusted(ring, ranks, diffs)
+    return _Layout(
+        [(X, 0), (X, 1), (Y, 0)],
+        set(X.ranks) | {n + 1 for n in X.ranks} | set(Y.ranks),
+        lambda n: [[X.diffs.get(n), Matrix.identity(X.ring, X.rank(n - 1)) if X.rank(n - 1) else None, None],
+                   [None, _negated(X.diffs.get(n - 1)), None],
+                   [None, _negated(f.components.get(n - 1)), Y.diffs.get(n)]])
+
+
+def cylinder(f: ChainMap) -> ChainComplex:
+    return _cylinder(f).complex
 
 
 @dataclass(frozen=True)
@@ -416,21 +438,13 @@ class StructureMaps:
 
 def structure_maps(f: ChainMap) -> StructureMaps:
     X, Y = f.source, f.target
-    ring = X.ring
-    cyl = cylinder(f)
-    j1 = ChainMap._trusted(X, cyl, {
-        n: vstack([Matrix.identity(ring, X.rank(n)),
-                   Matrix.zeros(ring, X.rank(n - 1) + Y.rank(n), X.rank(n))])
-        for n in X.ranks
-    })
-    j2 = ChainMap._trusted(Y, cyl, {
-        n: vstack([Matrix.zeros(ring, X.rank(n) + X.rank(n - 1), Y.rank(n)),
-                   Matrix.identity(ring, Y.rank(n))])
-        for n in Y.ranks
-    })
+    layout = _cylinder(f)
+    cyl = layout.complex
+    j1 = ChainMap._trusted(X, cyl, {n: layout.inclusion(0, n) for n in X.ranks})
+    j2 = ChainMap._trusted(Y, cyl, {n: layout.inclusion(2, n) for n in Y.ranks})
     p = ChainMap._trusted(cyl, Y, {
-        n: hstack([f.at(n), Matrix.zeros(ring, Y.rank(n), X.rank(n - 1)),
-                   Matrix.identity(ring, Y.rank(n))])
+        n: block(X.ring, [[f.components.get(n), None, Matrix.identity(X.ring, Y.rank(n))]],
+                 [Y.rank(n)], layout.sizes(n))
         for n in cyl.ranks if Y.rank(n)
     })
     return StructureMaps(cyl, j1, j2, p)
@@ -445,18 +459,14 @@ def cyl_functorial(f: ChainMap, g: ChainMap, a: ChainMap, b: ChainMap) -> ChainM
     """
     if b.compose(f) != g.compose(a):
         raise InvalidInputError("square does not commute")
-    ring = f.source.ring
-    src, tgt = cylinder(f), cylinder(g)
-    comps = {}
-    for n in src.ranks:
-        rows = [g.source.rank(n), g.source.rank(n - 1), g.target.rank(n)]
-        cols = [f.source.rank(n), f.source.rank(n - 1), f.target.rank(n)]
-        comps[n] = block(ring, [
-            [a.at(n), None, None],
-            [None, a.at(n - 1), None],
-            [None, None, b.at(n)],
-        ], rows, cols)
-    return ChainMap._trusted(src, tgt, comps)
+    src, tgt = _cylinder(f), _cylinder(g)
+    at, bt = a.components.get, b.components.get
+    comps = {
+        n: block(f.source.ring, [[at(n), None, None], [None, at(n - 1), None], [None, None, bt(n)]],
+                 tgt.sizes(n), src.sizes(n))
+        for n in src.complex.ranks
+    }
+    return ChainMap._trusted(src.complex, tgt.complex, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -871,28 +881,14 @@ class DirectSum:
 def direct_sum(*parts: ChainComplex) -> DirectSum:
     if not parts:
         raise InvalidInputError("direct sum of no complexes")
-    ring = parts[0].ring
-    if any(part.ring != ring for part in parts):
+    if any(part.ring != parts[0].ring for part in parts):
         raise InvalidInputError("direct sum across different rings")
-    degrees = set().union(*(part.ranks for part in parts))
-    ranks = {n: sum(p.rank(n) for p in parts) for n in degrees}
-    diffs = {}
-    for n in degrees | {n + 1 for n in degrees}:
-        rows = [p.rank(n - 1) for p in parts]
-        cols = [p.rank(n) for p in parts]
-        if sum(rows) == 0 or sum(cols) == 0:
-            continue
-        grid = [[p.d(n) if i == j else None for j in range(len(parts))] for i, p in enumerate(parts)]
-        diffs[n] = block(ring, grid, rows, cols)
-    total = ChainComplex._trusted(ring, ranks, diffs)
-    inclusions, projections = [], []
-    for idx, part in enumerate(parts):
-        inc = {
-            n: vstack([Matrix.zeros(ring, sum(p.rank(n) for p in parts[:idx]), r),
-                       Matrix.identity(ring, r),
-                       Matrix.zeros(ring, sum(p.rank(n) for p in parts[idx + 1:]), r)])
-            for n, r in part.ranks.items()
-        }
-        inclusions.append(ChainMap._trusted(part, total, inc))
-        projections.append(ChainMap._trusted(total, part, {n: m.transpose() for n, m in inc.items()}))
-    return DirectSum(total, tuple(inclusions), tuple(projections))
+    layout = _Layout([(part, 0) for part in parts], set().union(*(part.ranks for part in parts)),
+                     lambda n: [[p.diffs.get(n) if i == j else None for j in range(len(parts))]
+                                for i, p in enumerate(parts)])
+    total = layout.complex
+    inclusions = tuple(ChainMap._trusted(part, total, {n: layout.inclusion(i, n) for n in part.ranks})
+                       for i, part in enumerate(parts))
+    projections = tuple(ChainMap._trusted(total, inc.source, {n: m.transpose() for n, m in inc.components.items()})
+                        for inc in inclusions)
+    return DirectSum(total, inclusions, projections)

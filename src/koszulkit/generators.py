@@ -24,7 +24,7 @@ from .complexes import (
 )
 from .fgmodules import FgModule
 from .koszul import AdmissibleSes, PresentedKoszul
-from .matrices import Matrix, block, block_diag, hstack, inverse, vstack
+from .matrices import Matrix, _selection, block, block_diag, hstack, inverse, vstack
 from .presented import PresentedMap, PresentedModule, SesMorphism, ThreeByThree, direct_sum_modules
 from .rings import Ring, ZZ
 
@@ -298,18 +298,13 @@ def gen_admissible_ses(params: GenParams, trial: int,
     middle = ChainComplex(ring, {1: lx + rx, 0: l0 + r0}, {1: boundary})
     # shear by a chain map right -> left to vary the stored witnesses
     shear = gen_chain_map(rng, right, left, bound=1, terms=1)
-    mono_comps = {}
-    retr_comps = {}
-    epi_comps = {}
-    sect_comps = {}
+    mono_comps, retr_comps, epi_comps, sect_comps = {}, {}, {}, {}
     for n, (a, b) in ((1, (lx, rx)), (0, (l0, r0))):
-        ident_a = Matrix.identity(ring, a)
-        ident_b = Matrix.identity(ring, b)
         s = shear.at(n)
-        mono_comps[n] = vstack([ident_a, Matrix.zeros(ring, b, a)])
-        retr_comps[n] = hstack([ident_a, -s])
-        epi_comps[n] = hstack([Matrix.zeros(ring, b, a), ident_b])
-        sect_comps[n] = vstack([s, ident_b])
+        mono_comps[n] = _selection(ring, a + b, range(a))
+        retr_comps[n] = hstack([Matrix.identity(ring, a), -s])
+        epi_comps[n] = _selection(ring, a + b, range(a, a + b)).transpose()
+        sect_comps[n] = vstack([s, Matrix.identity(ring, b)])
     twisted, fwd, bwd = scramble_complex(rng, middle)
     mono = ChainMap(left, twisted, {n: fwd.at(n) * m for n, m in mono_comps.items()})
     epi = ChainMap(twisted, right, {n: m * bwd.at(n) for n, m in epi_comps.items()})
@@ -355,15 +350,11 @@ def gen_ses_of_complexes(params: GenParams, trial: int, acyclic_side: str = "lef
         twist = left.d(n) * m_here - m_prev * right.d(n)
         diffs[n] = block(ring, [[left.d(n), twist], [None, right.d(n)]], rows, cols)
     middle = ChainComplex(ring, ranks, diffs)
-    mono_comps = {}
-    epi_comps = {}
-    for n in degrees:
-        a, b = left.rank(n), right.rank(n)
-        mono_comps[n] = vstack([Matrix.identity(ring, a), Matrix.zeros(ring, b, a)])
-        epi_comps[n] = hstack([Matrix.zeros(ring, b, a), Matrix.identity(ring, b)])
     twisted, fwd, bwd = scramble_complex(rng, middle)
-    mono = ChainMap(left, twisted, {n: fwd.at(n) * m for n, m in mono_comps.items()})
-    epi = ChainMap(twisted, right, {n: m * bwd.at(n) for n, m in epi_comps.items()})
+    mono = ChainMap(left, twisted, {
+        n: fwd.at(n) * _selection(ring, ranks[n], range(left.rank(n))) for n in degrees})
+    epi = ChainMap(twisted, right, {
+        n: _selection(ring, ranks[n], range(left.rank(n), ranks[n])).transpose() * bwd.at(n) for n in degrees})
     return SesSample(AdmissibleSes(mono, epi), left, right)
 
 
@@ -386,10 +377,8 @@ def gen_quasi_iso_pair(params: GenParams, trial: int,
     mixing = rand_matrix(rng, ring, b0, px, 2)
     boundary = block(ring, [[base.d(1), mixing], [None, pad.d(1)]], [b0, p0], [bx, px])
     padded = ChainComplex(ring, {1: bx + px, 0: b0 + p0}, {1: boundary})
-    incl = ChainMap(base, padded, {
-        1: vstack([Matrix.identity(ring, bx), Matrix.zeros(ring, px, bx)]),
-        0: vstack([Matrix.identity(ring, b0), Matrix.zeros(ring, p0, b0)]),
-    })
+    incl = ChainMap(base, padded, {1: _selection(ring, bx + px, range(bx)),
+                                   0: _selection(ring, b0 + p0, range(b0))})
     source_twist, _, src_bwd = scramble_complex(rng, base)
     target_twist, tgt_fwd, _ = scramble_complex(rng, padded)
     return QuasiIsoPair(tgt_fwd.compose(incl).compose(src_bwd))
@@ -565,21 +554,6 @@ def _rand_moduli(rng: random.Random, ring: Ring, count: int, torsion_only: bool 
     return out
 
 
-def _block_inclusion(ring: Ring, all_moduli, positions) -> Matrix:
-    rows = []
-    for i in range(len(all_moduli)):
-        rows.append([ring.one if (j < len(positions) and positions[j] == i) else ring.zero
-                     for j in range(len(positions))])
-    return Matrix._raw(ring, len(all_moduli), len(positions), rows)
-
-
-def _block_projection(ring: Ring, all_moduli, positions) -> Matrix:
-    rows = []
-    for j in positions:
-        rows.append([ring.one if i == j else ring.zero for i in range(len(all_moduli))])
-    return Matrix._raw(ring, len(positions), len(all_moduli), rows)
-
-
 def gen_module_ses(params: GenParams, trial: int, torsion_only: bool = False,
                    rng: Optional[random.Random] = None):
     """Short exact sequence of presented modules, shear-twisted.
@@ -595,9 +569,8 @@ def gen_module_ses(params: GenParams, trial: int, torsion_only: bool = False,
     left = _atoms_module(ring, left_moduli)
     right = _atoms_module(ring, right_moduli)
     middle = _atoms_module(ring, total_moduli)
-    incl = _block_inclusion(ring, total_moduli, list(range(len(left_moduli))))
-    proj = _block_projection(ring, total_moduli,
-                             list(range(len(left_moduli), len(total_moduli))))
+    incl = _selection(ring, len(total_moduli), range(len(left_moduli)))
+    proj = _selection(ring, len(total_moduli), range(len(left_moduli), len(total_moduli))).transpose()
     fwd, bwd = _shear_auto(rng, ring, total_moduli)
     mono = PresentedMap(left, middle, fwd * incl)
     epi = PresentedMap(middle, right, proj * bwd)
@@ -624,8 +597,8 @@ def gen_ses_morphism(params: GenParams, trial: int,
     def make_row(first, second):
         total = list(first) + list(second)
         module = _atoms_module(ring, total)
-        incl = _block_inclusion(ring, total, list(range(len(first))))
-        proj = _block_projection(ring, total, list(range(len(first), len(total))))
+        incl = _selection(ring, len(total), range(len(first)))
+        proj = _selection(ring, len(total), range(len(first), len(total))).transpose()
         fwd, bwd = _shear_auto(rng, ring, total)
         mono = PresentedMap(_atoms_module(ring, first), module, fwd * incl)
         epi = PresentedMap(module, _atoms_module(ring, second), proj * bwd)
@@ -673,20 +646,26 @@ def gen_three_by_three(params: GenParams, trial: int,
         "c": list(range(na + nb, na + nb + nc)),
         "d": list(range(na + nb + nc, na + nb + nc + nd)),
     }
-    yp = objects["Yp"]
+
+    def inclusion(key, positions):
+        return _selection(ring, len(objects[key]), positions)
+
+    def projection(key, positions):
+        return inclusion(key, positions).transpose()
+
     mats = {
-        "iX": _block_inclusion(ring, objects["Xp"], list(range(na))),
-        "pX": _block_projection(ring, objects["Xp"], list(range(na, na + nb))),
-        "iZ": _block_inclusion(ring, objects["Zp"], list(range(nc))),
-        "pZ": _block_projection(ring, objects["Zp"], list(range(nc, nc + nd))),
-        "iY": _block_inclusion(ring, yp, pos["a"] + pos["c"]),
-        "pY": _block_projection(ring, yp, pos["b"] + pos["d"]),
-        "f": _block_inclusion(ring, objects["Y"], list(range(na))),
-        "g": _block_projection(ring, objects["Y"], list(range(na, na + nc))),
-        "fp": _block_inclusion(ring, yp, pos["a"] + pos["b"]),
-        "gp": _block_projection(ring, yp, pos["c"] + pos["d"]),
-        "fpp": _block_inclusion(ring, objects["Ypp"], list(range(nb))),
-        "gpp": _block_projection(ring, objects["Ypp"], list(range(nb, nb + nd))),
+        "iX": inclusion("Xp", range(na)),
+        "pX": projection("Xp", range(na, na + nb)),
+        "iZ": inclusion("Zp", range(nc)),
+        "pZ": projection("Zp", range(nc, nc + nd)),
+        "iY": inclusion("Yp", pos["a"] + pos["c"]),
+        "pY": projection("Yp", pos["b"] + pos["d"]),
+        "f": inclusion("Y", range(na)),
+        "g": projection("Y", range(na, na + nc)),
+        "fp": inclusion("Yp", pos["a"] + pos["b"]),
+        "gp": projection("Yp", pos["c"] + pos["d"]),
+        "fpp": inclusion("Ypp", range(nb)),
+        "gpp": projection("Ypp", range(nb, nb + nd)),
     }
     twists = {}
     for key in ("Xp", "Y", "Yp", "Ypp", "Zp"):

@@ -11,7 +11,6 @@ so an external tool can re-verify them without this library.
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from .complexes import ChainComplex, ChainMap
 from .errors import InvalidInputError
@@ -144,14 +143,18 @@ def complex_to_json(complex_: ChainComplex) -> dict:
     }
 
 
-def complex_from_json(data, ring: Optional[Ring] = None) -> ChainComplex:
+def _ring(data, what: str) -> Ring:
+    """The ring named by the ``"ring"`` token of ``data``."""
+    token = data.get("ring")
+    if not isinstance(token, str):
+        raise InvalidInputError(f"{what} JSON needs a ring token")
+    return ring_from_token(token)
+
+
+def complex_from_json(data) -> ChainComplex:
     if not isinstance(data, dict):
         raise InvalidInputError("complex JSON must be an object")
-    if ring is None:
-        token = data.get("ring")
-        if not isinstance(token, str):
-            raise InvalidInputError("complex JSON needs a ring token")
-        ring = ring_from_token(token)
+    ring = _ring(data, "complex")
     ranks = _ranks_from_json(data)
     diffs_data = data.get("differentials", {})
     if not isinstance(diffs_data, dict):
@@ -168,11 +171,11 @@ def chain_map_to_json(f: ChainMap) -> dict:
     }
 
 
-def chain_map_from_json(data, ring: Optional[Ring] = None) -> ChainMap:
+def chain_map_from_json(data) -> ChainMap:
     if not isinstance(data, dict) or "source" not in data or "target" not in data:
         raise InvalidInputError("chain map JSON needs source and target complexes")
-    source = complex_from_json(data["source"], ring)
-    target = complex_from_json(data["target"], source.ring if ring is None else ring)
+    source = complex_from_json(data["source"])
+    target = complex_from_json(data["target"])
     comps_data = data.get("components", {})
     if not isinstance(comps_data, dict):
         raise InvalidInputError("bad components table")
@@ -232,14 +235,10 @@ def presented_koszul_to_json(x: PresentedKoszul) -> dict:
     }
 
 
-def presented_koszul_from_json(data, ring: Optional[Ring] = None) -> PresentedKoszul:
+def presented_koszul_from_json(data) -> PresentedKoszul:
     if not isinstance(data, dict):
         raise InvalidInputError("presented complex JSON must be an object")
-    if ring is None:
-        token = data.get("ring")
-        if not isinstance(token, str):
-            raise InvalidInputError("presented complex JSON needs a ring token")
-        ring = ring_from_token(token)
+    ring = _ring(data, "presented complex")
     ranks = _ranks_from_json(data)
     if any(n not in (0, 1) for n in ranks):
         raise InvalidInputError("presented complexes live in degrees 0 and 1")

@@ -41,7 +41,7 @@ from .complexes import (
 )
 from .errors import InvalidInputError
 from .fgmodules import FgModule, cokernel
-from .matrices import Matrix, elementary_divisors, hstack, image_basis, kernel_basis, solve, vstack
+from .matrices import Matrix, _selection, elementary_divisors, hstack, image_basis, kernel_basis, solve, vstack
 from .presented import PresentedModule, PresentedMap, is_short_exact
 
 
@@ -208,27 +208,21 @@ def factor_step(f: ChainMap, n: int) -> FactorStep:
     """
     if quasi_iso_degree(f) < n:
         raise InvalidInputError(f"map does not vanish in cone degrees <= {n}")
-    X, Y = f.source, f.target
-    ring = X.ring
+    X = f.source
     mapping_cone = cone(f)
     splitting = truncation_splitting(mapping_cone.complex, n + 1)
     upper = splitting.triple.upper
     a = splitting.u
-    b = mapping_cone.inclusion
-    composite = a.compose(b)
+    composite = a.compose(mapping_cone.inclusion)
     cone_of_composite = cone(composite)
     intermediate = shift(cone_of_composite.complex, 1)
     h = shift_map(cone_of_composite.projection, 1)
-    witness_components = {}
-    for m in X.ranks:
-        iota = vstack([Matrix.identity(ring, X.rank(m)),
-                       Matrix.zeros(ring, Y.rank(m + 1), X.rank(m))])
-        witness_components[m] = -(a.at(m + 1) * iota)
-    witness = Homotopy(a.compose(b).compose(f), ChainMap.zero(X, upper), witness_components)
-    g_components = {}
-    for m in set(X.ranks):
-        g_components[m] = vstack([f.at(m), witness.at(m)])
-    g = ChainMap(X, intermediate, g_components)
+    # Cone degree m+1 starts with the source summand X_m, so a's component
+    # there restricts to X_m as its first X.rank(m) columns.
+    witness_components = {m: -a.components[m + 1].take_cols(range(X.rank(m)))
+                          for m in X.ranks if m + 1 in a.components}
+    witness = Homotopy(composite.compose(f), ChainMap.zero(X, upper), witness_components)
+    g = ChainMap(X, intermediate, {m: vstack([f.at(m), witness.at(m)]) for m in set(X.ranks)})
     if h.compose(g) != f:
         raise AssertionError("factor step lost exact equality with the input map")
     return FactorStep(g=g, h=h, witness=witness, upper=upper)
@@ -256,18 +250,12 @@ def factor_step_equivalence(step: FactorStep) -> Optional[EquivalenceWitness]:
     """
     upper = step.upper
     mapping_cone = cone(step.h).complex
-    ring = upper.ring
-    target_of_h = step.h.target
-    comps = {}
-    for n in upper.ranks:
-        above = target_of_h.rank(n - 1)
-        below = target_of_h.rank(n)
-        comps[n] = vstack([
-            Matrix.zeros(ring, above, upper.rank(n)),
-            Matrix.identity(ring, upper.rank(n)),
-            Matrix.zeros(ring, below, upper.rank(n)),
-        ])
-    into = ChainMap(upper, mapping_cone, comps)
+    above = step.h.target.rank
+    # Degree n of the cone of h is target_{n-1} (+) upper_n (+) target_n.
+    into = ChainMap(upper, mapping_cone, {
+        n: _selection(upper.ring, mapping_cone.rank(n), range(above(n - 1), above(n - 1) + r))
+        for n, r in upper.ranks.items()
+    })
     back = chain_retraction(into)
     if back is None:
         return None

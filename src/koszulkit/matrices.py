@@ -228,6 +228,16 @@ def block(ring: Ring, grid: Sequence[Sequence[Optional[Matrix]]], row_sizes: Seq
     return vstack(rows) if rows else Matrix.zeros(ring, 0, sum(col_sizes))
 
 
+def _selection(ring: Ring, height: int, positions: Sequence[int]) -> Matrix:
+    """The height x len(positions) matrix whose column j is the unit
+    vector at ``positions[j]``: the inclusion of those coordinates.  Its
+    transpose is the matching projection."""
+    rows = [[ring.zero] * len(positions) for _ in range(height)]
+    for j, i in enumerate(positions):
+        rows[i][j] = ring.one
+    return Matrix._raw(ring, height, len(positions), rows)
+
+
 def _kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: block (i, k) is a[i][k] * b.
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionError, InvalidInputError
 from .fgmodules import FgModule, cokernel
-from .matrices import Matrix, hstack, kernel_basis, solve, vstack
+from .matrices import Matrix, _selection, block_diag, hstack, kernel_basis, solve, vstack
 from .rings import Ring
 
 
@@ -69,15 +69,7 @@ def direct_sum_modules(parts: Sequence[PresentedModule]) -> PresentedModule:
     ring = parts[0].ring
     if any(p.ring != ring for p in parts):
         raise InvalidInputError("direct sum across different rings")
-    gens = sum(p.gens for p in parts)
-    rels = []
-    offset = 0
-    for p in parts:
-        top = Matrix.zeros(ring, offset, p.relations.cols)
-        bottom = Matrix.zeros(ring, gens - offset - p.gens, p.relations.cols)
-        rels.append(vstack([top, p.relations, bottom]))
-        offset += p.gens
-    return PresentedModule(ring, gens, hstack(rels))
+    return PresentedModule(ring, sum(p.gens for p in parts), block_diag(ring, [p.relations for p in parts]))
 
 
 class PresentedMap:
@@ -180,11 +172,9 @@ def pushout(left: PresentedMap, right: PresentedMap) -> tuple[PresentedModule, P
     ambient = direct_sum_modules([left.target, right.target])
     anti = vstack([left.matrix, -right.matrix])
     obj = PresentedModule(ring, ambient.gens, hstack([ambient.relations, anti]))
-    ga, gb = left.target.gens, right.target.gens
-    leg_a = PresentedMap._trusted(left.target, obj,
-                                  vstack([Matrix.identity(ring, ga), Matrix.zeros(ring, gb, ga)]))
-    leg_b = PresentedMap._trusted(right.target, obj,
-                                  vstack([Matrix.zeros(ring, ga, gb), Matrix.identity(ring, gb)]))
+    ga = left.target.gens
+    leg_a = PresentedMap._trusted(left.target, obj, _selection(ring, obj.gens, range(ga)))
+    leg_b = PresentedMap._trusted(right.target, obj, _selection(ring, obj.gens, range(ga, obj.gens)))
     return obj, leg_a, leg_b
 
 

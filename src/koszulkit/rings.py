@@ -694,13 +694,13 @@ def fpx(p: int) -> PrimeFieldPolynomialRing:
 
 
 def ring_from_token(token: str) -> Ring:
-    """Parse the CLI ring selector: ``"Z"`` or ``"fpx:<p>"``."""
+    """Parse the ring selector: ``"Z"`` or ``"fpx:<p>"`` with the digits
+    written as ``str(p)`` (no sign, space, ``_`` or leading zero), at
+    most 3000 of them, so ``int`` stays within the interpreter's limit."""
     if token == "Z":
         return ZZ
-    if token.startswith("fpx:"):
-        try:
-            p = int(token[4:])
-        except ValueError:
-            raise InvalidInputError(f"bad ring token {token!r}") from None
-        return fpx(p)
+    digits = token[4:]
+    if token.startswith("fpx:") and len(digits) <= 3000 and digits.isascii() and digits.isdigit() \
+            and digits[0] != "0":
+        return fpx(int(digits))
     raise InvalidInputError(f"bad ring token {token!r}")

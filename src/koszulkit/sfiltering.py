@@ -27,7 +27,7 @@ from .errors import InvalidInputError
 from .koszul import AdmissibleSes, in_kos1
 from .matrices import (
     Matrix,
-    block_diag,
+    _selection,
     hstack,
     image_basis,
     inverse,
@@ -180,9 +180,7 @@ def ed_decompose(complex_: ChainComplex) -> EdDecomposition:
     units = [i for i, d in enumerate(cert.divisors) if ring.is_unit(d)]
     nonunits = [i for i, d in enumerate(cert.divisors) if not ring.is_unit(d)]
     order = nonunits + units
-    perm = Matrix._raw(ring, len(order), len(order),
-                       [[ring.one if j == src else ring.zero for j in range(len(order))]
-                        for src in order])
+    perm = _selection(ring, len(order), order).transpose()
     phi1 = perm * inverse(cert.V)
     phi0 = perm * cert.U
     k, u_count = len(nonunits), len(units)
@@ -223,11 +221,7 @@ class ExcisionCertificate:
         ring = self.mono.source.ring
         X = self.mono.source
         Z = self.target
-        incl = ChainMap(X, Z, {
-            n: vstack([Matrix.identity(ring, X.rank(n)),
-                       Matrix.zeros(ring, Z.rank(n) - X.rank(n), X.rank(n))])
-            for n in X.ranks
-        })
+        incl = ChainMap(X, Z, {n: _selection(ring, Z.rank(n), range(r)) for n, r in X.ranks.items()})
         if self.q.compose(self.mono) != incl:
             return False
         for n, sect in self.sections.items():
@@ -274,8 +268,7 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
     target = direct_sum(X, decomposition.unit_part).complex
     h = retractions[0]
     q0 = vstack([h, flat.at(0).take_rows(unit_rows)])
-    dz = block_diag(ring, [X.d(1), Matrix.identity(ring, u_count)])
-    q1 = solve(dz, q0 * Y.d(1))
+    q1 = solve(target.d(1), q0 * Y.d(1))
     if q1 is None:
         raise AssertionError("excision degree-1 component failed to solve")
     q = ChainMap(Y, target, {0: q0, 1: q1})

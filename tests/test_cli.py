@@ -305,6 +305,37 @@ def test_non_decimal_integer_string_exits_2(tmp_path, capsys, literal):
     assert code == 2 and out == "" and "integer" in err
 
 
+@pytest.mark.parametrize("token", ["fpx:3", "banana"])
+def test_chain_map_target_reads_its_own_ring_token(tmp_path, capsys, token):
+    # The target is valid over every ring, so only its token can refuse it.
+    target = {"ring": token, "ranks": {"1": 1, "0": 1}, "differentials": {}}
+    payload = {"source": complex_payload(), "target": target, "components": {}}
+    path = write_json(tmp_path, "f.json", payload)
+    code, out, err = run_cli(capsys, "cone", "--in", path)
+    assert code == 2 and out == "" and "ring" in err
+
+
+# Ring tokens that Python's int() reads as a characteristic; only
+# "fpx:" + str(p) names F_p[x].
+NON_CANONICAL_RING_TOKENS = ["fpx: 3", "fpx:+3", "fpx:03", "fpx:3_1"]
+
+
+@pytest.mark.parametrize("token", NON_CANONICAL_RING_TOKENS)
+def test_non_canonical_ring_token_exits_2(tmp_path, capsys, token):
+    path = write_json(tmp_path, "m.json", {"rows": 1, "cols": 1, "entries": [[[1]]]})
+    code, out, err = run_cli(capsys, "snf", "--ring", token, "--in", path)
+    assert code == 2 and out == "" and "ring token" in err
+
+
+@pytest.mark.parametrize("command", ["homology", "cone", "k0", "resolve"])
+def test_ring_option_is_refused_where_the_input_names_its_ring(tmp_path, capsys, command):
+    path = write_json(tmp_path, "c.json", complex_payload())
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--ring", "Z", "--in", path])
+    assert exit_.value.code == 2
+    assert "--ring" in capsys.readouterr().err
+
+
 def test_decimal_integer_strings_parse():
     assert [jsonio.element_from_json(ZZ, s) for s in ("-12", "007", "-0")] == [-12, 7, 0]
 

@@ -8,6 +8,7 @@ from koszulkit.generators import rand_matrix
 from koszulkit.matrices import (
     Matrix,
     _kron,
+    _selection,
     block_diag,
     det,
     hstack,
@@ -240,6 +241,22 @@ def test_rank_and_stacking():
     assert d == Matrix(ZZ, [[2, 0], [0, 3]])
     with pytest.raises(DimensionError):
         hstack([a, Matrix.identity(ZZ, 3)])
+
+
+@pytest.mark.parametrize("ring", [ZZ, fpx(3)], ids=lambda r: r.token)
+def test_selection(ring):
+    o, z = ring.one, ring.zero
+    assert _selection(ring, 3, []) == Matrix.zeros(ring, 3, 0)
+    assert _selection(ring, 0, []) == Matrix.zeros(ring, 0, 0)
+    assert _selection(ring, 0, []).transpose() == Matrix.zeros(ring, 0, 0)
+    assert _selection(ring, 3, range(3)) == Matrix.identity(ring, 3)
+    # non-contiguous and out of order, as for the summands a, c of a + b + c + d
+    sel = _selection(ring, 5, [0, 3, 1])
+    assert sel == Matrix._raw(ring, 5, 3, [[o, z, z], [z, z, o], [z, z, z], [z, o, z], [z, z, z]])
+    assert sel.transpose() * sel == Matrix.identity(ring, 3)
+    for height, positions in ((4, range(1, 3)), (6, [1, 2, 4, 5]), (2, [])):
+        sel = _selection(ring, height, positions)
+        assert sel.transpose() * sel == Matrix.identity(ring, len(positions))
 
 
 def test_polynomial_snf_example():
