@@ -16,10 +16,14 @@ trial (unlike the benchmark's forked passes), and the script prints:
 * ``products``: calls of ``Matrix.__mul__``;
 * ``empty_operand_products``: those calls where an operand has no rows
   or no columns;
-* ``raw_calls``: calls of ``Matrix._raw``, the constructor every
-  computed matrix goes through;
+* ``raw_calls``: calls of ``Matrix._from_work``, the constructor every
+  computed matrix goes through (``Matrix._raw`` packs public entries
+  and hands them to it);
 * ``negations``: calls of ``Matrix.__neg__``;
 * ``zero_negations``: those calls on a zero matrix;
+* ``packs`` and ``unpacks``: calls of the F_2[x] conversion hooks
+  ``fpx(2).pack`` and ``fpx(2).unpack``, one per element that enters or
+  leaves the packed work form of a matrix (0 on harness-z);
 * ``cpu_s``: the process CPU time of the core, counters included;
 * ``reports_sha256``: SHA-256 of the concatenated JSON suite reports.
 
@@ -45,6 +49,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import run  # noqa: E402
 import workloads  # noqa: E402
 from koszulkit.matrices import Matrix  # noqa: E402
+from koszulkit.rings import fpx  # noqa: E402
 
 
 def core(workload: str, seconds: float, seed: int) -> list:
@@ -56,10 +61,13 @@ def core(workload: str, seconds: float, seed: int) -> list:
 
 
 def count_matrix_work() -> dict:
-    """Wrap ``Matrix.__mul__``, ``Matrix._raw`` and ``Matrix.__neg__`` with counters."""
+    """Wrap ``Matrix.__mul__``, ``Matrix._from_work``, ``Matrix.__neg__``
+    and the F_2[x] conversion hooks with counters."""
     counts = {"products": 0, "empty_operand_products": 0, "raw_calls": 0,
-              "negations": 0, "zero_negations": 0}
-    mul, raw, neg = Matrix.__mul__, Matrix._raw.__func__, Matrix.__neg__
+              "negations": 0, "zero_negations": 0, "packs": 0, "unpacks": 0}
+    mul, raw, neg = Matrix.__mul__, Matrix._from_work.__func__, Matrix.__neg__
+    f2 = fpx(2)
+    pack, unpack = f2.pack, f2.unpack
 
     def counted_mul(self, other):
         counts["products"] += 1
@@ -77,9 +85,18 @@ def count_matrix_work() -> dict:
             counts["zero_negations"] += 1
         return neg(self)
 
+    def counted_pack(a):
+        counts["packs"] += 1
+        return pack(a)
+
+    def counted_unpack(n):
+        counts["unpacks"] += 1
+        return unpack(n)
+
     Matrix.__mul__ = counted_mul
-    Matrix._raw = classmethod(counted_raw)
+    Matrix._from_work = classmethod(counted_raw)
     Matrix.__neg__ = counted_neg
+    f2.pack, f2.unpack = counted_pack, counted_unpack
     return counts
 
 

@@ -302,7 +302,8 @@ def gen_admissible_ses(params: GenParams, trial: int,
     for n, (a, b) in ((1, (lx, rx)), (0, (l0, r0))):
         s = shear.at(n)
         mono_comps[n] = _selection(ring, a + b, range(a))
-        retr_comps[n] = hstack([Matrix.identity(ring, a), -s])
+        # Only a stored component is negated; an absent one is zero.
+        retr_comps[n] = hstack([Matrix.identity(ring, a), -s if n in shear.components else s])
         epi_comps[n] = _selection(ring, a + b, range(a, a + b)).transpose()
         sect_comps[n] = vstack([s, Matrix.identity(ring, b)])
     twisted, fwd, bwd = scramble_complex(rng, middle)

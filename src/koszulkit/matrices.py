@@ -23,6 +23,19 @@ and vanishing truncations depend on them.  Determinants use Bareiss
 fraction-free elimination so the unimodularity check never divides
 inexactly.
 
+A matrix keeps its rows in the work form of its ring (``Ring.work``):
+over F_2[x] each entry is an int whose bit i is the coefficient of
+x^i, over every other ring the element itself.  Every routine here
+computes on the work ring, so over F_2[x] additions are XORs and row
+operations XOR shifted rows.  Elements are converted one at a time,
+only where they cross the public boundary: ``Matrix(...)``,
+``Matrix._raw``, ``diagonal`` and ``scale`` pack the public elements
+they are given, and ``entries`` (a view of tuples built on first read
+and kept), the divisors, ``snf``'s D and the value of ``det`` are
+unpacked.  Packing is a bijection, so hash and equality, taken on the
+work rows with the ring token in the key, mean what they mean on the
+public entries.
+
 The constructions above this module ask the same elimination questions
 of the same matrices again and again, so ``elementary_divisors`` and
 the private ``_column_form`` each sit behind an LRU cache of
@@ -59,48 +72,75 @@ MEMO_SIZE = 128
 class Matrix:
     """Immutable row-major matrix over a fixed ring.
 
-    Its hash is computed on first use and kept in ``_hash``.
+    The rows are kept in ``_work``, in the work form of the ring
+    (``ring.work``); ``entries`` is their public view as tuples of ring
+    elements, built on first read and kept in ``_view`` when the two
+    forms differ.  The hash is computed on first use and kept in
+    ``_hash``.
     """
 
-    __slots__ = ("ring", "rows", "cols", "entries", "_hash")
+    __slots__ = ("ring", "rows", "cols", "_work", "_view", "_hash")
 
     def __init__(self, ring: Ring, rows: Sequence[Sequence]):
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
+        pack = ring.pack
         data = []
         for row in rows:
             if len(row) != ncols:
                 raise DimensionError("ragged rows")
-            data.append(tuple(ring.validate(x) for x in row))
+            row = tuple(ring.validate(x) for x in row)
+            data.append(row if pack is None else tuple(map(pack, row)))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", nrows)
         object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", tuple(data))
+        object.__setattr__(self, "_work", tuple(data))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def _raw(cls, ring: Ring, rows: int, cols: int, entries) -> "Matrix":
+        """A matrix of public ring elements, taken without validation."""
+        pack = ring.pack
+        if pack is not None:
+            entries = [tuple(map(pack, row)) for row in entries]
+        return cls._from_work(ring, rows, cols, entries)
+
+    @classmethod
+    def _from_work(cls, ring: Ring, rows: int, cols: int, work) -> "Matrix":
+        """A matrix of rows already in the work form of ``ring``."""
         m = object.__new__(cls)
         object.__setattr__(m, "ring", ring)
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", tuple(map(tuple, entries)))
+        object.__setattr__(m, "_work", tuple(map(tuple, work)))
         return m
+
+    @property
+    def entries(self) -> tuple:
+        """The rows as tuples of public ring elements."""
+        unpack = self.ring.unpack
+        if unpack is None:
+            return self._work
+        try:
+            return self._view
+        except AttributeError:
+            view = tuple(tuple(map(unpack, row)) for row in self._work)
+            object.__setattr__(self, "_view", view)
+            return view
 
     @staticmethod
     @lru_cache(maxsize=MEMO_SIZE)
     def zeros(ring: Ring, rows: int, cols: int) -> "Matrix":
         """The rows x cols zero matrix, one shared instance per key."""
-        z = ring.zero
-        return Matrix._raw(ring, rows, cols, [[z] * cols for _ in range(rows)])
+        return Matrix._from_work(ring, rows, cols, [(ring.work.zero,) * cols] * rows)
 
     @staticmethod
     @lru_cache(maxsize=MEMO_SIZE)
     def identity(ring: Ring, n: int) -> "Matrix":
         """The n x n identity matrix, one shared instance per key."""
-        return Matrix._raw(ring, n, n, _identity_rows(ring, n))
+        return Matrix._from_work(ring, n, n, _identity_rows(ring.work, n))
 
     @classmethod
     def diagonal(cls, ring: Ring, diag: Sequence, rows: int | None = None, cols: int | None = None) -> "Matrix":
@@ -109,11 +149,8 @@ class Matrix:
         cols = n if cols is None else cols
         if n > min(rows, cols):
             raise DimensionError(f"a diagonal of length {n} does not fit in {rows}x{cols}")
-        z = ring.zero
-        data = [[z] * cols for _ in range(rows)]
-        for i, d in enumerate(diag):
-            data[i][i] = ring.validate(d)
-        return cls._raw(ring, rows, cols, data)
+        diag = [ring.validate(d) for d in diag]
+        return _diagonal(ring, diag if ring.pack is None else list(map(ring.pack, diag)), rows, cols)
 
     def __eq__(self, other):
         if self is other:
@@ -123,14 +160,14 @@ class Matrix:
             and self.ring == other.ring
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._work == other._work
         )
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.ring.token, self.rows, self.cols, self.entries))
+            h = hash((self.ring.token, self.rows, self.cols, self._work))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -138,14 +175,15 @@ class Matrix:
         return f"Matrix({self.ring.token}, {self.rows}x{self.cols}, {list(map(list, self.entries))})"
 
     def is_zero(self) -> bool:
-        is_zero = self.ring.is_zero
-        return all(is_zero(x) for row in self.entries for x in row)
+        return not any(map(any, self._work))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def transpose(self) -> "Matrix":
-        return Matrix._raw(self.ring, self.cols, self.rows, zip(*self.entries)) if self.rows and self.cols else Matrix.zeros(self.ring, self.cols, self.rows)
+        if not (self.rows and self.cols):
+            return Matrix.zeros(self.ring, self.cols, self.rows)
+        return Matrix._from_work(self.ring, self.cols, self.rows, zip(*self._work))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -154,29 +192,32 @@ class Matrix:
             raise DomainMismatchError("matrix product across different rings")
         if self.cols != other.rows:
             raise DimensionError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        return Matrix._raw(self.ring, self.rows, other.cols,
-                           self.ring.product(self.entries, other.entries, other.cols))
+        return Matrix._from_work(self.ring, self.rows, other.cols,
+                                 self.ring.work.product(self._work, other._work, other.cols))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        add = self.ring.add
-        return Matrix._raw(self.ring, self.rows, self.cols,
-                           [[add(x, y) for x, y in zip(r, s)] for r, s in zip(self.entries, other.entries)])
+        add = self.ring.work.add
+        return Matrix._from_work(self.ring, self.rows, self.cols,
+                                 [list(map(add, r, s)) for r, s in zip(self._work, other._work)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        sub = self.ring.sub
-        return Matrix._raw(self.ring, self.rows, self.cols,
-                           [[sub(x, y) for x, y in zip(r, s)] for r, s in zip(self.entries, other.entries)])
+        sub = self.ring.work.sub
+        return Matrix._from_work(self.ring, self.rows, self.cols,
+                                 [list(map(sub, r, s)) for r, s in zip(self._work, other._work)])
 
     def __neg__(self) -> "Matrix":
-        neg = self.ring.neg
-        return Matrix._raw(self.ring, self.rows, self.cols, [[neg(x) for x in r] for r in self.entries])
+        neg = self.ring.work.neg
+        return Matrix._from_work(self.ring, self.rows, self.cols, [list(map(neg, r)) for r in self._work])
 
     def scale(self, c) -> "Matrix":
-        mul = self.ring.mul
-        c = self.ring.validate(c)
-        return Matrix._raw(self.ring, self.rows, self.cols, [[mul(c, x) for x in r] for r in self.entries])
+        ring = self.ring
+        c = ring.validate(c)
+        if ring.pack is not None:
+            c = ring.pack(c)
+        mul = ring.work.mul
+        return Matrix._from_work(ring, self.rows, self.cols, [[mul(c, x) for x in r] for r in self._work])
 
     def _same_shape(self, other: "Matrix"):
         if self.ring != other.ring:
@@ -186,11 +227,11 @@ class Matrix:
 
     def take_cols(self, indices: Iterable[int]) -> "Matrix":
         idx = list(indices)
-        return Matrix._raw(self.ring, self.rows, len(idx), [[row[j] for j in idx] for row in self.entries])
+        return Matrix._from_work(self.ring, self.rows, len(idx), [[row[j] for j in idx] for row in self._work])
 
     def take_rows(self, indices: Iterable[int]) -> "Matrix":
         idx = list(indices)
-        return Matrix._raw(self.ring, len(idx), self.cols, [self.entries[i] for i in idx])
+        return Matrix._from_work(self.ring, len(idx), self.cols, [self._work[i] for i in idx])
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
@@ -199,8 +240,8 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     rows = mats[0].rows
     if any(m.rows != rows or m.ring != ring for m in mats):
         raise DimensionError("hstack shape mismatch")
-    data = [sum((list(m.entries[i]) for m in mats), []) for i in range(rows)]
-    return Matrix._raw(ring, rows, sum(m.cols for m in mats), data)
+    data = [[x for m in mats for x in m._work[i]] for i in range(rows)]
+    return Matrix._from_work(ring, rows, sum(m.cols for m in mats), data)
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -209,8 +250,8 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     cols = mats[0].cols
     if any(m.cols != cols or m.ring != ring for m in mats):
         raise DimensionError("vstack shape mismatch")
-    data = [row for m in mats for row in m.entries]
-    return Matrix._raw(ring, sum(m.rows for m in mats), cols, data)
+    data = [row for m in mats for row in m._work]
+    return Matrix._from_work(ring, sum(m.rows for m in mats), cols, data)
 
 
 def block(ring: Ring, grid: Sequence[Sequence[Optional[Matrix]]], row_sizes: Sequence[int], col_sizes: Sequence[int]) -> Matrix:
@@ -232,10 +273,11 @@ def _selection(ring: Ring, height: int, positions: Sequence[int]) -> Matrix:
     """The height x len(positions) matrix whose column j is the unit
     vector at ``positions[j]``: the inclusion of those coordinates.  Its
     transpose is the matching projection."""
-    rows = [[ring.zero] * len(positions) for _ in range(height)]
+    work = ring.work
+    rows = [[work.zero] * len(positions) for _ in range(height)]
     for j, i in enumerate(positions):
-        rows[i][j] = ring.one
-    return Matrix._raw(ring, height, len(positions), rows)
+        rows[i][j] = work.one
+    return Matrix._from_work(ring, height, len(positions), rows)
 
 
 def _kron(a: Matrix, b: Matrix) -> Matrix:
@@ -243,10 +285,10 @@ def _kron(a: Matrix, b: Matrix) -> Matrix:
 
     Under row-major vectorization vec(a * X * b^T) == _kron(a, b) * vec(X).
     """
-    mul, zero = a.ring.mul, a.ring.zero
-    return Matrix._raw(a.ring, a.rows * b.rows, a.cols * b.cols,
-                       [[mul(x, y) if x and y else zero for x in arow for y in brow]
-                        for arow in a.entries for brow in b.entries])
+    mul, zero = a.ring.work.mul, a.ring.work.zero
+    return Matrix._from_work(a.ring, a.rows * b.rows, a.cols * b.cols,
+                             [[mul(x, y) if x and y else zero for x in arow for y in brow]
+                              for arow in a._work for brow in b._work])
 
 
 def block_diag(ring: Ring, mats: Sequence[Matrix]) -> Matrix:
@@ -322,26 +364,44 @@ def _memoized(fn):
     return memoized
 
 
-def _identity_rows(ring: Ring, n: int) -> list:
-    z, o = ring.zero, ring.one
+def _identity_rows(work: Ring, n: int) -> list:
+    """Identity rows over the work ring ``work``."""
+    z, o = work.zero, work.one
     return [[o if i == j else z for j in range(n)] for i in range(n)]
+
+
+def _diagonal(ring: Ring, diag: list, rows: int, cols: int) -> Matrix:
+    """The rows x cols matrix with the work-form elements ``diag`` on
+    its diagonal."""
+    z = ring.work.zero
+    data = [[z] * cols for _ in range(rows)]
+    for i, d in enumerate(diag):
+        data[i][i] = d
+    return Matrix._from_work(ring, rows, cols, data)
+
+
+def _unpacked(ring: Ring, elements) -> tuple:
+    """Work-form elements as a tuple of public ones."""
+    return tuple(elements) if ring.unpack is None else tuple(map(ring.unpack, elements))
 
 
 def _columns(mat: Matrix) -> list:
     if not mat.rows:
         return [[] for _ in range(mat.cols)]
-    return [list(col) for col in zip(*mat.entries)]
+    return [list(col) for col in zip(*mat._work)]
 
 
 def _from_columns(ring: Ring, height: int, cols: list) -> Matrix:
+    """The matrix over ``ring`` with the work-form columns ``cols``."""
     if not cols:
         return Matrix.zeros(ring, height, 0)
-    return Matrix._raw(ring, height, len(cols), zip(*cols))
+    return Matrix._from_work(ring, height, len(cols), zip(*cols))
 
 
-# The elimination kernel.  Elements of both rings are falsy exactly when
-# they are zero (0 and the empty tuple), which the loops below use as
-# their zero test; row arithmetic goes through the ring's row kernels.
+# The elimination kernel, on rows in the work form and with the work
+# ring passed as ``ring``.  Elements of every work ring are falsy exactly
+# when they are zero (0 and the empty tuple), which the loops below use
+# as their zero test; row arithmetic goes through the ring's row kernels.
 
 
 def _reduce(ring: Ring, row: list, pivots: list, basis: list, first: int = 0,
@@ -464,12 +524,13 @@ def _diagonal_form(mat: Matrix, track: bool):
     proper divisor, so the alternation ends.
 
     Returns ``(diagonal, u, v)`` with U*A*V == D for U the rows ``u`` and
-    V the columns ``v``, both None unless ``track``.
+    V the columns ``v``, both None unless ``track``, all in the work
+    form.
     """
-    ring = mat.ring
+    ring = mat.ring.work
     u = _identity_rows(ring, mat.rows) if track else None
     v = _identity_rows(ring, mat.cols) if track else None
-    pivots, vecs, u, u_null = _echelon(ring, [list(row) for row in mat.entries], mat.cols, u)
+    pivots, vecs, u, u_null = _echelon(ring, [list(row) for row in mat._work], mat.cols, u)
     r = len(pivots)
     v_null = []
     width, on_rows = mat.cols, True
@@ -526,12 +587,12 @@ def snf(mat: Matrix) -> SnfCertificate:
     """
     ring = mat.ring
     diagonal, u, v = _diagonal_form(mat, track=True)
-    _chain(ring, diagonal, u, v)
+    _chain(ring.work, diagonal, u, v)
     return SnfCertificate(
-        U=Matrix._raw(ring, mat.rows, mat.rows, u),
-        D=Matrix.diagonal(ring, diagonal, mat.rows, mat.cols),
+        U=Matrix._from_work(ring, mat.rows, mat.rows, u),
+        D=_diagonal(ring, diagonal, mat.rows, mat.cols),
         V=_from_columns(ring, mat.cols, v),
-        divisors=tuple(diagonal),
+        divisors=_unpacked(ring, diagonal),
     )
 
 
@@ -539,23 +600,23 @@ def snf(mat: Matrix) -> SnfCertificate:
 def elementary_divisors(mat: Matrix) -> tuple:
     """The divisors of ``snf(mat)``, computed without U or V."""
     diagonal, _, _ = _diagonal_form(mat, track=False)
-    _chain(mat.ring, diagonal)
-    return tuple(diagonal)
+    _chain(mat.ring.work, diagonal)
+    return _unpacked(mat.ring, diagonal)
 
 
 def rank(mat: Matrix) -> int:
-    return len(_echelon(mat.ring, [list(row) for row in mat.entries], mat.cols)[0])
+    return len(_echelon(mat.ring.work, [list(row) for row in mat._work], mat.cols)[0])
 
 
 def det(mat: Matrix):
     """Determinant by Bareiss fraction-free elimination (exact division only)."""
     if not mat.is_square():
         raise DimensionError("determinant of a non-square matrix")
-    ring = mat.ring
+    ring = mat.ring.work
     n = mat.rows
     if n == 0:
-        return ring.one
-    a = [list(row) for row in mat.entries]
+        return mat.ring.one
+    a = [list(row) for row in mat._work]
     is_zero = ring.is_zero
     sign = False
     prev = ring.one
@@ -563,7 +624,7 @@ def det(mat: Matrix):
         if is_zero(a[k][k]):
             swap = next((i for i in range(k + 1, n) if not is_zero(a[i][k])), None)
             if swap is None:
-                return ring.zero
+                return mat.ring.zero
             a[k], a[swap] = a[swap], a[k]
             sign = not sign
         for i in range(k + 1, n):
@@ -571,8 +632,8 @@ def det(mat: Matrix):
                 num = ring.sub(ring.mul(a[i][j], a[k][k]), ring.mul(a[i][k], a[k][j]))
                 a[i][j] = ring.div_exact(num, prev)
         prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return ring.neg(d) if sign else d
+    d = ring.neg(a[n - 1][n - 1]) if sign else a[n - 1][n - 1]
+    return d if mat.ring.unpack is None else mat.ring.unpack(d)
 
 
 def is_unimodular(mat: Matrix) -> bool:
@@ -584,8 +645,9 @@ def _column_form(mat: Matrix) -> tuple:
     """The column echelon form that ``solve``, ``kernel_basis`` and
     ``image_basis`` read: ``(pivots, cols, trans, kernel_pivots, kernel)``,
     the echelon columns of ``mat`` with their pivots and transform rows,
-    then the Hermite basis of its kernel lattice with its pivots."""
-    ring, n = mat.ring, mat.cols
+    then the Hermite basis of its kernel lattice with its pivots, all in
+    the work form."""
+    ring, n = mat.ring.work, mat.cols
     pivots, cols, trans, null = _echelon(ring, _columns(mat), mat.rows, _identity_rows(ring, n))
     kernel_pivots, kernel, _, _ = _echelon(ring, null, n)
     return (tuple(pivots), tuple(map(tuple, cols)), tuple(map(tuple, trans)),
@@ -605,7 +667,7 @@ def solve(mat: Matrix, rhs: Matrix) -> Optional[Matrix]:
         raise DomainMismatchError("mixed-ring solve")
     if mat.rows != rhs.rows:
         raise DimensionError("right-hand side has wrong height")
-    ring = mat.ring
+    ring = mat.ring.work
     n = mat.cols
     pivots, cols, trans, kernel_pivots, kernel = _column_form(mat)
     solution = []
@@ -622,7 +684,7 @@ def solve(mat: Matrix, rhs: Matrix) -> Optional[Matrix]:
             return None
         _reduce(ring, x, kernel_pivots, kernel)
         solution.append(x)
-    return _from_columns(ring, n, solution) if solution else Matrix.zeros(ring, n, 0)
+    return _from_columns(mat.ring, n, solution)
 
 
 def inverse(mat: Matrix) -> Matrix:
@@ -633,12 +695,12 @@ def inverse(mat: Matrix) -> Matrix:
     """
     if not mat.is_square():
         raise DimensionError("inverse of a non-square matrix")
-    ring = mat.ring
+    ring = mat.ring.work
     n = mat.rows
-    pivots, basis, trans, _ = _echelon(ring, [list(row) for row in mat.entries], n, _identity_rows(ring, n))
+    pivots, basis, trans, _ = _echelon(ring, [list(row) for row in mat._work], n, _identity_rows(ring, n))
     if len(pivots) != n or any(basis[k][k] != ring.one for k in range(n)):
         raise DimensionError("matrix is not unimodular")
-    return Matrix._raw(ring, n, n, trans)
+    return Matrix._from_work(mat.ring, n, n, trans)
 
 
 def kernel_basis(mat: Matrix) -> Matrix:
@@ -673,7 +735,8 @@ def is_exact_at(first: Matrix, second: Matrix) -> bool:
     """
     if second.cols != first.rows:
         raise DimensionError("maps do not compose")
-    if not (second * first).is_zero():
+    # A factor with no rows or columns makes the composite zero.
+    if first.rows and first.cols and second.rows and not (second * first).is_zero():
         raise NotAComplexError("composite of the two maps is nonzero")
     divisors = elementary_divisors(first)
     if len(divisors) + len(elementary_divisors(second)) != first.rows:

@@ -27,10 +27,23 @@ entry, where the scalar ``add`` and ``mul`` would reduce and trim once
 per term; a product entry whose only term is 1 * b is b itself, with
 no copy and no reduction.  Division by 1 (most divisions under elimination divide by
 the pivot 1) returns at once without a division loop.
-Kronecker substitution (multiplying polynomials packed into one
-integer) is not used: it beats the schoolbook product only from about
-degree 8, and on inputs with small entries nearly all products in
-elimination are of lower degree.
+
+Each ring names a work ring, ``work``, and two conversion hooks,
+``pack`` and ``unpack``: ``Matrix`` keeps its entries in the work form
+and runs every kernel on the work ring, converting single elements only
+where they enter or leave a matrix.  For Z and odd p the hooks are None
+and the work ring is the ring itself.  For p = 2 the work ring is a
+private ring on ints, bit i the coefficient of x^i: addition is XOR,
+negation the identity, multiplication a carry-less shift-XOR product
+(Brent, Gaudry, Thome and Zimmermann, "Faster multiplication in
+GF(2)[x]", ANTS VIII, 2008) and division shift-XOR long division; the
+only unit is 1.  Its row kernels XOR the other row, shifted by each set
+bit of the scalar, into the row as a whole.  Packing is a bijection and
+every operation is a function of its inputs, so quotients, gcd
+cofactors and pivots are the ones the tuple ring gives.  For odd p, packing polynomials into one
+integer (Kronecker substitution) is not used: it beats the schoolbook
+product only from about degree 8, and on inputs with small entries
+nearly all products in elimination are of lower degree.
 
 Prime factorization (needed only for K0 classes) is exact.  It runs in
 expected polynomial time over F_p[x]; over Z it takes about sqrt(q)
@@ -196,15 +209,24 @@ def _pollard_brent(n: int) -> int:
 
 
 class Ring:
-    """Base class for the two Euclidean coefficient domains.
+    """Base class for the two Euclidean coefficient domains and the
+    private work ring of F_2[x].
 
     Subclasses provide ``zero``, ``one`` and the primitive operations;
-    the helpers here are shared derived arithmetic.
+    the helpers here are shared derived arithmetic.  ``work`` is the
+    ring that matrices over this one compute on.
     """
 
     token: str
     zero = None
     one = None
+    # Conversions of one element to and from the work form; None where
+    # the work form is the element itself.
+    pack = None
+    unpack = None
+
+    def __init__(self):
+        self.work = self
 
     def validate(self, a):
         raise NotImplementedError
@@ -421,10 +443,13 @@ class PrimeFieldPolynomialRing(Ring):
     def __init__(self, p: int):
         if not is_prime(p):
             raise InvalidInputError(f"characteristic {p} is not prime")
+        super().__init__()
         self.p = p
         self.token = f"fpx:{p}"
         self.zero = ()
         self.one = (1,)
+        if p == 2:
+            self.work, self.pack, self.unpack = _F2_PACKED, _pack_f2, _unpack_f2
 
     def validate(self, a):
         if type(a) is not tuple:
@@ -685,6 +710,125 @@ class PrimeFieldPolynomialRing(Ring):
         return h == self.divmod(x, f)[1]
 
 
+def _pack_f2(a: tuple) -> int:
+    """An F_2[x] element as an int: bit i is the coefficient of x^i."""
+    n = 0
+    for c in reversed(a):
+        n = n << 1 | c
+    return n
+
+
+def _unpack_f2(n: int) -> tuple:
+    out = []
+    while n:
+        out.append(n & 1)
+        n >>= 1
+    return tuple(out)
+
+
+def _xor_scaled(acc: list, a: int, row) -> list:
+    """acc + a * row over packed F_2[x]: one XOR of the shifted row per
+    set bit of a."""
+    if a == 1:
+        return list(map(operator.xor, acc, row))
+    s = 0
+    while a:
+        if a & 1:
+            acc = [x ^ y << s for x, y in zip(acc, row)] if s else list(map(operator.xor, acc, row))
+        a >>= 1
+        s += 1
+    return acc
+
+
+class _PackedF2Ring(Ring):
+    """F_2[x] on ints, bit i the coefficient of x^i: the work ring of
+    ``fpx(2)``, never seen outside a matrix."""
+
+    token = "fpx:2:packed"
+    zero = 0
+    one = 1
+
+    def is_zero(self, a):
+        return not a
+
+    def add(self, a, b):
+        return a ^ b
+
+    sub = add
+
+    def neg(self, a):
+        return a
+
+    def mul(self, a, b):
+        if a == 1:
+            return b
+        if b == 1:
+            return a
+        if a.bit_length() > b.bit_length():
+            a, b = b, a
+        out = 0
+        while a:
+            if a & 1:
+                out ^= b
+            a >>= 1
+            b <<= 1
+        return out
+
+    def divmod(self, a, b):
+        if b == 1:
+            return a, 0
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        db = b.bit_length()
+        q = 0
+        shift = a.bit_length() - db
+        while shift >= 0:
+            q ^= 1 << shift
+            a ^= b << shift
+            shift = a.bit_length() - db
+        return q, a
+
+    def normalize(self, a):
+        return 1, a
+
+    def unit_inverse(self, u):
+        if u != 1:
+            raise InvalidInputError(f"{_unpack_f2(u)!r} is not a unit in fpx:2")
+        return 1
+
+    def ext_gcd(self, a, b):
+        mul = self.mul
+        old_r, r = a, b
+        old_s, s = 1, 0
+        old_t, t = 0, 1
+        while r:
+            q, rem = self.divmod(old_r, r)
+            old_r, r = r, rem
+            old_s, s = s, old_s ^ mul(q, s)
+            old_t, t = t, old_t ^ mul(q, t)
+        return old_r, old_s, old_t
+
+    def product(self, left, right, width):
+        out = []
+        for row in left:
+            acc = None
+            for a, r in zip(row, right):
+                if a:
+                    if acc is None and a == 1:
+                        acc = list(r)
+                    else:
+                        acc = _xor_scaled([0] * width if acc is None else acc, a, r)
+            out.append([0] * width if acc is None else acc)
+        return out
+
+    def submul(self, row, q, other, start=0):
+        row[start:] = _xor_scaled(row[start:], q, other[start:])
+
+    def combine(self, a, x, b, y):
+        return _xor_scaled(_xor_scaled([0] * len(x), a, x), b, y)
+
+
+_F2_PACKED = _PackedF2Ring()
 ZZ = IntegerRing()
 
 

@@ -279,9 +279,10 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
         if sect_flat is None:
             raise AssertionError("quotient projection lost its degreewise section")
         lam = sect_flat.take_cols(unit_rows)
-        mixing = q.at(degree) * lam
-        mu = mixing.take_rows(range(X.rank(degree)))
-        section = hstack([mono.at(degree), lam - mono.at(degree) * mu])
+        if lam.cols:  # else there is no unit part to correct
+            mu = (q.at(degree) * lam).take_rows(range(X.rank(degree)))
+            lam = lam - mono.at(degree) * mu
+        section = hstack([mono.at(degree), lam])
         if q.at(degree) * section != Matrix.identity(ring, target.rank(degree)):
             raise AssertionError("assembled section failed to verify")
         sections[degree] = section

@@ -1,5 +1,7 @@
 """Property and scale tests for the elimination kernel behind snf, solve,
-kernel_basis, image_basis, inverse, rank and elementary_divisors."""
+kernel_basis, image_basis, inverse, rank and elementary_divisors, over
+Z, F_2[x] (packed into ints inside matrices) and F_3[x]; over F_2[x]
+the public results must be those of the same kernel run on tuples."""
 
 import random
 import time
@@ -21,9 +23,9 @@ from koszulkit.matrices import (  # noqa: E402
     snf,
     solve,
 )
-from koszulkit.rings import ZZ, fpx  # noqa: E402
+from koszulkit.rings import ZZ, PrimeFieldPolynomialRing, fpx  # noqa: E402
 
-F3 = fpx(3)
+F2, F3 = fpx(2), fpx(3)
 
 
 def int_entries(bound):
@@ -36,7 +38,7 @@ def poly_entries(ring, degree):
 
 @st.composite
 def matrices(draw, max_dim=12):
-    ring = draw(st.sampled_from([ZZ, F3]))
+    ring = draw(st.sampled_from([ZZ, F2, F3]))
     rows = draw(st.integers(0, max_dim))
     cols = draw(st.integers(0, max_dim))
     entry = int_entries(9) if ring is ZZ else poly_entries(ring, 2)
@@ -123,6 +125,59 @@ def test_inverse_of_the_certificate_transforms(a):
     cert = snf(a)
     for u in (cert.U, cert.V):
         assert inverse(u) * u == Matrix.identity(a.ring, u.rows)
+
+
+def _tuple_twin():
+    """F_2[x] that computes on its tuples: a matrix over it runs
+    ``_echelon`` and ``_chain`` on the tuple ring's kernels.  Its own
+    token keeps it out of every cache that fpx(2) matrices use."""
+    ring = PrimeFieldPolynomialRing(2)
+    ring.token, ring.work, ring.pack, ring.unpack = "fpx:2:tuples", ring, None, None
+    return ring
+
+
+TUPLES = _tuple_twin()
+
+
+@st.composite
+def f2_systems(draw):
+    """Entries of an F_2[x] matrix A (rows x cols), of a right-hand side
+    B and of a solution X0, both of width 1 or 2."""
+    rows, cols, width = draw(st.integers(0, 8)), draw(st.integers(0, 8)), draw(st.integers(1, 2))
+    entry = st.one_of(st.just(()), poly_entries(F2, 3))
+
+    def grid(n, m):
+        return draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+
+    return (grid(rows, cols), cols), (grid(rows, width), width), (grid(cols, width), width)
+
+
+def _over(ring, entries):
+    rows, cols = entries
+    return Matrix(ring, rows) if rows else Matrix.zeros(ring, 0, cols)
+
+
+@PROPERTY
+@given(f2_systems())
+def test_packed_f2_matches_the_tuple_kernels(system):
+    a, b, x0 = system
+    packed, tuples = _over(F2, a), _over(TUPLES, a)
+    assert packed.entries == tuples.entries
+    got, want = snf(packed), snf(tuples)
+    for m in ("U", "D", "V"):
+        assert getattr(got, m).entries == getattr(want, m).entries
+    assert got.divisors == want.divisors
+    assert got.verify(packed)
+    assert elementary_divisors(packed) == elementary_divisors(tuples) == got.divisors
+    assert kernel_basis(packed).entries == kernel_basis(tuples).entries
+    # An arbitrary right-hand side, then one that has a solution.
+    for p_rhs, t_rhs in ((_over(F2, b), _over(TUPLES, b)),
+                         (packed * _over(F2, x0), tuples * _over(TUPLES, x0))):
+        assert p_rhs.entries == t_rhs.entries
+        x, y = solve(packed, p_rhs), solve(tuples, t_rhs)
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x.entries == y.entries
 
 
 def _dense_int(rng, rows, cols, bound=9):

@@ -221,6 +221,20 @@ def test_is_exact_at():
         is_exact_at(Matrix(ZZ, [[1]]), Matrix(ZZ, [[1]]))
 
 
+def test_is_exact_at_forms_no_composite_with_an_empty_factor(monkeypatch):
+    def no_product(self, other):
+        raise AssertionError("composite formed")
+
+    monkeypatch.setattr(Matrix, "__mul__", no_product)
+    two, one = Matrix(ZZ, [[2]]), Matrix(ZZ, [[1]])
+    assert is_exact_at(two, Matrix.zeros(ZZ, 0, 1)) is False
+    assert is_exact_at(one, Matrix.zeros(ZZ, 0, 1)) is True
+    assert is_exact_at(Matrix.zeros(ZZ, 1, 0), one) is True
+    assert is_exact_at(Matrix.zeros(ZZ, 0, 2), Matrix.zeros(ZZ, 3, 0)) is True
+    with pytest.raises(DimensionError):
+        is_exact_at(Matrix.zeros(ZZ, 2, 0), Matrix.zeros(ZZ, 0, 1))
+
+
 def test_inverse():
     rng = random.Random(81)
     for _ in range(30):

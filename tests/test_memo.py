@@ -60,7 +60,7 @@ def calls_for(rng, ring, count):
     return calls + calls[: len(calls) // 2]
 
 
-@pytest.mark.parametrize("ring", [ZZ, F3], ids=["Z", "F3x"])
+@pytest.mark.parametrize("ring", [ZZ, F2, F3], ids=["Z", "F2x", "F3x"])
 def test_results_equal_uncached_recomputation(ring):
     calls = calls_for(random.Random(f"memo/{ring.token}"), ring, 40)
     expected = [uncached(fn, *args) for fn, args in calls]
@@ -75,7 +75,7 @@ def test_results_equal_uncached_recomputation(ring):
     assert sum(fn.cache_info().hits for fn in MEMOIZED) >= len(calls) // 3
 
 
-@pytest.mark.parametrize("ring", [ZZ, F3], ids=["Z", "F3x"])
+@pytest.mark.parametrize("ring", [ZZ, F2, F3], ids=["Z", "F2x", "F3x"])
 def test_equal_matrices_share_one_entry(ring):
     rng = random.Random(f"memo-paths/{ring.token}")
     m = rand_matrix(rng, ring, 4, 5, 4)
@@ -174,6 +174,27 @@ def test_matrix_hash_is_computed_once_and_matches_equality():
     assert hash(m) == hash(same) and m == same
     assert m._hash == hash(m)
     assert Matrix(F2, [[(1, 1)]]) != Matrix(F3, [[(1, 1)]])
+
+
+def test_packed_f2_matrices_compare_by_value_and_show_tuples():
+    rows = [[(1, 1), (), (1,)], [(), (1, 0, 1), (0, 1)]]
+    built = Matrix(F2, rows)
+    raw = Matrix._raw(F2, 2, 3, rows)
+    assert built == raw and hash(built) == hash(raw)
+    assert built.entries == raw.entries == tuple(map(tuple, rows))
+    assert all(type(x) is tuple for row in built.entries for x in row)
+    assert built.entries is built.entries  # the view is built once
+    assert built == Matrix._raw(F2, 2, 3, built.entries)
+    assert repr(built) == "Matrix(fpx:2, 2x3, [[(1, 1), (), (1,)], [(), (1, 0, 1), (0, 1)]])"
+    assert Matrix.diagonal(F2, [(0, 1)], 2, 3) == Matrix(F2, [[(0, 1), (), ()], [(), (), ()]])
+    assert built.scale((1, 1)) == Matrix(F2, [[(1, 0, 1), (), (1, 1)], [(), (1, 1, 1, 1), (0, 1, 1)]])
+    # Equal public entries over F_3[x] are a different matrix, however built.
+    for other in (Matrix(F3, rows), Matrix._raw(F3, 2, 3, rows)):
+        assert other != built and built != other
+        assert other.entries == built.entries
+    for shape in ((0, 0), (2, 2)):
+        assert Matrix.zeros(F2, *shape) != Matrix.zeros(F3, *shape)
+    assert Matrix.identity(F2, 2) != Matrix.identity(F3, 2)
 
 
 def test_one_column_elimination_answers_every_question(monkeypatch):

@@ -1,13 +1,16 @@
 """Oracle test for the ring kernels ``product``, ``submul`` and
 ``combine``: each must equal the same expression written with the
-scalar ``add``, ``sub`` and ``mul``, with hypothesis shrinking.  Needs
-the ``test`` extra; the module skips without it."""
+scalar ``add``, ``sub`` and ``mul``, with hypothesis shrinking.  The
+packed work ring of F_2[x] must agree with the tuple ring on every
+operation, through ``pack`` and ``unpack``.  Needs the ``test`` extra;
+the module skips without it."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from koszulkit.errors import InvalidInputError  # noqa: E402
 from koszulkit.rings import ZZ, fpx  # noqa: E402
 
 RINGS = [ZZ, fpx(2), fpx(3), fpx(101)]
@@ -128,3 +131,79 @@ def _lift(ring, rows):
 def test_product_edges(ring, left, right, width):
     left, right = _lift(ring, left), _lift(ring, right)
     assert ring.product(left, right, width) == scalar_product(ring, left, right, width)
+
+
+# The packed work ring of F_2[x] against the tuple ring F2, which stays
+# the reference.
+
+F2 = fpx(2)
+PACKED, pack, unpack = F2.work, F2.pack, F2.unpack
+
+
+def test_only_f2_packs():
+    assert PACKED is not F2 and PACKED != F2
+    for ring in (ZZ, fpx(3), fpx(101)):
+        assert ring.work is ring and ring.pack is None and ring.unpack is None
+
+
+def test_pack_round_trips_every_element_up_to_degree_12():
+    assert pack(()) == 0 and unpack(0) == ()
+    assert pack((1,)) == 1 and unpack(1) == (1,)
+    assert pack((0, 1)) == 2 and unpack(6) == (0, 1, 1)
+    for n in range(1 << 13):
+        a = unpack(n)
+        assert F2.validate(a) == a and len(a) == n.bit_length()
+        assert pack(a) == n
+
+
+def packed_rows(rows):
+    return [[pack(x) for x in row] for row in rows]
+
+
+def unpacked_rows(rows):
+    return [[unpack(x) for x in row] for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements(F2), elements(F2))
+def test_packed_scalar_ops_match_tuple_ring(a, b):
+    pa, pb = pack(a), pack(b)
+    assert unpack(pa) == a
+    for op in ("add", "sub", "mul"):
+        assert unpack(getattr(PACKED, op)(pa, pb)) == getattr(F2, op)(a, b)
+    assert unpack(PACKED.neg(pa)) == F2.neg(a)
+    assert PACKED.is_zero(pa) == F2.is_zero(a)
+    assert tuple(map(unpack, PACKED.normalize(pa))) == F2.normalize(a)
+    if b:
+        assert tuple(map(unpack, PACKED.divmod(pa, pb))) == F2.divmod(a, b)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            PACKED.divmod(pa, pb)
+    assert tuple(map(unpack, PACKED.ext_gcd(pa, pb))) == F2.ext_gcd(a, b)
+    exact = PACKED.div_exact(pa, pb)
+    assert (None if exact is None else unpack(exact)) == F2.div_exact(a, b)
+    if F2.is_unit(a):
+        assert unpack(PACKED.unit_inverse(pa)) == F2.unit_inverse(a)
+    else:
+        for ring, x in ((PACKED, pa), (F2, a)):
+            with pytest.raises(InvalidInputError):
+                ring.unit_inverse(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_packed_kernels_match_tuple_ring(data):
+    x, y, a, b, start = data.draw(kernel_cases(F2))
+    px, py, pa, pb = [pack(e) for e in x], [pack(e) for e in y], pack(a), pack(b)
+    assert [unpack(e) for e in PACKED.combine(pa, px, pb, py)] == F2.combine(a, x, b, y)
+
+    other = [F2.zero] * start + y[start:]
+    row, prow = list(x), list(px)
+    F2.submul(row, a, other, start)
+    assert PACKED.submul(prow, pa, [pack(e) for e in other], start) is None
+    assert [unpack(e) for e in prow] == row
+
+    left, right, width = data.draw(product_cases(F2))
+    got = PACKED.product(packed_rows(left), [tuple(r) for r in packed_rows(right)], width)
+    assert all(type(row) is list for row in got)
+    assert unpacked_rows(got) == F2.product(left, right, width)
