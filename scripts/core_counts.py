@@ -24,6 +24,11 @@ trial (unlike the benchmark's forked passes), and the script prints:
 * ``packs`` and ``unpacks``: calls of the F_2[x] conversion hooks
   ``fpx(2).pack`` and ``fpx(2).unpack``, one per element that enters or
   leaves the packed work form of a matrix (0 on harness-z);
+* ``checked_chain_maps``: calls of ``ChainMap.__init__``, each a chain
+  map built with the full commutation check (trusted constructions do
+  not count);
+* ``cone_layouts``: direct-sum layouts built with the summands (X, 1),
+  (Y, 0) of a mapping cone, one per cone complex constructed;
 * ``cpu_s``: the process CPU time of the core, counters included;
 * ``reports_sha256``: SHA-256 of the concatenated JSON suite reports.
 
@@ -48,6 +53,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run  # noqa: E402
 import workloads  # noqa: E402
+from koszulkit import complexes  # noqa: E402
 from koszulkit.matrices import Matrix  # noqa: E402
 from koszulkit.rings import fpx  # noqa: E402
 
@@ -61,13 +67,16 @@ def core(workload: str, seconds: float, seed: int) -> list:
 
 
 def count_matrix_work() -> dict:
-    """Wrap ``Matrix.__mul__``, ``Matrix._from_work``, ``Matrix.__neg__``
-    and the F_2[x] conversion hooks with counters."""
+    """Wrap ``Matrix.__mul__``, ``Matrix._from_work``, ``Matrix.__neg__``,
+    the F_2[x] conversion hooks, ``ChainMap.__init__`` and the direct-sum
+    layout with counters."""
     counts = {"products": 0, "empty_operand_products": 0, "raw_calls": 0,
-              "negations": 0, "zero_negations": 0, "packs": 0, "unpacks": 0}
+              "negations": 0, "zero_negations": 0, "packs": 0, "unpacks": 0,
+              "checked_chain_maps": 0, "cone_layouts": 0}
     mul, raw, neg = Matrix.__mul__, Matrix._from_work.__func__, Matrix.__neg__
     f2 = fpx(2)
     pack, unpack = f2.pack, f2.unpack
+    chain_map_init, layout_init = complexes.ChainMap.__init__, complexes._Layout.__init__
 
     def counted_mul(self, other):
         counts["products"] += 1
@@ -93,10 +102,21 @@ def count_matrix_work() -> dict:
         counts["unpacks"] += 1
         return unpack(n)
 
+    def counted_chain_map_init(self, *args):
+        counts["checked_chain_maps"] += 1
+        chain_map_init(self, *args)
+
+    def counted_layout_init(self, parts, *args):
+        if [s for _, s in parts] == [1, 0]:
+            counts["cone_layouts"] += 1
+        layout_init(self, parts, *args)
+
     Matrix.__mul__ = counted_mul
     Matrix._from_work = classmethod(counted_raw)
     Matrix.__neg__ = counted_neg
     f2.pack, f2.unpack = counted_pack, counted_unpack
+    complexes.ChainMap.__init__ = counted_chain_map_init
+    complexes._Layout.__init__ = counted_layout_init
     return counts
 
 

@@ -57,7 +57,10 @@ Direct-sum layouts.  A cone is the sum of the shifted complexes
 of its parts with shift 0, where (C, s) puts C_{n-s} in degree n.  One
 private layout places their blocks (an absent block stays None, so only
 stored blocks are ever negated) and gives each summand's inclusion,
-whose transpose is the matching projection.
+whose transpose is the matching projection.  ``quasi_iso_degree`` reads
+only the complex of a cone's layout; ``cone`` adds the inclusion and
+projection on that layout, so a caller that needs the degree and the
+maps (the cellular factorization) builds the layout once.
 """
 
 from __future__ import annotations
@@ -402,16 +405,25 @@ class Cone:
     projection: ChainMap  # onto the shifted source of f
 
 
-def cone(f: ChainMap) -> Cone:
+def _cone_layout(f: ChainMap) -> _Layout:
     X, Y = f.source, f.target
-    layout = _Layout([(X, 1), (Y, 0)], {n + 1 for n in X.ranks} | set(Y.ranks),
-                     lambda n: [[_negated(X.diffs.get(n - 1)), None],
-                                [_negated(f.components.get(n - 1)), Y.diffs.get(n)]])
+    return _Layout([(X, 1), (Y, 0)], {n + 1 for n in X.ranks} | set(Y.ranks),
+                   lambda n: [[_negated(X.diffs.get(n - 1)), None],
+                              [_negated(f.components.get(n - 1)), Y.diffs.get(n)]])
+
+
+def _cone_maps(f: ChainMap, layout: _Layout) -> Cone:
+    """The cone of f, with its maps, on the layout ``_cone_layout(f)``."""
+    X, Y = f.source, f.target
     c = layout.complex
     incl = ChainMap._trusted(Y, c, {n: layout.inclusion(1, n) for n in Y.ranks})
     proj = ChainMap._trusted(c, shift(X, -1), {
         n: layout.inclusion(0, n).transpose() for n in c.ranks if X.rank(n - 1)})
     return Cone(c, incl, proj)
+
+
+def cone(f: ChainMap) -> Cone:
+    return _cone_maps(f, _cone_layout(f))
 
 
 def _cylinder(f: ChainMap) -> _Layout:
@@ -608,6 +620,17 @@ def truncation_splitting(complex_: ChainComplex, n: int) -> TruncationSplitting:
     section of the image corestriction is solved exactly and the
     complementary projector is rewritten in kernel coordinates.
     """
+    triple, u, section = _retraction_onto_upper(complex_, n)
+    ring = complex_.ring
+    v_comps = {m: Matrix.identity(ring, complex_.rank(m)) for m in complex_.ranks if m <= n}
+    v_comps[n + 1] = section
+    return TruncationSplitting(triple, u, ChainMap(triple.lower, complex_, v_comps))
+
+
+def _retraction_onto_upper(complex_: ChainComplex, n: int):
+    """The truncation triple at n, the retraction u of its inclusion
+    and the degree-(n+1) component of the section v, as in
+    ``truncation_splitting``, without building v."""
     ring = complex_.ring
     for m in complex_.degree_range():
         if homology(complex_, m).free_rank:
@@ -623,11 +646,7 @@ def truncation_splitting(complex_: ChainComplex, n: int) -> TruncationSplitting:
         raise InvalidInputError("complementary projector does not land in the kernel")
     u_comps = {m: Matrix.identity(ring, complex_.rank(m)) for m in complex_.ranks if m > mid}
     u_comps[mid] = retraction
-    v_comps = {m: Matrix.identity(ring, complex_.rank(m)) for m in complex_.ranks if m <= n}
-    v_comps[mid] = section
-    u = ChainMap(complex_, triple.upper, u_comps)
-    v = ChainMap(triple.lower, complex_, v_comps)
-    return TruncationSplitting(triple, u, v)
+    return triple, ChainMap(complex_, triple.upper, u_comps), section
 
 
 def tau_ge_map(f: ChainMap, n: int) -> ChainMap:
@@ -733,9 +752,14 @@ def chain_retraction(incl: ChainMap) -> Optional[ChainMap]:
 def quasi_iso_degree(f: ChainMap):
     """Largest n with vanishing cone homology in degrees <= n.
 
-    Returns ``math.inf`` when f is a quasi-isomorphism.
+    Returns ``math.inf`` when f is a quasi-isomorphism.  Only the cone
+    complex is built, not its maps.
     """
-    mapping_cone = cone(f).complex
+    return _vanishing_degree(_cone_layout(f).complex)
+
+
+def _vanishing_degree(mapping_cone: ChainComplex):
+    """``quasi_iso_degree`` of a map, read off the complex of its cone."""
     for k in mapping_cone.degree_range():
         if not homology(mapping_cone, k).is_zero():
             return k - 1
@@ -843,6 +867,13 @@ def quotient_by_split_mono(incl: ChainMap, retractions: Optional[dict] = None):
         retractions = split_retractions(incl)
         if retractions is None:
             raise InvalidInputError("monomorphism is not degreewise split")
+    quotient, projs = _split_quotient(incl, retractions)
+    return quotient, ChainMap(incl.target, quotient, {n: m for n, m in projs.items() if quotient.rank(n)})
+
+
+def _split_quotient(incl: ChainMap, retractions: dict):
+    """The quotient complex of ``quotient_by_split_mono`` and its
+    projection's components by degree, without building the projection."""
     B = incl.target
     ring = B.ring
     bases = {}
@@ -862,9 +893,7 @@ def quotient_by_split_mono(incl: ChainMap, retractions: Optional[dict] = None):
     for n in bases:
         if n - 1 in bases and ranks[n] and ranks[n - 1]:
             diffs[n] = projs[n - 1] * B.d(n) * bases[n]
-    quotient = ChainComplex(ring, ranks, diffs)
-    projection = ChainMap(B, quotient, {n: projs[n] for n in bases if ranks[n]})
-    return quotient, projection
+    return ChainComplex(ring, ranks, diffs), projs
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,20 @@ by unimodular changes of basis, extension twists whose square vanishes
 identically, shear automorphisms assembled from genuine module
 homomorphisms) -- so invalid-input error paths are exercised by curated
 fixtures instead.
+
+Changes of basis are applied, not multiplied.  A random unimodular
+matrix is drawn as a list of elementary moves (add a multiple of one
+coordinate to another, swap two, scale one by a unit), with scalars in
+the work form of the ring.  The generators apply the moves to the
+matrices they conjugate, as row operations for E . M and as inverse
+column operations for M . E^-1, so a Koszul boundary, a scrambled
+differential or a presentation changes basis without building E or its
+inverse and without a matrix product.  ``rand_unimodular`` and
+``scramble_complex`` return E, E^-1 and the chain isomorphisms for the
+callers that keep them; the generators build a checked chain map only
+where it is part of the instance they return.  The draws and their
+order are the same as when E and E^-1 were multiplied out, so the
+instances are too.
 """
 
 from __future__ import annotations
@@ -87,36 +101,78 @@ def rand_matrix(rng: random.Random, ring: Ring, rows: int, cols: int, bound: int
                        [[rand_element(rng, ring, bound) for _ in range(cols)] for _ in range(rows)])
 
 
-def rand_unimodular(rng: random.Random, ring: Ring, n: int, steps: Optional[int] = None):
-    """Random product of elementary matrices, returned with its inverse."""
-    fwd = [list(row) for row in Matrix.identity(ring, n).entries]
-    bwd = [list(row) for row in Matrix.identity(ring, n).entries]
+# The kinds of elementary move in ``_draw_unimodular``.
+_ADD, _SWAP, _SCALE = range(3)
+
+
+def _draw_unimodular(rng: random.Random, ring: Ring, n: int, steps: Optional[int] = None) -> list:
+    """The elementary matrices E_1, ..., E_k of ``rand_unimodular``, in
+    the order they are drawn; their product is E = E_k ... E_1.
+
+    A move is (_ADD, i, j, c) for I + c e_ij, (_SWAP, i, j, None) for the
+    transposition of i and j, or (_SCALE, i, i, (u, u^-1)) for scaling
+    coordinate i by the unit u.  Scalars are in the work form of ``ring``.
+    """
+    pack = ring.pack or (lambda a: a)
+    moves = []
     if steps is None:
         steps = 2 * n + 2
     for _ in range(steps if n > 1 else 0):
         op = rng.randrange(3)
         i, j = rng.sample(range(n), 2)
-        if op == 0:
-            c = rand_element(rng, ring, 2, nonzero=True)
-            # fwd <- E fwd with E = I + c e_ij ; bwd <- bwd E^{-1}
-            fwd[i] = [ring.add(x, ring.mul(c, y)) for x, y in zip(fwd[i], fwd[j])]
-            for row in bwd:
-                row[j] = ring.sub(row[j], ring.mul(c, row[i]))
-        elif op == 1:
-            fwd[i], fwd[j] = fwd[j], fwd[i]
-            for row in bwd:
+        if op == _ADD:
+            moves.append((_ADD, i, j, pack(rand_element(rng, ring, 2, nonzero=True))))
+        elif op == _SWAP:
+            moves.append((_SWAP, i, j, None))
+        else:
+            u = pack(rand_unit(rng, ring))
+            moves.append((_SCALE, i, i, (u, ring.work.unit_inverse(u))))
+    if n == 1 and rng.randrange(2):
+        u = pack(rand_unit(rng, ring))
+        moves.append((_SCALE, 0, 0, (u, ring.work.unit_inverse(u))))
+    return moves
+
+
+def _times(moves: list, mat: Matrix) -> Matrix:
+    """E . mat for the product E of ``moves``: their row operations on mat, in order."""
+    work = mat.ring.work
+    rows = [list(row) for row in mat._work]
+    for op, i, j, c in moves:
+        if op == _ADD:
+            work.submul(rows[i], work.neg(c), rows[j])
+        elif op == _SWAP:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            u = c[0]
+            rows[i] = [work.mul(u, x) for x in rows[i]]
+    return Matrix._from_work(mat.ring, mat.rows, mat.cols, rows)
+
+
+def _times_inverse(mat: Matrix, moves: list) -> Matrix:
+    """mat . E^-1 for the product E of ``moves``: the inverse column
+    operations on mat, in order."""
+    work = mat.ring.work
+    rows = [list(row) for row in mat._work]
+    for op, i, j, c in moves:
+        if op == _ADD:
+            for row in rows:
+                if row[i]:
+                    row[j] = work.sub(row[j], work.mul(c, row[i]))
+        elif op == _SWAP:
+            for row in rows:
                 row[i], row[j] = row[j], row[i]
         else:
-            u = rand_unit(rng, ring)
-            uinv = ring.unit_inverse(u)
-            fwd[i] = [ring.mul(u, x) for x in fwd[i]]
-            for row in bwd:
-                row[i] = ring.mul(uinv, row[i])
-    if n == 1 and rng.randrange(2):
-        u = rand_unit(rng, ring)
-        fwd[0][0] = ring.mul(u, fwd[0][0])
-        bwd[0][0] = ring.mul(ring.unit_inverse(u), bwd[0][0])
-    return Matrix._raw(ring, n, n, fwd), Matrix._raw(ring, n, n, bwd)
+            uinv = c[1]
+            for row in rows:
+                row[i] = work.mul(uinv, row[i])
+    return Matrix._from_work(mat.ring, mat.rows, mat.cols, rows)
+
+
+def rand_unimodular(rng: random.Random, ring: Ring, n: int, steps: Optional[int] = None):
+    """Random product of elementary matrices, returned with its inverse."""
+    moves = _draw_unimodular(rng, ring, n, steps)
+    eye = Matrix.identity(ring, n)
+    return _times(moves, eye), _times_inverse(eye, moves)
 
 
 def gen_matrix(params: GenParams, trial: int, max_dim: int = 6, bound: Optional[int] = None) -> Matrix:
@@ -129,6 +185,19 @@ def gen_matrix(params: GenParams, trial: int, max_dim: int = 6, bound: Optional[
 # Complex scrambling.
 
 
+def _scramble(rng: random.Random, complex_: ChainComplex):
+    """The complex conjugated by degreewise unimodular changes of basis,
+    with the moves drawn for each degree.
+
+    With E_n the product of the moves at degree n, the new differential
+    is E_{n-1} . d_n . E_n^-1, applied as row and column operations.
+    """
+    ring = complex_.ring
+    moves = {n: _draw_unimodular(rng, ring, r) for n, r in complex_.ranks.items()}
+    diffs = {n: _times(moves[n - 1], _times_inverse(mat, moves[n])) for n, mat in complex_.diffs.items()}
+    return ChainComplex(ring, dict(complex_.ranks), diffs), moves
+
+
 def scramble_complex(rng: random.Random, complex_: ChainComplex):
     """Conjugate by degreewise unimodular changes of basis.
 
@@ -137,23 +206,10 @@ def scramble_complex(rng: random.Random, complex_: ChainComplex):
     chain-isomorphic presentation with scrambled coordinates.
     """
     ring = complex_.ring
-    fwd_mats = {}
-    bwd_mats = {}
-    for n in complex_.ranks:
-        fwd_mats[n], bwd_mats[n] = rand_unimodular(rng, ring, complex_.rank(n))
-    diffs = {}
-    for n, mat in complex_.diffs.items():
-        left = fwd_mats.get(n - 1)
-        right = bwd_mats.get(n)
-        out = mat
-        if left is not None:
-            out = left * out
-        if right is not None:
-            out = out * right
-        diffs[n] = out
-    twisted = ChainComplex(ring, dict(complex_.ranks), diffs)
-    fwd = ChainMap(complex_, twisted, fwd_mats)
-    bwd = ChainMap(twisted, complex_, bwd_mats)
+    twisted, moves = _scramble(rng, complex_)
+    eye = {n: Matrix.identity(ring, r) for n, r in complex_.ranks.items()}
+    fwd = ChainMap(complex_, twisted, {n: _times(m, eye[n]) for n, m in moves.items()})
+    bwd = ChainMap(twisted, complex_, {n: _times_inverse(eye[n], m) for n, m in moves.items()})
     return twisted, fwd, bwd
 
 
@@ -181,9 +237,9 @@ def gen_koszul(params: GenParams, trial: int, acyclic: bool = False,
             divisors.append(rand_unit(rng, ring))
         else:
             divisors.append(rand_nonunit(rng, ring))
-    p0, _ = rand_unimodular(rng, ring, r)
-    _, p1inv = rand_unimodular(rng, ring, r)
-    boundary = p0 * Matrix.diagonal(ring, divisors) * p1inv
+    left = _draw_unimodular(rng, ring, r)
+    right = _draw_unimodular(rng, ring, r)
+    boundary = _times(left, _times_inverse(Matrix.diagonal(ring, divisors), right))
     expected = FgModule.make(ring, 0, divisors)
     return KoszulSample(two_term(boundary), tuple(divisors), expected)
 
@@ -226,7 +282,7 @@ def gen_a_object(params: GenParams, trial: int, spherical: Optional[int] = None,
         for base, div in blocks
     ]
     total = direct_sum(*parts).complex
-    twisted, _, _ = scramble_complex(rng, total)
+    twisted, _ = _scramble(rng, total)
     expected = {}
     for base, div in blocks:
         if not ring.is_unit(div):
@@ -306,11 +362,11 @@ def gen_admissible_ses(params: GenParams, trial: int,
         retr_comps[n] = hstack([Matrix.identity(ring, a), -s if n in shear.components else s])
         epi_comps[n] = _selection(ring, a + b, range(a, a + b)).transpose()
         sect_comps[n] = vstack([s, Matrix.identity(ring, b)])
-    twisted, fwd, bwd = scramble_complex(rng, middle)
-    mono = ChainMap(left, twisted, {n: fwd.at(n) * m for n, m in mono_comps.items()})
-    epi = ChainMap(twisted, right, {n: m * bwd.at(n) for n, m in epi_comps.items()})
-    retractions = {n: m * bwd.at(n) for n, m in retr_comps.items()}
-    sections = {n: fwd.at(n) * m for n, m in sect_comps.items()}
+    twisted, moves = _scramble(rng, middle)
+    mono = ChainMap(left, twisted, {n: _times(moves[n], m) for n, m in mono_comps.items()})
+    epi = ChainMap(twisted, right, {n: _times_inverse(m, moves[n]) for n, m in epi_comps.items()})
+    retractions = {n: _times_inverse(m, moves[n]) for n, m in retr_comps.items()}
+    sections = {n: _times(moves[n], m) for n, m in sect_comps.items()}
     seq = AdmissibleSes(mono, epi, retractions, sections)
     return SesSample(seq, left, right)
 
@@ -351,11 +407,12 @@ def gen_ses_of_complexes(params: GenParams, trial: int, acyclic_side: str = "lef
         twist = left.d(n) * m_here - m_prev * right.d(n)
         diffs[n] = block(ring, [[left.d(n), twist], [None, right.d(n)]], rows, cols)
     middle = ChainComplex(ring, ranks, diffs)
-    twisted, fwd, bwd = scramble_complex(rng, middle)
+    twisted, moves = _scramble(rng, middle)
     mono = ChainMap(left, twisted, {
-        n: fwd.at(n) * _selection(ring, ranks[n], range(left.rank(n))) for n in degrees})
+        n: _times(moves[n], _selection(ring, ranks[n], range(left.rank(n)))) for n in degrees})
     epi = ChainMap(twisted, right, {
-        n: _selection(ring, ranks[n], range(left.rank(n), ranks[n])).transpose() * bwd.at(n) for n in degrees})
+        n: _times_inverse(_selection(ring, ranks[n], range(left.rank(n), ranks[n])).transpose(), moves[n])
+        for n in degrees})
     return SesSample(AdmissibleSes(mono, epi), left, right)
 
 
@@ -378,11 +435,12 @@ def gen_quasi_iso_pair(params: GenParams, trial: int,
     mixing = rand_matrix(rng, ring, b0, px, 2)
     boundary = block(ring, [[base.d(1), mixing], [None, pad.d(1)]], [b0, p0], [bx, px])
     padded = ChainComplex(ring, {1: bx + px, 0: b0 + p0}, {1: boundary})
-    incl = ChainMap(base, padded, {1: _selection(ring, bx + px, range(bx)),
-                                   0: _selection(ring, b0 + p0, range(b0))})
-    source_twist, _, src_bwd = scramble_complex(rng, base)
-    target_twist, tgt_fwd, _ = scramble_complex(rng, padded)
-    return QuasiIsoPair(tgt_fwd.compose(incl).compose(src_bwd))
+    incl = {1: _selection(ring, bx + px, range(bx)), 0: _selection(ring, b0 + p0, range(b0))}
+    source_twist, source_moves = _scramble(rng, base)
+    target_twist, target_moves = _scramble(rng, padded)
+    # The inclusion base -> padded, conjugated by both changes of basis.
+    return QuasiIsoPair(ChainMap(source_twist, target_twist, {
+        n: _times(target_moves[n], _times_inverse(incl[n], source_moves[n])) for n in source_moves}))
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +453,8 @@ class CObjectSample:
     expected_h0: FgModule
 
 
-def _change_basis(module: PresentedModule, p: Matrix) -> PresentedModule:
-    return PresentedModule(module.ring, module.gens, p * module.relations)
+def _change_basis(module: PresentedModule, moves: list) -> PresentedModule:
+    return PresentedModule(module.ring, module.gens, _times(moves, module.relations))
 
 
 def _inflate(rng: random.Random, module: PresentedModule, maps_in: list, maps_out: list):
@@ -435,9 +493,9 @@ def gen_c_object(params: GenParams, trial: int,
     expected = []
     if free_rank:
         divisors = [rand_element(rng, ring, params.max_entry, nonzero=True) for _ in range(free_rank)]
-        p0, _ = rand_unimodular(rng, ring, free_rank)
-        _, p1inv = rand_unimodular(rng, ring, free_rank)
-        free_boundary = p0 * Matrix.diagonal(ring, divisors) * p1inv
+        left = _draw_unimodular(rng, ring, free_rank)
+        right = _draw_unimodular(rng, ring, free_rank)
+        free_boundary = _times(left, _times_inverse(Matrix.diagonal(ring, divisors), right))
         expected.extend(divisors)
     else:
         free_boundary = Matrix.zeros(ring, 0, 0)
@@ -460,11 +518,11 @@ def gen_c_object(params: GenParams, trial: int,
     for _ in range(rng.randint(0, 2)):
         bottom, maps_in, _ = _inflate(rng, bottom, [boundary], [])
         boundary = maps_in[0]
-    ptop, ptop_inv = rand_unimodular(rng, ring, top.gens)
-    pbot, _ = rand_unimodular(rng, ring, bottom.gens)
-    top = _change_basis(top, ptop)
-    bottom = _change_basis(bottom, pbot)
-    boundary = pbot * boundary * ptop_inv
+    top_moves = _draw_unimodular(rng, ring, top.gens)
+    bottom_moves = _draw_unimodular(rng, ring, bottom.gens)
+    top = _change_basis(top, top_moves)
+    bottom = _change_basis(bottom, bottom_moves)
+    boundary = _times(bottom_moves, _times_inverse(boundary, top_moves))
     obj = PresentedKoszul(top, bottom, PresentedMap(top, bottom, boundary))
     return CObjectSample(obj, FgModule.make(ring, 0, expected))
 
@@ -482,13 +540,15 @@ def gen_idempotent(params: GenParams, trial: int,
     first = gen_koszul(params, trial, acyclic=True, rng=rng).complex
     second = gen_koszul(params, trial, acyclic=True, rng=rng).complex
     total = direct_sum(first, second)
+    complex_, boundary = total.complex, total.complex.d(1)
     projector = total.inclusions[0].compose(total.projections[0])
-    boundary = total.complex.d(1)
-    t1, _ = rand_unimodular(rng, ring, total.complex.rank(1))
-    t0 = boundary * t1 * inverse(boundary)
-    conj = ChainMap(total.complex, total.complex, {1: t1, 0: t0})
-    endo = conj.compose(projector).compose(conj.inverse())
-    return total.complex, endo
+    # Conjugate by the chain automorphism (E, d E d^-1) of the acyclic
+    # sum: degree 1 gets E p_1 E^-1, and degree 0 gets d E p_1 E^-1 d^-1,
+    # since p_0 = d p_1 d^-1.
+    moves = _draw_unimodular(rng, ring, complex_.rank(1))
+    top = _times(moves, _times_inverse(projector.at(1), moves))
+    comps = {1: top, 0: boundary * top * inverse(boundary)}
+    return complex_, ChainMap(complex_, complex_, {n: comps[n] for n in complex_.ranks})
 
 
 # ---------------------------------------------------------------------------

@@ -22,22 +22,26 @@ from .complexes import (
     ChainComplex,
     ChainMap,
     ComplexSes,
+    Cone,
     Homotopy,
     chain_retraction,
     cone,
     homology_table,
     homotopy_between,
     quasi_iso_degree,
-    quotient_by_split_mono,
     shift,
     shift_map,
     split_retractions,
     structure_maps,
     tau_ge_map,
     tau_le_map,
-    truncation_splitting,
+    _cone_layout,
+    _cone_maps,
+    _retraction_onto_upper,
+    _split_quotient,
     _tau_ge,
     _tau_le,
+    _vanishing_degree,
 )
 from .errors import InvalidInputError
 from .fgmodules import FgModule, cokernel
@@ -206,13 +210,18 @@ def factor_step(f: ChainMap, n: int) -> FactorStep:
     the composite vanishes on the source, making the cone of g
     (n+1)-spherical while h keeps only the homology above n+1.
     """
-    if quasi_iso_degree(f) < n:
+    layout = _cone_layout(f)
+    if _vanishing_degree(layout.complex) < n:
         raise InvalidInputError(f"map does not vanish in cone degrees <= {n}")
+    return _factor_step(f, _cone_maps(f, layout), n)
+
+
+def _factor_step(f: ChainMap, mapping_cone: Cone, n: int) -> FactorStep:
+    """``factor_step`` on the cone of f, whose homology is known to
+    vanish in degrees <= n."""
     X = f.source
-    mapping_cone = cone(f)
-    splitting = truncation_splitting(mapping_cone.complex, n + 1)
-    upper = splitting.triple.upper
-    a = splitting.u
+    triple, a, _ = _retraction_onto_upper(mapping_cone.complex, n + 1)
+    upper = triple.upper
     composite = a.compose(mapping_cone.inclusion)
     cone_of_composite = cone(composite)
     intermediate = shift(cone_of_composite.complex, 1)
@@ -306,13 +315,18 @@ def cellular_factorization(f: ChainMap) -> CellularFactorization:
     current = f
     degrees = set(f.source.ranks) | set(f.target.ranks)
     width = (max(degrees) - min(degrees) + 1) if degrees else 0
-    n = quasi_iso_degree(current)
     guard = width + 3
-    while n != math.inf:
+    while True:
+        # One cone of the current map per stage: its complex gives the
+        # vanishing degree, and the factor step adds the maps.
+        layout = _cone_layout(current)
+        n = _vanishing_degree(layout.complex)
+        if n == math.inf:
+            break
         if guard == 0:
             raise AssertionError("cellular factorization failed to terminate")
         guard -= 1
-        step = factor_step(current, n)
+        step = _factor_step(current, _cone_maps(current, layout), n)
         retr = split_retractions(step.g)
         if retr is not None:
             mono, nxt = step.g, step.h
@@ -321,13 +335,12 @@ def cellular_factorization(f: ChainMap) -> CellularFactorization:
             mono = smaps.j1
             nxt = step.h.compose(smaps.p)
             retr = split_retractions(mono)
-        quotient, _ = quotient_by_split_mono(mono, retr)
+        quotient, _ = _split_quotient(mono, retr)
         stages.append(mono)
         retractions.append(retr)
         subquotients.append(quotient)
         spherical.append(n + 1)
         current = nxt
-        n = quasi_iso_degree(current)
     return CellularFactorization(
         stages=tuple(stages),
         retractions=tuple(retractions),

@@ -266,7 +266,8 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
     unit_rows = range(k, k + u_count)
 
     target = direct_sum(X, decomposition.unit_part).complex
-    h = retractions[0]
+    # A zero source has no stored retraction: it is the empty matrix.
+    h = retractions.get(0, Matrix.zeros(ring, X.rank(0), Y.rank(0)))
     q0 = vstack([h, flat.at(0).take_rows(unit_rows)])
     q1 = solve(target.d(1), q0 * Y.d(1))
     if q1 is None:

@@ -71,8 +71,11 @@ class TrialFailure(Exception):
 
 
 def _require(condition: bool, message: str, instance):
+    """Raise TrialFailure unless ``condition`` holds; ``instance`` is a
+    zero-argument callable that serializes the offending instance, called
+    only on failure."""
     if not condition:
-        raise TrialFailure(message, instance)
+        raise TrialFailure(message, instance())
 
 
 @dataclass
@@ -115,12 +118,13 @@ def _crash_stage(error: BaseException) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Trial bodies.  Each raises TrialFailure with the offending instance.
+# Trial bodies.  Each raises TrialFailure with the offending instance,
+# serialized only when the trial fails.
 
 
 def lemma_2_4_trial(params: GenParams, trial: int):
     diagram = gen_ses_morphism(params, trial)
-    instance = {
+    instance = lambda: {
         "middle": jsonio.presented_map_to_json(diagram.middle),
         "right": jsonio.presented_map_to_json(diagram.right),
     }
@@ -129,7 +133,7 @@ def lemma_2_4_trial(params: GenParams, trial: int):
 
 def lemma_2_5_trial(params: GenParams, trial: int):
     grid = gen_three_by_three(params, trial)
-    instance = {"rows": [jsonio.presented_map_to_json(m) for pair in grid.rows for m in pair]}
+    instance = lambda: {"rows": [jsonio.presented_map_to_json(m) for pair in grid.rows for m in pair]}
     first, second = nine_term_sequences(grid)
     _require(first, "pushout sequence is not short exact", instance)
     _require(second, "pullback sequence is not short exact", instance)
@@ -137,7 +141,7 @@ def lemma_2_5_trial(params: GenParams, trial: int):
 
 def remark_3_2_trial(params: GenParams, trial: int):
     sample = gen_a_object(params, trial)
-    instance = jsonio.complex_to_json(sample.complex)
+    instance = lambda: jsonio.complex_to_json(sample.complex)
     degrees = sample.complex.degree_range()
     for n in range(degrees.start - 1, degrees.stop + 1):
         splitting = truncation_splitting(sample.complex, n)
@@ -152,7 +156,7 @@ def prop_3_4_trial(params: GenParams, trial: int):
     source = gen_a_object(params, trial, rng=rng).complex
     target = gen_a_object(params, trial, rng=rng).complex
     f = gen_chain_map(rng, source, target, bound=2, terms=1)
-    instance = jsonio.chain_map_to_json(f)
+    instance = lambda: jsonio.chain_map_to_json(f)
     factorization = cellular_factorization(f)
     degrees = set(source.ranks) | set(target.ranks)
     width = (max(degrees) - min(degrees) + 1) if degrees else 0
@@ -179,7 +183,7 @@ def prop_3_5_trial(params: GenParams, trial: int):
     sample = gen_ses_of_complexes(params, trial, acyclic_side="none",
                                   spherical=spherical, rng=rng)
     seq = sample.sequence
-    instance = jsonio.chain_map_to_json(seq.mono)
+    instance = lambda: jsonio.chain_map_to_json(seq.mono)
     degrees = seq.middle.degree_range()
     for k in range(degrees.start - 1, degrees.stop + 1):
         verdict = tau_maps_spherical_check(seq, k, spherical)
@@ -191,7 +195,7 @@ def lemma_3_6_trial(params: GenParams, trial: int):
     side = "left" if rng.random() < 0.5 else "right"
     sample = gen_ses_of_complexes(params, trial, acyclic_side=side, rng=rng)
     seq = sample.sequence.ses
-    instance = jsonio.chain_map_to_json(seq.sub)
+    instance = lambda: jsonio.chain_map_to_json(seq.sub)
     degrees = seq.middle.degree_range()
     checked = 0
     for n in range(degrees.start, degrees.stop + 1):
@@ -212,7 +216,7 @@ def cor_3_8_trial(params: GenParams, trial: int):
                                 window_bottom=rng.choice((-1, 0)), rng=rng).complex
     else:
         complex_ = gen_koszul(params, trial, rng=rng).complex
-    instance = jsonio.complex_to_json(complex_)
+    instance = lambda: jsonio.complex_to_json(complex_)
     result = kappa(complex_)
     _require(bool(in_kos1(result.kos)), "retract left the category", instance)
     _require(result.u_is_quasi_iso, "inclusion comparison is not a quasi-iso", instance)
@@ -227,7 +231,7 @@ def cor_3_8_trial(params: GenParams, trial: int):
 def lemma_4_2_trial(params: GenParams, trial: int):
     sample = gen_c_object(params, trial)
     target = sample.object
-    instance = jsonio.presented_koszul_to_json(target)
+    instance = lambda: jsonio.presented_koszul_to_json(target)
     res = resolve_in_kos1(target)
     _require(bool(in_kos1(res.cover)), "cover is not a free Koszul complex", instance)
     _require(res.e0.is_surjective(), "degree-0 component is not surjective", instance)
@@ -248,7 +252,7 @@ def lemma_4_2_trial(params: GenParams, trial: int):
 
 def lemma_4_3_trial(params: GenParams, trial: int):
     sample = gen_c_object(params, trial)
-    instance = jsonio.presented_koszul_to_json(sample.object)
+    instance = lambda: jsonio.presented_koszul_to_json(sample.object)
     triple = e_functor(sample.object)
     _require(triple.left.is_acyclic(), "left term is not acyclic", instance)
     _require(triple.middle == sample.object, "middle term is not the input", instance)
@@ -264,7 +268,7 @@ def lemma_4_3_trial(params: GenParams, trial: int):
 def excision_trial(params: GenParams, trial: int):
     sample = gen_admissible_mono(params, trial)
     mono = sample.sequence.mono
-    instance = jsonio.chain_map_to_json(mono)
+    instance = lambda: jsonio.chain_map_to_json(mono)
     cert = excision_epi(mono, sample.sequence.retractions)
     _require(cert.verifies(), "excision certificate failed", instance)
     closure = AdmissibleSes(cert.kernel_inclusion, cert.q)
@@ -274,7 +278,7 @@ def excision_trial(params: GenParams, trial: int):
 
 def idempotent_trial(params: GenParams, trial: int):
     complex_, endo = gen_idempotent(params, trial)
-    instance = jsonio.chain_map_to_json(endo)
+    instance = lambda: jsonio.chain_map_to_json(endo)
     split = idempotent_split(endo)
     _require(split.rank_additive(), "split ranks do not add up", instance)
     for part in (split.image_part, split.complement_part):
@@ -284,7 +288,7 @@ def idempotent_trial(params: GenParams, trial: int):
 
 def closure_trial(params: GenParams, trial: int):
     sample = gen_admissible_ses(params, trial)
-    instance = jsonio.chain_map_to_json(sample.sequence.mono)
+    instance = lambda: jsonio.chain_map_to_json(sample.sequence.mono)
     _require(extension_closure_check(sample.sequence),
              "acyclicity closure disagreement", instance)
 
@@ -294,7 +298,7 @@ def image_factorization_trial(params: GenParams, trial: int):
     source = gen_koszul(params, trial, acyclic=True, rng=rng).complex
     target = gen_koszul(params, trial, rng=rng).complex
     f = gen_chain_map(rng, source, target, bound=2, terms=1)
-    instance = jsonio.chain_map_to_json(f)
+    instance = lambda: jsonio.chain_map_to_json(f)
     factorization = image_factorization(f)
     _require(factorization.verifies(f), "image factorization certificate failed", instance)
 
@@ -308,7 +312,7 @@ def appendix_a2_trial(params: GenParams, trial: int):
 
 def k0_additivity_trial(params: GenParams, trial: int):
     sample = gen_admissible_ses(params, trial)
-    instance = jsonio.chain_map_to_json(sample.sequence.mono)
+    instance = lambda: jsonio.chain_map_to_json(sample.sequence.mono)
     _require(additivity_check(sample.sequence, "kos_isom"),
              "isomorphism-level class is not additive", instance)
     _require(additivity_check(sample.sequence, "kos_qis"),
@@ -317,12 +321,12 @@ def k0_additivity_trial(params: GenParams, trial: int):
     mono, epi = gen_module_ses(params, trial, torsion_only=True)
     _require(additivity_check((mono, epi), "torsion"),
              "module torsion class is not additive",
-             jsonio.presented_map_to_json(mono))
+             lambda: jsonio.presented_map_to_json(mono))
 
 
 def k0_qis_pair_trial(params: GenParams, trial: int):
     pair = gen_quasi_iso_pair(params, trial)
-    instance = jsonio.chain_map_to_json(pair.map)
+    instance = lambda: jsonio.chain_map_to_json(pair.map)
     _require(quasi_iso_degree(pair.map) == math.inf,
              "generated pair is not a quasi-isomorphism", instance)
     _require(class_kos_qis(pair.map.source) == class_kos_qis(pair.map.target),

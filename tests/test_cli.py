@@ -212,6 +212,18 @@ def test_excise_and_eddecompose_commands(tmp_path, capsys):
     assert json.loads(out)["divisors"] == [6]
 
 
+def test_excise_from_the_zero_complex(tmp_path, capsys):
+    mono = {"source": {"ring": "Z", "ranks": {}, "differentials": {}},
+            "target": {"ring": "Z", "ranks": {"1": 2, "0": 2},
+                       "differentials": {"1": {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 3]]}}},
+            "components": {}}
+    code, out, _ = run_cli(capsys, "excise", "--in", write_json(tmp_path, "mono.json", mono))
+    assert code == 0
+    result = json.loads(out)
+    assert result["verified"] is True
+    assert result["target"]["differentials"] == {"1": {"rows": 1, "cols": 1, "entries": [[1]]}}
+
+
 def test_suite_command(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "suite", "cor3_8", "--ring", "Z",

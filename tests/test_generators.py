@@ -1,7 +1,13 @@
+import dataclasses
+import hashlib
+import json
 import math
 
-from koszulkit.complexes import homology_table, is_acyclic, quasi_iso_degree
-from koszulkit.fgmodules import module_iso
+import pytest
+
+from koszulkit import generators, jsonio
+from koszulkit.complexes import ChainComplex, ChainMap, homology_table, is_acyclic, quasi_iso_degree
+from koszulkit.fgmodules import FgModule, module_iso
 from koszulkit.generators import (
     GenParams,
     gen_a_object,
@@ -16,16 +22,22 @@ from koszulkit.generators import (
     gen_quasi_iso_pair,
     gen_ses_morphism,
     gen_three_by_three,
+    rand_matrix,
     rand_unimodular,
     trial_rng,
+    _SCALE,
+    _draw_unimodular,
+    _times,
+    _times_inverse,
 )
-from koszulkit.koszul import h0, in_A, in_A_n, in_kos1
+from koszulkit.koszul import AdmissibleSes, PresentedKoszul, h0, in_A, in_A_n, in_kos1
 from koszulkit.matrices import Matrix, is_unimodular
 from koszulkit.presented import is_short_exact
 from koszulkit.rings import ZZ, fpx
 
 PARAMS = GenParams(ring=ZZ, seed=42)
 POLY_PARAMS = GenParams(ring=fpx(2), seed=42, max_entry=3)
+POLY_F5_PARAMS = GenParams(ring=fpx(5), seed=42, max_entry=3)
 
 
 def test_determinism():
@@ -40,13 +52,96 @@ def test_seed_changes_output():
     assert gen_koszul(PARAMS, 1).complex != gen_koszul(PARAMS.with_seed(43), 1).complex
 
 
+# SHA-256 of the JSON of each generator's outputs (see _pinned_outputs):
+# same random draws, same instances.  A change to what a generator draws
+# or returns moves its hash.
+PINNED = {
+    "gen_koszul":
+        "267c801dff822f3b68ccd62ce1591a30b39db205e88704331eb366e61abf3704",
+    "gen_a_object":
+        "7c3782207b9e2798fa767969e117e109a2a6c6429e0046ada499f729ec427675",
+    "gen_admissible_ses":
+        "08ad46778734592a605759b8b9b19ba43253f2cd120997d7bf1fc6c28eff273f",
+    "gen_ses_of_complexes":
+        "51011d3e98630f132c0a290c7d39565ce0d0724651abbe5901784890bf82db91",
+    "gen_quasi_iso_pair":
+        "f225e7cb21de5cc67e6eb64f6fc26214b04804daf6b9592d0784f77ebf91079a",
+    "gen_c_object":
+        "30a71d23dd70dfdae453d8ee79e6220d716b3236b2d5984e7c3c22e000046eca",
+    "gen_idempotent":
+        "da8a5436465e86f16f7b371497e1411aab565b685ca1645dddbeb5336f6cd978",
+}
+
+
+def _plain(value):
+    """A JSON-ready form of a generator output; dictionaries (ranks and
+    components included) keep their insertion order."""
+    if isinstance(value, ChainComplex):
+        return [jsonio.complex_to_json(value), list(value.ranks)]
+    if isinstance(value, ChainMap):
+        return [_plain(value.source), _plain(value.target), _plain(value.components)]
+    if isinstance(value, Matrix):
+        return jsonio.matrix_to_json(value)
+    if isinstance(value, FgModule):
+        return jsonio.fg_module_to_json(value)
+    if isinstance(value, PresentedKoszul):
+        return jsonio.presented_koszul_to_json(value)
+    if isinstance(value, AdmissibleSes):
+        return [_plain(value.mono), _plain(value.epi), _plain(value.retractions), _plain(value.sections)]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return [[str(k), _plain(v)] for k, v in value.items()]
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _pinned_outputs(name: str) -> str:
+    generate = getattr(generators, name)
+    outputs = [_plain(generate(GenParams(ring=ring, seed=seed, max_entry=bound), trial))
+               for ring, bound in ((ZZ, 9), (fpx(2), 3), (fpx(5), 3))
+               for seed in (0, 1) for trial in range(4)]
+    return hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_generated_instances_are_pinned(name):
+    assert _pinned_outputs(name) == PINNED[name]
+
+
 def test_rand_unimodular():
-    for ring, params in ((ZZ, PARAMS), (fpx(2), POLY_PARAMS)):
+    # Over F_5[x] the units 2 and 3 are each other's inverses, so an
+    # inverse that scales by u instead of u^-1 shows.
+    for ring, params in ((ZZ, PARAMS), (fpx(2), POLY_PARAMS), (fpx(5), POLY_F5_PARAMS)):
         rng = trial_rng(params, 0)
         for n in range(4):
             fwd, bwd = rand_unimodular(rng, ring, n)
             assert is_unimodular(fwd) or n == 0
             assert fwd * bwd == Matrix.identity(ring, n)
+            assert bwd * fwd == Matrix.identity(ring, n)
+
+
+def test_unimodular_moves_act_as_their_product():
+    """E . M and M . E^-1 by row and column moves agree with the products
+    by the matrices that ``rand_unimodular`` returns for the same draws."""
+    ring = fpx(5)
+    scaled_by_non_involution = False
+    for trial in range(6):
+        rng = trial_rng(POLY_F5_PARAMS, trial)
+        for n in range(1, 5):
+            state = rng.getstate()
+            moves = _draw_unimodular(rng, ring, n)
+            rng.setstate(state)
+            fwd, bwd = rand_unimodular(rng, ring, n)
+            scaled_by_non_involution |= any(
+                op == _SCALE and ring.mul(c[0], c[0]) != ring.one for op, _, _, c in moves)
+            tall = rand_matrix(rng, ring, n, 3, 3)
+            wide = rand_matrix(rng, ring, 2, n, 3)
+            assert _times(moves, tall) == fwd * tall
+            assert _times_inverse(wide, moves) == wide * bwd
+            assert _times(moves, _times_inverse(Matrix.identity(ring, n), moves)) == Matrix.identity(ring, n)
+    assert scaled_by_non_involution
 
 
 def test_gen_koszul_bookkeeping():

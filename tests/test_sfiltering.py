@@ -6,6 +6,7 @@ from koszulkit.complexes import (
     homology,
     is_acyclic,
     two_term,
+    zero_complex,
 )
 from koszulkit.errors import InvalidInputError
 from koszulkit.fgmodules import module_iso
@@ -152,6 +153,17 @@ def test_excision_pipeline_example():
     assert module_iso(homology(cert.kernel, 0), homology(target, 0))
     closure = AdmissibleSes(cert.kernel_inclusion, cert.q)
     assert extension_closure_check(closure)
+
+
+def test_excision_from_the_zero_complex():
+    # The zero source has no degree-0 retraction; the target is the unit part.
+    ambient = two_term(Matrix(ZZ, [[1, 0], [0, 3]]))
+    cert = excision_epi(ChainMap.zero(zero_complex(ZZ), ambient))
+    assert cert.verifies()
+    assert cert.target == UNIT
+    assert (cert.retraction0.rows, cert.retraction0.cols) == (0, 2)
+    assert in_kos1(cert.kernel)
+    assert module_iso(homology(cert.kernel, 0), homology(ambient, 0))
 
 
 def test_excision_random():

@@ -1,7 +1,14 @@
 import pytest
 
+from koszulkit import jsonio, suites
 from koszulkit.errors import InvalidInputError
-from koszulkit.generators import GenParams
+from koszulkit.generators import (
+    GenParams,
+    gen_admissible_mono,
+    gen_c_object,
+    gen_module_ses,
+    gen_ses_morphism,
+)
 from koszulkit.matrices import Matrix, inverse
 from koszulkit.rings import ZZ, fpx
 from koszulkit.suites import SUITES, TrialFailure, run_suite
@@ -79,3 +86,45 @@ def test_failures_sort_by_numeric_trial_index(monkeypatch):
     expected = ["Z/0/2", "Z/0/10"]
     assert [f["seed"] for f in report.failures] == expected
     assert [f["seed"] for f in report.to_json()["failures"]] == expected
+
+
+def test_passing_trials_serialize_nothing(monkeypatch):
+    calls = []
+    for name in dir(jsonio):
+        if name.endswith("_to_json"):
+            def counted(*args, _name=name, _fn=getattr(jsonio, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(jsonio, name, counted)
+    for name in sorted(EXPECTED_SUITES):
+        params = GenParams(ring=ZZ, seed=3, trials=2, max_rank=2, support_width=3)
+        assert run_suite(name, params).ok, name
+    assert calls == []
+
+
+# A check forced to fail, and the instance the trial serialized eagerly
+# before its checks ran.
+FORCED_FAILURES = {
+    "lemma2_4": ("cobase_change_check", lambda *args: False, lambda params, trial: {
+        "middle": jsonio.presented_map_to_json(gen_ses_morphism(params, trial).middle),
+        "right": jsonio.presented_map_to_json(gen_ses_morphism(params, trial).right)}),
+    "lemma4_3": ("module_iso", lambda *args: False, lambda params, trial:
+                 jsonio.presented_koszul_to_json(gen_c_object(params, trial).object)),
+    "appendix_a2": ("extension_closure_check", lambda *args: False, lambda params, trial:
+                    jsonio.chain_map_to_json(gen_admissible_mono(params, trial).sequence.mono)),
+    "k0_theorems": ("additivity_check", lambda value, kind: kind != "torsion", lambda params, trial:
+                    jsonio.presented_map_to_json(gen_module_ses(params, trial, torsion_only=True)[0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORCED_FAILURES))
+@pytest.mark.parametrize("ring", [ZZ, fpx(2)], ids=lambda ring: ring.token)
+def test_failed_trial_records_its_instance(monkeypatch, name, ring):
+    check, forced, instance = FORCED_FAILURES[name]
+    monkeypatch.setattr(suites, check, forced)
+    params = GenParams(ring=ring, seed=4, trials=2, max_entry=3)
+    report = run_suite(name, params)
+    assert [f["seed"] for f in report.failures] == [f"{ring.token}/4/0", f"{ring.token}/4/1"]
+    for trial, failure in enumerate(report.failures):
+        assert "crashed" not in failure
+        assert failure["instance"] == instance(params, trial)
