@@ -32,6 +32,22 @@ on the d.d == 0 invariant that every ``ChainComplex`` carries.  Kernel
 bases and solving remain where a construction needs actual maps:
 truncations, splittings, lifts and the kernel/image sequences.
 
+Subcomplexes and restriction.  Truncations, kernel and image
+subcomplexes, the kernel/image sequences and the maps they induce share
+one step: restrict a matrix to the column span of a source basis and
+solve for it in the coordinates of a target basis.  ``_restrict`` is
+that step; ``_subcomplex`` takes one basis per degree and returns the
+subcomplex whose differentials are the restricted boundaries, with its
+inclusion, both fully checked.  None stands for the whole free module:
+it costs no product and no solve, and the inclusion there is the
+identity.  A basis with no columns drops its degree.  An image that
+leaves the target span raises ``NotAComplexError``, the one error of
+the helpers (a boundary into a degree with no basis is zero in the
+subcomplex, so the inclusion's chain-map check catches it instead).
+The ranks of a subcomplex follow the order of its bases, and so do the
+unknowns of any homotopy solved on it later, so each caller passes its
+bases in one fixed order.
+
 Homotopy solving.  ``homotopy_between``, ``nullhomotopy`` and
 ``chain_retraction`` each ask for one matrix X_n per degree subject to
 equations sum(A . X_n . B) == C.  One private solver answers all three:
@@ -515,6 +531,34 @@ def is_acyclic(complex_: ChainComplex) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Subcomplexes and restriction.
+
+
+def _restrict(mat: Matrix, source: Optional[Matrix] = None, target: Optional[Matrix] = None) -> Matrix:
+    """``mat`` on the column span of ``source``, in the coordinates of
+    ``target``; None is the whole free module."""
+    if source is not None:
+        mat = mat * source
+    if target is None:
+        return mat
+    solved = solve(target, mat)
+    if solved is None:
+        raise NotAComplexError("map does not restrict to the target basis")
+    return solved
+
+
+def _subcomplex(complex_: ChainComplex, bases: Mapping[int, Optional[Matrix]]):
+    """The subcomplex spanned by ``bases[n]`` in degree n (None: all of
+    it) and its inclusion, both checked; the ranks follow ``bases``."""
+    ranks = {n: complex_.rank(n) if b is None else b.cols for n, b in bases.items()}
+    diffs = {n: _restrict(complex_.diffs[n], bases[n], bases[n - 1])
+             for n in ranks if ranks[n] and ranks.get(n - 1) and n in complex_.diffs}
+    sub = ChainComplex(complex_.ring, ranks, diffs)
+    return sub, ChainMap(sub, complex_, {
+        n: Matrix.identity(complex_.ring, r) if bases[n] is None else bases[n] for n, r in sub.ranks.items()})
+
+
+# ---------------------------------------------------------------------------
 # Truncations.
 
 
@@ -529,21 +573,9 @@ def truncate_le(complex_: ChainComplex, n: int) -> ChainComplex:
 
 
 def _tau_ge(complex_: ChainComplex, n: int):
-    ring = complex_.ring
-    ker = kernel_basis(complex_.d(n))
-    ranks = {m: r for m, r in complex_.ranks.items() if m > n}
-    ranks[n] = ker.cols
-    diffs = {m: mat for m, mat in complex_.diffs.items() if m > n + 1}
-    if complex_.rank(n + 1):
-        top = solve(ker, complex_.d(n + 1))
-        if top is None:
-            raise NotAComplexError("image does not lie in the kernel")
-        diffs[n + 1] = top
-    upper = ChainComplex(ring, ranks, diffs)
-    incl_comps = {m: Matrix.identity(ring, complex_.rank(m)) for m in complex_.ranks if m > n}
-    incl_comps[n] = ker
-    incl = ChainMap(upper, complex_, incl_comps)
-    return upper, incl
+    bases = dict.fromkeys(m for m in complex_.ranks if m > n)
+    bases[n] = kernel_basis(complex_.d(n))
+    return _subcomplex(complex_, bases)
 
 
 def _tau_le(complex_: ChainComplex, n: int):
@@ -557,10 +589,7 @@ def _tau_le(complex_: ChainComplex, n: int):
     lower = ChainComplex(ring, ranks, diffs)
     proj_comps = {m: Matrix.identity(ring, complex_.rank(m)) for m in complex_.ranks if m <= n}
     if complex_.rank(n + 1):
-        co = solve(image, complex_.d(n + 1))
-        if co is None:
-            raise NotAComplexError("differential does not factor through its image basis")
-        proj_comps[n + 1] = co
+        proj_comps[n + 1] = _restrict(complex_.d(n + 1), target=image)
     proj = ChainMap(complex_, lower, proj_comps)
     return lower, proj
 
@@ -620,33 +649,32 @@ def truncation_splitting(complex_: ChainComplex, n: int) -> TruncationSplitting:
     section of the image corestriction is solved exactly and the
     complementary projector is rewritten in kernel coordinates.
     """
-    triple, u, section = _retraction_onto_upper(complex_, n)
+    lower, proj = _tau_le(complex_, n)
+    upper, incl, u, section = _retraction_onto_upper(complex_, n, proj.at(n + 1))
     ring = complex_.ring
     v_comps = {m: Matrix.identity(ring, complex_.rank(m)) for m in complex_.ranks if m <= n}
     v_comps[n + 1] = section
-    return TruncationSplitting(triple, u, ChainMap(triple.lower, complex_, v_comps))
+    return TruncationSplitting(TruncationTriple(upper, lower, incl, proj), u, ChainMap(lower, complex_, v_comps))
 
 
-def _retraction_onto_upper(complex_: ChainComplex, n: int):
-    """The truncation triple at n, the retraction u of its inclusion
-    and the degree-(n+1) component of the section v, as in
-    ``truncation_splitting``, without building v."""
+def _retraction_onto_upper(complex_: ChainComplex, n: int, corestriction: Matrix):
+    """The upper truncation at n+1 with its inclusion, the retraction u
+    of that inclusion and the degree-(n+1) component of the section v,
+    as in ``truncation_splitting``, from the corestriction of d_{n+1}
+    onto its image basis; no lower truncation is built."""
     ring = complex_.ring
     for m in complex_.degree_range():
         if homology(complex_, m).free_rank:
             raise InvalidInputError(f"homology at degree {m} is not torsion")
-    triple = truncation_triple(complex_, n)
     mid = n + 1
-    ker, corestriction = triple.incl.at(mid), triple.proj.at(mid)
+    upper, incl = _tau_ge(complex_, mid)
     section = solve(corestriction, Matrix.identity(ring, corestriction.rows))
     if section is None:
         raise InvalidInputError("image corestriction admits no section")
-    retraction = solve(ker, Matrix.identity(ring, ker.rows) - section * corestriction)
-    if retraction is None:
-        raise InvalidInputError("complementary projector does not land in the kernel")
+    complement = Matrix.identity(ring, complex_.rank(mid)) - section * corestriction
     u_comps = {m: Matrix.identity(ring, complex_.rank(m)) for m in complex_.ranks if m > mid}
-    u_comps[mid] = retraction
-    return triple, ChainMap(complex_, triple.upper, u_comps), section
+    u_comps[mid] = _restrict(complement, target=incl.at(mid))
+    return upper, incl, ChainMap(complex_, upper, u_comps), section
 
 
 def tau_ge_map(f: ChainMap, n: int) -> ChainMap:
@@ -655,10 +683,7 @@ def tau_ge_map(f: ChainMap, n: int) -> ChainMap:
     sub_y, incl_y = _tau_ge(f.target, n)
     comps = {m: f.at(m) for m in sub_x.ranks if m > n}
     if sub_x.rank(n):
-        moved = solve(incl_y.at(n), f.at(n) * incl_x.at(n))
-        if moved is None:
-            raise InvalidInputError("map does not restrict to kernels")
-        comps[n] = moved
+        comps[n] = _restrict(f.at(n), incl_x.at(n), incl_y.at(n))
     return ChainMap(sub_x, sub_y, comps)
 
 
@@ -668,10 +693,7 @@ def tau_le_map(f: ChainMap, n: int) -> ChainMap:
     low_y, _ = _tau_le(f.target, n)
     comps = {m: f.at(m) for m in low_x.ranks if m <= n}
     if low_x.rank(n + 1):
-        moved = solve(low_y.d(n + 1), f.at(n) * low_x.d(n + 1))
-        if moved is None:
-            raise InvalidInputError("map does not restrict to images")
-        comps[n + 1] = moved
+        comps[n + 1] = _restrict(f.at(n), low_x.d(n + 1), low_y.d(n + 1))
     return ChainMap(low_x, low_y, comps)
 
 
@@ -824,17 +846,11 @@ def kernel_image_sequences(ses: ComplexSes, n: int) -> tuple[bool, bool]:
         raise HypothesisNotMetError(f"both side homologies are nonzero at degree {n}")
 
     kx, ky, kz = kernel_basis(X.d(n)), kernel_basis(Y.d(n)), kernel_basis(Z.d(n))
-    into = solve(ky, ses.sub.at(n) * kx)
-    onto = solve(kz, ses.quo.at(n) * ky)
-    if into is None or onto is None:
-        raise NotAComplexError("maps do not restrict to kernels")
+    into, onto = _restrict(ses.sub.at(n), kx, ky), _restrict(ses.quo.at(n), ky, kz)
     kernels_exact = (onto * into).is_zero() and not _ses_failure(into, onto)
 
     bx, by, bz = image_basis(X.d(n)), image_basis(Y.d(n)), image_basis(Z.d(n))
-    into_im = solve(by, ses.sub.at(n - 1) * bx)
-    onto_im = solve(bz, ses.quo.at(n - 1) * by)
-    if into_im is None or onto_im is None:
-        raise NotAComplexError("maps do not restrict to images")
+    into_im, onto_im = _restrict(ses.sub.at(n - 1), bx, by), _restrict(ses.quo.at(n - 1), by, bz)
     images_exact = (onto_im * into_im).is_zero() and not _ses_failure(into_im, onto_im)
     return kernels_exact, images_exact
 
@@ -882,12 +898,8 @@ def _split_quotient(incl: ChainMap, retractions: dict):
         ident = Matrix.identity(ring, B.rank(n))
         r = retractions.get(n)
         projector = ident - incl.at(n) * r if r is not None else ident
-        basis = image_basis(projector)
-        expressed = solve(basis, projector)
-        if expressed is None:
-            raise InvalidInputError("projector image basis failed")
-        bases[n] = basis
-        projs[n] = expressed
+        bases[n] = image_basis(projector)
+        projs[n] = _restrict(projector, target=bases[n])
     ranks = {n: bases[n].cols for n in bases}
     diffs = {}
     for n in bases:

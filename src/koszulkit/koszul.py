@@ -37,8 +37,10 @@ from .complexes import (
     tau_le_map,
     _cone_layout,
     _cone_maps,
+    _restrict,
     _retraction_onto_upper,
     _split_quotient,
+    _subcomplex,
     _tau_ge,
     _tau_le,
     _vanishing_degree,
@@ -220,8 +222,9 @@ def _factor_step(f: ChainMap, mapping_cone: Cone, n: int) -> FactorStep:
     """``factor_step`` on the cone of f, whose homology is known to
     vanish in degrees <= n."""
     X = f.source
-    triple, a, _ = _retraction_onto_upper(mapping_cone.complex, n + 1)
-    upper = triple.upper
+    boundary = mapping_cone.complex.d(n + 2)
+    corestriction = _restrict(boundary, target=image_basis(boundary))
+    upper, _, a, _ = _retraction_onto_upper(mapping_cone.complex, n + 1, corestriction)
     composite = a.compose(mapping_cone.inclusion)
     cone_of_composite = cone(composite)
     intermediate = shift(cone_of_composite.complex, 1)
@@ -558,12 +561,7 @@ def resolve_in_kos1(target: PresentedKoszul) -> Resolution:
     k0 = image_basis(target.bottom.relations)
     pre = kernel_basis(hstack([lift, target.top.relations]))
     k1_raw = pre.take_rows(range(basis.cols)) if pre.cols else Matrix.zeros(ring, basis.cols, 0)
-    k1 = image_basis(k1_raw)
-    kernel_diff = solve(k0, basis * k1)
-    if kernel_diff is None:
-        raise InvalidInputError("kernel is not closed under the boundary")
-    kernel = ChainComplex(ring, {1: k1.cols, 0: k0.cols}, {1: kernel_diff})
-    incl = ChainMap(kernel, cover, {1: k1, 0: k0})
+    kernel, incl = _subcomplex(cover, {1: image_basis(k1_raw), 0: k0})
     return Resolution(cover=cover, e1=e1, e0=e0, kernel=kernel, kernel_inclusion=incl)
 
 

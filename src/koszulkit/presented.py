@@ -9,6 +9,8 @@ inclusion maps, and short-exactness of a pair of maps is decidable.
 ``PresentedMap`` checks that its matrix carries relations into
 relations; ``PresentedMap._trusted`` skips that for maps that do so by
 construction (identities, composites, kernel, image and pushout legs).
+Like the chain maps of ``complexes``, a map is immutable, so no later
+assignment can undo its check.
 
 The two diagram-level checks at the bottom verify, on concrete module
 data, that a square in a morphism of short exact sequences is a pushout
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .complexes import _Checked
 from .errors import DimensionError, InvalidInputError
 from .fgmodules import FgModule, cokernel
 from .matrices import Matrix, _selection, block_diag, hstack, kernel_basis, solve, vstack
@@ -72,8 +75,8 @@ def direct_sum_modules(parts: Sequence[PresentedModule]) -> PresentedModule:
     return PresentedModule(ring, sum(p.gens for p in parts), block_diag(ring, [p.relations for p in parts]))
 
 
-class PresentedMap:
-    """Module map given by its matrix on generators."""
+class PresentedMap(_Checked):
+    """Module map given by its matrix on generators; immutable."""
 
     __slots__ = ("source", "target", "matrix")
 
@@ -82,21 +85,14 @@ class PresentedMap:
         if source.relations.cols and not target.contains(matrix * source.relations):
             raise InvalidInputError("matrix does not carry relations into relations")
 
-    @classmethod
-    def _trusted(cls, source: PresentedModule, target: PresentedModule, matrix: Matrix) -> "PresentedMap":
-        """Shape and ring checks only, for maps that carry relations by construction."""
-        out = object.__new__(cls)
-        out._fill(source, target, matrix)
-        return out
-
     def _fill(self, source: PresentedModule, target: PresentedModule, matrix: Matrix):
         if matrix.rows != target.gens or matrix.cols != source.gens:
             raise DimensionError("map matrix has wrong shape")
         if source.ring != target.ring or matrix.ring != source.ring:
             raise InvalidInputError("map across different rings")
-        self.source = source
-        self.target = target
-        self.matrix = matrix
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def identity(cls, module: PresentedModule) -> "PresentedMap":

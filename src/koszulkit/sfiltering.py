@@ -22,6 +22,8 @@ from .complexes import (
     quotient_by_split_mono,
     split_retractions,
     two_term,
+    _restrict,
+    _subcomplex,
 )
 from .errors import InvalidInputError
 from .koszul import AdmissibleSes, in_kos1
@@ -44,43 +46,19 @@ from .matrices import (
 
 def image_complex(f: ChainMap):
     """Image subcomplex with its epi from the source and mono into the target."""
-    ring = f.source.ring
-    bases = {n: image_basis(f.at(n)) for n in set(f.source.ranks) | set(f.target.ranks)}
-    ranks = {n: b.cols for n, b in bases.items() if b.cols}
-    diffs = {}
-    for n in ranks:
-        if ranks.get(n - 1):
-            inside = solve(bases[n - 1], f.target.d(n) * bases[n])
-            if inside is None:
-                raise InvalidInputError("image is not closed under the boundary")
-            diffs[n] = inside
-    image = ChainComplex(ring, ranks, diffs)
-    epi_comps = {}
-    for n in ranks:
-        expressed = solve(bases[n], f.at(n))
-        if expressed is None:
-            raise InvalidInputError("map does not factor through its image basis")
-        epi_comps[n] = expressed
-    epi = ChainMap(f.source, image, epi_comps)
-    mono = ChainMap(image, f.target, {n: bases[n] for n in ranks})
+    image, mono = _image(f)
+    epi = ChainMap(f.source, image, {n: _restrict(f.at(n), target=mono.at(n)) for n in image.ranks})
     return image, epi, mono
+
+
+def _image(f: ChainMap):
+    """The image subcomplex of f and its mono, without the epi."""
+    return _subcomplex(f.target, {n: image_basis(f.at(n)) for n in set(f.source.ranks) | set(f.target.ranks)})
 
 
 def kernel_complex(f: ChainMap):
     """Kernel subcomplex with its basis inclusion into the source."""
-    ring = f.source.ring
-    bases = {n: kernel_basis(f.at(n)) for n in f.source.ranks}
-    ranks = {n: b.cols for n, b in bases.items() if b.cols}
-    diffs = {}
-    for n in ranks:
-        if ranks.get(n - 1):
-            inside = solve(bases[n - 1], f.source.d(n) * bases[n])
-            if inside is None:
-                raise InvalidInputError("kernel is not closed under the boundary")
-            diffs[n] = inside
-    kernel = ChainComplex(ring, ranks, diffs)
-    incl = ChainMap(kernel, f.source, {n: bases[n] for n in ranks})
-    return kernel, incl
+    return _subcomplex(f.source, {n: kernel_basis(f.at(n)) for n in f.source.ranks})
 
 
 @dataclass(frozen=True)
@@ -269,10 +247,7 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
     # A zero source has no stored retraction: it is the empty matrix.
     h = retractions.get(0, Matrix.zeros(ring, X.rank(0), Y.rank(0)))
     q0 = vstack([h, flat.at(0).take_rows(unit_rows)])
-    q1 = solve(target.d(1), q0 * Y.d(1))
-    if q1 is None:
-        raise AssertionError("excision degree-1 component failed to solve")
-    q = ChainMap(Y, target, {0: q0, 1: q1})
+    q = ChainMap(Y, target, {0: q0, 1: _restrict(q0, Y.d(1), target.d(1))})
 
     sections = {}
     for degree in (0, 1):
@@ -334,15 +309,10 @@ def idempotent_split(endo: ChainMap) -> IdempotentSplit:
         raise InvalidInputError("idempotents split inside the acyclic subcategory")
     if endo.compose(endo) != endo:
         raise InvalidInputError("endomorphism is not idempotent")
-    ident = ChainMap.identity(X)
-    image, _, image_mono = image_complex(endo)
-    complement, _, complement_mono = image_complex(ident - endo)
+    image, image_mono = _image(endo)
+    complement, complement_mono = _image(ChainMap.identity(X) - endo)
     total = direct_sum(image, complement)
-    ring = X.ring
-    comps = {}
-    for n in X.ranks:
-        comps[n] = hstack([image_mono.at(n), complement_mono.at(n)])
-    iso = ChainMap(total.complex, X, comps)
+    iso = ChainMap(total.complex, X, {n: hstack([image_mono.at(n), complement_mono.at(n)]) for n in X.ranks})
     if not iso.is_chain_iso():
         raise AssertionError("idempotent images do not recombine to the input")
     return IdempotentSplit(image, complement, iso)

@@ -45,6 +45,19 @@ def test_map_validity():
         pmap(cyclic(2), cyclic(4), [[1]])  # 1*2 = 2 is not a relation in Z/4
 
 
+
+def test_maps_are_immutable():
+    """Assignment after the check would leave an unchecked map: on the
+    identity of Z, a source of Z/2 makes it ill-defined."""
+    checked = pmap(cyclic(2), cyclic(4), [[2]])
+    identity = PresentedMap.identity(free(1))
+    for m, name, value in ((checked, "matrix", Matrix(ZZ, [[5]])), (identity, "source", cyclic(2))):
+        before = getattr(m, name)
+        with pytest.raises(AttributeError):
+            setattr(m, name, value)
+        assert getattr(m, name) is before
+
+
 def test_kernel_image_cokernel():
     two = pmap(free(1), free(1), [[2]])
     ker, incl = two.kernel()

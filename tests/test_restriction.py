@@ -1,0 +1,230 @@
+"""Subcomplexes, truncations and induced maps: pinned outputs, the
+restriction helpers and what the constructions build."""
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from koszulkit import complexes, jsonio, koszul
+from koszulkit.complexes import (
+    ChainComplex,
+    ChainMap,
+    ComplexSes,
+    Homotopy,
+    kernel_image_sequences,
+    quotient_by_split_mono,
+    tau_ge_map,
+    tau_le_map,
+    truncation_splitting,
+)
+from koszulkit.errors import HypothesisNotMetError
+from koszulkit.generators import (
+    GenParams,
+    gen_a_object,
+    gen_admissible_mono,
+    gen_c_object,
+    gen_chain_map,
+    gen_idempotent,
+    gen_koszul,
+    gen_ses_of_complexes,
+    trial_rng,
+)
+from koszulkit.koszul import cellular_factorization, kappa, resolve_in_kos1
+from koszulkit.matrices import Matrix
+from koszulkit.presented import PresentedMap
+from koszulkit.rings import ZZ, fpx
+from koszulkit.sfiltering import (
+    excision_epi,
+    idempotent_split,
+    image_complex,
+    image_factorization,
+    kernel_complex,
+)
+
+
+def _plain(value):
+    """A JSON-ready form of a construction's output; dictionaries (ranks
+    and components included) keep their insertion order."""
+    if isinstance(value, ChainComplex):
+        return [jsonio.complex_to_json(value), list(value.ranks)]
+    if isinstance(value, ChainMap):
+        return [_plain(value.source), _plain(value.target), _plain(value.components)]
+    if isinstance(value, Homotopy):
+        return [_plain(value.lhs), _plain(value.rhs), _plain(value.components)]
+    if isinstance(value, Matrix):
+        return jsonio.matrix_to_json(value)
+    if isinstance(value, PresentedMap):
+        return jsonio.presented_map_to_json(value)
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return [[str(k), _plain(v)] for k, v in value.items()]
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _around(complex_: ChainComplex) -> range:
+    """Every degree of the complex and one on each side."""
+    degrees = complex_.degree_range()
+    return range(degrees.start - 1, degrees.stop + 1)
+
+
+def _verdicts(seq: ComplexSes, n: int):
+    try:
+        return list(kernel_image_sequences(seq, n))
+    except HypothesisNotMetError:
+        return None
+
+
+def _outputs(params: GenParams, trial: int) -> dict:
+    """Every subcomplex and induced-map construction on the instances of
+    one trial, as the property suites draw them."""
+    out = {}
+    a_object = gen_a_object(params, trial).complex
+    out["truncation_splitting"] = [truncation_splitting(a_object, n) for n in _around(a_object)]
+
+    seq = gen_ses_of_complexes(params, trial, acyclic_side="none").sequence
+    out["tau_maps"] = [[tau_ge_map(f, k), tau_le_map(f, k)]
+                       for f in (seq.mono, seq.epi) for k in _around(seq.middle)]
+
+    rng = trial_rng(params, trial)
+    out["kappa"] = [kappa(gen_a_object(params, trial, spherical=0, window_bottom=-1, rng=rng).complex),
+                    kappa(gen_koszul(params, trial, rng=rng).complex)]
+
+    rng = trial_rng(params, trial)
+    source = gen_a_object(params, trial, rng=rng).complex
+    target = gen_a_object(params, trial, rng=rng).complex
+    out["cellular_factorization"] = cellular_factorization(gen_chain_map(rng, source, target, bound=2, terms=1))
+
+    sides = [gen_ses_of_complexes(params, trial, acyclic_side=side).sequence.ses for side in ("left", "right")]
+    out["kernel_image_sequences"] = [[_verdicts(ses, n) for n in _around(ses.middle)] for ses in sides]
+
+    mono_sample = gen_admissible_mono(params, trial).sequence
+    out["excision_epi"] = excision_epi(mono_sample.mono, mono_sample.retractions)
+    out["quotient_by_split_mono"] = quotient_by_split_mono(mono_sample.mono)
+
+    rng = trial_rng(params, trial)
+    acyclic = gen_koszul(params, trial, acyclic=True, rng=rng).complex
+    f = gen_chain_map(rng, acyclic, gen_koszul(params, trial, rng=rng).complex, bound=2, terms=1)
+    out["image_complex"] = image_complex(f)
+    out["kernel_complex"] = kernel_complex(f)
+    out["image_factorization"] = image_factorization(f)
+    out["idempotent_split"] = idempotent_split(gen_idempotent(params, trial)[1])
+
+    out["resolve_in_kos1"] = resolve_in_kos1(gen_c_object(params, trial).object)
+    return out
+
+
+# SHA-256 of the JSON of ``_outputs`` over the instances below.  A change
+# to a construction's result, its witnesses or the order of its ranks
+# moves the hash.
+PINNED = "78aa50adfffbc2a8ffec02979ccb8bc1a29d1064f6146bb4fc41c78780db1661"
+
+
+def test_constructions_are_pinned(wall_clock_limit):
+    with wall_clock_limit(5):
+        outputs = [_plain(_outputs(GenParams(ring=ring, seed=seed, max_entry=bound), trial))
+                   for ring, bound in ((ZZ, 9), (fpx(2), 3), (fpx(3), 3))
+                   for seed, trial in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    assert hashlib.sha256(json.dumps(outputs).encode()).hexdigest() == PINNED
+
+
+# ---------------------------------------------------------------------------
+# The two helpers.
+
+
+def _column(*entries):
+    return Matrix(ZZ, [[x] for x in entries])
+
+
+TWO_TERM = ChainComplex(ZZ, {2: 1, 1: 2, 0: 1}, {2: _column(1, 0), 1: Matrix(ZZ, [[0, 3]])})
+
+
+def test_whole_module_is_the_identity_without_a_solve(monkeypatch):
+    monkeypatch.setattr(complexes, "solve", None)
+    d = TWO_TERM.d(1)
+    assert complexes._restrict(d) is d
+    sub, incl = complexes._subcomplex(TWO_TERM, dict.fromkeys(TWO_TERM.ranks))
+    assert sub == TWO_TERM
+    assert incl == ChainMap.identity(TWO_TERM)
+
+
+def test_restrict_solves_in_the_target_basis():
+    assert complexes._restrict(Matrix(ZZ, [[2, 4]]), _column(1, 1), Matrix(ZZ, [[3]])) == Matrix(ZZ, [[2]])
+    with pytest.raises(complexes.NotAComplexError):
+        complexes._restrict(Matrix(ZZ, [[2, 4]]), _column(1, 0), Matrix(ZZ, [[3]]))
+
+
+def test_zero_column_bases_are_dropped():
+    sub, incl = complexes._subcomplex(TWO_TERM, {2: Matrix.zeros(ZZ, 1, 0), 1: _column(1, 0), 0: None})
+    assert sub.ranks == {1: 1, 0: 1}
+    assert list(incl.components) == [1, 0]
+    assert sub.diffs == {}
+
+
+def test_kernel_basis_gives_the_upper_truncation():
+    sub, incl = complexes._subcomplex(TWO_TERM, {2: None, 1: _column(1, 0)})
+    assert sub.d(2) == Matrix(ZZ, [[1]])
+    assert incl.at(1) == _column(1, 0)
+    assert sub == complexes.truncate_ge(TWO_TERM, 1)
+
+
+def test_ranks_follow_the_order_of_the_bases():
+    forward = complexes._subcomplex(TWO_TERM, {2: None, 1: None, 0: None})[0]
+    backward = complexes._subcomplex(TWO_TERM, {0: None, 1: None, 2: None})[0]
+    assert forward == backward
+    assert list(forward.ranks) == [2, 1, 0] and list(backward.ranks) == [0, 1, 2]
+
+
+def test_a_basis_the_boundary_leaves_raises():
+    x = ChainComplex(ZZ, {1: 1, 0: 2}, {1: _column(1, 0)})
+    with pytest.raises(complexes.NotAComplexError):
+        complexes._subcomplex(x, {1: None, 0: _column(0, 1)})
+
+
+# ---------------------------------------------------------------------------
+# What the constructions build.
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_cellular_factorization_builds_no_lower_truncation(monkeypatch):
+    calls = _counting(monkeypatch, complexes, "_tau_le")
+    monkeypatch.setattr(koszul, "_tau_le", complexes._tau_le)
+    params = GenParams(ZZ, seed=8, max_rank=2, support_width=3)
+    stages = 0
+    for trial in range(6):
+        rng = trial_rng(params, trial)
+        source = gen_a_object(params, trial, rng=rng).complex
+        target = gen_a_object(params, trial, rng=rng).complex
+        stages += len(cellular_factorization(gen_chain_map(rng, source, target, bound=2, terms=1)).stages)
+    assert stages > 0
+    assert calls == []
+
+
+def test_idempotent_split_checks_only_its_monos_and_iso(monkeypatch):
+    _, endo = gen_idempotent(GenParams(ZZ, seed=3), 0)
+    built = []
+    init = ChainMap.__init__
+
+    def recording(self, source, target, components):
+        built.append((source, target))
+        init(self, source, target, components)
+
+    monkeypatch.setattr(ChainMap, "__init__", recording)
+    split = idempotent_split(endo)
+    assert built == [(split.image_part, endo.source), (split.complement_part, endo.source),
+                     (split.iso.source, endo.source)]
