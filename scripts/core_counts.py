@@ -29,6 +29,9 @@ trial (unlike the benchmark's forked passes), and the script prints:
   not count);
 * ``cone_layouts``: direct-sum layouts built with the summands (X, 1),
   (Y, 0) of a mapping cone, one per cone complex constructed;
+* ``solves``: calls of ``matrices.solve``, wherever it is called from;
+* ``checked_sequences``: ``ComplexSes`` constructions, those of its
+  subclasses (``AdmissibleSes``) included;
 * ``cpu_s``: the process CPU time of the core, counters included;
 * ``reports_sha256``: SHA-256 of the concatenated JSON suite reports.
 
@@ -53,7 +56,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run  # noqa: E402
 import workloads  # noqa: E402
-from koszulkit import complexes  # noqa: E402
+import koszulkit  # noqa: E402
+from koszulkit import complexes, matrices  # noqa: E402
 from koszulkit.matrices import Matrix  # noqa: E402
 from koszulkit.rings import fpx  # noqa: E402
 
@@ -68,15 +72,17 @@ def core(workload: str, seconds: float, seed: int) -> list:
 
 def count_matrix_work() -> dict:
     """Wrap ``Matrix.__mul__``, ``Matrix._from_work``, ``Matrix.__neg__``,
-    the F_2[x] conversion hooks, ``ChainMap.__init__`` and the direct-sum
-    layout with counters."""
+    the F_2[x] conversion hooks, ``ChainMap.__init__``, the direct-sum
+    layout, ``matrices.solve`` (in every koszulkit module that imports
+    it) and ``ComplexSes.__init__`` with counters."""
     counts = {"products": 0, "empty_operand_products": 0, "raw_calls": 0,
               "negations": 0, "zero_negations": 0, "packs": 0, "unpacks": 0,
-              "checked_chain_maps": 0, "cone_layouts": 0}
+              "checked_chain_maps": 0, "cone_layouts": 0, "solves": 0, "checked_sequences": 0}
     mul, raw, neg = Matrix.__mul__, Matrix._from_work.__func__, Matrix.__neg__
     f2 = fpx(2)
     pack, unpack = f2.pack, f2.unpack
     chain_map_init, layout_init = complexes.ChainMap.__init__, complexes._Layout.__init__
+    solve, ses_init = matrices.solve, complexes.ComplexSes.__init__
 
     def counted_mul(self, other):
         counts["products"] += 1
@@ -111,12 +117,24 @@ def count_matrix_work() -> dict:
             counts["cone_layouts"] += 1
         layout_init(self, parts, *args)
 
+    def counted_solve(*args):
+        counts["solves"] += 1
+        return solve(*args)
+
+    def counted_ses_init(self, *args):
+        counts["checked_sequences"] += 1
+        ses_init(self, *args)
+
     Matrix.__mul__ = counted_mul
     Matrix._from_work = classmethod(counted_raw)
     Matrix.__neg__ = counted_neg
     f2.pack, f2.unpack = counted_pack, counted_unpack
     complexes.ChainMap.__init__ = counted_chain_map_init
     complexes._Layout.__init__ = counted_layout_init
+    complexes.ComplexSes.__init__ = counted_ses_init
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == koszulkit.__name__ and getattr(module, "solve", None) is solve:
+            module.solve = counted_solve
     return counts
 
 

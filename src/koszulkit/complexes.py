@@ -48,6 +48,20 @@ The ranks of a subcomplex follow the order of its bases, and so do the
 unknowns of any homotopy solved on it later, so each caller passes its
 bases in one fixed order.
 
+Split monomorphisms and quotients.  Split monos, split epis and the
+admissible sequences of ``koszul`` share one private step,
+``_splitting``.  It takes the components of a map at every degree where
+the split side (the source of a mono, the target of an epi) is nonzero,
+with the caller's witnesses or None.  When None, it solves them: a
+section s_n with m_n . s_n == id, and a retraction as a transposed
+section.  It checks every witness it returns, given or solved, since
+anything built from solved data keeps its check; a given dict without
+one of those degrees fails.  Its errors are ``InvalidInputError``s:
+"monomorphism/epimorphism is not degreewise split" when a solve finds
+none, "stored retraction/section fails" when a check fails.
+``split_retractions`` returns None where the step raises.
+``ComplexSes`` is immutable, and so is its subclass ``AdmissibleSes``.
+
 Homotopy solving.  ``homotopy_between``, ``nullhomotopy`` and
 ``chain_retraction`` each ask for one matrix X_n per degree subject to
 equations sum(A . X_n . B) == C.  One private solver answers all three:
@@ -569,7 +583,13 @@ def truncate_ge(complex_: ChainComplex, n: int) -> ChainComplex:
 
 def truncate_le(complex_: ChainComplex, n: int) -> ChainComplex:
     """Keep degrees below n+1; degree n+1 becomes the image of d_{n+1}."""
-    return _tau_le(complex_, n)[0]
+    image = image_basis(complex_.d(n + 1))
+    ranks = {m: r for m, r in complex_.ranks.items() if m <= n}
+    ranks[n + 1] = image.cols
+    diffs = {m: mat for m, mat in complex_.diffs.items() if m <= n}
+    if image.cols:
+        diffs[n + 1] = image
+    return ChainComplex(complex_.ring, ranks, diffs)
 
 
 def _tau_ge(complex_: ChainComplex, n: int):
@@ -579,19 +599,12 @@ def _tau_ge(complex_: ChainComplex, n: int):
 
 
 def _tau_le(complex_: ChainComplex, n: int):
-    ring = complex_.ring
-    image = image_basis(complex_.d(n + 1))
-    ranks = {m: r for m, r in complex_.ranks.items() if m <= n}
-    ranks[n + 1] = image.cols
-    diffs = {m: mat for m, mat in complex_.diffs.items() if m <= n}
-    if image.cols:
-        diffs[n + 1] = image
-    lower = ChainComplex(ring, ranks, diffs)
-    proj_comps = {m: Matrix.identity(ring, complex_.rank(m)) for m in complex_.ranks if m <= n}
+    """``truncate_le`` with its checked projection."""
+    lower = truncate_le(complex_, n)
+    proj_comps = {m: Matrix.identity(complex_.ring, complex_.rank(m)) for m in complex_.ranks if m <= n}
     if complex_.rank(n + 1):
-        proj_comps[n + 1] = _restrict(complex_.d(n + 1), target=image)
-    proj = ChainMap(complex_, lower, proj_comps)
-    return lower, proj
+        proj_comps[n + 1] = _restrict(complex_.d(n + 1), target=lower.d(n + 1))
+    return lower, ChainMap(complex_, lower, proj_comps)
 
 
 @dataclass(frozen=True)
@@ -668,9 +681,7 @@ def _retraction_onto_upper(complex_: ChainComplex, n: int, corestriction: Matrix
             raise InvalidInputError(f"homology at degree {m} is not torsion")
     mid = n + 1
     upper, incl = _tau_ge(complex_, mid)
-    section = solve(corestriction, Matrix.identity(ring, corestriction.rows))
-    if section is None:
-        raise InvalidInputError("image corestriction admits no section")
+    section = _splitting({mid: corestriction}, None, False)[mid]
     complement = Matrix.identity(ring, complex_.rank(mid)) - section * corestriction
     u_comps = {m: Matrix.identity(ring, complex_.rank(m)) for m in complex_.ranks if m > mid}
     u_comps[mid] = _restrict(complement, target=incl.at(mid))
@@ -689,8 +700,7 @@ def tau_ge_map(f: ChainMap, n: int) -> ChainMap:
 
 def tau_le_map(f: ChainMap, n: int) -> ChainMap:
     """Induced map on lower truncations."""
-    low_x, _ = _tau_le(f.source, n)
-    low_y, _ = _tau_le(f.target, n)
+    low_x, low_y = truncate_le(f.source, n), truncate_le(f.target, n)
     comps = {m: f.at(m) for m in low_x.ranks if m <= n}
     if low_x.rank(n + 1):
         comps[n + 1] = _restrict(f.at(n), low_x.d(n + 1), low_y.d(n + 1))
@@ -792,32 +802,35 @@ def _vanishing_degree(mapping_cone: ChainComplex):
 # Short exact sequences of complexes.
 
 
-class ComplexSes:
-    """Degreewise short exact sequence of bounded free complexes."""
+class ComplexSes(_Checked):
+    """Degreewise short exact sequence of bounded free complexes; immutable."""
 
-    __slots__ = ("sub", "quo")
+    __slots__ = ("mono", "epi")
 
-    def __init__(self, sub: ChainMap, quo: ChainMap):
-        if sub.target != quo.source:
-            raise InvalidInputError("maps are not consecutive")
-        self.sub = sub
-        self.quo = quo
-        for n in set(sub.source.ranks) | set(sub.target.ranks) | set(quo.target.ranks):
-            failure = _ses_failure(sub.at(n), quo.at(n))
+    def __init__(self, mono: ChainMap, epi: ChainMap):
+        self._fill(mono, epi)
+        for n in set(mono.source.ranks) | set(mono.target.ranks) | set(epi.target.ranks):
+            failure = _ses_failure(mono.at(n), epi.at(n))
             if failure:
                 raise InvalidInputError(f"{failure} at degree {n}")
 
+    def _fill(self, mono: ChainMap, epi: ChainMap):
+        if mono.target != epi.source:
+            raise InvalidInputError("maps are not consecutive")
+        object.__setattr__(self, "mono", mono)
+        object.__setattr__(self, "epi", epi)
+
     @property
     def left(self) -> ChainComplex:
-        return self.sub.source
+        return self.mono.source
 
     @property
     def middle(self) -> ChainComplex:
-        return self.sub.target
+        return self.mono.target
 
     @property
     def right(self) -> ChainComplex:
-        return self.quo.target
+        return self.epi.target
 
 
 def _ses_failure(first: Matrix, second: Matrix) -> Optional[str]:
@@ -846,11 +859,11 @@ def kernel_image_sequences(ses: ComplexSes, n: int) -> tuple[bool, bool]:
         raise HypothesisNotMetError(f"both side homologies are nonzero at degree {n}")
 
     kx, ky, kz = kernel_basis(X.d(n)), kernel_basis(Y.d(n)), kernel_basis(Z.d(n))
-    into, onto = _restrict(ses.sub.at(n), kx, ky), _restrict(ses.quo.at(n), ky, kz)
+    into, onto = _restrict(ses.mono.at(n), kx, ky), _restrict(ses.epi.at(n), ky, kz)
     kernels_exact = (onto * into).is_zero() and not _ses_failure(into, onto)
 
     bx, by, bz = image_basis(X.d(n)), image_basis(Y.d(n)), image_basis(Z.d(n))
-    into_im, onto_im = _restrict(ses.sub.at(n - 1), bx, by), _restrict(ses.quo.at(n - 1), by, bz)
+    into_im, onto_im = _restrict(ses.mono.at(n - 1), bx, by), _restrict(ses.epi.at(n - 1), by, bz)
     images_exact = (onto_im * into_im).is_zero() and not _ses_failure(into_im, onto_im)
     return kernels_exact, images_exact
 
@@ -859,37 +872,65 @@ def kernel_image_sequences(ses: ComplexSes, n: int) -> tuple[bool, bool]:
 # Split monomorphisms and quotients.
 
 
-def split_retractions(incl: ChainMap) -> Optional[dict]:
-    """Degreewise retractions of a degreewise split monomorphism."""
+def _solve_splitting(maps: Mapping[int, Matrix], retract: bool) -> Optional[dict]:
+    """Exact sections m_n . s_n == id of the matrices ``maps``, or with
+    ``retract`` retractions r_n . m_n == id (transposed sections), in the
+    order of ``maps``; None if some degree has none."""
     out = {}
-    for n in set(incl.source.ranks) | set(incl.target.ranks):
-        a = incl.source.rank(n)
-        if a == 0:
-            continue
-        sol = solve(incl.at(n).transpose(), Matrix.identity(incl.source.ring, a))
+    for n, mat in maps.items():
+        if retract:
+            mat = mat.transpose()
+        sol = solve(mat, Matrix.identity(mat.ring, mat.rows))
         if sol is None:
             return None
-        out[n] = sol.transpose()
+        out[n] = sol.transpose() if retract else sol
     return out
+
+
+def _splitting(maps: Mapping[int, Matrix], witnesses: Optional[dict], retract: bool) -> dict:
+    """``witnesses`` of ``maps`` (retractions with ``retract``, else
+    sections), solved when None, each checked; ``maps`` holds a component
+    at every degree where the split side is nonzero."""
+    if witnesses is None:
+        witnesses = _solve_splitting(maps, retract)
+        if witnesses is None:
+            raise InvalidInputError(f"{'mono' if retract else 'epi'}morphism is not degreewise split")
+    for n, mat in maps.items():
+        w = witnesses.get(n)
+        size = mat.cols if retract else mat.rows
+        if w is None or (w * mat if retract else mat * w) != Matrix.identity(mat.ring, size):
+            raise InvalidInputError(f"stored {'retraction' if retract else 'section'} fails")
+    return witnesses
+
+
+def _mono_components(incl: ChainMap) -> dict:
+    """The components of ``incl`` where its source is nonzero."""
+    return {n: incl.at(n) for n in set(incl.source.ranks) | set(incl.target.ranks) if incl.source.rank(n)}
+
+
+def split_retractions(incl: ChainMap) -> Optional[dict]:
+    """Checked degreewise retractions of a degreewise split monomorphism;
+    None if it is not one."""
+    maps = _mono_components(incl)
+    solved = _solve_splitting(maps, True)
+    return None if solved is None else _splitting(maps, solved, True)
 
 
 def quotient_by_split_mono(incl: ChainMap, retractions: Optional[dict] = None):
     """Quotient complex of a degreewise split mono, with its projection.
 
-    The stored (or solved) retraction gives the complementary projector
-    per degree; its image basis carries the quotient coordinates.
+    The given (or solved) retraction, checked, gives the complementary
+    projector per degree; its image basis carries the quotient
+    coordinates.
     """
-    if retractions is None:
-        retractions = split_retractions(incl)
-        if retractions is None:
-            raise InvalidInputError("monomorphism is not degreewise split")
-    quotient, projs = _split_quotient(incl, retractions)
+    quotient, projs = _split_quotient(incl, _splitting(_mono_components(incl), retractions, True))
     return quotient, ChainMap(incl.target, quotient, {n: m for n, m in projs.items() if quotient.rank(n)})
 
 
 def _split_quotient(incl: ChainMap, retractions: dict):
     """The quotient complex of ``quotient_by_split_mono`` and its
-    projection's components by degree, without building the projection."""
+    projection's components by degree, without building the projection;
+    ``retractions`` are checked."""
     B = incl.target
     ring = B.ring
     bases = {}

@@ -615,6 +615,20 @@ def _rand_moduli(rng: random.Random, ring: Ring, count: int, torsion_only: bool 
     return out
 
 
+def _module_row(rng: random.Random, ring: Ring, first, second):
+    """The split sequence of the atom sums ``first`` -> ``first + second``
+    -> ``second``, twisted by a shear automorphism (fwd, bwd) of the
+    middle: returns (mono, epi, fwd, bwd)."""
+    total = list(first) + list(second)
+    middle = _atoms_module(ring, total)
+    incl = _selection(ring, len(total), range(len(first)))
+    proj = _selection(ring, len(total), range(len(first), len(total))).transpose()
+    fwd, bwd = _shear_auto(rng, ring, total)
+    mono = PresentedMap(_atoms_module(ring, first), middle, fwd * incl)
+    epi = PresentedMap(middle, _atoms_module(ring, second), proj * bwd)
+    return mono, epi, fwd, bwd
+
+
 def gen_module_ses(params: GenParams, trial: int, torsion_only: bool = False,
                    rng: Optional[random.Random] = None):
     """Short exact sequence of presented modules, shear-twisted.
@@ -626,16 +640,7 @@ def gen_module_ses(params: GenParams, trial: int, torsion_only: bool = False,
     ring = params.ring
     left_moduli = _rand_moduli(rng, ring, rng.randint(1, 2), torsion_only)
     right_moduli = _rand_moduli(rng, ring, rng.randint(1, 2), torsion_only)
-    total_moduli = left_moduli + right_moduli
-    left = _atoms_module(ring, left_moduli)
-    right = _atoms_module(ring, right_moduli)
-    middle = _atoms_module(ring, total_moduli)
-    incl = _selection(ring, len(total_moduli), range(len(left_moduli)))
-    proj = _selection(ring, len(total_moduli), range(len(left_moduli), len(total_moduli))).transpose()
-    fwd, bwd = _shear_auto(rng, ring, total_moduli)
-    mono = PresentedMap(left, middle, fwd * incl)
-    epi = PresentedMap(middle, right, proj * bwd)
-    return mono, epi
+    return _module_row(rng, ring, left_moduli, right_moduli)[:2]
 
 
 def gen_ses_morphism(params: GenParams, trial: int,
@@ -654,19 +659,8 @@ def gen_ses_morphism(params: GenParams, trial: int,
     a2_moduli = _rand_moduli(rng, ring, rng.randint(1, 2))
     iso_case = rng.random() < 0.5
     c2_moduli = list(c_moduli) if iso_case else _rand_moduli(rng, ring, rng.randint(1, 2))
-
-    def make_row(first, second):
-        total = list(first) + list(second)
-        module = _atoms_module(ring, total)
-        incl = _selection(ring, len(total), range(len(first)))
-        proj = _selection(ring, len(total), range(len(first), len(total))).transpose()
-        fwd, bwd = _shear_auto(rng, ring, total)
-        mono = PresentedMap(_atoms_module(ring, first), module, fwd * incl)
-        epi = PresentedMap(module, _atoms_module(ring, second), proj * bwd)
-        return module, mono, epi, fwd, bwd
-
-    top_mid, top_mono, top_epi, top_fwd, top_bwd = make_row(a_moduli, c_moduli)
-    bot_mid, bot_mono, bot_epi, bot_fwd, bot_bwd = make_row(a2_moduli, c2_moduli)
+    top_mono, top_epi, _, top_bwd = _module_row(rng, ring, a_moduli, c_moduli)
+    bot_mono, bot_epi, bot_fwd, _ = _module_row(rng, ring, a2_moduli, c2_moduli)
 
     alpha = _rand_atom_hom(rng, ring, a2_moduli, a_moduli)
     if iso_case:
@@ -678,7 +672,7 @@ def gen_ses_morphism(params: GenParams, trial: int,
                   [len(a2_moduli), len(c2_moduli)], [len(a_moduli), len(c_moduli)])
     middle_matrix = bot_fwd * mixed * top_bwd
     left = PresentedMap(_atoms_module(ring, a_moduli), _atoms_module(ring, a2_moduli), alpha)
-    middle = PresentedMap(top_mid, bot_mid, middle_matrix)
+    middle = PresentedMap(top_mono.target, bot_mono.target, middle_matrix)
     right = PresentedMap(_atoms_module(ring, c_moduli), _atoms_module(ring, c2_moduli), gamma)
     return SesMorphism(top_mono, top_epi, bot_mono, bot_epi, left, middle, right)
 

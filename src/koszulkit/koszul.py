@@ -37,9 +37,11 @@ from .complexes import (
     tau_le_map,
     _cone_layout,
     _cone_maps,
+    _mono_components,
     _restrict,
     _retraction_onto_upper,
     _split_quotient,
+    _splitting,
     _subcomplex,
     _tau_ge,
     _tau_le,
@@ -357,54 +359,17 @@ def cellular_factorization(f: ChainMap) -> CellularFactorization:
 # Admissible short exact sequences of free complexes.
 
 
-class AdmissibleSes:
-    """Degreewise split short exact sequence with stored witnesses."""
+class AdmissibleSes(ComplexSes):
+    """Degreewise split short exact sequence with stored witnesses; the
+    given ones are checked, the absent ones solved (and checked)."""
 
-    __slots__ = ("ses", "retractions", "sections")
+    __slots__ = ("retractions", "sections")
 
     def __init__(self, mono: ChainMap, epi: ChainMap,
                  retractions: Optional[dict] = None, sections: Optional[dict] = None):
-        self.ses = ComplexSes(mono, epi)
-        if retractions is None:
-            retractions = split_retractions(mono)
-            if retractions is None:
-                raise InvalidInputError("monomorphism is not degreewise split")
-        if sections is None:
-            sections = {}
-            for n in epi.target.ranks:
-                sol = solve(epi.at(n), Matrix.identity(epi.source.ring, epi.target.rank(n)))
-                if sol is None:
-                    raise InvalidInputError("epimorphism is not degreewise split")
-                sections[n] = sol
-        ring = mono.source.ring
-        for n, retr in retractions.items():
-            if retr * mono.at(n) != Matrix.identity(ring, mono.source.rank(n)):
-                raise InvalidInputError("stored retraction fails")
-        for n, sect in sections.items():
-            if epi.at(n) * sect != Matrix.identity(ring, epi.target.rank(n)):
-                raise InvalidInputError("stored section fails")
-        self.retractions = retractions
-        self.sections = sections
-
-    @property
-    def mono(self) -> ChainMap:
-        return self.ses.sub
-
-    @property
-    def epi(self) -> ChainMap:
-        return self.ses.quo
-
-    @property
-    def left(self) -> ChainComplex:
-        return self.ses.left
-
-    @property
-    def middle(self) -> ChainComplex:
-        return self.ses.middle
-
-    @property
-    def right(self) -> ChainComplex:
-        return self.ses.right
+        super().__init__(mono, epi)
+        object.__setattr__(self, "retractions", _splitting(_mono_components(mono), retractions, True))
+        object.__setattr__(self, "sections", _splitting({n: epi.at(n) for n in epi.target.ranks}, sections, False))
 
 
 def h0_additive(seq: AdmissibleSes) -> bool:

@@ -10,7 +10,9 @@ inclusion maps, and short-exactness of a pair of maps is decidable.
 relations; ``PresentedMap._trusted`` skips that for maps that do so by
 construction (identities, composites, kernel, image and pushout legs).
 Like the chain maps of ``complexes``, a map is immutable, so no later
-assignment can undo its check.
+assignment can undo its check.  The frozen diagrams ``SesMorphism`` and
+``ThreeByThree`` check their exact rows and commuting squares when they
+are built.
 
 The two diagram-level checks at the bottom verify, on concrete module
 data, that a square in a morphism of short exact sequences is a pushout
@@ -232,7 +234,7 @@ class SesMorphism:
 
     Rows ``(top_mono, top_epi)`` and ``(bottom_mono, bottom_epi)`` with
     verticals ``left``, ``middle``, ``right`` making both squares
-    commute.
+    commute; both are checked when the diagram is built.
     """
 
     top_mono: PresentedMap
@@ -243,7 +245,7 @@ class SesMorphism:
     middle: PresentedMap
     right: PresentedMap
 
-    def validate(self):
+    def __post_init__(self):
         if not is_short_exact(self.top_mono, self.top_epi):
             raise InvalidInputError("top row is not short exact")
         if not is_short_exact(self.bottom_mono, self.bottom_epi):
@@ -262,7 +264,6 @@ def cobase_change_check(diagram: SesMorphism) -> bool:
     whether the right vertical is an iso, and reports their agreement.
     A disagreement on valid input is a library defect, not a data error.
     """
-    diagram.validate()
     obj, _, _ = pushout(diagram.left, diagram.top_mono)
     comparison = PresentedMap._trusted(
         obj, diagram.bottom_mono.target,
@@ -276,13 +277,13 @@ class ThreeByThree:
 
     ``rows[i]`` is the (mono, epi) pair of row i (top to bottom) and
     ``cols[j]`` of column j (left to right); all four inner squares must
-    commute.
+    commute.  Both are checked when the diagram is built.
     """
 
     rows: tuple
     cols: tuple
 
-    def validate(self):
+    def __post_init__(self):
         for mono, epi in list(self.rows) + list(self.cols):
             if not is_short_exact(mono, epi):
                 raise InvalidInputError("a row or column is not short exact")
@@ -305,7 +306,6 @@ def nine_term_sequences(grid: ThreeByThree) -> tuple[bool, bool]:
     First: (pushout of the top-left span) -> middle -> bottom-right;
     second: top-left -> middle -> (pullback of the bottom-right cospan).
     """
-    grid.validate()
     (ix, px), (iy, py), (iz, pz) = grid.rows
     (f, g), (fp, gp), (fpp, gpp) = grid.cols
 

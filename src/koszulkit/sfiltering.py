@@ -19,10 +19,11 @@ from .complexes import (
     ChainMap,
     direct_sum,
     is_acyclic,
-    quotient_by_split_mono,
-    split_retractions,
     two_term,
+    _mono_components,
     _restrict,
+    _split_quotient,
+    _splitting,
     _subcomplex,
 )
 from .errors import InvalidInputError
@@ -35,7 +36,6 @@ from .matrices import (
     inverse,
     kernel_basis,
     snf,
-    solve,
     vstack,
 )
 
@@ -77,10 +77,10 @@ class ImageFactorization:
             return False
         if not in_kos1(self.image) or not is_acyclic(self.image):
             return False
-        ring = f.source.ring
-        for n, sect in self.sections.items():
-            if self.epi.at(n) * sect != Matrix.identity(ring, self.image.rank(n)):
-                return False
+        try:
+            _splitting({n: self.epi.at(n) for n in self.image.ranks}, self.sections, False)
+        except InvalidInputError:
+            return False
         return bool(in_kos1(self.kernel)) and is_acyclic(self.kernel)
 
 
@@ -96,13 +96,7 @@ def image_factorization(f: ChainMap) -> ImageFactorization:
     if not is_acyclic(f.source):
         raise InvalidInputError("source is not acyclic")
     image, epi, mono = image_complex(f)
-    ring = f.source.ring
-    sections = {}
-    for n in image.ranks:
-        sect = solve(epi.at(n), Matrix.identity(ring, image.rank(n)))
-        if sect is None:
-            raise InvalidInputError("image epi does not split degreewise")
-        sections[n] = sect
+    sections = _splitting({n: epi.at(n) for n in image.ranks}, None, False)
     kernel, incl = kernel_complex(f)
     return ImageFactorization(image, epi, mono, sections, kernel, incl)
 
@@ -202,9 +196,10 @@ class ExcisionCertificate:
         incl = ChainMap(X, Z, {n: _selection(ring, Z.rank(n), range(r)) for n, r in X.ranks.items()})
         if self.q.compose(self.mono) != incl:
             return False
-        for n, sect in self.sections.items():
-            if self.q.at(n) * sect != Matrix.identity(ring, Z.rank(n)):
-                return False
+        try:
+            _splitting({n: self.q.at(n) for n in Z.ranks}, self.sections, False)
+        except InvalidInputError:
+            return False
         if not in_kos1(self.kernel):
             return False
         if not is_acyclic(Z):
@@ -230,11 +225,9 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
         raise InvalidInputError("both ends must be free Koszul complexes")
     if not is_acyclic(X):
         raise InvalidInputError("source of the mono is not acyclic")
-    if retractions is None:
-        retractions = split_retractions(mono)
-        if retractions is None:
-            raise InvalidInputError("monomorphism is not degreewise split")
-    quotient, projection = quotient_by_split_mono(mono, retractions)
+    retractions = _splitting(_mono_components(mono), retractions, True)
+    quotient, projs = _split_quotient(mono, retractions)
+    projection = ChainMap(Y, quotient, {n: m for n, m in projs.items() if quotient.rank(n)})
     if not in_kos1(quotient):
         raise InvalidInputError("quotient left the category")
     decomposition = ed_decompose(quotient)
@@ -249,19 +242,15 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
     q0 = vstack([h, flat.at(0).take_rows(unit_rows)])
     q = ChainMap(Y, target, {0: q0, 1: _restrict(q0, Y.d(1), target.d(1))})
 
+    flat_sections = _splitting({n: flat.at(n) for n in flat.target.ranks}, None, False)
     sections = {}
     for degree in (0, 1):
-        sect_flat = solve(flat.at(degree), Matrix.identity(ring, k + u_count))
-        if sect_flat is None:
-            raise AssertionError("quotient projection lost its degreewise section")
-        lam = sect_flat.take_cols(unit_rows)
+        lam = flat_sections.get(degree, Matrix.zeros(ring, Y.rank(degree), 0)).take_cols(unit_rows)
         if lam.cols:  # else there is no unit part to correct
             mu = (q.at(degree) * lam).take_rows(range(X.rank(degree)))
             lam = lam - mono.at(degree) * mu
-        section = hstack([mono.at(degree), lam])
-        if q.at(degree) * section != Matrix.identity(ring, target.rank(degree)):
-            raise AssertionError("assembled section failed to verify")
-        sections[degree] = section
+        sections[degree] = hstack([mono.at(degree), lam])
+    _splitting({n: q.at(n) for n in target.ranks}, sections, False)
 
     kernel, kernel_incl = kernel_complex(q)
     return ExcisionCertificate(

@@ -194,8 +194,8 @@ def lemma_3_6_trial(params: GenParams, trial: int):
     rng = trial_rng(params, trial)
     side = "left" if rng.random() < 0.5 else "right"
     sample = gen_ses_of_complexes(params, trial, acyclic_side=side, rng=rng)
-    seq = sample.sequence.ses
-    instance = lambda: jsonio.chain_map_to_json(seq.sub)
+    seq = sample.sequence
+    instance = lambda: jsonio.chain_map_to_json(seq.mono)
     degrees = seq.middle.degree_range()
     checked = 0
     for n in range(degrees.start, degrees.stop + 1):

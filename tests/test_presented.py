@@ -173,7 +173,7 @@ def test_ses_morphism_validation():
     with pytest.raises(InvalidInputError):
         SesMorphism(mono, not_epi, mono, not_epi,
                     PresentedMap.identity(z), PresentedMap.identity(z),
-                    PresentedMap.identity(cyclic(4))).validate()
+                    PresentedMap.identity(cyclic(4)))
 
 
 def test_nine_term_split_grid():

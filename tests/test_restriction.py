@@ -1,5 +1,6 @@
-"""Subcomplexes, truncations and induced maps: pinned outputs, the
-restriction helpers and what the constructions build."""
+"""Subcomplexes, truncations, induced maps and split monos: pinned
+outputs, the restriction and splitting helpers and what the
+constructions build."""
 
 import dataclasses
 import hashlib
@@ -17,9 +18,10 @@ from koszulkit.complexes import (
     quotient_by_split_mono,
     tau_ge_map,
     tau_le_map,
+    truncate_le,
     truncation_splitting,
 )
-from koszulkit.errors import HypothesisNotMetError
+from koszulkit.errors import HypothesisNotMetError, InvalidInputError
 from koszulkit.generators import (
     GenParams,
     gen_a_object,
@@ -99,7 +101,7 @@ def _outputs(params: GenParams, trial: int) -> dict:
     target = gen_a_object(params, trial, rng=rng).complex
     out["cellular_factorization"] = cellular_factorization(gen_chain_map(rng, source, target, bound=2, terms=1))
 
-    sides = [gen_ses_of_complexes(params, trial, acyclic_side=side).sequence.ses for side in ("left", "right")]
+    sides = [gen_ses_of_complexes(params, trial, acyclic_side=side).sequence for side in ("left", "right")]
     out["kernel_image_sequences"] = [[_verdicts(ses, n) for n in _around(ses.middle)] for ses in sides]
 
     mono_sample = gen_admissible_mono(params, trial).sequence
@@ -215,8 +217,8 @@ def test_cellular_factorization_builds_no_lower_truncation(monkeypatch):
     assert calls == []
 
 
-def test_idempotent_split_checks_only_its_monos_and_iso(monkeypatch):
-    _, endo = gen_idempotent(GenParams(ZZ, seed=3), 0)
+def _recording_chain_maps(monkeypatch) -> list:
+    """The (source, target) of every checked chain map built from now on."""
     built = []
     init = ChainMap.__init__
 
@@ -225,6 +227,59 @@ def test_idempotent_split_checks_only_its_monos_and_iso(monkeypatch):
         init(self, source, target, components)
 
     monkeypatch.setattr(ChainMap, "__init__", recording)
+    return built
+
+
+def test_idempotent_split_checks_only_its_monos_and_iso(monkeypatch):
+    _, endo = gen_idempotent(GenParams(ZZ, seed=3), 0)
+    built = _recording_chain_maps(monkeypatch)
     split = idempotent_split(endo)
     assert built == [(split.image_part, endo.source), (split.complement_part, endo.source),
                      (split.iso.source, endo.source)]
+
+
+def test_lower_truncations_build_no_projection(monkeypatch):
+    f = gen_ses_of_complexes(GenParams(ZZ, seed=0), 0, acyclic_side="none").sequence.mono
+    n = min(f.target.ranks)
+    built = _recording_chain_maps(monkeypatch)
+    lower = truncate_le(f.target, n)
+    induced = tau_le_map(f, n)
+    # One checked map, the induced one; no projection for either call.
+    assert built == [(induced.source, lower)]
+
+
+# ---------------------------------------------------------------------------
+# Split monos: every retraction is checked, and checked sequences are
+# immutable.
+
+
+Z_AT_0 = ChainComplex(ZZ, {0: 1}, {})
+
+
+@pytest.mark.parametrize("retractions", [{0: Matrix(ZZ, [[2]])}, {}], ids=["wrong", "missing"])
+def test_quotient_by_split_mono_checks_given_retractions(retractions):
+    with pytest.raises(InvalidInputError, match="stored retraction fails"):
+        quotient_by_split_mono(ChainMap.identity(Z_AT_0), retractions)
+
+
+@pytest.mark.parametrize("case", ["wrong", "missing"])
+def test_excision_epi_checks_given_retractions_first(monkeypatch, case):
+    seq = gen_admissible_mono(GenParams(ZZ, seed=0), 1).sequence
+    assert seq.left.rank(0) and seq.left.rank(1)
+    if case == "wrong":
+        retractions = {n: r + r for n, r in seq.retractions.items()}
+    else:
+        retractions = {n: r for n, r in seq.retractions.items() if n != 0}
+    built = _recording_chain_maps(monkeypatch)
+    with pytest.raises(InvalidInputError, match="stored retraction fails"):
+        excision_epi(seq.mono, retractions)
+    assert built == []
+
+
+def test_checked_sequences_are_immutable():
+    seq = gen_admissible_mono(GenParams(ZZ, seed=0), 1).sequence
+    plain = ComplexSes(seq.mono, seq.epi)
+    for checked, names in ((plain, ("mono", "epi")), (seq, ("mono", "epi", "retractions", "sections"))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(checked, name, getattr(checked, name))
