@@ -51,7 +51,7 @@ def _read_input(args) -> object:
 
 
 def _write_output(args, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = jsonio._dumps(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")

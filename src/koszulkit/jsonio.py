@@ -6,11 +6,20 @@ arrays.  A string integer must be plain ASCII decimal (``-?[0-9]+``),
 and a degree key must be ``str(d)`` for an integer d, so no two keys
 name the same degree.  Certificates serialize with all their matrices,
 so an external tool can re-verify them without this library.
+
+Every document leaves through ``_dumps``, which returns exactly the text
+of ``json.dumps(x, indent=2, sort_keys=True)`` for the types the library
+emits (dicts with str keys, lists, str, int, bool, None).  ``json.dumps``
+is not used because its C encoder does not take ``indent``: with an
+indent, every value goes through the pure-Python encoder's generators.
+``_dumps`` joins a list of scalars in one step and escapes strings with
+the same function as ``json`` (``encode_basestring_ascii``).
 """
 
 from __future__ import annotations
 
 import re
+from json.encoder import encode_basestring_ascii
 
 from .complexes import ChainComplex, ChainMap
 from .errors import InvalidInputError
@@ -28,6 +37,66 @@ _DECIMAL = re.compile("-?[0-9]+")
 # default.  Longer integers are converted in halves of at most this many
 # digits, so no interpreter-wide setting has to change.
 _DIGIT_CHUNK = 3000
+
+
+def _scalar(value) -> str:
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"{kind.__name__} is not a wire type")
+
+
+def _write(value, newline: str, out: list):
+    """Append the indented text of ``value`` to ``out``; ``newline`` is
+    a line break followed by the current indent."""
+    kind = type(value)
+    if kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if dict in kinds or list in kinds:
+            lead = "[" + inner
+            for item in value:
+                out.append(lead)
+                _write(item, inner, out)
+                lead = "," + inner
+            out.append(newline + "]")
+        else:
+            text = map(int.__repr__, value) if kinds == {int} else map(_scalar, value)
+            out.append("[" + inner + ("," + inner).join(text) + newline + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"key {key!r} is not a str")
+            out.append(lead + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, out)
+            lead = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(_scalar(value))
+
+
+def _dumps(value) -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` for
+    the wire types; TypeError on any other type or a non-str key."""
+    out = []
+    _write(value, "\n", out)
+    return "".join(out)
 
 
 def _int_to_decimal(value: int) -> str:

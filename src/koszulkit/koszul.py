@@ -339,7 +339,10 @@ def cellular_factorization(f: ChainMap) -> CellularFactorization:
             smaps = structure_maps(step.g)
             mono = smaps.j1
             nxt = step.h.compose(smaps.p)
-            retr = split_retractions(mono)
+            # j1's components are selection matrices, so their
+            # transposes are retractions (the ones ``solve`` would give).
+            comps = _mono_components(mono)
+            retr = _splitting(comps, {k: m.transpose() for k, m in comps.items()}, True)
         quotient, _ = _split_quotient(mono, retr)
         stages.append(mono)
         retractions.append(retr)

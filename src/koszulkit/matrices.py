@@ -319,13 +319,21 @@ class SnfCertificate:
 
     def verify(self, source: Matrix) -> bool:
         """Whether this certifies ``source``; False for a source of
-        another ring or shape."""
+        another ring or shape.
+
+        U*A*V == D is checked first and exactly; it forces U to be m x m
+        and V to be n x n, so det U * det A * det V == det D.  When A is
+        square and D has full rank, det D != 0 and so det A != 0; then U
+        and V are both unimodular exactly when det D / det A is a unit,
+        i.e. det D and det A are associates.  One determinant of the
+        input entries proves it, with det D the product of the checked
+        divisors.  For a non-square A or a singular D, det U and det V
+        are taken.
+        """
         ring = source.ring
         if ring != self.D.ring or (source.rows, source.cols) != (self.D.rows, self.D.cols):
             return False
         if self.U * source * self.V != self.D:
-            return False
-        if not (is_unimodular(self.U) and is_unimodular(self.V)):
             return False
         for i, row in enumerate(self.D.entries):
             for j, x in enumerate(row):
@@ -342,7 +350,12 @@ class SnfCertificate:
         for a, b in zip(self.divisors, self.divisors[1:]):
             if not ring.divides(a, b):
                 return False
-        return True
+        if source.is_square() and self.rank == source.rows:
+            det_d = ring.one
+            for d in self.divisors:
+                det_d = ring.mul(det_d, d)
+            return ring.normalize(det_d)[1] == ring.normalize(det(source))[1]
+        return is_unimodular(self.U) and is_unimodular(self.V)
 
 
 def _memoized(fn):

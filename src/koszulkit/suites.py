@@ -11,7 +11,6 @@ from; the remaining trials still run.
 
 from __future__ import annotations
 
-import json
 import math
 import traceback
 from dataclasses import dataclass, field
@@ -100,7 +99,7 @@ class SuiteReport:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
+        return jsonio._dumps(self.to_json())
 
 
 def _trial_index(failure: dict) -> int:

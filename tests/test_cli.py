@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -231,6 +234,19 @@ def test_suite_command(tmp_path, capsys):
     assert code == 0
     report = json.loads(out_path.read_text())
     assert report["suite"] == "cor3_8" and report["failures"] == []
+
+
+def test_python_dash_m_runs_the_cli_from_the_source_tree(tmp_path):
+    path = write_json(tmp_path, "m.json", {"rows": 2, "cols": 2, "entries": [[2, 0], [0, 3]]})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "koszulkit", "snf", "--in", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["divisors"] == [1, 6]
+    bad = subprocess.run([sys.executable, "-m", "koszulkit", "snf", "--in", str(tmp_path / "missing.json")],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert bad.returncode == 2
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

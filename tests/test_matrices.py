@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from koszulkit import matrices
 from koszulkit.errors import DimensionError, NotAComplexError
 from koszulkit.generators import rand_matrix
 from koszulkit.matrices import (
     Matrix,
+    SnfCertificate,
     _kron,
     _selection,
     block_diag,
@@ -304,3 +306,68 @@ def test_verify_refuses_a_foreign_source():
     assert not cert.verify(Matrix(ZZ, [[2, 4, 1], [6, 8, 1]]))
     assert not cert.verify(Matrix(ZZ, [[2, 4]]))
     assert not cert.verify(Matrix(F2, [[F2.one, F2.zero], [F2.zero, F2.one]]))
+
+
+# SnfCertificate.verify must reject a U or V that is not unimodular even
+# when U*A*V == D holds and D is a valid Smith form.  Each case is
+# (source, U, D, V) over a ring where ``s`` is a nonunit scalar.
+F3 = fpx(3)
+
+
+def _non_unimodular_certificates(ring, s):
+    one, zero = ring.one, ring.zero
+    diag = lambda *d: Matrix.diagonal(ring, d)
+    eye = lambda n: Matrix.identity(ring, n)
+    return {
+        # square nonsingular A: one determinant (of A) decides
+        "nonsingular-U": (eye(2), diag(one, s), diag(one, s), eye(2)),
+        "nonsingular-V": (eye(2), eye(2), diag(one, s), diag(one, s)),
+        # nonsingular A, singular D: det U and det V decide
+        "singular-D": (eye(2), diag(one, zero), diag(one, zero), eye(2)),
+        # singular square A: det U and det V decide
+        "singular-U": (diag(one, zero), diag(one, s), diag(one, zero), eye(2)),
+        "singular-V": (diag(one, zero), eye(2), diag(one, zero), diag(one, s)),
+        # non-square A
+        "wide-U": (Matrix.diagonal(ring, [one, one], 2, 3), diag(one, s),
+                   Matrix.diagonal(ring, [one, s], 2, 3), eye(3)),
+        "wide-V": (Matrix.diagonal(ring, [one], 1, 2), eye(1),
+                   Matrix.diagonal(ring, [one], 1, 2), diag(one, s)),
+        "tall-U": (Matrix.diagonal(ring, [one], 2, 1), diag(one, s),
+                   Matrix.diagonal(ring, [one], 2, 1), eye(1)),
+    }
+
+
+@pytest.mark.parametrize("ring, s", [(ZZ, 2), (F3, F3.poly([0, 1]))], ids=["Z", "F3x"])
+@pytest.mark.parametrize("case", list(_non_unimodular_certificates(ZZ, 2)))
+def test_verify_rejects_a_non_unimodular_transform(ring, s, case):
+    a, u, d, v = _non_unimodular_certificates(ring, s)[case]
+    assert u * a * v == d
+    divisors = tuple(x for x in (d.entries[i][i] for i in range(min(d.rows, d.cols))) if not ring.is_zero(x))
+    assert not SnfCertificate(u, d, v, divisors).verify(a)
+
+
+def test_verify_accepts_a_unit_ratio_of_determinants():
+    # det D / det A = 1/2 = 2 is a unit of F_3[x]: U = diag(2, 1) is unimodular.
+    two = F3.poly([2])
+    a = Matrix.diagonal(F3, [two, F3.one])
+    u = Matrix.diagonal(F3, [two, F3.one])
+    eye = Matrix.identity(F3, 2)
+    assert SnfCertificate(u, eye, eye, (F3.one, F3.one)).verify(a)
+
+
+def test_verify_takes_one_determinant_on_a_square_nonsingular_source(monkeypatch):
+    rng = random.Random(18)
+    a = rand_int_matrix(rng, 5, 5)
+    while det(a) == 0:
+        a = rand_int_matrix(rng, 5, 5)
+    cert = snf(a)
+    seen = []
+    real = matrices.det
+
+    def counting(mat):
+        seen.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(matrices, "det", counting)
+    assert cert.verify(a)
+    assert seen == [a]

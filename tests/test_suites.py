@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from koszulkit import jsonio, suites
@@ -128,3 +130,11 @@ def test_failed_trial_records_its_instance(monkeypatch, name, ring):
     for trial, failure in enumerate(report.failures):
         assert "crashed" not in failure
         assert failure["instance"] == instance(params, trial)
+    assert report.dumps() == json.dumps(report.to_json(), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("ring", [ZZ, fpx(2)], ids=lambda ring: ring.token)
+def test_every_report_dumps_the_text_of_json_dumps(ring):
+    for name in sorted(EXPECTED_SUITES):
+        report = run_suite(name, GenParams(ring=ring, seed=6, trials=1, max_rank=2, max_entry=3))
+        assert report.dumps() == json.dumps(report.to_json(), indent=2, sort_keys=True), name
