@@ -16,7 +16,9 @@ the work form of the ring.  The generators apply the moves to the
 matrices they conjugate, as row operations for E . M and as inverse
 column operations for M . E^-1, so a Koszul boundary, a scrambled
 differential or a presentation changes basis without building E or its
-inverse and without a matrix product.  ``rand_unimodular`` and
+inverse and without a matrix product.  The shear automorphisms that
+twist the module-level diagrams are moves too (``_shear_auto``): a unit
+scaling of every atom, then at most one shear.  ``rand_unimodular`` and
 ``scramble_complex`` return E, E^-1 and the chain isomorphisms for the
 callers that keep them; the generators build a checked chain map only
 where it is part of the instance they return.  The draws and their
@@ -125,12 +127,17 @@ def _draw_unimodular(rng: random.Random, ring: Ring, n: int, steps: Optional[int
         elif op == _SWAP:
             moves.append((_SWAP, i, j, None))
         else:
-            u = pack(rand_unit(rng, ring))
-            moves.append((_SCALE, i, i, (u, ring.work.unit_inverse(u))))
+            moves.append(_rand_scale(rng, ring, i))
     if n == 1 and rng.randrange(2):
-        u = pack(rand_unit(rng, ring))
-        moves.append((_SCALE, 0, 0, (u, ring.work.unit_inverse(u))))
+        moves.append(_rand_scale(rng, ring, 0))
     return moves
+
+
+def _rand_scale(rng: random.Random, ring: Ring, i: int) -> tuple:
+    """The move scaling coordinate i by a random unit."""
+    u = rand_unit(rng, ring)
+    u = ring.pack(u) if ring.pack else u
+    return (_SCALE, i, i, (u, ring.work.unit_inverse(u)))
 
 
 def _times(moves: list, mat: Matrix) -> Matrix:
@@ -586,23 +593,17 @@ def _rand_atom_hom(rng: random.Random, ring: Ring, targets, sources) -> Matrix:
     return Matrix._raw(ring, len(targets), len(sources), rows)
 
 
-def _shear_auto(rng: random.Random, ring: Ring, moduli):
-    """Automorphism of a sum of cyclic atoms: unit scalings and one shear."""
-    n = len(moduli)
-    fwd = Matrix.diagonal(ring, [rand_unit(rng, ring) for _ in range(n)])
-    bwd = Matrix.diagonal(ring, [ring.unit_inverse(fwd.entries[i][i]) for i in range(n)])
-    if n > 1:
-        i, j = rng.sample(range(n), 2)
+def _shear_auto(rng: random.Random, ring: Ring, moduli) -> list:
+    """Automorphism of a sum of cyclic atoms, as moves: a unit scaling of
+    every atom, then at most one shear by a module homomorphism."""
+    moves = [_rand_scale(rng, ring, k) for k in range(len(moduli))]
+    if len(moduli) > 1:
+        i, j = rng.sample(range(len(moduli)), 2)
         scalar = _atom_hom_scalar(ring, moduli[i], moduli[j])
         if scalar is not None:
             c = ring.mul(scalar, rand_element(rng, ring, 2))
-            shear = [[ring.one if a == b else ring.zero for b in range(n)] for a in range(n)]
-            unshear = [row[:] for row in shear]
-            shear[i][j] = c
-            unshear[i][j] = ring.neg(c)
-            fwd = Matrix._raw(ring, n, n, shear) * fwd
-            bwd = bwd * Matrix._raw(ring, n, n, unshear)
-    return fwd, bwd
+            moves.append((_ADD, i, j, ring.pack(c) if ring.pack else c))
+    return moves
 
 
 def _rand_moduli(rng: random.Random, ring: Ring, count: int, torsion_only: bool = False):
@@ -617,16 +618,16 @@ def _rand_moduli(rng: random.Random, ring: Ring, count: int, torsion_only: bool 
 
 def _module_row(rng: random.Random, ring: Ring, first, second):
     """The split sequence of the atom sums ``first`` -> ``first + second``
-    -> ``second``, twisted by a shear automorphism (fwd, bwd) of the
-    middle: returns (mono, epi, fwd, bwd)."""
+    -> ``second``, twisted by the moves of a shear automorphism of the
+    middle: returns (mono, epi, moves)."""
     total = list(first) + list(second)
     middle = _atoms_module(ring, total)
     incl = _selection(ring, len(total), range(len(first)))
     proj = _selection(ring, len(total), range(len(first), len(total))).transpose()
-    fwd, bwd = _shear_auto(rng, ring, total)
-    mono = PresentedMap(_atoms_module(ring, first), middle, fwd * incl)
-    epi = PresentedMap(middle, _atoms_module(ring, second), proj * bwd)
-    return mono, epi, fwd, bwd
+    moves = _shear_auto(rng, ring, total)
+    mono = PresentedMap(_atoms_module(ring, first), middle, _times(moves, incl))
+    epi = PresentedMap(middle, _atoms_module(ring, second), _times_inverse(proj, moves))
+    return mono, epi, moves
 
 
 def gen_module_ses(params: GenParams, trial: int, torsion_only: bool = False,
@@ -659,8 +660,8 @@ def gen_ses_morphism(params: GenParams, trial: int,
     a2_moduli = _rand_moduli(rng, ring, rng.randint(1, 2))
     iso_case = rng.random() < 0.5
     c2_moduli = list(c_moduli) if iso_case else _rand_moduli(rng, ring, rng.randint(1, 2))
-    top_mono, top_epi, _, top_bwd = _module_row(rng, ring, a_moduli, c_moduli)
-    bot_mono, bot_epi, bot_fwd, _ = _module_row(rng, ring, a2_moduli, c2_moduli)
+    top_mono, top_epi, top_moves = _module_row(rng, ring, a_moduli, c_moduli)
+    bot_mono, bot_epi, bot_moves = _module_row(rng, ring, a2_moduli, c2_moduli)
 
     alpha = _rand_atom_hom(rng, ring, a2_moduli, a_moduli)
     if iso_case:
@@ -670,7 +671,7 @@ def gen_ses_morphism(params: GenParams, trial: int,
     delta = _rand_atom_hom(rng, ring, a2_moduli, c_moduli)
     mixed = block(ring, [[alpha, delta], [None, gamma]],
                   [len(a2_moduli), len(c2_moduli)], [len(a_moduli), len(c_moduli)])
-    middle_matrix = bot_fwd * mixed * top_bwd
+    middle_matrix = _times(bot_moves, _times_inverse(mixed, top_moves))
     left = PresentedMap(_atoms_module(ring, a_moduli), _atoms_module(ring, a2_moduli), alpha)
     middle = PresentedMap(top_mono.target, bot_mono.target, middle_matrix)
     right = PresentedMap(_atoms_module(ring, c_moduli), _atoms_module(ring, c2_moduli), gamma)
@@ -722,17 +723,10 @@ def gen_three_by_three(params: GenParams, trial: int,
         "fpp": inclusion("Ypp", range(nb)),
         "gpp": projection("Ypp", range(nb, nb + nd)),
     }
-    twists = {}
-    for key in ("Xp", "Y", "Yp", "Ypp", "Zp"):
-        twists[key] = _shear_auto(rng, ring, objects[key])
-    ident = {k: (Matrix.identity(ring, len(v)), Matrix.identity(ring, len(v)))
-             for k, v in objects.items() if k not in twists}
-    twists.update(ident)
+    twists = {key: _shear_auto(rng, ring, objects[key]) for key in ("Xp", "Y", "Yp", "Ypp", "Zp")}
 
     def tw(name, target_key, source_key):
-        fwd_t, _ = twists[target_key]
-        _, bwd_s = twists[source_key]
-        return fwd_t * mats[name] * bwd_s
+        return _times(twists.get(target_key, []), _times_inverse(mats[name], twists.get(source_key, [])))
 
     def pm(matrix, source_key, target_key):
         return PresentedMap(modules[source_key], modules[target_key], matrix)

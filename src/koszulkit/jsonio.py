@@ -25,7 +25,7 @@ from .complexes import ChainComplex, ChainMap
 from .errors import InvalidInputError
 from .fgmodules import FgModule
 from .k0 import K0KosClass, K0TorsionClass
-from .koszul import CanonicalTriple, KappaResult, PresentedKoszul, Resolution
+from .koszul import KappaResult, PresentedKoszul, PresentedSes, Resolution
 from .matrices import Matrix, SnfCertificate
 from .presented import PresentedMap, PresentedModule
 from .rings import Ring, ring_from_token
@@ -320,6 +320,8 @@ def presented_koszul_from_json(data) -> PresentedKoszul:
     top = PresentedModule(ring, g1, top_rels)
     bottom = PresentedModule(ring, g0, bot_rels)
     diffs = data.get("differentials", {})
+    if not isinstance(diffs, dict):
+        raise InvalidInputError("bad differentials table")
     boundary = matrix_from_json(ring, diffs["1"]) if "1" in diffs else Matrix.zeros(ring, g0, g1)
     return PresentedKoszul(top, bottom, PresentedMap(top, bottom, boundary))
 
@@ -344,8 +346,7 @@ def resolution_to_json(res: Resolution) -> dict:
     }
 
 
-def triple_to_json(triple: CanonicalTriple) -> dict:
-    seq = triple.sequence
+def triple_to_json(seq: PresentedSes) -> dict:
     return {
         "left": presented_koszul_to_json(seq.left),
         "middle": presented_koszul_to_json(seq.middle),

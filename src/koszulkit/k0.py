@@ -20,7 +20,6 @@ from .errors import InvalidInputError
 from .fgmodules import FgModule
 from .koszul import (
     AdmissibleSes,
-    CanonicalTriple,
     PresentedKoszul,
     PresentedSes,
     h0,
@@ -126,12 +125,12 @@ _CLASSIFIERS = {
 }
 
 
-def additivity_check(seq: Union[AdmissibleSes, PresentedSes, CanonicalTriple, tuple], which: str) -> bool:
+def additivity_check(seq: Union[AdmissibleSes, PresentedSes, tuple], which: str) -> bool:
     """class(middle) == class(left) + class(right) for the named classifier.
 
-    Accepts a free-complex admissible sequence, a presented sequence or
-    canonical triple, or a (mono, epi) pair of presented module maps for
-    the plain torsion classifier.
+    Accepts a free-complex admissible sequence, a presented sequence
+    (the canonical triple of ``e_functor`` is one), or a (mono, epi) pair
+    of presented module maps for the plain torsion classifier.
     """
     if which == "torsion":
         mono, epi = seq
@@ -141,8 +140,6 @@ def additivity_check(seq: Union[AdmissibleSes, PresentedSes, CanonicalTriple, tu
         middle = class_torsion(mono.target.canonical_form())
         right = class_torsion(epi.target.canonical_form())
         return middle == left + right
-    if isinstance(seq, CanonicalTriple):
-        seq = seq.sequence
     classifier = _CLASSIFIERS.get(which)
     if classifier is None:
         raise InvalidInputError(f"unknown classifier {which!r}")

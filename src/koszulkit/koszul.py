@@ -537,27 +537,8 @@ def resolve_in_kos1(target: PresentedKoszul) -> Resolution:
 # The canonical three-term decomposition of a presented two-term complex.
 
 
-@dataclass(frozen=True)
-class CanonicalTriple:
-    """(acyclic part) -> X -> [0 -> H0 X], degreewise short exact."""
-
-    sequence: PresentedSes
-
-    @property
-    def left(self) -> PresentedKoszul:
-        return self.sequence.left
-
-    @property
-    def middle(self) -> PresentedKoszul:
-        return self.sequence.middle
-
-    @property
-    def right(self) -> PresentedKoszul:
-        return self.sequence.right
-
-
-def e_functor(x: PresentedKoszul) -> CanonicalTriple:
-    """Decompose X as [X1 = X1] >--> X -->> [0 -> H0 X]."""
+def e_functor(x: PresentedKoszul) -> PresentedSes:
+    """Decompose X as [X1 = X1] >--> X -->> [0 -> H0 X], degreewise short exact."""
     ring = x.top.ring
     left = PresentedKoszul(x.top, x.top, PresentedMap.identity(x.top))
     h0_module = x.h0()
@@ -568,7 +549,7 @@ def e_functor(x: PresentedKoszul) -> CanonicalTriple:
         x, right,
         PresentedMap.zero(x.top, zero_mod),
         PresentedMap._trusted(x.bottom, h0_module, Matrix.identity(ring, x.bottom.gens)))
-    return CanonicalTriple(PresentedSes(mono, epi))
+    return PresentedSes(mono, epi)
 
 
 # ---------------------------------------------------------------------------

@@ -110,9 +110,6 @@ class PresentedMap(_Checked):
             raise DimensionError("maps do not compose")
         return PresentedMap._trusted(other.source, self.target, self.matrix * other.matrix)
 
-    def add(self, other: "PresentedMap") -> "PresentedMap":
-        return PresentedMap._trusted(self.source, self.target, self.matrix + other.matrix)
-
     def equals(self, other: "PresentedMap") -> bool:
         """Equality as module maps: the difference vanishes on generators."""
         if self.source.gens != other.source.gens or self.target.gens != other.target.gens:

@@ -295,6 +295,17 @@ def test_bad_presented_rank_exits_2(tmp_path, capsys, rank):
     assert code == 2 and out == "" and "rank" in err
 
 
+@pytest.mark.parametrize("command", ["resolve", "efunctor"])
+@pytest.mark.parametrize("table", [None, 1, True, ["1"], "x"], ids=["null", "int", "bool", "list", "string"])
+def test_bad_presented_differentials_table_exits_2(tmp_path, capsys, command, table):
+    # A string is refused too, not read as an empty table.
+    payload = {"ring": "Z", "ranks": {"1": 1, "0": 1}, "differentials": table,
+               "presentations": {"0": {"rows": 1, "cols": 1, "entries": [[2]]}}}
+    path = write_json(tmp_path, "p.json", payload)
+    code, out, err = run_cli(capsys, command, "--in", path)
+    assert code == 2 and out == "" and "bad differentials table" in err
+
+
 # Degree keys that Python's int() reads as the degree given here; only
 # str(degree) itself is a degree key.
 NON_CANONICAL_KEYS = [("1_0", 10), (" 1", 1), ("+1", 1), ("01", 1)]

@@ -24,9 +24,12 @@ from koszulkit.generators import (
     gen_three_by_three,
     rand_matrix,
     rand_unimodular,
+    rand_nonunit,
     trial_rng,
+    _ADD,
     _SCALE,
     _draw_unimodular,
+    _shear_auto,
     _times,
     _times_inverse,
 )
@@ -150,6 +153,34 @@ def test_unimodular_moves_act_as_their_product():
             assert _times_inverse(wide, moves) == wide * bwd
             assert _times(moves, _times_inverse(Matrix.identity(ring, n), moves)) == Matrix.identity(ring, n)
     assert scaled_by_non_involution
+
+    # The twist of an atom sum: scale every atom, then at most one shear,
+    # so E = S . D with D = diag(u) and S = I + c e_ij.
+    for ring, params in ((ZZ, PARAMS), (fpx(5), POLY_F5_PARAMS)):
+        shapes = set()
+        for trial in range(8):
+            rng = trial_rng(params, trial)
+            for moduli in ([rand_nonunit(rng, ring)], [ring.zero, rand_nonunit(rng, ring)],
+                           [rand_nonunit(rng, ring), rand_nonunit(rng, ring), ring.zero]):
+                n = len(moduli)
+                moves = _shear_auto(rng, ring, moduli)
+                units = [c[0] for _, _, _, c in moves[:n]]
+                assert [m[:3] for m in moves[:n]] == [(_SCALE, k, k) for k in range(n)]
+                assert len(moves) in (n, n + 1)
+                shapes.add((n, len(moves) - n))
+                shear = [[ring.one if a == b else ring.zero for b in range(n)] for a in range(n)]
+                unshear = [row[:] for row in shear]
+                if len(moves) > n:
+                    op, i, j, c = moves[n]
+                    assert op == _ADD and i != j
+                    shear[i][j], unshear[i][j] = c, ring.neg(c)
+                fwd = Matrix(ring, shear) * Matrix.diagonal(ring, units)
+                bwd = Matrix.diagonal(ring, [ring.unit_inverse(u) for u in units]) * Matrix(ring, unshear)
+                tall = rand_matrix(rng, ring, n, 3, 3)
+                wide = rand_matrix(rng, ring, 2, n, 3)
+                assert _times(moves, tall) == fwd * tall
+                assert _times_inverse(wide, moves) == wide * bwd
+        assert {(1, 0), (2, 0), (2, 1), (3, 1)} <= shapes
 
 
 def test_gen_koszul_bookkeeping():

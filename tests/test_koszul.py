@@ -324,7 +324,7 @@ def test_e_functor_example():
     assert triple.middle == target
     assert triple.right.h0().canonical_form() == FgModule(ZZ, 0, (2,))
     # degree-0 row is 0 -> Z -> Z -> Z/2 -> 0
-    assert is_short_exact(triple.sequence.mono.degree0, triple.sequence.epi.degree0)
+    assert is_short_exact(triple.mono.degree0, triple.epi.degree0)
 
 
 def test_e_functor_acyclic_input():

@@ -1,9 +1,11 @@
+import hashlib
+import itertools
 import random
 
 import pytest
 
 from koszulkit.errors import DomainMismatchError, InvalidInputError, NotFactorableError
-from koszulkit.rings import ZZ, fpx, is_prime, ring_from_token
+from koszulkit.rings import ZZ, _F2_PACKED, _pack_f2, fpx, is_prime, ring_from_token
 
 F2 = fpx(2)
 F3 = fpx(3)
@@ -49,6 +51,32 @@ def test_ext_gcd_properties(ring, seed):
         assert ring.divides(g, a) and ring.divides(g, b)
         # canonical associate
         assert ring.normalize(g)[1] == g
+
+
+def _poly_grid(ring, seed):
+    """Zero, units, x^6, six seeded polynomials of degree 1 to 3 and
+    their pairwise products (degree up to 6, so gcds are nontrivial)."""
+    rng = random.Random(seed)
+    p = ring.p
+    low = [ring.poly([rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)])
+           for d in (1, 1, 2, 2, 3, 3)]
+    products = [ring.mul(a, b) for a, b in itertools.combinations(low, 2)]
+    return [ring.zero, ring.one, (p - 1,), ring.poly([0, 0, 0, 0, 0, 0, 1])] + low + products
+
+
+# SHA-256 of every (g, s, t) on the grids below.  The cofactors feed every
+# U and V that ``snf`` returns, so this pins them, not only Bezout.
+EXT_GCD_PIN = "8965926eab146454ae0d8362a1d7b360b0f8be22d2f56ec93a76c089905a681e"
+
+
+def test_ext_gcd_cofactors_pinned():
+    z_grid = list(range(-12, 13)) + [35, -48, 2 ** 70 + 1, -(3 ** 40)]
+    grids = [(ZZ, z_grid)] + [(fpx(p), _poly_grid(fpx(p), p)) for p in (2, 3, 5, 101)]
+    grids.append((_F2_PACKED, [_pack_f2(a) for a in _poly_grid(F2, 2)]))
+    lines = [f"{ring.token} {a!r} {b!r} -> {ring.ext_gcd(a, b)!r}\n"
+             for ring, grid in grids for a, b in itertools.product(grid, repeat=2)]
+    assert len(lines) == 3966
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == EXT_GCD_PIN
 
 
 def test_normalize_examples():

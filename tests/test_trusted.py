@@ -105,7 +105,7 @@ def test_presented_constructions_pass_the_full_check(params):
         x = gen_c_object(params, trial).object
         resolution = resolve_in_kos1(x)
         triple = e_functor(x)
-        ses = triple.sequence
+        ses = triple
         koszul = gen_koszul(params, trial).complex
         outputs = [
             leg_a, leg_b, incl, pull_a, pull_b, kernel_incl, image_incl, image_epi,
