@@ -32,6 +32,8 @@ trial (unlike the benchmark's forked passes), and the script prints:
 * ``solves``: calls of ``matrices.solve``, wherever it is called from;
 * ``checked_sequences``: ``ComplexSes`` constructions, those of its
   subclasses (``AdmissibleSes``) included;
+* ``fgmodule_makes``: calls of ``FgModule.make``, each a divisor list
+  re-normalized into a chain;
 * ``cpu_s``: the process CPU time of the core, counters included;
 * ``reports_sha256``: SHA-256 of the concatenated JSON suite reports.
 
@@ -58,6 +60,7 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 import koszulkit  # noqa: E402
 from koszulkit import complexes, matrices  # noqa: E402
+from koszulkit.fgmodules import FgModule  # noqa: E402
 from koszulkit.matrices import Matrix  # noqa: E402
 from koszulkit.rings import fpx  # noqa: E402
 
@@ -74,15 +77,17 @@ def count_matrix_work() -> dict:
     """Wrap ``Matrix.__mul__``, ``Matrix._from_work``, ``Matrix.__neg__``,
     the F_2[x] conversion hooks, ``ChainMap.__init__``, the direct-sum
     layout, ``matrices.solve`` (in every koszulkit module that imports
-    it) and ``ComplexSes.__init__`` with counters."""
+    it), ``ComplexSes.__init__`` and ``FgModule.make`` with counters."""
     counts = {"products": 0, "empty_operand_products": 0, "raw_calls": 0,
               "negations": 0, "zero_negations": 0, "packs": 0, "unpacks": 0,
-              "checked_chain_maps": 0, "cone_layouts": 0, "solves": 0, "checked_sequences": 0}
+              "checked_chain_maps": 0, "cone_layouts": 0, "solves": 0, "checked_sequences": 0,
+              "fgmodule_makes": 0}
     mul, raw, neg = Matrix.__mul__, Matrix._from_work.__func__, Matrix.__neg__
     f2 = fpx(2)
     pack, unpack = f2.pack, f2.unpack
     chain_map_init, layout_init = complexes.ChainMap.__init__, complexes._Layout.__init__
     solve, ses_init = matrices.solve, complexes.ComplexSes.__init__
+    make = FgModule.make.__func__
 
     def counted_mul(self, other):
         counts["products"] += 1
@@ -125,6 +130,10 @@ def count_matrix_work() -> dict:
         counts["checked_sequences"] += 1
         ses_init(self, *args)
 
+    def counted_make(cls, *args):
+        counts["fgmodule_makes"] += 1
+        return make(cls, *args)
+
     Matrix.__mul__ = counted_mul
     Matrix._from_work = classmethod(counted_raw)
     Matrix.__neg__ = counted_neg
@@ -132,6 +141,7 @@ def count_matrix_work() -> dict:
     complexes.ChainMap.__init__ = counted_chain_map_init
     complexes._Layout.__init__ = counted_layout_init
     complexes.ComplexSes.__init__ = counted_ses_init
+    FgModule.make = classmethod(counted_make)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == koszulkit.__name__ and getattr(module, "solve", None) is solve:
             module.solve = counted_solve

@@ -106,7 +106,7 @@ from .errors import (
     InvalidInputError,
     NotAComplexError,
 )
-from .fgmodules import FgModule, cokernel
+from .fgmodules import FgModule, _from_chain, cokernel
 from .matrices import (
     Matrix,
     _kron,
@@ -533,7 +533,7 @@ def homology(complex_: ChainComplex, n: int) -> FgModule:
     d_{n+1} plus a free part of rank r_n - rank d_n - rank d_{n+1}.
     """
     top = _divisors(complex_, n + 1)
-    return FgModule.make(complex_.ring, complex_.rank(n) - len(_divisors(complex_, n)) - len(top), top)
+    return _from_chain(complex_.ring, complex_.rank(n) - len(_divisors(complex_, n)) - len(top), top)
 
 
 def homology_table(complex_: ChainComplex) -> dict:

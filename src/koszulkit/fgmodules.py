@@ -2,14 +2,16 @@
 
 A module is recorded as a free rank plus a torsion list of canonical
 divisors chained by divisibility, which is the classification of f.g.
-modules over a PID.  Arbitrary divisor lists are re-normalized into a
-chain by the gcd/lcm repair that also orders SNF diagonals, so no
-divisor is ever factored and isomorphism testing is a plain equality of
-canonical forms.  Primes enter only through ``length_at``, which checks
-its argument with a primality test (``Ring.is_canonical_prime``: strong
-probable primes, a proof below 3.317e24, over Z; Rabin's irreducibility
-test over F_p[x]) and factors nothing, and through the K0 classes, which
-factor each divisor with ``Ring.factor``.
+modules over a PID.  A chain from ``elementary_divisors`` is already
+canonical and only loses its units (``_from_chain``); other divisor
+lists are re-normalized by the gcd/lcm repair that also orders SNF
+diagonals (``FgModule.make``), so no divisor is ever factored and
+isomorphism testing is a plain equality of canonical forms.  Primes
+enter only through ``length_at``, which checks its argument with a
+primality test (``Ring.is_canonical_prime``: strong probable primes, a
+proof below 3.317e24, over Z; Rabin's irreducibility test over F_p[x])
+and factors nothing, and through the K0 classes, which factor each
+divisor with ``Ring.factor``.
 """
 
 from __future__ import annotations
@@ -62,10 +64,16 @@ class FgModule:
         return f"FgModule({self.ring.token}, free={self.free_rank}, torsion={list(self.torsion)})"
 
 
+def _from_chain(ring: Ring, free_rank: int, chain: tuple) -> FgModule:
+    """The module of an ``elementary_divisors`` chain: canonical
+    associates in divisibility order, so only the units are dropped."""
+    return FgModule(ring, free_rank, tuple(d for d in chain if not ring.is_unit(d)))
+
+
 def cokernel(mat: Matrix) -> FgModule:
     """Canonical form of the cokernel of a matrix acting on columns."""
     divisors = elementary_divisors(mat)
-    return FgModule.make(mat.ring, mat.rows - len(divisors), divisors)
+    return _from_chain(mat.ring, mat.rows - len(divisors), divisors)
 
 
 def module_iso(first: FgModule, second: FgModule) -> bool:

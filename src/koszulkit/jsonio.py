@@ -19,12 +19,13 @@ the same function as ``json`` (``encode_basestring_ascii``).
 from __future__ import annotations
 
 import re
+from functools import partial
 from json.encoder import encode_basestring_ascii
 
 from .complexes import ChainComplex, ChainMap
 from .errors import InvalidInputError
 from .fgmodules import FgModule
-from .k0 import K0KosClass, K0TorsionClass
+from .k0 import K0KosClass
 from .koszul import KappaResult, PresentedKoszul, PresentedSes, Resolution
 from .matrices import Matrix, SnfCertificate
 from .presented import PresentedMap, PresentedModule
@@ -175,13 +176,19 @@ def _count(value, what: str) -> int:
     return value
 
 
-def _ranks_from_json(data) -> dict:
-    ranks = data.get("ranks", {})
-    if not isinstance(ranks, dict):
-        raise InvalidInputError("bad ranks table")
+def _table(data, key: str, read, degrees=None) -> dict:
+    """The degree-keyed table ``data[key]`` (empty when absent), each
+    value passed through ``read``; with ``degrees``, a key naming any
+    other degree is refused."""
+    table = data.get(key, {})
+    if not isinstance(table, dict):
+        raise InvalidInputError(f"bad {key} table")
     out = {}
-    for n, r in ranks.items():
-        out[_degree(n)] = _count(r, "rank")
+    for n, value in table.items():
+        degree = _degree(n)
+        if degrees is not None and degree not in degrees:
+            raise InvalidInputError(f"the {key} table has no degree {degree}")
+        out[degree] = read(value)
     return out
 
 
@@ -224,12 +231,8 @@ def complex_from_json(data) -> ChainComplex:
     if not isinstance(data, dict):
         raise InvalidInputError("complex JSON must be an object")
     ring = _ring(data, "complex")
-    ranks = _ranks_from_json(data)
-    diffs_data = data.get("differentials", {})
-    if not isinstance(diffs_data, dict):
-        raise InvalidInputError("bad differentials table")
-    diffs = {_degree(n): matrix_from_json(ring, m) for n, m in diffs_data.items()}
-    return ChainComplex(ring, ranks, diffs)
+    ranks = _table(data, "ranks", partial(_count, what="rank"))
+    return ChainComplex(ring, ranks, _table(data, "differentials", partial(matrix_from_json, ring)))
 
 
 def chain_map_to_json(f: ChainMap) -> dict:
@@ -245,11 +248,7 @@ def chain_map_from_json(data) -> ChainMap:
         raise InvalidInputError("chain map JSON needs source and target complexes")
     source = complex_from_json(data["source"])
     target = complex_from_json(data["target"])
-    comps_data = data.get("components", {})
-    if not isinstance(comps_data, dict):
-        raise InvalidInputError("bad components table")
-    comps = {_degree(n): matrix_from_json(source.ring, m) for n, m in comps_data.items()}
-    return ChainMap(source, target, comps)
+    return ChainMap(source, target, _table(data, "components", partial(matrix_from_json, source.ring)))
 
 
 def fg_module_to_json(module: FgModule) -> dict:
@@ -269,17 +268,12 @@ def snf_certificate_to_json(cert: SnfCertificate) -> dict:
     }
 
 
-def torsion_class_to_json(cls: K0TorsionClass) -> dict:
-    return {
-        "rank": 0,
-        "torsion": [{"prime": element_to_json(cls.ring, p), "mult": m} for p, m in cls.counts],
-    }
-
-
 def kos_class_to_json(cls: K0KosClass) -> dict:
-    out = torsion_class_to_json(cls.torsion)
-    out["rank"] = cls.rank
-    return out
+    torsion = cls.torsion
+    return {
+        "rank": cls.rank,
+        "torsion": [{"prime": element_to_json(torsion.ring, p), "mult": m} for p, m in torsion.counts],
+    }
 
 
 def presented_module_to_json(module: PresentedModule) -> dict:
@@ -308,21 +302,15 @@ def presented_koszul_from_json(data) -> PresentedKoszul:
     if not isinstance(data, dict):
         raise InvalidInputError("presented complex JSON must be an object")
     ring = _ring(data, "presented complex")
-    ranks = _ranks_from_json(data)
+    ranks = _table(data, "ranks", partial(_count, what="rank"))
     if any(n not in (0, 1) for n in ranks):
         raise InvalidInputError("presented complexes live in degrees 0 and 1")
     g1, g0 = ranks.get(1, 0), ranks.get(0, 0)
-    pres = data.get("presentations", {})
-    if not isinstance(pres, dict):
-        raise InvalidInputError("bad presentations table")
-    top_rels = matrix_from_json(ring, pres["1"]) if "1" in pres else Matrix.zeros(ring, g1, 0)
-    bot_rels = matrix_from_json(ring, pres["0"]) if "0" in pres else Matrix.zeros(ring, g0, 0)
-    top = PresentedModule(ring, g1, top_rels)
-    bottom = PresentedModule(ring, g0, bot_rels)
-    diffs = data.get("differentials", {})
-    if not isinstance(diffs, dict):
-        raise InvalidInputError("bad differentials table")
-    boundary = matrix_from_json(ring, diffs["1"]) if "1" in diffs else Matrix.zeros(ring, g0, g1)
+    read = partial(matrix_from_json, ring)
+    pres = _table(data, "presentations", read, (0, 1))
+    top = PresentedModule(ring, g1, pres.get(1, Matrix.zeros(ring, g1, 0)))
+    bottom = PresentedModule(ring, g0, pres.get(0, Matrix.zeros(ring, g0, 0)))
+    boundary = _table(data, "differentials", read, (1,)).get(1, Matrix.zeros(ring, g0, g1))
     return PresentedKoszul(top, bottom, PresentedMap(top, bottom, boundary))
 
 

@@ -92,9 +92,7 @@ def class_kos_qis(complex_: ChainComplex) -> K0TorsionClass:
 
 def class_kos_isom(complex_: ChainComplex) -> K0KosClass:
     """Isomorphism-level class: (rank of the degree-one part, H0 class)."""
-    if not in_kos1(complex_):
-        raise InvalidInputError("input is not a free Koszul complex")
-    return K0KosClass(complex_.rank(1), class_torsion(h0(complex_)))
+    return K0KosClass(complex_.rank(1), class_kos_qis(complex_))
 
 
 def class_acyclic(complex_: ChainComplex) -> int:
@@ -109,13 +107,6 @@ def class_presented(x: PresentedKoszul) -> K0KosClass:
     """Class of a presented two-term complex: (generic rank of the top, H0 class)."""
     return K0KosClass(x.top.canonical_form().free_rank,
                       class_torsion(x.h0().canonical_form()))
-
-
-def splitting_decomposition_check(complex_: ChainComplex) -> bool:
-    """The isomorphism-level class decomposes as (acyclic retract class, H0 class)."""
-    full = class_kos_isom(complex_)
-    retract = retraction_q(complex_)
-    return full.rank == retract.complex.rank(1) and full.torsion == class_kos_qis(complex_)
 
 
 _CLASSIFIERS = {

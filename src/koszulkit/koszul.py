@@ -69,38 +69,26 @@ class Kos1Membership:
 
 
 def in_kos1(complex_: ChainComplex) -> Kos1Membership:
-    """Two-term in degrees {1, 0}, injective boundary, torsion H0."""
+    """Two-term in degrees {1, 0}, injective boundary, torsion H0.
+
+    Both are read off the divisor count of d_1: it is injective when the
+    count is rank(1), and its cokernel is torsion when the count is rank(0).
+    """
     concentrated = all(n in (0, 1) for n in complex_.ranks)
-    injective = concentrated and len(elementary_divisors(complex_.d(1))) == complex_.rank(1)
-    torsion = concentrated and cokernel(complex_.d(1)).free_rank == 0
-    return Kos1Membership(concentrated and injective and torsion, concentrated, injective, torsion)
+    count = len(elementary_divisors(complex_.d(1))) if concentrated else None
+    injective = count == complex_.rank(1)
+    torsion = count == complex_.rank(0)
+    return Kos1Membership(injective and torsion, concentrated, injective, torsion)
 
 
-@dataclass(frozen=True)
-class AMembership:
-    in_a: bool
-    homologies: dict
-    spherical_degree: Optional[int]
-
-    def __bool__(self):
-        return self.in_a
-
-
-def in_A(complex_: ChainComplex) -> AMembership:
+def in_A(complex_: ChainComplex) -> bool:
     """Bounded free complex with torsion homology in every degree."""
-    homs = homology_table(complex_)
-    torsion = all(h.free_rank == 0 for h in homs.values())
-    nonzero = [n for n, h in homs.items() if not h.is_zero()]
-    spherical = nonzero[0] if len(nonzero) == 1 else None
-    return AMembership(torsion, homs, spherical)
+    return all(h.is_torsion() for h in homology_table(complex_).values())
 
 
 def in_A_n(complex_: ChainComplex, n: int) -> bool:
     """Torsion homology concentrated in degree n (acyclic qualifies)."""
-    member = in_A(complex_)
-    if not member.in_a:
-        return False
-    return all(h.is_zero() for k, h in member.homologies.items() if k != n)
+    return all(h.is_torsion() if k == n else h.is_zero() for k, h in homology_table(complex_).items())
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +299,7 @@ def cellular_factorization(f: ChainMap) -> CellularFactorization:
     on the nose).  Bounded input forces termination in at most
     support-width + 1 stages.
     """
-    if not in_A(f.source).in_a or not in_A(f.target).in_a:
+    if not in_A(f.source) or not in_A(f.target):
         raise InvalidInputError("both ends must have torsion homology")
     stages = []
     retractions = []

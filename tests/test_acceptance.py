@@ -154,4 +154,4 @@ def test_criterion_11_k0_shadows():
     _run_clean(k0_qis_pair_trial, GenParams(ring=ZZ, seed=1102), 100)
     _run_clean(k0_additivity_trial, GenParams(ring=fpx(2), seed=1103, max_entry=3), 60)
     _report(11, "500 sequences additive in both classes; 100 quasi-isomorphic pairs "
-                "equal; decomposition holds on every instance")
+                "have equal torsion classes")

@@ -306,6 +306,35 @@ def test_bad_presented_differentials_table_exits_2(tmp_path, capsys, command, ta
     assert code == 2 and out == "" and "bad differentials table" in err
 
 
+# Keys that name no degree of a presented complex [P1 -> P0]: its only
+# differential is d_1, and its only presentations are those of P1 and P0.
+STRAY_PRESENTED_KEYS = [("differentials", "2"), ("differentials", "0"), ("differentials", "01"),
+                        ("presentations", "2"), ("presentations", "-1"), ("presentations", "01")]
+
+
+@pytest.mark.parametrize("command", ["resolve", "efunctor"])
+@pytest.mark.parametrize("table, key", STRAY_PRESENTED_KEYS, ids=[f"{t}-{k}" for t, k in STRAY_PRESENTED_KEYS])
+def test_stray_presented_table_key_exits_2(tmp_path, capsys, command, table, key):
+    one = {"rows": 1, "cols": 1, "entries": [[1]]}
+    payload = {"ring": "Z", "ranks": {"1": 1, "0": 1},
+               "differentials": {"1": {"rows": 1, "cols": 1, "entries": [[2]]}}, "presentations": {}}
+    payload[table][key] = one
+    path = write_json(tmp_path, "p.json", payload)
+    code, out, err = run_cli(capsys, command, "--in", path)
+    assert code == 2 and out == "" and "degree" in err
+
+
+@pytest.mark.parametrize("command", ["resolve", "efunctor"])
+def test_stray_presented_tables_are_not_ignored(tmp_path, capsys, command):
+    payload = {"ring": "Z", "ranks": {"1": 1, "0": 1},
+               "differentials": {"1": {"rows": 1, "cols": 1, "entries": [[2]]},
+                                 "2": {"rows": 5, "cols": 5, "entries": "junk"}},
+               "presentations": {"01": "junk"}}
+    path = write_json(tmp_path, "p.json", payload)
+    code, out, err = run_cli(capsys, command, "--in", path)
+    assert code == 2 and out == "" and err
+
+
 # Degree keys that Python's int() reads as the degree given here; only
 # str(degree) itself is a degree key.
 NON_CANONICAL_KEYS = [("1_0", 10), (" 1", 1), ("+1", 1), ("01", 1)]

@@ -1,11 +1,46 @@
 import pytest
 
+from koszulkit.complexes import homology_table, two_term
 from koszulkit.errors import InvalidInputError
 from koszulkit.fgmodules import FgModule, cokernel, length_at, module_iso
-from koszulkit.matrices import Matrix
+from koszulkit.generators import GenParams, gen_a_object, gen_koszul, gen_matrix
+from koszulkit.koszul import in_A, in_kos1
+from koszulkit.matrices import Matrix, elementary_divisors
 from koszulkit.rings import ZZ, fpx
 
 F2 = fpx(2)
+
+
+@pytest.mark.parametrize("ring", [ZZ, F2, fpx(3)], ids=["Z", "F2x", "F3x"])
+def test_elimination_chains_are_taken_as_the_module(monkeypatch, ring):
+    """Cokernels and homology take the divisor chain of elimination as
+    it is: no ``FgModule.make``, and the same module it would give."""
+    params = GenParams(ring=ring, seed=4)
+    complexes = ([gen_a_object(params, trial).complex for trial in range(5)]
+                 + [gen_koszul(params, trial).complex for trial in range(5)]
+                 + [two_term(gen_matrix(params, trial, max_dim=4)) for trial in range(5)])
+    make = FgModule.make
+    calls = []
+
+    def counted(cls, *args):
+        calls.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(FgModule, "make", classmethod(counted))
+    results = []
+    for X in complexes:
+        in_kos1(X)
+        in_A(X)
+        results.append((X, homology_table(X), {n: cokernel(d) for n, d in X.diffs.items()}))
+    assert calls == []
+    for X, table, cokernels in results:
+        chains = {n: elementary_divisors(X.d(n)) for n in X.degree_range()}
+        chains[max(X.degree_range()) + 1] = ()
+        for n, module in table.items():
+            top = chains[n + 1]
+            assert module == make(ring, X.rank(n) - len(chains[n]) - len(top), top)
+        for n, module in cokernels.items():
+            assert module == make(ring, X.rank(n - 1) - len(chains[n]), chains[n])
 
 
 def test_cokernel_examples():

@@ -13,7 +13,6 @@ from koszulkit.k0 import (
     class_kos_qis,
     class_presented,
     class_torsion,
-    splitting_decomposition_check,
 )
 from koszulkit.koszul import AdmissibleSes, PresentedKoszul, e_functor
 from koszulkit.matrices import Matrix
@@ -101,14 +100,6 @@ def test_quasi_iso_invariance():
     for trial in range(20):
         pair = gen_quasi_iso_pair(PARAMS, trial)
         assert class_kos_qis(pair.map.source) == class_kos_qis(pair.map.target)
-
-
-def test_splitting_decomposition():
-    assert splitting_decomposition_check(Z6)
-    for trial in range(20):
-        pair = gen_quasi_iso_pair(PARAMS, trial)
-        assert splitting_decomposition_check(pair.map.source)
-        assert splitting_decomposition_check(pair.map.target)
 
 
 def test_class_arithmetic():

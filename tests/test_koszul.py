@@ -19,6 +19,7 @@ from koszulkit.fgmodules import FgModule, module_iso
 from koszulkit.generators import GenParams, gen_a_object, gen_c_object, gen_chain_map, gen_koszul, trial_rng
 from koszulkit.koszul import (
     AdmissibleSes,
+    Kos1Membership,
     PresentedKoszul,
     cellular_factorization,
     e_functor,
@@ -57,7 +58,18 @@ def test_in_kos1():
     assert not verdict and not verdict.injective
     assert in_kos1(two_term(Matrix(ZZ, [[1, 0], [0, 6]])))
     wide = ChainComplex(ZZ, {2: 1, 1: 1}, {2: Matrix(ZZ, [[2]])})
-    assert not in_kos1(wide).concentrated
+    assert in_kos1(wide) == Kos1Membership(False, False, False, False)
+    # Degenerate shapes: (ok, concentrated, injective, torsion_h0).
+    shapes = [
+        (ChainComplex(ZZ, {0: 2}, {}), (False, True, True, False)),  # no degree-1 part
+        (ChainComplex(ZZ, {1: 2}, {}), (False, True, False, True)),  # no degree-0 part
+        (ChainComplex(ZZ, {}, {}), (True, True, True, True)),  # neither
+        (two_term(Matrix.zeros(ZZ, 2, 2)), (False, True, False, False)),  # zero boundary
+        (two_term(Matrix(ZZ, [[2, 3]])), (False, True, False, True)),  # wide boundary
+        (two_term(Matrix(ZZ, [[2], [3]])), (False, True, True, False)),  # tall boundary
+    ]
+    for complex_, fields in shapes:
+        assert in_kos1(complex_) == Kos1Membership(*fields)
 
 
 def test_in_A():
