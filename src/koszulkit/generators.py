@@ -224,11 +224,18 @@ def scramble_complex(rng: random.Random, complex_: ChainComplex):
 # Koszul complexes and torsion-homology complexes.
 
 
+# The samples keep the divisors they were built from and make their
+# expected modules on each read, since only tests compare against them.
+
+
 @dataclass(frozen=True)
 class KoszulSample:
     complex: ChainComplex
     block_divisors: tuple
-    expected_h0: FgModule
+
+    @property
+    def expected_h0(self) -> FgModule:
+        return FgModule.make(self.complex.ring, 0, self.block_divisors)
 
 
 def gen_koszul(params: GenParams, trial: int, acyclic: bool = False,
@@ -247,14 +254,20 @@ def gen_koszul(params: GenParams, trial: int, acyclic: bool = False,
     left = _draw_unimodular(rng, ring, r)
     right = _draw_unimodular(rng, ring, r)
     boundary = _times(left, _times_inverse(Matrix.diagonal(ring, divisors), right))
-    expected = FgModule.make(ring, 0, divisors)
-    return KoszulSample(two_term(boundary), tuple(divisors), expected)
+    return KoszulSample(two_term(boundary), tuple(divisors))
 
 
 @dataclass(frozen=True)
 class AObjectSample:
     complex: ChainComplex
-    expected_homology: dict
+    # degree -> the nonunit divisors of the blocks whose homology sits there
+    homology_divisors: dict
+
+    @property
+    def expected_homology(self) -> dict:
+        ring = self.complex.ring
+        return {n: FgModule.make(ring, 0, self.homology_divisors.get(n, ()))
+                for n in self.complex.degree_range()}
 
 
 def gen_a_object(params: GenParams, trial: int, spherical: Optional[int] = None,
@@ -294,8 +307,7 @@ def gen_a_object(params: GenParams, trial: int, spherical: Optional[int] = None,
     for base, div in blocks:
         if not ring.is_unit(div):
             expected.setdefault(base, []).append(div)
-    table = {n: FgModule.make(ring, 0, expected.get(n, [])) for n in twisted.degree_range()}
-    return AObjectSample(twisted, table)
+    return AObjectSample(twisted, expected)
 
 
 def gen_chain_map(rng: random.Random, source: ChainComplex, target: ChainComplex,
@@ -457,7 +469,11 @@ def gen_quasi_iso_pair(params: GenParams, trial: int,
 @dataclass(frozen=True)
 class CObjectSample:
     object: PresentedKoszul
-    expected_h0: FgModule
+    h0_divisors: tuple
+
+    @property
+    def expected_h0(self) -> FgModule:
+        return FgModule.make(self.object.top.ring, 0, self.h0_divisors)
 
 
 def _change_basis(module: PresentedModule, moves: list) -> PresentedModule:
@@ -531,7 +547,7 @@ def gen_c_object(params: GenParams, trial: int,
     bottom = _change_basis(bottom, bottom_moves)
     boundary = _times(bottom_moves, _times_inverse(boundary, top_moves))
     obj = PresentedKoszul(top, bottom, PresentedMap(top, bottom, boundary))
-    return CObjectSample(obj, FgModule.make(ring, 0, expected))
+    return CObjectSample(obj, tuple(expected))
 
 
 # ---------------------------------------------------------------------------

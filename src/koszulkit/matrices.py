@@ -24,10 +24,12 @@ fraction-free elimination so the unimodularity check never divides
 inexactly.
 
 A matrix keeps its rows in the work form of its ring (``Ring.work``):
-over F_2[x] each entry is an int whose bit i is the coefficient of
-x^i, over every other ring the element itself.  Every routine here
-computes on the work ring, so over F_2[x] additions are XORs and row
-operations XOR shifted rows.  Elements are converted one at a time,
+over F_p[x] each entry is one int that packs its coefficients (over
+F_2[x] bit i is the coefficient of x^i, for odd p a slot of bits per
+coefficient), over Z the integer itself.  Every routine here computes
+on the work ring, so over F_2[x] additions are XORs and row operations
+XOR shifted rows, and for odd p a product of two entries is one int
+product and one slot-parallel reduction mod p.  Elements are converted one at a time,
 only where they cross the public boundary: ``Matrix(...)``,
 ``Matrix._raw``, ``diagonal`` and ``scale`` pack the public elements
 they are given, and ``entries`` (a view of tuples built on first read

@@ -20,30 +20,35 @@ ACM TOMS 4, 1978).  Over Z the kernels are native int arithmetic on
 whole rows; a left row with more nonzero entries than zeros is instead
 taken as dot products with the columns of the right factor, which C
 sums faster once few terms can be skipped (on random Z matrices the two
-ways cross between 40 % and 50 % zeros).  Over F_p[x] the kernels
-skip zero entries and add every term of an output entry into one list
-of plain integer coefficients, then reduce mod p and trim once for that
-entry, where the scalar ``add`` and ``mul`` would reduce and trim once
-per term; a product entry whose only term is 1 * b is b itself, with
-no copy and no reduction.  Division by 1 (most divisions under elimination divide by
-the pivot 1) returns at once without a division loop.
+ways cross between 40 % and 50 % zeros).  Over F_p[x] the kernels run
+on the packed work rings below and skip zero entries; for odd p they
+add the unreduced int products of an output entry and reduce it once,
+and a product entry whose only term is 1 * b is b itself, with no copy
+and no reduction.  Division by 1 (most divisions under elimination
+divide by the pivot 1) returns at once without a division loop.
 
 Each ring names a work ring, ``work``, and two conversion hooks,
 ``pack`` and ``unpack``: ``Matrix`` keeps its entries in the work form
 and runs every kernel on the work ring, converting single elements only
-where they enter or leave a matrix.  For Z and odd p the hooks are None
-and the work ring is the ring itself.  For p = 2 the work ring is a
-private ring on ints, bit i the coefficient of x^i: addition is XOR,
-negation the identity, multiplication a carry-less shift-XOR product
-(Brent, Gaudry, Thome and Zimmermann, "Faster multiplication in
-GF(2)[x]", ANTS VIII, 2008) and division shift-XOR long division; the
-only unit is 1.  Its row kernels XOR the other row, shifted by each set
-bit of the scalar, into the row as a whole.  Packing is a bijection and
-every operation is a function of its inputs, so quotients, gcd
-cofactors and pivots are the ones the tuple ring gives.  For odd p, packing polynomials into one
-integer (Kronecker substitution) is not used: it beats the schoolbook
-product only from about degree 8, and on inputs with small entries
-nearly all products in elimination are of lower degree.
+where they enter or leave a matrix.  For Z the hooks are None and the
+work ring is the ring itself.  Every F_p[x] packs a polynomial into one
+int (Kronecker substitution).  For p = 2 bit i is the coefficient of
+x^i: addition is XOR, negation the identity, multiplication a
+carry-less shift-XOR product (Brent, Gaudry, Thome and Zimmermann,
+"Faster multiplication in GF(2)[x]", ANTS VIII, 2008) and division
+shift-XOR long division; the only unit is 1.  Its row kernels XOR the
+other row, shifted by each set bit of the scalar, into the row as a
+whole.  For odd p coefficient i fills a slot of bits wide enough that
+no sum or product carries into the next slot, so a product is one int
+product, done in C at every degree (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symb. Comput.
+44, 2009), and one exact Barrett step (Granlund and Montgomery, PLDI
+1994) reduces all slots mod p in a handful of int operations;
+``_PackedFpRing`` states the overflow invariant that keeps every slot
+exact.  Packing is a bijection and every operation is a function of its
+inputs, so quotients, gcd cofactors and pivots are the ones the tuple
+ring gives.  The tuple ring keeps its coefficient-by-coefficient scalar
+arithmetic; only the modular powers of factoring run on the work ring.
 
 Prime factorization (needed only for K0 classes) is exact.  It runs in
 expected polynomial time over F_p[x]; over Z it takes about sqrt(q)
@@ -66,8 +71,9 @@ Both ``factor`` methods return their dict sorted by prime.
 
 The extended Euclid is written once, ``Ring.ext_gcd`` on the ring's own
 ``divmod``, ``sub``, ``mul``, ``normalize`` and ``unit_inverse``, for
-F_p[x] and packed F_2[x].  Z keeps a loop on native ints: the shared one
-is 2-3x slower per call there and runs every cofactor update through ``mul``.
+F_p[x] and its packed work rings.  Z keeps a loop on native ints: the
+shared one is 2-3x slower per call there and runs every cofactor update
+through ``mul``.
 """
 
 from __future__ import annotations
@@ -85,6 +91,14 @@ _TRIAL_PRIMES = tuple(n for n in range(2, 1000)
 _SPRP_BASES = _TRIAL_PRIMES[:13]             # 2, 3, 5, ..., 41
 _SPRP_PROOF_BOUND = 3317044064679887385961981  # smallest spsp to all 13 bases
 _RHO_BATCH = 128
+# Headroom bits above a product of two coefficients in a slot of the
+# packed F_p[x] ring: a slot may sum 2^_SLOT_HEADROOM products unreduced.
+# Each bit widens every slot by two, so a smaller value makes every int
+# operation cheaper at the price of more early reductions.
+_SLOT_HEADROOM = 8
+# Bits covered by the packed ring's precomputed reduction mask (at least
+# one slot); a longer element gets a mask of its own length.
+_MASK_BITS = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -215,7 +229,7 @@ def _pollard_brent(n: int) -> int:
 
 class Ring:
     """Base class for the two Euclidean coefficient domains and the
-    private work ring of F_2[x].
+    private work rings of F_p[x].
 
     Subclasses provide ``zero``, ``one`` and the primitive operations;
     the helpers here are shared derived arithmetic.  ``work`` is the
@@ -470,6 +484,9 @@ class PrimeFieldPolynomialRing(Ring):
         self.one = (1,)
         if p == 2:
             self.work, self.pack, self.unpack = _F2_PACKED, _pack_f2, _unpack_f2
+        else:
+            work = _PackedFpRing(p)
+            self.work, self.pack, self.unpack = work, work.encode, work.decode
 
     def validate(self, a):
         if type(a) is not tuple:
@@ -491,18 +508,6 @@ class PrimeFieldPolynomialRing(Ring):
     def poly(self, coeffs) -> tuple:
         """Build an element from arbitrary integer coefficients."""
         return self._trim([c % self.p for c in coeffs])
-
-    @staticmethod
-    def _addmul(acc: list, a, b):
-        """acc += a * b, on little-endian integer coefficients that are
-        not reduced mod p."""
-        short = len(a) + len(b) - 1 - len(acc)
-        if short > 0:
-            acc += [0] * short
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b, i):
-                    acc[j] += ca * cb
 
     def is_zero(self, a):
         return not a
@@ -570,58 +575,17 @@ class PrimeFieldPolynomialRing(Ring):
             raise InvalidInputError(f"{u!r} is not a unit in {self.token}")
         return (pow(u[0], -1, self.p),)
 
-    def product(self, left, right, width):
-        addmul, poly, one = self._addmul, self.poly, self.one
-        out = []
-        for row in left:
-            # Only where a term lands: b itself while the one term is 1*b
-            # (b is reduced already), else a list of unreduced sums.
-            accs = [None] * width
-            for a, r in zip(row, right):
-                if a:
-                    is_one = a == one
-                    for j, b in enumerate(r):
-                        if b:
-                            acc = accs[j]
-                            if acc is None:
-                                if is_one:
-                                    accs[j] = b
-                                    continue
-                                accs[j] = acc = []
-                            elif type(acc) is tuple:
-                                accs[j] = acc = list(acc)
-                            addmul(acc, a, b)
-            out.append([() if acc is None else acc if type(acc) is tuple else poly(acc) for acc in accs])
-        return out
-
-    def submul(self, row, q, other, start=0):
-        nq = [-c for c in q]
-        for j in range(start, len(other)):
-            y = other[j]
-            if y:
-                acc = list(row[j])
-                self._addmul(acc, nq, y)
-                row[j] = self.poly(acc)
-
-    def combine(self, a, x, b, y):
-        out = []
-        for xi, yi in zip(x, y):
-            acc = []
-            if a and xi:
-                self._addmul(acc, a, xi)
-            if b and yi:
-                self._addmul(acc, b, yi)
-            out.append(self.poly(acc))
-        return out
-
     def _powmod(self, a, e: int, f):
-        """a**e modulo f, for e >= 1."""
-        out = self.divmod(a, f)[1]
+        """a**e modulo f, for e >= 1, squared and multiplied on the work
+        ring: one conversion in and one out."""
+        work = self.work
+        a, f = self.pack(a), self.pack(f)
+        out = work.divmod(a, f)[1]
         for bit in bin(e)[3:]:
-            out = self.divmod(self.mul(out, out), f)[1]
+            out = work.divmod(work.mul(out, out), f)[1]
             if bit == "1":
-                out = self.divmod(self.mul(out, a), f)[1]
-        return out
+                out = work.divmod(work.mul(out, a), f)[1]
+        return self.unpack(out)
 
     def _squarefree(self, f) -> list:
         """Pairs (g, m) with f = prod g**m, each g square-free, monic and
@@ -821,6 +785,210 @@ class _PackedF2Ring(Ring):
 
     def combine(self, a, x, b, y):
         return _xor_scaled(_xor_scaled([0] * len(x), a, x), b, y)
+
+
+class _PackedFpRing(Ring):
+    """F_p[x] for odd p on ints: the work ring of ``fpx(p)``, never seen
+    outside a matrix.
+
+    Coefficient i sits in slot i, bits [i*w, (i+1)*w) of the int, and
+    every element this ring returns has each slot reduced into [0, p),
+    so packing is a bijection and the zero polynomial is 0.  No slot of
+    a sum or product carries into the next, so a product is one int
+    product (Kronecker substitution) and a sum one int sum.
+
+    One exact Barrett step (Granlund and Montgomery, PLDI 1994) reduces
+    every slot at once.  With L = bits(p), b = 2L + H (H is
+    ``_SLOT_HEADROOM``), k = b + L and m = ceil(2^k / p), a slot x < 2^b
+    has the quotient floor(x*m / 2^k) by p.  Each x*m is below
+    2^(2b+1) = 2^w, so one int product by m forms them all; shifted
+    right by k, the quotients are the low w - k bits of their slots,
+    under the low bits of the slot above, and a mask keeps them.
+
+    The overflow invariant: no slot ever reaches 2^b.  A slot holds a
+    reduced coefficient plus a number of products of two, and with at
+    most 2^H products it is below (p - 1) + 2^H (p - 1)^2
+    <= 2^H (p - 1) p < 2^b; a reduced coefficient added to it counts as
+    one product.  A slot of a*c sums at most min(slots of a, slots of c)
+    products.  Every unreduced sum below counts its products
+    and is reduced before the count would pass 2^H; a factor of more
+    than 2^H slots is multiplied 2^H slots at a time, each chunk's
+    product added to the reduced sum of those before.  So every
+    operation is exact on inputs of any length.
+    """
+
+    zero = 0
+    one = 1
+
+    def __init__(self, p: int):
+        super().__init__()
+        bits = p.bit_length()
+        b = 2 * bits + _SLOT_HEADROOM
+        self.p = p
+        self.token = f"fpx:{p}:packed"
+        self._cap = 1 << _SLOT_HEADROOM  # products a slot may sum
+        self._k = b + bits
+        self._m = -(-(1 << self._k) // p)
+        self._w = w = 2 * b + 1
+        self._slot = (1 << w) - 1
+        # The bit length of cap slots: the longest factor whose products
+        # may be added to a reduced sum unreduced.
+        self._short = self._cap * w
+        slots = max(1, _MASK_BITS // w)
+        self._mask_bits = slots * w
+        self._mask = self._quotient_mask(slots)
+
+    def _quotient_mask(self, n: int) -> int:
+        """The low w - k bits of each of n slots."""
+        return ((1 << n * self._w) - 1) // self._slot * ((1 << self._w - self._k) - 1)
+
+    def _reduce(self, x: int) -> int:
+        """x with every slot reduced mod p, for slots below 2^b."""
+        mask = self._mask
+        if x.bit_length() > self._mask_bits:
+            mask = self._quotient_mask(-(-x.bit_length() // self._w))
+        return x - ((x * self._m >> self._k) & mask) * self.p
+
+    def _slots(self, a: int) -> int:
+        return -(-a.bit_length() // self._w)
+
+    def encode(self, a: tuple) -> int:
+        """An F_p[x] element as an int: coefficient i in slot i."""
+        n, w = 0, self._w
+        for c in reversed(a):
+            n = n << w | c
+        return n
+
+    def decode(self, n: int) -> tuple:
+        out, w, slot = [], self._w, self._slot
+        while n:
+            out.append(n & slot)
+            n >>= w
+        return tuple(out)
+
+    def validate(self, a):
+        return a  # packed elements only come from validated tuples
+
+    def is_zero(self, a):
+        return not a
+
+    def is_unit(self, a):
+        return 0 < a <= self._slot
+
+    def add(self, a, b):
+        return self._reduce(a + b)
+
+    # -c is (p - 1) * c slot by slot.
+
+    def sub(self, a, b):
+        return self._reduce(a + b * (self.p - 1))
+
+    def neg(self, a):
+        return self._reduce(a * (self.p - 1))
+
+    def mul(self, a, b):
+        if a > b:
+            a, b = b, a
+        if a.bit_length() > self._short:
+            return self._chunked_mul(a, b)
+        return self._reduce(a * b)
+
+    def _chunked_mul(self, a, b):
+        """a * b, a taken cap slots at a time."""
+        step = self._short
+        low = (1 << step) - 1
+        out = shift = 0
+        while a:
+            out = self._reduce(out + ((a & low) * b << shift))
+            a >>= step
+            shift += step
+        return out
+
+    def divmod(self, a, b):
+        if b == 1:
+            return a, 0
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        p, w = self.p, self._w
+        db = (b.bit_length() - 1) // w
+        inv = pow(b >> db * w, -1, p)
+        if not db:
+            return self._reduce(a * inv), 0
+        da = (a.bit_length() - 1) // w
+        if da < db:
+            return 0, a
+        # The remainder stays unreduced: each quotient coefficient adds
+        # one product to the slots it touches.
+        slot, cap = self._slot, self._cap
+        quot = products = 0
+        for i in range(da, db - 1, -1):
+            c = (a >> i * w & slot) * inv % p
+            quot = quot << w | c
+            if c:
+                if products == cap:
+                    a, products = self._reduce(a), 0
+                a += (p - c) * b << (i - db) * w
+                products += 1
+        return quot, self._reduce(a)
+
+    def normalize(self, a):
+        if not a:
+            return 1, 0
+        lead = a >> (a.bit_length() - 1) // self._w * self._w
+        if lead == 1:
+            return 1, a
+        return lead, self._reduce(a * pow(lead, -1, self.p))
+
+    def unit_inverse(self, u):
+        if not self.is_unit(u):
+            raise InvalidInputError(f"{self.decode(u)!r} is not a unit in fpx:{self.p}")
+        return pow(u, -1, self.p)
+
+    # The kernels add unreduced products and reduce each output entry
+    # once, or early where the count of products would pass the cap.
+
+    def product(self, left, right, width):
+        reduce, mul, cap, short = self._reduce, self.mul, self._cap, self._short
+        out = []
+        for row in left:
+            # ``products`` bounds the products summed in each slot of acc
+            # beyond a reduced value; 0 means acc is reduced.
+            acc, products = None, 0
+            for a, r in zip(row, right):
+                if not a:
+                    continue
+                if a.bit_length() > short:
+                    r, a = [mul(a, y) for y in r], 1
+                t = self._slots(a)
+                if acc is None:
+                    acc, products = (list(r), 0) if a == 1 else ([a * y for y in r], t)
+                    continue
+                if products + t > cap:
+                    acc, products = [reduce(x) if x else 0 for x in acc], 0
+                if a == 1:
+                    acc = list(map(operator.add, acc, r))
+                else:
+                    acc = [x + a * y for x, y in zip(acc, r)]
+                products += t
+            out.append([0] * width if acc is None else
+                       [reduce(x) if x else 0 for x in acc] if products else acc)
+        return out
+
+    def submul(self, row, q, other, start=0):
+        nq = self.neg(q)
+        if nq.bit_length() > self._short:
+            add, mul = self.add, self.mul
+            row[start:] = [add(x, mul(nq, y)) if y else x for x, y in zip(row[start:], other[start:])]
+        else:
+            reduce = self._reduce
+            row[start:] = [reduce(x + nq * y) if y else x for x, y in zip(row[start:], other[start:])]
+
+    def combine(self, a, x, b, y):
+        if self._slots(a) + self._slots(b) > self._cap:
+            add, mul = self.add, self.mul
+            return [add(mul(a, xi), mul(b, yi)) for xi, yi in zip(x, y)]
+        reduce = self._reduce
+        return [reduce(v) if (v := a * xi + b * yi) else 0 for xi, yi in zip(x, y)]
 
 
 _F2_PACKED = _PackedF2Ring()

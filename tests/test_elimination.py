@@ -1,8 +1,10 @@
 """Property and scale tests for the elimination kernel behind snf, solve,
 kernel_basis, image_basis, inverse, rank and elementary_divisors, over
-Z, F_2[x] (packed into ints inside matrices) and F_3[x]; over F_2[x]
-the public results must be those of the same kernel run on tuples."""
+Z, F_2[x] and F_3[x] (both packed into ints inside matrices); over
+F_2[x], F_3[x] and F_101[x] the public results must be those of the
+same kernel run on tuples."""
 
+import functools
 import random
 import time
 
@@ -127,24 +129,34 @@ def test_inverse_of_the_certificate_transforms(a):
         assert inverse(u) * u == Matrix.identity(a.ring, u.rows)
 
 
-def _tuple_twin():
-    """F_2[x] that computes on its tuples: a matrix over it runs
-    ``_echelon`` and ``_chain`` on the tuple ring's kernels.  Its own
-    token keeps it out of every cache that fpx(2) matrices use."""
-    ring = PrimeFieldPolynomialRing(2)
-    ring.token, ring.work, ring.pack, ring.unpack = "fpx:2:tuples", ring, None, None
-    return ring
+class _TupleRing(PrimeFieldPolynomialRing):
+    """F_p[x] that computes on its tuples: a matrix over it runs
+    ``_echelon`` and ``_chain`` on row kernels written with the tuple
+    ring's scalar ``add``, ``sub`` and ``mul``.  Its own token keeps it
+    out of every cache that fpx(p) matrices use."""
 
+    def __init__(self, p):
+        super().__init__(p)
+        self.token, self.work, self.pack, self.unpack = f"fpx:{p}:tuples", self, None, None
 
-TUPLES = _tuple_twin()
+    def product(self, left, right, width):
+        return [[functools.reduce(self.add, map(self.mul, row, col), self.zero)
+                 for col in zip(*right)] if right else [self.zero] * width for row in left]
+
+    def submul(self, row, q, other, start=0):
+        for j in range(start, len(other)):
+            row[j] = self.sub(row[j], self.mul(q, other[j]))
+
+    def combine(self, a, x, b, y):
+        return [self.add(self.mul(a, xi), self.mul(b, yi)) for xi, yi in zip(x, y)]
 
 
 @st.composite
-def f2_systems(draw):
-    """Entries of an F_2[x] matrix A (rows x cols), of a right-hand side
+def systems(draw, ring):
+    """Entries of an F_p[x] matrix A (rows x cols), of a right-hand side
     B and of a solution X0, both of width 1 or 2."""
     rows, cols, width = draw(st.integers(0, 8)), draw(st.integers(0, 8)), draw(st.integers(1, 2))
-    entry = st.one_of(st.just(()), poly_entries(F2, 3))
+    entry = st.one_of(st.just(()), poly_entries(ring, 3))
 
     def grid(n, m):
         return draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
@@ -157,27 +169,40 @@ def _over(ring, entries):
     return Matrix(ring, rows) if rows else Matrix.zeros(ring, 0, cols)
 
 
-@PROPERTY
-@given(f2_systems())
-def test_packed_f2_matches_the_tuple_kernels(system):
+def _matches_the_tuple_kernels(ring, system):
+    """Certificate, divisors, kernel and solutions over ``ring`` equal
+    those of its tuple twin, entry for entry."""
+    tuples = _TupleRing(ring.p)
     a, b, x0 = system
-    packed, tuples = _over(F2, a), _over(TUPLES, a)
-    assert packed.entries == tuples.entries
-    got, want = snf(packed), snf(tuples)
+    packed, plain = _over(ring, a), _over(tuples, a)
+    assert packed.entries == plain.entries
+    got, want = snf(packed), snf(plain)
     for m in ("U", "D", "V"):
         assert getattr(got, m).entries == getattr(want, m).entries
     assert got.divisors == want.divisors
     assert got.verify(packed)
-    assert elementary_divisors(packed) == elementary_divisors(tuples) == got.divisors
-    assert kernel_basis(packed).entries == kernel_basis(tuples).entries
+    assert elementary_divisors(packed) == elementary_divisors(plain) == got.divisors
+    assert kernel_basis(packed).entries == kernel_basis(plain).entries
     # An arbitrary right-hand side, then one that has a solution.
-    for p_rhs, t_rhs in ((_over(F2, b), _over(TUPLES, b)),
-                         (packed * _over(F2, x0), tuples * _over(TUPLES, x0))):
+    for p_rhs, t_rhs in ((_over(ring, b), _over(tuples, b)),
+                         (packed * _over(ring, x0), plain * _over(tuples, x0))):
         assert p_rhs.entries == t_rhs.entries
-        x, y = solve(packed, p_rhs), solve(tuples, t_rhs)
+        x, y = solve(packed, p_rhs), solve(plain, t_rhs)
         assert (x is None) == (y is None)
         if x is not None:
             assert x.entries == y.entries
+
+
+@PROPERTY
+@given(systems(F2))
+def test_packed_f2_matches_the_tuple_kernels(system):
+    _matches_the_tuple_kernels(F2, system)
+
+
+@PROPERTY
+@given(st.sampled_from([F3, fpx(101)]).flatmap(lambda ring: st.tuples(st.just(ring), systems(ring))))
+def test_packed_fp_matches_the_tuple_kernels(ring_system):
+    _matches_the_tuple_kernels(*ring_system)
 
 
 def _dense_int(rng, rows, cols, bound=9):

@@ -82,6 +82,16 @@ PINNED = {
 }
 
 
+# Samples that keep the divisors of their expected modules and build the
+# modules when read: they are pinned by the modules, under the field
+# names they once had, so the hashes above stay those of the same JSON.
+EXPECTED_MODULE_FIELDS = {
+    generators.KoszulSample: ("complex", "block_divisors", "expected_h0"),
+    generators.AObjectSample: ("complex", "expected_homology"),
+    generators.CObjectSample: ("object", "expected_h0"),
+}
+
+
 def _plain(value):
     """A JSON-ready form of a generator output; dictionaries (ranks and
     components included) keep their insertion order."""
@@ -99,6 +109,8 @@ def _plain(value):
         return jsonio.presented_map_to_json(value)
     if isinstance(value, AdmissibleSes):
         return [_plain(value.mono), _plain(value.epi), _plain(value.retractions), _plain(value.sections)]
+    if type(value) in EXPECTED_MODULE_FIELDS:
+        return {name: _plain(getattr(value, name)) for name in EXPECTED_MODULE_FIELDS[type(value)]}
     if dataclasses.is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
@@ -146,7 +158,7 @@ def test_unimodular_moves_act_as_their_product():
             rng.setstate(state)
             fwd, bwd = rand_unimodular(rng, ring, n)
             scaled_by_non_involution |= any(
-                op == _SCALE and ring.mul(c[0], c[0]) != ring.one for op, _, _, c in moves)
+                op == _SCALE and ring.work.mul(c[0], c[0]) != ring.work.one for op, _, _, c in moves)
             tall = rand_matrix(rng, ring, n, 3, 3)
             wide = rand_matrix(rng, ring, 2, n, 3)
             assert _times(moves, tall) == fwd * tall
@@ -164,7 +176,9 @@ def test_unimodular_moves_act_as_their_product():
                            [rand_nonunit(rng, ring), rand_nonunit(rng, ring), ring.zero]):
                 n = len(moduli)
                 moves = _shear_auto(rng, ring, moduli)
-                units = [c[0] for _, _, _, c in moves[:n]]
+                # Move scalars are in the work form; the matrices below take public elements.
+                public = ring.unpack or (lambda a: a)
+                units = [public(c[0]) for _, _, _, c in moves[:n]]
                 assert [m[:3] for m in moves[:n]] == [(_SCALE, k, k) for k in range(n)]
                 assert len(moves) in (n, n + 1)
                 shapes.add((n, len(moves) - n))
@@ -173,7 +187,7 @@ def test_unimodular_moves_act_as_their_product():
                 if len(moves) > n:
                     op, i, j, c = moves[n]
                     assert op == _ADD and i != j
-                    shear[i][j], unshear[i][j] = c, ring.neg(c)
+                    shear[i][j], unshear[i][j] = public(c), ring.neg(public(c))
                 fwd = Matrix(ring, shear) * Matrix.diagonal(ring, units)
                 bwd = Matrix.diagonal(ring, [ring.unit_inverse(u) for u in units]) * Matrix(ring, unshear)
                 tall = rand_matrix(rng, ring, n, 3, 3)

@@ -103,6 +103,48 @@ def test_snf_agrees_with_sympy():
         assert mine == theirs, (rows, cols)
 
 
+@pytest.mark.parametrize("p", [3, 101])
+def test_fpx_snf_agrees_with_sympy(p):
+    """An oracle outside koszulkit for elimination over F_p[x]: sympy's
+    invariant factors over GF(p)[x], made monic with coefficients mod p,
+    on seeded dense matrices of up to 6x6 with entries of degree <= 2.
+    A third are (x + c) times a matrix of degree <= 1 and a third are
+    products through an inner dimension below the size, so nonunit
+    divisor chains and rank deficiency are in play."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    ring, x = fpx(p), sympy.Symbol("x")
+    domain = sympy.GF(p)[x]
+    rng = random.Random(p)
+
+    def poly(degree):
+        return ring.poly([rng.randrange(p) for _ in range(degree + 1)])
+
+    def grid(rows, cols, degree):
+        return Matrix(ring, [[poly(degree) for _ in range(cols)] for _ in range(rows)])
+
+    def monic(expr):
+        coeffs = [int(c) % p for c in reversed(sympy.Poly(expr, x).all_coeffs())]
+        return ring.normalize(ring.poly(coeffs))[1]
+
+    for trial in range(15):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        if trial % 3 == 0:
+            a = grid(rows, cols, 2)
+        elif trial % 3 == 1:
+            a = grid(rows, cols, 1).scale(ring.poly([rng.randrange(p), 1]))
+        else:
+            inner = rng.randint(1, min(rows, cols))
+            a = grid(rows, inner, 1) * grid(inner, cols, 1)
+        entries = sympy.Matrix([[sum(int(c) * x ** k for k, c in enumerate(e)) for e in row]
+                                for row in a.entries])
+        theirs = tuple(monic(d) for d in invariant_factors(entries, domain=domain) if d != 0)
+        cert = snf(a)
+        assert cert.divisors == matrices.elementary_divisors(a) == theirs, (p, trial)
+        assert cert.verify(a)
+
+
 def test_snf_invariant_under_unimodular_transport():
     rng = random.Random(31)
     for _ in range(40):

@@ -1,19 +1,31 @@
-"""Oracle test for the ring kernels ``product``, ``submul`` and
-``combine``: each must equal the same expression written with the
-scalar ``add``, ``sub`` and ``mul``, with hypothesis shrinking.  The
-packed work ring of F_2[x] must agree with the tuple ring on every
-operation, through ``pack`` and ``unpack``.  Needs the ``test`` extra;
-the module skips without it."""
+"""Oracle tests for the ring kernels ``product``, ``submul`` and
+``combine``, which run on each ring's work ring: through ``pack`` and
+``unpack`` each must equal the same expression written with the public
+ring's scalar ``add``, ``sub`` and ``mul``, with hypothesis shrinking.
+The packed work rings of F_p[x] must agree with the tuple ring on every
+operation, also with the slot headroom cut to 1 or 2 bits, so that the
+early reductions, chunked products and long reduction masks all run.
+Needs the ``test`` extra; the module skips without it."""
+
+import itertools
+import random
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from koszulkit import rings  # noqa: E402
 from koszulkit.errors import InvalidInputError  # noqa: E402
-from koszulkit.rings import ZZ, fpx  # noqa: E402
+from koszulkit.matrices import Matrix, snf  # noqa: E402
+from koszulkit.rings import ZZ, PrimeFieldPolynomialRing, fpx  # noqa: E402
 
 RINGS = [ZZ, fpx(2), fpx(3), fpx(101)]
+# Odd characteristics of the packed F_p[x] rings under test.  127 and
+# 2^89 - 1 sit just below a power of two, where a product of two
+# coefficients nearly fills the 2L bits the overflow invariant gives it,
+# so one term too many in a slot breaks the bound.
+ODD_PRIMES = [3, 5, 101, 127, 2 ** 64 + 13, 2 ** 89 - 1]
 
 
 def nonzero_elements(ring, max_degree=10):
@@ -25,9 +37,9 @@ def nonzero_elements(ring, max_degree=10):
                      st.lists(st.integers(0, ring.p - 1), max_size=max_degree), st.integers(1, ring.p - 1))
 
 
-def elements(ring):
+def elements(ring, max_degree=10):
     """Two draws in three are zero."""
-    return st.one_of(st.just(ring.zero), st.just(ring.zero), nonzero_elements(ring))
+    return st.one_of(st.just(ring.zero), st.just(ring.zero), nonzero_elements(ring, max_degree))
 
 
 def scalar_product(ring, left, right, width):
@@ -44,23 +56,30 @@ def scalar_product(ring, left, right, width):
     return out
 
 
+def work_form(ring):
+    """(work ring, pack, unpack) of ``ring``, identity hooks where it
+    computes on its own elements."""
+    same = lambda a: a  # noqa: E731
+    return ring.work, ring.pack or same, ring.unpack or same
+
+
 @st.composite
-def kernel_cases(draw, ring):
+def kernel_cases(draw, ring, max_degree=10):
     """Two rows of one length in 0..12, two scalars, and a start index."""
     n = draw(st.integers(0, 12))
-    row = st.lists(elements(ring), min_size=n, max_size=n)
-    return (draw(row), draw(row), draw(elements(ring)), draw(elements(ring)),
+    row = st.lists(elements(ring, max_degree), min_size=n, max_size=n)
+    return (draw(row), draw(row), draw(elements(ring, max_degree)), draw(elements(ring, max_degree)),
             draw(st.integers(0, n)))
 
 
 @st.composite
-def product_cases(draw, ring):
-    """left (n x m) and right (m x width), n, m, width in 0..12.  Each left
-    row draws its own share of zeros, so rows fall on both sides of the
-    half-density switch over Z; ``one`` is drawn often.  Degrees stay
-    at most 4 to keep the scalar triple loop cheap; a sum still collects
-    up to 12 terms per coefficient."""
-    n, m, width = (draw(st.integers(0, 12)) for _ in range(3))
+def product_cases(draw, ring, max_dim=12):
+    """left (n x m) and right (m x width), n, m, width in 0..max_dim.
+    Each left row draws its own share of zeros, so rows fall on both
+    sides of the half-density switch over Z; ``one`` is drawn often.
+    Degrees stay at most 4 to keep the scalar triple loop cheap; a sum
+    still collects up to 12 terms per coefficient."""
+    n, m, width = (draw(st.integers(0, max_dim)) for _ in range(3))
     one, zero, nonzero = st.just(ring.one), st.just(ring.zero), nonzero_elements(ring, 4)
     sparse = st.one_of(zero, zero, one, nonzero)
     dense = st.one_of(zero, one, nonzero, nonzero)
@@ -70,44 +89,56 @@ def product_cases(draw, ring):
     return left, right, width
 
 
+def check_kernels(ring, work, pack, unpack, case):
+    """``combine`` and ``submul`` of ``work`` against the scalar ops of
+    ``ring``, on public elements converted by ``pack``/``unpack``."""
+    x, y, a, b, start = case
+    add, sub, mul = ring.add, ring.sub, ring.mul
+    px, py, pa, pb = list(map(pack, x)), list(map(pack, y)), pack(a), pack(b)
+
+    expected = [add(mul(a, xi), mul(b, yi)) for xi, yi in zip(x, y)]
+    assert list(map(unpack, work.combine(pa, px, pb, py))) == expected
+
+    other = [ring.zero] * start + y[start:]
+    expected = [sub(xi, mul(a, yi)) for xi, yi in zip(x, other)]
+    row = list(px)
+    assert work.submul(row, pa, list(map(pack, other)), start) is None
+    assert list(map(unpack, row)) == expected
+
+    # Exact cancellation: every entry must come out as zero.
+    zeros = [work.zero] * len(x)
+    assert work.combine(pa, px, work.neg(pa), px) == zeros
+    row = list(px)
+    work.submul(row, work.one, px)
+    assert row == zeros
+
+
+def check_product(ring, work, pack, unpack, case):
+    left, right, width = case
+    wleft = [list(map(pack, row)) for row in left]
+    wright = [tuple(map(pack, row)) for row in right]
+    got = work.product(wleft, wright, width)
+    assert all(type(row) is list for row in got)
+    assert [list(map(unpack, row)) for row in got] == scalar_product(ring, left, right, width)
+
+    # Exact cancellation: [L | L] times [R ; -R] is zero.
+    doubled = [row + row for row in wleft]
+    negated = wright + [tuple(map(work.neg, r)) for r in wright]
+    assert work.product(doubled, negated, width) == [[work.zero] * width for _ in left]
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.token)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_kernels_match_scalar_ops(ring, data):
-    x, y, a, b, start = data.draw(kernel_cases(ring))
-    add, sub, mul = ring.add, ring.sub, ring.mul
-
-    expected = [add(mul(a, xi), mul(b, yi)) for xi, yi in zip(x, y)]
-    assert ring.combine(a, x, b, y) == expected
-
-    other = [ring.zero] * start + y[start:]
-    expected = [sub(xi, mul(a, yi)) for xi, yi in zip(x, other)]
-    row = list(x)
-    assert ring.submul(row, a, other, start) is None
-    assert row == expected
-
-    # Exact cancellation: every entry must come out trimmed to zero.
-    zeros = [ring.zero] * len(x)
-    assert ring.combine(a, x, ring.neg(a), x) == zeros
-    row = list(x)
-    ring.submul(row, ring.one, x)
-    assert row == zeros
+    check_kernels(ring, *work_form(ring), data.draw(kernel_cases(ring)))
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.token)
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_product_matches_triple_loop(ring, data):
-    left, right, width = data.draw(product_cases(ring))
-    frozen = [tuple(r) for r in right]
-    got = ring.product(left, frozen, width)
-    assert all(type(row) is list for row in got)
-    assert got == scalar_product(ring, left, frozen, width)
-
-    # Exact cancellation: [L | L] times [R ; -R] is zero, entries trimmed.
-    doubled = [row + row for row in left]
-    negated = frozen + [tuple(ring.neg(x) for x in r) for r in frozen]
-    assert ring.product(doubled, negated, width) == [[ring.zero] * width for _ in left]
+    check_product(ring, *work_form(ring), data.draw(product_cases(ring)))
 
 
 def _lift(ring, rows):
@@ -130,20 +161,28 @@ def _lift(ring, rows):
 ], ids=["zero-row", "half", "dense", "one", "width0", "inner0", "cancel", "lone-one"])
 def test_product_edges(ring, left, right, width):
     left, right = _lift(ring, left), _lift(ring, right)
-    assert ring.product(left, right, width) == scalar_product(ring, left, right, width)
+    work, pack, unpack = work_form(ring)
+    got = work.product([list(map(pack, r)) for r in left], [tuple(map(pack, r)) for r in right], width)
+    assert [list(map(unpack, row)) for row in got] == scalar_product(ring, left, right, width)
+
+
+def test_every_fpx_packs():
+    assert ZZ.work is ZZ and ZZ.pack is None and ZZ.unpack is None
+    for ring in (fpx(2), fpx(3), fpx(101), fpx(2 ** 64 + 13)):
+        assert ring.work is not ring and ring.work != ring
+        assert ring.pack is not None and ring.unpack is not None
+        assert ring.work.token == ring.token + ":packed"
+    # F_2[x] keeps its XOR ring: addition is XOR of the bit-packed ints.
+    assert fpx(2).work is rings._F2_PACKED
+    assert fpx(2).work.add(0b110, 0b011) == 0b101
+    assert type(fpx(3).work) is rings._PackedFpRing
 
 
 # The packed work ring of F_2[x] against the tuple ring F2, which stays
-# the reference.
+# the reference; its kernels are checked with every ring's above.
 
 F2 = fpx(2)
 PACKED, pack, unpack = F2.work, F2.pack, F2.unpack
-
-
-def test_only_f2_packs():
-    assert PACKED is not F2 and PACKED != F2
-    for ring in (ZZ, fpx(3), fpx(101)):
-        assert ring.work is ring and ring.pack is None and ring.unpack is None
 
 
 def test_pack_round_trips_every_element_up_to_degree_12():
@@ -156,54 +195,165 @@ def test_pack_round_trips_every_element_up_to_degree_12():
         assert pack(a) == n
 
 
-def packed_rows(rows):
-    return [[pack(x) for x in row] for row in rows]
-
-
-def unpacked_rows(rows):
-    return [[unpack(x) for x in row] for row in rows]
+def check_scalar_ops(ring, work, pack, unpack, a, b):
+    """Every primitive of ``work`` against the tuple ring ``ring``."""
+    pa, pb = pack(a), pack(b)
+    assert unpack(pa) == a and unpack(pb) == b
+    for op in ("add", "sub", "mul"):
+        assert unpack(getattr(work, op)(pa, pb)) == getattr(ring, op)(a, b)
+    assert unpack(work.neg(pa)) == ring.neg(a)
+    assert work.is_zero(pa) == ring.is_zero(a)
+    assert tuple(map(unpack, work.normalize(pa))) == ring.normalize(a)
+    if b:
+        assert tuple(map(unpack, work.divmod(pa, pb))) == ring.divmod(a, b)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            work.divmod(pa, pb)
+    assert tuple(map(unpack, work.ext_gcd(pa, pb))) == ring.ext_gcd(a, b)
+    exact = work.div_exact(pa, pb)
+    assert (None if exact is None else unpack(exact)) == ring.div_exact(a, b)
+    if ring.is_unit(a):
+        assert unpack(work.unit_inverse(pa)) == ring.unit_inverse(a)
+    else:
+        for r, x in ((work, pa), (ring, a)):
+            with pytest.raises(InvalidInputError):
+                r.unit_inverse(x)
 
 
 @settings(max_examples=300, deadline=None)
 @given(elements(F2), elements(F2))
 def test_packed_scalar_ops_match_tuple_ring(a, b):
-    pa, pb = pack(a), pack(b)
-    assert unpack(pa) == a
-    for op in ("add", "sub", "mul"):
-        assert unpack(getattr(PACKED, op)(pa, pb)) == getattr(F2, op)(a, b)
-    assert unpack(PACKED.neg(pa)) == F2.neg(a)
-    assert PACKED.is_zero(pa) == F2.is_zero(a)
-    assert tuple(map(unpack, PACKED.normalize(pa))) == F2.normalize(a)
-    if b:
-        assert tuple(map(unpack, PACKED.divmod(pa, pb))) == F2.divmod(a, b)
-    else:
-        with pytest.raises(ZeroDivisionError):
-            PACKED.divmod(pa, pb)
-    assert tuple(map(unpack, PACKED.ext_gcd(pa, pb))) == F2.ext_gcd(a, b)
-    exact = PACKED.div_exact(pa, pb)
-    assert (None if exact is None else unpack(exact)) == F2.div_exact(a, b)
-    if F2.is_unit(a):
-        assert unpack(PACKED.unit_inverse(pa)) == F2.unit_inverse(a)
-    else:
-        for ring, x in ((PACKED, pa), (F2, a)):
-            with pytest.raises(InvalidInputError):
-                ring.unit_inverse(x)
+    check_scalar_ops(F2, PACKED, pack, unpack, a, b)
 
 
-@settings(max_examples=100, deadline=None)
+# The packed work rings of odd characteristic, as twins that check the
+# overflow invariant on every value they reduce: one with the default
+# slot headroom, and two with 1 or 2 bits of it and a one-slot reduction
+# mask.  In those a sum of two or four products fills a slot, so the
+# products, kernels and long division must reduce early and split long
+# factors into chunks, and nearly every reduction builds a mask of its own.
+
+
+class _CheckedPackedRing(rings._PackedFpRing):
+    def _reduce(self, x):
+        bound, slot, w, rest = 1 << (self._w - 1) // 2, self._slot, self._w, x
+        while rest:
+            assert rest & slot < bound, "a slot reached 2^b"
+            rest >>= w
+        return super()._reduce(x)
+
+
+def _checked_ring(p, headroom=None):
+    with pytest.MonkeyPatch.context() as patch:
+        if headroom is not None:
+            patch.setattr(rings, "_SLOT_HEADROOM", headroom)
+            patch.setattr(rings, "_MASK_BITS", 1)
+        return _CheckedPackedRing(p)
+
+
+CHECKED = {(p, h): _checked_ring(p, h) for p in ODD_PRIMES for h in (None, 1, 2)}
+
+
+def odd_work_rings(p):
+    """Twins of the work ring of fpx(p): default headroom, then 1 and 2 bits."""
+    return [CHECKED[p, None], CHECKED[p, 1], CHECKED[p, 2]]
+
+
+def test_checked_twins_are_the_work_ring():
+    for p in ODD_PRIMES:
+        work, twin = fpx(p).work, CHECKED[p, None]
+        assert (twin._w, twin._k, twin._m, twin._cap) == (work._w, work._k, work._m, work._cap)
+        assert CHECKED[p, 1]._cap == 2 and CHECKED[p, 2]._cap == 4
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+@settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_packed_kernels_match_tuple_ring(data):
-    x, y, a, b, start = data.draw(kernel_cases(F2))
-    px, py, pa, pb = [pack(e) for e in x], [pack(e) for e in y], pack(a), pack(b)
-    assert [unpack(e) for e in PACKED.combine(pa, px, pb, py)] == F2.combine(a, x, b, y)
+def test_packed_fp_scalar_ops_match_tuple_ring(p, data):
+    ring = fpx(p)
+    a, b = data.draw(elements(ring, 12)), data.draw(elements(ring, 12))
+    for work in odd_work_rings(p):
+        assert work.is_unit(work.encode(a)) == ring.is_unit(a)
+        check_scalar_ops(ring, work, work.encode, work.decode, a, b)
 
-    other = [F2.zero] * start + y[start:]
-    row, prow = list(x), list(px)
-    F2.submul(row, a, other, start)
-    assert PACKED.submul(prow, pa, [pack(e) for e in other], start) is None
-    assert [unpack(e) for e in prow] == row
 
-    left, right, width = data.draw(product_cases(F2))
-    got = PACKED.product(packed_rows(left), [tuple(r) for r in packed_rows(right)], width)
-    assert all(type(row) is list for row in got)
-    assert unpacked_rows(got) == F2.product(left, right, width)
+@pytest.mark.parametrize("p", ODD_PRIMES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_packed_fp_kernels_match_scalar_reference(p, data):
+    ring = fpx(p)
+    case, product = data.draw(kernel_cases(ring, 6)), data.draw(product_cases(ring, 6))
+    for work in odd_work_rings(p):
+        check_kernels(ring, work, work.encode, work.decode, case)
+        check_product(ring, work, work.encode, work.decode, product)
+
+
+@pytest.mark.parametrize("p", [3, 101])
+def test_packed_fp_is_exact_on_long_inputs(p):
+    """Factors of more than 2^H slots, which every ring multiplies in
+    chunks, and products whose slots sum hundreds of products."""
+    ring, rng = fpx(p), random.Random(p)
+    degree = (1 << rings._SLOT_HEADROOM) + 40
+    a, b = (ring.poly([rng.randrange(p) for _ in range(degree)] + [1]) for _ in range(2))
+    c = ring.poly([rng.randrange(p) for _ in range(40)] + [2])
+    for work in odd_work_rings(p):
+        pa, pb, pc = work.encode(a), work.encode(b), work.encode(c)
+        ab = work.mul(pa, pb)
+        assert work.decode(ab) == ring.mul(a, b)
+        assert tuple(map(work.decode, work.divmod(ab, pc))) == ring.divmod(ring.mul(a, b), c)
+        assert work.decode(work.sub(ab, work.mul(pb, pa))) == ()
+        row = work.product([[pa, pb]], [(pb, pc), (pa, pa)], 2)[0]
+        assert list(map(work.decode, row)) == [ring.add(ring.mul(a, b), ring.mul(b, a)),
+                                               ring.add(ring.mul(a, c), ring.mul(b, a))]
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_packed_fp_is_exact_at_the_slot_bound(p):
+    """Every coefficient p - 1, so every product is the largest a slot
+    can get: ``combine`` on every pair of factor lengths, the other
+    kernels with 12 products per entry and factors of one to seven
+    slots, and long division on the same inputs.  For p = 127 and
+    2^89 - 1 one product more than the count allows breaks the bound."""
+    ring = fpx(p)
+    tops = [(p - 1,) * n for n in (1, 2, 3, 5)]
+    wide = tops[-1]
+    for a, b in itertools.product(tops, repeat=2):
+        want = ring.add(ring.mul(a, wide), ring.mul(b, wide))
+        for work in odd_work_rings(p):
+            pa, pb, pl = work.encode(a), work.encode(b), work.encode(wide)
+            assert list(map(work.decode, work.combine(pa, [pl] * 3, pb, [pl] * 3))) == [want] * 3
+    for degree in (0, 1, 3, 6):
+        top = (p - 1,) * (degree + 1)
+        ones = (1,) * (degree + 1)  # its negation has coefficients p - 1
+        left, right = [[top] * 12] * 2, [(top, top)] * 12
+        want_product = scalar_product(ring, left, right, 2)
+        want_combine = ring.add(ring.mul(top, top), ring.mul(top, top))
+        want_submul = ring.sub(top, ring.mul(ones, top))
+        big = ring.mul(ring.mul(top, top), ring.mul(top, top))
+        want_divmod = ring.divmod(big, top + (1,))
+        for work in odd_work_rings(p):
+            enc, dec = work.encode, work.decode
+            t = enc(top)
+            got = work.product([[t] * 12] * 2, [(t, t)] * 12, 2)
+            assert [list(map(dec, row)) for row in got] == want_product
+            assert list(map(dec, work.combine(t, [t] * 12, t, [t] * 12))) == [want_combine] * 12
+            row = [t] * 12
+            work.submul(row, enc(ones), [t] * 12)
+            assert list(map(dec, row)) == [want_submul] * 12
+            assert tuple(map(dec, work.divmod(enc(big), enc(top + (1,))))) == want_divmod
+
+
+@pytest.mark.parametrize("p", [3, 101])
+def test_tiny_headroom_elimination_matches(p):
+    """``snf`` on an F_p[x] twin whose work ring has 1 bit of headroom
+    returns the certificate of fpx(p), entry for entry."""
+    ring, tiny = fpx(p), CHECKED[p, 1]
+    twin = PrimeFieldPolynomialRing(p)
+    twin.token, twin.work, twin.pack, twin.unpack = f"fpx:{p}:tiny", tiny, tiny.encode, tiny.decode
+    rng = random.Random(p)
+    for n in (3, 5):
+        rows = [[ring.poly([rng.randrange(p) for _ in range(4)]) for _ in range(n)] for _ in range(n)]
+        got, want = snf(Matrix(twin, rows)), snf(Matrix(ring, rows))
+        assert got.divisors == want.divisors
+        for m in ("U", "D", "V"):
+            assert getattr(got, m).entries == getattr(want, m).entries
