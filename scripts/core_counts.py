@@ -23,7 +23,8 @@ trial (unlike the benchmark's forked passes), and the script prints:
 * ``zero_negations``: those calls on a zero matrix;
 * ``packs`` and ``unpacks``: calls of the F_2[x] conversion hooks
   ``fpx(2).pack`` and ``fpx(2).unpack``, one per element that enters or
-  leaves the packed work form of a matrix (0 on harness-z);
+  leaves the packed work form: of a matrix, and of each scalar operation
+  of ``fpx(2)``, which computes on the work ring (0 on harness-z);
 * ``checked_chain_maps``: calls of ``ChainMap.__init__``, each a chain
   map built with the full commutation check (trusted constructions do
   not count);

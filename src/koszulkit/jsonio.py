@@ -39,6 +39,11 @@ _DECIMAL = re.compile("-?[0-9]+")
 # digits, so no interpreter-wide setting has to change.
 _DIGIT_CHUNK = 3000
 
+# The largest rank or matrix dimension a document may name.  Every
+# operation builds lists of about that length, so a larger count is
+# refused as invalid input before anything is built.
+_MAX_COUNT = 1 << 12
+
 
 def _scalar(value) -> str:
     kind = type(value)
@@ -170,9 +175,12 @@ def matrix_to_json(mat: Matrix) -> dict:
 
 
 def _count(value, what: str) -> int:
-    """``value`` if it is a JSON integer >= 0 (not a boolean), else refuse it."""
+    """``value`` if it is a JSON integer in [0, ``_MAX_COUNT``] (not a
+    boolean), else refuse it."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise InvalidInputError(f"{what} {value!r} is not a nonnegative integer")
+    if value > _MAX_COUNT:
+        raise InvalidInputError(f"{what} {value} is above the limit {_MAX_COUNT}")
     return value
 
 
@@ -308,9 +316,10 @@ def presented_koszul_from_json(data) -> PresentedKoszul:
     g1, g0 = ranks.get(1, 0), ranks.get(0, 0)
     read = partial(matrix_from_json, ring)
     pres = _table(data, "presentations", read, (0, 1))
-    top = PresentedModule(ring, g1, pres.get(1, Matrix.zeros(ring, g1, 0)))
-    bottom = PresentedModule(ring, g0, pres.get(0, Matrix.zeros(ring, g0, 0)))
-    boundary = _table(data, "differentials", read, (1,)).get(1, Matrix.zeros(ring, g0, g1))
+    top = PresentedModule(ring, g1, pres[1] if 1 in pres else Matrix.zeros(ring, g1, 0))
+    bottom = PresentedModule(ring, g0, pres[0] if 0 in pres else Matrix.zeros(ring, g0, 0))
+    diffs = _table(data, "differentials", read, (1,))
+    boundary = diffs[1] if 1 in diffs else Matrix.zeros(ring, g0, g1)
     return PresentedKoszul(top, bottom, PresentedMap(top, bottom, boundary))
 
 

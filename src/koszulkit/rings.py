@@ -45,10 +45,12 @@ multiplication via multipoint Kronecker substitution", J. Symb. Comput.
 44, 2009), and one exact Barrett step (Granlund and Montgomery, PLDI
 1994) reduces all slots mod p in a handful of int operations;
 ``_PackedFpRing`` states the overflow invariant that keeps every slot
-exact.  Packing is a bijection and every operation is a function of its
-inputs, so quotients, gcd cofactors and pivots are the ones the tuple
-ring gives.  The tuple ring keeps its coefficient-by-coefficient scalar
-arithmetic; only the modular powers of factoring run on the work ring.
+exact.  The F_p[x] arithmetic is written once, on the work rings: every
+scalar operation of ``PrimeFieldPolynomialRing`` packs its operands,
+runs on ``work`` and unpacks the result, and factoring squares and
+multiplies its modular powers there without leaving the packed form.
+The tuples carry only validation, construction and the tests for zero
+and units.
 
 Prime factorization (needed only for K0 classes) is exact.  It runs in
 expected polynomial time over F_p[x]; over Z it takes about sqrt(q)
@@ -70,9 +72,10 @@ steps, q the second-largest prime factor, so at most about n^(1/4):
 Both ``factor`` methods return their dict sorted by prime.
 
 The extended Euclid is written once, ``Ring.ext_gcd`` on the ring's own
-``divmod``, ``sub``, ``mul``, ``normalize`` and ``unit_inverse``, for
-F_p[x] and its packed work rings.  Z keeps a loop on native ints: the
-shared one is 2-3x slower per call there and runs every cofactor update
+``divmod``, ``sub``, ``mul``, ``normalize`` and ``unit_inverse``; it
+runs on the packed work rings, and F_p[x] validates its two arguments
+and calls the work ring's.  Z keeps a loop on native ints: the shared
+one is 2-3x slower per call there and runs every cofactor update
 through ``mul``.
 """
 
@@ -281,7 +284,8 @@ class Ring:
 
     def ext_gcd(self, a, b):
         """Return (g, s, t) with g = s*a + t*b and g the canonical gcd:
-        Euclid, then division by the unit that ``normalize`` splits off."""
+        Euclid, then division by the unit that ``normalize`` splits off.
+        The packed F_p[x] rings run this loop, and F_p[x] runs theirs."""
         self.validate(a), self.validate(b)
         old_r, r = a, b
         old_s, s = self.one, self.zero
@@ -467,11 +471,24 @@ class IntegerRing(Ring):
         return is_prime(p)
 
 
+def _on_work(name: str):
+    """The operation ``name`` of a ring whose work form differs from its
+    elements: the operands packed once, ``name`` run on ``work``, and the
+    result -- an element or a tuple of them -- unpacked once."""
+    def op(self, *args):
+        out = getattr(self.work, name)(*map(self.pack, args))
+        return tuple(map(self.unpack, out)) if type(out) is tuple else self.unpack(out)
+    op.__name__ = op.__qualname__ = name
+    return op
+
+
 class PrimeFieldPolynomialRing(Ring):
     """Univariate polynomials over F_p, elements as coefficient tuples.
 
     Coefficients are stored little-endian in [0, p) with no trailing
-    zeros; the zero polynomial is the empty tuple.
+    zeros; the zero polynomial is the empty tuple.  The arithmetic, gcds
+    included, is that of the packed work ring ``work``: each operation
+    converts its operands and its result once.
     """
 
     def __init__(self, p: int):
@@ -499,15 +516,12 @@ class PrimeFieldPolynomialRing(Ring):
             raise DomainMismatchError("leading coefficient must be nonzero")
         return a
 
-    @staticmethod
-    def _trim(coeffs: list) -> tuple:
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return tuple(coeffs)
-
     def poly(self, coeffs) -> tuple:
         """Build an element from arbitrary integer coefficients."""
-        return self._trim([c % self.p for c in coeffs])
+        out = [c % self.p for c in coeffs]
+        while out and out[-1] == 0:
+            out.pop()
+        return tuple(out)
 
     def is_zero(self, a):
         return not a
@@ -515,65 +529,14 @@ class PrimeFieldPolynomialRing(Ring):
     def is_unit(self, a):
         return len(a) == 1
 
-    def add(self, a, b):
-        p = self.p
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % p
-        return self._trim(out)
+    add, sub, neg, mul, divmod, normalize, unit_inverse = map(
+        _on_work, ("add", "sub", "neg", "mul", "divmod", "normalize", "unit_inverse"))
+    _work_ext_gcd = _on_work("ext_gcd")
 
-    def neg(self, a):
-        p = self.p
-        return tuple((-c) % p for c in a)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        if not a or not b:
-            return ()
-        p = self.p
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] = (out[i + j] + ca * cb) % p
-        return self._trim(out)
-
-    def divmod(self, a, b):
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        if b == (1,):
-            return a, ()
-        rem = list(a)
-        db = len(b) - 1
-        lead_inv = pow(b[-1], -1, p)
-        quot = [0] * max(len(a) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                q = (c * lead_inv) % p
-                quot[i - db] = q
-                for j, cb in enumerate(b):
-                    rem[i - db + j] = (rem[i - db + j] - q * cb) % p
-        return self._trim(quot), self._trim(rem)
-
-    def normalize(self, a):
-        if not a:
-            return self.one, ()
-        lead = a[-1]
-        if lead == 1:
-            return self.one, a
-        inv = pow(lead, -1, self.p)
-        return (lead,), tuple((c * inv) % self.p for c in a)
-
-    def unit_inverse(self, u):
-        if len(u) != 1:
-            raise InvalidInputError(f"{u!r} is not a unit in {self.token}")
-        return (pow(u[0], -1, self.p),)
+    def ext_gcd(self, a, b):
+        """``Ring.ext_gcd`` on the work ring, after validating a and b."""
+        self.validate(a), self.validate(b)
+        return self._work_ext_gcd(a, b)
 
     def _powmod(self, a, e: int, f):
         """a**e modulo f, for e >= 1, squared and multiplied on the work

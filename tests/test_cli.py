@@ -276,6 +276,44 @@ def test_bad_matrix_shape_exits_2(tmp_path, capsys, shape):
     assert code == 2 and out == "" and "shape" in err
 
 
+# Requests that name a rank or matrix dimension far above
+# ``jsonio._MAX_COUNT``: each must be refused before anything of that
+# size is built.
+HUGE = 10 ** 30
+HUGE_COMPLEX = {"ring": "Z", "ranks": {"0": HUGE}, "differentials": {}}
+HUGE_PRESENTED = {"ring": "Z", "ranks": {"1": 1, "0": HUGE}}
+HUGE_MAP = {"source": HUGE_COMPLEX, "target": {"ring": "Z", "ranks": {}, "differentials": {}}, "components": {}}
+HUGE_REQUESTS = {
+    "k0": (["k0"], HUGE_COMPLEX),
+    "eddecompose": (["eddecompose"], HUGE_COMPLEX),
+    "split": (["split", "--degree", "0"], HUGE_COMPLEX),
+    "truncate-le": (["truncate", "--degree", "0", "--side", "le"], HUGE_COMPLEX),
+    "homology": (["homology"], HUGE_COMPLEX),
+    "snf": (["snf"], {"rows": 0, "cols": HUGE, "entries": []}),
+    "resolve": (["resolve"], HUGE_PRESENTED),
+    "efunctor": (["efunctor"], HUGE_PRESENTED),
+    "cone": (["cone"], HUGE_MAP),
+    "excise": (["excise"], HUGE_MAP),
+    "cyl": (["cyl"], HUGE_MAP),
+}
+
+
+@pytest.mark.parametrize("argv, payload", HUGE_REQUESTS.values(), ids=HUGE_REQUESTS)
+def test_huge_count_exits_2(tmp_path, capsys, wall_clock_limit, argv, payload):
+    path = write_json(tmp_path, "huge.json", payload)
+    with wall_clock_limit(0.05):
+        code, out, err = run_cli(capsys, *argv, "--in", path)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("koszulkit: ") and "limit" in err
+
+
+def test_count_limit_is_inclusive():
+    limit = jsonio._MAX_COUNT
+    assert jsonio.complex_from_json({"ring": "Z", "ranks": {"0": limit}}).rank(0) == limit
+    with pytest.raises(InvalidInputError, match="limit"):
+        jsonio.complex_from_json({"ring": "Z", "ranks": {"0": limit + 1}})
+
+
 @pytest.mark.parametrize("rank", [1.5, True, "1", -1], ids=["float", "bool", "string", "negative"])
 def test_bad_complex_rank_exits_2(tmp_path, capsys, rank):
     payload = complex_payload()

@@ -131,13 +131,17 @@ def test_inverse_of_the_certificate_transforms(a):
 
 class _TupleRing(PrimeFieldPolynomialRing):
     """F_p[x] that computes on its tuples: a matrix over it runs
-    ``_echelon`` and ``_chain`` on row kernels written with the tuple
-    ring's scalar ``add``, ``sub`` and ``mul``.  Its own token keeps it
-    out of every cache that fpx(p) matrices use."""
+    ``_echelon`` and ``_chain`` on row kernels written with the scalar
+    ``add``, ``sub`` and ``mul`` of fpx(p), and takes every other scalar
+    operation from fpx(p) too.  Its own token keeps it out of every
+    cache that fpx(p) matrices use."""
 
     def __init__(self, p):
         super().__init__(p)
         self.token, self.work, self.pack, self.unpack = f"fpx:{p}:tuples", self, None, None
+        public = fpx(p)
+        for name in ("add", "sub", "neg", "mul", "divmod", "normalize", "unit_inverse", "ext_gcd"):
+            setattr(self, name, getattr(public, name))
 
     def product(self, left, right, width):
         return [[functools.reduce(self.add, map(self.mul, row, col), self.zero)

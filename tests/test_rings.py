@@ -131,6 +131,20 @@ def test_factor_gates(wall_clock_limit):
         assert ZZ.factor((10 ** 9 + 7) * (10 ** 9 + 9)) == {10 ** 9 + 7: 1, 10 ** 9 + 9: 1}
     with wall_clock_limit(0.05):
         assert fpx.__wrapped__(10 ** 24 + 7).p == 10 ** 24 + 7
+    # Seeded random monic polynomials of degree 200 over F_3 and F_2,
+    # whose factoring runs hundreds of gcds and modular powers.
+    polys = []
+    for ring in (F3, F2):
+        rng = random.Random(1)
+        polys.append((ring, ring.poly([rng.randrange(ring.p) for _ in range(200)] + [1])))
+    with wall_clock_limit(0.5):
+        factored = [ring.factor(f) for ring, f in polys]
+    for (ring, f), factors in zip(polys, factored):
+        product = ring.one
+        for q, mult in factors.items():
+            for _ in range(mult):
+                product = ring.mul(product, q)
+        assert product == f and len(factors) > 1
 
 
 def test_factor_rejects_zero_and_units():
