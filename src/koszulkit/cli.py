@@ -17,7 +17,7 @@ import sys
 
 from . import jsonio
 from .complexes import cone, homology, homology_table, structure_maps, truncate_ge, truncate_le, truncation_splitting
-from .errors import KoszulkitError
+from .errors import InvalidInputError, KoszulkitError
 from .generators import GenParams
 from .jsonio import (
     chain_map_from_json,
@@ -43,11 +43,13 @@ from .suites import SUITES, run_suite
 
 
 def _read_input(args) -> object:
-    path = args.fixture or getattr(args, "infile", None)
-    if path:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    return json.load(sys.stdin)
+    try:
+        if args.infile:
+            with open(args.infile, "r", encoding="utf-8") as handle:
+                return json.load(handle)
+        return json.load(sys.stdin)
+    except ValueError as error:  # not UTF-8, not JSON, or an integer past Python's digit limit
+        raise InvalidInputError(str(error)) from None
 
 
 def _write_output(args, payload: dict):
@@ -74,7 +76,7 @@ def _cmd_homology(args):
         table = {args.degree: homology(complex_, args.degree)}
     else:
         table = homology_table(complex_)
-    return {"homology": {str(n): fg_module_to_json(m) for n, m in sorted(table.items())}}
+    return {"homology": {str(n): fg_module_to_json(m) for n, m in table.items()}}
 
 
 def _cmd_cone(args):
@@ -152,7 +154,7 @@ def _cmd_excise(args):
         "target": complex_to_json(cert.target),
         "q": chain_map_to_json(cert.q),
         "retraction0": matrix_to_json(cert.retraction0),
-        "sections": {str(n): matrix_to_json(m) for n, m in sorted(cert.sections.items())},
+        "sections": {str(n): matrix_to_json(m) for n, m in cert.sections.items()},
         "kernel": complex_to_json(cert.kernel),
         "kernel_inclusion": chain_map_to_json(cert.kernel_inclusion),
         "verified": cert.verifies(),
@@ -211,7 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--in", dest="infile", default=None, help="input JSON file (default: stdin)")
-        p.add_argument("--fixture", default=None, help="curated fixture file used as input")
         p.add_argument("--out", default=None, help="output JSON file (default: stdout)")
 
     for name in _COMMANDS:
@@ -244,7 +245,7 @@ def main(argv=None) -> int:
         payload = _COMMANDS[args.command](args)
         _write_output(args, payload)
         return 0
-    except (KoszulkitError, json.JSONDecodeError, OSError) as error:
+    except (KoszulkitError, OSError) as error:
         print(f"koszulkit: {error}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,9 @@
 Differentials decrease degree.  Degrees are arbitrary integers; support
 is explicit and never inferred from zero matrices, although degrees of
 rank zero are normalized away so that equality of complexes is plain
-structural equality.
+structural equality.  Ranks, differentials and the components of chain
+maps and homotopies are kept in increasing degree, whatever order they
+were given in, so every construction and witness depends on values only.
 
 Verification policy.  The public constructors of ``ChainComplex``,
 ``ChainMap`` and ``Homotopy`` check shapes, the ring and the law
@@ -44,9 +46,6 @@ identity.  A basis with no columns drops its degree.  An image that
 leaves the target span raises ``NotAComplexError``, the one error of
 the helpers (a boundary into a degree with no basis is zero in the
 subcomplex, so the inclusion's chain-map check catches it instead).
-The ranks of a subcomplex follow the order of its bases, and so do the
-unknowns of any homotopy solved on it later, so each caller passes its
-bases in one fixed order.
 
 Split monomorphisms and quotients.  Split monos, split epis and the
 admissible sequences of ``koszul`` share one private step,
@@ -70,9 +69,8 @@ under row-major vectorization vec(A X B) == (A (x) B^T) vec(X)
 blocks assemble into one system and the memoized ``solve`` runs once.
 All degrees are solved jointly, since a greedy degree-by-degree pass
 can commit to choices that block the next degree.  The unknowns are
-stacked degree after degree in the order of the ranks, each row-major,
-and ``solve`` returns the canonical solution of that system, so the
-witnesses are deterministic.
+stacked in increasing degree, each row-major, and ``solve`` returns the
+canonical solution of that system, so the witnesses are deterministic.
 
 Sign conventions.  The shift negates differentials degree by degree for
 odd shifts.  The cone of f : X -> Y has degree-n part X_{n-1} (+) Y_n
@@ -131,7 +129,7 @@ def _integer(value, what: str) -> int:
 
 
 def _nonzero_blocks(ring: Ring, blocks: Mapping[int, Matrix], shape, what: str) -> dict:
-    """Check each block's degree, ring and shape ``shape(n)``; keep the nonzero ones."""
+    """Check each block's degree, ring and shape ``shape(n)``; keep the nonzero ones by degree."""
     clean = {}
     for n, mat in blocks.items():
         _integer(n, f"{what} degree")
@@ -142,7 +140,7 @@ def _nonzero_blocks(ring: Ring, blocks: Mapping[int, Matrix], shape, what: str) 
             raise DimensionError(f"{what} at degree {n} has shape {mat.rows}x{mat.cols}, expected {rows}x{cols}")
         if rows and cols and not mat.is_zero():
             clean[n] = mat
-    return clean
+    return dict(sorted(clean.items()))
 
 
 def _product(a: Optional[Matrix], b: Optional[Matrix]) -> Optional[Matrix]:
@@ -198,13 +196,11 @@ class ChainComplex(_Checked):
                 raise NotAComplexError(f"d({n}) . d({n + 1}) is nonzero")
 
     def _fill(self, ring: Ring, ranks: Mapping[int, int], diffs: Mapping[int, Matrix]):
-        clean_ranks = {}
         for n, r in ranks.items():
             _integer(n, "degree")
             if _integer(r, "rank") < 0:
                 raise InvalidInputError("negative rank")
-            if r:
-                clean_ranks[n] = r
+        clean_ranks = {n: r for n, r in sorted(ranks.items()) if r}
         clean_diffs = _nonzero_blocks(
             ring, diffs, lambda n: (clean_ranks.get(n - 1, 0), clean_ranks.get(n, 0)), "differential")
         object.__setattr__(self, "ring", ring)
@@ -213,7 +209,7 @@ class ChainComplex(_Checked):
 
     @property
     def support(self) -> tuple:
-        return tuple(sorted(self.ranks))
+        return tuple(self.ranks)
 
     def rank(self, n: int) -> int:
         return self.ranks.get(n, 0)
@@ -244,7 +240,7 @@ class ChainComplex(_Checked):
         )
 
     def __repr__(self):
-        return f"ChainComplex({self.ring.token}, ranks={dict(sorted(self.ranks.items()))})"
+        return f"ChainComplex({self.ring.token}, ranks={self.ranks})"
 
 
 def zero_complex(ring: Ring) -> ChainComplex:
@@ -339,7 +335,7 @@ class ChainMap(_Checked):
         return ChainMap(self.target, self.source, {n: inverse(self.at(n)) for n in self.source.ranks})
 
     def __repr__(self):
-        return f"ChainMap(degrees={sorted(self.components)})"
+        return f"ChainMap(degrees={list(self.components)})"
 
 
 class Homotopy(_Checked):
@@ -396,16 +392,15 @@ def shift_map(f: ChainMap, k: int) -> ChainMap:
 class _Layout:
     """Degree n is C_{n-s} (+) ... over the pairs (C, s) of ``parts``.
 
-    ``degrees`` (where some summand lives) orders the ranks, and so the
-    homotopy solvers' unknowns.  ``grid(n)`` gives the blocks of d_n by
-    summand, None for a zero block.
+    ``grid(n)`` gives the blocks of d_n by summand, None for a zero block.
     """
 
     __slots__ = ("parts", "complex")
 
-    def __init__(self, parts: list, degrees: set, grid):
+    def __init__(self, parts: list, grid):
         ring = parts[0][0].ring
         self.parts = parts
+        degrees = {n + s for c, s in parts for n in c.ranks}
         diffs = {}
         for n in degrees | {n + 1 for n in degrees}:
             cells = grid(n)
@@ -437,9 +432,8 @@ class Cone:
 
 def _cone_layout(f: ChainMap) -> _Layout:
     X, Y = f.source, f.target
-    return _Layout([(X, 1), (Y, 0)], {n + 1 for n in X.ranks} | set(Y.ranks),
-                   lambda n: [[_negated(X.diffs.get(n - 1)), None],
-                              [_negated(f.components.get(n - 1)), Y.diffs.get(n)]])
+    return _Layout([(X, 1), (Y, 0)], lambda n: [[_negated(X.diffs.get(n - 1)), None],
+                                                [_negated(f.components.get(n - 1)), Y.diffs.get(n)]])
 
 
 def _cone_maps(f: ChainMap, layout: _Layout) -> Cone:
@@ -458,12 +452,10 @@ def cone(f: ChainMap) -> Cone:
 
 def _cylinder(f: ChainMap) -> _Layout:
     X, Y = f.source, f.target
-    return _Layout(
-        [(X, 0), (X, 1), (Y, 0)],
-        set(X.ranks) | {n + 1 for n in X.ranks} | set(Y.ranks),
-        lambda n: [[X.diffs.get(n), Matrix.identity(X.ring, X.rank(n - 1)) if X.rank(n - 1) else None, None],
-                   [None, _negated(X.diffs.get(n - 1)), None],
-                   [None, _negated(f.components.get(n - 1)), Y.diffs.get(n)]])
+    return _Layout([(X, 0), (X, 1), (Y, 0)], lambda n: [
+        [X.diffs.get(n), Matrix.identity(X.ring, X.rank(n - 1)) if X.rank(n - 1) else None, None],
+        [None, _negated(X.diffs.get(n - 1)), None],
+        [None, _negated(f.components.get(n - 1)), Y.diffs.get(n)]])
 
 
 def cylinder(f: ChainMap) -> ChainComplex:
@@ -563,7 +555,7 @@ def _restrict(mat: Matrix, source: Optional[Matrix] = None, target: Optional[Mat
 
 def _subcomplex(complex_: ChainComplex, bases: Mapping[int, Optional[Matrix]]):
     """The subcomplex spanned by ``bases[n]`` in degree n (None: all of
-    it) and its inclusion, both checked; the ranks follow ``bases``."""
+    it) and its inclusion, both checked."""
     ranks = {n: complex_.rank(n) if b is None else b.cols for n, b in bases.items()}
     diffs = {n: _restrict(complex_.diffs[n], bases[n], bases[n - 1])
              for n in ranks if ranks[n] and ranks.get(n - 1) and n in complex_.diffs}
@@ -874,8 +866,8 @@ def kernel_image_sequences(ses: ComplexSes, n: int) -> tuple[bool, bool]:
 
 def _solve_splitting(maps: Mapping[int, Matrix], retract: bool) -> Optional[dict]:
     """Exact sections m_n . s_n == id of the matrices ``maps``, or with
-    ``retract`` retractions r_n . m_n == id (transposed sections), in the
-    order of ``maps``; None if some degree has none."""
+    ``retract`` retractions r_n . m_n == id (transposed sections); None
+    if some degree has none."""
     out = {}
     for n, mat in maps.items():
         if retract:
@@ -905,7 +897,7 @@ def _splitting(maps: Mapping[int, Matrix], witnesses: Optional[dict], retract: b
 
 def _mono_components(incl: ChainMap) -> dict:
     """The components of ``incl`` where its source is nonzero."""
-    return {n: incl.at(n) for n in set(incl.source.ranks) | set(incl.target.ranks) if incl.source.rank(n)}
+    return {n: incl.at(n) for n in incl.source.ranks}
 
 
 def split_retractions(incl: ChainMap) -> Optional[dict]:
@@ -965,9 +957,8 @@ def direct_sum(*parts: ChainComplex) -> DirectSum:
         raise InvalidInputError("direct sum of no complexes")
     if any(part.ring != parts[0].ring for part in parts):
         raise InvalidInputError("direct sum across different rings")
-    layout = _Layout([(part, 0) for part in parts], set().union(*(part.ranks for part in parts)),
-                     lambda n: [[p.diffs.get(n) if i == j else None for j in range(len(parts))]
-                                for i, p in enumerate(parts)])
+    layout = _Layout([(part, 0) for part in parts], lambda n: [
+        [p.diffs.get(n) if i == j else None for j in range(len(parts))] for i, p in enumerate(parts)])
     total = layout.complex
     inclusions = tuple(ChainMap._trusted(part, total, {n: layout.inclusion(i, n) for n in part.ranks})
                        for i, part in enumerate(parts))

@@ -192,17 +192,18 @@ def gen_matrix(params: GenParams, trial: int, max_dim: int = 6, bound: Optional[
 # Complex scrambling.
 
 
-def _scramble(rng: random.Random, complex_: ChainComplex):
+def _scramble(rng: random.Random, complex_: ChainComplex, order):
     """The complex conjugated by degreewise unimodular changes of basis,
-    with the moves drawn for each degree.
+    with the moves drawn for each degree; ``order`` lists every degree of
+    the complex, in the order its moves are drawn.
 
     With E_n the product of the moves at degree n, the new differential
     is E_{n-1} . d_n . E_n^-1, applied as row and column operations.
     """
     ring = complex_.ring
-    moves = {n: _draw_unimodular(rng, ring, r) for n, r in complex_.ranks.items()}
+    moves = {n: _draw_unimodular(rng, ring, complex_.rank(n)) for n in order}
     diffs = {n: _times(moves[n - 1], _times_inverse(mat, moves[n])) for n, mat in complex_.diffs.items()}
-    return ChainComplex(ring, dict(complex_.ranks), diffs), moves
+    return ChainComplex(ring, complex_.ranks, diffs), moves
 
 
 def scramble_complex(rng: random.Random, complex_: ChainComplex):
@@ -213,7 +214,7 @@ def scramble_complex(rng: random.Random, complex_: ChainComplex):
     chain-isomorphic presentation with scrambled coordinates.
     """
     ring = complex_.ring
-    twisted, moves = _scramble(rng, complex_)
+    twisted, moves = _scramble(rng, complex_, complex_.ranks)
     eye = {n: Matrix.identity(ring, r) for n, r in complex_.ranks.items()}
     fwd = ChainMap(complex_, twisted, {n: _times(m, eye[n]) for n, m in moves.items()})
     bwd = ChainMap(twisted, complex_, {n: _times_inverse(eye[n], m) for n, m in moves.items()})
@@ -302,7 +303,8 @@ def gen_a_object(params: GenParams, trial: int, spherical: Optional[int] = None,
         for base, div in blocks
     ]
     total = direct_sum(*parts).complex
-    twisted, _ = _scramble(rng, total)
+    # The draw order fixes the instances: increasing degree, negative degrees last.
+    twisted, _ = _scramble(rng, total, sorted(total.ranks, key=lambda n: (n < 0, n)))
     expected = {}
     for base, div in blocks:
         if not ring.is_unit(div):
@@ -381,7 +383,7 @@ def gen_admissible_ses(params: GenParams, trial: int,
         retr_comps[n] = hstack([Matrix.identity(ring, a), -s if n in shear.components else s])
         epi_comps[n] = _selection(ring, a + b, range(a, a + b)).transpose()
         sect_comps[n] = vstack([s, Matrix.identity(ring, b)])
-    twisted, moves = _scramble(rng, middle)
+    twisted, moves = _scramble(rng, middle, (1, 0))
     mono = ChainMap(left, twisted, {n: _times(moves[n], m) for n, m in mono_comps.items()})
     epi = ChainMap(twisted, right, {n: _times_inverse(m, moves[n]) for n, m in epi_comps.items()})
     retractions = {n: _times_inverse(m, moves[n]) for n, m in retr_comps.items()}
@@ -426,7 +428,7 @@ def gen_ses_of_complexes(params: GenParams, trial: int, acyclic_side: str = "lef
         twist = left.d(n) * m_here - m_prev * right.d(n)
         diffs[n] = block(ring, [[left.d(n), twist], [None, right.d(n)]], rows, cols)
     middle = ChainComplex(ring, ranks, diffs)
-    twisted, moves = _scramble(rng, middle)
+    twisted, moves = _scramble(rng, middle, middle.ranks)
     mono = ChainMap(left, twisted, {
         n: _times(moves[n], _selection(ring, ranks[n], range(left.rank(n)))) for n in degrees})
     epi = ChainMap(twisted, right, {
@@ -455,8 +457,8 @@ def gen_quasi_iso_pair(params: GenParams, trial: int,
     boundary = block(ring, [[base.d(1), mixing], [None, pad.d(1)]], [b0, p0], [bx, px])
     padded = ChainComplex(ring, {1: bx + px, 0: b0 + p0}, {1: boundary})
     incl = {1: _selection(ring, bx + px, range(bx)), 0: _selection(ring, b0 + p0, range(b0))}
-    source_twist, source_moves = _scramble(rng, base)
-    target_twist, target_moves = _scramble(rng, padded)
+    source_twist, source_moves = _scramble(rng, base, (1, 0))
+    target_twist, target_moves = _scramble(rng, padded, (1, 0))
     # The inclusion base -> padded, conjugated by both changes of basis.
     return QuasiIsoPair(ChainMap(source_twist, target_twist, {
         n: _times(target_moves[n], _times_inverse(incl[n], source_moves[n])) for n in source_moves}))
@@ -571,7 +573,7 @@ def gen_idempotent(params: GenParams, trial: int,
     moves = _draw_unimodular(rng, ring, complex_.rank(1))
     top = _times(moves, _times_inverse(projector.at(1), moves))
     comps = {1: top, 0: boundary * top * inverse(boundary)}
-    return complex_, ChainMap(complex_, complex_, {n: comps[n] for n in complex_.ranks})
+    return complex_, ChainMap(complex_, complex_, comps)
 
 
 # ---------------------------------------------------------------------------

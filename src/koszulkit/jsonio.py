@@ -222,8 +222,8 @@ def matrix_from_json(ring: Ring, data) -> Matrix:
 def complex_to_json(complex_: ChainComplex) -> dict:
     return {
         "ring": complex_.ring.token,
-        "ranks": {str(n): r for n, r in sorted(complex_.ranks.items())},
-        "differentials": {str(n): matrix_to_json(m) for n, m in sorted(complex_.diffs.items())},
+        "ranks": {str(n): r for n, r in complex_.ranks.items()},
+        "differentials": {str(n): matrix_to_json(m) for n, m in complex_.diffs.items()},
     }
 
 
@@ -247,7 +247,7 @@ def chain_map_to_json(f: ChainMap) -> dict:
     return {
         "source": complex_to_json(f.source),
         "target": complex_to_json(f.target),
-        "components": {str(n): matrix_to_json(m) for n, m in sorted(f.components.items())},
+        "components": {str(n): matrix_to_json(m) for n, m in f.components.items()},
     }
 
 
@@ -316,9 +316,12 @@ def presented_koszul_from_json(data) -> PresentedKoszul:
     g1, g0 = ranks.get(1, 0), ranks.get(0, 0)
     read = partial(matrix_from_json, ring)
     pres = _table(data, "presentations", read, (0, 1))
+    diffs = _table(data, "differentials", read, (1,))
+    # A free degree 1 and a zero boundary: refused before that boundary is built.
+    if g1 and 1 not in pres and 1 not in diffs:
+        raise InvalidInputError("boundary map is not injective")
     top = PresentedModule(ring, g1, pres[1] if 1 in pres else Matrix.zeros(ring, g1, 0))
     bottom = PresentedModule(ring, g0, pres[0] if 0 in pres else Matrix.zeros(ring, g0, 0))
-    diffs = _table(data, "differentials", read, (1,))
     boundary = diffs[1] if 1 in diffs else Matrix.zeros(ring, g0, g1)
     return PresentedKoszul(top, bottom, PresentedMap(top, bottom, boundary))
 

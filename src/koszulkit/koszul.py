@@ -224,7 +224,7 @@ def _factor_step(f: ChainMap, mapping_cone: Cone, n: int) -> FactorStep:
     witness_components = {m: -a.components[m + 1].take_cols(range(X.rank(m)))
                           for m in X.ranks if m + 1 in a.components}
     witness = Homotopy(composite.compose(f), ChainMap.zero(X, upper), witness_components)
-    g = ChainMap(X, intermediate, {m: vstack([f.at(m), witness.at(m)]) for m in set(X.ranks)})
+    g = ChainMap(X, intermediate, {m: vstack([f.at(m), witness.at(m)]) for m in X.ranks})
     if h.compose(g) != f:
         raise AssertionError("factor step lost exact equality with the input map")
     return FactorStep(g=g, h=h, witness=witness, upper=upper)

@@ -53,7 +53,7 @@ def image_complex(f: ChainMap):
 
 def _image(f: ChainMap):
     """The image subcomplex of f and its mono, without the epi."""
-    return _subcomplex(f.target, {n: image_basis(f.at(n)) for n in set(f.source.ranks) | set(f.target.ranks)})
+    return _subcomplex(f.target, {n: image_basis(f.at(n)) for n in f.target.ranks})
 
 
 def kernel_complex(f: ChainMap):

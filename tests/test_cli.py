@@ -307,6 +307,30 @@ def test_huge_count_exits_2(tmp_path, capsys, wall_clock_limit, argv, payload):
     assert len(err.splitlines()) == 1 and err.startswith("koszulkit: ") and "limit" in err
 
 
+@pytest.mark.parametrize("command", ["resolve", "efunctor"])
+def test_free_degree_one_without_a_boundary_exits_2_at_once(tmp_path, capsys, wall_clock_limit, command):
+    limit = jsonio._MAX_COUNT
+    path = write_json(tmp_path, "zero.json", {"ring": "Z", "ranks": {"1": limit, "0": limit}})
+    with wall_clock_limit(0.05):
+        code, out, err = run_cli(capsys, command, "--in", path)
+    assert (code, out, err) == (2, "", "koszulkit: boundary map is not injective\n")
+
+
+UNREADABLE = {
+    "5000-digit-integer": b'{"ring": "Z", "ranks": {"0": ' + b"9" * 5000 + b"}}",
+    "not-utf-8": b'{"ring": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("data", UNREADABLE.values(), ids=UNREADABLE)
+def test_input_that_python_cannot_read_as_json_exits_2(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "k0", "--in", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("koszulkit: ")
+
+
 def test_count_limit_is_inclusive():
     limit = jsonio._MAX_COUNT
     assert jsonio.complex_from_json({"ring": "Z", "ranks": {"0": limit}}).rank(0) == limit
@@ -452,19 +476,19 @@ def test_missing_file_exits_2(capsys):
 
 
 def test_fixture_bad_matrix_exits_2(capsys):
-    code, _, err = run_cli(capsys, "snf", "--fixture", str(FIXTURES / "bad_matrix.json"))
+    code, _, err = run_cli(capsys, "snf", "--in", str(FIXTURES / "bad_matrix.json"))
     assert code == 2 and "matrix" in err
 
 
 def test_fixture_non_injective_koszul_exits_2(capsys):
-    code, _, err = run_cli(capsys, "k0", "--fixture", str(FIXTURES / "non_injective_koszul.json"))
+    code, _, err = run_cli(capsys, "k0", "--in", str(FIXTURES / "non_injective_koszul.json"))
     assert code == 2
-    code, _, err = run_cli(capsys, "kappa", "--fixture", str(FIXTURES / "non_injective_koszul.json"))
+    code, _, err = run_cli(capsys, "kappa", "--in", str(FIXTURES / "non_injective_koszul.json"))
     assert code == 2
 
 
 def test_fixture_non_acyclic_mono_exits_2(capsys):
-    code, _, err = run_cli(capsys, "excise", "--fixture", str(FIXTURES / "non_acyclic_mono.json"))
+    code, _, err = run_cli(capsys, "excise", "--in", str(FIXTURES / "non_acyclic_mono.json"))
     assert code == 2 and "acyclic" in err
 
 

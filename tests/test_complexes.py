@@ -282,19 +282,27 @@ def test_nullhomotopy_of_identity_iff_acyclic_over_f3x():
 
 def test_nullhomotopy_components_are_pinned():
     # An acyclic Z^2 -> Z^4 -> Z^2 whose contracting homotopies are not
-    # unique.  The solver stacks the unknowns H_1, H_0 in the order of the
-    # ranks, each row-major, and returns the canonical solution of that
-    # system; stacking H_0 first gives another homotopy, and reading the
-    # solution back column-major breaks the homotopy identity.
-    sample = ChainComplex(ZZ, {2: 2, 1: 4, 0: 2}, {
+    # unique.  The solver stacks the unknowns H_0, H_1 in increasing
+    # degree, each row-major, and returns the canonical solution of that
+    # system, whatever order the ranks were given in; stacking H_1 first
+    # gives another homotopy, and reading the solution back column-major
+    # breaks the homotopy identity.
+    diffs = {
         2: Matrix(ZZ, [[1, 0], [3, 0], [4, 1], [1, 3]]),
         1: Matrix(ZZ, [[-10, 7, -3, 1], [-7, 6, -3, 1]]),
-    })
-    found = nullhomotopy(ChainMap.identity(sample))
-    assert found.components == {
-        1: Matrix(ZZ, [[0, 4, -3, 1], [0, 6, -5, 2]]),
-        0: Matrix(ZZ, [[2, -3], [7, -10], [14, -20], [14, -20]]),
     }
+    pinned = {
+        1: Matrix(ZZ, [[1, 0, 0, 0], [-4, 0, 1, 0]]),
+        0: Matrix(ZZ, [[0, 0], [1, -1], [0, 0], [-6, 7]]),
+    }
+    for ranks in ({2: 2, 1: 4, 0: 2}, {0: 2, 1: 4, 2: 2}):
+        sample = ChainComplex(ZZ, ranks, diffs)
+        assert nullhomotopy(ChainMap.identity(sample)).components == pinned
+    # The homotopy law, dH + Hd == id, degree by degree.
+    d = sample.d
+    assert d(1) * pinned[0] == Matrix.identity(ZZ, 2)
+    assert d(2) * pinned[1] + pinned[0] * d(1) == Matrix.identity(ZZ, 4)
+    assert pinned[1] * d(2) == Matrix.identity(ZZ, 2)
 
 
 def test_homotopy_between_refuses_non_parallel_maps():

@@ -1,13 +1,10 @@
-import dataclasses
-import hashlib
-import json
 import math
 
 import pytest
 
-from koszulkit import generators, jsonio
-from koszulkit.complexes import ChainComplex, ChainMap, homology_table, is_acyclic, quasi_iso_degree
-from koszulkit.fgmodules import FgModule, module_iso
+from koszulkit import generators
+from koszulkit.complexes import homology_table, is_acyclic, quasi_iso_degree
+from koszulkit.fgmodules import module_iso
 from koszulkit.generators import (
     GenParams,
     gen_a_object,
@@ -33,10 +30,11 @@ from koszulkit.generators import (
     _times,
     _times_inverse,
 )
-from koszulkit.koszul import AdmissibleSes, PresentedKoszul, h0, in_A, in_A_n, in_kos1
+from koszulkit.koszul import h0, in_A, in_A_n, in_kos1
 from koszulkit.matrices import Matrix, is_unimodular
-from koszulkit.presented import PresentedMap, is_short_exact
+from koszulkit.presented import is_short_exact
 from koszulkit.rings import ZZ, fpx
+from pinning import digest
 
 PARAMS = GenParams(ring=ZZ, seed=42)
 POLY_PARAMS = GenParams(ring=fpx(2), seed=42, max_entry=3)
@@ -55,77 +53,42 @@ def test_seed_changes_output():
     assert gen_koszul(PARAMS, 1).complex != gen_koszul(PARAMS.with_seed(43), 1).complex
 
 
-# SHA-256 of the JSON of each generator's outputs (see _pinned_outputs):
-# same random draws, same instances.  A change to what a generator draws
-# or returns moves its hash.
+# SHA-256 of the value-only JSON of each generator's outputs (see
+# _pinned_outputs): same random draws, same instances.  A change to what
+# a generator draws or returns moves its hash.
 PINNED = {
     "gen_koszul":
-        "267c801dff822f3b68ccd62ce1591a30b39db205e88704331eb366e61abf3704",
+        "2ab9c147e7e2899cd83e432178b94aa5bb372bb121013ab72585eb2e9cc343f6",
     "gen_a_object":
-        "7c3782207b9e2798fa767969e117e109a2a6c6429e0046ada499f729ec427675",
+        "dc8369247160bbe2fdc00f92b99531e8bfbbc3cfdf19ed2db71087b31b0cc4be",
     "gen_admissible_ses":
-        "08ad46778734592a605759b8b9b19ba43253f2cd120997d7bf1fc6c28eff273f",
+        "764cd3990e1d1f9d575924b75dbbcf2ff28ec43e4762810c6274ba620fb7069e",
     "gen_ses_of_complexes":
-        "51011d3e98630f132c0a290c7d39565ce0d0724651abbe5901784890bf82db91",
+        "9fd8ddc6c7dae863371b256d75ed2b2cfcfff578aa8885fdf46bc28da8b8c506",
     "gen_quasi_iso_pair":
-        "f225e7cb21de5cc67e6eb64f6fc26214b04804daf6b9592d0784f77ebf91079a",
+        "1e95b47ccbc27a95ad8036d756f9a0392cfe0501dbfc83e8ff8088cd0a966372",
     "gen_c_object":
-        "30a71d23dd70dfdae453d8ee79e6220d716b3236b2d5984e7c3c22e000046eca",
+        "a10aa341611434b717d6e53758fa795fa9413d28ced2e1d67ba97ba3926b11a1",
     "gen_idempotent":
-        "da8a5436465e86f16f7b371497e1411aab565b685ca1645dddbeb5336f6cd978",
+        "182fa3d8bccf19dfaaf5df673a07b37aabb745fbb8ad594728266cb9f6b3779a",
     "gen_module_ses":
-        "4dbe268c2de4fd8bf0ee99bed67230aaaafb1a08225d61103d869dd890c79362",
+        "4ca2aa35f758721f208b2c1329a889eea74d30b4a9d79ad1884fcc4f29d40543",
     "gen_ses_morphism":
-        "0d092bfd96744c7ac5b931257b6c63a5a7d30b214a01afa743f6df79e2b2059f",
+        "dd3fab2a456783da757bde8d6c6d52d89c86a00a2957c728b5325971e1aab3ad",
     "gen_three_by_three":
-        "d1b50d96431e79542b85cc045b063e0e7c9e7c831da57880daa00eb2e45be4b2",
+        "9e99aac45ee2965f96331c08b3b5241fa18923f6835ad7bc50441210849abdd4",
 }
 
-
-# Samples that keep the divisors of their expected modules and build the
-# modules when read: they are pinned by the modules, under the field
-# names they once had, so the hashes above stay those of the same JSON.
-EXPECTED_MODULE_FIELDS = {
-    generators.KoszulSample: ("complex", "block_divisors", "expected_h0"),
-    generators.AObjectSample: ("complex", "expected_homology"),
-    generators.CObjectSample: ("object", "expected_h0"),
-}
-
-
-def _plain(value):
-    """A JSON-ready form of a generator output; dictionaries (ranks and
-    components included) keep their insertion order."""
-    if isinstance(value, ChainComplex):
-        return [jsonio.complex_to_json(value), list(value.ranks)]
-    if isinstance(value, ChainMap):
-        return [_plain(value.source), _plain(value.target), _plain(value.components)]
-    if isinstance(value, Matrix):
-        return jsonio.matrix_to_json(value)
-    if isinstance(value, FgModule):
-        return jsonio.fg_module_to_json(value)
-    if isinstance(value, PresentedKoszul):
-        return jsonio.presented_koszul_to_json(value)
-    if isinstance(value, PresentedMap):
-        return jsonio.presented_map_to_json(value)
-    if isinstance(value, AdmissibleSes):
-        return [_plain(value.mono), _plain(value.epi), _plain(value.retractions), _plain(value.sections)]
-    if type(value) in EXPECTED_MODULE_FIELDS:
-        return {name: _plain(getattr(value, name)) for name in EXPECTED_MODULE_FIELDS[type(value)]}
-    if dataclasses.is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return [[str(k), _plain(v)] for k, v in value.items()]
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
-    return value
+# The expected modules a sample builds when read.
+EXPECTED_MODULES = ("expected_h0", "expected_homology")
 
 
 def _pinned_outputs(name: str) -> str:
     generate = getattr(generators, name)
-    outputs = [_plain(generate(GenParams(ring=ring, seed=seed, max_entry=bound), trial))
+    outputs = [generate(GenParams(ring=ring, seed=seed, max_entry=bound), trial)
                for ring, bound in ((ZZ, 9), (fpx(2), 3), (fpx(5), 3))
                for seed in (0, 1) for trial in range(4)]
-    return hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+    return digest([[out, {k: getattr(out, k) for k in EXPECTED_MODULES if hasattr(out, k)}] for out in outputs])
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
