@@ -317,10 +317,10 @@ def presented_koszul_from_json(data) -> PresentedKoszul:
     read = partial(matrix_from_json, ring)
     pres = _table(data, "presentations", read, (0, 1))
     diffs = _table(data, "differentials", read, (1,))
-    # A free degree 1 and a zero boundary: refused before that boundary is built.
-    if g1 and 1 not in pres and 1 not in diffs:
-        raise InvalidInputError("boundary map is not injective")
     top = PresentedModule(ring, g1, pres[1] if 1 in pres else Matrix.zeros(ring, g1, 0))
+    # A free degree 1 and a zero boundary: refused before that boundary is built.
+    if g1 and not top.relations.cols and 1 not in diffs:
+        raise InvalidInputError("boundary map is not injective")
     bottom = PresentedModule(ring, g0, pres[0] if 0 in pres else Matrix.zeros(ring, g0, 0))
     boundary = diffs[1] if 1 in diffs else Matrix.zeros(ring, g0, g1)
     return PresentedKoszul(top, bottom, PresentedMap(top, bottom, boundary))

@@ -6,14 +6,17 @@ carry two classes: the quasi-isomorphism-invariant torsion class of
 their degree-zero homology, and the finer pair (rank of the degree-one
 part, torsion class), whose two projections realize the split
 decomposition of the category's K0 into an acyclic part and a torsion
-part.  Classes are stored in classified form; the additivity checks
-below are the executable content.
+part.  Classes are stored in classified form.  The executable content
+is ``additivity_check(seq, classify)``: it takes one of the class
+functions below and compares the class of the middle term of a short
+exact sequence with the sum of the classes of the outer terms.  The
+``e_functor`` triple of a presented complex goes in as it is, with
+``class_presented``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .complexes import ChainComplex
 from .errors import InvalidInputError
@@ -26,7 +29,6 @@ from .koszul import (
     in_kos1,
     retraction_q,
 )
-from .presented import is_short_exact
 from .rings import Ring
 
 
@@ -109,43 +111,7 @@ def class_presented(x: PresentedKoszul) -> K0KosClass:
                       class_torsion(x.h0().canonical_form()))
 
 
-_CLASSIFIERS = {
-    "kos_isom": class_kos_isom,
-    "kos_qis": class_kos_qis,
-    "presented": class_presented,
-}
-
-
-def additivity_check(seq: Union[AdmissibleSes, PresentedSes, tuple], which: str) -> bool:
-    """class(middle) == class(left) + class(right) for the named classifier.
-
-    Accepts a free-complex admissible sequence, a presented sequence
-    (the canonical triple of ``e_functor`` is one), or a (mono, epi) pair
-    of presented module maps for the plain torsion classifier.
-    """
-    if which == "torsion":
-        mono, epi = seq
-        if not is_short_exact(mono, epi):
-            raise InvalidInputError("not a short exact sequence of modules")
-        left = class_torsion(mono.source.canonical_form())
-        middle = class_torsion(mono.target.canonical_form())
-        right = class_torsion(epi.target.canonical_form())
-        return middle == left + right
-    classifier = _CLASSIFIERS.get(which)
-    if classifier is None:
-        raise InvalidInputError(f"unknown classifier {which!r}")
-    if isinstance(seq, PresentedSes):
-        if which != "presented":
-            raise InvalidInputError("presented sequences use the presented classifier")
-        left, middle, right = seq.left, seq.middle, seq.right
-    elif isinstance(seq, AdmissibleSes):
-        if which == "presented":
-            left = PresentedKoszul.from_free(seq.left)
-            middle = PresentedKoszul.from_free(seq.middle)
-            right = PresentedKoszul.from_free(seq.right)
-        else:
-            left, middle, right = seq.left, seq.middle, seq.right
-    else:
-        raise InvalidInputError("unsupported sequence kind")
-    total = classifier(left) + classifier(right)
-    return classifier(middle) == total
+def additivity_check(seq: AdmissibleSes | PresentedSes, classify) -> bool:
+    """classify(middle) == classify(left) + classify(right), for a class
+    function of the terms of ``seq`` (``class_presented`` for a presented one)."""
+    return classify(seq.middle) == classify(seq.left) + classify(seq.right)

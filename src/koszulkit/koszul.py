@@ -49,7 +49,7 @@ from .complexes import (
 )
 from .errors import InvalidInputError
 from .fgmodules import FgModule, cokernel
-from .matrices import Matrix, _selection, elementary_divisors, hstack, image_basis, kernel_basis, solve, vstack
+from .matrices import Matrix, _selection, elementary_divisors, hstack, image_basis, vstack
 from .presented import PresentedModule, PresentedMap, is_short_exact
 
 
@@ -509,15 +509,12 @@ def resolve_in_kos1(target: PresentedKoszul) -> Resolution:
     free0 = PresentedModule.free(ring, g0)
     free1 = PresentedModule.free(ring, basis.cols)
     e0 = PresentedMap._trusted(free0, target.bottom, Matrix.identity(ring, g0))
-    stacked = solve(hstack([target.d.matrix, target.bottom.relations]), basis)
-    if stacked is None:
+    lift = target.d.lift(basis)
+    if lift is None:
         raise InvalidInputError("cover basis does not lift through the boundary")
-    lift = stacked.take_rows(range(target.top.gens))
     e1 = PresentedMap._trusted(free1, target.top, lift)
     k0 = image_basis(target.bottom.relations)
-    pre = kernel_basis(hstack([lift, target.top.relations]))
-    k1_raw = pre.take_rows(range(basis.cols)) if pre.cols else Matrix.zeros(ring, basis.cols, 0)
-    kernel, incl = _subcomplex(cover, {1: image_basis(k1_raw), 0: k0})
+    kernel, incl = _subcomplex(cover, {1: image_basis(e1.preimage_of_relations()), 0: k0})
     return Resolution(cover=cover, e1=e1, e0=e0, kernel=kernel, kernel_inclusion=incl)
 
 

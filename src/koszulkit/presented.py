@@ -121,9 +121,13 @@ class PresentedMap(_Checked):
 
     def preimage_of_relations(self) -> Matrix:
         """Columns generating {v : M v lies in the relations span of the target}."""
-        stacked = hstack([self.matrix, self.target.relations])
-        ker = kernel_basis(stacked)
-        return ker.take_rows(range(self.source.gens)) if ker.cols else Matrix.zeros(self.matrix.ring, self.source.gens, 0)
+        return kernel_basis(hstack([self.matrix, self.target.relations])).take_rows(range(self.source.gens))
+
+    def lift(self, vectors: Matrix) -> Optional[Matrix]:
+        """Columns v with M v == ``vectors`` modulo the relations of the
+        target, or None when some column of ``vectors`` has no such v."""
+        sol = solve(hstack([self.matrix, self.target.relations]), vectors)
+        return None if sol is None else sol.take_rows(range(self.source.gens))
 
     def kernel(self) -> tuple[PresentedModule, "PresentedMap"]:
         gens_mat = self.preimage_of_relations()
@@ -202,15 +206,6 @@ def pullback(left: PresentedMap, right: PresentedMap) -> tuple[PresentedModule, 
     return module, incl, leg_a, leg_b
 
 
-def factor_through_pullback(module: PresentedModule, incl: PresentedMap, stacked: PresentedMap) -> Optional[PresentedMap]:
-    """Factor a map into the ambient direct sum through the pullback."""
-    ambient = incl.target
-    sol = solve(hstack([incl.matrix, ambient.relations]), stacked.matrix)
-    if sol is None:
-        return None
-    return PresentedMap._trusted(stacked.source, module, sol.take_rows(range(module.gens)))
-
-
 def is_short_exact(mono: PresentedMap, epi: PresentedMap) -> bool:
     """Whether 0 -> A -> B -> C -> 0 given by the two maps is exact."""
     if mono.target.gens != epi.source.gens or not mono.target.relations == epi.source.relations:
@@ -221,8 +216,7 @@ def is_short_exact(mono: PresentedMap, epi: PresentedMap) -> bool:
         return False
     if not epi.is_surjective():
         return False
-    kernel_gens = epi.preimage_of_relations()
-    return solve(hstack([mono.matrix, mono.target.relations]), kernel_gens) is not None
+    return mono.lift(epi.preimage_of_relations()) is not None
 
 
 @dataclass(frozen=True)
@@ -312,12 +306,7 @@ def nine_term_sequences(grid: ThreeByThree) -> tuple[bool, bool]:
     first = is_short_exact(mono1, epi1)
 
     module, incl, _, _ = pullback(pz, gpp)
-    stacked = PresentedMap._trusted(
-        gp.source, direct_sum_modules([pz.source, gpp.source]),
-        vstack([gp.matrix, py.matrix]))
-    into = factor_through_pullback(module, incl, stacked)
-    second = False
-    if into is not None:
-        mono2 = iy.compose(f)
-        second = is_short_exact(mono2, into)
-    return first, second
+    into = incl.lift(vstack([gp.matrix, py.matrix]))
+    if into is None:
+        return first, False
+    return first, is_short_exact(iy.compose(f), PresentedMap._trusted(gp.source, module, into))

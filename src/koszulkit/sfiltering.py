@@ -155,10 +155,8 @@ def ed_decompose(complex_: ChainComplex) -> EdDecomposition:
     perm = _selection(ring, len(order), order).transpose()
     phi1 = perm * inverse(cert.V)
     phi0 = perm * cert.U
-    k, u_count = len(nonunits), len(units)
-    nonunit = two_term(Matrix.diagonal(ring, [cert.divisors[i] for i in nonunits])) \
-        if k else two_term(Matrix.zeros(ring, 0, 0))
-    unit = two_term(Matrix.identity(ring, u_count)) if u_count else two_term(Matrix.zeros(ring, 0, 0))
+    nonunit = two_term(Matrix.diagonal(ring, [cert.divisors[i] for i in nonunits]))
+    unit = two_term(Matrix.identity(ring, len(units)))
     total = direct_sum(nonunit, unit).complex
     iso = ChainMap(complex_, total, {1: phi1, 0: phi0})
     if not iso.is_chain_iso():

@@ -41,7 +41,7 @@ from .generators import (
     gen_three_by_three,
     trial_rng,
 )
-from .k0 import additivity_check, class_kos_qis
+from .k0 import additivity_check, class_kos_isom, class_kos_qis, class_presented, class_torsion
 from .koszul import (
     AdmissibleSes,
     cellular_factorization,
@@ -54,7 +54,7 @@ from .koszul import (
     tau_maps_spherical_check,
 )
 from .matrices import Matrix, solve
-from .presented import cobase_change_check, nine_term_sequences
+from .presented import cobase_change_check, is_short_exact, nine_term_sequences
 from .sfiltering import (
     excision_epi,
     extension_closure_check,
@@ -260,7 +260,7 @@ def lemma_4_3_trial(params: GenParams, trial: int):
     _require(module_iso(triple.right.h0().canonical_form(),
                         sample.object.h0().canonical_form()),
              "right term does not carry H0", instance)
-    _require(additivity_check(triple, "presented"),
+    _require(additivity_check(triple, class_presented),
              "triple classes are not additive", instance)
 
 
@@ -312,15 +312,15 @@ def appendix_a2_trial(params: GenParams, trial: int):
 def k0_additivity_trial(params: GenParams, trial: int):
     sample = gen_admissible_ses(params, trial)
     instance = lambda: jsonio.chain_map_to_json(sample.sequence.mono)
-    _require(additivity_check(sample.sequence, "kos_isom"),
+    _require(additivity_check(sample.sequence, class_kos_isom),
              "isomorphism-level class is not additive", instance)
-    _require(additivity_check(sample.sequence, "kos_qis"),
-             "torsion class is not additive", instance)
     _require(h0_additive(sample.sequence), "H0 sequence is not exact", instance)
     mono, epi = gen_module_ses(params, trial, torsion_only=True)
-    _require(additivity_check((mono, epi), "torsion"),
-             "module torsion class is not additive",
-             lambda: jsonio.presented_map_to_json(mono))
+    instance = lambda: jsonio.presented_map_to_json(mono)
+    _require(is_short_exact(mono, epi), "module sequence is not short exact", instance)
+    left, middle, right = (class_torsion(module.canonical_form())
+                           for module in (mono.source, mono.target, epi.target))
+    _require(middle == left + right, "module torsion class is not additive", instance)
 
 
 def k0_qis_pair_trial(params: GenParams, trial: int):

@@ -307,13 +307,22 @@ def test_huge_count_exits_2(tmp_path, capsys, wall_clock_limit, argv, payload):
     assert len(err.splitlines()) == 1 and err.startswith("koszulkit: ") and "limit" in err
 
 
+LIMIT = jsonio._MAX_COUNT
+FREE_DEGREE_ONE = {
+    "no-presentation": {"ring": "Z", "ranks": {"1": LIMIT, "0": LIMIT}},
+    "presentation-without-columns": {
+        "ring": "Z", "ranks": {"1": LIMIT, "0": LIMIT},
+        "presentations": {"1": {"rows": LIMIT, "cols": 0, "entries": [[]] * LIMIT}}},
+}
+
+
 @pytest.mark.parametrize("command", ["resolve", "efunctor"])
 def test_free_degree_one_without_a_boundary_exits_2_at_once(tmp_path, capsys, wall_clock_limit, command):
-    limit = jsonio._MAX_COUNT
-    path = write_json(tmp_path, "zero.json", {"ring": "Z", "ranks": {"1": limit, "0": limit}})
-    with wall_clock_limit(0.05):
-        code, out, err = run_cli(capsys, command, "--in", path)
-    assert (code, out, err) == (2, "", "koszulkit: boundary map is not injective\n")
+    for name, request in FREE_DEGREE_ONE.items():
+        path = write_json(tmp_path, f"{name}.json", request)
+        with wall_clock_limit(0.05):
+            code, out, err = run_cli(capsys, command, "--in", path)
+        assert (code, out, err) == (2, "", "koszulkit: boundary map is not injective\n"), name
 
 
 UNREADABLE = {

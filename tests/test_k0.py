@@ -16,6 +16,7 @@ from koszulkit.k0 import (
 )
 from koszulkit.koszul import AdmissibleSes, PresentedKoszul, e_functor
 from koszulkit.matrices import Matrix
+from koszulkit.presented import is_short_exact
 from koszulkit.rings import ZZ, fpx
 
 PARAMS = GenParams(ring=ZZ, seed=21)
@@ -65,10 +66,8 @@ def test_class_acyclic():
 def test_additivity_on_split_sequences():
     total = direct_sum(Z6, two_term(Matrix(ZZ, [[2]])))
     seq = AdmissibleSes(total.inclusions[0], total.projections[1])
-    assert additivity_check(seq, "kos_isom")
-    assert additivity_check(seq, "kos_qis")
-    with pytest.raises(InvalidInputError):
-        additivity_check(seq, "nonsense")
+    assert additivity_check(seq, class_kos_isom)
+    assert additivity_check(seq, class_kos_qis)
 
 
 def test_e_functor_triple_additivity_example():
@@ -80,20 +79,23 @@ def test_e_functor_triple_additivity_example():
     assert left == K0KosClass(1, K0TorsionClass.zero(ZZ))
     assert right.rank == 0 and right.torsion.as_dict() == {2: 1, 3: 1}
     assert middle == left + right
-    assert additivity_check(triple, "presented")
+    assert additivity_check(triple, class_presented)
 
 
 def test_additivity_random():
     for trial in range(40):
         sample = gen_admissible_ses(PARAMS, trial)
-        assert additivity_check(sample.sequence, "kos_isom")
-        assert additivity_check(sample.sequence, "kos_qis")
+        assert additivity_check(sample.sequence, class_kos_isom)
+        assert additivity_check(sample.sequence, class_kos_qis)
 
 
 def test_torsion_module_additivity():
     for trial in range(40):
         mono, epi = gen_module_ses(PARAMS, trial, torsion_only=True)
-        assert additivity_check((mono, epi), "torsion")
+        assert is_short_exact(mono, epi)
+        left, middle, right = (class_torsion(module.canonical_form())
+                               for module in (mono.source, mono.target, epi.target))
+        assert middle == left + right
 
 
 def test_quasi_iso_invariance():
