@@ -1,17 +1,22 @@
-"""Matrix work done by one harness core, counted in one process.
+"""Matrix work done by one benchmark core, counted in one process.
 
 Usage, from the root of a source checkout (koszulkit is imported from
 ``src/``; the core is read from ``perfbench/run.py`` and
 ``perfbench/workloads.py``, which the script imports and never changes):
 
-    python3 scripts/core_counts.py --workload harness-z|harness-fpx
+    python3 scripts/core_counts.py --workload harness-z|harness-fpx|cli-requests
                                    [--seconds 20] [--seed 0]
 
-The core is the list of property-suite trials that
+The core is the list of operations that
 ``perfbench/run.py --workload W --seconds S`` runs in each pass, in the
-order that ``--seed`` shuffles it into.  Here every trial of it runs
-once, in one process, so the elimination caches stay warm from trial to
-trial (unlike the benchmark's forked passes), and the script prints:
+order that ``--seed`` shuffles it into: property-suite trials for the
+harness workloads, and for ``cli-requests`` the CLI requests of
+``CliWorkload``, whose input files are written to a temporary directory
+before counting starts (as in the benchmark's set-up, the shared zero
+and identity matrices that writing them makes stay cached).  Here every
+operation runs once, in one process, so the elimination caches stay
+warm from one to the next (unlike the benchmark's forked passes), and
+the script prints:
 
 * ``products``: calls of ``Matrix.__mul__``;
 * ``empty_operand_products``: those calls where an operand has no rows
@@ -36,20 +41,28 @@ trial (unlike the benchmark's forked passes), and the script prints:
 * ``fgmodule_makes``: calls of ``FgModule.make``, each a divisor list
   re-normalized into a chain;
 * ``cpu_s``: the process CPU time of the core, counters included;
-* ``reports_sha256``: SHA-256 of the concatenated JSON suite reports.
+* ``reports_sha256`` (harness workloads): SHA-256 of the concatenated
+  JSON suite reports;
+* ``outputs_sha256`` (``cli-requests``): SHA-256 over each request's
+  label, exit code, output file bytes and stderr, each length-prefixed.
 
 Two commits do the same matrix work in the same way exactly when the
 counts agree, and produce the same output exactly when the hashes do;
-compare CPU times only between alternating runs on one machine.
+compare CPU times only between alternating runs on one machine.  To
+check that a change keeps every output, run the script at the parent
+commit and at the change, for each workload, and compare the hashes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -72,6 +85,28 @@ def core(workload: str, seconds: float, seed: int) -> list:
     ops = workloads.harness_ops(size, 0)
     random.Random(seed).shuffle(ops)
     return ops
+
+
+def cli_core(seconds: float, seed: int, workdir: str) -> list:
+    """The requests of one ``cli-requests`` pass, in its order, with their
+    input files written to ``workdir``."""
+    rounds = run.CliWorkload("cli-requests", seed, seconds, workdir).rounds
+    ops = [op for r in range(rounds) for op in workloads.cli_round(workloads.CORE_SEED, r)]
+    random.Random(seed).shuffle(ops)
+    workloads.write_requests(ops, workdir, 0)
+    return ops
+
+
+def run_cli_request(op) -> bytes:
+    """Run one request in process; its label, exit code, output file and
+    stderr, each length-prefixed."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = workloads.run_cli_op(op)
+    out = Path(op.payload["argv"][-1])
+    parts = [op.label.encode(), str(code).encode(), out.read_bytes() if out.exists() else b"",
+             err.getvalue().encode()]
+    return b"".join(len(part).to_bytes(8, "big") + part for part in parts)
 
 
 def count_matrix_work() -> dict:
@@ -151,21 +186,30 @@ def count_matrix_work() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True, choices=("harness-z", "harness-fpx"))
+    parser.add_argument("--workload", required=True, choices=("harness-z", "harness-fpx", "cli-requests"))
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    ring, max_entry = workloads.harness_ring(args.workload)
-    ops = core(args.workload, args.seconds, args.seed)
-    counts = count_matrix_work()
     digest = hashlib.sha256()
-    start = time.process_time()
-    for op in ops:
-        digest.update(workloads.run_harness_op(ring, max_entry, op)[1].encode())
-    cpu = time.process_time() - start
-    print(json.dumps({"workload": args.workload, "trials": len(ops), **counts,
-                      "cpu_s": round(cpu, 3), "reports_sha256": digest.hexdigest()}))
+    with tempfile.TemporaryDirectory() as workdir:
+        if args.workload == "cli-requests":
+            ops = cli_core(args.seconds, args.seed, workdir)
+            size, hashed, output = {"requests": len(ops)}, "outputs_sha256", run_cli_request
+        else:
+            ring, max_entry = workloads.harness_ring(args.workload)
+            ops = core(args.workload, args.seconds, args.seed)
+            size, hashed = {"trials": len(ops)}, "reports_sha256"
+
+            def output(op):
+                return workloads.run_harness_op(ring, max_entry, op)[1].encode()
+        counts = count_matrix_work()
+        start = time.process_time()
+        for op in ops:
+            digest.update(output(op))
+        cpu = time.process_time() - start
+    print(json.dumps({"workload": args.workload, **size, **counts,
+                      "cpu_s": round(cpu, 3), hashed: digest.hexdigest()}))
     return 0
 
 

@@ -864,29 +864,20 @@ def kernel_image_sequences(ses: ComplexSes, n: int) -> tuple[bool, bool]:
 # Split monomorphisms and quotients.
 
 
-def _solve_splitting(maps: Mapping[int, Matrix], retract: bool) -> Optional[dict]:
-    """Exact sections m_n . s_n == id of the matrices ``maps``, or with
-    ``retract`` retractions r_n . m_n == id (transposed sections); None
-    if some degree has none."""
-    out = {}
-    for n, mat in maps.items():
-        if retract:
-            mat = mat.transpose()
-        sol = solve(mat, Matrix.identity(mat.ring, mat.rows))
-        if sol is None:
-            return None
-        out[n] = sol.transpose() if retract else sol
-    return out
-
-
 def _splitting(maps: Mapping[int, Matrix], witnesses: Optional[dict], retract: bool) -> dict:
-    """``witnesses`` of ``maps`` (retractions with ``retract``, else
-    sections), solved when None, each checked; ``maps`` holds a component
-    at every degree where the split side is nonzero."""
+    """``witnesses`` of ``maps`` (retractions r_n . m_n == id with
+    ``retract``, else sections m_n . s_n == id), each checked; when None,
+    each is solved exactly, a retraction as a transposed section.
+    ``maps`` holds a component at every degree where the split side is
+    nonzero."""
     if witnesses is None:
-        witnesses = _solve_splitting(maps, retract)
-        if witnesses is None:
-            raise InvalidInputError(f"{'mono' if retract else 'epi'}morphism is not degreewise split")
+        witnesses = {}
+        for n, mat in maps.items():
+            side = mat.transpose() if retract else mat
+            sol = solve(side, Matrix.identity(mat.ring, side.rows))
+            if sol is None:
+                raise InvalidInputError(f"{'mono' if retract else 'epi'}morphism is not degreewise split")
+            witnesses[n] = sol.transpose() if retract else sol
     for n, mat in maps.items():
         w = witnesses.get(n)
         size = mat.cols if retract else mat.rows
@@ -903,9 +894,10 @@ def _mono_components(incl: ChainMap) -> dict:
 def split_retractions(incl: ChainMap) -> Optional[dict]:
     """Checked degreewise retractions of a degreewise split monomorphism;
     None if it is not one."""
-    maps = _mono_components(incl)
-    solved = _solve_splitting(maps, True)
-    return None if solved is None else _splitting(maps, solved, True)
+    try:
+        return _splitting(_mono_components(incl), None, True)
+    except InvalidInputError:
+        return None
 
 
 def quotient_by_split_mono(incl: ChainMap, retractions: Optional[dict] = None):

@@ -35,6 +35,10 @@ from typing import Optional
 from .complexes import (
     ChainComplex,
     ChainMap,
+    _Layout,
+    _negated,
+    _product,
+    _sum,
     direct_sum,
     two_term,
 )
@@ -107,9 +111,10 @@ def rand_matrix(rng: random.Random, ring: Ring, rows: int, cols: int, bound: int
 _ADD, _SWAP, _SCALE = range(3)
 
 
-def _draw_unimodular(rng: random.Random, ring: Ring, n: int, steps: Optional[int] = None) -> list:
-    """The elementary matrices E_1, ..., E_k of ``rand_unimodular``, in
-    the order they are drawn; their product is E = E_k ... E_1.
+def _draw_unimodular(rng: random.Random, ring: Ring, n: int) -> list:
+    """The 2n + 2 elementary matrices E_1, ..., E_k of ``rand_unimodular``
+    (none when n < 2, then at most one unit scaling), in the order they
+    are drawn; their product is E = E_k ... E_1.
 
     A move is (_ADD, i, j, c) for I + c e_ij, (_SWAP, i, j, None) for the
     transposition of i and j, or (_SCALE, i, i, (u, u^-1)) for scaling
@@ -117,9 +122,7 @@ def _draw_unimodular(rng: random.Random, ring: Ring, n: int, steps: Optional[int
     """
     pack = ring.pack or (lambda a: a)
     moves = []
-    if steps is None:
-        steps = 2 * n + 2
-    for _ in range(steps if n > 1 else 0):
+    for _ in range(2 * n + 2 if n > 1 else 0):
         op = rng.randrange(3)
         i, j = rng.sample(range(n), 2)
         if op == _ADD:
@@ -175,9 +178,16 @@ def _times_inverse(mat: Matrix, moves: list) -> Matrix:
     return Matrix._from_work(mat.ring, mat.rows, mat.cols, rows)
 
 
-def rand_unimodular(rng: random.Random, ring: Ring, n: int, steps: Optional[int] = None):
+def _conjugated(rng: random.Random, mat: Matrix) -> Matrix:
+    """E . mat . F^-1 for random unimodular E and F, drawn in that order."""
+    left = _draw_unimodular(rng, mat.ring, mat.rows)
+    right = _draw_unimodular(rng, mat.ring, mat.cols)
+    return _times(left, _times_inverse(mat, right))
+
+
+def rand_unimodular(rng: random.Random, ring: Ring, n: int):
     """Random product of elementary matrices, returned with its inverse."""
-    moves = _draw_unimodular(rng, ring, n, steps)
+    moves = _draw_unimodular(rng, ring, n)
     eye = Matrix.identity(ring, n)
     return _times(moves, eye), _times_inverse(eye, moves)
 
@@ -252,10 +262,7 @@ def gen_koszul(params: GenParams, trial: int, acyclic: bool = False,
             divisors.append(rand_unit(rng, ring))
         else:
             divisors.append(rand_nonunit(rng, ring))
-    left = _draw_unimodular(rng, ring, r)
-    right = _draw_unimodular(rng, ring, r)
-    boundary = _times(left, _times_inverse(Matrix.diagonal(ring, divisors), right))
-    return KoszulSample(two_term(boundary), tuple(divisors))
+    return KoszulSample(two_term(_conjugated(rng, Matrix.diagonal(ring, divisors))), tuple(divisors))
 
 
 @dataclass(frozen=True)
@@ -317,18 +324,16 @@ def gen_chain_map(rng: random.Random, source: ChainComplex, target: ChainComplex
     """Sum of homotopy-shaped maps dH + Hd, plus a scalar multiple of the
     identity when source and target coincide."""
     ring = source.ring
+    dX, dY = source.diffs.get, target.diffs.get
     out = ChainMap.zero(source, target)
     for _ in range(terms):
         h = {n: rand_matrix(rng, ring, target.rank(n + 1), source.rank(n), bound)
              for n in source.ranks if target.rank(n + 1)}
         comps = {}
         for n in set(source.ranks) | set(target.ranks):
-            piece = Matrix.zeros(ring, target.rank(n), source.rank(n))
-            if n in h:
-                piece = piece + target.d(n + 1) * h[n]
-            if n - 1 in h:
-                piece = piece + h[n - 1] * source.d(n)
-            comps[n] = piece
+            piece = _sum([_product(dY(n + 1), h.get(n)), _product(h.get(n - 1), dX(n))])
+            if piece is not None:
+                comps[n] = piece
         out = out + ChainMap(source, target, comps)
     if source == target and rng.random() < 0.5:
         scalar = rand_element(rng, ring, bound, nonzero=True)
@@ -340,6 +345,14 @@ def gen_chain_map(rng: random.Random, source: ChainComplex, target: ChainComplex
 
 # ---------------------------------------------------------------------------
 # Admissible sequences of Koszul complexes.
+
+
+def _extension(left: ChainComplex, right: ChainComplex, twist: dict) -> _Layout:
+    """The direct-sum layout of ``left`` and ``right`` with differential
+    d_n = [[dL_n, twist[n]], [0, dR_n]]; an absent or None twist block is
+    zero.  The caller's twist makes the square vanish."""
+    return _Layout([(left, 0), (right, 0)], lambda n: [[left.diffs.get(n), twist.get(n)],
+                                                      [None, right.diffs.get(n)]])
 
 
 @dataclass(frozen=True)
@@ -368,27 +381,20 @@ def gen_admissible_ses(params: GenParams, trial: int,
         right_acyclic = rng.random() < 0.5
     left = gen_koszul(params, trial, acyclic=left_acyclic, rng=rng).complex
     right = gen_koszul(params, trial, acyclic=right_acyclic, rng=rng).complex
-    lx, l0 = left.rank(1), left.rank(0)
-    rx, r0 = right.rank(1), right.rank(0)
-    mixing = rand_matrix(rng, ring, l0, rx, 2)
-    boundary = block(ring, [[left.d(1), mixing], [None, right.d(1)]], [l0, r0], [lx, rx])
-    middle = ChainComplex(ring, {1: lx + rx, 0: l0 + r0}, {1: boundary})
+    layout = _extension(left, right, {1: rand_matrix(rng, ring, left.rank(0), right.rank(1), 2)})
     # shear by a chain map right -> left to vary the stored witnesses
     shear = gen_chain_map(rng, right, left, bound=1, terms=1)
-    mono_comps, retr_comps, epi_comps, sect_comps = {}, {}, {}, {}
-    for n, (a, b) in ((1, (lx, rx)), (0, (l0, r0))):
+    twisted, moves = _scramble(rng, layout.complex, (1, 0))
+    mono, epi, retractions, sections = {}, {}, {}, {}
+    for n in (1, 0):
         s = shear.at(n)
-        mono_comps[n] = _selection(ring, a + b, range(a))
+        mono[n] = _times(moves[n], layout.inclusion(0, n))
+        epi[n] = _times_inverse(layout.inclusion(1, n).transpose(), moves[n])
         # Only a stored component is negated; an absent one is zero.
-        retr_comps[n] = hstack([Matrix.identity(ring, a), -s if n in shear.components else s])
-        epi_comps[n] = _selection(ring, a + b, range(a, a + b)).transpose()
-        sect_comps[n] = vstack([s, Matrix.identity(ring, b)])
-    twisted, moves = _scramble(rng, middle, (1, 0))
-    mono = ChainMap(left, twisted, {n: _times(moves[n], m) for n, m in mono_comps.items()})
-    epi = ChainMap(twisted, right, {n: _times_inverse(m, moves[n]) for n, m in epi_comps.items()})
-    retractions = {n: _times_inverse(m, moves[n]) for n, m in retr_comps.items()}
-    sections = {n: _times(moves[n], m) for n, m in sect_comps.items()}
-    seq = AdmissibleSes(mono, epi, retractions, sections)
+        retractions[n] = _times_inverse(
+            hstack([Matrix.identity(ring, left.rank(n)), -s if n in shear.components else s]), moves[n])
+        sections[n] = _times(moves[n], vstack([s, Matrix.identity(ring, right.rank(n))]))
+    seq = AdmissibleSes(ChainMap(left, twisted, mono), ChainMap(twisted, right, epi), retractions, sections)
     return SesSample(seq, left, right)
 
 
@@ -415,25 +421,13 @@ def gen_ses_of_complexes(params: GenParams, trial: int, acyclic_side: str = "lef
     right = gen_a_object(params, trial, spherical=spherical, rng=rng,
                          acyclic=(acyclic_side == "right")).complex
     mixer = {n: rand_matrix(rng, ring, left.rank(n), right.rank(n), 1) for n in right.ranks if left.rank(n)}
-    degrees = set(left.ranks) | set(right.ranks)
-    ranks = {n: left.rank(n) + right.rank(n) for n in degrees}
-    diffs = {}
-    for n in degrees | {n + 1 for n in degrees}:
-        rows = [left.rank(n - 1), right.rank(n - 1)]
-        cols = [left.rank(n), right.rank(n)]
-        if sum(rows) == 0 or sum(cols) == 0:
-            continue
-        m_here = mixer.get(n, Matrix.zeros(ring, left.rank(n), right.rank(n)))
-        m_prev = mixer.get(n - 1, Matrix.zeros(ring, left.rank(n - 1), right.rank(n - 1)))
-        twist = left.d(n) * m_here - m_prev * right.d(n)
-        diffs[n] = block(ring, [[left.d(n), twist], [None, right.d(n)]], rows, cols)
-    middle = ChainComplex(ring, ranks, diffs)
-    twisted, moves = _scramble(rng, middle, middle.ranks)
-    mono = ChainMap(left, twisted, {
-        n: _times(moves[n], _selection(ring, ranks[n], range(left.rank(n)))) for n in degrees})
+    layout = _extension(left, right, {
+        n: _sum([_product(left.diffs.get(n), mixer.get(n)),
+                 _negated(_product(mixer.get(n - 1), right.diffs.get(n)))]) for n in right.ranks})
+    twisted, moves = _scramble(rng, layout.complex, layout.complex.ranks)
+    mono = ChainMap(left, twisted, {n: _times(moves[n], layout.inclusion(0, n)) for n in left.ranks})
     epi = ChainMap(twisted, right, {
-        n: _times_inverse(_selection(ring, ranks[n], range(left.rank(n), ranks[n])).transpose(), moves[n])
-        for n in degrees})
+        n: _times_inverse(layout.inclusion(1, n).transpose(), moves[n]) for n in right.ranks})
     return SesSample(AdmissibleSes(mono, epi), left, right)
 
 
@@ -451,17 +445,13 @@ def gen_quasi_iso_pair(params: GenParams, trial: int,
     ring = params.ring
     base = gen_koszul(params, trial, rng=rng).complex
     pad = gen_koszul(params, trial, acyclic=True, rng=rng).complex
-    bx, b0 = base.rank(1), base.rank(0)
-    px, p0 = pad.rank(1), pad.rank(0)
-    mixing = rand_matrix(rng, ring, b0, px, 2)
-    boundary = block(ring, [[base.d(1), mixing], [None, pad.d(1)]], [b0, p0], [bx, px])
-    padded = ChainComplex(ring, {1: bx + px, 0: b0 + p0}, {1: boundary})
-    incl = {1: _selection(ring, bx + px, range(bx)), 0: _selection(ring, b0 + p0, range(b0))}
+    padded = _extension(base, pad, {1: rand_matrix(rng, ring, base.rank(0), pad.rank(1), 2)})
     source_twist, source_moves = _scramble(rng, base, (1, 0))
-    target_twist, target_moves = _scramble(rng, padded, (1, 0))
+    target_twist, target_moves = _scramble(rng, padded.complex, (1, 0))
     # The inclusion base -> padded, conjugated by both changes of basis.
     return QuasiIsoPair(ChainMap(source_twist, target_twist, {
-        n: _times(target_moves[n], _times_inverse(incl[n], source_moves[n])) for n in source_moves}))
+        n: _times(target_moves[n], _times_inverse(padded.inclusion(0, n), source_moves[n]))
+        for n in source_moves}))
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +508,7 @@ def gen_c_object(params: GenParams, trial: int,
     expected = []
     if free_rank:
         divisors = [rand_element(rng, ring, params.max_entry, nonzero=True) for _ in range(free_rank)]
-        left = _draw_unimodular(rng, ring, free_rank)
-        right = _draw_unimodular(rng, ring, free_rank)
-        free_boundary = _times(left, _times_inverse(Matrix.diagonal(ring, divisors), right))
+        free_boundary = _conjugated(rng, Matrix.diagonal(ring, divisors))
         expected.extend(divisors)
     else:
         free_boundary = Matrix.zeros(ring, 0, 0)
@@ -624,6 +612,14 @@ def _shear_auto(rng: random.Random, ring: Ring, moduli) -> list:
     return moves
 
 
+def _atom_map(ring: Ring, target: list, source: list) -> Matrix:
+    """The inclusion of the labelled atoms ``source`` into ``target``, or
+    the projection of ``source`` onto ``target``, whichever is a sub-list."""
+    if set(source) <= set(target):
+        return _selection(ring, len(target), [target.index(atom) for atom in source])
+    return _selection(ring, len(source), [source.index(atom) for atom in target]).transpose()
+
+
 def _rand_moduli(rng: random.Random, ring: Ring, count: int, torsion_only: bool = False):
     out = []
     for _ in range(count):
@@ -702,61 +698,25 @@ def gen_three_by_three(params: GenParams, trial: int,
     if rng is None:
         rng = trial_rng(params, trial)
     ring = params.ring
-    a = _rand_moduli(rng, ring, rng.randint(1, 2))
-    b = _rand_moduli(rng, ring, rng.randint(1, 2))
-    c = _rand_moduli(rng, ring, rng.randint(1, 2))
-    d = _rand_moduli(rng, ring, rng.randint(1, 2))
-    na, nb, nc, nd = len(a), len(b), len(c), len(d)
-    objects = {
-        "X": a, "Xp": a + b, "Xpp": b,
-        "Y": a + c, "Yp": a + b + c + d, "Ypp": b + d,
-        "Z": c, "Zp": c + d, "Zpp": d,
-    }
-    modules = {k: _atoms_module(ring, v) for k, v in objects.items()}
-    # index layout inside Yp: a, b, c, d
-    pos = {
-        "a": list(range(na)),
-        "b": list(range(na, na + nb)),
-        "c": list(range(na + nb, na + nb + nc)),
-        "d": list(range(na + nb + nc, na + nb + nc + nd)),
-    }
+    atoms = {}
+    for group in "abcd":
+        for k, modulus in enumerate(_rand_moduli(rng, ring, rng.randint(1, 2))):
+            atoms[group, k] = modulus
+    objects = {key: [atom for atom in atoms if atom[0] in groups] for key, groups in (
+        ("X", "a"), ("Xp", "ab"), ("Xpp", "b"), ("Y", "ac"), ("Yp", "abcd"), ("Ypp", "bd"),
+        ("Z", "c"), ("Zp", "cd"), ("Zpp", "d"))}
+    moduli = {key: [atoms[atom] for atom in labels] for key, labels in objects.items()}
+    modules = {key: _atoms_module(ring, v) for key, v in moduli.items()}
+    twists = {key: _shear_auto(rng, ring, moduli[key]) for key in ("Xp", "Y", "Yp", "Ypp", "Zp")}
 
-    def inclusion(key, positions):
-        return _selection(ring, len(objects[key]), positions)
+    def pm(source, target):
+        """The atom map ``source`` -> ``target``, twisted at both ends."""
+        matrix = _atom_map(ring, objects[target], objects[source])
+        matrix = _times(twists.get(target, []), _times_inverse(matrix, twists.get(source, [])))
+        return PresentedMap(modules[source], modules[target], matrix)
 
-    def projection(key, positions):
-        return inclusion(key, positions).transpose()
-
-    mats = {
-        "iX": inclusion("Xp", range(na)),
-        "pX": projection("Xp", range(na, na + nb)),
-        "iZ": inclusion("Zp", range(nc)),
-        "pZ": projection("Zp", range(nc, nc + nd)),
-        "iY": inclusion("Yp", pos["a"] + pos["c"]),
-        "pY": projection("Yp", pos["b"] + pos["d"]),
-        "f": inclusion("Y", range(na)),
-        "g": projection("Y", range(na, na + nc)),
-        "fp": inclusion("Yp", pos["a"] + pos["b"]),
-        "gp": projection("Yp", pos["c"] + pos["d"]),
-        "fpp": inclusion("Ypp", range(nb)),
-        "gpp": projection("Ypp", range(nb, nb + nd)),
-    }
-    twists = {key: _shear_auto(rng, ring, objects[key]) for key in ("Xp", "Y", "Yp", "Ypp", "Zp")}
-
-    def tw(name, target_key, source_key):
-        return _times(twists.get(target_key, []), _times_inverse(mats[name], twists.get(source_key, [])))
-
-    def pm(matrix, source_key, target_key):
-        return PresentedMap(modules[source_key], modules[target_key], matrix)
-
-    rows = (
-        (pm(tw("iX", "Xp", "X"), "X", "Xp"), pm(tw("pX", "Xpp", "Xp"), "Xp", "Xpp")),
-        (pm(tw("iY", "Yp", "Y"), "Y", "Yp"), pm(tw("pY", "Ypp", "Yp"), "Yp", "Ypp")),
-        (pm(tw("iZ", "Zp", "Z"), "Z", "Zp"), pm(tw("pZ", "Zpp", "Zp"), "Zp", "Zpp")),
-    )
-    cols = (
-        (pm(tw("f", "Y", "X"), "X", "Y"), pm(tw("g", "Z", "Y"), "Y", "Z")),
-        (pm(tw("fp", "Yp", "Xp"), "Xp", "Yp"), pm(tw("gp", "Zp", "Yp"), "Yp", "Zp")),
-        (pm(tw("fpp", "Ypp", "Xpp"), "Xpp", "Ypp"), pm(tw("gpp", "Zpp", "Ypp"), "Ypp", "Zpp")),
-    )
+    rows = ((pm("X", "Xp"), pm("Xp", "Xpp")), (pm("Y", "Yp"), pm("Yp", "Ypp")),
+            (pm("Z", "Zp"), pm("Zp", "Zpp")))
+    cols = ((pm("X", "Y"), pm("Y", "Z")), (pm("Xp", "Yp"), pm("Yp", "Zp")),
+            (pm("Xpp", "Ypp"), pm("Ypp", "Zpp")))
     return ThreeByThree(rows, cols)

@@ -963,14 +963,19 @@ def fpx(p: int) -> PrimeFieldPolynomialRing:
     return PrimeFieldPolynomialRing(p)
 
 
+# The most digits a characteristic may have: its primality test costs about
+# the cube of its length, and takes about 20 ms for a 200-digit prime.
+_MAX_TOKEN_DIGITS = 200
+
+
 def ring_from_token(token: str) -> Ring:
     """Parse the ring selector: ``"Z"`` or ``"fpx:<p>"`` with the digits
     written as ``str(p)`` (no sign, space, ``_`` or leading zero), at
-    most 3000 of them, so ``int`` stays within the interpreter's limit."""
+    most ``_MAX_TOKEN_DIGITS`` of them."""
     if token == "Z":
         return ZZ
     digits = token[4:]
-    if token.startswith("fpx:") and len(digits) <= 3000 and digits.isascii() and digits.isdigit() \
+    if token.startswith("fpx:") and len(digits) <= _MAX_TOKEN_DIGITS and digits.isascii() and digits.isdigit() \
             and digits[0] != "0":
         return fpx(int(digits))
     raise InvalidInputError(f"bad ring token {token!r}")

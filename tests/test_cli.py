@@ -466,6 +466,18 @@ def test_non_canonical_ring_token_exits_2(tmp_path, capsys, token):
     assert code == 2 and out == "" and "ring token" in err
 
 
+def test_ring_token_beyond_the_digit_limit_exits_2_at_once(tmp_path, capsys, wall_clock_limit):
+    # 2^9941 - 1 is a 2993-digit prime: proving it prime takes about half a minute.
+    token = f"fpx:{2 ** 9941 - 1}"
+    matrix = write_json(tmp_path, "m.json", {"rows": 1, "cols": 1, "entries": [[[1]]]})
+    complex_ = write_json(tmp_path, "c.json", {"ring": token, "ranks": {"0": 1}})
+    for argv in (["snf", "--ring", token, "--in", matrix], ["homology", "--in", complex_]):
+        with wall_clock_limit(0.05):
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv[0]
+        assert len(err.splitlines()) == 1 and err.startswith("koszulkit: "), argv[0]
+
+
 @pytest.mark.parametrize("command", ["homology", "cone", "k0", "resolve"])
 def test_ring_option_is_refused_where_the_input_names_its_ring(tmp_path, capsys, command):
     path = write_json(tmp_path, "c.json", complex_payload())

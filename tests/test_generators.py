@@ -3,7 +3,7 @@ import math
 import pytest
 
 from koszulkit import generators
-from koszulkit.complexes import homology_table, is_acyclic, quasi_iso_degree
+from koszulkit.complexes import ChainComplex, homology_table, is_acyclic, quasi_iso_degree
 from koszulkit.fgmodules import module_iso
 from koszulkit.generators import (
     GenParams,
@@ -17,6 +17,7 @@ from koszulkit.generators import (
     gen_matrix,
     gen_module_ses,
     gen_quasi_iso_pair,
+    gen_ses_of_complexes,
     gen_ses_morphism,
     gen_three_by_three,
     rand_matrix,
@@ -205,6 +206,16 @@ def test_gen_quasi_iso_pair():
     for trial in range(10):
         pair = gen_quasi_iso_pair(PARAMS, trial)
         assert quasi_iso_degree(pair.map) == math.inf
+
+
+@pytest.mark.parametrize("params", [PARAMS, POLY_PARAMS], ids=["Z", "F2x"])
+def test_extensions_square_to_zero(params):
+    # The extensions are laid out without the d.d check; rebuilding runs it.
+    for trial in range(20):
+        for middle in (gen_admissible_ses(params, trial).sequence.middle,
+                       gen_ses_of_complexes(params, trial).sequence.middle,
+                       gen_quasi_iso_pair(params, trial).map.target):
+            assert ChainComplex(middle.ring, middle.ranks, middle.diffs) == middle
 
 
 def test_gen_c_object():

@@ -1,6 +1,7 @@
 """Property oracles for the divisors-only homology, exactness and
 injectivity tests, on complexes of up to three differentials of up to
-12x12 over Z and F_3[x].
+12x12 over Z and F_3[x], and for the truncation splitting on generated
+torsion-homology complexes with differentials of up to 12x12.
 
 Each answer is compared with the kernel-basis path (a saturated kernel
 basis, the image solved inside it, the cokernel of that) and, over Z,
@@ -19,10 +20,12 @@ from koszulkit.complexes import (  # noqa: E402
     _ses_failure,
     homology,
     homology_table,
+    truncation_splitting,
     two_term,
 )
 from koszulkit.errors import DimensionError, NotAComplexError  # noqa: E402
 from koszulkit.fgmodules import cokernel  # noqa: E402
+from koszulkit.generators import GenParams, gen_a_object  # noqa: E402
 from koszulkit.koszul import in_kos1  # noqa: E402
 from koszulkit.matrices import Matrix, is_exact_at, kernel_basis, solve  # noqa: E402
 from koszulkit.rings import ZZ, fpx  # noqa: E402
@@ -191,3 +194,41 @@ def test_exactness_keeps_its_shape_and_composite_checks():
         is_exact_at(Matrix(ZZ, [[1], [1]]), Matrix(ZZ, [[1, 0]]))
     with pytest.raises(NotAComplexError):
         is_exact_at(Matrix(F3, [[F3.one]]), Matrix(F3, [[F3.one]]))
+
+
+# ---------------------------------------------------------------------------
+# Truncation splitting.
+
+
+@st.composite
+def a_objects(draw):
+    """Scrambled sums of up to 12 blocks [R -> aR] with a nonzero a, over
+    a drawn support window: torsion homology, differentials up to 12x12."""
+    ring = draw(st.sampled_from([ZZ, F3]))
+    params = GenParams(ring=ring, seed=draw(st.integers(0, 2 ** 16)), max_rank=draw(st.integers(1, 11)),
+                       support_width=draw(st.integers(2, 5)))
+    return gen_a_object(params, draw(st.integers(0, 2 ** 16))).complex
+
+
+def oracle_homology(complex_: ChainComplex, n: int):
+    """(free rank, torsion) of H_n: sympy alone over Z, the kernel-basis
+    path over F_3[x]."""
+    if not complex_.rank(n):
+        return 0, ()
+    if complex_.ring is ZZ:
+        return sympy_homology(complex_, n)
+    h = reference_homology(complex_, n)
+    return h.free_rank, h.torsion
+
+
+@PROPERTY
+@given(a_objects())
+def test_truncation_splitting_keeps_the_homology(complex_):
+    degrees = range(min(complex_.ranks) - 1, max(complex_.ranks) + 2)
+    expected = {m: oracle_homology(complex_, m) for m in degrees}
+    for n in degrees:
+        split = truncation_splitting(complex_, n)
+        assert split.identities_hold() and split.triple.degreewise_exact()
+        for m in degrees:
+            assert oracle_homology(split.triple.upper, m) == (expected[m] if m > n else (0, ())), (n, m)
+            assert oracle_homology(split.triple.lower, m) == (expected[m] if m <= n else (0, ())), (n, m)
