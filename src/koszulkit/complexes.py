@@ -114,7 +114,6 @@ from .matrices import (
     image_basis,
     is_exact_at,
     is_unimodular,
-    inverse,
     kernel_basis,
     solve,
 )
@@ -328,11 +327,6 @@ class ChainMap(_Checked):
         if self.source.ranks != self.target.ranks:
             return False
         return all(is_unimodular(self.at(n)) for n in self.source.ranks)
-
-    def inverse(self) -> "ChainMap":
-        if not self.is_chain_iso():
-            raise InvalidInputError("chain map is not an isomorphism")
-        return ChainMap(self.target, self.source, {n: inverse(self.at(n)) for n in self.source.ranks})
 
     def __repr__(self):
         return f"ChainMap(degrees={list(self.components)})"

@@ -42,6 +42,7 @@ from .complexes import (
     direct_sum,
     two_term,
 )
+from .errors import InvalidInputError
 from .fgmodules import FgModule
 from .koszul import AdmissibleSes, PresentedKoszul
 from .matrices import Matrix, _selection, block, block_diag, hstack, inverse, vstack
@@ -59,6 +60,10 @@ class GenParams:
     max_entry: int = 9  # magnitude bound over Z, degree bound over F_p[x]
     support_width: int = 3
     trials: int = 100
+
+    def __post_init__(self):
+        if self.max_entry < 1 or self.max_rank < 1 or self.trials < 0:
+            raise InvalidInputError("generator bounds need max_entry >= 1, max_rank >= 1 and trials >= 0")
 
     def with_seed(self, seed: int) -> "GenParams":
         return replace(self, seed=seed)

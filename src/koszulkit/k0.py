@@ -6,8 +6,10 @@ carry two classes: the quasi-isomorphism-invariant torsion class of
 their degree-zero homology, and the finer pair (rank of the degree-one
 part, torsion class), whose two projections realize the split
 decomposition of the category's K0 into an acyclic part and a torsion
-part.  Classes are stored in classified form.  The executable content
-is ``additivity_check(seq, classify)``: it takes one of the class
+part.  A torsion class is held as a reduced fraction of canonical
+elements, so classes add and compare by products and gcds; only reading
+it prime by prime (``counts``, ``as_dict``) factors.  The executable
+content is ``additivity_check(seq, classify)``: it takes one of the class
 functions below and compares the class of the middle term of a short
 exact sequence with the sum of the classes of the outer terms.  The
 ``e_functor`` triple of a presented complex goes in as it is, with
@@ -17,6 +19,7 @@ exact sequence with the sum of the classes of the outer terms.  The
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .complexes import ChainComplex
 from .errors import InvalidInputError
@@ -34,18 +37,33 @@ from .rings import Ring
 
 @dataclass(frozen=True)
 class K0TorsionClass:
-    """Finitely supported map from canonical primes to integers."""
+    """Finitely supported map from canonical primes to integers, held as
+    coprime canonical ``num`` and ``den``: the primes of ``num`` count
+    positively, those of ``den`` negatively."""
 
     ring: Ring
-    counts: tuple  # sorted (prime, multiplicity) pairs, multiplicity != 0
+    num: object
+    den: object
 
     @classmethod
     def make(cls, ring: Ring, counts: dict) -> "K0TorsionClass":
-        return cls(ring, tuple(sorted((p, m) for p, m in counts.items() if m)))
+        def power(sign):
+            return reduce(ring.mul, (p for p, m in counts.items() for _ in range(sign * m)), ring.one)
+        return cls(ring, power(1), power(-1))
 
     @classmethod
     def zero(cls, ring: Ring) -> "K0TorsionClass":
-        return cls(ring, ())
+        return cls(ring, ring.one, ring.one)
+
+    @property
+    def counts(self) -> tuple:
+        """Sorted (prime, multiplicity) pairs, multiplicity != 0: ``num``
+        and ``den`` factored, on each read."""
+        counts = {}
+        for part, sign in ((self.num, 1), (self.den, -1)):
+            if not self.ring.is_unit(part):
+                counts.update((p, sign * m) for p, m in self.ring.factor(part).items())
+        return tuple(sorted(counts.items()))
 
     def as_dict(self) -> dict:
         return dict(self.counts)
@@ -53,13 +71,13 @@ class K0TorsionClass:
     def __add__(self, other: "K0TorsionClass") -> "K0TorsionClass":
         if self.ring != other.ring:
             raise InvalidInputError("classes over different rings")
-        merged = self.as_dict()
-        for p, m in other.counts:
-            merged[p] = merged.get(p, 0) + m
-        return K0TorsionClass.make(self.ring, merged)
+        ring = self.ring
+        num, den = ring.mul(self.num, other.num), ring.mul(self.den, other.den)
+        g = ring.gcd(num, den)
+        return K0TorsionClass(ring, ring.div_exact(num, g), ring.div_exact(den, g))
 
     def is_zero(self) -> bool:
-        return not self.counts
+        return self.num == self.den == self.ring.one
 
 
 @dataclass(frozen=True)
@@ -74,15 +92,12 @@ class K0KosClass:
 
 
 def class_torsion(module: FgModule) -> K0TorsionClass:
-    """Dévissage class of a torsion module: prime -> length at that prime."""
+    """Dévissage class of a torsion module: prime -> length at that prime,
+    held as the product of the torsion divisors."""
     ring = module.ring
     if not module.is_torsion():
         raise InvalidInputError("torsion class of a non-torsion module")
-    counts: dict = {}
-    for t in module.torsion:
-        for p, e in ring.factor(t).items():
-            counts[p] = counts.get(p, 0) + e
-    return K0TorsionClass.make(ring, counts)
+    return K0TorsionClass(ring, reduce(ring.mul, module.torsion, ring.one), ring.one)
 
 
 def class_kos_qis(complex_: ChainComplex) -> K0TorsionClass:

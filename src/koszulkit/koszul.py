@@ -48,7 +48,7 @@ from .complexes import (
     _vanishing_degree,
 )
 from .errors import InvalidInputError
-from .fgmodules import FgModule, cokernel
+from .fgmodules import FgModule
 from .matrices import Matrix, _selection, elementary_divisors, hstack, image_basis, vstack
 from .presented import PresentedModule, PresentedMap, is_short_exact
 
@@ -96,9 +96,7 @@ def in_A_n(complex_: ChainComplex, n: int) -> bool:
 
 
 def h0(complex_: ChainComplex) -> FgModule:
-    if any(n not in (0, 1) for n in complex_.ranks):
-        raise InvalidInputError("degree-zero homology shortcut needs a two-term complex")
-    return cokernel(complex_.d(1))
+    return h0_presentation(complex_).canonical_form()
 
 
 def h0_presentation(complex_: ChainComplex) -> PresentedModule:
@@ -223,7 +221,8 @@ def _factor_step(f: ChainMap, mapping_cone: Cone, n: int) -> FactorStep:
     # there restricts to X_m as its first X.rank(m) columns.
     witness_components = {m: -a.components[m + 1].take_cols(range(X.rank(m)))
                           for m in X.ranks if m + 1 in a.components}
-    witness = Homotopy(composite.compose(f), ChainMap.zero(X, upper), witness_components)
+    # g's chain-map law below is the homotopy identity of the witness.
+    witness = Homotopy._trusted(composite.compose(f), ChainMap.zero(X, upper), witness_components)
     g = ChainMap(X, intermediate, {m: vstack([f.at(m), witness.at(m)]) for m in X.ranks})
     if h.compose(g) != f:
         raise AssertionError("factor step lost exact equality with the input map")
@@ -329,8 +328,7 @@ def cellular_factorization(f: ChainMap) -> CellularFactorization:
             nxt = step.h.compose(smaps.p)
             # j1's components are selection matrices, so their
             # transposes are retractions (the ones ``solve`` would give).
-            comps = _mono_components(mono)
-            retr = _splitting(comps, {k: m.transpose() for k, m in comps.items()}, True)
+            retr = {k: m.transpose() for k, m in _mono_components(mono).items()}
         quotient, _ = _split_quotient(mono, retr)
         stages.append(mono)
         retractions.append(retr)
@@ -509,10 +507,7 @@ def resolve_in_kos1(target: PresentedKoszul) -> Resolution:
     free0 = PresentedModule.free(ring, g0)
     free1 = PresentedModule.free(ring, basis.cols)
     e0 = PresentedMap._trusted(free0, target.bottom, Matrix.identity(ring, g0))
-    lift = target.d.lift(basis)
-    if lift is None:
-        raise InvalidInputError("cover basis does not lift through the boundary")
-    e1 = PresentedMap._trusted(free1, target.top, lift)
+    e1 = PresentedMap._trusted(free1, target.top, target.d.lift(basis))
     k0 = image_basis(target.bottom.relations)
     kernel, incl = _subcomplex(cover, {1: image_basis(e1.preimage_of_relations()), 0: k0})
     return Resolution(cover=cover, e1=e1, e0=e0, kernel=kernel, kernel_inclusion=incl)

@@ -306,7 +306,6 @@ def nine_term_sequences(grid: ThreeByThree) -> tuple[bool, bool]:
     first = is_short_exact(mono1, epi1)
 
     module, incl, _, _ = pullback(pz, gpp)
+    # The commuting squares put [gp; py] in the pullback, so it lifts.
     into = incl.lift(vstack([gp.matrix, py.matrix]))
-    if into is None:
-        return first, False
     return first, is_short_exact(iy.compose(f), PresentedMap._trusted(gp.source, module, into))

@@ -143,12 +143,7 @@ def ed_decompose(complex_: ChainComplex) -> EdDecomposition:
     if not in_kos1(complex_):
         raise InvalidInputError("input is not a free Koszul complex")
     ring = complex_.ring
-    boundary = complex_.d(1)
-    if boundary.rows != boundary.cols:
-        raise InvalidInputError("Koszul complex with torsion H0 must have a square boundary")
-    cert = snf(boundary)
-    if cert.rank != boundary.rows:
-        raise InvalidInputError("boundary is not injective")
+    cert = snf(complex_.d(1))
     units = [i for i, d in enumerate(cert.divisors) if ring.is_unit(d)]
     nonunits = [i for i, d in enumerate(cert.divisors) if not ring.is_unit(d)]
     order = nonunits + units
@@ -226,8 +221,6 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
     retractions = _splitting(_mono_components(mono), retractions, True)
     quotient, projs = _split_quotient(mono, retractions)
     projection = ChainMap(Y, quotient, {n: m for n, m in projs.items() if quotient.rank(n)})
-    if not in_kos1(quotient):
-        raise InvalidInputError("quotient left the category")
     decomposition = ed_decompose(quotient)
     flat = decomposition.iso.compose(projection)
     k = decomposition.nonunit_part.rank(1)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -236,6 +237,11 @@ def test_suite_command(tmp_path, capsys):
     assert report["suite"] == "cor3_8" and report["failures"] == []
 
 
+def test_suite_with_negative_trials_exits_2(capsys):
+    code, out, err = run_cli(capsys, "suite", "cor3_8", "--trials", "-1")
+    assert code == 2 and out == "" and "trials" in err
+
+
 def test_python_dash_m_runs_the_cli_from_the_source_tree(tmp_path):
     path = write_json(tmp_path, "m.json", {"rows": 2, "cols": 2, "entries": [[2, 0], [0, 3]]})
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -274,6 +280,35 @@ def test_bad_matrix_shape_exits_2(tmp_path, capsys, shape):
     path = write_json(tmp_path, "m.json", shape)
     code, out, err = run_cli(capsys, "snf", "--ring", "Z", "--in", path)
     assert code == 2 and out == "" and "shape" in err
+
+
+# Requests whose JSON has the wrong shape, with a word of the refusal.
+BAD_JSON = {
+    "boolean-entry": (["snf"], {"rows": 1, "cols": 1, "entries": [[True]]}, "boolean"),
+    "float-entry": (["snf"], {"rows": 1, "cols": 1, "entries": [[1.5]]}, "integer entry"),
+    "string-polynomial": (["snf", "--ring", "fpx:3"], {"rows": 1, "cols": 1, "entries": [["x"]]}, "polynomial"),
+    "matrix-list": (["snf"], [[1]], "object"),
+    "matrix-without-entries": (["snf"], {"rows": 1, "cols": 1}, "needs rows"),
+    "matrix-short": (["snf"], {"rows": 2, "cols": 1, "entries": [[1]]}, "number of rows"),
+    "complex-without-ring": (["homology"], {"ranks": {"0": 1}}, "ring token"),
+    "complex-list": (["homology"], [], "object"),
+    "map-without-target": (["cone"], {"source": {"ring": "Z", "ranks": {}}}, "source and target"),
+    "presented-list": (["resolve"], [], "object"),
+    "presented-degree-2": (["resolve"], {"ring": "Z", "ranks": {"2": 1}}, "degrees 0 and 1"),
+}
+
+
+@pytest.mark.parametrize("argv, payload, word", BAD_JSON.values(), ids=BAD_JSON)
+def test_bad_json_exits_2(tmp_path, capsys, argv, payload, word):
+    path = write_json(tmp_path, "bad.json", payload)
+    code, out, err = run_cli(capsys, *argv, "--in", path)
+    assert code == 2 and out == "" and word in err
+
+
+def test_input_from_stdin(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"rows": 1, "cols": 1, "entries": [[4]]})))
+    code, out, _ = run_cli(capsys, "snf")
+    assert code == 0 and json.loads(out)["divisors"] == [4]
 
 
 # Requests that name a rank or matrix dimension far above

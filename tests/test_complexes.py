@@ -68,6 +68,33 @@ def test_construction_refuses_non_integer_degrees_and_ranks(ranks, diffs):
         ChainComplex(ZZ, ranks, diffs)
 
 
+# Calls with a part over the wrong ring or of the wrong shape, each with
+# the error it raises and a word of its message.
+REFUSALS = {
+    "differential-over-another-ring": (
+        lambda: ChainComplex(ZZ, {1: 1, 0: 1}, {1: Matrix(F3, [[(1,)]])}), InvalidInputError, "wrong ring"),
+    "differential-of-another-shape": (
+        lambda: ChainComplex(ZZ, {1: 1, 0: 1}, {1: Matrix(ZZ, [[1, 2]])}), DimensionError, "shape"),
+    "negative-rank": (lambda: ChainComplex(ZZ, {0: -1}, {}), InvalidInputError, "negative rank"),
+    "maps-that-do-not-compose": (
+        lambda: ChainMap.identity(Z6).compose(ChainMap.identity(Z2)), DimensionError, "compose"),
+    "sequence-not-consecutive": (
+        lambda: ComplexSes(ChainMap.identity(Z6), ChainMap.identity(Z2)), InvalidInputError, "consecutive"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", REFUSALS.values(), ids=REFUSALS)
+def test_wrong_ring_or_shape_is_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_reprs_and_isomorphism_across_ranks():
+    assert repr(Z6) == "ChainComplex(Z, ranks={0: 1, 1: 1})"
+    assert repr(ChainMap.identity(Z6)) == "ChainMap(degrees=[0, 1])"
+    assert not ChainMap.zero(Z6, shift(Z6, 1)).is_chain_iso()
+
+
 def test_chain_map_refuses_non_integer_degrees():
     with pytest.raises(InvalidInputError):
         ChainMap(Z6, Z6, {"1": Matrix(ZZ, [[1]]), 0: Matrix(ZZ, [[1]])})

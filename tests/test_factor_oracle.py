@@ -50,6 +50,7 @@ def test_integer_factor_matches_sympy(n):
 
 
 @pytest.mark.parametrize("n", [
+    -7, 0, 1,
     *PSEUDOPRIMES,
     10 ** 24 + 7,
     3317044064679887385961981,            # the bound itself: a strong pseudoprime
@@ -72,6 +73,8 @@ def test_strong_lucas_pseudoprimes():
     for n in range(1009, 2 * 10 ** 5, 2):
         if math.isqrt(n) ** 2 != n:
             assert _strong_lucas(n) == (sympy.isprime(n) or n in liars), n
+    # No D has Jacobi symbol -1 modulo a square, so squares are refused first.
+    assert not _strong_lucas(1009 ** 2)
 
 
 def sympy_factors(ring, f):
@@ -99,6 +102,8 @@ def polynomial_products(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(polynomial_products())
+# (x^3 + x + 1)(x^3 + x^2 + 1): two cubics for the F_2 trace-map split.
+@example((F2, F2.mul(F2.poly([1, 1, 0, 1]), F2.poly([1, 0, 1, 1]))))
 def test_polynomial_factor_matches_sympy(case):
     ring, f = case
     factors = ring.factor(f)

@@ -82,6 +82,26 @@ def test_direct_sum():
     assert total.free_rank == 1 and total.torsion == (2, 4)
 
 
+# Arguments no module operation accepts: a negative rank, two rings, a
+# unit where a prime is asked for.
+REFUSALS = {
+    "negative-free-rank": lambda: FgModule.make(ZZ, -1, []),
+    "sum-across-rings": lambda: FgModule.make(ZZ, 1, []).direct_sum(FgModule.make(F2, 1, [])),
+    "iso-across-rings": lambda: module_iso(FgModule.make(ZZ, 1, []), FgModule.make(F2, 1, [])),
+    "length-at-a-unit": lambda: length_at(FgModule.make(ZZ, 0, [6]), 1),
+}
+
+
+@pytest.mark.parametrize("call", REFUSALS.values(), ids=REFUSALS)
+def test_refusals(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+def test_repr():
+    assert repr(FgModule.make(ZZ, 1, [6, 2])) == "FgModule(Z, free=1, torsion=[2, 6])"
+
+
 def test_length_at():
     assert length_at(FgModule.make(ZZ, 0, [4, 3]), 2) == 2
     assert length_at(FgModule.make(ZZ, 0, []), 7) == 0

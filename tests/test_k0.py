@@ -17,7 +17,8 @@ from koszulkit.k0 import (
 from koszulkit.koszul import AdmissibleSes, PresentedKoszul, e_functor
 from koszulkit.matrices import Matrix
 from koszulkit.presented import is_short_exact
-from koszulkit.rings import ZZ, fpx
+from koszulkit.rings import ZZ, IntegerRing, PrimeFieldPolynomialRing, fpx
+from koszulkit.suites import run_suite
 
 PARAMS = GenParams(ring=ZZ, seed=21)
 Z6 = two_term(Matrix(ZZ, [[6]]))
@@ -102,6 +103,21 @@ def test_quasi_iso_invariance():
     for trial in range(20):
         pair = gen_quasi_iso_pair(PARAMS, trial)
         assert class_kos_qis(pair.map.source) == class_kos_qis(pair.map.target)
+
+
+def test_classes_add_and_compare_without_factoring(monkeypatch):
+    def refuse(self, a):
+        raise AssertionError("factor called")
+    monkeypatch.setattr(IntegerRing, "factor", refuse)
+    monkeypatch.setattr(PrimeFieldPolynomialRing, "factor", refuse)
+    hard = (10**24 + 7) ** 3 * (2**61 - 1) ** 5 * 12  # rho would need about 2^30 steps
+    total = direct_sum(two_term(Matrix(ZZ, [[hard]])), Z6)
+    seq = AdmissibleSes(total.inclusions[0], total.projections[1])
+    assert class_torsion(FgModule.make(ZZ, 0, [hard, 6])) == class_kos_qis(total.complex)
+    assert additivity_check(seq, class_kos_isom)
+    for ring in (ZZ, fpx(2)):
+        for suite in ("lemma4_3", "k0_theorems"):
+            assert run_suite(suite, GenParams(ring=ring, seed=3, trials=1)).ok
 
 
 def test_class_arithmetic():

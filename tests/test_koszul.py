@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from koszulkit.koszul import (
     AdmissibleSes,
     Kos1Membership,
     PresentedKoszul,
+    PresentedKoszulMap,
     cellular_factorization,
     e_functor,
     factor_step,
@@ -290,6 +292,57 @@ def test_tau_maps_spherical_check():
     seq = AdmissibleSes(total.inclusions[0], total.projections[1])
     for k in (-1, 0, 1):
         assert tau_maps_spherical_check(seq, k, 0)
+
+
+X2 = PresentedKoszul.from_free(Z2)
+TRIPLE = e_functor(X2)
+NOT_KOSZUL = two_term(Matrix.zeros(ZZ, 1, 1))
+
+# Inputs outside each construction's category, and diagrams whose rows or
+# squares fail (some forged from a valid triple with ``replace``).
+REFUSALS = {
+    "h0-of-three-terms": lambda: h0(padded_0_spherical()),
+    "augmentation-of-non-koszul": lambda: h0_augmentation(NOT_KOSZUL),
+    "retraction-of-non-koszul": lambda: retraction_q(NOT_KOSZUL),
+    "from-free-of-non-koszul": lambda: PresentedKoszul.from_free(NOT_KOSZUL),
+    "boundary-endpoints": lambda: PresentedKoszul(X2.top, X2.bottom, PresentedMap.identity(PresentedModule.free(ZZ, 2))),
+    "map-squares": lambda: PresentedKoszulMap(X2, X2, PresentedMap.identity(X2.top),
+                                              PresentedMap.zero(X2.bottom, X2.bottom)),
+    "degree-1-row": lambda: replace(TRIPLE, epi=PresentedKoszulMap(X2, X2, PresentedMap.identity(X2.top),
+                                                                   PresentedMap.identity(X2.bottom))),
+    "degree-0-row": lambda: replace(TRIPLE, epi=replace(TRIPLE.epi, degree0=PresentedMap.zero(
+        X2.bottom, TRIPLE.right.bottom))),
+}
+
+
+@pytest.mark.parametrize("call", REFUSALS.values(), ids=REFUSALS)
+def test_refusals(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+def test_tau_maps_spherical_check_fails_off_its_hypothesis():
+    total = direct_sum(Z2, Z6)
+    seq = AdmissibleSes(total.inclusions[0], total.projections[1])
+    assert not tau_maps_spherical_check(seq, 0, 1)  # spherical in degree 0, not 1
+    # [Z] in degree 0 >--> [Z =1= Z] -->> [Z] in degree 1: above 0 the
+    # kernels Z -> 0 -> Z are not exact.
+    point, line = ChainComplex(ZZ, {0: 1}, {}), two_term(Matrix(ZZ, [[1]]))
+    seq = AdmissibleSes(ChainMap(point, line, {0: Matrix(ZZ, [[1]])}),
+                        ChainMap(line, ChainComplex(ZZ, {1: 1}, {}), {1: Matrix(ZZ, [[1]])}))
+    assert not tau_maps_spherical_check(seq, 1, 0)
+
+
+def test_factor_step_equivalence_of_a_forged_step():
+    step = factor_step(ChainMap.identity(Z2), 5)
+    point = ChainComplex(ZZ, {0: 1}, {})
+    # upper: Z in degree 0 inside the acyclic cone [Z =1= Z]: no chain retraction
+    line = ChainComplex(ZZ, {0: 1, -1: 1}, {0: Matrix(ZZ, [[1]])})
+    assert factor_step_equivalence(replace(step, h=ChainMap.zero(line, zero_complex(ZZ)), upper=point)) is None
+    # upper: zero inside the cone Z: the identity of Z is not null-homotopic
+    shifted = ChainComplex(ZZ, {-1: 1}, {})
+    forged = replace(step, h=ChainMap.zero(shifted, zero_complex(ZZ)), upper=zero_complex(ZZ))
+    assert factor_step_equivalence(forged) is None
 
 
 def test_presented_koszul_validation():

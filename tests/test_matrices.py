@@ -1,16 +1,18 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 from koszulkit import matrices
-from koszulkit.errors import DimensionError, NotAComplexError
+from koszulkit.errors import DimensionError, DomainMismatchError, NotAComplexError
 from koszulkit.generators import rand_matrix
 from koszulkit.matrices import (
     Matrix,
     SnfCertificate,
     _kron,
     _selection,
+    block,
     block_diag,
     det,
     hstack,
@@ -219,6 +221,28 @@ def test_kron_vectorizes_two_sided_products(ring):
         assert _kron(a, b.transpose()) * vec(x) == vec(a * x * b)
 
 
+# Operands over two rings or of shapes that do not fit, each with the
+# error it raises.
+REFUSALS = {
+    "ragged-rows": (lambda: Matrix(ZZ, [[1, 2], [3]]), DimensionError),
+    "assignment": (lambda: setattr(Matrix(ZZ, [[1]]), "rows", 2), AttributeError),
+    "product-across-rings": (lambda: Matrix(ZZ, [[1]]) * Matrix(F2, [[F2.one]]), DomainMismatchError),
+    "product-of-unfit-shapes": (lambda: Matrix(ZZ, [[1, 2]]) * Matrix(ZZ, [[1, 2]]), DimensionError),
+    "sum-across-rings": (lambda: Matrix(ZZ, [[1]]) + Matrix(F2, [[F2.one]]), DomainMismatchError),
+    "sum-of-unfit-shapes": (lambda: Matrix(ZZ, [[1]]) + Matrix(ZZ, [[1, 2]]), DimensionError),
+    "vstack-of-unfit-widths": (lambda: vstack([Matrix(ZZ, [[1]]), Matrix(ZZ, [[1, 2]])]), DimensionError),
+    "block-of-unfit-shape": (lambda: block(ZZ, [[Matrix(ZZ, [[1]])]], [2], [1]), DimensionError),
+    "determinant-of-non-square": (lambda: det(Matrix(ZZ, [[1, 2]])), DimensionError),
+    "solve-across-rings": (lambda: solve(Matrix(ZZ, [[1]]), Matrix(F2, [[F2.one]])), DomainMismatchError),
+}
+
+
+@pytest.mark.parametrize("call, error", REFUSALS.values(), ids=REFUSALS)
+def test_unfit_operands_are_refused(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_solve_shape_checks():
     with pytest.raises(DimensionError):
         solve(Matrix(ZZ, [[1, 2]]), Matrix(ZZ, [[1], [2]]))
@@ -297,6 +321,7 @@ def test_rank_and_stacking():
     assert vstack([a, a]).rows == 4
     d = block_diag(ZZ, [Matrix(ZZ, [[2]]), Matrix(ZZ, [[3]])])
     assert d == Matrix(ZZ, [[2, 0], [0, 3]])
+    assert block_diag(ZZ, []) == Matrix.zeros(ZZ, 0, 0)
     with pytest.raises(DimensionError):
         hstack([a, Matrix.identity(ZZ, 3)])
 
@@ -348,6 +373,24 @@ def test_verify_refuses_a_foreign_source():
     assert not cert.verify(Matrix(ZZ, [[2, 4, 1], [6, 8, 1]]))
     assert not cert.verify(Matrix(ZZ, [[2, 4]]))
     assert not cert.verify(Matrix(F2, [[F2.one, F2.zero], [F2.zero, F2.one]]))
+
+
+@pytest.mark.parametrize("case", ["product", "off-diagonal", "divisors", "dropped-divisor",
+                                  "non-canonical", "chain"])
+def test_verify_rejects_a_forged_certificate(case):
+    a = Matrix(ZZ, [[2, 4], [6, 8]])
+    cert = snf(a)
+    eye = Matrix.identity(ZZ, 2)
+    diag = lambda *d: Matrix.diagonal(ZZ, d)
+    source, forged = {
+        "product": (a, replace(cert, D=diag(2, 8))),
+        "off-diagonal": (a, replace(cert, U=eye, V=eye, D=a)),
+        "divisors": (a, replace(cert, divisors=(1, 8))),
+        "dropped-divisor": (a, replace(cert, divisors=cert.divisors[:1])),
+        "non-canonical": (diag(-2, 4), replace(cert, U=eye, V=eye, D=diag(-2, 4), divisors=(-2, 4))),
+        "chain": (diag(2, 3), replace(cert, U=eye, V=eye, D=diag(2, 3), divisors=(2, 3))),
+    }[case]
+    assert cert.verify(a) and not forged.verify(source)
 
 
 # SnfCertificate.verify must reject a U or V that is not unimodular even

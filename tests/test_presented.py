@@ -208,6 +208,56 @@ def test_nine_term_split_grid():
     assert first and second
 
 
+def _square_grid(sign):
+    """Rows and columns Z = Z -> 0 around a corner of zeros; the middle
+    column's mono is ``sign`` times the identity."""
+    z, o = free(1), free(0)
+    ident, onto_zero, zero_id = pmap(z, z, [[1]]), PresentedMap.zero(z, o), PresentedMap.identity(o)
+    rows = ((ident, onto_zero), (ident, onto_zero), (zero_id, zero_id))
+    cols = ((ident, onto_zero), (pmap(z, z, [[sign]]), onto_zero), (zero_id, zero_id))
+    return ThreeByThree(rows=rows, cols=cols)
+
+
+Z2_ROW = (pmap(free(1), free(1), [[2]]), pmap(free(1), cyclic(2), [[1]]))  # Z -2-> Z -> Z/2
+NOT_ONTO = pmap(free(1), cyclic(4), [[2]])
+ID1 = PresentedMap.identity(free(1))
+
+# Arguments of the wrong ring or shape, and diagrams whose rows or squares
+# fail, each with the error it raises.
+REFUSALS = {
+    "map-of-unfit-shape": (lambda: pmap(free(1), free(2), [[1]]), DimensionError),
+    "map-across-rings": (lambda: PresentedMap(free(1), PresentedModule.free(fpx(2), 1), Matrix(ZZ, [[1]])),
+                         InvalidInputError),
+    "maps-that-do-not-compose": (lambda: ID1.compose(PresentedMap.identity(free(2))), DimensionError),
+    "pushout-of-unshared-source": (lambda: pushout(ID1, PresentedMap.identity(cyclic(2))), InvalidInputError),
+    "span-of-unshared-dimension": (lambda: pushout_of_span(Matrix(ZZ, [[1]]), Matrix(ZZ, [[1, 2]])),
+                                   DimensionError),
+    "pullback-of-unshared-target": (lambda: pullback(ID1, PresentedMap.identity(cyclic(2))), InvalidInputError),
+    "sequence-not-consecutive": (lambda: is_short_exact(ID1, PresentedMap.identity(free(2))), InvalidInputError),
+    "bottom-row-not-exact": (lambda: SesMorphism(*Z2_ROW, Z2_ROW[0], NOT_ONTO, ID1, ID1,
+                                                 PresentedMap.identity(cyclic(4))), InvalidInputError),
+    "first-square": (lambda: SesMorphism(*Z2_ROW, *Z2_ROW, ID1, pmap(free(1), free(1), [[-1]]),
+                                         PresentedMap.identity(cyclic(2))), InvalidInputError),
+    "second-square": (lambda: SesMorphism(*Z2_ROW, *Z2_ROW, ID1, ID1, PresentedMap.zero(cyclic(2), cyclic(2))),
+                      InvalidInputError),
+    "grid-row-not-exact": (lambda: ThreeByThree(rows=((Z2_ROW[0], NOT_ONTO),) * 3, cols=()), InvalidInputError),
+    "grid-square": (lambda: _square_grid(-1), InvalidInputError),
+}
+
+
+@pytest.mark.parametrize("call, error", REFUSALS.values(), ids=REFUSALS)
+def test_refusals(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_maps_and_sequences_that_fail_their_predicates():
+    _square_grid(1)  # valid with +1, so the "grid-square" refusal is the square's
+    assert not ID1.equals(PresentedMap.identity(free(2)))
+    assert not is_short_exact(ID1, ID1)  # the composite is not zero
+    assert not is_short_exact(PresentedMap.zero(free(1), free(1)), ID1)  # not injective
+
+
 def test_direct_sum_modules_rejects_no_parts():
     with pytest.raises(InvalidInputError, match="no modules"):
         direct_sum_modules([])

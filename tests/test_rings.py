@@ -176,6 +176,11 @@ def test_prime_field_requires_prime():
     assert is_prime(2) and is_prime(97) and not is_prime(91)
 
 
+def test_unit_inverse_refuses_a_non_unit():
+    with pytest.raises(InvalidInputError):
+        ZZ.unit_inverse(2)
+
+
 def test_ring_tokens():
     assert ring_from_token("Z") is ZZ
     assert ring_from_token("fpx:5").p == 5

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from koszulkit.complexes import (
@@ -211,6 +213,48 @@ def test_idempotent_split_rejects_bad_input():
         idempotent_split(doubled)
     with pytest.raises(InvalidInputError):
         idempotent_split(ChainMap.identity(Z2))  # not acyclic
+
+
+NOT_KOSZUL = two_term(Matrix.zeros(ZZ, 1, 1))
+
+# Inputs outside the category each construction works in.
+REFUSALS = {
+    "image-factorization-of-non-koszul": lambda: image_factorization(ChainMap.zero(NOT_KOSZUL, Z2)),
+    "ed-decompose-of-non-koszul": lambda: ed_decompose(NOT_KOSZUL),
+    "excision-into-non-koszul": lambda: excision_epi(ChainMap.zero(zero_complex(ZZ), NOT_KOSZUL)),
+    "idempotent-of-non-endomorphism": lambda: idempotent_split(ChainMap.zero(UNIT, Z2)),
+}
+
+
+@pytest.mark.parametrize("call", REFUSALS.values(), ids=REFUSALS)
+def test_refusals(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+def test_forged_image_factorizations_do_not_verify():
+    target = two_term(Matrix(ZZ, [[1, 0], [0, 2]]))
+    f = ChainMap(UNIT, target, {1: Matrix(ZZ, [[1], [0]]), 0: Matrix(ZZ, [[1], [0]])})
+    factorization = image_factorization(f)
+    assert factorization.verifies(f)
+    assert not factorization.verifies(ChainMap.zero(UNIT, target))
+    assert not replace(factorization, image=Z2).verifies(f)
+    assert not replace(factorization, sections={}).verifies(f)
+
+
+def test_forged_excision_certificates_do_not_verify():
+    cert = excision_epi(direct_sum(UNIT, Z2).inclusions[0])
+    assert cert.verifies()
+    one = Matrix.identity(ZZ, 1)
+    forgeries = [
+        replace(cert, mono=-cert.mono),
+        replace(cert, sections={}),
+        replace(cert, kernel=NOT_KOSZUL),
+        # all consistent, but the target Z/2 is not acyclic
+        replace(cert, mono=ChainMap.identity(Z2), target=Z2, q=ChainMap.identity(Z2),
+                sections={0: one, 1: one}, kernel=UNIT),
+    ]
+    assert not any(forged.verifies() for forged in forgeries)
 
 
 def test_kernel_complex():

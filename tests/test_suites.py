@@ -3,7 +3,7 @@ import json
 import pytest
 
 from koszulkit import jsonio, suites
-from koszulkit.errors import InvalidInputError
+from koszulkit.errors import HypothesisNotMetError, InvalidInputError
 from koszulkit.generators import (
     GenParams,
     gen_admissible_mono,
@@ -47,6 +47,13 @@ def test_unknown_suite():
         run_suite("nonsense", GenParams(ring=ZZ, seed=0, trials=1))
 
 
+@pytest.mark.parametrize("bounds", [{"max_entry": 0}, {"max_entry": -2}, {"max_rank": 0}, {"trials": -1}],
+                         ids=["zero-entry", "negative-entry", "zero-rank", "negative-trials"])
+def test_bounds_that_cannot_be_drawn_from_are_refused(bounds):
+    with pytest.raises(InvalidInputError, match="bounds"):
+        GenParams(ring=ZZ, **bounds)
+
+
 def test_report_determinism():
     params = GenParams(ring=ZZ, seed=11, trials=6)
     first = run_suite("cor3_8", params)
@@ -76,6 +83,26 @@ def test_crashing_trial_is_recorded_with_type_and_stage(monkeypatch):
     assert failure["seed"] == "Z/0/1"
     assert failure["crashed"] == {"error": "DimensionError", "stage": "matrices.inverse"}
     assert failure["assertion"].startswith("trial crashed in matrices.inverse: DimensionError")
+
+
+@pytest.mark.parametrize("error", [InvalidInputError, HypothesisNotMetError])
+def test_aborted_trial_is_recorded_without_an_instance(monkeypatch, error):
+    def body(params, trial):
+        if trial == 1:
+            raise error("out of scope")
+
+    monkeypatch.setitem(SUITES, "lemma2_4", body)
+    report = run_suite("lemma2_4", GenParams(ring=ZZ, seed=0, trials=2))
+    assert report.failures == [{"seed": "Z/0/1", "instance": None, "assertion": "trial aborted: out of scope"}]
+
+
+def test_lemma3_6_fails_a_trial_whose_hypothesis_never_holds(monkeypatch):
+    def never(seq, n):
+        raise HypothesisNotMetError("no")
+
+    monkeypatch.setattr(suites, "kernel_image_sequences", never)
+    report = run_suite("lemma3_6", GenParams(ring=ZZ, seed=0, trials=1))
+    assert [f["assertion"] for f in report.failures] == ["hypothesis never held"]
 
 
 def test_failures_sort_by_numeric_trial_index(monkeypatch):
