@@ -94,9 +94,8 @@ maps (the cellular factorization) builds the layout once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import (
     DimensionError,
@@ -417,8 +416,7 @@ def _negated(mat: Optional[Matrix]) -> Optional[Matrix]:
     return None if mat is None else -mat
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     complex: ChainComplex
     inclusion: ChainMap   # from the target of f
     projection: ChainMap  # onto the shifted source of f
@@ -456,8 +454,7 @@ def cylinder(f: ChainMap) -> ChainComplex:
     return _cylinder(f).complex
 
 
-@dataclass(frozen=True)
-class StructureMaps:
+class StructureMaps(NamedTuple):
     cylinder: ChainComplex
     j1: ChainMap  # source end inclusion
     j2: ChainMap  # target end inclusion, split by p
@@ -593,8 +590,7 @@ def _tau_le(complex_: ChainComplex, n: int):
     return lower, ChainMap(complex_, lower, proj_comps)
 
 
-@dataclass(frozen=True)
-class TruncationTriple:
+class TruncationTriple(NamedTuple):
     """The canonical short sequence (upper truncation) -> X -> (lower truncation)."""
 
     upper: ChainComplex
@@ -613,8 +609,7 @@ def truncation_triple(complex_: ChainComplex, n: int) -> TruncationTriple:
     return TruncationTriple(upper, lower, incl, proj)
 
 
-@dataclass(frozen=True)
-class TruncationSplitting:
+class TruncationSplitting(NamedTuple):
     """Chain-level splitting of the canonical truncation sequence.
 
     ``u`` retracts the inclusion of the upper truncation and ``v``
@@ -931,8 +926,7 @@ def _split_quotient(incl: ChainMap, retractions: dict):
 # Direct sums.
 
 
-@dataclass(frozen=True)
-class DirectSum:
+class DirectSum(NamedTuple):
     complex: ChainComplex
     inclusions: tuple
     projections: tuple

@@ -16,18 +16,17 @@ divisor with ``Ring.factor``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidInputError
 from .matrices import Matrix, _chain, elementary_divisors
 from .rings import Ring
 
 
-@dataclass(frozen=True)
-class FgModule:
+class FgModule(NamedTuple):
     ring: Ring
     free_rank: int
-    torsion: tuple = field(default=())
+    torsion: tuple = ()
 
     @classmethod
     def make(cls, ring: Ring, free_rank: int, divisors) -> "FgModule":

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexes import (
     ChainComplex,
@@ -244,8 +244,7 @@ def scramble_complex(rng: random.Random, complex_: ChainComplex):
 # expected modules on each read, since only tests compare against them.
 
 
-@dataclass(frozen=True)
-class KoszulSample:
+class KoszulSample(NamedTuple):
     complex: ChainComplex
     block_divisors: tuple
 
@@ -270,8 +269,7 @@ def gen_koszul(params: GenParams, trial: int, acyclic: bool = False,
     return KoszulSample(two_term(_conjugated(rng, Matrix.diagonal(ring, divisors))), tuple(divisors))
 
 
-@dataclass(frozen=True)
-class AObjectSample:
+class AObjectSample(NamedTuple):
     complex: ChainComplex
     # degree -> the nonunit divisors of the blocks whose homology sits there
     homology_divisors: dict
@@ -360,8 +358,7 @@ def _extension(left: ChainComplex, right: ChainComplex, twist: dict) -> _Layout:
                                                       [None, right.diffs.get(n)]])
 
 
-@dataclass(frozen=True)
-class SesSample:
+class SesSample(NamedTuple):
     sequence: AdmissibleSes
     left: ChainComplex
     right: ChainComplex
@@ -436,8 +433,7 @@ def gen_ses_of_complexes(params: GenParams, trial: int, acyclic_side: str = "lef
     return SesSample(AdmissibleSes(mono, epi), left, right)
 
 
-@dataclass(frozen=True)
-class QuasiIsoPair:
+class QuasiIsoPair(NamedTuple):
     map: ChainMap
 
 
@@ -463,8 +459,7 @@ def gen_quasi_iso_pair(params: GenParams, trial: int,
 # Presented two-term complexes (entries in arbitrary f.g. modules).
 
 
-@dataclass(frozen=True)
-class CObjectSample:
+class CObjectSample(NamedTuple):
     object: PresentedKoszul
     h0_divisors: tuple
 

@@ -18,8 +18,8 @@ exact sequence with the sum of the classes of the outer terms.  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .complexes import ChainComplex
 from .errors import InvalidInputError
@@ -35,8 +35,7 @@ from .koszul import (
 from .rings import Ring
 
 
-@dataclass(frozen=True)
-class K0TorsionClass:
+class K0TorsionClass(NamedTuple):
     """Finitely supported map from canonical primes to integers, held as
     coprime canonical ``num`` and ``den``: the primes of ``num`` count
     positively, those of ``den`` negatively."""
@@ -80,8 +79,7 @@ class K0TorsionClass:
         return self.num == self.den == self.ring.one
 
 
-@dataclass(frozen=True)
-class K0KosClass:
+class K0KosClass(NamedTuple):
     """Rank paired with a torsion class; componentwise addition."""
 
     rank: int

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexes import (
     ChainComplex,
@@ -57,8 +57,7 @@ from .presented import PresentedModule, PresentedMap, is_short_exact
 # Membership predicates.
 
 
-@dataclass(frozen=True)
-class Kos1Membership:
+class Kos1Membership(NamedTuple):
     ok: bool
     concentrated: bool
     injective: bool
@@ -105,8 +104,7 @@ def h0_presentation(complex_: ChainComplex) -> PresentedModule:
     return PresentedModule(complex_.ring, complex_.rank(0), complex_.d(1))
 
 
-@dataclass(frozen=True)
-class Augmentation:
+class Augmentation(NamedTuple):
     """The canonical surjection of a two-term complex onto its H0.
 
     The target is the presented two-term complex [0 -> H0]; the degree
@@ -142,8 +140,7 @@ def h0_map(f: ChainMap) -> PresentedMap:
 # The two-sided truncation retraction.
 
 
-@dataclass(frozen=True)
-class KappaResult:
+class KappaResult(NamedTuple):
     """Retraction of a 0-spherical complex onto a Koszul complex.
 
     ``u`` maps the upper truncation at 0 back into the input, ``v``
@@ -176,8 +173,7 @@ def kappa(complex_: ChainComplex) -> KappaResult:
 # Cellular factorization.
 
 
-@dataclass(frozen=True)
-class FactorStep:
+class FactorStep(NamedTuple):
     """One factorization step f = h . g through an intermediate complex.
 
     ``witness`` is the degreewise homotopy built from the source-summand
@@ -229,8 +225,7 @@ def _factor_step(f: ChainMap, mapping_cone: Cone, n: int) -> FactorStep:
     return FactorStep(g=g, h=h, witness=witness, upper=upper)
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(NamedTuple):
     """Explicit homotopy-equivalence data between the cone of the second
     factor and the truncated cone it reproduces."""
 
@@ -266,8 +261,7 @@ def factor_step_equivalence(step: FactorStep) -> Optional[EquivalenceWitness]:
     return EquivalenceWitness(into=into, back=back, homotopy=witness)
 
 
-@dataclass(frozen=True)
-class CellularFactorization:
+class CellularFactorization(NamedTuple):
     """Chain of degreewise split monos with spherical subquotients.
 
     ``stages[i]`` includes stage i into stage i+1; ``subquotients[i]``
@@ -475,8 +469,7 @@ class PresentedSes:
 # Resolution by a free Koszul complex.
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     """Free Koszul cover of a presented two-term complex.
 
     ``e0``/``e1`` are the degreewise surjections; ``kernel`` is the
@@ -536,8 +529,7 @@ def e_functor(x: PresentedKoszul) -> PresentedSes:
 # The acyclic retraction on Koszul complexes.
 
 
-@dataclass(frozen=True)
-class AcyclicRetract:
+class AcyclicRetract(NamedTuple):
     """[X1 = X1] with the canonical comparison (id, d) into the input.
 
     The comparison is a chain isomorphism exactly when the input is

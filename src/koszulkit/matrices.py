@@ -60,9 +60,8 @@ Each cache keeps up to ``MEMO_SIZE`` blocks alive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionError, DomainMismatchError, NotAComplexError
 from .rings import Ring
@@ -300,8 +299,7 @@ def block_diag(ring: Ring, mats: Sequence[Matrix]) -> Matrix:
     return block(ring, grid, row_sizes, col_sizes)
 
 
-@dataclass(frozen=True)
-class SnfCertificate:
+class SnfCertificate(NamedTuple):
     """Diagonalization witness: U*A*V == D with unimodular U, V.
 
     ``divisors`` lists the nonzero diagonal of D as canonical associates

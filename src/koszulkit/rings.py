@@ -89,8 +89,17 @@ from functools import lru_cache
 
 from .errors import DomainMismatchError, InvalidInputError, NotFactorableError
 
-_TRIAL_PRIMES = tuple(n for n in range(2, 1000)
-                      if all(n % d for d in range(2, math.isqrt(n) + 1)))
+
+def _primes_below(bound: int) -> tuple:
+    """The primes below ``bound``, by the sieve of Eratosthenes."""
+    is_prime = bytearray([0, 0]) + bytearray([1]) * (bound - 2)
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = bytes(len(range(p * p, bound, p)))
+    return tuple(n for n, flag in enumerate(is_prime) if flag)
+
+
+_TRIAL_PRIMES = _primes_below(1000)
 _SPRP_BASES = _TRIAL_PRIMES[:13]             # 2, 3, 5, ..., 41
 _SPRP_PROOF_BOUND = 3317044064679887385961981  # smallest spsp to all 13 bases
 _RHO_BATCH = 128

@@ -11,8 +11,7 @@ re-verify independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexes import (
     ChainComplex,
@@ -61,8 +60,7 @@ def kernel_complex(f: ChainMap):
     return _subcomplex(f.source, {n: kernel_basis(f.at(n)) for n in f.source.ranks})
 
 
-@dataclass(frozen=True)
-class ImageFactorization:
+class ImageFactorization(NamedTuple):
     """Acyclic image factorization of a map out of an acyclic Koszul complex."""
 
     image: ChainComplex
@@ -119,8 +117,7 @@ def extension_closure_check(seq: AdmissibleSes) -> bool:
 # Elementary-divisor decomposition of a Koszul complex.
 
 
-@dataclass(frozen=True)
-class EdDecomposition:
+class EdDecomposition(NamedTuple):
     """Split a Koszul complex as (diagonal non-unit part) (+) (identity part).
 
     ``iso`` is an explicit chain isomorphism from the source onto the
@@ -163,8 +160,7 @@ def ed_decompose(complex_: ChainComplex) -> EdDecomposition:
 # The excision epimorphism.
 
 
-@dataclass(frozen=True)
-class ExcisionCertificate:
+class ExcisionCertificate(NamedTuple):
     """Witnesses that a split mono from an acyclic complex excises.
 
     ``q`` maps the ambient complex onto (acyclic source) (+) (identity
@@ -260,8 +256,7 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
 # Idempotent splitting in the acyclic subcategory.
 
 
-@dataclass(frozen=True)
-class IdempotentSplit:
+class IdempotentSplit(NamedTuple):
     """X decomposed as (image of e) (+) (image of 1 - e)."""
 
     image_part: ChainComplex

@@ -37,6 +37,8 @@ def plain(value):
         return [plain(value.mono), plain(value.epi), plain(value.retractions), plain(value.sections)]
     if dataclasses.is_dataclass(value):
         return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if hasattr(value, "_fields"):  # a NamedTuple record, before the tuple branch
+        return {name: plain(getattr(value, name)) for name in value._fields}
     if isinstance(value, dict):
         return [[str(k), plain(v)] for k, v in sorted(value.items())]
     if isinstance(value, (tuple, list)):

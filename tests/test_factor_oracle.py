@@ -9,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from koszulkit.rings import ZZ, _strong_lucas, fpx, is_prime  # noqa: E402
+from koszulkit.rings import _TRIAL_PRIMES, ZZ, _strong_lucas, fpx, is_prime  # noqa: E402
 
 F2 = fpx(2)
 F3 = fpx(3)
@@ -21,6 +21,11 @@ X = sympy.symbols("x")
 # strong pseudoprime to the bases 2, 3, 5, 7, and one to every prime base
 # up to 23.
 PSEUDOPRIMES = (561, 41041, 3215031751, 3825123056546413051)
+
+
+def test_trial_primes_are_the_primes_below_1000():
+    assert _TRIAL_PRIMES == tuple(sympy.primerange(2, 1000))
+
 
 primes_to_40_bits = st.integers(2, 40).flatmap(
     lambda bits: st.integers(2 ** (bits - 1) + 1, 2 ** bits)).map(sympy.prevprime)

@@ -338,10 +338,10 @@ def test_factor_step_equivalence_of_a_forged_step():
     point = ChainComplex(ZZ, {0: 1}, {})
     # upper: Z in degree 0 inside the acyclic cone [Z =1= Z]: no chain retraction
     line = ChainComplex(ZZ, {0: 1, -1: 1}, {0: Matrix(ZZ, [[1]])})
-    assert factor_step_equivalence(replace(step, h=ChainMap.zero(line, zero_complex(ZZ)), upper=point)) is None
+    assert factor_step_equivalence(step._replace(h=ChainMap.zero(line, zero_complex(ZZ)), upper=point)) is None
     # upper: zero inside the cone Z: the identity of Z is not null-homotopic
     shifted = ChainComplex(ZZ, {-1: 1}, {})
-    forged = replace(step, h=ChainMap.zero(shifted, zero_complex(ZZ)), upper=zero_complex(ZZ))
+    forged = step._replace(h=ChainMap.zero(shifted, zero_complex(ZZ)), upper=zero_complex(ZZ))
     assert factor_step_equivalence(forged) is None
 
 
