@@ -19,21 +19,7 @@ from . import jsonio
 from .complexes import cone, homology, homology_table, structure_maps, truncate_ge, truncate_le, truncation_splitting
 from .errors import InvalidInputError, KoszulkitError
 from .generators import GenParams
-from .jsonio import (
-    chain_map_from_json,
-    chain_map_to_json,
-    complex_from_json,
-    complex_to_json,
-    fg_module_to_json,
-    kappa_result_to_json,
-    kos_class_to_json,
-    matrix_from_json,
-    matrix_to_json,
-    presented_koszul_from_json,
-    resolution_to_json,
-    snf_certificate_to_json,
-    triple_to_json,
-)
+from .jsonio import chain_map_from_json, complex_from_json, matrix_from_json, presented_koszul_from_json, value_to_json
 from .k0 import class_kos_isom
 from .koszul import cellular_factorization, e_functor, kappa, resolve_in_kos1
 from .matrices import snf
@@ -62,12 +48,9 @@ def _write_output(args, payload: dict):
 
 
 def _cmd_snf(args):
-    ring = ring_from_token(args.ring)
-    mat = matrix_from_json(ring, _read_input(args))
+    mat = matrix_from_json(ring_from_token(args.ring), _read_input(args))
     cert = snf(mat)
-    payload = snf_certificate_to_json(cert)
-    payload["verified"] = cert.verify(mat)
-    return payload
+    return {**value_to_json(cert), "verified": cert.verify(mat)}
 
 
 def _cmd_homology(args):
@@ -76,106 +59,79 @@ def _cmd_homology(args):
         table = {args.degree: homology(complex_, args.degree)}
     else:
         table = homology_table(complex_)
-    return {"homology": {str(n): fg_module_to_json(m) for n, m in table.items()}}
+    return value_to_json({"homology": table})
 
 
 def _cmd_cone(args):
-    f = chain_map_from_json(_read_input(args))
-    built = cone(f)
-    return {
-        "cone": complex_to_json(built.complex),
-        "inclusion": chain_map_to_json(built.inclusion),
-        "projection": chain_map_to_json(built.projection),
-    }
+    built = cone(chain_map_from_json(_read_input(args)))
+    return value_to_json({"cone": built.complex, "inclusion": built.inclusion, "projection": built.projection})
 
 
 def _cmd_cyl(args):
-    f = chain_map_from_json(_read_input(args))
-    maps = structure_maps(f)
-    return {
-        "cylinder": complex_to_json(maps.cylinder),
-        "j1": chain_map_to_json(maps.j1),
-        "j2": chain_map_to_json(maps.j2),
-        "p": chain_map_to_json(maps.p),
-    }
+    return value_to_json(structure_maps(chain_map_from_json(_read_input(args))))
 
 
 def _cmd_truncate(args):
     complex_ = complex_from_json(_read_input(args))
-    out = truncate_ge(complex_, args.degree) if args.side == "ge" else truncate_le(complex_, args.degree)
-    return complex_to_json(out)
+    truncate = truncate_ge if args.side == "ge" else truncate_le
+    return value_to_json(truncate(complex_, args.degree))
 
 
 def _cmd_split(args):
-    complex_ = complex_from_json(_read_input(args))
-    splitting = truncation_splitting(complex_, args.degree)
-    return {
-        "upper": complex_to_json(splitting.triple.upper),
-        "lower": complex_to_json(splitting.triple.lower),
-        "incl": chain_map_to_json(splitting.triple.incl),
-        "proj": chain_map_to_json(splitting.triple.proj),
-        "u": chain_map_to_json(splitting.u),
-        "v": chain_map_to_json(splitting.v),
-        "identities_hold": splitting.identities_hold(),
-    }
+    splitting = truncation_splitting(complex_from_json(_read_input(args)), args.degree)
+    triple = splitting.triple
+    return value_to_json({"upper": triple.upper, "lower": triple.lower, "incl": triple.incl, "proj": triple.proj,
+                          "u": splitting.u, "v": splitting.v, "identities_hold": splitting.identities_hold()})
 
 
 def _cmd_factorize(args):
     f = chain_map_from_json(_read_input(args))
     factorization = cellular_factorization(f)
-    return {
-        "stages": [chain_map_to_json(s) for s in factorization.stages],
-        "subquotients": [complex_to_json(q) for q in factorization.subquotients],
-        "spherical_degrees": list(factorization.spherical_degrees),
-        "final": chain_map_to_json(factorization.final),
+    return value_to_json({
+        "stages": factorization.stages,
+        "subquotients": factorization.subquotients,
+        "spherical_degrees": factorization.spherical_degrees,
+        "final": factorization.final,
         "composite_equals_input": factorization.composite() == f,
-    }
+    })
 
 
 def _cmd_kappa(args):
-    complex_ = complex_from_json(_read_input(args))
-    return kappa_result_to_json(kappa(complex_))
+    result = kappa(complex_from_json(_read_input(args)))
+    return value_to_json({"retract": result.kos, "u": result.u, "v": result.v,
+                          "u_is_quasi_iso": result.u_is_quasi_iso, "v_is_quasi_iso": result.v_is_quasi_iso})
 
 
 def _cmd_resolve(args):
-    target = presented_koszul_from_json(_read_input(args))
-    return resolution_to_json(resolve_in_kos1(target))
+    return value_to_json(resolve_in_kos1(presented_koszul_from_json(_read_input(args))))
 
 
 def _cmd_efunctor(args):
-    target = presented_koszul_from_json(_read_input(args))
-    return triple_to_json(e_functor(target))
+    seq = e_functor(presented_koszul_from_json(_read_input(args)))
+    return value_to_json({"left": seq.left, "middle": seq.middle, "right": seq.right,
+                          "mono": {1: seq.mono.degree1.matrix, 0: seq.mono.degree0.matrix},
+                          "epi": {1: seq.epi.degree1.matrix, 0: seq.epi.degree0.matrix}})
 
 
 def _cmd_excise(args):
-    mono = chain_map_from_json(_read_input(args))
-    cert = excision_epi(mono)
-    return {
-        "target": complex_to_json(cert.target),
-        "q": chain_map_to_json(cert.q),
-        "retraction0": matrix_to_json(cert.retraction0),
-        "sections": {str(n): matrix_to_json(m) for n, m in cert.sections.items()},
-        "kernel": complex_to_json(cert.kernel),
-        "kernel_inclusion": chain_map_to_json(cert.kernel_inclusion),
+    cert = excision_epi(chain_map_from_json(_read_input(args)))
+    return value_to_json({
+        "target": cert.target,
+        "q": cert.q,
+        "retraction0": cert.retraction0,
+        "sections": cert.sections,
+        "kernel": cert.kernel,
+        "kernel_inclusion": cert.kernel_inclusion,
         "verified": cert.verifies(),
-    }
+    })
 
 
 def _cmd_eddecompose(args):
-    complex_ = complex_from_json(_read_input(args))
-    dec = ed_decompose(complex_)
-    ring = complex_.ring
-    return {
-        "nonunit_part": complex_to_json(dec.nonunit_part),
-        "unit_part": complex_to_json(dec.unit_part),
-        "iso": chain_map_to_json(dec.iso),
-        "divisors": [jsonio.element_to_json(ring, d) for d in dec.nonunit_divisors],
-    }
+    return value_to_json(ed_decompose(complex_from_json(_read_input(args))))
 
 
 def _cmd_k0(args):
-    complex_ = complex_from_json(_read_input(args))
-    return kos_class_to_json(class_kos_isom(complex_))
+    return value_to_json(class_kos_isom(complex_from_json(_read_input(args))))
 
 
 def _cmd_suite(args):

@@ -1,11 +1,23 @@
 """JSON encoding of every wire format the CLI speaks.
 
+One encoder, ``value_to_json``, turns any library value into wire data,
+dispatching on its exact type: matrices, complexes, chain maps,
+presented modules, maps and complexes, modules, K0 classes, SNF
+certificates and elementary-divisor decompositions have their own
+layouts; any other result record is written as the dict of its fields,
+so its field names are its wire keys; dicts, lists and tuples are
+encoded item by item.  ``complex_to_json``, ``chain_map_to_json``,
+``presented_koszul_to_json``, ``matrix_to_json`` and
+``snf_certificate_to_json`` are other names of the same function, kept
+because the benchmark in ``perfbench/`` calls them.
+
 Integers ride as JSON numbers up to 53 bits and as decimal strings
 beyond that; polynomial elements ride as little-endian coefficient
-arrays.  A string integer must be plain ASCII decimal (``-?[0-9]+``),
-and a degree key must be ``str(d)`` for an integer d, so no two keys
-name the same degree.  Certificates serialize with all their matrices,
-so an external tool can re-verify them without this library.
+arrays of JSON numbers.  A string integer must be plain ASCII decimal
+(``-?[0-9]+``), and a degree key must be ``str(d)`` for an integer d,
+so no two keys name the same degree.  Certificates serialize with all
+their matrices, so an external tool can re-verify them without this
+library.
 
 Every document leaves through ``_dumps``, which returns exactly the text
 of ``json.dumps(x, indent=2, sort_keys=True)`` for the types the library
@@ -26,10 +38,11 @@ from .complexes import ChainComplex, ChainMap
 from .errors import InvalidInputError
 from .fgmodules import FgModule
 from .k0 import K0KosClass
-from .koszul import KappaResult, PresentedKoszul, PresentedSes, Resolution
+from .koszul import PresentedKoszul
 from .matrices import Matrix, SnfCertificate
 from .presented import PresentedMap, PresentedModule
 from .rings import Ring, ring_from_token
+from .sfiltering import EdDecomposition
 
 _SAFE_INT = 2 ** 53
 _DECIMAL = re.compile("-?[0-9]+")
@@ -131,7 +144,7 @@ def _parse_int(text: str) -> int:
 
 
 def _degree(key) -> int:
-    """The degree d whose key is ``str(d)``, the only form ``complex_to_json`` writes.
+    """The degree d whose key is ``str(d)``, the only form ``value_to_json`` writes.
 
     Keys longer than ``_DIGIT_CHUNK`` are refused, so ``int`` and ``str``
     stay within the interpreter's digit limit.
@@ -141,12 +154,6 @@ def _degree(key) -> int:
         if str(degree) == key:
             return degree
     raise InvalidInputError(f"bad degree key {key!r}")
-
-
-def element_to_json(ring: Ring, value):
-    if ring.token == "Z":
-        return value if -_SAFE_INT < value < _SAFE_INT else _int_to_decimal(value)
-    return list(value)
 
 
 def element_from_json(ring: Ring, data):
@@ -164,14 +171,6 @@ def element_from_json(ring: Ring, data):
     if isinstance(data, list) and all(isinstance(c, int) and not isinstance(c, bool) for c in data):
         return ring.poly(data)
     raise InvalidInputError(f"bad polynomial entry {data!r}")
-
-
-def matrix_to_json(mat: Matrix) -> dict:
-    return {
-        "rows": mat.rows,
-        "cols": mat.cols,
-        "entries": [[element_to_json(mat.ring, x) for x in row] for row in mat.entries],
-    }
 
 
 def _count(value, what: str) -> int:
@@ -219,14 +218,6 @@ def matrix_from_json(ring: Ring, data) -> Matrix:
     return Matrix(ring, parsed) if rows else Matrix.zeros(ring, 0, cols)
 
 
-def complex_to_json(complex_: ChainComplex) -> dict:
-    return {
-        "ring": complex_.ring.token,
-        "ranks": {str(n): r for n, r in complex_.ranks.items()},
-        "differentials": {str(n): matrix_to_json(m) for n, m in complex_.diffs.items()},
-    }
-
-
 def _ring(data, what: str) -> Ring:
     """The ring named by the ``"ring"`` token of ``data``."""
     token = data.get("ring")
@@ -243,67 +234,12 @@ def complex_from_json(data) -> ChainComplex:
     return ChainComplex(ring, ranks, _table(data, "differentials", partial(matrix_from_json, ring)))
 
 
-def chain_map_to_json(f: ChainMap) -> dict:
-    return {
-        "source": complex_to_json(f.source),
-        "target": complex_to_json(f.target),
-        "components": {str(n): matrix_to_json(m) for n, m in f.components.items()},
-    }
-
-
 def chain_map_from_json(data) -> ChainMap:
     if not isinstance(data, dict) or "source" not in data or "target" not in data:
         raise InvalidInputError("chain map JSON needs source and target complexes")
     source = complex_from_json(data["source"])
     target = complex_from_json(data["target"])
     return ChainMap(source, target, _table(data, "components", partial(matrix_from_json, source.ring)))
-
-
-def fg_module_to_json(module: FgModule) -> dict:
-    return {
-        "free_rank": module.free_rank,
-        "torsion": [element_to_json(module.ring, t) for t in module.torsion],
-    }
-
-
-def snf_certificate_to_json(cert: SnfCertificate) -> dict:
-    ring = cert.D.ring
-    return {
-        "U": matrix_to_json(cert.U),
-        "D": matrix_to_json(cert.D),
-        "V": matrix_to_json(cert.V),
-        "divisors": [element_to_json(ring, d) for d in cert.divisors],
-    }
-
-
-def kos_class_to_json(cls: K0KosClass) -> dict:
-    torsion = cls.torsion
-    return {
-        "rank": cls.rank,
-        "torsion": [{"prime": element_to_json(torsion.ring, p), "mult": m} for p, m in torsion.counts],
-    }
-
-
-def presented_module_to_json(module: PresentedModule) -> dict:
-    return {"gens": module.gens, "relations": matrix_to_json(module.relations)}
-
-
-def presented_map_to_json(f: PresentedMap) -> dict:
-    return {
-        "source": presented_module_to_json(f.source),
-        "target": presented_module_to_json(f.target),
-        "matrix": matrix_to_json(f.matrix),
-    }
-
-
-def presented_koszul_to_json(x: PresentedKoszul) -> dict:
-    ring = x.top.ring
-    return {
-        "ring": ring.token,
-        "ranks": {"1": x.top.gens, "0": x.bottom.gens},
-        "differentials": {"1": matrix_to_json(x.d.matrix)},
-        "presentations": {"1": matrix_to_json(x.top.relations), "0": matrix_to_json(x.bottom.relations)},
-    }
 
 
 def presented_koszul_from_json(data) -> PresentedKoszul:
@@ -326,31 +262,72 @@ def presented_koszul_from_json(data) -> PresentedKoszul:
     return PresentedKoszul(top, bottom, PresentedMap(top, bottom, boundary))
 
 
-def kappa_result_to_json(result: KappaResult) -> dict:
-    return {
-        "retract": complex_to_json(result.kos),
-        "u": chain_map_to_json(result.u),
-        "v": chain_map_to_json(result.v),
-        "u_is_quasi_iso": result.u_is_quasi_iso,
-        "v_is_quasi_iso": result.v_is_quasi_iso,
-    }
+def _integer(value: int):
+    """A JSON number below 2^53 in absolute value, a decimal string beyond."""
+    return value if -_SAFE_INT < value < _SAFE_INT else _int_to_decimal(value)
 
 
-def resolution_to_json(res: Resolution) -> dict:
-    return {
-        "cover": complex_to_json(res.cover),
-        "e1": presented_map_to_json(res.e1),
-        "e0": presented_map_to_json(res.e0),
-        "kernel": complex_to_json(res.kernel),
-        "kernel_inclusion": chain_map_to_json(res.kernel_inclusion),
-    }
+def _element_writer(ring: Ring):
+    """The writer of one element of ``ring``: ``_integer`` over Z; over
+    F_p[x] the coefficient list, whose entries stay JSON numbers whatever
+    the size of p, the only form ``element_from_json`` reads."""
+    return _integer if ring.token == "Z" else list
 
 
-def triple_to_json(seq: PresentedSes) -> dict:
-    return {
-        "left": presented_koszul_to_json(seq.left),
-        "middle": presented_koszul_to_json(seq.middle),
-        "right": presented_koszul_to_json(seq.right),
-        "mono": {"1": matrix_to_json(seq.mono.degree1.matrix), "0": matrix_to_json(seq.mono.degree0.matrix)},
-        "epi": {"1": matrix_to_json(seq.epi.degree1.matrix), "0": matrix_to_json(seq.epi.degree0.matrix)},
-    }
+def value_to_json(value):
+    """The wire form of ``value``, by its exact type.
+
+    Library types have their own layouts; any other NamedTuple record
+    becomes the dict of its fields.  A dict keeps its keys as ``str(k)``,
+    a list or tuple is encoded item by item, an int is a JSON number
+    below 2^53 in absolute value and a decimal string beyond; anything
+    else is returned as it is, for ``_dumps`` to write or refuse.
+    """
+    kind = type(value)
+    if kind is int:
+        return _integer(value)
+    if kind is dict:
+        return {str(k): value_to_json(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [value_to_json(v) for v in value]
+    if kind is Matrix:
+        write = _element_writer(value.ring)
+        return {"rows": value.rows, "cols": value.cols,
+                "entries": [list(map(write, row)) for row in value.entries]}
+    if kind is ChainComplex:
+        return {"ring": value.ring.token, "ranks": value_to_json(value.ranks),
+                "differentials": value_to_json(value.diffs)}
+    if kind is ChainMap:
+        return {"source": value_to_json(value.source), "target": value_to_json(value.target),
+                "components": value_to_json(value.components)}
+    if kind is PresentedModule:
+        return {"gens": value.gens, "relations": value_to_json(value.relations)}
+    if kind is PresentedMap:
+        return {"source": value_to_json(value.source), "target": value_to_json(value.target),
+                "matrix": value_to_json(value.matrix)}
+    if kind is PresentedKoszul:
+        top, bottom = value.top, value.bottom
+        return {"ring": top.ring.token, "ranks": {"1": top.gens, "0": bottom.gens},
+                "differentials": {"1": value_to_json(value.d.matrix)},
+                "presentations": {"1": value_to_json(top.relations), "0": value_to_json(bottom.relations)}}
+    if kind is FgModule:
+        return {"free_rank": value.free_rank, "torsion": list(map(_element_writer(value.ring), value.torsion))}
+    if kind is K0KosClass:
+        write = _element_writer(value.torsion.ring)
+        return {"rank": value.rank, "torsion": [{"prime": write(p), "mult": m} for p, m in value.torsion.counts]}
+    # The divisors of these two are bare ring elements: they are written
+    # with the ring of the matrices beside them.
+    if kind is SnfCertificate:
+        return {"U": value_to_json(value.U), "D": value_to_json(value.D), "V": value_to_json(value.V),
+                "divisors": list(map(_element_writer(value.D.ring), value.divisors))}
+    if kind is EdDecomposition:
+        return {"nonunit_part": value_to_json(value.nonunit_part), "unit_part": value_to_json(value.unit_part),
+                "iso": value_to_json(value.iso),
+                "divisors": list(map(_element_writer(value.source.ring), value.nonunit_divisors))}
+    if isinstance(value, tuple):  # any other NamedTuple record
+        return dict(zip(value._fields, map(value_to_json, value)))
+    return value
+
+
+# Other names of the encoder, which the benchmark in perfbench/ calls.
+complex_to_json = chain_map_to_json = presented_koszul_to_json = matrix_to_json = snf_certificate_to_json = value_to_json

@@ -70,11 +70,10 @@ class TrialFailure(Exception):
 
 
 def _require(condition: bool, message: str, instance):
-    """Raise TrialFailure unless ``condition`` holds; ``instance`` is a
-    zero-argument callable that serializes the offending instance, called
-    only on failure."""
+    """Raise TrialFailure unless ``condition`` holds, with the offending
+    ``instance`` encoded for the report; it is encoded only on failure."""
     if not condition:
-        raise TrialFailure(message, instance())
+        raise TrialFailure(message, jsonio.value_to_json(instance))
 
 
 @dataclass
@@ -118,21 +117,18 @@ def _crash_stage(error: BaseException) -> str:
 
 # ---------------------------------------------------------------------------
 # Trial bodies.  Each raises TrialFailure with the offending instance,
-# serialized only when the trial fails.
+# encoded only when the trial fails.
 
 
 def lemma_2_4_trial(params: GenParams, trial: int):
     diagram = gen_ses_morphism(params, trial)
-    instance = lambda: {
-        "middle": jsonio.presented_map_to_json(diagram.middle),
-        "right": jsonio.presented_map_to_json(diagram.right),
-    }
+    instance = {"middle": diagram.middle, "right": diagram.right}
     _require(cobase_change_check(diagram), "pushout criterion sides disagree", instance)
 
 
 def lemma_2_5_trial(params: GenParams, trial: int):
     grid = gen_three_by_three(params, trial)
-    instance = lambda: {"rows": [jsonio.presented_map_to_json(m) for pair in grid.rows for m in pair]}
+    instance = {"rows": [m for pair in grid.rows for m in pair]}
     first, second = nine_term_sequences(grid)
     _require(first, "pushout sequence is not short exact", instance)
     _require(second, "pullback sequence is not short exact", instance)
@@ -140,14 +136,13 @@ def lemma_2_5_trial(params: GenParams, trial: int):
 
 def remark_3_2_trial(params: GenParams, trial: int):
     sample = gen_a_object(params, trial)
-    instance = lambda: jsonio.complex_to_json(sample.complex)
     degrees = sample.complex.degree_range()
     for n in range(degrees.start - 1, degrees.stop + 1):
         splitting = truncation_splitting(sample.complex, n)
         _require(splitting.triple.degreewise_exact(),
-                 f"truncation triple not exact at {n}", instance)
+                 f"truncation triple not exact at {n}", sample.complex)
         _require(splitting.identities_hold(),
-                 f"splitting identities fail at {n}", instance)
+                 f"splitting identities fail at {n}", sample.complex)
 
 
 def prop_3_4_trial(params: GenParams, trial: int):
@@ -155,25 +150,24 @@ def prop_3_4_trial(params: GenParams, trial: int):
     source = gen_a_object(params, trial, rng=rng).complex
     target = gen_a_object(params, trial, rng=rng).complex
     f = gen_chain_map(rng, source, target, bound=2, terms=1)
-    instance = lambda: jsonio.chain_map_to_json(f)
     factorization = cellular_factorization(f)
     degrees = set(source.ranks) | set(target.ranks)
     width = (max(degrees) - min(degrees) + 1) if degrees else 0
     _require(len(factorization.stages) <= width + 1,
-             "factorization used too many stages", instance)
+             "factorization used too many stages", f)
     _require(factorization.composite() == f,
-             "stages do not compose back to the input", instance)
+             "stages do not compose back to the input", f)
     _require(quasi_iso_degree(factorization.final) == math.inf,
-             "final map is not a quasi-isomorphism", instance)
+             "final map is not a quasi-isomorphism", f)
     ring = params.ring
     for stage, retr, quotient, degree in zip(
             factorization.stages, factorization.retractions,
             factorization.subquotients, factorization.spherical_degrees):
         for n, r in retr.items():
             _require(r * stage.at(n) == Matrix.identity(ring, stage.source.rank(n)),
-                     "stage retraction fails", instance)
+                     "stage retraction fails", f)
         _require(in_A_n(quotient, degree),
-                 f"subquotient is not {degree}-spherical", instance)
+                 f"subquotient is not {degree}-spherical", f)
 
 
 def prop_3_5_trial(params: GenParams, trial: int):
@@ -182,11 +176,10 @@ def prop_3_5_trial(params: GenParams, trial: int):
     sample = gen_ses_of_complexes(params, trial, acyclic_side="none",
                                   spherical=spherical, rng=rng)
     seq = sample.sequence
-    instance = lambda: jsonio.chain_map_to_json(seq.mono)
     degrees = seq.middle.degree_range()
     for k in range(degrees.start - 1, degrees.stop + 1):
         verdict = tau_maps_spherical_check(seq, k, spherical)
-        _require(verdict, f"truncation at {k} broke the split sequence", instance)
+        _require(verdict, f"truncation at {k} broke the split sequence", seq.mono)
 
 
 def lemma_3_6_trial(params: GenParams, trial: int):
@@ -194,7 +187,6 @@ def lemma_3_6_trial(params: GenParams, trial: int):
     side = "left" if rng.random() < 0.5 else "right"
     sample = gen_ses_of_complexes(params, trial, acyclic_side=side, rng=rng)
     seq = sample.sequence
-    instance = lambda: jsonio.chain_map_to_json(seq.mono)
     degrees = seq.middle.degree_range()
     checked = 0
     for n in range(degrees.start, degrees.stop + 1):
@@ -203,9 +195,9 @@ def lemma_3_6_trial(params: GenParams, trial: int):
         except HypothesisNotMetError:
             continue
         checked += 1
-        _require(kernels, f"kernel sequence not exact at {n}", instance)
-        _require(images, f"image sequence not exact at {n}", instance)
-    _require(checked > 0, "hypothesis never held", instance)
+        _require(kernels, f"kernel sequence not exact at {n}", seq.mono)
+        _require(images, f"image sequence not exact at {n}", seq.mono)
+    _require(checked > 0, "hypothesis never held", seq.mono)
 
 
 def cor_3_8_trial(params: GenParams, trial: int):
@@ -215,81 +207,75 @@ def cor_3_8_trial(params: GenParams, trial: int):
                                 window_bottom=rng.choice((-1, 0)), rng=rng).complex
     else:
         complex_ = gen_koszul(params, trial, rng=rng).complex
-    instance = lambda: jsonio.complex_to_json(complex_)
     result = kappa(complex_)
-    _require(bool(in_kos1(result.kos)), "retract left the category", instance)
-    _require(result.u_is_quasi_iso, "inclusion comparison is not a quasi-iso", instance)
-    _require(result.v_is_quasi_iso, "projection comparison is not a quasi-iso", instance)
+    _require(bool(in_kos1(result.kos)), "retract left the category", complex_)
+    _require(result.u_is_quasi_iso, "inclusion comparison is not a quasi-iso", complex_)
+    _require(result.v_is_quasi_iso, "projection comparison is not a quasi-iso", complex_)
     if in_kos1(complex_):
-        _require(result.kos == complex_, "retraction moved a two-term complex", instance)
+        _require(result.kos == complex_, "retraction moved a two-term complex", complex_)
         _require(result.u == ChainMap.identity(complex_)
                  and result.v == ChainMap.identity(complex_),
-                 "retraction of a two-term complex is not the identity", instance)
+                 "retraction of a two-term complex is not the identity", complex_)
 
 
 def lemma_4_2_trial(params: GenParams, trial: int):
     sample = gen_c_object(params, trial)
     target = sample.object
-    instance = lambda: jsonio.presented_koszul_to_json(target)
     res = resolve_in_kos1(target)
-    _require(bool(in_kos1(res.cover)), "cover is not a free Koszul complex", instance)
-    _require(res.e0.is_surjective(), "degree-0 component is not surjective", instance)
-    _require(res.e1.is_surjective(), "degree-1 component is not surjective", instance)
+    _require(bool(in_kos1(res.cover)), "cover is not a free Koszul complex", target)
+    _require(res.e0.is_surjective(), "degree-0 component is not surjective", target)
+    _require(res.e1.is_surjective(), "degree-1 component is not surjective", target)
     lifted = target.d.compose(res.e1)
     pushed = res.e0.matrix * res.cover.d(1)
     _require(target.bottom.contains(lifted.matrix - pushed),
-             "cover map does not commute with boundaries", instance)
-    _require(bool(in_kos1(res.kernel)), "kernel is not a free Koszul complex", instance)
+             "cover map does not commute with boundaries", target)
+    _require(bool(in_kos1(res.kernel)), "kernel is not a free Koszul complex", target)
     for degree, e_map in ((1, res.e1), (0, res.e0)):
         incl = res.kernel_inclusion.at(degree)
         _require(e_map.target.contains(e_map.matrix * incl),
-                 f"kernel inclusion at degree {degree} does not die in the target", instance)
+                 f"kernel inclusion at degree {degree} does not die in the target", target)
         pre = e_map.preimage_of_relations()
         _require(solve(incl, pre) is not None,
-                 f"kernel at degree {degree} misses part of the true kernel", instance)
+                 f"kernel at degree {degree} misses part of the true kernel", target)
 
 
 def lemma_4_3_trial(params: GenParams, trial: int):
     sample = gen_c_object(params, trial)
-    instance = lambda: jsonio.presented_koszul_to_json(sample.object)
     triple = e_functor(sample.object)
-    _require(triple.left.is_acyclic(), "left term is not acyclic", instance)
-    _require(triple.middle == sample.object, "middle term is not the input", instance)
+    _require(triple.left.is_acyclic(), "left term is not acyclic", sample.object)
+    _require(triple.middle == sample.object, "middle term is not the input", sample.object)
     _require(triple.right.top.canonical_form().is_zero(),
-             "right term has a nonzero degree-1 part", instance)
+             "right term has a nonzero degree-1 part", sample.object)
     _require(module_iso(triple.right.h0().canonical_form(),
                         sample.object.h0().canonical_form()),
-             "right term does not carry H0", instance)
+             "right term does not carry H0", sample.object)
     _require(additivity_check(triple, class_presented),
-             "triple classes are not additive", instance)
+             "triple classes are not additive", sample.object)
 
 
 def excision_trial(params: GenParams, trial: int):
     sample = gen_admissible_mono(params, trial)
     mono = sample.sequence.mono
-    instance = lambda: jsonio.chain_map_to_json(mono)
     cert = excision_epi(mono, sample.sequence.retractions)
-    _require(cert.verifies(), "excision certificate failed", instance)
+    _require(cert.verifies(), "excision certificate failed", mono)
     closure = AdmissibleSes(cert.kernel_inclusion, cert.q)
     _require(extension_closure_check(closure),
-             "kernel sequence violates extension closure", instance)
+             "kernel sequence violates extension closure", mono)
 
 
 def idempotent_trial(params: GenParams, trial: int):
     complex_, endo = gen_idempotent(params, trial)
-    instance = lambda: jsonio.chain_map_to_json(endo)
     split = idempotent_split(endo)
-    _require(split.rank_additive(), "split ranks do not add up", instance)
+    _require(split.rank_additive(), "split ranks do not add up", endo)
     for part in (split.image_part, split.complement_part):
         _require(bool(in_kos1(part)) and is_acyclic(part),
-                 "split part left the acyclic subcategory", instance)
+                 "split part left the acyclic subcategory", endo)
 
 
 def closure_trial(params: GenParams, trial: int):
     sample = gen_admissible_ses(params, trial)
-    instance = lambda: jsonio.chain_map_to_json(sample.sequence.mono)
     _require(extension_closure_check(sample.sequence),
-             "acyclicity closure disagreement", instance)
+             "acyclicity closure disagreement", sample.sequence.mono)
 
 
 def image_factorization_trial(params: GenParams, trial: int):
@@ -297,9 +283,8 @@ def image_factorization_trial(params: GenParams, trial: int):
     source = gen_koszul(params, trial, acyclic=True, rng=rng).complex
     target = gen_koszul(params, trial, rng=rng).complex
     f = gen_chain_map(rng, source, target, bound=2, terms=1)
-    instance = lambda: jsonio.chain_map_to_json(f)
     factorization = image_factorization(f)
-    _require(factorization.verifies(f), "image factorization certificate failed", instance)
+    _require(factorization.verifies(f), "image factorization certificate failed", f)
 
 
 def appendix_a2_trial(params: GenParams, trial: int):
@@ -311,25 +296,22 @@ def appendix_a2_trial(params: GenParams, trial: int):
 
 def k0_additivity_trial(params: GenParams, trial: int):
     sample = gen_admissible_ses(params, trial)
-    instance = lambda: jsonio.chain_map_to_json(sample.sequence.mono)
     _require(additivity_check(sample.sequence, class_kos_isom),
-             "isomorphism-level class is not additive", instance)
-    _require(h0_additive(sample.sequence), "H0 sequence is not exact", instance)
+             "isomorphism-level class is not additive", sample.sequence.mono)
+    _require(h0_additive(sample.sequence), "H0 sequence is not exact", sample.sequence.mono)
     mono, epi = gen_module_ses(params, trial, torsion_only=True)
-    instance = lambda: jsonio.presented_map_to_json(mono)
-    _require(is_short_exact(mono, epi), "module sequence is not short exact", instance)
+    _require(is_short_exact(mono, epi), "module sequence is not short exact", mono)
     left, middle, right = (class_torsion(module.canonical_form())
                            for module in (mono.source, mono.target, epi.target))
-    _require(middle == left + right, "module torsion class is not additive", instance)
+    _require(middle == left + right, "module torsion class is not additive", mono)
 
 
 def k0_qis_pair_trial(params: GenParams, trial: int):
     pair = gen_quasi_iso_pair(params, trial)
-    instance = lambda: jsonio.chain_map_to_json(pair.map)
     _require(quasi_iso_degree(pair.map) == math.inf,
-             "generated pair is not a quasi-isomorphism", instance)
+             "generated pair is not a quasi-isomorphism", pair.map)
     _require(class_kos_qis(pair.map.source) == class_kos_qis(pair.map.target),
-             "quasi-isomorphic pair has different classes", instance)
+             "quasi-isomorphic pair has different classes", pair.map)
 
 
 def k0_theorems_trial(params: GenParams, trial: int):

@@ -19,20 +19,12 @@ from koszulkit.presented import PresentedMap
 
 def plain(value):
     """A JSON-ready form of ``value`` that depends on its value only."""
-    if isinstance(value, ChainComplex):
-        return jsonio.complex_to_json(value)
+    if isinstance(value, (ChainComplex, Matrix, FgModule, PresentedKoszul, PresentedMap)):
+        return jsonio.value_to_json(value)
     if isinstance(value, ChainMap):
         return [plain(value.source), plain(value.target), plain(value.components)]
     if isinstance(value, Homotopy):
         return [plain(value.lhs), plain(value.rhs), plain(value.components)]
-    if isinstance(value, Matrix):
-        return jsonio.matrix_to_json(value)
-    if isinstance(value, FgModule):
-        return jsonio.fg_module_to_json(value)
-    if isinstance(value, PresentedKoszul):
-        return jsonio.presented_koszul_to_json(value)
-    if isinstance(value, PresentedMap):
-        return jsonio.presented_map_to_json(value)
     if isinstance(value, AdmissibleSes):
         return [plain(value.mono), plain(value.epi), plain(value.retractions), plain(value.sections)]
     if dataclasses.is_dataclass(value):

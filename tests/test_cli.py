@@ -12,6 +12,7 @@ from koszulkit.cli import _build_parser, main
 from koszulkit.complexes import ComplexSes, kernel_image_sequences
 from koszulkit.errors import HypothesisNotMetError, InvalidInputError
 from koszulkit.jsonio import chain_map_from_json
+from koszulkit.matrices import Matrix
 from koszulkit.rings import ZZ
 from koszulkit.sfiltering import idempotent_split
 
@@ -51,7 +52,7 @@ def test_snf_large_entries_roundtrip(tmp_path, capsys):
 def test_snf_entry_beyond_int_str_limit_roundtrips(tmp_path, capsys):
     # Python refuses int <-> str conversions past 4300 digits by default.
     big = -(10 ** 4999 + 7)
-    literal = jsonio.element_to_json(ZZ, big)
+    literal = jsonio.value_to_json(big)
     assert len(literal) == 5001
     assert jsonio.element_from_json(ZZ, literal) == big
     path = write_json(tmp_path, "m.json", {"rows": 1, "cols": 1, "entries": [[literal]]})
@@ -311,6 +312,29 @@ def test_input_from_stdin(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["divisors"] == [4]
 
 
+@pytest.fixture
+def matrix_sizes(monkeypatch):
+    """The entry count of every matrix built while the test runs, whatever
+    the host's speed.  Every matrix goes through ``Matrix.__init__`` or
+    ``Matrix._from_work``; the shared zero blocks are cleared first, since
+    a cached block is returned without being built."""
+    sizes = []
+    Matrix.zeros.cache_clear()
+    init, from_work = Matrix.__init__, Matrix._from_work.__func__
+
+    def recorded_init(self, ring, rows):
+        sizes.append(len(rows) * len(rows[0]) if rows else 0)
+        init(self, ring, rows)
+
+    def recorded_from_work(cls, ring, rows, cols, work):
+        sizes.append(rows * cols)
+        return from_work(cls, ring, rows, cols, work)
+
+    monkeypatch.setattr(Matrix, "__init__", recorded_init)
+    monkeypatch.setattr(Matrix, "_from_work", classmethod(recorded_from_work))
+    return sizes
+
+
 # Requests that name a rank or matrix dimension far above
 # ``jsonio._MAX_COUNT``: each must be refused before anything of that
 # size is built.
@@ -334,12 +358,13 @@ HUGE_REQUESTS = {
 
 
 @pytest.mark.parametrize("argv, payload", HUGE_REQUESTS.values(), ids=HUGE_REQUESTS)
-def test_huge_count_exits_2(tmp_path, capsys, wall_clock_limit, argv, payload):
+def test_huge_count_exits_2(tmp_path, capsys, wall_clock_limit, matrix_sizes, argv, payload):
     path = write_json(tmp_path, "huge.json", payload)
     with wall_clock_limit(0.05):
         code, out, err = run_cli(capsys, *argv, "--in", path)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("koszulkit: ") and "limit" in err
+    assert max(matrix_sizes, default=0) <= jsonio._MAX_COUNT
 
 
 LIMIT = jsonio._MAX_COUNT
@@ -352,12 +377,15 @@ FREE_DEGREE_ONE = {
 
 
 @pytest.mark.parametrize("command", ["resolve", "efunctor"])
-def test_free_degree_one_without_a_boundary_exits_2_at_once(tmp_path, capsys, wall_clock_limit, command):
+def test_free_degree_one_without_a_boundary_exits_2_at_once(tmp_path, capsys, wall_clock_limit, matrix_sizes,
+                                                            command):
     for name, request in FREE_DEGREE_ONE.items():
         path = write_json(tmp_path, f"{name}.json", request)
         with wall_clock_limit(0.05):
             code, out, err = run_cli(capsys, command, "--in", path)
         assert (code, out, err) == (2, "", "koszulkit: boundary map is not injective\n"), name
+        # The zero boundary of LIMIT x LIMIT entries is refused unbuilt.
+        assert max(matrix_sizes, default=0) <= LIMIT, name
 
 
 UNREADABLE = {

@@ -3,7 +3,10 @@ complex rebuilt with its degree-keyed tables filled in another order
 gives byte-identical JSON from every construction and every solved
 witness."""
 
+import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from koszulkit import jsonio  # noqa: E402
+from koszulkit.cli import main  # noqa: E402
 from koszulkit.complexes import (  # noqa: E402
     ChainComplex,
     ChainMap,
@@ -23,7 +27,7 @@ from koszulkit.complexes import (  # noqa: E402
     truncation_splitting,
 )
 from koszulkit.generators import GenParams, gen_a_object, gen_c_object, gen_chain_map, trial_rng  # noqa: E402
-from koszulkit.koszul import cellular_factorization, e_functor, kappa, resolve_in_kos1  # noqa: E402
+from koszulkit.koszul import cellular_factorization  # noqa: E402
 from koszulkit.rings import ZZ, fpx  # noqa: E402
 
 from pinning import plain  # noqa: E402
@@ -45,6 +49,15 @@ def _rebuilt(value, order: random.Random):
                     _shuffled(value.components, order))
 
 
+def _cli(command: str, document) -> str:
+    """The text the CLI writes for ``command`` on the JSON ``document``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src, dst = Path(tmp, "in.json"), Path(tmp, "out.json")
+        src.write_text(json.dumps(document))
+        assert main([command, "--in", str(src), "--out", str(dst)]) == 0
+        return dst.read_text(encoding="utf-8")
+
+
 def _outputs(x: ChainComplex, f: ChainMap, spherical: ChainComplex) -> str:
     """The JSON of every construction on ``x``, ``f`` and the 0-spherical
     ``spherical``, the solved witnesses included."""
@@ -54,15 +67,14 @@ def _outputs(x: ChainComplex, f: ChainMap, spherical: ChainComplex) -> str:
     factorization = cellular_factorization(f)
     built = cone(f)
     return jsonio._dumps({
-        "homology": {str(n): jsonio.fg_module_to_json(m) for n, m in homology_table(x).items()},
-        "cone": [jsonio.complex_to_json(built.complex), jsonio.chain_map_to_json(built.inclusion),
-                 jsonio.chain_map_to_json(built.projection)],
-        "cyl": [jsonio.complex_to_json(maps.cylinder)] + [jsonio.chain_map_to_json(m)
-                                                           for m in (maps.j1, maps.j2, maps.p)],
-        "split": [jsonio.chain_map_to_json(m) for m in (splitting.triple.incl, splitting.triple.proj,
-                                                         splitting.u, splitting.v)],
-        "factorize": [jsonio.chain_map_to_json(s) for s in factorization.stages + (factorization.final,)],
-        "kappa": jsonio.kappa_result_to_json(kappa(spherical)),
+        **jsonio.value_to_json({
+            "homology": homology_table(x),
+            "cone": [built.complex, built.inclusion, built.projection],
+            "cyl": [maps.cylinder, maps.j1, maps.j2, maps.p],
+            "split": [splitting.triple.incl, splitting.triple.proj, splitting.u, splitting.v],
+            "factorize": factorization.stages + (factorization.final,),
+        }),
+        "kappa": _cli("kappa", jsonio.value_to_json(spherical)),
         "nullhomotopy": plain(nullhomotopy(f)),
         "homotopy_between": plain(homotopy_between(maps.j2.compose(maps.p), ChainMap.identity(maps.cylinder))),
         "chain_retraction": plain(chain_retraction(maps.j2)),
@@ -70,9 +82,7 @@ def _outputs(x: ChainComplex, f: ChainMap, spherical: ChainComplex) -> str:
 
 
 def _presented_outputs(document: dict) -> str:
-    target = jsonio.presented_koszul_from_json(document)
-    return jsonio._dumps([jsonio.resolution_to_json(resolve_in_kos1(target)),
-                          jsonio.triple_to_json(e_functor(target))])
+    return _cli("resolve", document) + _cli("efunctor", document)
 
 
 @settings(max_examples=20, deadline=None)
@@ -89,7 +99,7 @@ def test_outputs_ignore_the_order_of_degrees(token, trial, order):
     assert _outputs(_rebuilt(x, order), _rebuilt(f, order), _rebuilt(spherical, order)) == _outputs(x, f, spherical)
 
     # A presented complex has no tables of its own: shuffle its JSON.
-    data = jsonio.presented_koszul_to_json(gen_c_object(params, trial, rng=rng).object)
+    data = jsonio.value_to_json(gen_c_object(params, trial, rng=rng).object)
     shuffled = {key: _shuffled(value, order) if isinstance(value, dict) else value
                 for key, value in _shuffled(data, order).items()}
     assert _presented_outputs(shuffled) == _presented_outputs(data)

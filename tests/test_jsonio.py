@@ -73,30 +73,29 @@ def _requests():
     params = GenParams(ring=ZZ, seed=5, max_rank=3)
     big = [[2 ** 60 + 1, 3, -7], [5, -2 ** 55, 1], [0, 4, 9]]
     out = [
-        (["snf", "--ring", "Z"], {"rows": 3, "cols": 3, "entries": [[jsonio.element_to_json(ZZ, x) for x in row]
-                                                                     for row in big]}),
-        (["snf", "--ring", "Z"], jsonio.matrix_to_json(gen_matrix(params, 0))),
-        (["snf", "--ring", "fpx:3"], jsonio.matrix_to_json(gen_matrix(GenParams(ring=fpx(3), seed=5), 1))),
+        (["snf", "--ring", "Z"], {"rows": 3, "cols": 3, "entries": jsonio.value_to_json(big)}),
+        (["snf", "--ring", "Z"], jsonio.value_to_json(gen_matrix(params, 0))),
+        (["snf", "--ring", "fpx:3"], jsonio.value_to_json(gen_matrix(GenParams(ring=fpx(3), seed=5), 1))),
     ]
     for index in range(2):
         rng = trial_rng(params, index)
-        koszul = jsonio.complex_to_json(gen_koszul(params, index, rng=rng).complex)
-        f3_koszul = jsonio.complex_to_json(gen_koszul(GenParams(ring=fpx(3), seed=5), index).complex)
+        koszul = jsonio.value_to_json(gen_koszul(params, index, rng=rng).complex)
+        f3_koszul = jsonio.value_to_json(gen_koszul(GenParams(ring=fpx(3), seed=5), index).complex)
         for command in ("homology", "k0", "eddecompose"):
             out += [([command], koszul), ([command], f3_koszul)]
         source = gen_a_object(params, index, rng=rng).complex
         target = gen_a_object(params, index, rng=rng).complex
-        f = jsonio.chain_map_to_json(gen_chain_map(rng, source, target, bound=2, terms=1))
+        f = jsonio.value_to_json(gen_chain_map(rng, source, target, bound=2, terms=1))
         out += [(["factorize"], f), (["cone"], f), (["cyl"], f)]
         bottom = min(source.degree_range().start, 0)
-        source_json = jsonio.complex_to_json(source)
+        source_json = jsonio.value_to_json(source)
         out += [(["split", "--degree", str(bottom)], source_json),
                 (["truncate", "--degree", str(bottom), "--side", "ge"], source_json),
                 (["truncate", "--degree", str(bottom), "--side", "le"], source_json)]
         kappa_input = gen_a_object(params, index, spherical=0, window_bottom=0, rng=rng).complex
-        out.append((["kappa"], jsonio.complex_to_json(kappa_input)))
-        out.append((["excise"], jsonio.chain_map_to_json(gen_admissible_mono(params, index, rng=rng).sequence.mono)))
-        presented = jsonio.presented_koszul_to_json(gen_c_object(params, index, rng=rng).object)
+        out.append((["kappa"], jsonio.value_to_json(kappa_input)))
+        out.append((["excise"], jsonio.value_to_json(gen_admissible_mono(params, index, rng=rng).sequence.mono)))
+        presented = jsonio.value_to_json(gen_c_object(params, index, rng=rng).object)
         out += [(["resolve"], presented), (["efunctor"], presented)]
     return out
 

@@ -135,14 +135,14 @@ def test_passing_trials_serialize_nothing(monkeypatch):
 # before its checks ran.
 FORCED_FAILURES = {
     "lemma2_4": ("cobase_change_check", lambda *args: False, lambda params, trial: {
-        "middle": jsonio.presented_map_to_json(gen_ses_morphism(params, trial).middle),
-        "right": jsonio.presented_map_to_json(gen_ses_morphism(params, trial).right)}),
+        "middle": jsonio.value_to_json(gen_ses_morphism(params, trial).middle),
+        "right": jsonio.value_to_json(gen_ses_morphism(params, trial).right)}),
     "lemma4_3": ("module_iso", lambda *args: False, lambda params, trial:
-                 jsonio.presented_koszul_to_json(gen_c_object(params, trial).object)),
+                 jsonio.value_to_json(gen_c_object(params, trial).object)),
     "appendix_a2": ("extension_closure_check", lambda *args: False, lambda params, trial:
-                    jsonio.chain_map_to_json(gen_admissible_mono(params, trial).sequence.mono)),
+                    jsonio.value_to_json(gen_admissible_mono(params, trial).sequence.mono)),
     "k0_theorems": ("is_short_exact", lambda *args: False, lambda params, trial:
-                    jsonio.presented_map_to_json(gen_module_ses(params, trial, torsion_only=True)[0])),
+                    jsonio.value_to_json(gen_module_ses(params, trial, torsion_only=True)[0])),
 }
 
 
