@@ -36,8 +36,9 @@ the script prints:
 * ``cone_layouts``: direct-sum layouts built with the summands (X, 1),
   (Y, 0) of a mapping cone, one per cone complex constructed;
 * ``solves``: calls of ``matrices.solve``, wherever it is called from;
-* ``checked_sequences``: ``ComplexSes`` constructions, those of its
-  subclasses (``AdmissibleSes``) included;
+* ``checked_sequences``: sequences of complexes built, ``ComplexSes``
+  and ``AdmissibleSes`` alike, each counted once (every construction
+  runs ``ComplexSes._fill`` once, whichever class proves exactness);
 * ``fgmodule_makes``: calls of ``FgModule.make``, each a divisor list
   re-normalized into a chain;
 * ``cpu_s``: the process CPU time of the core, counters included;
@@ -113,7 +114,7 @@ def count_matrix_work() -> dict:
     """Wrap ``Matrix.__mul__``, ``Matrix._from_work``, ``Matrix.__neg__``,
     the F_2[x] conversion hooks, ``ChainMap.__init__``, the direct-sum
     layout, ``matrices.solve`` (in every koszulkit module that imports
-    it), ``ComplexSes.__init__`` and ``FgModule.make`` with counters."""
+    it), ``ComplexSes._fill`` and ``FgModule.make`` with counters."""
     counts = {"products": 0, "empty_operand_products": 0, "raw_calls": 0,
               "negations": 0, "zero_negations": 0, "packs": 0, "unpacks": 0,
               "checked_chain_maps": 0, "cone_layouts": 0, "solves": 0, "checked_sequences": 0,
@@ -122,7 +123,7 @@ def count_matrix_work() -> dict:
     f2 = fpx(2)
     pack, unpack = f2.pack, f2.unpack
     chain_map_init, layout_init = complexes.ChainMap.__init__, complexes._Layout.__init__
-    solve, ses_init = matrices.solve, complexes.ComplexSes.__init__
+    solve, ses_fill = matrices.solve, complexes.ComplexSes._fill
     make = FgModule.make.__func__
 
     def counted_mul(self, other):
@@ -162,9 +163,9 @@ def count_matrix_work() -> dict:
         counts["solves"] += 1
         return solve(*args)
 
-    def counted_ses_init(self, *args):
+    def counted_ses_fill(self, *args):
         counts["checked_sequences"] += 1
-        ses_init(self, *args)
+        ses_fill(self, *args)
 
     def counted_make(cls, *args):
         counts["fgmodule_makes"] += 1
@@ -176,7 +177,7 @@ def count_matrix_work() -> dict:
     f2.pack, f2.unpack = counted_pack, counted_unpack
     complexes.ChainMap.__init__ = counted_chain_map_init
     complexes._Layout.__init__ = counted_layout_init
-    complexes.ComplexSes.__init__ = counted_ses_init
+    complexes.ComplexSes._fill = counted_ses_fill
     FgModule.make = classmethod(counted_make)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == koszulkit.__name__ and getattr(module, "solve", None) is solve:

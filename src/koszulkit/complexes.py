@@ -86,7 +86,8 @@ of its parts with shift 0, where (C, s) puts C_{n-s} in degree n.  One
 private layout places their blocks (an absent block stays None, so only
 stored blocks are ever negated) and gives each summand's inclusion,
 whose transpose is the matching projection.  ``quasi_iso_degree`` reads
-only the complex of a cone's layout; ``cone`` adds the inclusion and
+only the complex of a cone's layout, as callers of ``_sum_layout`` read
+only the complex of a direct sum's; ``cone`` adds the inclusion and
 projection on that layout, so a caller that needs the degree and the
 maps (the cellular factorization) builds the layout once.
 """
@@ -784,7 +785,13 @@ def _vanishing_degree(mapping_cone: ChainComplex):
 
 
 class ComplexSes(_Checked):
-    """Degreewise short exact sequence of bounded free complexes; immutable."""
+    """Degreewise short exact sequence of bounded free complexes; immutable.
+
+    With no witnesses to check, exactness is proved by elimination at
+    every degree: the inclusion is injective, the projection surjective
+    and the image equals the kernel, all read off elementary divisors.
+    The subclass ``AdmissibleSes`` proves it by its witnesses instead.
+    """
 
     __slots__ = ("mono", "epi")
 
@@ -932,13 +939,19 @@ class DirectSum(NamedTuple):
     projections: tuple
 
 
-def direct_sum(*parts: ChainComplex) -> DirectSum:
+def _sum_layout(parts) -> _Layout:
+    """The layout of ``direct_sum(*parts)``; its complex is the sum, and
+    no inclusion or projection is built."""
     if not parts:
         raise InvalidInputError("direct sum of no complexes")
     if any(part.ring != parts[0].ring for part in parts):
         raise InvalidInputError("direct sum across different rings")
-    layout = _Layout([(part, 0) for part in parts], lambda n: [
+    return _Layout([(part, 0) for part in parts], lambda n: [
         [p.diffs.get(n) if i == j else None for j in range(len(parts))] for i, p in enumerate(parts)])
+
+
+def direct_sum(*parts: ChainComplex) -> DirectSum:
+    layout = _sum_layout(parts)
     total = layout.complex
     inclusions = tuple(ChainMap._trusted(part, total, {n: layout.inclusion(i, n) for n in part.ranks})
                        for i, part in enumerate(parts))

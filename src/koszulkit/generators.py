@@ -39,6 +39,7 @@ from .complexes import (
     _negated,
     _product,
     _sum,
+    _sum_layout,
     direct_sum,
     two_term,
 )
@@ -112,6 +113,21 @@ def rand_matrix(rng: random.Random, ring: Ring, rows: int, cols: int, bound: int
                        [[rand_element(rng, ring, bound) for _ in range(cols)] for _ in range(rows)])
 
 
+def _index_pair(rng: random.Random, n: int):
+    """``rng.sample(range(n), 2)``, with the same draws from ``rng``.
+
+    For n <= 21 ``sample`` keeps a pool of the n indices: it draws
+    i = randbelow(n), moves n - 1 into slot i and draws j = randbelow(n - 1)
+    from the pool.  ``randrange`` makes the same ``randbelow`` calls
+    without the pool; above 21 ``sample`` keeps a set instead.
+    """
+    if n > 21:
+        return rng.sample(range(n), 2)
+    i = rng.randrange(n)
+    j = rng.randrange(n - 1)
+    return i, n - 1 if j == i else j
+
+
 # The kinds of elementary move in ``_draw_unimodular``.
 _ADD, _SWAP, _SCALE = range(3)
 
@@ -129,7 +145,7 @@ def _draw_unimodular(rng: random.Random, ring: Ring, n: int) -> list:
     moves = []
     for _ in range(2 * n + 2 if n > 1 else 0):
         op = rng.randrange(3)
-        i, j = rng.sample(range(n), 2)
+        i, j = _index_pair(rng, n)
         if op == _ADD:
             moves.append((_ADD, i, j, pack(rand_element(rng, ring, 2, nonzero=True))))
         elif op == _SWAP:
@@ -312,7 +328,7 @@ def gen_a_object(params: GenParams, trial: int, spherical: Optional[int] = None,
         ChainComplex(ring, {base + 1: 1, base: 1}, {base + 1: Matrix(ring, [[div]])})
         for base, div in blocks
     ]
-    total = direct_sum(*parts).complex
+    total = _sum_layout(parts).complex
     # The draw order fixes the instances: increasing degree, negative degrees last.
     twisted, _ = _scramble(rng, total, sorted(total.ranks, key=lambda n: (n < 0, n)))
     expected = {}
@@ -604,7 +620,7 @@ def _shear_auto(rng: random.Random, ring: Ring, moduli) -> list:
     every atom, then at most one shear by a module homomorphism."""
     moves = [_rand_scale(rng, ring, k) for k in range(len(moduli))]
     if len(moduli) > 1:
-        i, j = rng.sample(range(len(moduli)), 2)
+        i, j = _index_pair(rng, len(moduli))
         scalar = _atom_hom_scalar(ring, moduli[i], moduli[j])
         if scalar is not None:
             c = ring.mul(scalar, rand_element(rng, ring, 2))

@@ -47,7 +47,7 @@ from .complexes import (
     _tau_le,
     _vanishing_degree,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NotAComplexError
 from .fgmodules import FgModule
 from .matrices import Matrix, _selection, elementary_divisors, hstack, image_basis, vstack
 from .presented import PresentedModule, PresentedMap, is_short_exact
@@ -344,15 +344,33 @@ def cellular_factorization(f: ChainMap) -> CellularFactorization:
 
 class AdmissibleSes(ComplexSes):
     """Degreewise split short exact sequence with stored witnesses; the
-    given ones are checked, the absent ones solved (and checked)."""
+    given ones are checked, the absent ones solved (and checked).
+
+    The witnesses prove exactness, so no elimination runs.  Given
+    r_n . m_n == id and e_n . s_n == id, the sequence is exact at n
+    exactly when e_n . m_n == 0 and rank B_n == rank A_n + rank C_n:
+    the image of m_n is a direct summand of rank A_n inside the kernel
+    of e_n, itself a direct summand of rank B_n - C_n, so the two are
+    equal exactly when the ranks agree.  The composite is checked first
+    (``NotAComplexError``), then the witnesses, then the ranks
+    (``InvalidInputError``).
+    """
 
     __slots__ = ("retractions", "sections")
 
     def __init__(self, mono: ChainMap, epi: ChainMap,
                  retractions: Optional[dict] = None, sections: Optional[dict] = None):
-        super().__init__(mono, epi)
+        self._fill(mono, epi)
+        for n, m in mono.components.items():
+            e = epi.components.get(n)
+            if e is not None and not (e * m).is_zero():
+                raise NotAComplexError(f"composite of the two maps is nonzero at degree {n}")
         object.__setattr__(self, "retractions", _splitting(_mono_components(mono), retractions, True))
         object.__setattr__(self, "sections", _splitting({n: epi.at(n) for n in epi.target.ranks}, sections, False))
+        left, middle, right = self.left, self.middle, self.right
+        for n in set(left.ranks) | set(middle.ranks) | set(right.ranks):
+            if left.rank(n) + right.rank(n) != middle.rank(n):
+                raise InvalidInputError(f"sequence is not exact at degree {n}")
 
 
 def h0_additive(seq: AdmissibleSes) -> bool:

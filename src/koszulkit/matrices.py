@@ -209,7 +209,10 @@ class Matrix:
                                  [list(map(sub, r, s)) for r, s in zip(self._work, other._work)])
 
     def __neg__(self) -> "Matrix":
-        neg = self.ring.work.neg
+        work = self.ring.work
+        if work.neg(work.one) == work.one:
+            return self  # characteristic 2: negation is the identity, and matrices are immutable
+        neg = work.neg
         return Matrix._from_work(self.ring, self.rows, self.cols, [list(map(neg, r)) for r in self._work])
 
     def scale(self, c) -> "Matrix":

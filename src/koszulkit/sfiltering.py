@@ -24,6 +24,7 @@ from .complexes import (
     _split_quotient,
     _splitting,
     _subcomplex,
+    _sum_layout,
 )
 from .errors import InvalidInputError
 from .koszul import AdmissibleSes, in_kos1
@@ -149,7 +150,7 @@ def ed_decompose(complex_: ChainComplex) -> EdDecomposition:
     phi0 = perm * cert.U
     nonunit = two_term(Matrix.diagonal(ring, [cert.divisors[i] for i in nonunits]))
     unit = two_term(Matrix.identity(ring, len(units)))
-    total = direct_sum(nonunit, unit).complex
+    total = _sum_layout((nonunit, unit)).complex
     iso = ChainMap(complex_, total, {1: phi1, 0: phi0})
     if not iso.is_chain_iso():
         raise AssertionError("decomposition transforms are not invertible")
@@ -223,7 +224,7 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
     u_count = decomposition.unit_part.rank(1)
     unit_rows = range(k, k + u_count)
 
-    target = direct_sum(X, decomposition.unit_part).complex
+    target = _sum_layout((X, decomposition.unit_part)).complex
     # A zero source has no stored retraction: it is the empty matrix.
     h = retractions.get(0, Matrix.zeros(ring, X.rank(0), Y.rank(0)))
     q0 = vstack([h, flat.at(0).take_rows(unit_rows)])

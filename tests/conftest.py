@@ -39,3 +39,21 @@ def wall_clock_limit():
     """``with wall_clock_limit(seconds):`` fails the test once the body
     runs longer than ``seconds`` of wall-clock time."""
     return _wall_clock_limit
+
+
+@pytest.fixture
+def call_log(monkeypatch):
+    """``call_log(owner, name)`` wraps ``owner.name`` for the rest of the
+    test and returns the list of argument tuples of its calls, so a test
+    can assert the work its claim is about (no ``factor`` call, one
+    primality test) whatever the host's speed."""
+    def watch(owner, name):
+        original = getattr(owner, name)
+        log = []
+
+        def logged(*args, **kwargs):
+            log.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, logged)
+        return log
+    return watch

@@ -7,13 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from koszulkit import jsonio
+from koszulkit import jsonio, rings
 from koszulkit.cli import _build_parser, main
 from koszulkit.complexes import ComplexSes, kernel_image_sequences
 from koszulkit.errors import HypothesisNotMetError, InvalidInputError
 from koszulkit.jsonio import chain_map_from_json
 from koszulkit.matrices import Matrix
-from koszulkit.rings import ZZ
+from koszulkit.rings import ZZ, IntegerRing, ring_from_token
 from koszulkit.sfiltering import idempotent_split
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -80,25 +80,33 @@ def test_homology_command(tmp_path, capsys):
     ("Z", str(10 ** 24 + 7)),            # a 25-digit prime
     ("fpx:101", [3, 1, 0, 0, 0, 0, 1]),  # x^6 + x + 3, irreducible over F_101
 ], ids=["Z-25-digit-prime", "F101x-degree-6-irreducible"])
-def test_homology_of_large_prime_needs_no_factoring(tmp_path, capsys, wall_clock_limit, ring, entry):
+def test_homology_of_large_prime_needs_no_factoring(tmp_path, capsys, wall_clock_limit, call_log, ring, entry):
     payload = {"ring": ring, "ranks": {"1": 1, "0": 1},
                "differentials": {"1": {"rows": 1, "cols": 1, "entries": [[entry]]}}}
     path = write_json(tmp_path, "c.json", payload)
+    ring_class = type(ring_from_token(ring))
+    factored, tested = call_log(ring_class, "factor"), call_log(ring_class, "_is_irreducible")
     with wall_clock_limit(0.05):
         code, out, _ = run_cli(capsys, "homology", "--in", path)
     assert code == 0
+    assert factored == [] and tested == []
     assert json.loads(out)["homology"] == {"0": {"free_rank": 0, "torsion": [entry]},
                                            "1": {"free_rank": 0, "torsion": []}}
 
 
-def test_k0_of_large_prime_is_fast(tmp_path, capsys, wall_clock_limit):
+def test_k0_of_large_prime_is_fast(tmp_path, capsys, wall_clock_limit, call_log):
     prime = 10 ** 24 + 7  # above the trial-division range, below the proof bound
     payload = {"ring": "Z", "ranks": {"1": 1, "0": 1},
                "differentials": {"1": {"rows": 1, "cols": 1, "entries": [[str(prime)]]}}}
     path = write_json(tmp_path, "c.json", payload)
+    factored, tested = call_log(IntegerRing, "factor"), call_log(rings, "is_prime")
+    rho, roots = call_log(rings, "_pollard_brent"), call_log(rings, "_perfect_power")
     with wall_clock_limit(0.05):
         code, out, _ = run_cli(capsys, "k0", "--in", path)
     assert code == 0
+    # One factoring, which a single primality test ends: no root or rho step.
+    assert factored == [(ZZ, prime)] and tested == [(prime,)]
+    assert rho == [] and roots == []
     assert json.loads(out) == {"rank": 1, "torsion": [{"mult": 1, "prime": str(prime)}]}
 
 
@@ -529,16 +537,19 @@ def test_non_canonical_ring_token_exits_2(tmp_path, capsys, token):
     assert code == 2 and out == "" and "ring token" in err
 
 
-def test_ring_token_beyond_the_digit_limit_exits_2_at_once(tmp_path, capsys, wall_clock_limit):
+def test_ring_token_beyond_the_digit_limit_exits_2_at_once(tmp_path, capsys, wall_clock_limit, call_log):
     # 2^9941 - 1 is a 2993-digit prime: proving it prime takes about half a minute.
     token = f"fpx:{2 ** 9941 - 1}"
     matrix = write_json(tmp_path, "m.json", {"rows": 1, "cols": 1, "entries": [[[1]]]})
     complex_ = write_json(tmp_path, "c.json", {"ring": token, "ranks": {"0": 1}})
+    tested = call_log(rings, "is_prime")
     for argv in (["snf", "--ring", token, "--in", matrix], ["homology", "--in", complex_]):
         with wall_clock_limit(0.05):
             code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv[0]
         assert len(err.splitlines()) == 1 and err.startswith("koszulkit: "), argv[0]
+        # Refused on its length, before any primality test of the characteristic.
+        assert tested == [], argv[0]
 
 
 @pytest.mark.parametrize("command", ["homology", "cone", "k0", "resolve"])

@@ -1,12 +1,13 @@
 import pytest
 
+from koszulkit import rings
 from koszulkit.complexes import homology_table, two_term
 from koszulkit.errors import InvalidInputError
 from koszulkit.fgmodules import FgModule, cokernel, length_at, module_iso
 from koszulkit.generators import GenParams, gen_a_object, gen_koszul, gen_matrix
 from koszulkit.koszul import in_A, in_kos1
 from koszulkit.matrices import Matrix, elementary_divisors
-from koszulkit.rings import ZZ, fpx
+from koszulkit.rings import ZZ, IntegerRing, PrimeFieldPolynomialRing, fpx
 
 F2 = fpx(2)
 
@@ -120,12 +121,16 @@ def test_length_at_polynomials():
     assert length_at(module, x) == 2
 
 
-def test_length_at_tests_primality_without_factoring(wall_clock_limit):
+def test_length_at_tests_primality_without_factoring(wall_clock_limit, call_log):
     prime = 10 ** 24 + 7
+    F101 = fpx(101)
+    factored = [call_log(IntegerRing, "factor"), call_log(PrimeFieldPolynomialRing, "factor")]
+    tested = call_log(rings, "is_prime")
     with wall_clock_limit(0.05):
         assert length_at(FgModule.make(ZZ, 0, [prime]), prime) == 1
-    F101 = fpx(101)
+    assert tested == [(prime,)]
     # (x^3 + x + 1)(x^3 + x + 3): two irreducible cubics, so no root in F_101
     sextic = F101.mul(F101.poly([1, 1, 0, 1]), F101.poly([3, 1, 0, 1]))
     with pytest.raises(InvalidInputError):
         length_at(FgModule.make(F101, 0, [sextic]), sextic)
+    assert factored == [[], []]

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -27,6 +28,7 @@ from koszulkit.generators import (
     _ADD,
     _SCALE,
     _draw_unimodular,
+    _index_pair,
     _shear_auto,
     _times,
     _times_inverse,
@@ -107,6 +109,17 @@ def test_rand_unimodular():
             assert is_unimodular(fwd) or n == 0
             assert fwd * bwd == Matrix.identity(ring, n)
             assert bwd * fwd == Matrix.identity(ring, n)
+
+
+def test_index_pair_draws_as_sample():
+    """``_index_pair`` gives ``rng.sample(range(n), 2)`` and leaves the
+    generator in the same state, below and above the pool size 21 where
+    ``sample`` switches to a set."""
+    for n in range(2, 41):
+        for seed in range(60):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert list(_index_pair(ours, n)) == theirs.sample(range(n), 2), (n, seed)
+            assert ours.getstate() == theirs.getstate(), (n, seed)
 
 
 def test_unimodular_moves_act_as_their_product():

@@ -1,12 +1,14 @@
 import math
+import sys
 from dataclasses import replace
 
 import pytest
 
-from koszulkit import complexes, koszul
+from koszulkit import complexes, koszul, matrices
 from koszulkit.complexes import (
     ChainComplex,
     ChainMap,
+    ComplexSes,
     cone,
     direct_sum,
     homology,
@@ -15,9 +17,18 @@ from koszulkit.complexes import (
     two_term,
     zero_complex,
 )
-from koszulkit.errors import InvalidInputError
+from koszulkit.errors import InvalidInputError, NotAComplexError
 from koszulkit.fgmodules import FgModule, module_iso
-from koszulkit.generators import GenParams, gen_a_object, gen_c_object, gen_chain_map, gen_koszul, trial_rng
+from koszulkit.generators import (
+    GenParams,
+    gen_a_object,
+    gen_admissible_ses,
+    gen_c_object,
+    gen_chain_map,
+    gen_koszul,
+    gen_ses_of_complexes,
+    trial_rng,
+)
 from koszulkit.koszul import (
     AdmissibleSes,
     Kos1Membership,
@@ -41,7 +52,7 @@ from koszulkit.koszul import (
 )
 from koszulkit.matrices import Matrix
 from koszulkit.presented import PresentedMap, PresentedModule, is_short_exact
-from koszulkit.rings import ZZ
+from koszulkit.rings import ZZ, fpx
 
 Z2 = two_term(Matrix(ZZ, [[2]]))
 Z6 = two_term(Matrix(ZZ, [[6]]))
@@ -285,6 +296,82 @@ def test_admissible_ses_and_h0_additivity():
     seq = AdmissibleSes(total.inclusions[0], total.projections[1])
     assert h0_additive(seq)
     assert seq.retractions and seq.sections
+
+
+RINGS = {"Z": ZZ, "F2x": fpx(2), "F3x": fpx(3)}
+
+
+def _generated_sequences(ring):
+    params = GenParams(ring=ring, seed=11)
+    for trial in range(6):
+        yield gen_admissible_ses(params, trial).sequence
+        yield gen_ses_of_complexes(params, trial, acyclic_side=("left", "right", "none")[trial % 3]).sequence
+
+
+def _accepted(build, mono, epi) -> bool:
+    try:
+        build(mono, epi)
+    except (InvalidInputError, NotAComplexError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS)
+def test_witness_proof_accepts_exactly_what_elimination_accepts(ring):
+    """Generated split sequences are accepted.  On them and on broken
+    pairs of their maps, the witness proof of ``AdmissibleSes`` and the
+    elimination of plain ``ComplexSes`` accept the same pairs."""
+    nonunit = 2 if ring == ZZ else ring.poly([0, 1])
+
+    def scaled(f):
+        return ChainMap(f.source, f.target, {n: m.scale(nonunit) for n, m in f.components.items()})
+
+    refused = False
+    for seq in _generated_sequences(ring):
+        mono, epi = seq.mono, seq.epi
+        pairs = [(mono, epi), (scaled(mono), epi), (mono, scaled(epi)),
+                 (ChainMap.zero(mono.source, mono.target), epi), (mono, ChainMap.zero(epi.source, epi.target))]
+        verdicts = [_accepted(AdmissibleSes, *pair) for pair in pairs]
+        assert verdicts == [_accepted(ComplexSes, *pair) for pair in pairs]
+        assert verdicts[0]
+        refused |= not all(verdicts)
+    assert refused
+
+
+def test_witnesses_of_an_inexact_pair_are_refused():
+    # Z2 >--> Z2 (+) Z6 (+) Z2 -->> Z6 with the summand inclusions and
+    # projections as witnesses: the third summand is left over.
+    total = direct_sum(Z2, Z6, Z2)
+    mono, epi = total.inclusions[0], total.projections[1]
+    with pytest.raises(InvalidInputError, match="not exact at degree"):
+        AdmissibleSes(mono, epi, total.projections[0].components, total.inclusions[1].components)
+    with pytest.raises(InvalidInputError, match="not exact at degree"):
+        ComplexSes(mono, epi)
+
+
+def test_pair_with_nonzero_composite_is_not_a_complex():
+    total = direct_sum(Z2, Z6)
+    mono, epi = total.inclusions[0], total.projections[0]
+    with pytest.raises(NotAComplexError, match="composite"):
+        AdmissibleSes(mono, epi, total.projections[0].components, total.inclusions[0].components)
+    with pytest.raises(NotAComplexError, match="composite"):
+        AdmissibleSes(mono, epi)
+
+
+@pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS)
+def test_witnesses_prove_exactness_without_elimination(monkeypatch, ring):
+    sequences = list(_generated_sequences(ring))
+
+    def eliminated(*args):
+        raise AssertionError("an elimination ran")
+    for name in ("elementary_divisors", "_column_form"):
+        original = getattr(matrices, name)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("koszulkit") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, eliminated)
+    for seq in sequences:
+        again = AdmissibleSes(seq.mono, seq.epi, seq.retractions, seq.sections)
+        assert (again.retractions, again.sections) == (seq.retractions, seq.sections)
 
 
 def test_tau_maps_spherical_check():

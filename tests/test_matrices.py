@@ -325,6 +325,15 @@ def test_rank_and_stacking():
         hstack([a, Matrix.identity(ZZ, 3)])
 
 
+@pytest.mark.parametrize("ring", [ZZ, fpx(2), fpx(3)], ids=lambda r: r.token)
+def test_negation(ring):
+    a = 2 if ring == ZZ else ring.poly([1, 1])
+    m = Matrix(ring, [[a, ring.one], [ring.zero, a]])
+    assert -m + m == Matrix.zeros(ring, 2, 2)
+    # In characteristic 2 negation is the identity, and the matrix itself is returned.
+    assert (-m is m) == (ring == fpx(2))
+
+
 @pytest.mark.parametrize("ring", [ZZ, fpx(3)], ids=lambda r: r.token)
 def test_selection(ring):
     o, z = ring.one, ring.zero

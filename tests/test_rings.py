@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from koszulkit import rings
 from koszulkit.errors import DomainMismatchError, InvalidInputError, NotFactorableError
-from koszulkit.rings import ZZ, _F2_PACKED, _pack_f2, fpx, is_prime, ring_from_token
+from koszulkit.rings import ZZ, IntegerRing, _F2_PACKED, _pack_f2, fpx, is_prime, ring_from_token
 
 F2 = fpx(2)
 F3 = fpx(3)
@@ -126,11 +127,14 @@ def test_factor_remultiplies(ring, seed):
         assert product == a
 
 
-def test_factor_gates(wall_clock_limit):
+def test_factor_gates(wall_clock_limit, call_log):
     with wall_clock_limit(1.0):
         assert ZZ.factor((10 ** 9 + 7) * (10 ** 9 + 9)) == {10 ** 9 + 7: 1, 10 ** 9 + 9: 1}
+    # A 25-digit characteristic is proved prime by one test, not factored.
+    tested, factored = call_log(rings, "is_prime"), call_log(IntegerRing, "factor")
     with wall_clock_limit(0.05):
         assert fpx.__wrapped__(10 ** 24 + 7).p == 10 ** 24 + 7
+    assert tested == [(10 ** 24 + 7,)] and factored == []
     # Seeded random monic polynomials of degree 200 over F_3 and F_2,
     # whose factoring runs hundreds of gcds and modular powers.
     polys = []
