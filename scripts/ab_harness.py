@@ -1,0 +1,156 @@
+"""Interleaved A/B CPU timer: two source trees on one benchmark core, in one process.
+
+Usage, from the root of a source checkout:
+
+    python3 scripts/ab_harness.py A_ROOT B_ROOT
+        [--workload harness-z|harness-fpx|cli-requests] [--seconds 20]
+        [--seed 0] [--passes 1]
+
+``A_ROOT`` and ``B_ROOT`` are source checkouts (a parent commit and a
+change, say, each with ``src/koszulkit``); give the same root twice for
+an A/A run.  The script copies both packages into a temporary directory
+under the names ``koszulkit_a`` and ``koszulkit_b`` and imports both;
+this works because the package imports its own modules relatively, so
+each copy has its own modules and caches.  The core is the list of
+operations of one pass of ``perfbench/run.py --workload W --seconds S``
+in the order that ``--seed`` shuffles it into, built from this
+checkout's ``perfbench`` as ``scripts/core_counts.py`` builds it:
+property-suite trials for the harness workloads, CLI requests (input
+files written to the temporary directory, by this checkout's koszulkit)
+for ``cli-requests``.  Each side first runs the perfbench warm-up ops.
+
+Each operation then runs on both sides, one after the other, and the
+side that goes first alternates from one operation to the next, so a
+slow stretch of the host falls on both sides alike.  Each run is timed
+with ``time.process_time``, and the two outputs (the suite report's
+JSON, or the CLI request's exit code, output file and stderr) must be
+equal byte for byte, or the script stops with an error.  It prints one
+JSON object: each side's CPU seconds summed over the operations, the
+ratio B/A, and the number of operations.
+
+An A/A run reads within about 2 %, where separate benchmark processes on
+a shared host spread by up to ±20 %.  So the script sizes a change
+quickly, but it measures CPU time of warm code in one process, not the
+benchmark's metrics: a performance claim still needs alternating
+``perfbench/run.py`` pairs.  A trial that crashes names its stage after
+the package, so outputs of crashed trials would differ between the two
+names only if their stages did.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib
+import io
+import json
+import random
+import shutil
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import run  # noqa: E402
+import workloads  # noqa: E402
+
+SIDES = ("a", "b")
+
+
+def load_package(source_root: str, name: str, directory: str):
+    """The koszulkit of ``source_root``, imported as ``name`` from a copy
+    in ``directory``."""
+    shutil.copytree(Path(source_root) / "src" / "koszulkit", Path(directory) / name,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(name)
+
+
+def harness_runner(pkg, workload: str):
+    """A function that runs one suite trial on ``pkg`` and returns its JSON."""
+    ring, max_entry = (pkg.ZZ, 9) if workload == "harness-z" else (pkg.fpx(2), 3)
+
+    def trial(op) -> bytes:
+        params = pkg.GenParams(ring=ring, seed=op.payload["seed"], trials=1, max_entry=max_entry)
+        return pkg.run_suite(op.label, params).dumps().encode()
+    return trial
+
+
+def cli_runner(pkg):
+    """A function that runs one CLI request on ``pkg`` and returns its exit
+    code, output file and stderr, each length-prefixed."""
+    main = importlib.import_module(pkg.__name__ + ".cli").main
+
+    def request(op) -> bytes:
+        out = Path(op.payload["argv"][-1])
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(op.payload["argv"])
+        parts = [str(code).encode(), out.read_bytes() if out.exists() else b"", err.getvalue().encode()]
+        return b"".join(len(part).to_bytes(8, "big") + part for part in parts)
+    return request
+
+
+def core_and_warmup(workload: str, seconds: float, seed: int, workdir: str):
+    """The ops of one benchmark pass in their shuffled order, and the
+    warm-up ops of the benchmark's set-up."""
+    if workload == "cli-requests":
+        cli = run.CliWorkload(workload, seed, seconds, workdir)
+        ops = [op for r in range(cli.rounds) for op in workloads.cli_round(workloads.CORE_SEED, r)]
+        random.Random(seed).shuffle(ops)
+        warm = [op for op in workloads.cli_round(run.WARMUP_SEED, 0)
+                if op.label in ("snf.Z.n4", "snf.fpx3.n4") or op.kind in workloads.GENERATOR_COMMANDS]
+        workloads.write_requests(ops, workdir, 0)
+        workloads.write_requests(warm, workdir, len(ops))
+        return ops, warm
+    size = run.HarnessWorkload(workload, seed, seconds).core_size
+    ops = workloads.harness_ops(size, 0)
+    random.Random(seed).shuffle(ops)
+    warm = [workloads.Op("suite", suite, {"seed": run.WARMUP_SEED}) for suite in workloads.SUITES]
+    return ops, warm
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("a_root")
+    parser.add_argument("b_root")
+    parser.add_argument("--workload", default="harness-z", choices=("harness-z", "harness-fpx", "cli-requests"))
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--passes", type=int, default=1)
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as workdir:
+        sys.path.insert(0, workdir)
+        ops, warm = core_and_warmup(args.workload, args.seconds, args.seed, workdir)
+        runners = {}
+        for side, source in zip(SIDES, (args.a_root, args.b_root)):
+            pkg = load_package(source, f"koszulkit_{side}", workdir)
+            runners[side] = cli_runner(pkg) if args.workload == "cli-requests" else harness_runner(pkg, args.workload)
+        for op in warm:
+            for side in SIDES:
+                runners[side](op)
+        cpu = dict.fromkeys(SIDES, 0.0)
+        done = 0
+        for _ in range(args.passes):
+            for op in ops:
+                order = SIDES if done % 2 == 0 else SIDES[::-1]
+                outputs = {}
+                for side in order:
+                    start = time.process_time()
+                    outputs[side] = runners[side](op)
+                    cpu[side] += time.process_time() - start
+                if outputs["a"] != outputs["b"]:
+                    raise SystemExit(f"ab_harness: outputs differ on {op.label} {op.payload.get('seed', '')}")
+                done += 1
+    print(json.dumps({"workload": args.workload, "ops": done, "a_cpu_s": round(cpu["a"], 3),
+                      "b_cpu_s": round(cpu["b"], 3), "b_over_a": round(cpu["b"] / cpu["a"], 4)}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -50,20 +50,33 @@ It keeps up to ``MEMO_SIZE`` inputs and results of each function
 alive.  Results are tuples, so sharing them is safe, and exceptions
 are never cached.
 
-``Matrix.zeros`` and ``Matrix.identity`` return one shared instance per
-(ring, shape), each from an LRU cache of ``MEMO_SIZE`` entries, since
-the constructions above build the same zero and identity blocks over
-and over.  A matrix is immutable, so sharing is safe; a shared block
-keeps its hash, and equality returns at once on the same instance.
-Each cache keeps up to ``MEMO_SIZE`` blocks alive.
+``Matrix.zeros``, ``Matrix.identity`` and the private ``_selection``
+return one shared instance per key ((ring, shape), or ring, height and
+positions), each from an LRU cache of ``MEMO_SIZE`` entries, since the
+constructions above build the same zero, identity and coordinate
+blocks over and over.  A matrix is immutable, so sharing is safe; a
+shared block keeps its hash, and equality returns at once on the same
+instance.  Each cache keeps up to ``MEMO_SIZE`` blocks alive.  For the
+same reason a matrix remembers its negation and its transpose once
+asked for them.  The link goes one way only, from a matrix to its
+result, so it makes no reference cycle and a dropped matrix is freed at
+once, without the cyclic collector.
+
+``block`` is the one assembler: ``hstack``, ``vstack`` and
+``block_diag`` call it.  It writes each output row once from the work
+rows of its cells, with one shared tuple of zeros for an empty cell,
+and builds the result with a single ``Matrix._from_work``.  Every
+matrix the module computes goes through that constructor.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, wraps
+from itertools import chain, repeat
+from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import DimensionError, DomainMismatchError, NotAComplexError
+from .errors import DimensionError, DomainMismatchError, InvalidInputError, NotAComplexError
 from .rings import Ring
 
 # Entries kept by the LRU cache of each memoized elimination function.
@@ -77,10 +90,12 @@ class Matrix:
     (``ring.work``); ``entries`` is their public view as tuples of ring
     elements, built on first read and kept in ``_view`` when the two
     forms differ.  The hash is computed on first use and kept in
-    ``_hash``.
+    ``_hash``; the negation and the transpose in ``_neg`` and ``_t``.
+    Those two links go from a matrix to its result only, never back, so
+    they make no reference cycle.
     """
 
-    __slots__ = ("ring", "rows", "cols", "_work", "_view", "_hash")
+    __slots__ = ("ring", "rows", "cols", "_work", "_view", "_hash", "_neg", "_t")
 
     def __init__(self, ring: Ring, rows: Sequence[Sequence]):
         nrows = len(rows)
@@ -92,10 +107,10 @@ class Matrix:
                 raise DimensionError("ragged rows")
             row = tuple(ring.validate(x) for x in row)
             data.append(row if pack is None else tuple(map(pack, row)))
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", nrows)
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "_work", tuple(data))
+        _set_ring(self, ring)
+        _set_rows(self, nrows)
+        _set_cols(self, ncols)
+        _set_work(self, tuple(data))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -111,11 +126,11 @@ class Matrix:
     @classmethod
     def _from_work(cls, ring: Ring, rows: int, cols: int, work) -> "Matrix":
         """A matrix of rows already in the work form of ``ring``."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "ring", ring)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_work", tuple(map(tuple, work)))
+        m = _new(cls)
+        _set_ring(m, ring)
+        _set_rows(m, rows)
+        _set_cols(m, cols)
+        _set_work(m, tuple(map(tuple, work)))
         return m
 
     @property
@@ -128,7 +143,7 @@ class Matrix:
             return self._view
         except AttributeError:
             view = tuple(tuple(map(unpack, row)) for row in self._work)
-            object.__setattr__(self, "_view", view)
+            _set_view(self, view)
             return view
 
     @staticmethod
@@ -169,7 +184,7 @@ class Matrix:
             return self._hash
         except AttributeError:
             h = hash((self.ring.token, self.rows, self.cols, self._work))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
             return h
 
     def __repr__(self):
@@ -183,8 +198,14 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         if not (self.rows and self.cols):
+            # Not kept: the shared zero blocks would link to each other.
             return Matrix.zeros(self.ring, self.cols, self.rows)
-        return Matrix._from_work(self.ring, self.cols, self.rows, zip(*self._work))
+        try:
+            return self._t
+        except AttributeError:
+            t = Matrix._from_work(self.ring, self.cols, self.rows, zip(*self._work))
+            _set_t(self, t)
+            return t
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -209,11 +230,17 @@ class Matrix:
                                  [list(map(sub, r, s)) for r, s in zip(self._work, other._work)])
 
     def __neg__(self) -> "Matrix":
+        try:
+            return self._neg
+        except AttributeError:
+            pass
         work = self.ring.work
         if work.neg(work.one) == work.one:
             return self  # characteristic 2: negation is the identity, and matrices are immutable
         neg = work.neg
-        return Matrix._from_work(self.ring, self.rows, self.cols, [list(map(neg, r)) for r in self._work])
+        n = Matrix._from_work(self.ring, self.rows, self.cols, [tuple(map(neg, r)) for r in self._work])
+        _set_neg(self, n)
+        return n
 
     def scale(self, c) -> "Matrix":
         ring = self.ring
@@ -238,45 +265,73 @@ class Matrix:
         return Matrix._from_work(self.ring, len(idx), self.cols, [self._work[i] for i in idx])
 
 
+# The slot setters, bound once: ``_from_work`` runs for every matrix the
+# library computes, and these skip the lookups of ``object.__setattr__``
+# (``Matrix.__setattr__`` refuses every assignment).
+_new = object.__new__
+_set_ring, _set_rows, _set_cols, _set_work, _set_view, _set_hash, _set_neg, _set_t = (
+    getattr(Matrix, name).__set__ for name in Matrix.__slots__)
+
+
 def hstack(mats: Sequence[Matrix]) -> Matrix:
     mats = list(mats)
-    ring = mats[0].ring
-    rows = mats[0].rows
-    if any(m.rows != rows or m.ring != ring for m in mats):
-        raise DimensionError("hstack shape mismatch")
-    data = [[x for m in mats for x in m._work[i]] for i in range(rows)]
-    return Matrix._from_work(ring, rows, sum(m.cols for m in mats), data)
+    if not mats:
+        raise InvalidInputError("hstack of no matrices")
+    return block(mats[0].ring, [mats], [mats[0].rows], [m.cols for m in mats])
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
     mats = list(mats)
-    ring = mats[0].ring
-    cols = mats[0].cols
-    if any(m.cols != cols or m.ring != ring for m in mats):
-        raise DimensionError("vstack shape mismatch")
-    data = [row for m in mats for row in m._work]
-    return Matrix._from_work(ring, sum(m.rows for m in mats), cols, data)
+    if not mats:
+        raise InvalidInputError("vstack of no matrices")
+    return block(mats[0].ring, [[m] for m in mats], [m.rows for m in mats], [mats[0].cols])
 
 
 def block(ring: Ring, grid: Sequence[Sequence[Optional[Matrix]]], row_sizes: Sequence[int], col_sizes: Sequence[int]) -> Matrix:
-    """Assemble a block matrix; ``None`` cells are zero blocks."""
-    rows = []
-    for bi, brow in enumerate(grid):
-        cells = []
-        for bj, cell in enumerate(brow):
+    """Assemble a block matrix; ``None`` cells are zero blocks.
+
+    Every output row is written once, from the work rows of the cells
+    beside it; a zero cell contributes one shared tuple of zeros.
+    """
+    if len(grid) != len(row_sizes):
+        raise DimensionError("block grid does not match its sizes")
+    zero = ring.work.zero
+    data = []
+    for brow, height in zip(grid, row_sizes):
+        if len(brow) != len(col_sizes):
+            raise DimensionError("block grid does not match its sizes")
+        pieces = []
+        for cell, cols in zip(brow, col_sizes):
             if cell is None:
-                cell = Matrix.zeros(ring, row_sizes[bi], col_sizes[bj])
-            elif cell.rows != row_sizes[bi] or cell.cols != col_sizes[bj]:
+                if cols:
+                    pieces.append(repeat((zero,) * cols, height))
+                continue
+            if cell.ring is not ring and cell.ring != ring:
+                raise DomainMismatchError("block cell over another ring")
+            if cell.rows != height or cell.cols != cols:
                 raise DimensionError("block shape mismatch")
-            cells.append(cell)
-        rows.append(hstack(cells) if cells else Matrix.zeros(ring, row_sizes[bi], 0))
-    return vstack(rows) if rows else Matrix.zeros(ring, 0, sum(col_sizes))
+            if cols:
+                pieces.append(cell._work)
+        if len(pieces) == 1:
+            data.extend(pieces[0])
+        elif len(pieces) == 2:
+            data.extend(map(add, *pieces))
+        elif pieces:
+            data.extend(tuple(chain.from_iterable(parts)) for parts in zip(*pieces))
+        else:
+            data.extend(repeat((), height))
+    return Matrix._from_work(ring, sum(row_sizes), sum(col_sizes), data)
 
 
-def _selection(ring: Ring, height: int, positions: Sequence[int]) -> Matrix:
+def _selection(ring: Ring, height: int, positions: Iterable[int]) -> Matrix:
     """The height x len(positions) matrix whose column j is the unit
     vector at ``positions[j]``: the inclusion of those coordinates.  Its
-    transpose is the matching projection."""
+    transpose is the matching projection.  One shared instance per key."""
+    return _shared_selection(ring, height, tuple(positions))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _shared_selection(ring: Ring, height: int, positions: tuple) -> Matrix:
     work = ring.work
     rows = [[work.zero] * len(positions) for _ in range(height)]
     for j, i in enumerate(positions):

@@ -365,6 +365,8 @@ class Ring:
         return self._is_irreducible(p)
 
     def __eq__(self, other):
+        if self is other:
+            return True  # rings are singletons, so this is the common case
         return isinstance(other, Ring) and self.token == other.token
 
     def __hash__(self):

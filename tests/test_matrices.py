@@ -1,16 +1,19 @@
+import gc
 import itertools
 import random
 
 import pytest
 
 from koszulkit import matrices
-from koszulkit.errors import DimensionError, DomainMismatchError, NotAComplexError
+from koszulkit.errors import DimensionError, DomainMismatchError, InvalidInputError, NotAComplexError
 from koszulkit.generators import rand_matrix
 from koszulkit.matrices import (
+    MEMO_SIZE,
     Matrix,
     SnfCertificate,
     _kron,
     _selection,
+    _shared_selection,
     block,
     block_diag,
     det,
@@ -231,6 +234,13 @@ REFUSALS = {
     "sum-of-unfit-shapes": (lambda: Matrix(ZZ, [[1]]) + Matrix(ZZ, [[1, 2]]), DimensionError),
     "vstack-of-unfit-widths": (lambda: vstack([Matrix(ZZ, [[1]]), Matrix(ZZ, [[1, 2]])]), DimensionError),
     "block-of-unfit-shape": (lambda: block(ZZ, [[Matrix(ZZ, [[1]])]], [2], [1]), DimensionError),
+    "block-grid-of-unfit-height": (lambda: block(ZZ, [[None]], [1, 1], [1]), DimensionError),
+    "block-row-of-unfit-width": (lambda: block(ZZ, [[None, None]], [1], [1]), DimensionError),
+    "block-cell-across-rings": (lambda: block(ZZ, [[Matrix(fpx(3), [[(1,)]])]], [1], [1]), DomainMismatchError),
+    "hstack-across-rings": (lambda: hstack([Matrix(ZZ, [[1]]), Matrix(F2, [[F2.one]])]), DomainMismatchError),
+    "vstack-across-rings": (lambda: vstack([Matrix(ZZ, [[1]]), Matrix(F2, [[F2.one]])]), DomainMismatchError),
+    "hstack-of-nothing": (lambda: hstack([]), InvalidInputError),
+    "vstack-of-nothing": (lambda: vstack([]), InvalidInputError),
     "determinant-of-non-square": (lambda: det(Matrix(ZZ, [[1, 2]])), DimensionError),
     "solve-across-rings": (lambda: solve(Matrix(ZZ, [[1]]), Matrix(F2, [[F2.one]])), DomainMismatchError),
 }
@@ -332,6 +342,132 @@ def test_negation(ring):
     assert -m + m == Matrix.zeros(ring, 2, 2)
     # In characteristic 2 negation is the identity, and the matrix itself is returned.
     assert (-m is m) == (ring == fpx(2))
+
+
+def _cat_rows(ring, mats):
+    rows = mats[0].rows
+    if any(m.rows != rows or m.ring != ring for m in mats):
+        raise DimensionError("hstack shape mismatch")
+    return Matrix._from_work(ring, rows, sum(m.cols for m in mats),
+                             [[x for m in mats for x in m._work[i]] for i in range(rows)])
+
+
+def _cat_cols(ring, mats):
+    cols = mats[0].cols
+    if any(m.cols != cols or m.ring != ring for m in mats):
+        raise DimensionError("vstack shape mismatch")
+    return Matrix._from_work(ring, sum(m.rows for m in mats), cols, [row for m in mats for row in m._work])
+
+
+def hstack_then_vstack(ring, grid, row_sizes, col_sizes):
+    """The block assembly that ``block`` replaced: a zero matrix for each
+    empty cell, each block row stacked side by side, then the rows stacked
+    on top of each other."""
+    rows = []
+    for bi, brow in enumerate(grid):
+        cells = []
+        for bj, cell in enumerate(brow):
+            if cell is None:
+                cell = Matrix.zeros(ring, row_sizes[bi], col_sizes[bj])
+            elif cell.rows != row_sizes[bi] or cell.cols != col_sizes[bj]:
+                raise DimensionError("block shape mismatch")
+            cells.append(cell)
+        rows.append(_cat_rows(ring, cells) if cells else Matrix.zeros(ring, row_sizes[bi], 0))
+    return _cat_cols(ring, rows) if rows else Matrix.zeros(ring, 0, sum(col_sizes))
+
+
+def _random_grid(rng, ring):
+    row_sizes = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+    col_sizes = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+    grid = [[None if rng.random() < 0.3 else rand_matrix(rng, ring, r, c, 3) for c in col_sizes]
+            for r in row_sizes]
+    return grid, row_sizes, col_sizes
+
+
+@pytest.mark.parametrize("ring", [ZZ, fpx(2), fpx(3)], ids=lambda r: r.token)
+def test_block_equals_hstack_then_vstack(ring):
+    rng = random.Random(f"block/{ring.token}")
+    for _ in range(300):
+        grid, row_sizes, col_sizes = _random_grid(rng, ring)
+        got = block(ring, grid, row_sizes, col_sizes)
+        assert got == hstack_then_vstack(ring, grid, row_sizes, col_sizes)
+        assert (got.rows, got.cols) == (sum(row_sizes), sum(col_sizes))
+        # A cell of the wrong shape is refused by both.
+        cells = [(i, j) for i, brow in enumerate(grid) for j, cell in enumerate(brow)]
+        i, j = rng.choice(cells)
+        grown = [list(brow) for brow in grid]
+        grown[i][j] = rand_matrix(rng, ring, row_sizes[i] + rng.randint(0, 1), col_sizes[j] + 1, 3)
+        if rng.random() < 0.5:
+            grown[i][j] = grown[i][j].transpose()
+        if (grown[i][j].rows, grown[i][j].cols) == (row_sizes[i], col_sizes[j]):
+            continue
+        for assemble in (block, hstack_then_vstack):
+            with pytest.raises(DimensionError):
+                assemble(ring, grown, row_sizes, col_sizes)
+
+
+def test_stacks_equal_their_reference():
+    rng = random.Random("stacks")
+    for ring in (ZZ, fpx(2), fpx(3)):
+        for _ in range(50):
+            height, width = rng.randint(0, 3), rng.randint(0, 3)
+            side = [rand_matrix(rng, ring, height, rng.randint(0, 3), 3) for _ in range(rng.randint(1, 3))]
+            assert hstack(side) == _cat_rows(ring, side)
+            tall = [rand_matrix(rng, ring, rng.randint(0, 3), width, 3) for _ in range(rng.randint(1, 3))]
+            assert vstack(tall) == _cat_cols(ring, tall)
+
+
+def _negated_afresh(m):
+    return Matrix._raw(m.ring, m.rows, m.cols, [[m.ring.neg(x) for x in row] for row in m.entries])
+
+
+def _transposed_afresh(m):
+    return Matrix._raw(m.ring, m.cols, m.rows, [[m.entries[i][j] for i in range(m.rows)] for j in range(m.cols)])
+
+
+@pytest.mark.parametrize("ring", [ZZ, fpx(2), fpx(3)], ids=lambda r: r.token)
+def test_negation_and_transpose_are_remembered(ring):
+    rng = random.Random(f"remembered/{ring.token}")
+    for _ in range(40):
+        m = rand_matrix(rng, ring, rng.randint(0, 4), rng.randint(0, 4), 5)
+        neg, t = -m, m.transpose()
+        assert neg == _negated_afresh(m) and t == _transposed_afresh(m)
+        assert -m is neg and m.transpose() is t
+        assert (neg is m) == (ring == fpx(2))
+        # One way only: the result does not point back at the matrix.
+        assert -neg == m and (-neg is not m or ring == fpx(2))
+        assert t.transpose() == m and t.transpose() is not m
+
+
+def test_remembered_results_make_no_cycles():
+    rng = random.Random("no-cycles")
+    rows = [[[rng.randint(-9, 9) for _ in range(3)] for _ in range(2)] for _ in range(50)]
+    gc.collect()
+    gc.disable()
+    try:
+        for entries in rows:
+            m = Matrix(ZZ, entries)
+            neg, t = -m, m.transpose()
+            -neg, t.transpose(), neg.transpose(), -t, hash(m), m.entries
+            for shared in (_selection(ZZ, 3, [2, 0]), Matrix.identity(ZZ, 2), Matrix.zeros(ZZ, 2, 0)):
+                -shared, shared.transpose()
+        del m, neg, t, shared
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("ring", [ZZ, fpx(3)], ids=lambda r: r.token)
+def test_selection_is_shared_per_key(ring):
+    sel = _selection(ring, 5, [0, 3, 1])
+    assert _selection(ring, 5, (0, 3, 1)) is sel
+    assert _selection(ring, 4, range(1, 3)) is _selection(ring, 4, [1, 2])
+    assert sel.transpose() is _selection(ring, 5, [0, 3, 1]).transpose()
+    assert _selection(ring, 6, [0, 3, 1]) is not sel
+    for height in range(MEMO_SIZE + 20):
+        _selection(ring, height, range(height))
+    info = _shared_selection.cache_info()
+    assert info.maxsize == MEMO_SIZE and info.currsize == MEMO_SIZE
 
 
 @pytest.mark.parametrize("ring", [ZZ, fpx(3)], ids=lambda r: r.token)

@@ -6,7 +6,17 @@ import pytest
 
 from koszulkit import rings
 from koszulkit.errors import DomainMismatchError, InvalidInputError, NotFactorableError
-from koszulkit.rings import ZZ, IntegerRing, _F2_PACKED, _pack_f2, fpx, is_prime, ring_from_token
+from koszulkit.rings import (
+    ZZ,
+    IntegerRing,
+    PrimeFieldPolynomialRing,
+    Ring,
+    _F2_PACKED,
+    _pack_f2,
+    fpx,
+    is_prime,
+    ring_from_token,
+)
 
 F2 = fpx(2)
 F3 = fpx(3)
@@ -128,8 +138,13 @@ def test_factor_remultiplies(ring, seed):
 
 
 def test_factor_gates(wall_clock_limit, call_log):
+    # The semiprime is split by one rho run whose gcds are batched: a few
+    # hundred gcds, not one per step (about 3*10^4 steps).
+    semiprime = (10 ** 9 + 7) * (10 ** 9 + 9)
+    rho, gcds = call_log(rings, "_pollard_brent"), call_log(rings.math, "gcd")
     with wall_clock_limit(1.0):
-        assert ZZ.factor((10 ** 9 + 7) * (10 ** 9 + 9)) == {10 ** 9 + 7: 1, 10 ** 9 + 9: 1}
+        assert ZZ.factor(semiprime) == {10 ** 9 + 7: 1, 10 ** 9 + 9: 1}
+    assert rho == [(semiprime,)] and len(gcds) <= 300
     # A 25-digit characteristic is proved prime by one test, not factored.
     tested, factored = call_log(rings, "is_prime"), call_log(IntegerRing, "factor")
     with wall_clock_limit(0.05):
@@ -141,6 +156,8 @@ def test_factor_gates(wall_clock_limit, call_log):
     for ring in (F3, F2):
         rng = random.Random(1)
         polys.append((ring, ring.poly([rng.randrange(ring.p) for _ in range(200)] + [1])))
+    ddf, edf = call_log(PrimeFieldPolynomialRing, "_distinct_degree"), call_log(PrimeFieldPolynomialRing, "_equal_degree")
+    powmods, euclids = call_log(PrimeFieldPolynomialRing, "_powmod"), call_log(Ring, "ext_gcd")
     with wall_clock_limit(0.5):
         factored = [ring.factor(f) for ring, f in polys]
     for (ring, f), factors in zip(polys, factored):
@@ -149,6 +166,14 @@ def test_factor_gates(wall_clock_limit, call_log):
             for _ in range(mult):
                 product = ring.mul(product, q)
         assert product == f and len(factors) > 1
+    # One distinct-degree split per square-free part, one equal-degree
+    # split per degree found in it; x^(p^d) is taken for d up to half the
+    # degree, plus a few random splits; every gcd runs Euclid on the
+    # packed work ring, none on tuples.
+    assert len(ddf) == sum(len(set(factors.values())) for factors in factored)
+    assert len(edf) == sum(len({(len(q), m) for q, m in factors.items()}) for factors in factored)
+    assert len(powmods) <= 200
+    assert euclids and all(isinstance(args[0], (rings._PackedFpRing, rings._PackedF2Ring)) for args in euclids)
 
 
 def test_factor_rejects_zero_and_units():
