@@ -14,10 +14,11 @@ this works because the package imports its own modules relatively, so
 each copy has its own modules and caches.  The core is the list of
 operations of one pass of ``perfbench/run.py --workload W --seconds S``
 in the order that ``--seed`` shuffles it into, built from this
-checkout's ``perfbench`` as ``scripts/core_counts.py`` builds it:
-property-suite trials for the harness workloads, CLI requests (input
-files written to the temporary directory, by this checkout's koszulkit)
-for ``cli-requests``.  Each side first runs the perfbench warm-up ops.
+checkout's ``perfbench`` (``scripts/core_counts.py`` counts the work of
+the same core): property-suite trials for the harness workloads, CLI
+requests (input files written to the temporary directory, by this
+checkout's koszulkit) for ``cli-requests``.  Each side first runs the
+perfbench warm-up ops.
 
 Each operation then runs on both sides, one after the other, and the
 side that goes first alternates from one operation to the next, so a
@@ -118,7 +119,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("a_root")
     parser.add_argument("b_root")
-    parser.add_argument("--workload", default="harness-z", choices=("harness-z", "harness-fpx", "cli-requests"))
+    parser.add_argument("--workload", default="harness-z", choices=run.WORKLOADS)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--passes", type=int, default=1)

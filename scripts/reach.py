@@ -13,7 +13,7 @@ executable line of a function or class body that did not run and is not in
 ``LEDGER``, and every ledger entry that no longer names an unexecuted line.
 It exits 0 when there are none.  Tests that fail under the tracer are
 reported but do not change the exit status: the tracer slows the run about
-fourfold, so a wall-clock limit can expire (``test_factor_gates``).
+fourfold, so a CPU-time limit can expire (``test_factor_gates``).
 
 ``LEDGER`` maps (file, function, stripped source line) to the reason why no
 test runs that line.

@@ -108,9 +108,6 @@ _RHO_BATCH = 128
 # Each bit widens every slot by two, so a smaller value makes every int
 # operation cheaper at the price of more early reductions.
 _SLOT_HEADROOM = 8
-# Bits covered by the packed ring's precomputed reduction mask (at least
-# one slot); a longer element gets a mask of its own length.
-_MASK_BITS = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -808,9 +805,9 @@ class _PackedFpRing(Ring):
         # The bit length of cap slots: the longest factor whose products
         # may be added to a reduced sum unreduced.
         self._short = self._cap * w
-        slots = max(1, _MASK_BITS // w)
-        self._mask_bits = slots * w
-        self._mask = self._quotient_mask(slots)
+        # The longest reduction mask built so far: it serves every shorter
+        # element too, so a mask is built only when an element outgrows it.
+        self._mask = self._quotient_mask(1)
 
     def _quotient_mask(self, n: int) -> int:
         """The low w - k bits of each of n slots."""
@@ -819,8 +816,10 @@ class _PackedFpRing(Ring):
     def _reduce(self, x: int) -> int:
         """x with every slot reduced mod p, for slots below 2^b."""
         mask = self._mask
-        if x.bit_length() > self._mask_bits:
-            mask = self._quotient_mask(-(-x.bit_length() // self._w))
+        # A mask of n slots ends w - k bits into its top slot, so it covers
+        # the n * w bits below bits(mask) + k.
+        if x.bit_length() > mask.bit_length() + self._k:
+            mask = self._mask = self._quotient_mask(self._slots(x))
         return x - ((x * self._m >> self._k) & mask) * self.p
 
     def _slots(self, a: int) -> int:

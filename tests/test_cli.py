@@ -80,13 +80,13 @@ def test_homology_command(tmp_path, capsys):
     ("Z", str(10 ** 24 + 7)),            # a 25-digit prime
     ("fpx:101", [3, 1, 0, 0, 0, 0, 1]),  # x^6 + x + 3, irreducible over F_101
 ], ids=["Z-25-digit-prime", "F101x-degree-6-irreducible"])
-def test_homology_of_large_prime_needs_no_factoring(tmp_path, capsys, wall_clock_limit, call_log, ring, entry):
+def test_homology_of_large_prime_needs_no_factoring(tmp_path, capsys, cpu_time_limit, call_log, ring, entry):
     payload = {"ring": ring, "ranks": {"1": 1, "0": 1},
                "differentials": {"1": {"rows": 1, "cols": 1, "entries": [[entry]]}}}
     path = write_json(tmp_path, "c.json", payload)
     ring_class = type(ring_from_token(ring))
     factored, tested = call_log(ring_class, "factor"), call_log(ring_class, "_is_irreducible")
-    with wall_clock_limit(0.05):
+    with cpu_time_limit(0.05):
         code, out, _ = run_cli(capsys, "homology", "--in", path)
     assert code == 0
     assert factored == [] and tested == []
@@ -94,14 +94,14 @@ def test_homology_of_large_prime_needs_no_factoring(tmp_path, capsys, wall_clock
                                            "1": {"free_rank": 0, "torsion": []}}
 
 
-def test_k0_of_large_prime_is_fast(tmp_path, capsys, wall_clock_limit, call_log):
+def test_k0_of_large_prime_is_fast(tmp_path, capsys, cpu_time_limit, call_log):
     prime = 10 ** 24 + 7  # above the trial-division range, below the proof bound
     payload = {"ring": "Z", "ranks": {"1": 1, "0": 1},
                "differentials": {"1": {"rows": 1, "cols": 1, "entries": [[str(prime)]]}}}
     path = write_json(tmp_path, "c.json", payload)
     factored, tested = call_log(IntegerRing, "factor"), call_log(rings, "is_prime")
     rho, roots = call_log(rings, "_pollard_brent"), call_log(rings, "_perfect_power")
-    with wall_clock_limit(0.05):
+    with cpu_time_limit(0.05):
         code, out, _ = run_cli(capsys, "k0", "--in", path)
     assert code == 0
     # One factoring, which a single primality test ends: no root or rho step.
@@ -321,26 +321,15 @@ def test_input_from_stdin(monkeypatch, capsys):
 
 
 @pytest.fixture
-def matrix_sizes(monkeypatch):
-    """The entry count of every matrix built while the test runs, whatever
-    the host's speed.  Every matrix goes through ``Matrix.__init__`` or
-    ``Matrix._from_work``; the shared zero blocks are cleared first, since
-    a cached block is returned without being built."""
-    sizes = []
+def matrix_sizes(call_log):
+    """``matrix_sizes()`` is the entry count of every matrix built so far in
+    the test, whatever the host's speed.  Every matrix goes through
+    ``Matrix.__init__`` or ``Matrix._from_work``; the shared zero blocks
+    are cleared first, since a cached block is returned without being built."""
     Matrix.zeros.cache_clear()
-    init, from_work = Matrix.__init__, Matrix._from_work.__func__
-
-    def recorded_init(self, ring, rows):
-        sizes.append(len(rows) * len(rows[0]) if rows else 0)
-        init(self, ring, rows)
-
-    def recorded_from_work(cls, ring, rows, cols, work):
-        sizes.append(rows * cols)
-        return from_work(cls, ring, rows, cols, work)
-
-    monkeypatch.setattr(Matrix, "__init__", recorded_init)
-    monkeypatch.setattr(Matrix, "_from_work", classmethod(recorded_from_work))
-    return sizes
+    public, computed = call_log(Matrix, "__init__"), call_log(Matrix, "_from_work")
+    return lambda: ([len(rows) * len(rows[0]) if rows else 0 for _, _, rows in public]
+                    + [rows * cols for _, rows, cols, _ in computed])
 
 
 # Requests that name a rank or matrix dimension far above
@@ -366,13 +355,13 @@ HUGE_REQUESTS = {
 
 
 @pytest.mark.parametrize("argv, payload", HUGE_REQUESTS.values(), ids=HUGE_REQUESTS)
-def test_huge_count_exits_2(tmp_path, capsys, wall_clock_limit, matrix_sizes, argv, payload):
+def test_huge_count_exits_2(tmp_path, capsys, cpu_time_limit, matrix_sizes, argv, payload):
     path = write_json(tmp_path, "huge.json", payload)
-    with wall_clock_limit(0.05):
+    with cpu_time_limit(0.05):
         code, out, err = run_cli(capsys, *argv, "--in", path)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("koszulkit: ") and "limit" in err
-    assert max(matrix_sizes, default=0) <= jsonio._MAX_COUNT
+    assert max(matrix_sizes(), default=0) <= jsonio._MAX_COUNT
 
 
 LIMIT = jsonio._MAX_COUNT
@@ -385,15 +374,15 @@ FREE_DEGREE_ONE = {
 
 
 @pytest.mark.parametrize("command", ["resolve", "efunctor"])
-def test_free_degree_one_without_a_boundary_exits_2_at_once(tmp_path, capsys, wall_clock_limit, matrix_sizes,
+def test_free_degree_one_without_a_boundary_exits_2_at_once(tmp_path, capsys, cpu_time_limit, matrix_sizes,
                                                             command):
     for name, request in FREE_DEGREE_ONE.items():
         path = write_json(tmp_path, f"{name}.json", request)
-        with wall_clock_limit(0.05):
+        with cpu_time_limit(0.05):
             code, out, err = run_cli(capsys, command, "--in", path)
         assert (code, out, err) == (2, "", "koszulkit: boundary map is not injective\n"), name
         # The zero boundary of LIMIT x LIMIT entries is refused unbuilt.
-        assert max(matrix_sizes, default=0) <= LIMIT, name
+        assert max(matrix_sizes(), default=0) <= LIMIT, name
 
 
 UNREADABLE = {
@@ -537,14 +526,14 @@ def test_non_canonical_ring_token_exits_2(tmp_path, capsys, token):
     assert code == 2 and out == "" and "ring token" in err
 
 
-def test_ring_token_beyond_the_digit_limit_exits_2_at_once(tmp_path, capsys, wall_clock_limit, call_log):
+def test_ring_token_beyond_the_digit_limit_exits_2_at_once(tmp_path, capsys, cpu_time_limit, call_log):
     # 2^9941 - 1 is a 2993-digit prime: proving it prime takes about half a minute.
     token = f"fpx:{2 ** 9941 - 1}"
     matrix = write_json(tmp_path, "m.json", {"rows": 1, "cols": 1, "entries": [[[1]]]})
     complex_ = write_json(tmp_path, "c.json", {"ring": token, "ranks": {"0": 1}})
     tested = call_log(rings, "is_prime")
     for argv in (["snf", "--ring", token, "--in", matrix], ["homology", "--in", complex_]):
-        with wall_clock_limit(0.05):
+        with cpu_time_limit(0.05):
             code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv[0]
         assert len(err.splitlines()) == 1 and err.startswith("koszulkit: "), argv[0]

@@ -13,7 +13,7 @@ F2 = fpx(2)
 
 
 @pytest.mark.parametrize("ring", [ZZ, F2, fpx(3)], ids=["Z", "F2x", "F3x"])
-def test_elimination_chains_are_taken_as_the_module(monkeypatch, ring):
+def test_elimination_chains_are_taken_as_the_module(call_log, ring):
     """Cokernels and homology take the divisor chain of elimination as
     it is: no ``FgModule.make``, and the same module it would give."""
     params = GenParams(ring=ring, seed=4)
@@ -21,13 +21,7 @@ def test_elimination_chains_are_taken_as_the_module(monkeypatch, ring):
                  + [gen_koszul(params, trial).complex for trial in range(5)]
                  + [two_term(gen_matrix(params, trial, max_dim=4)) for trial in range(5)])
     make = FgModule.make
-    calls = []
-
-    def counted(cls, *args):
-        calls.append(args)
-        return make(*args)
-
-    monkeypatch.setattr(FgModule, "make", classmethod(counted))
+    calls = call_log(FgModule, "make")
     results = []
     for X in complexes:
         in_kos1(X)
@@ -121,12 +115,12 @@ def test_length_at_polynomials():
     assert length_at(module, x) == 2
 
 
-def test_length_at_tests_primality_without_factoring(wall_clock_limit, call_log):
+def test_length_at_tests_primality_without_factoring(cpu_time_limit, call_log):
     prime = 10 ** 24 + 7
     F101 = fpx(101)
     factored = [call_log(IntegerRing, "factor"), call_log(PrimeFieldPolynomialRing, "factor")]
     tested = call_log(rings, "is_prime")
-    with wall_clock_limit(0.05):
+    with cpu_time_limit(0.05):
         assert length_at(FgModule.make(ZZ, 0, [prime]), prime) == 1
     assert tested == [(prime,)]
     # (x^3 + x + 1)(x^3 + x + 3): two irreducible cubics, so no root in F_101

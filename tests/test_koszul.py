@@ -252,24 +252,11 @@ def test_cellular_factorization_random():
             assert in_A_n(quotient, degree)
 
 
-def test_cellular_factorization_builds_one_cone_per_degree_evaluation(monkeypatch):
+def test_cellular_factorization_builds_one_cone_per_degree_evaluation(call_log):
     """Each cone-vanishing degree is read off a cone layout built for it
     alone; the only other cone layouts are the cones of the composites
     inside the factor steps, one per stage."""
-    counts = {"layouts": 0, "evaluations": 0}
-    layout_init, vanishing_degree = complexes._Layout.__init__, koszul._vanishing_degree
-
-    def counted_layout_init(self, parts, *args):
-        if [s for _, s in parts] == [1, 0]:
-            counts["layouts"] += 1
-        layout_init(self, parts, *args)
-
-    def counted_vanishing_degree(complex_):
-        counts["evaluations"] += 1
-        return vanishing_degree(complex_)
-
-    monkeypatch.setattr(complexes._Layout, "__init__", counted_layout_init)
-    monkeypatch.setattr(koszul, "_vanishing_degree", counted_vanishing_degree)
+    layouts, evaluations = call_log(complexes._Layout, "__init__"), call_log(koszul, "_vanishing_degree")
     params = GenParams(ring=ZZ, seed=8, max_rank=2, support_width=3)
     total_stages = 0
     for trial in range(6):
@@ -277,10 +264,12 @@ def test_cellular_factorization_builds_one_cone_per_degree_evaluation(monkeypatc
         x = gen_a_object(params, trial, rng=rng).complex
         y = gen_a_object(params, trial, rng=rng).complex
         f = gen_chain_map(rng, x, y, terms=1)
-        counts.update(layouts=0, evaluations=0)
+        layouts.clear()
+        evaluations.clear()
         stages = len(cellular_factorization(f).stages)
-        assert counts["evaluations"] == stages + 1
-        assert counts["layouts"] == counts["evaluations"] + stages
+        cones = [args for args in layouts if [s for _, s in args[1]] == [1, 0]]
+        assert len(evaluations) == stages + 1
+        assert len(cones) == len(evaluations) + stages
         total_stages += stages
     assert total_stages
 

@@ -584,19 +584,12 @@ def test_verify_accepts_a_unit_ratio_of_determinants():
     assert SnfCertificate(u, eye, eye, (F3.one, F3.one)).verify(a)
 
 
-def test_verify_takes_one_determinant_on_a_square_nonsingular_source(monkeypatch):
+def test_verify_takes_one_determinant_on_a_square_nonsingular_source(call_log):
     rng = random.Random(18)
     a = rand_int_matrix(rng, 5, 5)
     while det(a) == 0:
         a = rand_int_matrix(rng, 5, 5)
     cert = snf(a)
-    seen = []
-    real = matrices.det
-
-    def counting(mat):
-        seen.append(mat)
-        return real(mat)
-
-    monkeypatch.setattr(matrices, "det", counting)
+    seen = call_log(matrices, "det")
     assert cert.verify(a)
-    assert seen == [a]
+    assert seen == [(a,)]

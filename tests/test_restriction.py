@@ -4,7 +4,7 @@ constructions build."""
 
 import pytest
 
-from koszulkit import complexes, koszul
+from koszulkit import complexes, koszul, matrices
 from koszulkit.complexes import (
     ChainComplex,
     ChainMap,
@@ -29,7 +29,7 @@ from koszulkit.generators import (
     trial_rng,
 )
 from koszulkit.koszul import cellular_factorization, kappa, resolve_in_kos1
-from koszulkit.matrices import Matrix
+from koszulkit.matrices import Matrix, _column_form, elementary_divisors
 from koszulkit.rings import ZZ, fpx
 from koszulkit.sfiltering import (
     excision_epi,
@@ -99,12 +99,18 @@ def _outputs(params: GenParams, trial: int) -> dict:
 PINNED = "be5ea7fa57840a169e40677f3cfc9f50e1ebb26192caab90b2625265c9f79bb9"
 
 
-def test_constructions_are_pinned(wall_clock_limit):
-    with wall_clock_limit(5):
+def test_constructions_are_pinned(cpu_time_limit, call_log):
+    elementary_divisors.cache_clear()
+    _column_form.cache_clear()
+    eliminations = call_log(matrices, "_echelon")
+    with cpu_time_limit(5):
         outputs = [_outputs(GenParams(ring=ring, seed=seed, max_entry=bound), trial)
                    for ring, bound in ((ZZ, 9), (fpx(2), 3), (fpx(3), 3))
                    for seed, trial in ((0, 0), (0, 1), (1, 0), (1, 1))]
     assert digest(outputs) == PINNED
+    # 2 521 from empty caches: one elimination per cache miss.  Without
+    # the ``_column_form`` cache there are about 6 900.
+    assert len(eliminations) <= 2600
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +173,8 @@ def test_a_basis_the_boundary_leaves_raises():
 # What the constructions build.
 
 
-def _counting(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_cellular_factorization_builds_no_lower_truncation(monkeypatch):
-    calls = _counting(monkeypatch, complexes, "_tau_le")
+def test_cellular_factorization_builds_no_lower_truncation(monkeypatch, call_log):
+    calls = call_log(complexes, "_tau_le")
     monkeypatch.setattr(koszul, "_tau_le", complexes._tau_le)
     params = GenParams(ZZ, seed=8, max_rank=2, support_width=3)
     stages = 0
@@ -193,35 +187,23 @@ def test_cellular_factorization_builds_no_lower_truncation(monkeypatch):
     assert calls == []
 
 
-def _recording_chain_maps(monkeypatch) -> list:
-    """The (source, target) of every checked chain map built from now on."""
-    built = []
-    init = ChainMap.__init__
-
-    def recording(self, source, target, components):
-        built.append((source, target))
-        init(self, source, target, components)
-
-    monkeypatch.setattr(ChainMap, "__init__", recording)
-    return built
-
-
-def test_idempotent_split_checks_only_its_monos_and_iso(monkeypatch):
+def test_idempotent_split_checks_only_its_monos_and_iso(call_log):
     _, endo = gen_idempotent(GenParams(ZZ, seed=3), 0)
-    built = _recording_chain_maps(monkeypatch)
+    built = call_log(ChainMap, "__init__")
     split = idempotent_split(endo)
-    assert built == [(split.image_part, endo.source), (split.complement_part, endo.source),
-                     (split.iso.source, endo.source)]
+    # The (source, target) of every checked chain map built.
+    assert [args[1:3] for args in built] == [(split.image_part, endo.source), (split.complement_part, endo.source),
+                                             (split.iso.source, endo.source)]
 
 
-def test_lower_truncations_build_no_projection(monkeypatch):
+def test_lower_truncations_build_no_projection(call_log):
     f = gen_ses_of_complexes(GenParams(ZZ, seed=0), 0, acyclic_side="none").sequence.mono
     n = min(f.target.ranks)
-    built = _recording_chain_maps(monkeypatch)
+    built = call_log(ChainMap, "__init__")
     lower = truncate_le(f.target, n)
     induced = tau_le_map(f, n)
     # One checked map, the induced one; no projection for either call.
-    assert built == [(induced.source, lower)]
+    assert [args[1:3] for args in built] == [(induced.source, lower)]
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +221,14 @@ def test_quotient_by_split_mono_checks_given_retractions(retractions):
 
 
 @pytest.mark.parametrize("case", ["wrong", "missing"])
-def test_excision_epi_checks_given_retractions_first(monkeypatch, case):
+def test_excision_epi_checks_given_retractions_first(call_log, case):
     seq = gen_admissible_mono(GenParams(ZZ, seed=0), 1).sequence
     assert seq.left.rank(0) and seq.left.rank(1)
     if case == "wrong":
         retractions = {n: r + r for n, r in seq.retractions.items()}
     else:
         retractions = {n: r for n, r in seq.retractions.items() if n != 0}
-    built = _recording_chain_maps(monkeypatch)
+    built = call_log(ChainMap, "__init__")
     with pytest.raises(InvalidInputError, match="stored retraction fails"):
         excision_epi(seq.mono, retractions)
     assert built == []

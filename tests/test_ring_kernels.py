@@ -3,8 +3,8 @@
 ``unpack`` each must equal the same expression written with the public
 ring's scalar ``add``, ``sub`` and ``mul``, with hypothesis shrinking.
 The scalar operations of F_p[x] -- the packed work rings, also with the
-slot headroom cut to 1 or 2 bits so that the early reductions, chunked
-products and long reduction masks all run, and the public rings that
+slot headroom cut to 1 or 2 bits so that the early reductions and
+chunked products all run, and the public rings that
 compute on them -- must agree with a tuple ring built on sympy's
 ``galoistools``, which shares no code with koszulkit.  Needs the
 ``test`` extra; the module skips without it."""
@@ -285,10 +285,11 @@ def test_packed_scalar_ops_match_tuple_ring(a, b):
 
 # The packed work rings of odd characteristic, as twins that check the
 # overflow invariant on every value they reduce: one with the default
-# slot headroom, and two with 1 or 2 bits of it and a one-slot reduction
-# mask.  In those a sum of two or four products fills a slot, so the
-# products, kernels and long division must reduce early and split long
-# factors into chunks, and nearly every reduction builds a mask of its own.
+# slot headroom, and two with 1 or 2 bits of it.  In those a sum of two
+# or four products fills a slot, so the products, kernels and long
+# division must reduce early and split long factors into chunks.  Each
+# twin starts from a one-slot reduction mask, as every work ring does,
+# and grows it with the longest value it has reduced.
 
 
 class _CheckedPackedRing(rings._PackedFpRing):
@@ -304,7 +305,6 @@ def _checked_ring(p, headroom=None):
     with pytest.MonkeyPatch.context() as patch:
         if headroom is not None:
             patch.setattr(rings, "_SLOT_HEADROOM", headroom)
-            patch.setattr(rings, "_MASK_BITS", 1)
         return _CheckedPackedRing(p)
 
 
