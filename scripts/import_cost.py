@@ -15,8 +15,8 @@ compiles every module of the package (the set-up perfbench times), and
 untimed run fills first, as after an install.  The last row imports the
 package, drops it from ``sys.modules`` and imports it again with bytecode
 off, as perfbench's set-ups 2-5 do, and splits that re-import into
-compiling source, ``dataclasses._process_class`` and
-``collections.namedtuple`` (medians over ``--runs`` interpreters).
+compiling source and ``collections.namedtuple`` (medians over ``--runs``
+interpreters).
 """
 
 import argparse
@@ -30,9 +30,9 @@ import tempfile
 from pathlib import Path
 
 TIMED = "import time; t = time.perf_counter(); import koszulkit; print(time.perf_counter() - t)"
-SPLIT = """import collections, dataclasses, importlib.machinery, json, sys, time
+SPLIT = """import collections, importlib.machinery, json, sys, time
 import koszulkit
-spent = dict.fromkeys(("compile", "dataclass", "namedtuple"), 0.0)
+spent = dict.fromkeys(("compile", "namedtuple"), 0.0)
 def timed(key, fn):
     def run(*args, **kwargs):
         t = time.perf_counter()
@@ -43,7 +43,6 @@ def timed(key, fn):
     return run
 loader = importlib.machinery.SourceFileLoader
 loader.source_to_code = timed("compile", loader.source_to_code)
-dataclasses._process_class = timed("dataclass", dataclasses._process_class)
 collections.namedtuple = timed("namedtuple", collections.namedtuple)
 for name in [m for m in sys.modules if m.split(".")[0] == "koszulkit"]:
     del sys.modules[name]

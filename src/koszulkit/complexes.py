@@ -170,10 +170,23 @@ def _sum(blocks) -> Optional[Matrix]:
 
 
 class _Checked:
-    """Immutable; ``__init__`` runs ``_fill`` (shapes, rings, normalization)
-    and then the law, ``_trusted`` runs ``_fill`` only."""
+    """Immutable value that checks itself: ``__init__`` runs ``_fill``
+    (shapes, rings, normalization) and then the law, ``_trusted`` runs
+    ``_fill`` only.
+
+    The fields are the ``__slots__`` of the class and its bases, in
+    declaration order.  From them every subclass gets a ``_fill`` that
+    stores its arguments, equality and hashing by value, a
+    ``Name(field=value, ...)`` repr, and ``_replace``, which builds a
+    checked copy with some fields changed.
+    """
 
     __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
 
     @classmethod
     def _trusted(cls, *args):
@@ -181,8 +194,36 @@ class _Checked:
         out._fill(*args)
         return out
 
+    def _fill(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle would restore the fields by assignment, which is refused
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class ChainComplex(_Checked):
@@ -229,14 +270,6 @@ class ChainComplex(_Checked):
 
     def euler_characteristic(self) -> int:
         return sum(r if n % 2 == 0 else -r for n, r in self.ranks.items())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChainComplex)
-            and self.ring == other.ring
-            and self.ranks == other.ranks
-            and self.diffs == other.diffs
-        )
 
     def __repr__(self):
         return f"ChainComplex({self.ring.token}, ranks={self.ranks})"
@@ -311,14 +344,6 @@ class ChainMap(_Checked):
     def _parallel(self, other: "ChainMap"):
         if self.source != other.source or self.target != other.target:
             raise DimensionError("chain maps are not parallel")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChainMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.components == other.components
-        )
 
     def is_zero_map(self) -> bool:
         return not self.components

@@ -29,12 +29,12 @@ instances are too.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 from .complexes import (
     ChainComplex,
     ChainMap,
+    _Checked,
     _Layout,
     _negated,
     _product,
@@ -51,23 +51,22 @@ from .presented import PresentedMap, PresentedModule, SesMorphism, ThreeByThree,
 from .rings import Ring, ZZ
 
 
-@dataclass(frozen=True)
-class GenParams:
-    """Bounds for instance generation; all generation is pure in (params, seed)."""
+class GenParams(_Checked):
+    """Bounds for instance generation; all generation is pure in (params, seed).
 
-    ring: Ring = ZZ
-    seed: int = 0
-    max_rank: int = 3
-    max_entry: int = 9  # magnitude bound over Z, degree bound over F_p[x]
-    support_width: int = 3
-    trials: int = 100
+    ``max_entry`` bounds magnitudes over Z and degrees over F_p[x].
+    """
 
-    def __post_init__(self):
-        if self.max_entry < 1 or self.max_rank < 1 or self.trials < 0:
+    __slots__ = ("ring", "seed", "max_rank", "max_entry", "support_width", "trials")
+
+    def __init__(self, ring: Ring = ZZ, seed: int = 0, max_rank: int = 3, max_entry: int = 9,
+                 support_width: int = 3, trials: int = 100):
+        self._fill(ring, seed, max_rank, max_entry, support_width, trials)
+        if max_entry < 1 or max_rank < 1 or trials < 0:
             raise InvalidInputError("generator bounds need max_entry >= 1, max_rank >= 1 and trials >= 0")
 
     def with_seed(self, seed: int) -> "GenParams":
-        return replace(self, seed=seed)
+        return self._replace(seed=seed)
 
 
 def trial_rng(params: GenParams, trial: int) -> random.Random:

@@ -1,15 +1,15 @@
 """JSON encoding of every wire format the CLI speaks.
 
 One encoder, ``value_to_json``, turns any library value into wire data,
-dispatching on its exact type: matrices, complexes, chain maps,
-presented modules, maps and complexes, modules, K0 classes, SNF
-certificates and elementary-divisor decompositions have their own
-layouts; any other result record is written as the dict of its fields,
-so its field names are its wire keys; dicts, lists and tuples are
-encoded item by item.  ``complex_to_json``, ``chain_map_to_json``,
-``presented_koszul_to_json``, ``matrix_to_json`` and
-``snf_certificate_to_json`` are other names of the same function, kept
-because the benchmark in ``perfbench/`` calls them.
+dispatching on its exact type: matrices, complexes, presented modules
+and complexes, modules, K0 classes, SNF certificates and
+elementary-divisor decompositions have their own layouts; any other
+record, chain maps and module maps among them, is written as the dict
+of its fields, so its field names are its wire keys; dicts, lists and
+tuples are encoded item by item.  ``complex_to_json``,
+``chain_map_to_json``, ``presented_koszul_to_json``, ``matrix_to_json``
+and ``snf_certificate_to_json`` are other names of the same function,
+kept because the benchmark in ``perfbench/`` calls them.
 
 Integers ride as JSON numbers up to 53 bits and as decimal strings
 beyond that; polynomial elements ride as little-endian coefficient
@@ -277,11 +277,12 @@ def _element_writer(ring: Ring):
 def value_to_json(value):
     """The wire form of ``value``, by its exact type.
 
-    Library types have their own layouts; any other NamedTuple record
-    becomes the dict of its fields.  A dict keeps its keys as ``str(k)``,
-    a list or tuple is encoded item by item, an int is a JSON number
-    below 2^53 in absolute value and a decimal string beyond; anything
-    else is returned as it is, for ``_dumps`` to write or refuse.
+    Library types have their own layouts; any other record (a NamedTuple
+    or a checked value such as a chain map) becomes the dict of its
+    fields.  A dict keeps its keys as ``str(k)``, a list or tuple is
+    encoded item by item, an int is a JSON number below 2^53 in absolute
+    value and a decimal string beyond; anything else is returned as it
+    is, for ``_dumps`` to write or refuse.
     """
     kind = type(value)
     if kind is int:
@@ -297,14 +298,8 @@ def value_to_json(value):
     if kind is ChainComplex:
         return {"ring": value.ring.token, "ranks": value_to_json(value.ranks),
                 "differentials": value_to_json(value.diffs)}
-    if kind is ChainMap:
-        return {"source": value_to_json(value.source), "target": value_to_json(value.target),
-                "components": value_to_json(value.components)}
     if kind is PresentedModule:
         return {"gens": value.gens, "relations": value_to_json(value.relations)}
-    if kind is PresentedMap:
-        return {"source": value_to_json(value.source), "target": value_to_json(value.target),
-                "matrix": value_to_json(value.matrix)}
     if kind is PresentedKoszul:
         top, bottom = value.top, value.bottom
         return {"ring": top.ring.token, "ranks": {"1": top.gens, "0": bottom.gens},
@@ -324,8 +319,9 @@ def value_to_json(value):
         return {"nonunit_part": value_to_json(value.nonunit_part), "unit_part": value_to_json(value.unit_part),
                 "iso": value_to_json(value.iso),
                 "divisors": list(map(_element_writer(value.source.ring), value.nonunit_divisors))}
-    if isinstance(value, tuple):  # any other NamedTuple record
-        return dict(zip(value._fields, map(value_to_json, value)))
+    fields = getattr(value, "_fields", None)
+    if fields is not None:  # any other record: a NamedTuple or a checked value
+        return {name: value_to_json(getattr(value, name)) for name in fields}
     return value
 
 

@@ -15,7 +15,6 @@ a quasi-isomorphism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .complexes import (
@@ -35,6 +34,7 @@ from .complexes import (
     structure_maps,
     tau_ge_map,
     tau_le_map,
+    _Checked,
     _cone_layout,
     _cone_maps,
     _mono_components,
@@ -408,20 +408,18 @@ def tau_maps_spherical_check(seq: AdmissibleSes, k: int, spherical: int) -> bool
 # Presented-coordinate two-term complexes.
 
 
-@dataclass(frozen=True)
-class PresentedKoszul:
+class PresentedKoszul(_Checked):
     """Two-term complex of presented modules with injective boundary.
 
     The degree-zero homology must be torsion.  Free-coordinate Koszul
     complexes embed via ``from_free``.
     """
 
-    top: PresentedModule
-    bottom: PresentedModule
-    d: PresentedMap
+    __slots__ = ("top", "bottom", "d")
 
-    def __post_init__(self):
-        if self.d.source != self.top or self.d.target != self.bottom:
+    def __init__(self, top: PresentedModule, bottom: PresentedModule, d: PresentedMap):
+        self._fill(top, bottom, d)
+        if d.source != top or d.target != bottom:
             raise InvalidInputError("boundary map endpoints do not match")
         if not self.d.is_injective():
             raise InvalidInputError("boundary map is not injective")
@@ -445,29 +443,28 @@ class PresentedKoszul:
         return self.d.is_surjective()
 
 
-@dataclass(frozen=True)
-class PresentedKoszulMap:
-    source: PresentedKoszul
-    target: PresentedKoszul
-    degree1: PresentedMap
-    degree0: PresentedMap
+class PresentedKoszulMap(_Checked):
+    __slots__ = ("source", "target", "degree1", "degree0")
 
-    def __post_init__(self):
-        if not self.target.d.compose(self.degree1).equals(self.degree0.compose(self.source.d)):
+    def __init__(self, source: PresentedKoszul, target: PresentedKoszul, degree1: PresentedMap,
+                 degree0: PresentedMap):
+        self._fill(source, target, degree1, degree0)
+        if not target.d.compose(degree1).equals(degree0.compose(source.d)):
             raise InvalidInputError("components do not commute with the boundaries")
 
 
-@dataclass(frozen=True)
-class PresentedSes:
+class PresentedSes(_Checked):
     """Degreewise short exact sequence of presented two-term complexes."""
 
-    mono: PresentedKoszulMap
-    epi: PresentedKoszulMap
+    __slots__ = ("mono", "epi")
 
-    def __post_init__(self):
-        if not is_short_exact(self.mono.degree1, self.epi.degree1):
+    def __init__(self, mono: PresentedKoszulMap, epi: PresentedKoszulMap):
+        self._fill(mono, epi)
+        if mono.target != epi.source:
+            raise InvalidInputError("maps are not consecutive")
+        if not is_short_exact(mono.degree1, epi.degree1):
             raise InvalidInputError("degree-1 row is not short exact")
-        if not is_short_exact(self.mono.degree0, self.epi.degree0):
+        if not is_short_exact(mono.degree0, epi.degree0):
             raise InvalidInputError("degree-0 row is not short exact")
 
     @property

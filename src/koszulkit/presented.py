@@ -9,10 +9,12 @@ inclusion maps, and short-exactness of a pair of maps is decidable.
 ``PresentedMap`` checks that its matrix carries relations into
 relations; ``PresentedMap._trusted`` skips that for maps that do so by
 construction (identities, composites, kernel, image and pushout legs).
-Like the chain maps of ``complexes``, a map is immutable, so no later
-assignment can undo its check.  The frozen diagrams ``SesMorphism`` and
-``ThreeByThree`` check their exact rows and commuting squares when they
-are built.
+Like the chain maps of ``complexes``, a module and a map are immutable
+values, so no later assignment can undo a check.  The diagrams
+``SesMorphism`` and ``ThreeByThree`` check their exact rows and
+commuting squares when they are built.  Maps that share a module must
+share it exactly: ``equals`` is False for maps whose sources or targets
+differ as presentations.
 
 The two diagram-level checks at the bottom verify, on concrete module
 data, that a square in a morphism of short exact sequences is a pushout
@@ -22,7 +24,6 @@ two induced sequences of a nine-term diagram are short exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .complexes import _Checked
@@ -32,19 +33,16 @@ from .matrices import Matrix, _selection, block_diag, hstack, kernel_basis, solv
 from .rings import Ring
 
 
-@dataclass(frozen=True)
-class PresentedModule:
+class PresentedModule(_Checked):
     """R^gens modulo the column span of ``relations`` (gens x k)."""
 
-    ring: Ring
-    gens: int
-    relations: Matrix
+    __slots__ = ("ring", "gens", "relations")
 
-    def __post_init__(self):
-        if self.relations.ring != self.ring:
-            raise InvalidInputError(f"relations matrix over {self.relations.ring.token}, "
-                                    f"module over {self.ring.token}")
-        if self.relations.rows != self.gens:
+    def __init__(self, ring: Ring, gens: int, relations: Matrix):
+        self._fill(ring, gens, relations)
+        if relations.ring != ring:
+            raise InvalidInputError(f"relations matrix over {relations.ring.token}, module over {ring.token}")
+        if relations.rows != gens:
             raise DimensionError("relations matrix must have one row per generator")
 
     @classmethod
@@ -106,13 +104,14 @@ class PresentedMap(_Checked):
 
     def compose(self, other: "PresentedMap") -> "PresentedMap":
         """self after other."""
-        if other.target is not self.source and other.target != self.source:
+        if other.target != self.source:
             raise DimensionError("maps do not compose")
         return PresentedMap._trusted(other.source, self.target, self.matrix * other.matrix)
 
     def equals(self, other: "PresentedMap") -> bool:
-        """Equality as module maps: the difference vanishes on generators."""
-        if self.source.gens != other.source.gens or self.target.gens != other.target.gens:
+        """Equality as module maps: the same source and target, and the
+        difference vanishes on generators."""
+        if self.source != other.source or self.target != other.target:
             return False
         return self.target.contains(self.matrix - other.matrix)
 
@@ -165,7 +164,7 @@ def pushout(left: PresentedMap, right: PresentedMap) -> tuple[PresentedModule, P
     Returns (P, leg from A, leg from B); P is the cokernel of the
     antidiagonal map X -> A (+) B.
     """
-    if left.source.gens != right.source.gens or not left.source.relations == right.source.relations:
+    if left.source != right.source:
         raise InvalidInputError("span legs must share their source")
     ring = left.source.ring
     ambient = direct_sum_modules([left.target, right.target])
@@ -194,7 +193,7 @@ def pullback(left: PresentedMap, right: PresentedMap) -> tuple[PresentedModule, 
     Returns (Q, inclusion into A (+) B, leg to A, leg to B); Q is the
     kernel of the difference map out of the direct sum.
     """
-    if left.target.gens != right.target.gens or not left.target.relations == right.target.relations:
+    if left.target != right.target:
         raise InvalidInputError("cospan legs must share their target")
     ring = left.source.ring
     ambient = direct_sum_modules([left.source, right.source])
@@ -208,7 +207,7 @@ def pullback(left: PresentedMap, right: PresentedMap) -> tuple[PresentedModule, 
 
 def is_short_exact(mono: PresentedMap, epi: PresentedMap) -> bool:
     """Whether 0 -> A -> B -> C -> 0 given by the two maps is exact."""
-    if mono.target.gens != epi.source.gens or not mono.target.relations == epi.source.relations:
+    if mono.target != epi.source:
         raise InvalidInputError("maps are not consecutive")
     if not epi.compose(mono).is_zero_map():
         return False
@@ -219,8 +218,7 @@ def is_short_exact(mono: PresentedMap, epi: PresentedMap) -> bool:
     return mono.lift(epi.preimage_of_relations()) is not None
 
 
-@dataclass(frozen=True)
-class SesMorphism:
+class SesMorphism(_Checked):
     """A morphism of short exact sequences of presented modules.
 
     Rows ``(top_mono, top_epi)`` and ``(bottom_mono, bottom_epi)`` with
@@ -228,22 +226,18 @@ class SesMorphism:
     commute; both are checked when the diagram is built.
     """
 
-    top_mono: PresentedMap
-    top_epi: PresentedMap
-    bottom_mono: PresentedMap
-    bottom_epi: PresentedMap
-    left: PresentedMap
-    middle: PresentedMap
-    right: PresentedMap
+    __slots__ = ("top_mono", "top_epi", "bottom_mono", "bottom_epi", "left", "middle", "right")
 
-    def __post_init__(self):
-        if not is_short_exact(self.top_mono, self.top_epi):
+    def __init__(self, top_mono: PresentedMap, top_epi: PresentedMap, bottom_mono: PresentedMap,
+                 bottom_epi: PresentedMap, left: PresentedMap, middle: PresentedMap, right: PresentedMap):
+        self._fill(top_mono, top_epi, bottom_mono, bottom_epi, left, middle, right)
+        if not is_short_exact(top_mono, top_epi):
             raise InvalidInputError("top row is not short exact")
-        if not is_short_exact(self.bottom_mono, self.bottom_epi):
+        if not is_short_exact(bottom_mono, bottom_epi):
             raise InvalidInputError("bottom row is not short exact")
-        if not self.middle.compose(self.top_mono).equals(self.bottom_mono.compose(self.left)):
+        if not middle.compose(top_mono).equals(bottom_mono.compose(left)):
             raise InvalidInputError("first square does not commute")
-        if not self.right.compose(self.top_epi).equals(self.bottom_epi.compose(self.middle)):
+        if not right.compose(top_epi).equals(bottom_epi.compose(middle)):
             raise InvalidInputError("second square does not commute")
 
 
@@ -262,8 +256,7 @@ def cobase_change_check(diagram: SesMorphism) -> bool:
     return comparison.is_iso() == diagram.right.is_iso()
 
 
-@dataclass(frozen=True)
-class ThreeByThree:
+class ThreeByThree(_Checked):
     """Nine-term diagram with short exact rows and columns.
 
     ``rows[i]`` is the (mono, epi) pair of row i (top to bottom) and
@@ -271,15 +264,15 @@ class ThreeByThree:
     commute.  Both are checked when the diagram is built.
     """
 
-    rows: tuple
-    cols: tuple
+    __slots__ = ("rows", "cols")
 
-    def __post_init__(self):
-        for mono, epi in list(self.rows) + list(self.cols):
+    def __init__(self, rows: tuple, cols: tuple):
+        self._fill(rows, cols)
+        for mono, epi in list(rows) + list(cols):
             if not is_short_exact(mono, epi):
                 raise InvalidInputError("a row or column is not short exact")
-        (ix, px), (iy, py), (iz, pz) = self.rows
-        (f, g), (fp, gp), (fpp, gpp) = self.cols
+        (ix, px), (iy, py), (iz, pz) = rows
+        (f, g), (fp, gp), (fpp, gpp) = cols
         checks = [
             (fp.compose(ix), iy.compose(f)),
             (fpp.compose(px), py.compose(fp)),

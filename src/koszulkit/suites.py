@@ -2,7 +2,7 @@
 statement over freshly generated instances and reports every violation.
 
 Reports are deterministic in (params, seed): per-trial randomness comes
-from the derived trial generator and failures are sorted by trial index,
+from the derived trial generator and failures are listed in trial order,
 so two runs with the same parameters serialize identically.  A trial
 that raises an unexpected exception is recorded as a ``crashed``
 failure naming the exception type and the library function it came
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import traceback
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import jsonio
 from .complexes import (
@@ -76,33 +76,22 @@ def _require(condition: bool, message: str, instance):
         raise TrialFailure(message, jsonio.value_to_json(instance))
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     ring: str
     seed: int
     trials: int
-    failures: list = field(default_factory=list)
+    failures: list
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "ring": self.ring,
-            "seed": self.seed,
-            "trials": self.trials,
-            "failures": sorted(self.failures, key=_trial_index),
-        }
+        return self._asdict()
 
     def dumps(self) -> str:
         return jsonio._dumps(self.to_json())
-
-
-def _trial_index(failure: dict) -> int:
-    return int(failure["seed"].rsplit("/", 1)[1])
 
 
 def _crash_stage(error: BaseException) -> str:
@@ -338,8 +327,7 @@ def run_suite(name: str, params: GenParams) -> SuiteReport:
     body = SUITES.get(name)
     if body is None:
         raise InvalidInputError(f"unknown suite {name!r}")
-    report = SuiteReport(suite=name, ring=params.ring.token,
-                         seed=params.seed, trials=params.trials)
+    report = SuiteReport(suite=name, ring=params.ring.token, seed=params.seed, trials=params.trials, failures=[])
     for trial in range(params.trials):
         seed_token = f"{params.ring.token}/{params.seed}/{trial}"
         try:

@@ -5,7 +5,6 @@ degree and ``digest`` sorts every JSON object's keys, so two equal
 objects get the same digest whatever order their tables were filled in.
 """
 
-import dataclasses
 import hashlib
 import json
 
@@ -27,9 +26,7 @@ def plain(value):
         return [plain(value.lhs), plain(value.rhs), plain(value.components)]
     if isinstance(value, AdmissibleSes):
         return [plain(value.mono), plain(value.epi), plain(value.retractions), plain(value.sections)]
-    if dataclasses.is_dataclass(value):
-        return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if hasattr(value, "_fields"):  # a NamedTuple record, before the tuple branch
+    if hasattr(value, "_fields"):  # a NamedTuple or a checked value, before the tuple branch
         return {name: plain(getattr(value, name)) for name in value._fields}
     if isinstance(value, dict):
         return [[str(k), plain(v)] for k, v in sorted(value.items())]

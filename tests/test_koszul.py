@@ -1,6 +1,5 @@
 import math
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -34,6 +33,7 @@ from koszulkit.koszul import (
     Kos1Membership,
     PresentedKoszul,
     PresentedKoszulMap,
+    PresentedSes,
     cellular_factorization,
     e_functor,
     factor_step,
@@ -375,7 +375,7 @@ TRIPLE = e_functor(X2)
 NOT_KOSZUL = two_term(Matrix.zeros(ZZ, 1, 1))
 
 # Inputs outside each construction's category, and diagrams whose rows or
-# squares fail (some forged from a valid triple with ``replace``).
+# squares fail (some forged from a valid triple with ``_replace``).
 REFUSALS = {
     "h0-of-three-terms": lambda: h0(padded_0_spherical()),
     "augmentation-of-non-koszul": lambda: h0_augmentation(NOT_KOSZUL),
@@ -384,10 +384,15 @@ REFUSALS = {
     "boundary-endpoints": lambda: PresentedKoszul(X2.top, X2.bottom, PresentedMap.identity(PresentedModule.free(ZZ, 2))),
     "map-squares": lambda: PresentedKoszulMap(X2, X2, PresentedMap.identity(X2.top),
                                               PresentedMap.zero(X2.bottom, X2.bottom)),
-    "degree-1-row": lambda: replace(TRIPLE, epi=PresentedKoszulMap(X2, X2, PresentedMap.identity(X2.top),
+    "degree-1-row": lambda: TRIPLE._replace(epi=PresentedKoszulMap(X2, X2, PresentedMap.identity(X2.top),
                                                                    PresentedMap.identity(X2.bottom))),
-    "degree-0-row": lambda: replace(TRIPLE, epi=replace(TRIPLE.epi, degree0=PresentedMap.zero(
+    "degree-0-row": lambda: TRIPLE._replace(epi=TRIPLE.epi._replace(degree0=PresentedMap.zero(
         X2.bottom, TRIPLE.right.bottom))),
+    "component-from-another-module": lambda: PresentedKoszulMap(
+        X2, X2, PresentedMap(PresentedModule.cyclic(ZZ, 3), X2.top, Matrix(ZZ, [[0]])),
+        PresentedMap.zero(X2.bottom, X2.bottom)),
+    "rows-not-consecutive": lambda: PresentedSes(
+        TRIPLE.mono, e_functor(PresentedKoszul.from_free(two_term(Matrix(ZZ, [[-2]])))).epi),
 }
 
 

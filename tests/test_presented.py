@@ -2,6 +2,7 @@ import pytest
 
 from koszulkit.errors import DimensionError, InvalidInputError
 from koszulkit.fgmodules import FgModule
+from koszulkit.generators import GenParams, gen_ses_morphism
 from koszulkit.matrices import Matrix
 from koszulkit.presented import (
     PresentedMap,
@@ -218,6 +219,14 @@ def _square_grid(sign):
     return ThreeByThree(rows=rows, cols=cols)
 
 
+def _left_vertical_on_a_free_source():
+    """A generated diagram whose left vertical is rebuilt on a free module
+    with as many generators as its source, which has relations."""
+    diagram = gen_ses_morphism(GenParams(ring=ZZ, seed=1), 1)
+    left = diagram.left
+    return diagram._replace(left=PresentedMap(free(left.source.gens), left.target, left.matrix))
+
+
 Z2_ROW = (pmap(free(1), free(1), [[2]]), pmap(free(1), cyclic(2), [[1]]))  # Z -2-> Z -> Z/2
 NOT_ONTO = pmap(free(1), cyclic(4), [[2]])
 ID1 = PresentedMap.identity(free(1))
@@ -240,6 +249,7 @@ REFUSALS = {
                                          PresentedMap.identity(cyclic(2))), InvalidInputError),
     "second-square": (lambda: SesMorphism(*Z2_ROW, *Z2_ROW, ID1, ID1, PresentedMap.zero(cyclic(2), cyclic(2))),
                       InvalidInputError),
+    "vertical-from-another-module": (_left_vertical_on_a_free_source, InvalidInputError),
     "grid-row-not-exact": (lambda: ThreeByThree(rows=((Z2_ROW[0], NOT_ONTO),) * 3, cols=()), InvalidInputError),
     "grid-square": (lambda: _square_grid(-1), InvalidInputError),
 }
