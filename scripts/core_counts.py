@@ -37,9 +37,8 @@ the script prints:
 * ``cone_layouts``: direct-sum layouts built with the summands (X, 1),
   (Y, 0) of a mapping cone, one per cone complex constructed;
 * ``solves``: calls of ``matrices.solve``, wherever it is called from;
-* ``checked_sequences``: sequences of complexes built, ``ComplexSes``
-  and ``AdmissibleSes`` alike, each counted once (every construction
-  runs ``ComplexSes._fill`` once, whichever class proves exactness);
+* ``checked_sequences``: calls of ``ComplexSes._fill``, one per
+  sequence of complexes whose composite and witnesses pass their checks;
 * ``fgmodule_makes``: calls of ``FgModule.make``, each a divisor list
   re-normalized into a chain;
 * ``cpu_s``: the process CPU time of the core, counters included;

@@ -71,7 +71,6 @@ from .complexes import (
     zero_complex,
 )
 from .koszul import (
-    AdmissibleSes,
     PresentedKoszul,
     cellular_factorization,
     e_functor,

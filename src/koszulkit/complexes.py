@@ -25,14 +25,18 @@ holds trivially.  ``compose`` likewise multiplies only where both maps
 have a component, and sums and differences take a block without a
 partner as it is (negated when it is subtracted).
 
-Homology and exactness.  Questions that only read invariants never
-build a kernel basis or solve a system: ``homology`` is read off the
-(memoized) elementary divisors of d_n and d_{n+1}, so a homology table
-diagonalizes each differential once, and the injectivity and exactness
-tests behind ``ComplexSes`` count divisors the same way.  This relies
-on the d.d == 0 invariant that every ``ChainComplex`` carries.  Kernel
-bases and solving remain where a construction needs actual maps:
+Homology.  ``homology`` never builds a kernel basis or solves a
+system: it is read off the (memoized) elementary divisors of d_n and
+d_{n+1}, so a homology table diagonalizes each differential once.  This
+relies on the d.d == 0 invariant that every ``ChainComplex`` carries.
+Kernel bases and solving remain where a construction needs actual maps:
 truncations, splittings, lifts and the kernel/image sequences.
+
+Short exact sequences.  Over a PID a short exact sequence of free
+modules splits, because its quotient is free, so ``ComplexSes`` proves
+exactness by its degreewise splitting and no elimination (see its
+docstring).  ``_is_short_exact`` runs the same proof on one pair of
+matrices, for the truncation triple and the kernel/image sequences.
 
 Subcomplexes and restriction.  Truncations, kernel and image
 subcomplexes, the kernel/image sequences and the maps they induce share
@@ -47,19 +51,17 @@ leaves the target span raises ``NotAComplexError``, the one error of
 the helpers (a boundary into a degree with no basis is zero in the
 subcomplex, so the inclusion's chain-map check catches it instead).
 
-Split monomorphisms and quotients.  Split monos, split epis and the
-admissible sequences of ``koszul`` share one private step,
-``_splitting``.  It takes the components of a map at every degree where
-the split side (the source of a mono, the target of an epi) is nonzero,
-with the caller's witnesses or None.  When None, it solves them: a
-section s_n with m_n . s_n == id, and a retraction as a transposed
-section.  It checks every witness it returns, given or solved, since
-anything built from solved data keeps its check; a given dict without
-one of those degrees fails.  Its errors are ``InvalidInputError``s:
-"monomorphism/epimorphism is not degreewise split" when a solve finds
-none, "stored retraction/section fails" when a check fails.
-``split_retractions`` returns None where the step raises.
-``ComplexSes`` is immutable, and so is its subclass ``AdmissibleSes``.
+Split monomorphisms and quotients.  Split monos, split epis and
+``ComplexSes`` share one private step, ``_splitting``.  It takes the
+components of a map at every degree where the split side (the source of
+a mono, the target of an epi) is nonzero, with the caller's witnesses or
+None.  When None, it solves them: a section s_n with m_n . s_n == id,
+and a retraction as a transposed section.  It checks every witness it
+returns, given or solved, since anything built from solved data keeps
+its check; a given dict without one of those degrees fails.  Its errors
+are ``InvalidInputError``s: "monomorphism/epimorphism is not degreewise
+split" when a solve finds none, "stored retraction/section fails" when a
+check fails.  ``split_retractions`` returns None where the step raises.
 
 Homotopy solving.  ``homotopy_between``, ``nullhomotopy`` and
 ``chain_retraction`` each ask for one matrix X_n per degree subject to
@@ -104,7 +106,7 @@ from .errors import (
     InvalidInputError,
     NotAComplexError,
 )
-from .fgmodules import FgModule, _from_chain, cokernel
+from .fgmodules import FgModule, _from_chain
 from .matrices import (
     Matrix,
     _kron,
@@ -112,7 +114,6 @@ from .matrices import (
     block,
     elementary_divisors,
     image_basis,
-    is_exact_at,
     is_unimodular,
     kernel_basis,
     solve,
@@ -187,6 +188,9 @@ class _Checked:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+        # Bound once: ``_fill`` runs for every value built, and the slot
+        # setters skip the lookups of ``object.__setattr__``.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     @classmethod
     def _trusted(cls, *args):
@@ -195,8 +199,8 @@ class _Checked:
         return out
 
     def _fill(self, *values):
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, values, strict=True):
+            set_field(self, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -243,9 +247,7 @@ class ChainComplex(_Checked):
         clean_ranks = {n: r for n, r in sorted(ranks.items()) if r}
         clean_diffs = _nonzero_blocks(
             ring, diffs, lambda n: (clean_ranks.get(n - 1, 0), clean_ranks.get(n, 0)), "differential")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "ranks", clean_ranks)
-        object.__setattr__(self, "diffs", clean_diffs)
+        _Checked._fill(self, ring, clean_ranks, clean_diffs)
 
     @property
     def support(self) -> tuple:
@@ -298,9 +300,7 @@ class ChainMap(_Checked):
         if source.ring != target.ring:
             raise InvalidInputError("chain map across different rings")
         clean = _nonzero_blocks(source.ring, components, lambda n: (target.rank(n), source.rank(n)), "component")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", clean)
+        _Checked._fill(self, source, target, clean)
 
     def at(self, n: int) -> Matrix:
         got = self.components.get(n)
@@ -376,9 +376,7 @@ class Homotopy(_Checked):
         lhs._parallel(rhs)
         X, Y = lhs.source, lhs.target
         clean = _nonzero_blocks(X.ring, components, lambda n: (Y.rank(n + 1), X.rank(n)), "homotopy component")
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "components", clean)
+        _Checked._fill(self, lhs, rhs, clean)
 
     def at(self, n: int) -> Matrix:
         got = self.components.get(n)
@@ -626,7 +624,7 @@ class TruncationTriple(NamedTuple):
 
     def degreewise_exact(self) -> bool:
         degrees = set(self.incl.target.ranks) | set(self.upper.ranks) | set(self.lower.ranks)
-        return not any(_ses_failure(self.incl.at(m), self.proj.at(m)) for m in degrees)
+        return all(_is_short_exact(self.incl.at(m), self.proj.at(m)) for m in degrees)
 
 
 def truncation_triple(complex_: ChainComplex, n: int) -> TruncationTriple:
@@ -810,28 +808,38 @@ def _vanishing_degree(mapping_cone: ChainComplex):
 
 
 class ComplexSes(_Checked):
-    """Degreewise short exact sequence of bounded free complexes; immutable.
+    """Short exact sequence of bounded free complexes with its degreewise
+    splitting; immutable.
 
-    With no witnesses to check, exactness is proved by elimination at
-    every degree: the inclusion is injective, the projection surjective
-    and the image equals the kernel, all read off elementary divisors.
-    The subclass ``AdmissibleSes`` proves it by its witnesses instead.
+    Over a PID every such sequence splits in each degree, since the
+    quotient C_n is free.  The witnesses (retractions r_n . m_n == id and
+    sections e_n . s_n == id) are stored; the given ones are checked, the
+    absent ones solved and checked.  They prove exactness without an
+    elimination: given both, the sequence is exact at n exactly when
+    e_n . m_n == 0 and rank B_n == rank A_n + rank C_n, since the image
+    of m_n is a direct summand of rank A_n inside the kernel of e_n,
+    itself a direct summand of rank B_n - C_n, so the two are equal
+    exactly when the ranks agree.  The composite is checked first
+    (``NotAComplexError``), then the witnesses, then the ranks
+    (``InvalidInputError``).
     """
 
-    __slots__ = ("mono", "epi")
+    __slots__ = ("mono", "epi", "retractions", "sections")
 
-    def __init__(self, mono: ChainMap, epi: ChainMap):
-        self._fill(mono, epi)
-        for n in set(mono.source.ranks) | set(mono.target.ranks) | set(epi.target.ranks):
-            failure = _ses_failure(mono.at(n), epi.at(n))
-            if failure:
-                raise InvalidInputError(f"{failure} at degree {n}")
-
-    def _fill(self, mono: ChainMap, epi: ChainMap):
+    def __init__(self, mono: ChainMap, epi: ChainMap,
+                 retractions: Optional[dict] = None, sections: Optional[dict] = None):
         if mono.target != epi.source:
             raise InvalidInputError("maps are not consecutive")
-        object.__setattr__(self, "mono", mono)
-        object.__setattr__(self, "epi", epi)
+        for n, m in mono.components.items():
+            e = epi.components.get(n)
+            if e is not None and not (e * m).is_zero():
+                raise NotAComplexError(f"composite of the two maps is nonzero at degree {n}")
+        self._fill(mono, epi, _splitting(_mono_components(mono), retractions, True),
+                   _splitting({n: epi.at(n) for n in epi.target.ranks}, sections, False))
+        left, middle, right = self.left, self.middle, self.right
+        for n in set(left.ranks) | set(middle.ranks) | set(right.ranks):
+            if left.rank(n) + right.rank(n) != middle.rank(n):
+                raise InvalidInputError(f"sequence is not exact at degree {n}")
 
     @property
     def left(self) -> ChainComplex:
@@ -846,18 +854,18 @@ class ComplexSes(_Checked):
         return self.epi.target
 
 
-def _ses_failure(first: Matrix, second: Matrix) -> Optional[str]:
-    """How 0 -> . -first-> . -second-> . -> 0 first fails to be exact, or None.
-
-    Requires second * first == 0 (``is_exact_at`` raises otherwise).
-    """
-    if len(elementary_divisors(first)) < first.cols:
-        return "inclusion is not injective"
-    if not cokernel(second).is_zero():
-        return "projection is not surjective"
-    if not is_exact_at(first, second):
-        return "sequence is not exact"
-    return None
+def _is_short_exact(first: Matrix, second: Matrix) -> bool:
+    """Whether 0 -> . -first-> . -second-> . -> 0 is exact, by the proof
+    of ``ComplexSes``: a zero composite, a retraction of ``first`` and a
+    section of ``second``, and the rank count."""
+    if first.cols + second.rows != first.rows or not (second * first).is_zero():
+        return False
+    try:
+        _splitting({0: first}, None, True)
+        _splitting({0: second}, None, False)
+    except InvalidInputError:
+        return False
+    return True
 
 
 def kernel_image_sequences(ses: ComplexSes, n: int) -> tuple[bool, bool]:
@@ -873,11 +881,11 @@ def kernel_image_sequences(ses: ComplexSes, n: int) -> tuple[bool, bool]:
 
     kx, ky, kz = kernel_basis(X.d(n)), kernel_basis(Y.d(n)), kernel_basis(Z.d(n))
     into, onto = _restrict(ses.mono.at(n), kx, ky), _restrict(ses.epi.at(n), ky, kz)
-    kernels_exact = (onto * into).is_zero() and not _ses_failure(into, onto)
+    kernels_exact = _is_short_exact(into, onto)
 
     bx, by, bz = image_basis(X.d(n)), image_basis(Y.d(n)), image_basis(Z.d(n))
     into_im, onto_im = _restrict(ses.mono.at(n - 1), bx, by), _restrict(ses.epi.at(n - 1), by, bz)
-    images_exact = (onto_im * into_im).is_zero() and not _ses_failure(into_im, onto_im)
+    images_exact = _is_short_exact(into_im, onto_im)
     return kernels_exact, images_exact
 
 

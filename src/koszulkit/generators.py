@@ -34,6 +34,7 @@ from typing import NamedTuple, Optional
 from .complexes import (
     ChainComplex,
     ChainMap,
+    ComplexSes,
     _Checked,
     _Layout,
     _negated,
@@ -45,7 +46,7 @@ from .complexes import (
 )
 from .errors import InvalidInputError
 from .fgmodules import FgModule
-from .koszul import AdmissibleSes, PresentedKoszul
+from .koszul import PresentedKoszul
 from .matrices import Matrix, _selection, block, block_diag, hstack, inverse, vstack
 from .presented import PresentedMap, PresentedModule, SesMorphism, ThreeByThree, direct_sum_modules
 from .rings import Ring, ZZ
@@ -374,7 +375,7 @@ def _extension(left: ChainComplex, right: ChainComplex, twist: dict) -> _Layout:
 
 
 class SesSample(NamedTuple):
-    sequence: AdmissibleSes
+    sequence: ComplexSes
     left: ChainComplex
     right: ChainComplex
 
@@ -411,7 +412,7 @@ def gen_admissible_ses(params: GenParams, trial: int,
         retractions[n] = _times_inverse(
             hstack([Matrix.identity(ring, left.rank(n)), -s if n in shear.components else s]), moves[n])
         sections[n] = _times(moves[n], vstack([s, Matrix.identity(ring, right.rank(n))]))
-    seq = AdmissibleSes(ChainMap(left, twisted, mono), ChainMap(twisted, right, epi), retractions, sections)
+    seq = ComplexSes(ChainMap(left, twisted, mono), ChainMap(twisted, right, epi), retractions, sections)
     return SesSample(seq, left, right)
 
 
@@ -445,7 +446,7 @@ def gen_ses_of_complexes(params: GenParams, trial: int, acyclic_side: str = "lef
     mono = ChainMap(left, twisted, {n: _times(moves[n], layout.inclusion(0, n)) for n in left.ranks})
     epi = ChainMap(twisted, right, {
         n: _times_inverse(layout.inclusion(1, n).transpose(), moves[n]) for n in right.ranks})
-    return SesSample(AdmissibleSes(mono, epi), left, right)
+    return SesSample(ComplexSes(mono, epi), left, right)
 
 
 class QuasiIsoPair(NamedTuple):

@@ -21,11 +21,10 @@ from __future__ import annotations
 from functools import reduce
 from typing import NamedTuple
 
-from .complexes import ChainComplex
+from .complexes import ChainComplex, ComplexSes
 from .errors import InvalidInputError
 from .fgmodules import FgModule
 from .koszul import (
-    AdmissibleSes,
     PresentedKoszul,
     PresentedSes,
     h0,
@@ -124,7 +123,7 @@ def class_presented(x: PresentedKoszul) -> K0KosClass:
                       class_torsion(x.h0().canonical_form()))
 
 
-def additivity_check(seq: AdmissibleSes | PresentedSes, classify) -> bool:
+def additivity_check(seq: ComplexSes | PresentedSes, classify) -> bool:
     """classify(middle) == classify(left) + classify(right), for a class
     function of the terms of ``seq`` (``class_presented`` for a presented one)."""
     return classify(seq.middle) == classify(seq.left) + classify(seq.right)

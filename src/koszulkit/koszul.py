@@ -10,6 +10,10 @@ The two central algorithms are the two-sided truncation retraction
 (``kappa``) and the cellular factorization of a morphism into
 degreewise split monomorphisms with spherical subquotients followed by
 a quasi-isomorphism.
+
+Short exact sequences of free complexes are ``complexes.ComplexSes``,
+proved exact by their degreewise splitting; the checks here (H0
+additivity, truncation of a spherical sequence) take them as they are.
 """
 
 from __future__ import annotations
@@ -41,13 +45,12 @@ from .complexes import (
     _restrict,
     _retraction_onto_upper,
     _split_quotient,
-    _splitting,
     _subcomplex,
     _tau_ge,
     _tau_le,
     _vanishing_degree,
 )
-from .errors import InvalidInputError, NotAComplexError
+from .errors import InvalidInputError
 from .fgmodules import FgModule
 from .matrices import Matrix, _selection, elementary_divisors, hstack, image_basis, vstack
 from .presented import PresentedModule, PresentedMap, is_short_exact
@@ -339,41 +342,10 @@ def cellular_factorization(f: ChainMap) -> CellularFactorization:
 
 
 # ---------------------------------------------------------------------------
-# Admissible short exact sequences of free complexes.
+# Short exact sequences of free complexes.
 
 
-class AdmissibleSes(ComplexSes):
-    """Degreewise split short exact sequence with stored witnesses; the
-    given ones are checked, the absent ones solved (and checked).
-
-    The witnesses prove exactness, so no elimination runs.  Given
-    r_n . m_n == id and e_n . s_n == id, the sequence is exact at n
-    exactly when e_n . m_n == 0 and rank B_n == rank A_n + rank C_n:
-    the image of m_n is a direct summand of rank A_n inside the kernel
-    of e_n, itself a direct summand of rank B_n - C_n, so the two are
-    equal exactly when the ranks agree.  The composite is checked first
-    (``NotAComplexError``), then the witnesses, then the ranks
-    (``InvalidInputError``).
-    """
-
-    __slots__ = ("retractions", "sections")
-
-    def __init__(self, mono: ChainMap, epi: ChainMap,
-                 retractions: Optional[dict] = None, sections: Optional[dict] = None):
-        self._fill(mono, epi)
-        for n, m in mono.components.items():
-            e = epi.components.get(n)
-            if e is not None and not (e * m).is_zero():
-                raise NotAComplexError(f"composite of the two maps is nonzero at degree {n}")
-        object.__setattr__(self, "retractions", _splitting(_mono_components(mono), retractions, True))
-        object.__setattr__(self, "sections", _splitting({n: epi.at(n) for n in epi.target.ranks}, sections, False))
-        left, middle, right = self.left, self.middle, self.right
-        for n in set(left.ranks) | set(middle.ranks) | set(right.ranks):
-            if left.rank(n) + right.rank(n) != middle.rank(n):
-                raise InvalidInputError(f"sequence is not exact at degree {n}")
-
-
-def h0_additive(seq: AdmissibleSes) -> bool:
+def h0_additive(seq: ComplexSes) -> bool:
     """Exactness of 0 -> H0(left) -> H0(middle) -> H0(right) -> 0."""
     left = h0_presentation(seq.left)
     mid = h0_presentation(seq.middle)
@@ -383,19 +355,19 @@ def h0_additive(seq: AdmissibleSes) -> bool:
     return is_short_exact(into, onto)
 
 
-def tau_maps_spherical_check(seq: AdmissibleSes, k: int, spherical: int) -> bool:
+def tau_maps_spherical_check(seq: ComplexSes, k: int, spherical: int) -> bool:
     """Truncating a split sequence of spherical complexes keeps it split
     and spherical.
 
     Applies both truncations at k to the sequence's maps, rebuilds the
-    admissible sequence (which re-solves degreewise splittings), and
+    sequence (which re-solves degreewise splittings), and
     re-tests sphericity of all six truncated complexes.
     """
     for mapper in (tau_ge_map, tau_le_map):
         mono_t = mapper(seq.mono, k)
         epi_t = mapper(seq.epi, k)
         try:
-            truncated = AdmissibleSes(mono_t, epi_t)
+            truncated = ComplexSes(mono_t, epi_t)
         except InvalidInputError:
             return False
         for part in (truncated.left, truncated.middle, truncated.right):

@@ -115,6 +115,10 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        # copy and pickle would restore the slots by assignment, which is refused
+        return Matrix._from_work, (self.ring, self.rows, self.cols, self._work)
+
     @classmethod
     def _raw(cls, ring: Ring, rows: int, cols: int, entries) -> "Matrix":
         """A matrix of public ring elements, taken without validation."""
@@ -374,11 +378,12 @@ class SnfCertificate(NamedTuple):
         return len(self.divisors)
 
     def verify(self, source: Matrix) -> bool:
-        """Whether this certifies ``source``; False for a source of
-        another ring or shape.
+        """Whether this certifies ``source``; False when ``source``, U
+        or V is of another ring or shape than D requires.
 
-        U*A*V == D is checked first and exactly; it forces U to be m x m
-        and V to be n x n, so det U * det A * det V == det D.  When A is
+        For an m x n A, U must be m x m and V n x n over the ring of A;
+        then U*A*V == D is checked exactly, so
+        det U * det A * det V == det D.  When A is
         square and D has full rank, det D != 0 and so det A != 0; then U
         and V are both unimodular exactly when det D / det A is a unit,
         i.e. det D and det A are associates.  One determinant of the
@@ -386,8 +391,9 @@ class SnfCertificate(NamedTuple):
         divisors.  For a non-square A or a singular D, det U and det V
         are taken.
         """
-        ring = source.ring
-        if ring != self.D.ring or (source.rows, source.cols) != (self.D.rows, self.D.cols):
+        ring, m, n = source.ring, source.rows, source.cols
+        shapes = [(x.ring, x.rows, x.cols) for x in (self.U, self.D, self.V)]
+        if shapes != [(ring, m, m), (ring, m, n), (ring, n, n)]:
             return False
         if self.U * source * self.V != self.D:
             return False

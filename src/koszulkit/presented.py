@@ -90,9 +90,7 @@ class PresentedMap(_Checked):
             raise DimensionError("map matrix has wrong shape")
         if source.ring != target.ring or matrix.ring != source.ring:
             raise InvalidInputError("map across different rings")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
+        _Checked._fill(self, source, target, matrix)
 
     @classmethod
     def identity(cls, module: PresentedModule) -> "PresentedMap":

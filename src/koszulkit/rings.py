@@ -378,6 +378,10 @@ class IntegerRing(Ring):
     zero = 0
     one = 1
 
+    def __reduce__(self):
+        # a public ring is one instance per token, so a copy or an unpickled ring is that instance
+        return ring_from_token, (self.token,)
+
     def validate(self, a):
         if type(a) is not int:
             raise DomainMismatchError(f"not an integer element: {a!r}")
@@ -498,6 +502,8 @@ class PrimeFieldPolynomialRing(Ring):
     included, is that of the packed work ring ``work``: each operation
     converts its operands and its result once.
     """
+
+    __reduce__ = IntegerRing.__reduce__
 
     def __init__(self, p: int):
         if not is_prime(p):

@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional
 from .complexes import (
     ChainComplex,
     ChainMap,
+    ComplexSes,
     direct_sum,
     is_acyclic,
     two_term,
@@ -27,7 +28,7 @@ from .complexes import (
     _sum_layout,
 )
 from .errors import InvalidInputError
-from .koszul import AdmissibleSes, in_kos1
+from .koszul import in_kos1
 from .matrices import (
     Matrix,
     _selection,
@@ -104,7 +105,7 @@ def image_factorization(f: ChainMap) -> ImageFactorization:
 # Extension closure of acyclicity.
 
 
-def extension_closure_check(seq: AdmissibleSes) -> bool:
+def extension_closure_check(seq: ComplexSes) -> bool:
     """Agreement of (ends acyclic) with (middle acyclic) on a sequence.
 
     Returns True when the two verdicts coincide; a False on validly

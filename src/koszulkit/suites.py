@@ -18,6 +18,7 @@ from typing import NamedTuple
 from . import jsonio
 from .complexes import (
     ChainMap,
+    ComplexSes,
     is_acyclic,
     kernel_image_sequences,
     quasi_iso_degree,
@@ -43,7 +44,6 @@ from .generators import (
 )
 from .k0 import additivity_check, class_kos_isom, class_kos_qis, class_presented, class_torsion
 from .koszul import (
-    AdmissibleSes,
     cellular_factorization,
     e_functor,
     h0_additive,
@@ -247,7 +247,7 @@ def excision_trial(params: GenParams, trial: int):
     mono = sample.sequence.mono
     cert = excision_epi(mono, sample.sequence.retractions)
     _require(cert.verifies(), "excision certificate failed", mono)
-    closure = AdmissibleSes(cert.kernel_inclusion, cert.q)
+    closure = ComplexSes(cert.kernel_inclusion, cert.q)
     _require(extension_closure_check(closure),
              "kernel sequence violates extension closure", mono)
 

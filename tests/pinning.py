@@ -9,9 +9,9 @@ import hashlib
 import json
 
 from koszulkit import jsonio
-from koszulkit.complexes import ChainComplex, ChainMap, Homotopy
+from koszulkit.complexes import ChainComplex, ChainMap, ComplexSes, Homotopy
 from koszulkit.fgmodules import FgModule
-from koszulkit.koszul import AdmissibleSes, PresentedKoszul
+from koszulkit.koszul import PresentedKoszul
 from koszulkit.matrices import Matrix
 from koszulkit.presented import PresentedMap
 
@@ -24,7 +24,7 @@ def plain(value):
         return [plain(value.source), plain(value.target), plain(value.components)]
     if isinstance(value, Homotopy):
         return [plain(value.lhs), plain(value.rhs), plain(value.components)]
-    if isinstance(value, AdmissibleSes):
+    if isinstance(value, ComplexSes):
         return [plain(value.mono), plain(value.epi), plain(value.retractions), plain(value.sections)]
     if hasattr(value, "_fields"):  # a NamedTuple or a checked value, before the tuple branch
         return {name: plain(getattr(value, name)) for name in value._fields}

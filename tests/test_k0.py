@@ -1,6 +1,6 @@
 import pytest
 
-from koszulkit.complexes import direct_sum, two_term
+from koszulkit.complexes import ComplexSes, direct_sum, two_term
 from koszulkit.errors import InvalidInputError
 from koszulkit.fgmodules import FgModule
 from koszulkit.generators import GenParams, gen_admissible_ses, gen_module_ses, gen_quasi_iso_pair
@@ -14,7 +14,7 @@ from koszulkit.k0 import (
     class_presented,
     class_torsion,
 )
-from koszulkit.koszul import AdmissibleSes, PresentedKoszul, e_functor
+from koszulkit.koszul import PresentedKoszul, e_functor
 from koszulkit.matrices import Matrix
 from koszulkit.presented import is_short_exact
 from koszulkit.rings import ZZ, IntegerRing, PrimeFieldPolynomialRing, fpx
@@ -66,7 +66,7 @@ def test_class_acyclic():
 
 def test_additivity_on_split_sequences():
     total = direct_sum(Z6, two_term(Matrix(ZZ, [[2]])))
-    seq = AdmissibleSes(total.inclusions[0], total.projections[1])
+    seq = ComplexSes(total.inclusions[0], total.projections[1])
     assert additivity_check(seq, class_kos_isom)
     assert additivity_check(seq, class_kos_qis)
 
@@ -112,7 +112,7 @@ def test_classes_add_and_compare_without_factoring(monkeypatch):
     monkeypatch.setattr(PrimeFieldPolynomialRing, "factor", refuse)
     hard = (10**24 + 7) ** 3 * (2**61 - 1) ** 5 * 12  # rho would need about 2^30 steps
     total = direct_sum(two_term(Matrix(ZZ, [[hard]])), Z6)
-    seq = AdmissibleSes(total.inclusions[0], total.projections[1])
+    seq = ComplexSes(total.inclusions[0], total.projections[1])
     assert class_torsion(FgModule.make(ZZ, 0, [hard, 6])) == class_kos_qis(total.complex)
     assert additivity_check(seq, class_kos_isom)
     for ring in (ZZ, fpx(2)):

@@ -520,7 +520,7 @@ def test_verify_refuses_a_foreign_source():
 
 
 @pytest.mark.parametrize("case", ["product", "off-diagonal", "divisors", "dropped-divisor",
-                                  "non-canonical", "chain"])
+                                  "non-canonical", "chain", "U-shape", "V-ring"])
 def test_verify_rejects_a_forged_certificate(case):
     a = Matrix(ZZ, [[2, 4], [6, 8]])
     cert = snf(a)
@@ -533,6 +533,8 @@ def test_verify_rejects_a_forged_certificate(case):
         "dropped-divisor": (a, cert._replace(divisors=cert.divisors[:1])),
         "non-canonical": (diag(-2, 4), cert._replace(U=eye, V=eye, D=diag(-2, 4), divisors=(-2, 4))),
         "chain": (diag(2, 3), cert._replace(U=eye, V=eye, D=diag(2, 3), divisors=(2, 3))),
+        "U-shape": (a, cert._replace(U=Matrix.identity(ZZ, 3))),
+        "V-ring": (a, cert._replace(V=Matrix.identity(fpx(3), 2))),
     }[case]
     assert cert.verify(a) and not forged.verify(source)
 

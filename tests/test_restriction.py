@@ -236,8 +236,6 @@ def test_excision_epi_checks_given_retractions_first(call_log, case):
 
 def test_checked_sequences_are_immutable():
     seq = gen_admissible_mono(GenParams(ZZ, seed=0), 1).sequence
-    plain = ComplexSes(seq.mono, seq.epi)
-    for checked, names in ((plain, ("mono", "epi")), (seq, ("mono", "epi", "retractions", "sections"))):
-        for name in names:
-            with pytest.raises(AttributeError):
-                setattr(checked, name, getattr(checked, name))
+    for name in ("mono", "epi", "retractions", "sections"):
+        with pytest.raises(AttributeError):
+            setattr(seq, name, getattr(seq, name))

@@ -2,6 +2,7 @@ import pytest
 
 from koszulkit.complexes import (
     ChainMap,
+    ComplexSes,
     direct_sum,
     homology,
     is_acyclic,
@@ -20,7 +21,7 @@ from koszulkit.generators import (
     rand_unimodular,
     trial_rng,
 )
-from koszulkit.koszul import AdmissibleSes, in_kos1
+from koszulkit.koszul import in_kos1
 from koszulkit.matrices import Matrix
 from koszulkit.rings import ZZ
 from koszulkit.sfiltering import (
@@ -80,11 +81,11 @@ def test_image_factorization_random():
 
 def test_extension_closure_examples():
     both = direct_sum(UNIT, two_term(Matrix(ZZ, [[-1]])))
-    seq = AdmissibleSes(both.inclusions[0], both.projections[1])
+    seq = ComplexSes(both.inclusions[0], both.projections[1])
     assert is_acyclic(seq.middle)
     assert extension_closure_check(seq)
     mixed = direct_sum(UNIT, Z2)
-    seq = AdmissibleSes(mixed.inclusions[0], mixed.projections[1])
+    seq = ComplexSes(mixed.inclusions[0], mixed.projections[1])
     assert not is_acyclic(seq.middle)
     assert extension_closure_check(seq)
 
@@ -151,7 +152,7 @@ def test_excision_pipeline_example():
     # the kernel is Koszul but NOT acyclic here: it carries H0 of the ambient complex
     assert in_kos1(cert.kernel)
     assert module_iso(homology(cert.kernel, 0), homology(target, 0))
-    closure = AdmissibleSes(cert.kernel_inclusion, cert.q)
+    closure = ComplexSes(cert.kernel_inclusion, cert.q)
     assert extension_closure_check(closure)
 
 
@@ -171,7 +172,7 @@ def test_excision_random():
         sample = gen_admissible_mono(PARAMS, trial)
         cert = excision_epi(sample.sequence.mono, sample.sequence.retractions)
         assert cert.verifies()
-        closure = AdmissibleSes(cert.kernel_inclusion, cert.q)
+        closure = ComplexSes(cert.kernel_inclusion, cert.q)
         assert extension_closure_check(closure)
         # kernel acyclicity tracks ambient acyclicity exactly
         assert is_acyclic(cert.kernel) == is_acyclic(sample.sequence.middle)
