@@ -37,7 +37,7 @@ the script prints:
 * ``cone_layouts``: direct-sum layouts built with the summands (X, 1),
   (Y, 0) of a mapping cone, one per cone complex constructed;
 * ``solves``: calls of ``matrices.solve``, wherever it is called from;
-* ``checked_sequences``: calls of ``ComplexSes._fill``, one per
+* ``checked_sequences``: calls of ``ComplexSes._store``, one per
   sequence of complexes whose composite and witnesses pass their checks;
 * ``fgmodule_makes``: calls of ``FgModule.make``, each a divisor list
   re-normalized into a chain;
@@ -89,7 +89,7 @@ COUNTERS = (
     (complexes.ChainMap, "__init__", "checked_chain_maps", None),
     (complexes._Layout, "__init__", "cone_layouts", lambda self, parts, *rest: [s for _, s in parts] == [1, 0]),
     (matrices, "solve", "solves", None),
-    (complexes.ComplexSes, "_fill", "checked_sequences", None),
+    (complexes.ComplexSes, "_store", "checked_sequences", None),
     (FgModule, "make", "fgmodule_makes", None),
 )
 

@@ -46,6 +46,9 @@ LEDGER = {
     ("sfiltering.py", "idempotent_split",
      'raise AssertionError("idempotent images do not recombine to the input")'):
         "invariant: X is the direct sum of the images of e and 1 - e",
+    ("complexes.py", "_retraction_onto_upper",
+     'raise InvalidInputError("epimorphism is not degreewise split")'):
+        "invariant: the corestriction onto an image basis maps onto a free module, so it has a section",
     ("rings.py", "_perfect_power", "return None"):
         "no valid input of modest size: the loop ends only for n >= 1000**997 = 10**2991",
 }

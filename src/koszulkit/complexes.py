@@ -14,6 +14,10 @@ fast.  Only shifts, cones, cylinders, direct sums, identities, sums and
 composites use the private ``_trusted`` path, which skips the law: it
 follows from their verified inputs by block algebra.  Anything built
 from solved or eliminated data keeps the full check as its certificate.
+Both paths store the fields in one step, ``_Checked._store``, which
+keeps every degree table (ranks, differentials, components, witnesses)
+as a read-only ``_Table``, so no item assignment or dict update can
+undo a check.
 
 Law checks multiply only blocks that exist.  Differentials and
 components are stored only where they are nonzero, so an absent block
@@ -52,16 +56,18 @@ the helpers (a boundary into a degree with no basis is zero in the
 subcomplex, so the inclusion's chain-map check catches it instead).
 
 Split monomorphisms and quotients.  Split monos, split epis and
-``ComplexSes`` share one private step, ``_splitting``.  It takes the
-components of a map at every degree where the split side (the source of
-a mono, the target of an epi) is nonzero, with the caller's witnesses or
-None.  When None, it solves them: a section s_n with m_n . s_n == id,
-and a retraction as a transposed section.  It checks every witness it
-returns, given or solved, since anything built from solved data keeps
-its check; a given dict without one of those degrees fails.  Its errors
-are ``InvalidInputError``s: "monomorphism/epimorphism is not degreewise
-split" when a solve finds none, "stored retraction/section fails" when a
-check fails.  ``split_retractions`` returns None where the step raises.
+``ComplexSes`` share one private step, ``_splitting``.  It takes a map
+and the caller's witnesses or None, and returns a new dict of witnesses
+at exactly the degrees where the split side (the source of a mono, the
+target of an epi) is nonzero.  When None, it solves them: a section s_n
+with m_n . s_n == id, and a retraction as a transposed section.  It
+checks every witness it returns, given or solved, since anything built
+from solved data keeps its check.  Its errors are ``InvalidInputError``s:
+"monomorphism/epimorphism is not degreewise split" when a solve finds
+none, "stored retraction/section fails" when a check fails or a given
+dict lacks one of those degrees, and "... where the split side is zero"
+when a given witness at another degree is not the empty block there.
+``split_retractions`` returns None where the step raises.
 
 Homotopy solving.  ``homotopy_between``, ``nullhomotopy`` and
 ``chain_retraction`` each ask for one matrix X_n per degree subject to
@@ -121,26 +127,27 @@ from .matrices import (
 from .rings import Ring
 
 
-def _integer(value, what: str) -> int:
-    """``value`` if it is an ``int`` and not a ``bool``, else refuse it."""
+def _integer(value, what: str):
+    """Refuse ``value`` unless it is an ``int`` and not a ``bool``."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidInputError(f"{what} {value!r} is not an integer")
-    return value
 
 
-def _nonzero_blocks(ring: Ring, blocks: Mapping[int, Matrix], shape, what: str) -> dict:
-    """Check each block's degree, ring and shape ``shape(n)``; keep the nonzero ones by degree."""
-    clean = {}
+def _nonzero_blocks(ring: Ring, blocks: Mapping[int, Matrix], shape, what: str) -> _Table:
+    """Check each block's degree, ring and shape ``shape(n)``; the table of the nonzero ones."""
+    clean = []
     for n, mat in blocks.items():
-        _integer(n, f"{what} degree")
+        if type(n) is not int:  # formats no message for a plain int
+            _integer(n, f"{what} degree")
         rows, cols = shape(n)
         if mat.ring != ring:
             raise InvalidInputError(f"{what} over the wrong ring")
         if mat.rows != rows or mat.cols != cols:
             raise DimensionError(f"{what} at degree {n} has shape {mat.rows}x{mat.cols}, expected {rows}x{cols}")
         if rows and cols and not mat.is_zero():
-            clean[n] = mat
-    return dict(sorted(clean.items()))
+            clean.append((n, mat))
+    clean.sort()  # by degree: the degrees differ, so no two blocks are compared
+    return _Table(clean)
 
 
 def _product(a: Optional[Matrix], b: Optional[Matrix]) -> Optional[Matrix]:
@@ -170,16 +177,37 @@ def _sum(blocks) -> Optional[Matrix]:
     return total
 
 
+class _Table(dict):
+    """A checked value's read-only table of degrees, in increasing degree:
+    it reads as a dict, refuses item assignment, ``del``, ``|=`` and the
+    methods ``update``, ``clear``, ``pop``, ``popitem`` and ``setdefault``
+    with ``TypeError``, and hashes by its sorted items."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a checked value's table is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.items())))
+
+    def __reduce__(self):
+        # copy and pickle would refill an empty table item by item, which is refused
+        return _Table, (list(self.items()),)
+
+
 class _Checked:
-    """Immutable value that checks itself: ``__init__`` runs ``_fill``
-    (shapes, rings, normalization) and then the law, ``_trusted`` runs
-    ``_fill`` only.
+    """Immutable value that checks itself: ``__init__`` and ``_trusted``
+    both set the fields with ``_store``, which runs the class's
+    ``_normalize`` (shapes, rings, normalization) and stores each dict it
+    returns as a read-only ``_Table``; ``__init__`` then checks the law.
 
     The fields are the ``__slots__`` of the class and its bases, in
-    declaration order.  From them every subclass gets a ``_fill`` that
-    stores its arguments, equality and hashing by value, a
-    ``Name(field=value, ...)`` repr, and ``_replace``, which builds a
-    checked copy with some fields changed.
+    declaration order.  From them every subclass gets equality and
+    hashing by value, a ``Name(field=value, ...)`` repr, and
+    ``_replace``, which builds a checked copy with some fields changed.
     """
 
     __slots__ = ()
@@ -188,19 +216,22 @@ class _Checked:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
-        # Bound once: ``_fill`` runs for every value built, and the slot
+        # Bound once: ``_store`` runs for every value built, and the slot
         # setters skip the lookups of ``object.__setattr__``.
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     @classmethod
     def _trusted(cls, *args):
         out = object.__new__(cls)
-        out._fill(*args)
+        out._store(*args)
         return out
 
-    def _fill(self, *values):
-        for set_field, value in zip(self._setters, values, strict=True):
-            set_field(self, value)
+    def _normalize(self, *values) -> tuple:
+        return values
+
+    def _store(self, *values):
+        for set_field, value in zip(self._setters, self._normalize(*values), strict=True):
+            set_field(self, _Table(sorted(value.items())) if type(value) is dict else value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -234,20 +265,24 @@ class ChainComplex(_Checked):
     __slots__ = ("ring", "ranks", "diffs")
 
     def __init__(self, ring: Ring, ranks: Mapping[int, int], diffs: Mapping[int, Matrix]):
-        self._fill(ring, ranks, diffs)
+        self._store(ring, ranks, diffs)
         for n, mat in self.diffs.items():
             if n + 1 in self.diffs and not (mat * self.diffs[n + 1]).is_zero():
                 raise NotAComplexError(f"d({n}) . d({n + 1}) is nonzero")
 
-    def _fill(self, ring: Ring, ranks: Mapping[int, int], diffs: Mapping[int, Matrix]):
+    def _normalize(self, ring: Ring, ranks: Mapping[int, int], diffs: Mapping[int, Matrix]):
+        nonzero = []
         for n, r in ranks.items():
-            _integer(n, "degree")
-            if _integer(r, "rank") < 0:
+            if type(n) is not int or type(r) is not int:
+                _integer(n, "degree")
+                _integer(r, "rank")
+            if r < 0:
                 raise InvalidInputError("negative rank")
-        clean_ranks = {n: r for n, r in sorted(ranks.items()) if r}
-        clean_diffs = _nonzero_blocks(
-            ring, diffs, lambda n: (clean_ranks.get(n - 1, 0), clean_ranks.get(n, 0)), "differential")
-        _Checked._fill(self, ring, clean_ranks, clean_diffs)
+            if r:
+                nonzero.append((n, r))
+        clean = _Table(sorted(nonzero))
+        return ring, clean, _nonzero_blocks(
+            ring, diffs, lambda n: (clean.get(n - 1, 0), clean.get(n, 0)), "differential")
 
     @property
     def support(self) -> tuple:
@@ -290,17 +325,17 @@ class ChainMap(_Checked):
     __slots__ = ("source", "target", "components")
 
     def __init__(self, source: ChainComplex, target: ChainComplex, components: Mapping[int, Matrix]):
-        self._fill(source, target, components)
+        self._store(source, target, components)
         dX, dY, f = source.diffs.get, target.diffs.get, self.components.get
         for n in set(source.ranks) | set(target.ranks):
             if not _sums_agree([_product(dY(n), f(n))], [_product(f(n - 1), dX(n))]):
                 raise InvalidInputError(f"components do not commute with differentials at degree {n}")
 
-    def _fill(self, source: ChainComplex, target: ChainComplex, components: Mapping[int, Matrix]):
+    def _normalize(self, source: ChainComplex, target: ChainComplex, components: Mapping[int, Matrix]):
         if source.ring != target.ring:
             raise InvalidInputError("chain map across different rings")
-        clean = _nonzero_blocks(source.ring, components, lambda n: (target.rank(n), source.rank(n)), "component")
-        _Checked._fill(self, source, target, clean)
+        return source, target, _nonzero_blocks(
+            source.ring, components, lambda n: (target.ranks.get(n, 0), source.ranks.get(n, 0)), "component")
 
     def at(self, n: int) -> Matrix:
         got = self.components.get(n)
@@ -363,7 +398,7 @@ class Homotopy(_Checked):
     __slots__ = ("lhs", "rhs", "components")
 
     def __init__(self, lhs: ChainMap, rhs: ChainMap, components: Mapping[int, Matrix]):
-        self._fill(lhs, rhs, components)
+        self._store(lhs, rhs, components)
         X, Y = lhs.source, lhs.target
         dX, dY, H = X.diffs.get, Y.diffs.get, self.components.get
         for n in set(X.ranks) | set(Y.ranks):
@@ -372,11 +407,11 @@ class Homotopy(_Checked):
                                [rhs.components.get(n), _product(dY(n + 1), H(n)), _product(H(n - 1), dX(n))]):
                 raise InvalidInputError(f"homotopy identity fails at degree {n}")
 
-    def _fill(self, lhs: ChainMap, rhs: ChainMap, components: Mapping[int, Matrix]):
+    def _normalize(self, lhs: ChainMap, rhs: ChainMap, components: Mapping[int, Matrix]):
         lhs._parallel(rhs)
         X, Y = lhs.source, lhs.target
-        clean = _nonzero_blocks(X.ring, components, lambda n: (Y.rank(n + 1), X.rank(n)), "homotopy component")
-        _Checked._fill(self, lhs, rhs, clean)
+        return lhs, rhs, _nonzero_blocks(
+            X.ring, components, lambda n: (Y.ranks.get(n + 1, 0), X.ranks.get(n, 0)), "homotopy component")
 
     def at(self, n: int) -> Matrix:
         got = self.components.get(n)
@@ -686,7 +721,9 @@ def _retraction_onto_upper(complex_: ChainComplex, n: int, corestriction: Matrix
             raise InvalidInputError(f"homology at degree {m} is not torsion")
     mid = n + 1
     upper, incl = _tau_ge(complex_, mid)
-    section = _splitting({mid: corestriction}, None, False)[mid]
+    section = _witness(corestriction, False)
+    if not _splits(corestriction, section, False):
+        raise InvalidInputError("epimorphism is not degreewise split")
     complement = Matrix.identity(ring, complex_.rank(mid)) - section * corestriction
     u_comps = {m: Matrix.identity(ring, complex_.rank(m)) for m in complex_.ranks if m > mid}
     u_comps[mid] = _restrict(complement, target=incl.at(mid))
@@ -834,8 +871,7 @@ class ComplexSes(_Checked):
             e = epi.components.get(n)
             if e is not None and not (e * m).is_zero():
                 raise NotAComplexError(f"composite of the two maps is nonzero at degree {n}")
-        self._fill(mono, epi, _splitting(_mono_components(mono), retractions, True),
-                   _splitting({n: epi.at(n) for n in epi.target.ranks}, sections, False))
+        self._store(mono, epi, _splitting(mono, retractions, True), _splitting(epi, sections, False))
         left, middle, right = self.left, self.middle, self.right
         for n in set(left.ranks) | set(middle.ranks) | set(right.ranks):
             if left.rank(n) + right.rank(n) != middle.rank(n):
@@ -860,12 +896,7 @@ def _is_short_exact(first: Matrix, second: Matrix) -> bool:
     section of ``second``, and the rank count."""
     if first.cols + second.rows != first.rows or not (second * first).is_zero():
         return False
-    try:
-        _splitting({0: first}, None, True)
-        _splitting({0: second}, None, False)
-    except InvalidInputError:
-        return False
-    return True
+    return _splits(first, _witness(first, True), True) and _splits(second, _witness(second, False), False)
 
 
 def kernel_image_sequences(ses: ComplexSes, n: int) -> tuple[bool, bool]:
@@ -893,38 +924,47 @@ def kernel_image_sequences(ses: ComplexSes, n: int) -> tuple[bool, bool]:
 # Split monomorphisms and quotients.
 
 
-def _splitting(maps: Mapping[int, Matrix], witnesses: Optional[dict], retract: bool) -> dict:
-    """``witnesses`` of ``maps`` (retractions r_n . m_n == id with
-    ``retract``, else sections m_n . s_n == id), each checked; when None,
-    each is solved exactly, a retraction as a transposed section.
-    ``maps`` holds a component at every degree where the split side is
-    nonzero."""
+def _witness(mat: Matrix, retract: bool) -> Optional[Matrix]:
+    """A retraction (``retract``) or a section of ``mat``, solved exactly
+    but not checked; None if there is none."""
+    side = mat.transpose() if retract else mat
+    sol = solve(side, Matrix.identity(mat.ring, side.rows))
+    return sol.transpose() if retract and sol is not None else sol
+
+
+def _splits(mat: Matrix, w: Optional[Matrix], retract: bool) -> bool:
+    """Whether ``w`` is a retraction w . mat == id with ``retract``, else
+    a section mat . w == id."""
+    size = mat.cols if retract else mat.rows
+    return isinstance(w, Matrix) and (w * mat if retract else mat * w) == Matrix.identity(mat.ring, size)
+
+
+def _splitting(f: ChainMap, witnesses: Optional[Mapping[int, Matrix]], retract: bool) -> dict:
+    """The checked retractions (``retract``) or sections of ``f``, as the
+    module docstring's "Split monomorphisms and quotients" says; all are
+    solved before any is checked."""
+    what = "retraction" if retract else "section"
+    split = (f.source if retract else f.target).ranks
     if witnesses is None:
         witnesses = {}
-        for n, mat in maps.items():
-            side = mat.transpose() if retract else mat
-            sol = solve(side, Matrix.identity(mat.ring, side.rows))
-            if sol is None:
+        for n in split:
+            witnesses[n] = _witness(f.at(n), retract)
+            if witnesses[n] is None:
                 raise InvalidInputError(f"{'mono' if retract else 'epi'}morphism is not degreewise split")
-            witnesses[n] = sol.transpose() if retract else sol
-    for n, mat in maps.items():
-        w = witnesses.get(n)
-        size = mat.cols if retract else mat.rows
-        if w is None or (w * mat if retract else mat * w) != Matrix.identity(mat.ring, size):
-            raise InvalidInputError(f"stored {'retraction' if retract else 'section'} fails")
-    return witnesses
-
-
-def _mono_components(incl: ChainMap) -> dict:
-    """The components of ``incl`` where its source is nonzero."""
-    return {n: incl.at(n) for n in incl.source.ranks}
+    for n in split:
+        if not _splits(f.at(n), witnesses.get(n), retract):
+            raise InvalidInputError(f"stored {what} fails")
+    for n, w in witnesses.items():
+        if n not in split and not (isinstance(w, Matrix) and (w.rows, w.cols) == (f.source.rank(n), f.target.rank(n))):
+            raise InvalidInputError(f"{what} at degree {n}, where the split side is zero, is not empty")
+    return {n: witnesses[n] for n in split}
 
 
 def split_retractions(incl: ChainMap) -> Optional[dict]:
     """Checked degreewise retractions of a degreewise split monomorphism;
     None if it is not one."""
     try:
-        return _splitting(_mono_components(incl), None, True)
+        return _splitting(incl, None, True)
     except InvalidInputError:
         return None
 
@@ -936,7 +976,7 @@ def quotient_by_split_mono(incl: ChainMap, retractions: Optional[dict] = None):
     projector per degree; its image basis carries the quotient
     coordinates.
     """
-    quotient, projs = _split_quotient(incl, _splitting(_mono_components(incl), retractions, True))
+    quotient, projs = _split_quotient(incl, _splitting(incl, retractions, True))
     return quotient, ChainMap(incl.target, quotient, {n: m for n, m in projs.items() if quotient.rank(n)})
 
 

@@ -62,7 +62,7 @@ class GenParams(_Checked):
 
     def __init__(self, ring: Ring = ZZ, seed: int = 0, max_rank: int = 3, max_entry: int = 9,
                  support_width: int = 3, trials: int = 100):
-        self._fill(ring, seed, max_rank, max_entry, support_width, trials)
+        self._store(ring, seed, max_rank, max_entry, support_width, trials)
         if max_entry < 1 or max_rank < 1 or trials < 0:
             raise InvalidInputError("generator bounds need max_entry >= 1, max_rank >= 1 and trials >= 0")
 

@@ -34,7 +34,7 @@ import re
 from functools import partial
 from json.encoder import encode_basestring_ascii
 
-from .complexes import ChainComplex, ChainMap
+from .complexes import ChainComplex, ChainMap, _Table
 from .errors import InvalidInputError
 from .fgmodules import FgModule
 from .k0 import K0KosClass
@@ -279,15 +279,16 @@ def value_to_json(value):
 
     Library types have their own layouts; any other record (a NamedTuple
     or a checked value such as a chain map) becomes the dict of its
-    fields.  A dict keeps its keys as ``str(k)``, a list or tuple is
-    encoded item by item, an int is a JSON number below 2^53 in absolute
-    value and a decimal string beyond; anything else is returned as it
-    is, for ``_dumps`` to write or refuse.
+    fields.  A dict, or a checked value's read-only table, keeps its
+    keys as ``str(k)``; a list or tuple is encoded item by item, an int
+    is a JSON number below 2^53 in absolute value and a decimal string
+    beyond; anything else is returned as it is, for ``_dumps`` to write
+    or refuse.
     """
     kind = type(value)
     if kind is int:
         return _integer(value)
-    if kind is dict:
+    if kind is dict or kind is _Table:
         return {str(k): value_to_json(v) for k, v in value.items()}
     if kind is list or kind is tuple:
         return [value_to_json(v) for v in value]

@@ -41,7 +41,6 @@ from .complexes import (
     _Checked,
     _cone_layout,
     _cone_maps,
-    _mono_components,
     _restrict,
     _retraction_onto_upper,
     _split_quotient,
@@ -325,7 +324,7 @@ def cellular_factorization(f: ChainMap) -> CellularFactorization:
             nxt = step.h.compose(smaps.p)
             # j1's components are selection matrices, so their
             # transposes are retractions (the ones ``solve`` would give).
-            retr = {k: m.transpose() for k, m in _mono_components(mono).items()}
+            retr = {k: mono.at(k).transpose() for k in mono.source.ranks}
         quotient, _ = _split_quotient(mono, retr)
         stages.append(mono)
         retractions.append(retr)
@@ -390,7 +389,7 @@ class PresentedKoszul(_Checked):
     __slots__ = ("top", "bottom", "d")
 
     def __init__(self, top: PresentedModule, bottom: PresentedModule, d: PresentedMap):
-        self._fill(top, bottom, d)
+        self._store(top, bottom, d)
         if d.source != top or d.target != bottom:
             raise InvalidInputError("boundary map endpoints do not match")
         if not self.d.is_injective():
@@ -420,7 +419,7 @@ class PresentedKoszulMap(_Checked):
 
     def __init__(self, source: PresentedKoszul, target: PresentedKoszul, degree1: PresentedMap,
                  degree0: PresentedMap):
-        self._fill(source, target, degree1, degree0)
+        self._store(source, target, degree1, degree0)
         if not target.d.compose(degree1).equals(degree0.compose(source.d)):
             raise InvalidInputError("components do not commute with the boundaries")
 
@@ -431,7 +430,7 @@ class PresentedSes(_Checked):
     __slots__ = ("mono", "epi")
 
     def __init__(self, mono: PresentedKoszulMap, epi: PresentedKoszulMap):
-        self._fill(mono, epi)
+        self._store(mono, epi)
         if mono.target != epi.source:
             raise InvalidInputError("maps are not consecutive")
         if not is_short_exact(mono.degree1, epi.degree1):

@@ -39,7 +39,7 @@ class PresentedModule(_Checked):
     __slots__ = ("ring", "gens", "relations")
 
     def __init__(self, ring: Ring, gens: int, relations: Matrix):
-        self._fill(ring, gens, relations)
+        self._store(ring, gens, relations)
         if relations.ring != ring:
             raise InvalidInputError(f"relations matrix over {relations.ring.token}, module over {ring.token}")
         if relations.rows != gens:
@@ -81,16 +81,16 @@ class PresentedMap(_Checked):
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: PresentedModule, target: PresentedModule, matrix: Matrix):
-        self._fill(source, target, matrix)
+        self._store(source, target, matrix)
         if source.relations.cols and not target.contains(matrix * source.relations):
             raise InvalidInputError("matrix does not carry relations into relations")
 
-    def _fill(self, source: PresentedModule, target: PresentedModule, matrix: Matrix):
+    def _normalize(self, source: PresentedModule, target: PresentedModule, matrix: Matrix):
         if matrix.rows != target.gens or matrix.cols != source.gens:
             raise DimensionError("map matrix has wrong shape")
         if source.ring != target.ring or matrix.ring != source.ring:
             raise InvalidInputError("map across different rings")
-        _Checked._fill(self, source, target, matrix)
+        return source, target, matrix
 
     @classmethod
     def identity(cls, module: PresentedModule) -> "PresentedMap":
@@ -228,7 +228,7 @@ class SesMorphism(_Checked):
 
     def __init__(self, top_mono: PresentedMap, top_epi: PresentedMap, bottom_mono: PresentedMap,
                  bottom_epi: PresentedMap, left: PresentedMap, middle: PresentedMap, right: PresentedMap):
-        self._fill(top_mono, top_epi, bottom_mono, bottom_epi, left, middle, right)
+        self._store(top_mono, top_epi, bottom_mono, bottom_epi, left, middle, right)
         if not is_short_exact(top_mono, top_epi):
             raise InvalidInputError("top row is not short exact")
         if not is_short_exact(bottom_mono, bottom_epi):
@@ -259,18 +259,19 @@ class ThreeByThree(_Checked):
 
     ``rows[i]`` is the (mono, epi) pair of row i (top to bottom) and
     ``cols[j]`` of column j (left to right); all four inner squares must
-    commute.  Both are checked when the diagram is built.
+    commute.  Both are checked when the diagram is built, and stored as
+    tuples of pairs.
     """
 
     __slots__ = ("rows", "cols")
 
     def __init__(self, rows: tuple, cols: tuple):
-        self._fill(rows, cols)
-        for mono, epi in list(rows) + list(cols):
+        self._store(rows, cols)
+        for mono, epi in self.rows + self.cols:
             if not is_short_exact(mono, epi):
                 raise InvalidInputError("a row or column is not short exact")
-        (ix, px), (iy, py), (iz, pz) = rows
-        (f, g), (fp, gp), (fpp, gpp) = cols
+        (ix, px), (iy, py), (iz, pz) = self.rows
+        (f, g), (fp, gp), (fpp, gpp) = self.cols
         checks = [
             (fp.compose(ix), iy.compose(f)),
             (fpp.compose(px), py.compose(fp)),
@@ -280,6 +281,9 @@ class ThreeByThree(_Checked):
         for lhs, rhs in checks:
             if not lhs.equals(rhs):
                 raise InvalidInputError("inner square does not commute")
+
+    def _normalize(self, rows, cols):
+        return tuple((mono, epi) for mono, epi in rows), tuple((mono, epi) for mono, epi in cols)
 
 
 def nine_term_sequences(grid: ThreeByThree) -> tuple[bool, bool]:

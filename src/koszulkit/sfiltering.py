@@ -20,7 +20,6 @@ from .complexes import (
     direct_sum,
     is_acyclic,
     two_term,
-    _mono_components,
     _restrict,
     _split_quotient,
     _splitting,
@@ -73,12 +72,12 @@ class ImageFactorization(NamedTuple):
     kernel_inclusion: ChainMap
 
     def verifies(self, f: ChainMap) -> bool:
-        if self.mono.compose(self.epi) != f:
+        if self.epi.target != self.image or self.mono.compose(self.epi) != f:
             return False
         if not in_kos1(self.image) or not is_acyclic(self.image):
             return False
         try:
-            _splitting({n: self.epi.at(n) for n in self.image.ranks}, self.sections, False)
+            _splitting(self.epi, self.sections, False)
         except InvalidInputError:
             return False
         return bool(in_kos1(self.kernel)) and is_acyclic(self.kernel)
@@ -96,7 +95,7 @@ def image_factorization(f: ChainMap) -> ImageFactorization:
     if not is_acyclic(f.source):
         raise InvalidInputError("source is not acyclic")
     image, epi, mono = image_complex(f)
-    sections = _splitting({n: epi.at(n) for n in image.ranks}, None, False)
+    sections = _splitting(epi, None, False)
     kernel, incl = kernel_complex(f)
     return ImageFactorization(image, epi, mono, sections, kernel, incl)
 
@@ -188,7 +187,7 @@ class ExcisionCertificate(NamedTuple):
         if self.q.compose(self.mono) != incl:
             return False
         try:
-            _splitting({n: self.q.at(n) for n in Z.ranks}, self.sections, False)
+            _splitting(self.q, self.sections, False)
         except InvalidInputError:
             return False
         if not in_kos1(self.kernel):
@@ -216,7 +215,7 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
         raise InvalidInputError("both ends must be free Koszul complexes")
     if not is_acyclic(X):
         raise InvalidInputError("source of the mono is not acyclic")
-    retractions = _splitting(_mono_components(mono), retractions, True)
+    retractions = _splitting(mono, retractions, True)
     quotient, projs = _split_quotient(mono, retractions)
     projection = ChainMap(Y, quotient, {n: m for n, m in projs.items() if quotient.rank(n)})
     decomposition = ed_decompose(quotient)
@@ -231,7 +230,7 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
     q0 = vstack([h, flat.at(0).take_rows(unit_rows)])
     q = ChainMap(Y, target, {0: q0, 1: _restrict(q0, Y.d(1), target.d(1))})
 
-    flat_sections = _splitting({n: flat.at(n) for n in flat.target.ranks}, None, False)
+    flat_sections = _splitting(flat, None, False)
     sections = {}
     for degree in (0, 1):
         lam = flat_sections.get(degree, Matrix.zeros(ring, Y.rank(degree), 0)).take_cols(unit_rows)
@@ -239,7 +238,7 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
             mu = (q.at(degree) * lam).take_rows(range(X.rank(degree)))
             lam = lam - mono.at(degree) * mu
         sections[degree] = hstack([mono.at(degree), lam])
-    _splitting({n: q.at(n) for n in target.ranks}, sections, False)
+    _splitting(q, sections, False)
 
     kernel, kernel_incl = kernel_complex(q)
     return ExcisionCertificate(

@@ -59,6 +59,19 @@ def test_maps_are_immutable():
         assert getattr(m, name) is before
 
 
+def test_nine_term_diagram_stores_tuples_of_pairs():
+    """Built from lists, a diagram stores tuples of pairs: no row can be
+    swapped after the check, and it equals and hashes as the diagram
+    built from tuples."""
+    grid = _square_grid(1)
+    listed = ThreeByThree(list(map(list, grid.rows)), list(map(list, grid.cols)))
+    assert all(type(side) is tuple for side in (listed.rows, listed.cols))
+    assert all(type(pair) is tuple for pair in listed.rows + listed.cols)
+    with pytest.raises(TypeError):
+        listed.rows[0] = grid.rows[2]
+    assert listed == grid and hash(listed) == hash(grid)
+
+
 def test_kernel_image_cokernel():
     two = pmap(free(1), free(1), [[2]])
     ker, incl = two.kernel()

@@ -6,8 +6,11 @@ pickle round trip of it is an equal value.
 The records are NamedTuples or values that check themselves (subclasses
 of ``complexes._Checked``); both list their field names in ``_fields``.
 Value semantics hold for copies built separately from equal inputs, not
-only for copies built from the very same field objects, and a record
-holding a dict or a list cannot be hashed.
+only for copies built from the very same field objects.  A checked value
+holds its degree tables as read-only tables, which refuse item
+assignment, deletion and the dict methods that change a dict, so every
+checked value can be hashed; a NamedTuple bundle that holds a dict or a
+list cannot be.
 """
 
 import copy
@@ -152,12 +155,18 @@ def _hashable(value) -> bool:
     return True
 
 
+MODULES = (koszulkit, cli, complexes, fgmodules, generators, jsonio, k0, koszul, matrices, presented, rings,
+           sfiltering, suites)
+CHECKED = sorted({name for module in MODULES for name, value in vars(module).items()
+                  if inspect.isclass(value) and issubclass(value, complexes._Checked)
+                  and value is not complexes._Checked})
+
+
 def test_every_record_type_is_covered():
-    modules = (koszulkit, cli, complexes, fgmodules, generators, jsonio, k0, koszul, matrices, presented, rings,
-               sfiltering, suites)
-    found = {name for module in modules for name, value in vars(module).items()
+    found = {name for module in MODULES for name, value in vars(module).items()
              if _is_record_type(value) and value.__module__.startswith("koszulkit")}
     assert found == set(BUILDERS)
+    assert set(CHECKED) < found
 
 
 @pytest.mark.parametrize("name", BUILDERS)
@@ -189,6 +198,58 @@ def test_record_contract(name):
         assert type(clone) is type(record) and clone == record
 
 
+def _assign(table, key):
+    table[key] = None
+
+
+def _delete(table, key):
+    del table[key]
+
+
+def _merge(table, key):
+    table |= {key: None}
+
+
+# Every way to change a dict in place, each given the table and one of its keys.
+MUTATIONS = {
+    "assign": _assign,
+    "del": _delete,
+    "update": lambda table, key: table.update({key: None}),
+    "clear": lambda table, key: table.clear(),
+    "pop": lambda table, key: table.pop(key),
+    "popitem": lambda table, key: table.popitem(),
+    "setdefault": lambda table, key: table.setdefault(key, None),
+    "merge": _merge,
+}
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_checked_tables_refuse_every_change(name):
+    """Each mapping field of a checked value is a read-only table: every
+    mutation of ``MUTATIONS`` raises and leaves it as it was.  Every
+    checked value hashes, and twins built separately hash equal."""
+    record = BUILDERS[name]()
+    tables = {n: getattr(record, n) for n in record._fields if isinstance(getattr(record, n), dict)}
+    assert bool(tables) == (name in {"ChainComplex", "ChainMap", "Homotopy", "ComplexSes"})
+    for table in tables.values():
+        before = list(table.items())
+        assert before, "an empty table would not show a refused pop or del"
+        for mutate in MUTATIONS.values():
+            with pytest.raises(TypeError):
+                mutate(table, before[0][0])
+        assert list(table.items()) == before
+    assert hash(record) == hash(BUILDERS[name]())
+
+
+def test_a_checked_differential_cannot_be_replaced():
+    """Swapping a differential after the d.d check raises and leaves the
+    complex as it was."""
+    c = two_term(Matrix(ZZ, [[2]]))
+    with pytest.raises(TypeError):
+        c.diffs[1] = Matrix(ZZ, [[3]])
+    assert c.diffs == {1: Matrix(ZZ, [[2]])} and c == two_term(Matrix(ZZ, [[2]]))
+
+
 @pytest.mark.parametrize("read, value", [
     (complex_from_json, two_term(Matrix(ZZ, [[2, 0], [1, 3]]))),
     (chain_map_from_json, ChainMap(Z2, Z6, {1: Matrix(ZZ, [[1]]), 0: Matrix(ZZ, [[3]])})),
@@ -199,22 +260,21 @@ def test_parsed_copies_are_equal(read, value):
     first, second = read(data), read(data)
     assert first is not second
     assert first == second == value
-    if _hashable(first):
-        assert hash(first) == hash(second) == hash(value)
+    assert hash(first) == hash(second) == hash(value)
 
 
 class _Left(complexes._Checked):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self._fill(value)
+        self._store(value)
 
 
 class _Right(complexes._Checked):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self._fill(value)
+        self._store(value)
 
 
 def test_checked_values_equal_only_their_own_type():

@@ -9,12 +9,14 @@ from koszulkit.complexes import (
     ChainComplex,
     ChainMap,
     ComplexSes,
+    direct_sum,
     kernel_image_sequences,
     quotient_by_split_mono,
     tau_ge_map,
     tau_le_map,
     truncate_le,
     truncation_splitting,
+    two_term,
 )
 from koszulkit.errors import HypothesisNotMetError, InvalidInputError
 from koszulkit.generators import (
@@ -239,3 +241,66 @@ def test_checked_sequences_are_immutable():
     for name in ("mono", "epi", "retractions", "sections"):
         with pytest.raises(AttributeError):
             setattr(seq, name, getattr(seq, name))
+
+
+Z2, Z6 = two_term(Matrix(ZZ, [[2]])), two_term(Matrix(ZZ, [[6]]))
+
+
+def test_a_sequence_keeps_its_own_witnesses():
+    """The caller's witness dict is not shared: changing it after the
+    check leaves the sequence's witnesses as they were."""
+    total = direct_sum(Z2, Z6)
+    r = dict(total.projections[0].components)
+    seq = ComplexSes(total.inclusions[0], total.projections[1], r)
+    before = dict(seq.retractions)
+    r[0] = Matrix(ZZ, [[5, 5]])
+    assert seq.retractions is not r and seq.retractions == before
+
+
+# Where the split side is zero at degree 1 (the source of the mono, the
+# target of the epi), a witness there is a 0x1 or a 1x0 block.
+SPLIT_SIDE_ZERO_AT_1 = {
+    "retractions": direct_sum(Z_AT_0, Z6),  # Z >--> Z (+) [Z -6-> Z] -->> [Z -6-> Z]
+    "sections": direct_sum(Z6, Z_AT_0),  # [Z -6-> Z] >--> [Z -6-> Z] (+) Z -->> Z
+}
+EXTRA = {
+    "empty-where-the-split-side-is-zero": (1, Matrix.zeros(ZZ, 0, 1), True),
+    "empty-outside-the-support": (7, Matrix.zeros(ZZ, 0, 0), True),
+    "misshapen-empty-block": (1, Matrix.zeros(ZZ, 0, 2), False),
+    "nonzero-outside-the-support": (7, Matrix(ZZ, [[9]]), False),
+}
+
+
+@pytest.mark.parametrize("degree, block, accepted", EXTRA.values(), ids=EXTRA)
+@pytest.mark.parametrize("side", SPLIT_SIDE_ZERO_AT_1)
+def test_a_witness_where_the_split_side_is_zero_must_be_empty(side, degree, block, accepted):
+    """Only the checked degrees are stored; a witness given anywhere else
+    must be the empty block of that degree's shape."""
+    total = SPLIT_SIDE_ZERO_AT_1[side]
+    mono, epi = total.inclusions[0], total.projections[1]
+    checked = getattr(ComplexSes(mono, epi), side)
+    given = dict(checked)
+    given[degree] = block if side == "retractions" else block.transpose()
+    if accepted:
+        assert getattr(ComplexSes(mono, epi, **{side: given}), side) == checked
+    else:
+        with pytest.raises(InvalidInputError, match="where the split side is zero"):
+            ComplexSes(mono, epi, **{side: given})
+
+
+def test_an_unchecked_witness_is_refused():
+    """A retraction at a degree outside every support is refused, not
+    stored unchecked."""
+    total = direct_sum(Z2, Z6)
+    r = dict(total.projections[0].components)
+    r[7] = Matrix(ZZ, [[9]])
+    with pytest.raises(InvalidInputError, match="retraction at degree 7"):
+        ComplexSes(total.inclusions[0], total.projections[1], r)
+
+
+@pytest.mark.parametrize("degree", [0, 7], ids=["checked-degree", "other-degree"])
+def test_a_witness_that_is_not_a_matrix_is_refused(degree):
+    total = direct_sum(Z2, Z6)
+    r = {**total.projections[0].components, degree: "not a matrix"}
+    with pytest.raises(InvalidInputError):
+        ComplexSes(total.inclusions[0], total.projections[1], r)

@@ -238,6 +238,11 @@ def test_forged_image_factorizations_do_not_verify():
     assert factorization.verifies(f)
     assert not factorization.verifies(ChainMap.zero(UNIT, target))
     assert not factorization._replace(image=Z2).verifies(f)
+    # an acyclic Koszul complex that is not the target of the epi
+    assert not factorization._replace(image=direct_sum(UNIT, UNIT).complex).verifies(f)
+    # consistent maps of the zero map through Z/2, which is not acyclic
+    through_z2 = factorization._replace(image=Z2, epi=ChainMap.zero(UNIT, Z2), mono=ChainMap.zero(Z2, target))
+    assert not through_z2.verifies(ChainMap.zero(UNIT, target))
     assert not factorization._replace(sections={}).verifies(f)
 
 
