@@ -11,9 +11,13 @@ hypothesis switches tracing off while it runs.  Code run in a subprocess
 (``python -m koszulkit``) is not seen.  The script then prints every
 executable line of a function or class body that did not run and is not in
 ``LEDGER``, and every ledger entry that no longer names an unexecuted line.
-It exits 0 when there are none.  Tests that fail under the tracer are
-reported but do not change the exit status: the tracer slows the run about
-fourfold, so a CPU-time limit can expire (``test_factor_gates``).
+
+A test that fails under the tracer is run again, with the others that
+failed, by pytest in a subprocess without the tracer.  The tracer slows
+the run about fourfold, so a CPU-time limit can expire under it alone
+(``test_factor_gates``); the script names each such tracer-only failure.
+It exits 0 when no line is unlisted, no ledger entry is stale and every
+failed test passes without the tracer, and 1 otherwise.
 
 ``LEDGER`` maps (file, function, stripped source line) to the reason why no
 test runs that line.
@@ -22,18 +26,16 @@ test runs that line.
 from __future__ import annotations
 
 import linecache
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "koszulkit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "koszulkit"
 
 LEDGER = {
-    **{("rings.py", f"Ring.{name}", "raise NotImplementedError"): "abstract: every ring overrides it"
-       for name in ("validate", "is_zero", "is_unit", "add", "sub", "neg", "mul", "divmod",
-                    "normalize", "unit_inverse", "product", "submul", "combine", "factor",
-                    "_is_irreducible")},
     ("koszul.py", "_factor_step",
      'raise AssertionError("factor step lost exact equality with the input map")'):
         "invariant: h . g == f holds by the block algebra of the two cones",
@@ -72,8 +74,21 @@ def executable_lines() -> dict:
     return owners
 
 
+def untraced_failures(nodeids: list) -> tuple:
+    """(exit status, set of node ids named as failed) of pytest run on
+    ``nodeids`` in a subprocess, without the tracer."""
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *nodeids],
+                          cwd=ROOT, capture_output=True, text=True)
+    if done.returncode != 0:
+        print(done.stdout, done.stderr, sep="")
+    named = {line.split(" ", 1)[1].split(" - ", 1)[0] for line in done.stdout.splitlines()
+             if line.startswith(("FAILED ", "ERROR "))}
+    return done.returncode, named
+
+
 def main(argv: list) -> int:
     ran: set = set()
+    failed: list = []
     prefix = str(SRC)
 
     def local(frame, event, arg):
@@ -88,6 +103,12 @@ def main(argv: list) -> int:
         @pytest.hookimpl(tryfirst=True)
         def pytest_runtest_setup(self, item):
             sys.settrace(tracer)
+
+        def pytest_runtest_logreport(self, report):
+            if report.failed and report.nodeid not in failed:
+                failed.append(report.nodeid)
+
+        pytest_collectreport = pytest_runtest_logreport
 
     sys.settrace(tracer)
     status = pytest.main(["-q", "-p", "no:cacheprovider", *argv], plugins=[Reinstall()])
@@ -104,11 +125,16 @@ def main(argv: list) -> int:
         print(f"unexecuted {name}:{','.join(map(str, at))} {owner}: {text}")
     for key in stale:
         print(f"ledger entry runs or is gone: {key}")
-    if status != 0:
-        print(f"pytest exit status {int(status)} under the tracer (not a reach failure)")
+    broken = status != 0 and not failed  # e.g. a usage error: no test to run again
+    if failed:
+        again, named = untraced_failures(failed)
+        broken = again != 0
+        for nodeid in failed:
+            print(f"fails {'without the tracer too' if nodeid in named else 'only under the tracer'}: {nodeid}")
     print(f"{sum(map(len, missed.values()))} unexecuted lines; {len(unlisted)} sources not in the ledger, "
-          f"{len(stale)} stale ledger entries")
-    return 1 if unlisted or stale else 0
+          f"{len(stale)} stale ledger entries; pytest exit status {int(status)} under the tracer, "
+          f"{len(failed)} failed, {'some' if broken else 'none'} failing without it")
+    return 1 if unlisted or stale or broken else 0
 
 
 if __name__ == "__main__":

@@ -14,10 +14,11 @@ fast.  Only shifts, cones, cylinders, direct sums, identities, sums and
 composites use the private ``_trusted`` path, which skips the law: it
 follows from their verified inputs by block algebra.  Anything built
 from solved or eliminated data keeps the full check as its certificate.
-Both paths store the fields in one step, ``_Checked._store``, which
-keeps every degree table (ranks, differentials, components, witnesses)
-as a read-only ``_Table``, so no item assignment or dict update can
-undo a check.
+Both paths store the fields in one step, ``_Checked._store``.  Every
+degree table it stores (ranks, differentials, components, witnesses)
+is a read-only ``_Table``, built once by ``_table`` where the class
+normalizes or checks it, so no item assignment, dict update or second
+``__init__`` can undo a check.
 
 Law checks multiply only blocks that exist.  Differentials and
 components are stored only where they are nonzero, so an absent block
@@ -57,9 +58,11 @@ subcomplex, so the inclusion's chain-map check catches it instead).
 
 Split monomorphisms and quotients.  Split monos, split epis and
 ``ComplexSes`` share one private step, ``_splitting``.  It takes a map
-and the caller's witnesses or None, and returns a new dict of witnesses
-at exactly the degrees where the split side (the source of a mono, the
-target of an epi) is nonzero.  When None, it solves them: a section s_n
+and the caller's witnesses or None, and returns a new read-only table
+of witnesses at exactly the degrees where the split side (the source
+of a mono, the target of an epi) is nonzero; ``ComplexSes`` stores it
+as it is, and the result bundles of ``koszul`` and ``sfiltering`` hold
+such tables too.  When None, it solves them: a section s_n
 with m_n . s_n == id, and a retraction as a transposed section.  It
 checks every witness it returns, given or solved, since anything built
 from solved data keeps its check.  Its errors are ``InvalidInputError``s:
@@ -147,7 +150,7 @@ def _nonzero_blocks(ring: Ring, blocks: Mapping[int, Matrix], shape, what: str) 
         if rows and cols and not mat.is_zero():
             clean.append((n, mat))
     clean.sort()  # by degree: the degrees differ, so no two blocks are compared
-    return _Table(clean)
+    return _table(clean)
 
 
 def _product(a: Optional[Matrix], b: Optional[Matrix]) -> Optional[Matrix]:
@@ -180,29 +183,39 @@ def _sum(blocks) -> Optional[Matrix]:
 class _Table(dict):
     """A checked value's read-only table of degrees, in increasing degree:
     it reads as a dict, refuses item assignment, ``del``, ``|=`` and the
-    methods ``update``, ``clear``, ``pop``, ``popitem`` and ``setdefault``
-    with ``TypeError``, and hashes by its sorted items."""
+    methods ``__init__``, ``update``, ``clear``, ``pop``, ``popitem`` and
+    ``setdefault`` with ``TypeError``, and hashes by its sorted items.
+    Since ``__init__`` is refused, ``_table`` builds every table."""
 
     __slots__ = ()
 
     def _refuse(self, *args, **kwargs):
         raise TypeError("a checked value's table is read-only")
 
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+    __init__ = __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
 
     def __hash__(self):
         return hash(tuple(sorted(self.items())))
 
     def __reduce__(self):
         # copy and pickle would refill an empty table item by item, which is refused
-        return _Table, (list(self.items()),)
+        return _table, (list(self.items()),)
+
+
+def _table(items) -> _Table:
+    """The read-only table of the (degree, value) pairs ``items``, which
+    come in increasing degree."""
+    out = dict.__new__(_Table)
+    dict.update(out, items)
+    return out
 
 
 class _Checked:
     """Immutable value that checks itself: ``__init__`` and ``_trusted``
     both set the fields with ``_store``, which runs the class's
-    ``_normalize`` (shapes, rings, normalization) and stores each dict it
-    returns as a read-only ``_Table``; ``__init__`` then checks the law.
+    ``_normalize`` (shapes, rings, normalization) and stores what it
+    returns, each degree table already a read-only ``_Table``;
+    ``__init__`` then checks the law.
 
     The fields are the ``__slots__`` of the class and its bases, in
     declaration order.  From them every subclass gets equality and
@@ -231,7 +244,7 @@ class _Checked:
 
     def _store(self, *values):
         for set_field, value in zip(self._setters, self._normalize(*values), strict=True):
-            set_field(self, _Table(sorted(value.items())) if type(value) is dict else value)
+            set_field(self, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -280,7 +293,7 @@ class ChainComplex(_Checked):
                 raise InvalidInputError("negative rank")
             if r:
                 nonzero.append((n, r))
-        clean = _Table(sorted(nonzero))
+        clean = _table(sorted(nonzero))
         return ring, clean, _nonzero_blocks(
             ring, diffs, lambda n: (clean.get(n - 1, 0), clean.get(n, 0)), "differential")
 
@@ -939,7 +952,7 @@ def _splits(mat: Matrix, w: Optional[Matrix], retract: bool) -> bool:
     return isinstance(w, Matrix) and (w * mat if retract else mat * w) == Matrix.identity(mat.ring, size)
 
 
-def _splitting(f: ChainMap, witnesses: Optional[Mapping[int, Matrix]], retract: bool) -> dict:
+def _splitting(f: ChainMap, witnesses: Optional[Mapping[int, Matrix]], retract: bool) -> _Table:
     """The checked retractions (``retract``) or sections of ``f``, as the
     module docstring's "Split monomorphisms and quotients" says; all are
     solved before any is checked."""
@@ -957,7 +970,7 @@ def _splitting(f: ChainMap, witnesses: Optional[Mapping[int, Matrix]], retract: 
     for n, w in witnesses.items():
         if n not in split and not (isinstance(w, Matrix) and (w.rows, w.cols) == (f.source.rank(n), f.target.rank(n))):
             raise InvalidInputError(f"{what} at degree {n}, where the split side is zero, is not empty")
-    return {n: witnesses[n] for n in split}
+    return _table((n, witnesses[n]) for n in split)
 
 
 def split_retractions(incl: ChainMap) -> Optional[dict]:

@@ -45,6 +45,7 @@ from .complexes import (
     _retraction_onto_upper,
     _split_quotient,
     _subcomplex,
+    _table,
     _tau_ge,
     _tau_le,
     _vanishing_degree,
@@ -318,14 +319,18 @@ def cellular_factorization(f: ChainMap) -> CellularFactorization:
         retr = split_retractions(step.g)
         if retr is not None:
             mono, nxt = step.g, step.h
+            quotient, _ = _split_quotient(mono, retr)
         else:
             smaps = structure_maps(step.g)
             mono = smaps.j1
             nxt = step.h.compose(smaps.p)
             # j1's components are selection matrices, so their
             # transposes are retractions (the ones ``solve`` would give).
-            retr = {k: mono.at(k).transpose() for k in mono.source.ranks}
-        quotient, _ = _split_quotient(mono, retr)
+            retr = _table((k, mono.at(k).transpose()) for k in mono.source.ranks)
+            # The quotient by j1 is the cylinder's last two summands with
+            # the differential [[-dX, 0], [-g, dY]]: the cone of g, in the
+            # coordinates that ``_split_quotient`` would find.
+            quotient = _cone_layout(step.g).complex
         stages.append(mono)
         retractions.append(retr)
         subquotients.append(quotient)

@@ -631,7 +631,7 @@ def _chain(ring: Ring, diagonal: list, u: Optional[list] = None, v: Optional[lis
     columns i, j of V; pairs already in order are left alone, so a
     diagonal that is a chain costs no transform work.
     """
-    mul, sub, combine = ring.mul, ring.sub, ring.combine
+    mul = ring.mul
     for i in range(len(diagonal)):
         for j in range(i + 1, len(diagonal)):
             a, b = diagonal[i], diagonal[j]
@@ -645,9 +645,9 @@ def _chain(ring: Ring, diagonal: list, u: Optional[list] = None, v: Optional[lis
             # rows (i, j) := [[1, 1], [-q, 1 - q]] (i, j) with q = t*bq, that
             # is rows i += j, then row j -= q * row i;
             # columns (i, j) *= [[s, -bq], [t, aq]]
-            q, one = mul(t, bq), ring.one
+            q, one, combine = mul(t, bq), ring.one, ring.combine
             u[i], u[j] = (combine(one, u[i], one, u[j]),
-                          combine(ring.neg(q), u[i], sub(one, q), u[j]))
+                          combine(ring.neg(q), u[i], ring.sub(one, q), u[j]))
             v[i], v[j] = (combine(s, v[i], t, v[j]),
                           combine(ring.neg(bq), v[i], aq, v[j]))
 

@@ -71,12 +71,13 @@ steps, q the second-largest prime factor, so at most about n^(1/4):
 
 Both ``factor`` methods return their dict sorted by prime.
 
-The extended Euclid is written once, ``Ring.ext_gcd`` on the ring's own
-``divmod``, ``sub``, ``mul``, ``normalize`` and ``unit_inverse``; it
-runs on the packed work rings, and F_p[x] validates its two arguments
-and calls the work ring's.  Z keeps a loop on native ints: the shared
-one is 2-3x slower per call there and runs every cofactor update
-through ``mul``.
+``Ring`` holds only code that some ring runs; its docstring states what
+a public ring and a work ring provide.  The extended Euclid is written
+once, ``Ring.ext_gcd`` on the ring's own ``divmod``, ``sub``, ``mul``,
+``normalize`` and ``unit_inverse``; it runs only on the packed work
+rings, whose elements F_p[x] validates as tuples before packing them.
+Z keeps a loop on native ints: the shared one is 2-3x slower per call
+there and runs every cofactor update through ``mul``.
 """
 
 from __future__ import annotations
@@ -238,16 +239,32 @@ def _pollard_brent(n: int) -> int:
 
 class Ring:
     """Base class for the two Euclidean coefficient domains and the
-    private work rings of F_p[x].
+    private work rings of F_p[x]: the arithmetic derived from the
+    primitive operations that each subclass writes itself.
 
-    Subclasses provide ``zero``, ``one`` and the primitive operations;
-    the helpers here are shared derived arithmetic.  ``work`` is the
-    ring that matrices over this one compute on.
+    A public ring (``ZZ``, ``fpx(p)``) provides ``zero``, ``one``,
+    ``validate`` (its argument back, or ``DomainMismatchError``),
+    ``is_zero``, ``is_unit``, ``add``, ``sub``, ``neg``, ``mul``,
+    ``divmod`` (a = q*b + r with |r| < |b| over Z, deg r < deg b over
+    F_p[x]), ``normalize`` (a = unit * canonical, and
+    ``normalize(0) == (one, zero)``), ``unit_inverse``, ``factor`` (the
+    canonical primes of a = unit * prod(p**m), as a dict sorted by prime,
+    so its order does not depend on how trial division, rho or the random
+    splits find them) and ``_is_irreducible`` (the primality of a
+    canonical non-unit, without factoring it).
+
+    A work ring (``ZZ``, ``fpx(p).work``) provides the same ``zero``,
+    ``one``, ``is_zero``, ``add``, ``sub``, ``neg``, ``mul``, ``divmod``,
+    ``normalize`` and ``unit_inverse``, and the row kernels on
+    equal-length rows of elements: ``product`` (the rows of left * right,
+    as new lists; output row i sums left[i][k] * right[k] over the
+    nonzero left[i][k] alone), ``submul`` (row -= q * other in place from
+    index ``start`` on, ``other`` zero before it) and ``combine`` (the row
+    a * x + b * y).  ``work`` is the ring that matrices over this one
+    compute on.
     """
 
     token: str
-    zero = None
-    one = None
     # Conversions of one element to and from the work form; None where
     # the work form is the element itself.
     pack = None
@@ -256,43 +273,11 @@ class Ring:
     def __init__(self):
         self.work = self
 
-    def validate(self, a):
-        raise NotImplementedError
-
-    def is_zero(self, a) -> bool:
-        raise NotImplementedError
-
-    def is_unit(self, a) -> bool:
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def divmod(self, a, b):
-        """Euclidean division a = q*b + r with |r| < |b| over Z, deg r < deg b over F_p[x]."""
-        raise NotImplementedError
-
-    def normalize(self, a):
-        """Split a = unit * canonical; ``normalize(0) == (one, zero)``."""
-        raise NotImplementedError
-
-    def unit_inverse(self, u):
-        raise NotImplementedError
-
     def ext_gcd(self, a, b):
         """Return (g, s, t) with g = s*a + t*b and g the canonical gcd:
         Euclid, then division by the unit that ``normalize`` splits off.
-        The packed F_p[x] rings run this loop, and F_p[x] runs theirs."""
-        self.validate(a), self.validate(b)
+        The packed F_p[x] rings run this loop, on elements that were
+        validated as tuples before they were packed."""
         old_r, r = a, b
         old_s, s = self.one, self.zero
         old_t, t = self.zero, self.one
@@ -306,38 +291,6 @@ class Ring:
         unit, canon = self.normalize(old_r)
         inv = self.unit_inverse(unit)
         return canon, self.mul(inv, old_s), self.mul(inv, old_t)
-
-    # Ring kernels: the arithmetic under matrix products and elimination,
-    # on rows that are equal-length sequences of elements.
-
-    def product(self, left, right, width: int) -> list:
-        """The rows of left * right, as new lists, for ``right`` of
-        ``width`` columns.
-
-        Output row i is the sum of left[i][k] * right[k] over the nonzero
-        left[i][k] alone."""
-        raise NotImplementedError
-
-    def submul(self, row: list, q, other, start: int = 0):
-        """row -= q * other in place, from index ``start`` on; ``other``
-        must be zero before ``start``."""
-        raise NotImplementedError
-
-    def combine(self, a, x, b, y) -> list:
-        """The row a * x + b * y."""
-        raise NotImplementedError
-
-    def factor(self, a) -> dict:
-        """Factor into canonical primes: a = unit * prod(p**m).
-
-        The keys are sorted, so iterating the result does not depend on the
-        order in which trial division, rho or the random splits find the
-        primes."""
-        raise NotImplementedError
-
-    def _is_irreducible(self, p) -> bool:
-        """Primality of a canonical non-unit, without factoring it."""
-        raise NotImplementedError
 
     # Derived helpers.
 
@@ -693,9 +646,6 @@ class _PackedF2Ring(Ring):
     zero = 0
     one = 1
 
-    def validate(self, a):
-        return a  # packed elements only come from validated tuples
-
     def is_zero(self, a):
         return not a
 
@@ -844,9 +794,6 @@ class _PackedFpRing(Ring):
             out.append(n & slot)
             n >>= w
         return tuple(out)
-
-    def validate(self, a):
-        return a  # packed elements only come from validated tuples
 
     def is_zero(self, a):
         return not a

@@ -25,6 +25,7 @@ from .complexes import (
     _splitting,
     _subcomplex,
     _sum_layout,
+    _table,
 )
 from .errors import InvalidInputError
 from .koszul import in_kos1
@@ -231,13 +232,14 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
     q = ChainMap(Y, target, {0: q0, 1: _restrict(q0, Y.d(1), target.d(1))})
 
     flat_sections = _splitting(flat, None, False)
-    sections = {}
+    pairs = []
     for degree in (0, 1):
         lam = flat_sections.get(degree, Matrix.zeros(ring, Y.rank(degree), 0)).take_cols(unit_rows)
         if lam.cols:  # else there is no unit part to correct
             mu = (q.at(degree) * lam).take_rows(range(X.rank(degree)))
             lam = lam - mono.at(degree) * mu
-        sections[degree] = hstack([mono.at(degree), lam])
+        pairs.append((degree, hstack([mono.at(degree), lam])))
+    sections = _table(pairs)
     _splitting(q, sections, False)
 
     kernel, kernel_incl = kernel_complex(q)

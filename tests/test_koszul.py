@@ -56,6 +56,7 @@ from koszulkit.rings import ZZ, fpx
 Z2 = two_term(Matrix(ZZ, [[2]]))
 Z6 = two_term(Matrix(ZZ, [[6]]))
 PARAMS = GenParams(ring=ZZ, seed=5)
+RINGS = {"Z": ZZ, "F2x": fpx(2), "F3x": fpx(3)}
 
 
 def padded_0_spherical():
@@ -254,10 +255,12 @@ def test_cellular_factorization_random():
 def test_cellular_factorization_builds_one_cone_per_degree_evaluation(call_log):
     """Each cone-vanishing degree is read off a cone layout built for it
     alone; the only other cone layouts are the cones of the composites
-    inside the factor steps, one per stage."""
+    inside the factor steps, one per stage, and the subquotient of each
+    cylinder stage, the cone of its step map."""
     layouts, evaluations = call_log(complexes._Layout, "__init__"), call_log(koszul, "_vanishing_degree")
+    cylinders = call_log(koszul, "structure_maps")
     params = GenParams(ring=ZZ, seed=8, max_rank=2, support_width=3)
-    total_stages = 0
+    total_stages = total_cylinders = 0
     for trial in range(6):
         rng = trial_rng(params, trial)
         x = gen_a_object(params, trial, rng=rng).complex
@@ -265,12 +268,41 @@ def test_cellular_factorization_builds_one_cone_per_degree_evaluation(call_log):
         f = gen_chain_map(rng, x, y, terms=1)
         layouts.clear()
         evaluations.clear()
+        cylinders.clear()
         stages = len(cellular_factorization(f).stages)
         cones = [args for args in layouts if [s for _, s in args[1]] == [1, 0]]
         assert len(evaluations) == stages + 1
-        assert len(cones) == len(evaluations) + stages
+        assert len(cones) == len(evaluations) + stages + len(cylinders)
         total_stages += stages
-    assert total_stages
+        total_cylinders += len(cylinders)
+    assert total_stages > total_cylinders > 0
+
+
+@pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS)
+def test_cylinder_stage_subquotients_are_the_split_quotients(ring, call_log):
+    """A cylinder stage stores the cone of its step map g as its
+    subquotient, which is the complex that ``_split_quotient`` finds by
+    elimination on id - j1 . j1^T, with the transposes of j1 as the
+    retractions."""
+    steps = call_log(koszul, "structure_maps")
+    params = GenParams(ring=ring, seed=8, max_rank=2, support_width=3, max_entry=3)
+    checked = 0
+    for trial in range(6):
+        rng = trial_rng(params, trial)
+        x = gen_a_object(params, trial, rng=rng).complex
+        y = gen_a_object(params, trial, rng=rng).complex
+        f = gen_chain_map(rng, x, y, terms=1)
+        steps.clear()
+        factorization = cellular_factorization(f)
+        j1s = [complexes.structure_maps(g).j1 for g, in steps]
+        stored = [(stage, quotient) for stage, quotient in zip(factorization.stages, factorization.subquotients)
+                  if stage in j1s]
+        assert len(stored) == len(j1s)
+        for j1, quotient in stored:
+            retractions = {n: j1.at(n).transpose() for n in j1.source.ranks}
+            assert quotient == complexes._split_quotient(j1, retractions)[0]
+        checked += len(stored)
+    assert checked
 
 
 def test_cellular_factorization_requires_torsion_homology():
@@ -284,9 +316,6 @@ def test_admissible_ses_and_h0_additivity():
     seq = ComplexSes(total.inclusions[0], total.projections[1])
     assert h0_additive(seq)
     assert seq.retractions and seq.sections
-
-
-RINGS = {"Z": ZZ, "F2x": fpx(2), "F3x": fpx(3)}
 
 
 def _generated_sequences(ring):

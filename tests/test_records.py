@@ -8,9 +8,14 @@ of ``complexes._Checked``); both list their field names in ``_fields``.
 Value semantics hold for copies built separately from equal inputs, not
 only for copies built from the very same field objects.  A checked value
 holds its degree tables as read-only tables, which refuse item
-assignment, deletion and the dict methods that change a dict, so every
-checked value can be hashed; a NamedTuple bundle that holds a dict or a
-list cannot be.
+assignment, deletion, a second ``__init__`` and the dict methods that
+change a dict, so every checked value can be hashed.  The witness tables
+of the result bundles (``ImageFactorization.sections``,
+``CellularFactorization.retractions`` and
+``ExcisionCertificate.sections``) are such tables too.  Only two
+NamedTuple bundles hold a plain list or dict and cannot be hashed:
+``SuiteReport`` (``failures``) and ``AObjectSample``
+(``homology_divisors``).
 """
 
 import copy
@@ -220,7 +225,18 @@ MUTATIONS = {
     "popitem": lambda table, key: table.popitem(),
     "setdefault": lambda table, key: table.setdefault(key, None),
     "merge": _merge,
+    "__init__": lambda table, key: table.__init__({key: None, 7: None}),
 }
+
+
+def _assert_read_only(table):
+    """Every mutation of ``MUTATIONS`` raises and leaves ``table`` as it was."""
+    before = list(table.items())
+    assert before, "an empty table would not show a refused pop or del"
+    for mutate in MUTATIONS.values():
+        with pytest.raises(TypeError):
+            mutate(table, before[0][0])
+    assert list(table.items()) == before
 
 
 @pytest.mark.parametrize("name", CHECKED)
@@ -232,13 +248,27 @@ def test_checked_tables_refuse_every_change(name):
     tables = {n: getattr(record, n) for n in record._fields if isinstance(getattr(record, n), dict)}
     assert bool(tables) == (name in {"ChainComplex", "ChainMap", "Homotopy", "ComplexSes"})
     for table in tables.values():
-        before = list(table.items())
-        assert before, "an empty table would not show a refused pop or del"
-        for mutate in MUTATIONS.values():
-            with pytest.raises(TypeError):
-                mutate(table, before[0][0])
-        assert list(table.items()) == before
+        _assert_read_only(table)
     assert hash(record) == hash(BUILDERS[name]())
+
+
+# The witness tables of each result bundle that holds them, all nonempty.
+# The zero map Z2 -> Z6 factors through one split stage, whose retractions
+# are solved, and one cylinder stage, whose retractions are transposes.
+WITNESS_TABLES = {
+    "ImageFactorization": lambda: [BUILDERS["ImageFactorization"]().sections],
+    "ExcisionCertificate": lambda: [BUILDERS["ExcisionCertificate"]().sections],
+    "CellularFactorization": lambda: list(cellular_factorization(ChainMap.zero(Z2, Z6)).retractions),
+}
+
+
+@pytest.mark.parametrize("name", WITNESS_TABLES)
+def test_bundle_witness_tables_refuse_every_change(name, call_log):
+    cylinders = call_log(koszul, "structure_maps")
+    tables = WITNESS_TABLES[name]()
+    assert len(tables) == 1 + len(cylinders) == 1 + (name == "CellularFactorization")
+    for table in tables:
+        _assert_read_only(table)
 
 
 def test_a_checked_differential_cannot_be_replaced():
