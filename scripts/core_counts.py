@@ -41,6 +41,8 @@ the script prints:
   sequence of complexes whose composite and witnesses pass their checks;
 * ``fgmodule_makes``: calls of ``FgModule.make``, each a divisor list
   re-normalized into a chain;
+* ``factorization_ranks``: the total rank of ``final.source``, summed
+  over the results of ``koszul.cellular_factorization``;
 * ``cpu_s``: the process CPU time of the core, counters included;
 * ``reports_sha256`` (harness workloads): SHA-256 of the concatenated
   JSON suite reports;
@@ -69,7 +71,7 @@ from ab_harness import cli_runner, core_and_warmup, harness_runner
 from run import WORKLOADS
 
 import koszulkit
-from koszulkit import complexes, matrices
+from koszulkit import complexes, koszul, matrices
 from koszulkit.fgmodules import FgModule
 from koszulkit.matrices import Matrix
 from koszulkit.rings import fpx
@@ -92,28 +94,39 @@ COUNTERS = (
     (complexes.ComplexSes, "_store", "checked_sequences", None),
     (FgModule, "make", "fgmodule_makes", None),
 )
+# (owner, attribute, counter, measure of the call's result), summed over
+# the calls and printed after ``COUNTERS``.
+SUMS = (
+    (koszul, "cellular_factorization", "factorization_ranks",
+     lambda result: sum(result.final.source.ranks.values())),
+)
 
 
 def count_matrix_work() -> dict:
-    """Wrap each attribute of ``COUNTERS`` with a counter.  A module's
-    function is rebound in every koszulkit module that imported it."""
-    counts = dict.fromkeys((counter for _, _, counter, _ in COUNTERS), 0)
+    """Wrap each attribute of ``COUNTERS`` and ``SUMS`` with a counter.  A
+    module's function is rebound in every koszulkit module that imported
+    it."""
+    amounts = [(owner, name, counter, lambda args, result, p=predicate: p is None or p(*args))
+               for owner, name, counter, predicate in COUNTERS]
+    amounts += [(owner, name, counter, lambda args, result, m=measure: m(result))
+                for owner, name, counter, measure in SUMS]
+    counts = dict.fromkeys((counter for _, _, counter, _ in amounts), 0)
 
-    def counted(original, counter, predicate):
+    def counted(original, counter, amount):
         def call(*args):
-            if predicate is None or predicate(*args):
-                counts[counter] += 1
-            return original(*args)
+            result = original(*args)
+            counts[counter] += amount(args, result)
+            return result
         return call
 
-    for owner, name, counter, predicate in COUNTERS:
+    for owner, name, counter, amount in amounts:
         original = getattr(owner, name)
         owners = [owner]
         if isinstance(owner, ModuleType):
             owners = [module for key, module in list(sys.modules.items())
                       if key.split(".")[0] == koszulkit.__name__ and getattr(module, name, None) is original]
         for each in owners:
-            setattr(each, name, counted(original, counter, predicate))
+            setattr(each, name, counted(original, counter, amount))
     return counts
 
 

@@ -36,7 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "koszulkit"
 
 LEDGER = {
-    ("koszul.py", "_factor_step",
+    ("koszul.py", "factor_step",
      'raise AssertionError("factor step lost exact equality with the input map")'):
         "invariant: h . g == f holds by the block algebra of the two cones",
     ("koszul.py", "cellular_factorization",

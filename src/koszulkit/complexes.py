@@ -500,18 +500,14 @@ def _cone_layout(f: ChainMap) -> _Layout:
                                                 [_negated(f.components.get(n - 1)), Y.diffs.get(n)]])
 
 
-def _cone_maps(f: ChainMap, layout: _Layout) -> Cone:
-    """The cone of f, with its maps, on the layout ``_cone_layout(f)``."""
+def cone(f: ChainMap) -> Cone:
     X, Y = f.source, f.target
+    layout = _cone_layout(f)
     c = layout.complex
     incl = ChainMap._trusted(Y, c, {n: layout.inclusion(1, n) for n in Y.ranks})
     proj = ChainMap._trusted(c, shift(X, -1), {
         n: layout.inclusion(0, n).transpose() for n in c.ranks if X.rank(n - 1)})
     return Cone(c, incl, proj)
-
-
-def cone(f: ChainMap) -> Cone:
-    return _cone_maps(f, _cone_layout(f))
 
 
 def _cylinder(f: ChainMap) -> _Layout:

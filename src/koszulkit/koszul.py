@@ -25,7 +25,6 @@ from .complexes import (
     ChainComplex,
     ChainMap,
     ComplexSes,
-    Cone,
     Homotopy,
     chain_retraction,
     cone,
@@ -34,16 +33,12 @@ from .complexes import (
     quasi_iso_degree,
     shift,
     shift_map,
-    split_retractions,
-    structure_maps,
     tau_ge_map,
     tau_le_map,
     _Checked,
     _cone_layout,
-    _cone_maps,
     _restrict,
     _retraction_onto_upper,
-    _split_quotient,
     _subcomplex,
     _table,
     _tau_ge,
@@ -52,7 +47,19 @@ from .complexes import (
 )
 from .errors import InvalidInputError
 from .fgmodules import FgModule
-from .matrices import Matrix, _selection, elementary_divisors, hstack, image_basis, vstack
+from .matrices import (
+    Matrix,
+    _selection,
+    block,
+    elementary_divisors,
+    hstack,
+    image_basis,
+    inverse,
+    kernel_basis,
+    snf,
+    solve,
+    vstack,
+)
 from .presented import PresentedModule, PresentedMap, is_short_exact
 
 
@@ -198,17 +205,17 @@ def factor_step(f: ChainMap, n: int) -> FactorStep:
     truncation); the new map g pairs f with a homotopy witnessing that
     the composite vanishes on the source, making the cone of g
     (n+1)-spherical while h keeps only the homology above n+1.
+
+    Size: the upper truncation has total rank at most rank X + rank Y,
+    so the intermediate complex has total rank at most rank X + 2 rank Y
+    for f: X -> Y.  Repeating the step on h would grow the source up to
+    threefold per pass, which is why ``cellular_factorization`` attaches
+    cells instead.
     """
-    layout = _cone_layout(f)
-    if _vanishing_degree(layout.complex) < n:
-        raise InvalidInputError(f"map does not vanish in cone degrees <= {n}")
-    return _factor_step(f, _cone_maps(f, layout), n)
-
-
-def _factor_step(f: ChainMap, mapping_cone: Cone, n: int) -> FactorStep:
-    """``factor_step`` on the cone of f, whose homology is known to
-    vanish in degrees <= n."""
     X = f.source
+    mapping_cone = cone(f)
+    if _vanishing_degree(mapping_cone.complex) < n:
+        raise InvalidInputError(f"map does not vanish in cone degrees <= {n}")
     boundary = mapping_cone.complex.d(n + 2)
     corestriction = _restrict(boundary, target=image_basis(boundary))
     upper, _, a, _ = _retraction_onto_upper(mapping_cone.complex, n + 1, corestriction)
@@ -244,8 +251,11 @@ def factor_step_equivalence(step: FactorStep) -> Optional[EquivalenceWitness]:
     The canonical summand inclusion of the truncated cone into the cone
     of h is a chain map; a chain-level retraction is solved for, and the
     identity is connected to the round trip by a solved homotopy.  Over
-    these coefficient rings the solves always succeed on valid steps,
-    but the stacked systems grow quickly, so callers guard by width.
+    these coefficient rings the solves always succeed on valid steps.
+
+    Size: for f: X -> Y the cone of h has total rank N <= rank X +
+    3 rank Y, and each of the two solves is one stacked linear system
+    with up to N^2 unknowns and N^2 equations, so callers guard by width.
     """
     upper = step.upper
     mapping_cone = cone(step.h).complex
@@ -288,12 +298,30 @@ class CellularFactorization(NamedTuple):
 def cellular_factorization(f: ChainMap) -> CellularFactorization:
     """Factor a morphism of torsion-homology complexes cell by cell.
 
-    Each pass applies ``factor_step`` at the current cone-vanishing
-    degree.  When the step map is not already degreewise split, the
-    cylinder replacement makes it so (the end inclusion of a cylinder
-    is always split, and the projection keeps the composite equal to f
-    on the nose).  Bounded input forces termination in at most
-    support-width + 1 stages.
+    Each pass kills the lowest homology of the cone of the current map
+    g: X -> Y by attaching cells to X.  Let the cone C (degree k is
+    X_{k-1} (+) Y_k) have homology vanishing in degrees <= n.  With K a
+    basis of the cycles of C_{n+1} and C.d(n+2) = K B, ``snf`` gives
+    U B V = D.  For each non-unit divisor d_i, z_i = K U^-1 e_i = (x_i, y_i)
+    is a cycle and w_i = V e_i = (a_i, b_i) has boundary d_i z_i; the
+    classes of the z_i generate H_{n+1}(C) with annihilators (d_i).  The
+    new source is X (+) <e_i in degree n+1, c_i in degree n+2> with
+    d e_i = x_i and d c_i = a_i + d_i e_i, and the new map extends g by
+    e_i -> y_i and c_i -> b_i.  So the stage is the summand inclusion,
+    whose retractions are the transposed selections; its subquotient is
+    [R^r --diag(d_i)--> R^r], (n+1)-spherical; and the final map composed
+    with the stages is f on the nose.  In the long exact sequence of
+    0 -> C -> Cone(g') -> (X'/X)[-1] -> 0 the connecting map sends the
+    class of e_i to -[z_i], an isomorphism onto H_{n+1}(C), so the cone
+    of g' vanishes through degree n+1 and keeps every higher homology
+    module of C.
+
+    Size: there is one stage per nonzero homology degree of Cone f, so at
+    most support-width + 1 stages, and the stage for degree k adds
+    2 mu(H_k(Cone f)) ranks, mu the minimal number of generators.  As
+    mu(H_k) <= rank (Cone f)_k = rank X_{k-1} + rank Y_k, the final source
+    has total rank at most rank X + 2 sum_k mu(H_k(Cone f))
+    <= 3 rank X + 2 rank Y.
     """
     if not in_A(f.source) or not in_A(f.target):
         raise InvalidInputError("both ends must have torsion homology")
@@ -307,35 +335,21 @@ def cellular_factorization(f: ChainMap) -> CellularFactorization:
     guard = width + 3
     while True:
         # One cone of the current map per stage: its complex gives the
-        # vanishing degree, and the factor step adds the maps.
-        layout = _cone_layout(current)
-        n = _vanishing_degree(layout.complex)
+        # vanishing degree and the cells to attach.
+        mapping_cone = _cone_layout(current).complex
+        n = _vanishing_degree(mapping_cone)
         if n == math.inf:
             break
         if guard == 0:
             raise AssertionError("cellular factorization failed to terminate")
         guard -= 1
-        step = _factor_step(current, _cone_maps(current, layout), n)
-        retr = split_retractions(step.g)
-        if retr is not None:
-            mono, nxt = step.g, step.h
-            quotient, _ = _split_quotient(mono, retr)
-        else:
-            smaps = structure_maps(step.g)
-            mono = smaps.j1
-            nxt = step.h.compose(smaps.p)
-            # j1's components are selection matrices, so their
-            # transposes are retractions (the ones ``solve`` would give).
-            retr = _table((k, mono.at(k).transpose()) for k in mono.source.ranks)
-            # The quotient by j1 is the cylinder's last two summands with
-            # the differential [[-dX, 0], [-g, dY]]: the cone of g, in the
-            # coordinates that ``_split_quotient`` would find.
-            quotient = _cone_layout(step.g).complex
-        stages.append(mono)
-        retractions.append(retr)
+        stage, current, quotient = _attach_cells(current, mapping_cone, n)
+        stages.append(stage)
+        # The stage's components are selection matrices, so their
+        # transposes are retractions.
+        retractions.append(_table((k, stage.at(k).transpose()) for k in stage.source.ranks))
         subquotients.append(quotient)
         spherical.append(n + 1)
-        current = nxt
     return CellularFactorization(
         stages=tuple(stages),
         retractions=tuple(retractions),
@@ -343,6 +357,41 @@ def cellular_factorization(f: ChainMap) -> CellularFactorization:
         spherical_degrees=tuple(spherical),
         final=current,
     )
+
+
+def _attach_cells(g: ChainMap, mapping_cone: ChainComplex, n: int):
+    """One stage of ``cellular_factorization``: (inclusion X -> X', the
+    extended map X' -> Y, the subquotient X'/X) for g: X -> Y whose cone
+    ``mapping_cone`` has homology vanishing in degrees <= n."""
+    X, Y = g.source, g.target
+    ring = X.ring
+    cycles = kernel_basis(mapping_cone.d(n + 1))
+    cert = snf(solve(cycles, mapping_cone.d(n + 2)))
+    killed = [i for i, d in enumerate(cert.divisors) if not ring.is_unit(d)]
+    r = len(killed)
+    z = (cycles * inverse(cert.U)).take_cols(killed)
+    w = cert.V.take_cols(killed)
+    x, y = z.take_rows(range(X.rank(n))), z.take_rows(range(X.rank(n), z.rows))
+    a, b = w.take_rows(range(X.rank(n + 1))), w.take_rows(range(X.rank(n + 1), w.rows))
+    divisors = Matrix.diagonal(ring, [cert.divisors[i] for i in killed])
+    ranks = dict(X.ranks)
+    ranks[n + 1] = X.rank(n + 1) + r
+    ranks[n + 2] = X.rank(n + 2) + r
+    diffs = dict(X.diffs)
+    diffs[n + 1] = hstack([X.d(n + 1), x])
+    diffs[n + 2] = block(ring, [[X.diffs.get(n + 2), a], [None, divisors]],
+                         [X.rank(n + 1), r], [X.rank(n + 2), r])
+    if n + 3 in X.diffs:
+        diffs[n + 3] = block(ring, [[X.diffs[n + 3]], [None]], [X.rank(n + 2), r], [X.rank(n + 3)])
+    attached = ChainComplex(ring, ranks, diffs)
+    components = dict(g.components)
+    components[n + 1] = hstack([g.at(n + 1), y])
+    components[n + 2] = hstack([g.at(n + 2), b])
+    extended = ChainMap(attached, Y, components)
+    # X is a subcomplex of X' by the block form of its differentials.
+    stage = ChainMap._trusted(X, attached, {k: _selection(ring, ranks[k], range(rk)) for k, rk in X.ranks.items()})
+    quotient = ChainComplex._trusted(ring, {n + 1: r, n + 2: r}, {n + 2: divisors})
+    return stage, extended, quotient
 
 
 # ---------------------------------------------------------------------------

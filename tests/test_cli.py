@@ -9,7 +9,7 @@ import pytest
 
 from koszulkit import jsonio, rings
 from koszulkit.cli import _build_parser, main
-from koszulkit.complexes import ComplexSes, kernel_image_sequences
+from koszulkit.complexes import ChainMap, ComplexSes, direct_sum, kernel_image_sequences, two_term, zero_complex
 from koszulkit.errors import HypothesisNotMetError, InvalidInputError
 from koszulkit.jsonio import chain_map_from_json
 from koszulkit.matrices import Matrix
@@ -180,6 +180,21 @@ def test_factorize_command(tmp_path, capsys):
     result = json.loads(out)
     assert result["composite_equals_input"] is True
     assert result["spherical_degrees"] == [0]
+
+
+def test_factorize_output_is_small_on_the_m7_request(tmp_path, capsys, cpu_time_limit):
+    """The zero map into the sum of the copies k < 7 of [Z -2-> Z] in
+    degrees k+1 and k factors through 7 stages of one pair of cells each,
+    so the answer takes well under a second and 100 KB."""
+    target = direct_sum(*(two_term(Matrix(ZZ, [[2]]), k + 1) for k in range(7))).complex
+    path = write_json(tmp_path, "f.json", jsonio.value_to_json(ChainMap.zero(zero_complex(ZZ), target)))
+    with cpu_time_limit(1):
+        code, out, _ = run_cli(capsys, "factorize", "--in", path)
+    assert code == 0
+    assert len(out.encode()) < 100_000
+    result = json.loads(out)
+    assert result["composite_equals_input"] is True
+    assert result["spherical_degrees"] == list(range(7))
 
 
 def test_kappa_command(tmp_path, capsys):

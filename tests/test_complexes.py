@@ -180,9 +180,11 @@ def test_structure_map_identities():
     assert maps.p.compose(maps.j2) == ChainMap.identity(Z2)
     witness = homotopy_between(maps.j2.compose(maps.p), ChainMap.identity(maps.cylinder))
     assert witness is not None
-    # both end inclusions split degreewise
+    # both end inclusions split degreewise; times5, injective in each
+    # degree, does not
     assert split_retractions(maps.j1) is not None
     assert split_retractions(maps.j2) is not None
+    assert split_retractions(times5) is None
 
 
 def test_cyl_functorial():

@@ -254,13 +254,11 @@ def test_cellular_factorization_random():
 
 def test_cellular_factorization_builds_one_cone_per_degree_evaluation(call_log):
     """Each cone-vanishing degree is read off a cone layout built for it
-    alone; the only other cone layouts are the cones of the composites
-    inside the factor steps, one per stage, and the subquotient of each
-    cylinder stage, the cone of its step map."""
+    alone, and the stage attaches its cells from that same cone, so no
+    other cone layout is built."""
     layouts, evaluations = call_log(complexes._Layout, "__init__"), call_log(koszul, "_vanishing_degree")
-    cylinders = call_log(koszul, "structure_maps")
     params = GenParams(ring=ZZ, seed=8, max_rank=2, support_width=3)
-    total_stages = total_cylinders = 0
+    total_stages = 0
     for trial in range(6):
         rng = trial_rng(params, trial)
         x = gen_a_object(params, trial, rng=rng).complex
@@ -268,41 +266,75 @@ def test_cellular_factorization_builds_one_cone_per_degree_evaluation(call_log):
         f = gen_chain_map(rng, x, y, terms=1)
         layouts.clear()
         evaluations.clear()
-        cylinders.clear()
         stages = len(cellular_factorization(f).stages)
         cones = [args for args in layouts if [s for _, s in args[1]] == [1, 0]]
         assert len(evaluations) == stages + 1
-        assert len(cones) == len(evaluations) + stages + len(cylinders)
+        assert len(cones) == len(evaluations)
         total_stages += stages
-        total_cylinders += len(cylinders)
-    assert total_stages > total_cylinders > 0
+    assert total_stages > 0
 
 
 @pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS)
-def test_cylinder_stage_subquotients_are_the_split_quotients(ring, call_log):
-    """A cylinder stage stores the cone of its step map g as its
+def test_stage_subquotients_are_the_split_quotients(ring):
+    """Each stage stores the two-term complex of its attached cells as its
     subquotient, which is the complex that ``_split_quotient`` finds by
-    elimination on id - j1 . j1^T, with the transposes of j1 as the
-    retractions."""
-    steps = call_log(koszul, "structure_maps")
+    elimination on id - stage . retraction, with the stored retractions."""
     params = GenParams(ring=ring, seed=8, max_rank=2, support_width=3, max_entry=3)
-    checked = 0
+    checked = multi_stage = 0
     for trial in range(6):
         rng = trial_rng(params, trial)
         x = gen_a_object(params, trial, rng=rng).complex
         y = gen_a_object(params, trial, rng=rng).complex
         f = gen_chain_map(rng, x, y, terms=1)
-        steps.clear()
         factorization = cellular_factorization(f)
-        j1s = [complexes.structure_maps(g).j1 for g, in steps]
-        stored = [(stage, quotient) for stage, quotient in zip(factorization.stages, factorization.subquotients)
-                  if stage in j1s]
-        assert len(stored) == len(j1s)
-        for j1, quotient in stored:
-            retractions = {n: j1.at(n).transpose() for n in j1.source.ranks}
-            assert quotient == complexes._split_quotient(j1, retractions)[0]
-        checked += len(stored)
-    assert checked
+        for stage, retractions, quotient in zip(factorization.stages, factorization.retractions,
+                                                factorization.subquotients):
+            assert quotient == complexes._split_quotient(stage, retractions)[0]
+        checked += len(factorization.stages)
+        multi_stage += len(factorization.stages) > 1
+    assert checked and multi_stage
+
+
+def _assert_size_bound(f, factorization):
+    """At most width + 1 stages, and a final source of total rank at most
+    3 rank X + 2 rank Y for f: X -> Y."""
+    degrees = set(f.source.ranks) | set(f.target.ranks)
+    width = (max(degrees) - min(degrees) + 1) if degrees else 0
+    assert len(factorization.stages) <= width + 1
+    total = sum(factorization.final.source.ranks.values())
+    assert total <= 3 * sum(f.source.ranks.values()) + 2 * sum(f.target.ranks.values())
+
+
+def test_cellular_factorization_of_the_m_families_is_linear(cpu_time_limit):
+    """The sum of the copies k < m of [Z -2-> Z] in degrees k+1 and k has
+    Z/2 in m degrees: each of the m stages attaches one pair of cells, so
+    the final source has total rank 2m from the zero complex and 4m into
+    it."""
+    with cpu_time_limit(1):
+        for m in range(1, 13):
+            y = direct_sum(*(two_term(Matrix(ZZ, [[2]]), k + 1) for k in range(m))).complex
+            for f, final_rank in ((ChainMap.zero(zero_complex(ZZ), y), 2 * m),
+                                  (ChainMap.zero(y, zero_complex(ZZ)), 4 * m)):
+                factorization = cellular_factorization(f)
+                _assert_size_bound(f, factorization)
+                assert len(factorization.stages) == m
+                assert sum(factorization.final.source.ranks.values()) == final_rank
+
+
+@pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS)
+def test_cellular_factorization_size_bound_on_generated_maps(ring):
+    stages = 0
+    for width in range(1, 13):
+        params = GenParams(ring=ring, seed=12, max_rank=8, support_width=width, max_entry=3)
+        for trial in range(3):
+            rng = trial_rng(params, trial)
+            x = gen_a_object(params, trial, rng=rng).complex
+            y = gen_a_object(params, trial, rng=rng).complex
+            f = gen_chain_map(rng, x, y, terms=1)
+            factorization = cellular_factorization(f)
+            _assert_size_bound(f, factorization)
+            stages = max(stages, len(factorization.stages))
+    assert stages >= 5
 
 
 def test_cellular_factorization_requires_torsion_homology():

@@ -9,7 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COUNTS = ["workload", "requests", "products", "empty_operand_products", "raw_calls", "negations",
           "zero_negations", "packs", "unpacks", "checked_chain_maps", "cone_layouts", "solves",
-          "checked_sequences", "fgmodule_makes", "cpu_s", "outputs_sha256"]
+          "checked_sequences", "fgmodule_makes", "factorization_ranks", "cpu_s", "outputs_sha256"]
 
 
 def _script(*argv) -> dict:
@@ -23,6 +23,7 @@ def test_core_counts_and_an_a_a_run_see_the_same_core():
     counts = _script("scripts/core_counts.py")
     assert list(counts) == COUNTS
     assert counts["requests"] > 0 and counts["products"] > 0 and len(counts["outputs_sha256"]) == 64
+    assert counts["factorization_ranks"] > 0
     # ab_harness stops with an error when the two sides' outputs differ.
     same = _script("scripts/ab_harness.py", str(ROOT), str(ROOT))
     assert list(same) == ["workload", "ops", "a_cpu_s", "b_cpu_s", "b_over_a"]

@@ -30,7 +30,7 @@ PINNED = {
     "homology-Z": "dc64ddada153e9fd43bdc6a8a96b8d1d33bb790006c14d880ae0cdc9750ae815",
     "k0-Z": "0d53f67a50c98e3794f54eeaad4f2957bc6e3412085661678502e2d4e8485576",
     "eddecompose-Z": "0c70c8128c54c1d0e31b810a40317bf462fc211d81c6c09eb1ba4fe8981e1ae1",
-    "factorize-Z": "8ad54f4123f5841b196522d3e58e88542fab0bdd9f850e3b9eae20937beb636d",
+    "factorize-Z": "44b7f9eeda9fe4951a2755adc44d45e18a57527a5e67982637f69610c0b8930d",
     "cone-Z": "e4dc96adfb23629dc8a2c1f857d17dc86a9e28b4f04da5c282fc095923524ca7",
     "cyl-Z": "60240cedf40f90f001c24faad07f536b9606f5ed62537fc3df89305337a7ed5e",
     "split-Z": "a90442f667e4352e09566035b15a536de0a56d628b8344244d415f4a5a6dde03",
@@ -44,7 +44,7 @@ PINNED = {
     "homology-fpx3": "48b6f265b26d016f72a913662ae3c61f22033a6dc6e909de9310ad176e8a0e92",
     "k0-fpx3": "ff0081194c51a8064471dc93e5ad5d30f2b14e21bc05608c49d650c81bc0f110",
     "eddecompose-fpx3": "ba2e67a9619c3597c3f6f05cd1bea220f385b355a73b6131d591430931b279f3",
-    "factorize-fpx3": "df281df5f616c733a1f4eff5bb326a9348c71e2b32bf750ba94f18f30e2b6d18",
+    "factorize-fpx3": "ef28c77e6a14714b8feeba50cde9fa74a43efe16e09cebb4ea1323cfa7eb6dd6",
     "cone-fpx3": "205ec351c4e766f35a9f809013205aeea8ef9a5f9b465b3a8d235aa3a88d8619",
     "cyl-fpx3": "75ca63725678e84b93e832ed6836d0c93d227e4e540277465e4d1fa2c276c36f",
     "split-fpx3": "0c5eb2f4bfa2a45130f40b2bb0a220dcba83b5fc652ad5b53781ecf5e96e2988",
