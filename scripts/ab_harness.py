@@ -23,11 +23,14 @@ perfbench warm-up ops.
 Each operation then runs on both sides, one after the other, and the
 side that goes first alternates from one operation to the next, so a
 slow stretch of the host falls on both sides alike.  Each run is timed
-with ``time.process_time``, and the two outputs (the suite report's
-JSON, or the CLI request's exit code, output file and stderr) must be
-equal byte for byte, or the script stops with an error.  It prints one
-JSON object: each side's CPU seconds summed over the operations, the
-ratio B/A, and the number of operations.
+with ``time.process_time``, and the two outputs must be equal byte for
+byte, or the script stops with an error.  An output is the suite
+report's JSON, or the CLI request's exit code, output file and stderr,
+followed by the digest of the instances that the side's ``gen_*``
+functions returned during the operation (``instances_digest``, taken
+after the timed run), since a passing report holds no values.  It
+prints one JSON object: each side's CPU seconds summed over the
+operations, the ratio B/A, and the number of operations.
 
 An A/A run reads within about 2 %, where separate benchmark processes on
 a shared host spread by up to ±20 %.  So the script sizes a change
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -51,6 +55,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import ModuleType
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -68,6 +73,46 @@ def load_package(source_root: str, name: str, directory: str):
     shutil.copytree(Path(source_root) / "src" / "koszulkit", Path(directory) / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
     return importlib.import_module(name)
+
+
+def rebind(pkg, owner, name: str, wrap):
+    """Set ``owner.name`` to ``wrap(original)``; for a module's function,
+    in every module of ``pkg`` that imported it."""
+    original = getattr(owner, name)
+    owners = [owner]
+    if isinstance(owner, ModuleType):
+        owners = [module for key, module in list(sys.modules.items())
+                  if key.split(".")[0] == pkg.__name__ and getattr(module, name, None) is original]
+    for each in owners:
+        setattr(each, name, wrap(original))
+
+
+def record_instances(pkg) -> list:
+    """Make every ``gen_*`` function of ``pkg.generators`` append what it
+    returns to the list returned here (nested calls too)."""
+    generators = importlib.import_module(pkg.__name__ + ".generators")
+    values = []
+
+    def recording(original):
+        def generate(*args, **kwargs):
+            value = original(*args, **kwargs)
+            values.append(value)
+            return value
+        return generate
+
+    for name in [name for name in vars(generators) if name.startswith("gen_")]:
+        rebind(pkg, generators, name, recording)
+    return values
+
+
+def instances_digest(pkg, values: list) -> str:
+    """The hex SHA-256 over ``jsonio._dumps(value_to_json(x))`` of each of
+    ``values``, in order."""
+    jsonio = importlib.import_module(pkg.__name__ + ".jsonio")
+    digest = hashlib.sha256()
+    for value in values:
+        digest.update(jsonio._dumps(jsonio.value_to_json(value)).encode())
+    return digest.hexdigest()
 
 
 def harness_runner(pkg, workload: str):
@@ -128,13 +173,15 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         sys.path.insert(0, workdir)
         ops, warm = core_and_warmup(args.workload, args.seconds, args.seed, workdir)
-        runners = {}
+        pkgs, runners, instances = {}, {}, {}
         for side, source in zip(SIDES, (args.a_root, args.b_root)):
-            pkg = load_package(source, f"koszulkit_{side}", workdir)
+            pkg = pkgs[side] = load_package(source, f"koszulkit_{side}", workdir)
             runners[side] = cli_runner(pkg) if args.workload == "cli-requests" else harness_runner(pkg, args.workload)
+            instances[side] = record_instances(pkg)
         for op in warm:
             for side in SIDES:
                 runners[side](op)
+                instances[side].clear()
         cpu = dict.fromkeys(SIDES, 0.0)
         done = 0
         for _ in range(args.passes):
@@ -145,6 +192,8 @@ def main(argv=None) -> int:
                     start = time.process_time()
                     outputs[side] = runners[side](op)
                     cpu[side] += time.process_time() - start
+                    outputs[side] += instances_digest(pkgs[side], instances[side]).encode()
+                    instances[side].clear()
                 if outputs["a"] != outputs["b"]:
                     raise SystemExit(f"ab_harness: outputs differ on {op.label} {op.payload.get('seed', '')}")
                 done += 1

@@ -20,6 +20,10 @@ warm from one to the next (unlike the benchmark's forked passes), and
 the script prints:
 
 * ``products``: calls of ``Matrix.__mul__``;
+* ``row_products``: calls of the work rings' ``product`` (``Z``, and the
+  packed rings of F_2[x] and of F_p[x] for odd p), each the rows of one
+  product: every ``Matrix.__mul__`` makes one, and so does each law
+  check that compares work rows without building a matrix;
 * ``empty_operand_products``: those calls where an operand has no rows
   or no columns;
 * ``raw_calls``: calls of ``Matrix._from_work``, the constructor every
@@ -47,7 +51,14 @@ the script prints:
 * ``reports_sha256`` (harness workloads): SHA-256 of the concatenated
   JSON suite reports;
 * ``outputs_sha256`` (``cli-requests``): SHA-256 over each request's
-  label, exit code, output file bytes and stderr, each length-prefixed.
+  label, exit code, output file bytes and stderr, each length-prefixed;
+* ``instances_sha256``: SHA-256 over ``jsonio._dumps(value_to_json(x))``
+  of every value x that a ``gen_*`` function of ``koszulkit.generators``
+  returns, nested calls included, in order: during the core on the
+  harness workloads, and while the request files are drawn on
+  ``cli-requests``.  A passing suite report holds no values, so this is
+  the hash that sees a drawn instance change.  The values are kept and
+  hashed after the core, so hashing moves no count.
 
 Two commits do the same matrix work in the same way exactly when the
 counts agree, and produce the same output exactly when the hashes do;
@@ -64,14 +75,13 @@ import json
 import sys
 import tempfile
 import time
-from types import ModuleType
 
 # ab_harness puts this checkout's src/ and perfbench/ on the path.
-from ab_harness import cli_runner, core_and_warmup, harness_runner
+from ab_harness import cli_runner, core_and_warmup, harness_runner, instances_digest, rebind, record_instances
 from run import WORKLOADS
 
 import koszulkit
-from koszulkit import complexes, koszul, matrices
+from koszulkit import complexes, koszul, matrices, rings
 from koszulkit.fgmodules import FgModule
 from koszulkit.matrices import Matrix
 from koszulkit.rings import fpx
@@ -81,6 +91,9 @@ F2 = fpx(2)
 # in the order of the printed counts.
 COUNTERS = (
     (Matrix, "__mul__", "products", None),
+    (rings.IntegerRing, "product", "row_products", None),
+    (rings._PackedF2Ring, "product", "row_products", None),
+    (rings._PackedFpRing, "product", "row_products", None),
     (Matrix, "__mul__", "empty_operand_products", lambda self, other: isinstance(other, Matrix) and not (
         self.rows and self.cols and other.rows and other.cols)),
     (Matrix, "_from_work", "raw_calls", None),
@@ -112,21 +125,17 @@ def count_matrix_work() -> dict:
                 for owner, name, counter, measure in SUMS]
     counts = dict.fromkeys((counter for _, _, counter, _ in amounts), 0)
 
-    def counted(original, counter, amount):
-        def call(*args):
-            result = original(*args)
-            counts[counter] += amount(args, result)
-            return result
-        return call
+    def counted(counter, amount):
+        def wrap(original):
+            def call(*args):
+                result = original(*args)
+                counts[counter] += amount(args, result)
+                return result
+            return call
+        return wrap
 
     for owner, name, counter, amount in amounts:
-        original = getattr(owner, name)
-        owners = [owner]
-        if isinstance(owner, ModuleType):
-            owners = [module for key, module in list(sys.modules.items())
-                      if key.split(".")[0] == koszulkit.__name__ and getattr(module, name, None) is original]
-        for each in owners:
-            setattr(each, name, counted(original, counter, amount))
+        rebind(koszulkit, owner, name, counted(counter, amount))
     return counts
 
 
@@ -138,6 +147,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     digest = hashlib.sha256()
+    instances = record_instances(koszulkit)
     with tempfile.TemporaryDirectory() as workdir:
         ops, _ = core_and_warmup(args.workload, args.seconds, args.seed, workdir)
         if args.workload == "cli-requests":
@@ -153,8 +163,10 @@ def main(argv=None) -> int:
         for op in ops:
             digest.update(output(op))
         cpu = time.process_time() - start
-    print(json.dumps({"workload": args.workload, **size, **counts,
-                      "cpu_s": round(cpu, 3), hashed: digest.hexdigest()}))
+    counts = dict(counts)  # hashing the instances below reads matrices, which some counters see
+    print(json.dumps({"workload": args.workload, **size, **counts, "cpu_s": round(cpu, 3),
+                      hashed: digest.hexdigest(),
+                      "instances_sha256": instances_digest(koszulkit, instances)}))
     return 0
 
 

@@ -20,15 +20,19 @@ is a read-only ``_Table``, built once by ``_table`` where the class
 normalizes or checks it, so no item assignment, dict update or second
 ``__init__`` can undo a check.
 
-Law checks multiply only blocks that exist.  Differentials and
-components are stored only where they are nonzero, so an absent block
-is zero, and so is any product with it.  At each degree the checks of
-``ChainMap`` and ``Homotopy`` form a product only when both of its
-factors are present; a side of the law left with no blocks is zero, so
-the other side must be zero, and a degree with no blocks on either side
-holds trivially.  ``compose`` likewise multiplies only where both maps
-have a component, and sums and differences take a block without a
-partner as it is (negated when it is subtracted).
+Law checks multiply only blocks that exist, and build no matrix.
+Differentials and components are stored only where they are nonzero, so
+an absent block is zero, and so is any product with it.  At each degree
+the checks of ``ChainMap`` and ``Homotopy`` form a product only when
+both of its factors are present; a side of the law left with no blocks
+is zero, so the other side must be zero, and a degree with no blocks on
+either side holds trivially.  Every law check (d.d == 0, commutation,
+the homotopy identity, the composite and the witnesses of a short exact
+sequence) multiplies with the work ring's ``product`` and compares the
+work rows it returns, which are equal exactly when the matrices are.
+``compose`` multiplies only where both maps have a component, and sums
+and differences take a block without a partner as it is (negated when
+it is subtracted).
 
 Homology.  ``homology`` never builds a kernel basis or solves a
 system: it is read off the (memoized) elementary divisors of d_n and
@@ -68,7 +72,8 @@ checks every witness it returns, given or solved, since anything built
 from solved data keeps its check.  Its errors are ``InvalidInputError``s:
 "monomorphism/epimorphism is not degreewise split" when a solve finds
 none, "stored retraction/section fails" when a check fails or a given
-dict lacks one of those degrees, and "... where the split side is zero"
+dict lacks one of those degrees or holds a block of another shape or
+ring there, and "... where the split side is zero"
 when a given witness at another degree is not the empty block there.
 ``split_retractions`` returns None where the step raises.
 
@@ -119,6 +124,9 @@ from .fgmodules import FgModule, _from_chain
 from .matrices import (
     Matrix,
     _kron,
+    _product_rows,
+    _rows_agree,
+    _same_rows,
     _selection,
     block,
     elementary_divisors,
@@ -151,33 +159,6 @@ def _nonzero_blocks(ring: Ring, blocks: Mapping[int, Matrix], shape, what: str) 
             clean.append((n, mat))
     clean.sort()  # by degree: the degrees differ, so no two blocks are compared
     return _table(clean)
-
-
-def _product(a: Optional[Matrix], b: Optional[Matrix]) -> Optional[Matrix]:
-    """``a * b``, or None (a zero block) when either factor is absent."""
-    return None if a is None or b is None else a * b
-
-
-def _sums_agree(left, right) -> bool:
-    """Whether the blocks in ``left`` and in ``right`` have equal sums.
-
-    None stands for an absent, hence zero, block and adds nothing; a
-    side with no blocks at all is zero, so the other side must be zero.
-    """
-    a, b = _sum(left), _sum(right)
-    if a is None:
-        return b is None or b.is_zero()
-    if b is None:
-        return a.is_zero()
-    return a == b
-
-
-def _sum(blocks) -> Optional[Matrix]:
-    total = None
-    for m in blocks:
-        if m is not None:
-            total = m if total is None else total + m
-    return total
 
 
 class _Table(dict):
@@ -280,7 +261,7 @@ class ChainComplex(_Checked):
     def __init__(self, ring: Ring, ranks: Mapping[int, int], diffs: Mapping[int, Matrix]):
         self._store(ring, ranks, diffs)
         for n, mat in self.diffs.items():
-            if n + 1 in self.diffs and not (mat * self.diffs[n + 1]).is_zero():
+            if n + 1 in self.diffs and any(map(any, _product_rows(mat, self.diffs[n + 1]))):
                 raise NotAComplexError(f"d({n}) . d({n + 1}) is nonzero")
 
     def _normalize(self, ring: Ring, ranks: Mapping[int, int], diffs: Mapping[int, Matrix]):
@@ -341,7 +322,7 @@ class ChainMap(_Checked):
         self._store(source, target, components)
         dX, dY, f = source.diffs.get, target.diffs.get, self.components.get
         for n in set(source.ranks) | set(target.ranks):
-            if not _sums_agree([_product(dY(n), f(n))], [_product(f(n - 1), dX(n))]):
+            if not _rows_agree(source.ring, [_product_rows(dY(n), f(n))], [_product_rows(f(n - 1), dX(n))]):
                 raise InvalidInputError(f"components do not commute with differentials at degree {n}")
 
     def _normalize(self, source: ChainComplex, target: ChainComplex, components: Mapping[int, Matrix]):
@@ -414,10 +395,11 @@ class Homotopy(_Checked):
         self._store(lhs, rhs, components)
         X, Y = lhs.source, lhs.target
         dX, dY, H = X.diffs.get, Y.diffs.get, self.components.get
+        f, g = ({n: m._work for n, m in side.components.items()}.get for side in (lhs, rhs))
         for n in set(X.ranks) | set(Y.ranks):
             # lhs_n == rhs_n + dH + Hd, which is lhs_n - rhs_n == dH + Hd
-            if not _sums_agree([lhs.components.get(n)],
-                               [rhs.components.get(n), _product(dY(n + 1), H(n)), _product(H(n - 1), dX(n))]):
+            right = [g(n), _product_rows(dY(n + 1), H(n)), _product_rows(H(n - 1), dX(n))]
+            if not _rows_agree(X.ring, [f(n)], right):
                 raise InvalidInputError(f"homotopy identity fails at degree {n}")
 
     def _normalize(self, lhs: ChainMap, rhs: ChainMap, components: Mapping[int, Matrix]):
@@ -878,7 +860,7 @@ class ComplexSes(_Checked):
             raise InvalidInputError("maps are not consecutive")
         for n, m in mono.components.items():
             e = epi.components.get(n)
-            if e is not None and not (e * m).is_zero():
+            if e is not None and any(map(any, _product_rows(e, m))):
                 raise NotAComplexError(f"composite of the two maps is nonzero at degree {n}")
         self._store(mono, epi, _splitting(mono, retractions, True), _splitting(epi, sections, False))
         left, middle, right = self.left, self.middle, self.right
@@ -903,7 +885,7 @@ def _is_short_exact(first: Matrix, second: Matrix) -> bool:
     """Whether 0 -> . -first-> . -second-> . -> 0 is exact, by the proof
     of ``ComplexSes``: a zero composite, a retraction of ``first`` and a
     section of ``second``, and the rank count."""
-    if first.cols + second.rows != first.rows or not (second * first).is_zero():
+    if first.cols + second.rows != first.rows or any(map(any, _product_rows(second, first))):
         return False
     return _splits(first, _witness(first, True), True) and _splits(second, _witness(second, False), False)
 
@@ -944,8 +926,12 @@ def _witness(mat: Matrix, retract: bool) -> Optional[Matrix]:
 def _splits(mat: Matrix, w: Optional[Matrix], retract: bool) -> bool:
     """Whether ``w`` is a retraction w . mat == id with ``retract``, else
     a section mat . w == id."""
-    size = mat.cols if retract else mat.rows
-    return isinstance(w, Matrix) and (w * mat if retract else mat * w) == Matrix.identity(mat.ring, size)
+    # Either way the product is defined and square exactly when w, over
+    # the ring of mat, has the shape of mat's transpose.
+    if not isinstance(w, Matrix) or w.ring != mat.ring or (w.rows, w.cols) != (mat.cols, mat.rows):
+        return False
+    rows = _product_rows(w, mat) if retract else _product_rows(mat, w)
+    return _same_rows(rows, Matrix.identity(mat.ring, len(rows))._work)
 
 
 def _splitting(f: ChainMap, witnesses: Optional[Mapping[int, Matrix]], retract: bool) -> _Table:

@@ -16,7 +16,10 @@ the work form of the ring.  The generators apply the moves to the
 matrices they conjugate, as row operations for E . M and as inverse
 column operations for M . E^-1, so a Koszul boundary, a scrambled
 differential or a presentation changes basis without building E or its
-inverse and without a matrix product.  The shear automorphisms that
+inverse and without a matrix product.  A conjugation E . M . F^-1
+(``_conjugate``) applies the column moves of F, then the row moves of E,
+to one copy of M's rows and builds one matrix, and a scaling by the
+unit one is skipped.  The shear automorphisms that
 twist the module-level diagrams are moves too (``_shear_auto``): a unit
 scaling of every atom, then at most one shear.  ``rand_unimodular`` and
 ``scramble_complex`` return E, E^-1 and the chain isomorphisms for the
@@ -24,6 +27,18 @@ callers that keep them; the generators build a checked chain map only
 where it is part of the instance they return.  The draws and their
 order are the same as when E and E^-1 were multiplied out, so the
 instances are too.
+
+Draws.  Every bounded integer is drawn by ``_below(rng, n)``, which
+makes exactly the ``getrandbits`` calls of ``rng.randrange(n)``: CPython
+draws k = n.bit_length() bits until the value is below n, and
+``randrange``, ``randint`` and ``choice`` are that loop behind their
+argument handling (Mersenne Twister: Matsumoto and Nishimura, ACM TOMACS
+8(1), 1998, whose ``getrandbits(k)`` for k <= 32 is the top k bits of
+one 32-bit output).  So the same generator state gives the same values
+as those three calls, and the instances are the ones they drew.
+``_draw_unimodular`` makes the same calls inline, and keeps
+``rng.sample`` for an index pair of more than 21 coordinates (see
+``_index_pair``); ``rng.random()`` is called as it is.
 """
 
 from __future__ import annotations
@@ -38,8 +53,6 @@ from .complexes import (
     _Checked,
     _Layout,
     _negated,
-    _product,
-    _sum,
     _sum_layout,
     direct_sum,
     two_term,
@@ -47,7 +60,7 @@ from .complexes import (
 from .errors import InvalidInputError
 from .fgmodules import FgModule
 from .koszul import PresentedKoszul
-from .matrices import Matrix, _selection, block, block_diag, hstack, inverse, vstack
+from .matrices import Matrix, _product_sum, _selection, block, block_diag, hstack, inverse, vstack
 from .presented import PresentedMap, PresentedModule, SesMorphism, ThreeByThree, direct_sum_modules
 from .rings import Ring, ZZ
 
@@ -78,34 +91,47 @@ def trial_rng(params: GenParams, trial: int) -> random.Random:
 # Elements and matrices.
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for n >= 1, by the same ``getrandbits`` calls:
+    draws of n.bit_length() bits until one is below n."""
+    if n < 1:
+        raise ValueError(f"empty range below {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def rand_element(rng: random.Random, ring: Ring, bound: int, nonzero: bool = False):
     if ring.token == "Z":
         while True:
-            value = rng.randint(-bound, bound)
+            value = _below(rng, 2 * bound + 1) - bound
             if value or not nonzero:
                 return value
     degree_bound = max(1, min(bound, 3))
+    p = ring.p
     while True:
-        degree = rng.randint(0, degree_bound)
-        coeffs = [rng.randrange(ring.p) for _ in range(degree + 1)]
-        value = ring.poly(coeffs)
+        degree = _below(rng, degree_bound + 1)
+        value = ring.poly([_below(rng, p) for _ in range(degree + 1)])
         if value or not nonzero:
             return value
 
 
 def rand_unit(rng: random.Random, ring: Ring):
     if ring.token == "Z":
-        return rng.choice((1, -1))
-    return (rng.randrange(1, ring.p),)
+        return (1, -1)[_below(rng, 2)]
+    return (1 + _below(rng, ring.p - 1),)
 
 
 def rand_nonunit(rng: random.Random, ring: Ring):
     """Nonzero non-unit, for torsion block divisors."""
     if ring.token == "Z":
-        return rng.choice((1, -1)) * rng.randint(2, 9)
-    degree = rng.randint(1, 2)
-    coeffs = [rng.randrange(ring.p) for _ in range(degree)] + [rng.randrange(1, ring.p)]
-    return ring.poly(coeffs)
+        sign = (1, -1)[_below(rng, 2)]
+        return sign * (2 + _below(rng, 8))
+    p = ring.p
+    coeffs = [_below(rng, p) for _ in range(1 + _below(rng, 2))]
+    return ring.poly(coeffs + [1 + _below(rng, p - 1)])
 
 
 def rand_matrix(rng: random.Random, ring: Ring, rows: int, cols: int, bound: int) -> Matrix:
@@ -123,8 +149,8 @@ def _index_pair(rng: random.Random, n: int):
     """
     if n > 21:
         return rng.sample(range(n), 2)
-    i = rng.randrange(n)
-    j = rng.randrange(n - 1)
+    i = _below(rng, n)
+    j = _below(rng, n - 1)
     return i, n - 1 if j == i else j
 
 
@@ -140,19 +166,36 @@ def _draw_unimodular(rng: random.Random, ring: Ring, n: int) -> list:
     A move is (_ADD, i, j, c) for I + c e_ij, (_SWAP, i, j, None) for the
     transposition of i and j, or (_SCALE, i, i, (u, u^-1)) for scaling
     coordinate i by the unit u.  Scalars are in the work form of ``ring``.
+
+    The draws are those of ``rng.randrange(3)`` and ``_index_pair(rng, n)``
+    per move, made inline as in ``_below``.
     """
     pack = ring.pack or (lambda a: a)
+    bits = rng.getrandbits
+    k, k1 = n.bit_length(), (n - 1).bit_length()
     moves = []
     for _ in range(2 * n + 2 if n > 1 else 0):
-        op = rng.randrange(3)
-        i, j = _index_pair(rng, n)
+        op = bits(2)
+        while op == 3:
+            op = bits(2)
+        if n > 21:
+            i, j = rng.sample(range(n), 2)
+        else:
+            i = bits(k)
+            while i >= n:
+                i = bits(k)
+            j = bits(k1)
+            while j >= n - 1:
+                j = bits(k1)
+            if j == i:
+                j = n - 1
         if op == _ADD:
             moves.append((_ADD, i, j, pack(rand_element(rng, ring, 2, nonzero=True))))
         elif op == _SWAP:
             moves.append((_SWAP, i, j, None))
         else:
             moves.append(_rand_scale(rng, ring, i))
-    if n == 1 and rng.randrange(2):
+    if n == 1 and _below(rng, 2):
         moves.append(_rand_scale(rng, ring, 0))
     return moves
 
@@ -164,27 +207,15 @@ def _rand_scale(rng: random.Random, ring: Ring, i: int) -> tuple:
     return (_SCALE, i, i, (u, ring.work.unit_inverse(u)))
 
 
-def _times(moves: list, mat: Matrix) -> Matrix:
-    """E . mat for the product E of ``moves``: their row operations on mat, in order."""
+def _conjugate(left: list, mat: Matrix, right: list) -> Matrix:
+    """E . mat . F^-1 for the products E of the moves ``left`` and F of
+    ``right``: the inverse column operations of ``right``, then the row
+    operations of ``left``, each in order, on one copy of mat's rows.  A
+    scaling by the unit one changes nothing and is skipped."""
     work = mat.ring.work
+    one = work.one
     rows = [list(row) for row in mat._work]
-    for op, i, j, c in moves:
-        if op == _ADD:
-            work.submul(rows[i], work.neg(c), rows[j])
-        elif op == _SWAP:
-            rows[i], rows[j] = rows[j], rows[i]
-        else:
-            u = c[0]
-            rows[i] = [work.mul(u, x) for x in rows[i]]
-    return Matrix._from_work(mat.ring, mat.rows, mat.cols, rows)
-
-
-def _times_inverse(mat: Matrix, moves: list) -> Matrix:
-    """mat . E^-1 for the product E of ``moves``: the inverse column
-    operations on mat, in order."""
-    work = mat.ring.work
-    rows = [list(row) for row in mat._work]
-    for op, i, j, c in moves:
+    for op, i, j, c in right:
         if op == _ADD:
             for row in rows:
                 if row[i]:
@@ -192,30 +223,37 @@ def _times_inverse(mat: Matrix, moves: list) -> Matrix:
         elif op == _SWAP:
             for row in rows:
                 row[i], row[j] = row[j], row[i]
-        else:
+        elif c[1] != one:
             uinv = c[1]
             for row in rows:
                 row[i] = work.mul(uinv, row[i])
+    for op, i, j, c in left:
+        if op == _ADD:
+            work.submul(rows[i], work.neg(c), rows[j])
+        elif op == _SWAP:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif c[0] != one:
+            u = c[0]
+            rows[i] = [work.mul(u, x) for x in rows[i]]
     return Matrix._from_work(mat.ring, mat.rows, mat.cols, rows)
 
 
 def _conjugated(rng: random.Random, mat: Matrix) -> Matrix:
     """E . mat . F^-1 for random unimodular E and F, drawn in that order."""
     left = _draw_unimodular(rng, mat.ring, mat.rows)
-    right = _draw_unimodular(rng, mat.ring, mat.cols)
-    return _times(left, _times_inverse(mat, right))
+    return _conjugate(left, mat, _draw_unimodular(rng, mat.ring, mat.cols))
 
 
 def rand_unimodular(rng: random.Random, ring: Ring, n: int):
     """Random product of elementary matrices, returned with its inverse."""
     moves = _draw_unimodular(rng, ring, n)
     eye = Matrix.identity(ring, n)
-    return _times(moves, eye), _times_inverse(eye, moves)
+    return _conjugate(moves, eye, ()), _conjugate((), eye, moves)
 
 
 def gen_matrix(params: GenParams, trial: int, max_dim: int = 6, bound: Optional[int] = None) -> Matrix:
     rng = trial_rng(params, trial)
-    rows, cols = rng.randint(0, max_dim), rng.randint(0, max_dim)
+    rows, cols = _below(rng, max_dim + 1), _below(rng, max_dim + 1)
     return rand_matrix(rng, params.ring, rows, cols, bound if bound is not None else params.max_entry)
 
 
@@ -233,7 +271,7 @@ def _scramble(rng: random.Random, complex_: ChainComplex, order):
     """
     ring = complex_.ring
     moves = {n: _draw_unimodular(rng, ring, complex_.rank(n)) for n in order}
-    diffs = {n: _times(moves[n - 1], _times_inverse(mat, moves[n])) for n, mat in complex_.diffs.items()}
+    diffs = {n: _conjugate(moves[n - 1], mat, moves[n]) for n, mat in complex_.diffs.items()}
     return ChainComplex(ring, complex_.ranks, diffs), moves
 
 
@@ -247,8 +285,8 @@ def scramble_complex(rng: random.Random, complex_: ChainComplex):
     ring = complex_.ring
     twisted, moves = _scramble(rng, complex_, complex_.ranks)
     eye = {n: Matrix.identity(ring, r) for n, r in complex_.ranks.items()}
-    fwd = ChainMap(complex_, twisted, {n: _times(m, eye[n]) for n, m in moves.items()})
-    bwd = ChainMap(twisted, complex_, {n: _times_inverse(eye[n], m) for n, m in moves.items()})
+    fwd = ChainMap(complex_, twisted, {n: _conjugate(m, eye[n], ()) for n, m in moves.items()})
+    bwd = ChainMap(twisted, complex_, {n: _conjugate((), eye[n], m) for n, m in moves.items()})
     return twisted, fwd, bwd
 
 
@@ -275,7 +313,7 @@ def gen_koszul(params: GenParams, trial: int, acyclic: bool = False,
     if rng is None:
         rng = trial_rng(params, trial)
     ring = params.ring
-    r = rng.randint(1, params.max_rank)
+    r = 1 + _below(rng, params.max_rank)
     divisors = []
     for _ in range(r):
         if acyclic or rng.random() < 0.35:
@@ -309,12 +347,12 @@ def gen_a_object(params: GenParams, trial: int, spherical: Optional[int] = None,
     if rng is None:
         rng = trial_rng(params, trial)
     ring = params.ring
-    width = max(2, rng.randint(2, max(2, params.support_width)))
+    width = max(2, 2 + _below(rng, max(1, params.support_width - 1)))
     top_base = window_bottom + width - 2
-    count = rng.randint(1, params.max_rank + 1)
+    count = 1 + _below(rng, params.max_rank + 1)
     blocks = []
     for _ in range(count):
-        base = rng.randint(window_bottom, top_base)
+        base = window_bottom + _below(rng, width - 1)
         if acyclic or (spherical is not None and base != spherical) or rng.random() < 0.3:
             div = rand_unit(rng, ring)
         else:
@@ -344,22 +382,23 @@ def gen_chain_map(rng: random.Random, source: ChainComplex, target: ChainComplex
     identity when source and target coincide."""
     ring = source.ring
     dX, dY = source.diffs.get, target.diffs.get
-    out = ChainMap.zero(source, target)
+    out = None
     for _ in range(terms):
         h = {n: rand_matrix(rng, ring, target.rank(n + 1), source.rank(n), bound)
              for n in source.ranks if target.rank(n + 1)}
         comps = {}
         for n in set(source.ranks) | set(target.ranks):
-            piece = _sum([_product(dY(n + 1), h.get(n)), _product(h.get(n - 1), dX(n))])
+            piece = _product_sum([(dY(n + 1), h.get(n)), (h.get(n - 1), dX(n))])
             if piece is not None:
                 comps[n] = piece
-        out = out + ChainMap(source, target, comps)
+        term = ChainMap(source, target, comps)
+        out = term if out is None else out + term
     if source == target and rng.random() < 0.5:
         scalar = rand_element(rng, ring, bound, nonzero=True)
         ident = ChainMap.identity(source)
         scaled = ChainMap(source, target, {n: ident.at(n).scale(scalar) for n in source.ranks})
-        out = out + scaled
-    return out
+        out = scaled if out is None else out + scaled
+    return ChainMap.zero(source, target) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +445,12 @@ def gen_admissible_ses(params: GenParams, trial: int,
     mono, epi, retractions, sections = {}, {}, {}, {}
     for n in (1, 0):
         s = shear.at(n)
-        mono[n] = _times(moves[n], layout.inclusion(0, n))
-        epi[n] = _times_inverse(layout.inclusion(1, n).transpose(), moves[n])
+        mono[n] = _conjugate(moves[n], layout.inclusion(0, n), ())
+        epi[n] = _conjugate((), layout.inclusion(1, n).transpose(), moves[n])
         # Only a stored component is negated; an absent one is zero.
-        retractions[n] = _times_inverse(
-            hstack([Matrix.identity(ring, left.rank(n)), -s if n in shear.components else s]), moves[n])
-        sections[n] = _times(moves[n], vstack([s, Matrix.identity(ring, right.rank(n))]))
+        retractions[n] = _conjugate(
+            (), hstack([Matrix.identity(ring, left.rank(n)), -s if n in shear.components else s]), moves[n])
+        sections[n] = _conjugate(moves[n], vstack([s, Matrix.identity(ring, right.rank(n))]), ())
     seq = ComplexSes(ChainMap(left, twisted, mono), ChainMap(twisted, right, epi), retractions, sections)
     return SesSample(seq, left, right)
 
@@ -440,12 +479,12 @@ def gen_ses_of_complexes(params: GenParams, trial: int, acyclic_side: str = "lef
                          acyclic=(acyclic_side == "right")).complex
     mixer = {n: rand_matrix(rng, ring, left.rank(n), right.rank(n), 1) for n in right.ranks if left.rank(n)}
     layout = _extension(left, right, {
-        n: _sum([_product(left.diffs.get(n), mixer.get(n)),
-                 _negated(_product(mixer.get(n - 1), right.diffs.get(n)))]) for n in right.ranks})
+        n: _product_sum([(left.diffs.get(n), mixer.get(n)), (_negated(mixer.get(n - 1)), right.diffs.get(n))])
+        for n in right.ranks})
     twisted, moves = _scramble(rng, layout.complex, layout.complex.ranks)
-    mono = ChainMap(left, twisted, {n: _times(moves[n], layout.inclusion(0, n)) for n in left.ranks})
+    mono = ChainMap(left, twisted, {n: _conjugate(moves[n], layout.inclusion(0, n), ()) for n in left.ranks})
     epi = ChainMap(twisted, right, {
-        n: _times_inverse(layout.inclusion(1, n).transpose(), moves[n]) for n in right.ranks})
+        n: _conjugate((), layout.inclusion(1, n).transpose(), moves[n]) for n in right.ranks})
     return SesSample(ComplexSes(mono, epi), left, right)
 
 
@@ -467,8 +506,7 @@ def gen_quasi_iso_pair(params: GenParams, trial: int,
     target_twist, target_moves = _scramble(rng, padded.complex, (1, 0))
     # The inclusion base -> padded, conjugated by both changes of basis.
     return QuasiIsoPair(ChainMap(source_twist, target_twist, {
-        n: _times(target_moves[n], _times_inverse(padded.inclusion(0, n), source_moves[n]))
-        for n in source_moves}))
+        n: _conjugate(target_moves[n], padded.inclusion(0, n), source_moves[n]) for n in source_moves}))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +523,7 @@ class CObjectSample(NamedTuple):
 
 
 def _change_basis(module: PresentedModule, moves: list) -> PresentedModule:
-    return PresentedModule(module.ring, module.gens, _times(moves, module.relations))
+    return PresentedModule(module.ring, module.gens, _conjugate(moves, module.relations, ()))
 
 
 def _inflate(rng: random.Random, module: PresentedModule, maps_in: list, maps_out: list):
@@ -519,8 +557,8 @@ def gen_c_object(params: GenParams, trial: int,
     if rng is None:
         rng = trial_rng(params, trial)
     ring = params.ring
-    free_rank = rng.randint(0, max(1, params.max_rank - 1))
-    torsion_count = rng.randint(0 if free_rank else 1, 2)
+    free_rank = _below(rng, max(1, params.max_rank - 1) + 1)
+    torsion_count = _below(rng, 3) if free_rank else 1 + _below(rng, 2)
     expected = []
     if free_rank:
         divisors = [rand_element(rng, ring, params.max_entry, nonzero=True) for _ in range(free_rank)]
@@ -541,17 +579,17 @@ def gen_c_object(params: GenParams, trial: int,
     top = direct_sum_modules(top_parts)
     bottom = direct_sum_modules(bottom_parts)
     boundary = block_diag(ring, [free_boundary, Matrix.diagonal(ring, torsion_maps)])
-    for _ in range(rng.randint(0, 2)):
+    for _ in range(_below(rng, 3)):
         top, maps_in, maps_out = _inflate(rng, top, [], [boundary])
         boundary = maps_out[0]
-    for _ in range(rng.randint(0, 2)):
+    for _ in range(_below(rng, 3)):
         bottom, maps_in, _ = _inflate(rng, bottom, [boundary], [])
         boundary = maps_in[0]
     top_moves = _draw_unimodular(rng, ring, top.gens)
     bottom_moves = _draw_unimodular(rng, ring, bottom.gens)
     top = _change_basis(top, top_moves)
     bottom = _change_basis(bottom, bottom_moves)
-    boundary = _times(bottom_moves, _times_inverse(boundary, top_moves))
+    boundary = _conjugate(bottom_moves, boundary, top_moves)
     obj = PresentedKoszul(top, bottom, PresentedMap(top, bottom, boundary))
     return CObjectSample(obj, tuple(expected))
 
@@ -575,7 +613,7 @@ def gen_idempotent(params: GenParams, trial: int,
     # sum: degree 1 gets E p_1 E^-1, and degree 0 gets d E p_1 E^-1 d^-1,
     # since p_0 = d p_1 d^-1.
     moves = _draw_unimodular(rng, ring, complex_.rank(1))
-    top = _times(moves, _times_inverse(projector.at(1), moves))
+    top = _conjugate(moves, projector.at(1), moves)
     comps = {1: top, 0: boundary * top * inverse(boundary)}
     return complex_, ChainMap(complex_, complex_, comps)
 
@@ -655,8 +693,8 @@ def _module_row(rng: random.Random, ring: Ring, first, second):
     incl = _selection(ring, len(total), range(len(first)))
     proj = _selection(ring, len(total), range(len(first), len(total))).transpose()
     moves = _shear_auto(rng, ring, total)
-    mono = PresentedMap(_atoms_module(ring, first), middle, _times(moves, incl))
-    epi = PresentedMap(middle, _atoms_module(ring, second), _times_inverse(proj, moves))
+    mono = PresentedMap(_atoms_module(ring, first), middle, _conjugate(moves, incl, ()))
+    epi = PresentedMap(middle, _atoms_module(ring, second), _conjugate((), proj, moves))
     return mono, epi, moves
 
 
@@ -669,8 +707,8 @@ def gen_module_ses(params: GenParams, trial: int, torsion_only: bool = False,
     if rng is None:
         rng = trial_rng(params, trial)
     ring = params.ring
-    left_moduli = _rand_moduli(rng, ring, rng.randint(1, 2), torsion_only)
-    right_moduli = _rand_moduli(rng, ring, rng.randint(1, 2), torsion_only)
+    left_moduli = _rand_moduli(rng, ring, 1 + _below(rng, 2), torsion_only)
+    right_moduli = _rand_moduli(rng, ring, 1 + _below(rng, 2), torsion_only)
     return _module_row(rng, ring, left_moduli, right_moduli)[:2]
 
 
@@ -685,11 +723,11 @@ def gen_ses_morphism(params: GenParams, trial: int,
     if rng is None:
         rng = trial_rng(params, trial)
     ring = params.ring
-    a_moduli = _rand_moduli(rng, ring, rng.randint(1, 2))
-    c_moduli = _rand_moduli(rng, ring, rng.randint(1, 2))
-    a2_moduli = _rand_moduli(rng, ring, rng.randint(1, 2))
+    a_moduli = _rand_moduli(rng, ring, 1 + _below(rng, 2))
+    c_moduli = _rand_moduli(rng, ring, 1 + _below(rng, 2))
+    a2_moduli = _rand_moduli(rng, ring, 1 + _below(rng, 2))
     iso_case = rng.random() < 0.5
-    c2_moduli = list(c_moduli) if iso_case else _rand_moduli(rng, ring, rng.randint(1, 2))
+    c2_moduli = list(c_moduli) if iso_case else _rand_moduli(rng, ring, 1 + _below(rng, 2))
     top_mono, top_epi, top_moves = _module_row(rng, ring, a_moduli, c_moduli)
     bot_mono, bot_epi, bot_moves = _module_row(rng, ring, a2_moduli, c2_moduli)
 
@@ -701,7 +739,7 @@ def gen_ses_morphism(params: GenParams, trial: int,
     delta = _rand_atom_hom(rng, ring, a2_moduli, c_moduli)
     mixed = block(ring, [[alpha, delta], [None, gamma]],
                   [len(a2_moduli), len(c2_moduli)], [len(a_moduli), len(c_moduli)])
-    middle_matrix = _times(bot_moves, _times_inverse(mixed, top_moves))
+    middle_matrix = _conjugate(bot_moves, mixed, top_moves)
     left = PresentedMap(_atoms_module(ring, a_moduli), _atoms_module(ring, a2_moduli), alpha)
     middle = PresentedMap(top_mono.target, bot_mono.target, middle_matrix)
     right = PresentedMap(_atoms_module(ring, c_moduli), _atoms_module(ring, c2_moduli), gamma)
@@ -716,7 +754,7 @@ def gen_three_by_three(params: GenParams, trial: int,
     ring = params.ring
     atoms = {}
     for group in "abcd":
-        for k, modulus in enumerate(_rand_moduli(rng, ring, rng.randint(1, 2))):
+        for k, modulus in enumerate(_rand_moduli(rng, ring, 1 + _below(rng, 2))):
             atoms[group, k] = modulus
     objects = {key: [atom for atom in atoms if atom[0] in groups] for key, groups in (
         ("X", "a"), ("Xp", "ab"), ("Xpp", "b"), ("Y", "ac"), ("Yp", "abcd"), ("Ypp", "bd"),
@@ -728,7 +766,7 @@ def gen_three_by_three(params: GenParams, trial: int,
     def pm(source, target):
         """The atom map ``source`` -> ``target``, twisted at both ends."""
         matrix = _atom_map(ring, objects[target], objects[source])
-        matrix = _times(twists.get(target, []), _times_inverse(matrix, twists.get(source, [])))
+        matrix = _conjugate(twists.get(target, []), matrix, twists.get(source, []))
         return PresentedMap(modules[source], modules[target], matrix)
 
     rows = ((pm("X", "Xp"), pm("Xp", "Xpp")), (pm("Y", "Yp"), pm("Yp", "Ypp")),

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 from functools import lru_cache, wraps
 from itertools import chain, repeat
-from operator import add
+from operator import add, eq
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionError, DomainMismatchError, InvalidInputError, NotAComplexError
@@ -214,12 +214,7 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.ring != other.ring:
-            raise DomainMismatchError("matrix product across different rings")
-        if self.cols != other.rows:
-            raise DimensionError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        return Matrix._from_work(self.ring, self.rows, other.cols,
-                                 self.ring.work.product(self._work, other._work, other.cols))
+        return Matrix._from_work(self.ring, self.rows, other.cols, _product_rows(self, other))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
@@ -275,6 +270,66 @@ class Matrix:
 _new = object.__new__
 _set_ring, _set_rows, _set_cols, _set_work, _set_view, _set_hash, _set_neg, _set_t = (
     getattr(Matrix, name).__set__ for name in Matrix.__slots__)
+
+
+# Work rows without a matrix: the law checks of ``complexes`` compare
+# products and sums of blocks as the rows these return, which are equal
+# exactly when the matrices are, and build no matrix to do so.
+
+
+def _product_rows(a: Optional[Matrix], b: Optional[Matrix]) -> Optional[list]:
+    """The work rows of a * b, as lists, with no matrix built; None (a
+    zero block) when either factor is None.  The factors are checked as
+    ``Matrix.__mul__`` checks them."""
+    if a is None or b is None:
+        return None
+    if a.ring != b.ring:
+        raise DomainMismatchError("matrix product across different rings")
+    if a.cols != b.rows:
+        raise DimensionError(f"cannot compose {a.rows}x{a.cols} with {b.rows}x{b.cols}")
+    return a.ring.work.product(a._work, b._work, b.cols)
+
+
+def _same_rows(a, b) -> bool:
+    """Whether two blocks of work rows of one shape, lists or tuples, are equal."""
+    return all(map(eq, chain.from_iterable(a), chain.from_iterable(b)))
+
+
+def _row_sum(plus, blocks) -> Optional[list]:
+    """The sum of the blocks of work rows, None for an absent block, by
+    the work ring's addition ``plus``; None when every block is absent."""
+    total = None
+    for rows in blocks:
+        if rows is not None:
+            total = rows if total is None else [list(map(plus, r, s)) for r, s in zip(total, rows)]
+    return total
+
+
+def _rows_agree(ring: Ring, left, right) -> bool:
+    """Whether the blocks of work rows in ``left`` and in ``right`` have
+    equal sums.
+
+    None stands for an absent, hence zero, block and adds nothing; a
+    side with no blocks at all is zero, so the other side must be zero.
+    """
+    plus = ring.work.add
+    a, b = _row_sum(plus, left), _row_sum(plus, right)
+    if a is None:
+        return b is None or not any(map(any, b))
+    if b is None:
+        return not any(map(any, a))
+    return _same_rows(a, b)
+
+
+def _product_sum(pairs) -> Optional[Matrix]:
+    """The sum of a * b over the pairs (a, b) whose factors are both
+    present, built as one matrix; None when no pair is."""
+    present = [(a, b) for a, b in pairs if a is not None and b is not None]
+    if not present:
+        return None
+    a, b = present[0]
+    return Matrix._from_work(a.ring, a.rows, b.cols,
+                             _row_sum(a.ring.work.add, [_product_rows(*ab) for ab in present]))
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
@@ -585,7 +640,7 @@ def _echelon(ring: Ring, rows: list, width: int, trans: Optional[list] = None):
 
 
 def _is_diagonal(vecs: list) -> bool:
-    return all(not x for k, vec in enumerate(vecs) for j, x in enumerate(vec) if j != k)
+    return not any(any(vec[:k]) or any(vec[k + 1:]) for k, vec in enumerate(vecs))
 
 
 def _diagonal_form(mat: Matrix, track: bool):

@@ -625,16 +625,22 @@ def _unpack_f2(n: int) -> tuple:
 
 
 def _xor_scaled(acc: list, a: int, row) -> list:
-    """acc + a * row over packed F_2[x]: one XOR of the shifted row per
-    set bit of a."""
+    """acc + a * row over packed F_2[x]: one pass over the row for each
+    three set bits of a, XORing the row shifted by their positions."""
     if a == 1:
         return list(map(operator.xor, acc, row))
-    s = 0
     while a:
-        if a & 1:
-            acc = [x ^ y << s for x, y in zip(acc, row)] if s else list(map(operator.xor, acc, row))
-        a >>= 1
-        s += 1
+        s = (a & -a).bit_length() - 1
+        a &= a - 1
+        if not a:
+            return [x ^ y << s for x, y in zip(acc, row)]
+        t = (a & -a).bit_length() - 1
+        a &= a - 1
+        if not a:
+            return [x ^ y << s ^ y << t for x, y in zip(acc, row)]
+        u = (a & -a).bit_length() - 1
+        a &= a - 1
+        acc = [x ^ y << s ^ y << t ^ y << u for x, y in zip(acc, row)]
     return acc
 
 

@@ -10,6 +10,21 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip without the ``test`` extra
+    pass
+else:
+    # Tier-1 draws the same examples on every run of one tree: the default
+    # profile derandomizes, and keeps no example database, so neither a
+    # lucky draw nor a locally saved failure changes what a run tests.
+    # ``pytest --hypothesis-profile=explore`` draws at random instead, with
+    # the database, and with more examples where a test sets no count of
+    # its own; a defect it finds goes in as an ``@example``.
+    settings.register_profile("derandomized", derandomize=True, database=None)
+    settings.register_profile("explore", derandomize=False, max_examples=500)
+    settings.load_profile("derandomized")
+
 
 class RunTooLong(Exception):
     pass

@@ -11,7 +11,7 @@ import time
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from koszulkit.fgmodules import cokernel  # noqa: E402
 from koszulkit.matrices import (  # noqa: E402
@@ -68,8 +68,22 @@ def _solvable(cert, rhs) -> bool:
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
 
+def at_the_largest_shape(max_dim):
+    """Add an ``@example`` of the largest matrices that ``matrices(max_dim)``
+    draws: square, every entry drawn from the full range, over each ring."""
+    def mark(test):
+        rng = random.Random(max_dim)
+        for ring in (ZZ, F2, F3):
+            entry = (lambda: rng.randint(-9, 9)) if ring is ZZ else (
+                lambda: ring.poly([rng.randrange(ring.p) for _ in range(3)]))
+            test = example(Matrix(ring, [[entry() for _ in range(max_dim)] for _ in range(max_dim)]))(test)
+        return test
+    return mark
+
+
 @PROPERTY
 @given(matrices())
+@at_the_largest_shape(12)
 def test_certificate_and_divisors_only_path(a):
     cert = snf(a)
     assert cert.verify(a)
@@ -80,6 +94,7 @@ def test_certificate_and_divisors_only_path(a):
 
 @PROPERTY
 @given(matrices())
+@at_the_largest_shape(12)
 def test_kernel_basis_is_annihilated_and_saturated(a):
     k = kernel_basis(a)
     assert k.rows == a.cols
@@ -114,6 +129,7 @@ def test_solve_returns_none_exactly_when_unsolvable(a, data):
 
 @PROPERTY
 @given(matrices(max_dim=8))
+@at_the_largest_shape(8)
 def test_image_basis_spans_the_column_lattice(a):
     b = image_basis(a)
     assert b.cols == rank(a)
@@ -123,6 +139,7 @@ def test_image_basis_spans_the_column_lattice(a):
 
 @PROPERTY
 @given(matrices(max_dim=8))
+@at_the_largest_shape(8)
 def test_inverse_of_the_certificate_transforms(a):
     cert = snf(a)
     for u in (cert.U, cert.V):

@@ -46,6 +46,7 @@ def factored_integers(draw):
 @example((10 ** 24 + 7) ** 3)
 @example((2 ** 89 - 1) ** 2 * 3)
 @example(-(10 ** 12 + 39) ** 4 * (2 ** 31 - 1))
+@example(1099511627689 * 1099510579177)  # two primes of 40 bits: rho's slowest draw
 def test_integer_factor_matches_sympy(n):
     expected = {p: m for p, m in sympy.factorint(n).items() if p != -1}
     factors = ZZ.factor(n)

@@ -21,17 +21,20 @@ from koszulkit.generators import (
     gen_ses_of_complexes,
     gen_ses_morphism,
     gen_three_by_three,
+    rand_element,
     rand_matrix,
     rand_unimodular,
     rand_nonunit,
+    rand_unit,
     trial_rng,
     _ADD,
     _SCALE,
+    _SWAP,
+    _below,
     _draw_unimodular,
     _index_pair,
+    _conjugate,
     _shear_auto,
-    _times,
-    _times_inverse,
 )
 from koszulkit.koszul import h0, in_A, in_A_n, in_kos1
 from koszulkit.matrices import Matrix, is_unimodular
@@ -122,6 +125,92 @@ def test_index_pair_draws_as_sample():
             assert ours.getstate() == theirs.getstate(), (n, seed)
 
 
+def test_below_draws_as_randrange():
+    """``_below(rng, n)`` gives ``rng.randrange(n)`` and leaves the
+    generator in the same state."""
+    for n in range(1, 65):
+        for seed in range(40):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert [_below(ours, n) for _ in range(3)] == [theirs.randrange(n) for _ in range(3)], (n, seed)
+            assert ours.getstate() == theirs.getstate(), (n, seed)
+    with pytest.raises(ValueError):
+        _below(random.Random(0), 0)
+
+
+# The element draws as written with ``randint``, ``randrange`` and ``choice``.
+
+
+def _reference_element(rng, ring, bound, nonzero=False):
+    if ring is ZZ:
+        while True:
+            value = rng.randint(-bound, bound)
+            if value or not nonzero:
+                return value
+    while True:
+        degree = rng.randint(0, max(1, min(bound, 3)))
+        value = ring.poly([rng.randrange(ring.p) for _ in range(degree + 1)])
+        if value or not nonzero:
+            return value
+
+
+def _reference_unit(rng, ring):
+    return rng.choice((1, -1)) if ring is ZZ else (rng.randrange(1, ring.p),)
+
+
+def _reference_nonunit(rng, ring):
+    if ring is ZZ:
+        return rng.choice((1, -1)) * rng.randint(2, 9)
+    degree = rng.randint(1, 2)
+    return ring.poly([rng.randrange(ring.p) for _ in range(degree)] + [rng.randrange(1, ring.p)])
+
+
+def _reference_moves(rng, ring, n):
+    """``_draw_unimodular`` from ``rng.randrange``, ``_index_pair`` and the
+    reference element draws."""
+    pack = ring.pack or (lambda a: a)
+    moves = []
+    for _ in range(2 * n + 2 if n > 1 else 0):
+        op = rng.randrange(3)
+        i, j = _index_pair(rng, n)
+        if op == _ADD:
+            moves.append((_ADD, i, j, pack(_reference_element(rng, ring, 2, nonzero=True))))
+        elif op == _SWAP:
+            moves.append((_SWAP, i, j, None))
+        else:
+            u = pack(_reference_unit(rng, ring))
+            moves.append((_SCALE, i, i, (u, ring.work.unit_inverse(u))))
+    if n == 1 and rng.randrange(2):
+        u = pack(_reference_unit(rng, ring))
+        moves.append((_SCALE, 0, 0, (u, ring.work.unit_inverse(u))))
+    return moves
+
+
+DRAW_RINGS = (ZZ, fpx(2), fpx(3))
+
+
+def test_element_draws_match_the_reference():
+    for ring in DRAW_RINGS:
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for bound in (1, 2, 3, 9):
+                assert rand_element(ours, ring, bound) == _reference_element(theirs, ring, bound)
+                assert rand_element(ours, ring, bound, True) == _reference_element(theirs, ring, bound, True)
+            assert rand_unit(ours, ring) == _reference_unit(theirs, ring)
+            assert rand_nonunit(ours, ring) == _reference_nonunit(theirs, ring)
+            assert ours.getstate() == theirs.getstate(), (ring, seed)
+
+
+def test_draw_unimodular_matches_the_reference():
+    """Same moves and same generator state for n = 1..25, across the
+    n > 21 switch of ``_index_pair`` to ``rng.sample``."""
+    for ring in DRAW_RINGS:
+        for n in range(1, 26):
+            for seed in range(6):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                assert _draw_unimodular(ours, ring, n) == _reference_moves(theirs, ring, n), (ring, n, seed)
+                assert ours.getstate() == theirs.getstate(), (ring, n, seed)
+
+
 def test_unimodular_moves_act_as_their_product():
     """E . M and M . E^-1 by row and column moves agree with the products
     by the matrices that ``rand_unimodular`` returns for the same draws."""
@@ -138,9 +227,10 @@ def test_unimodular_moves_act_as_their_product():
                 op == _SCALE and ring.work.mul(c[0], c[0]) != ring.work.one for op, _, _, c in moves)
             tall = rand_matrix(rng, ring, n, 3, 3)
             wide = rand_matrix(rng, ring, 2, n, 3)
-            assert _times(moves, tall) == fwd * tall
-            assert _times_inverse(wide, moves) == wide * bwd
-            assert _times(moves, _times_inverse(Matrix.identity(ring, n), moves)) == Matrix.identity(ring, n)
+            assert _conjugate(moves, tall, ()) == fwd * tall
+            assert _conjugate((), wide, moves) == wide * bwd
+            assert _conjugate(moves, Matrix.identity(ring, n), moves) == Matrix.identity(ring, n)
+            assert _conjugate(moves, tall * tall.transpose(), moves) == fwd * tall * tall.transpose() * bwd
     assert scaled_by_non_involution
 
     # The twist of an atom sum: scale every atom, then at most one shear,
@@ -169,8 +259,8 @@ def test_unimodular_moves_act_as_their_product():
                 bwd = Matrix.diagonal(ring, [ring.unit_inverse(u) for u in units]) * Matrix(ring, unshear)
                 tall = rand_matrix(rng, ring, n, 3, 3)
                 wide = rand_matrix(rng, ring, 2, n, 3)
-                assert _times(moves, tall) == fwd * tall
-                assert _times_inverse(wide, moves) == wide * bwd
+                assert _conjugate(moves, tall, ()) == fwd * tall
+                assert _conjugate((), wide, moves) == wide * bwd
         assert {(1, 0), (2, 0), (2, 1), (3, 1)} <= shapes
 
 

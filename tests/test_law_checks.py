@@ -1,8 +1,11 @@
-"""The law checks of ``ChainMap`` and ``Homotopy`` against a dense
-reference: random complexes and maps over Z and F_3[x] lose random
-differentials and components, and each checked constructor must accept
-exactly when the degree-by-degree check on full zero-filled blocks
-accepts.  Needs the ``test`` extra; the module skips without it."""
+"""The law checks of ``ChainComplex`` (d.d == 0), ``ChainMap``,
+``Homotopy`` and ``ComplexSes`` (the composite, and given retractions
+and sections) against a dense reference: random complexes, maps and
+sequences over Z and F_3[x] lose random blocks or have one replaced,
+and each checked constructor must accept exactly when the
+degree-by-degree check on full zero-filled blocks accepts; the checks
+compare work rows, the references whole matrices.  Needs the ``test``
+extra; the module skips without it."""
 
 import random
 
@@ -11,9 +14,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from koszulkit.complexes import ChainComplex, ChainMap, Homotopy  # noqa: E402
-from koszulkit.errors import InvalidInputError  # noqa: E402
-from koszulkit.generators import scramble_complex  # noqa: E402
+from koszulkit.complexes import ChainComplex, ChainMap, ComplexSes, Homotopy  # noqa: E402
+from koszulkit.errors import InvalidInputError, NotAComplexError  # noqa: E402
+from koszulkit.generators import GenParams, gen_admissible_ses, scramble_complex  # noqa: E402
 from koszulkit.matrices import Matrix  # noqa: E402
 from koszulkit.rings import ZZ, fpx  # noqa: E402
 
@@ -43,12 +46,46 @@ def dense_homotopy_law(lhs, rhs, comps) -> bool:
                for n in set(X.ranks) | set(Y.ranks))
 
 
+def dense_dd_law(ring, ranks, diffs) -> bool:
+    """d(n) d(n+1) == 0 at every degree, zero blocks included."""
+    def d(n):
+        return zero_filled(diffs, n, ranks.get(n - 1, 0), ranks.get(n, 0), ring)
+    return all((d(n) * d(n + 1)).is_zero() for n in range(min(DEGREES), max(DEGREES) + 1))
+
+
+def dense_ses_outcome(mono, epi, retractions, sections) -> str:
+    """"composite" if e_n m_n != 0 at a degree, else "witness" if a given
+    retraction r_n m_n == id or section e_n s_n == id fails (or is
+    missing) where its split side is nonzero, else "exact"; every block
+    zero-filled."""
+    A, B, C = mono.source, mono.target, epi.target
+    ring = A.ring
+    if not all((epi.at(n) * mono.at(n)).is_zero() for n in set(A.ranks) | set(B.ranks) | set(C.ranks)):
+        return "composite"
+    eye = Matrix.identity
+    if all(n in retractions and retractions[n] * mono.at(n) == eye(ring, r) for n, r in A.ranks.items()) and all(
+            n in sections and epi.at(n) * sections[n] == eye(ring, r) for n, r in C.ranks.items()):
+        return "exact"
+    return "witness"
+
+
 def accepts(build) -> bool:
     try:
         build()
     except InvalidInputError:
         return False
     return True
+
+
+def outcome(build) -> str:
+    """``dense_ses_outcome``'s name for what ``build`` raises, if anything."""
+    try:
+        build()
+    except NotAComplexError:
+        return "composite"
+    except InvalidInputError:
+        return "witness"
+    return "exact"
 
 
 def entries(ring):
@@ -136,3 +173,49 @@ def test_homotopy_check_matches_the_dense_reference(data):
     comps = {n: h1[n] - h2[n] for n in DEGREES}
     comps = perturbed(draw, ring, comps, lambda n: (Y.rank(n + 1), X.rank(n)))
     assert accepts(lambda: Homotopy(lhs, rhs, comps)) == dense_homotopy_law(lhs, rhs, comps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_complex_check_matches_the_dense_reference(data):
+    draw = data.draw
+    ring = draw(st.sampled_from([ZZ, F3]))
+    if draw(st.booleans()):
+        # d.d == 0 holds; a replaced differential may break it.
+        X = complexes(draw, ring)
+        ranks = dict(X.ranks)
+        diffs = perturbed(draw, ring, dict(X.diffs), lambda n: (X.rank(n - 1), X.rank(n)))
+    else:
+        # Random blocks: d.d is mostly nonzero, at times in one entry only.
+        ranks = {n: draw(st.integers(0, 3)) for n in DEGREES}
+        diffs = {n: matrices(draw, ring, ranks[n - 1], ranks[n]) for n in DEGREES[1:]}
+    try:
+        ChainComplex(ring, ranks, diffs)
+        built = True
+    except NotAComplexError:
+        built = False
+    assert built == dense_dd_law(ring, ranks, diffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sequence_checks_match_the_dense_reference(data):
+    draw = data.draw
+    ring = draw(st.sampled_from([ZZ, F3]))
+    params = GenParams(ring=ring, seed=draw(st.integers(0, 2**16)), max_entry=9 if ring is ZZ else 3)
+    seq = gen_admissible_ses(params, draw(st.integers(0, 63))).sequence
+    A, B, C = seq.left, seq.middle, seq.right
+    mono, epi = seq.mono, seq.epi
+    # Adding a map dH + Hd keeps a chain map, and may break the composite
+    # and the given witnesses.
+    if draw(st.integers(0, 3)) == 0:
+        mono = mono + ChainMap(A, B, boundary(A, B, homotopy_shaped(draw, A, B)))
+    if draw(st.integers(0, 3)) == 0:
+        epi = epi + ChainMap(B, C, boundary(B, C, homotopy_shaped(draw, B, C)))
+    retractions, sections = dict(seq.retractions), dict(seq.sections)
+    if draw(st.booleans()):
+        retractions = perturbed(draw, ring, retractions, lambda n: (A.rank(n), B.rank(n)))
+    if draw(st.booleans()):
+        sections = perturbed(draw, ring, sections, lambda n: (B.rank(n), C.rank(n)))
+    assert outcome(lambda: ComplexSes(mono, epi, retractions, sections)) == dense_ses_outcome(
+        mono, epi, retractions, sections)

@@ -216,7 +216,9 @@ def test_lower_truncations_build_no_projection(call_log):
 Z_AT_0 = ChainComplex(ZZ, {0: 1}, {})
 
 
-@pytest.mark.parametrize("retractions", [{0: Matrix(ZZ, [[2]])}, {}], ids=["wrong", "missing"])
+@pytest.mark.parametrize("retractions", [{0: Matrix(ZZ, [[2]])}, {}, {0: Matrix(ZZ, [[1, 0]])},
+                                         {0: Matrix(fpx(2), [[(1,)]])}],
+                         ids=["wrong", "missing", "misshaped", "other-ring"])
 def test_quotient_by_split_mono_checks_given_retractions(retractions):
     with pytest.raises(InvalidInputError, match="stored retraction fails"):
         quotient_by_split_mono(ChainMap.identity(Z_AT_0), retractions)
