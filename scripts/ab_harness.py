@@ -24,7 +24,13 @@ Each operation then runs on both sides, one after the other, and the
 side that goes first alternates from one operation to the next, so a
 slow stretch of the host falls on both sides alike.  Each run is timed
 with ``time.process_time``, and the two outputs must be equal byte for
-byte, or the script stops with an error.  An output is the suite
+byte, or the script stops with an error.  A CLI request writes over the
+output file that the previous call of the same op left, as passes 2 and
+3 of the benchmark do, so an A/B run sees the cost of overwriting an
+existing file; only the first call of an op writes a new one.  Whether
+a call wrote its file is read from the file's ``st_mtime_ns`` and size,
+outside the timed region, and a call that wrote nothing reads as an
+empty output.  An output is the suite
 report's JSON, or the CLI request's exit code, output file and stderr,
 followed by the digest of the instances that the side's ``gen_*``
 functions returned during the operation (``instances_digest``, taken
@@ -49,6 +55,7 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import random
 import shutil
 import sys
@@ -116,28 +123,48 @@ def instances_digest(pkg, values: list) -> str:
 
 
 def harness_runner(pkg, workload: str):
-    """A function that runs one suite trial on ``pkg`` and returns its JSON."""
+    """A function that runs one suite trial on ``pkg`` and returns its CPU
+    seconds and its JSON."""
     ring, max_entry = (pkg.ZZ, 9) if workload == "harness-z" else (pkg.fpx(2), 3)
 
-    def trial(op) -> bytes:
+    def trial(op) -> tuple:
+        start = time.process_time()
         params = pkg.GenParams(ring=ring, seed=op.payload["seed"], trials=1, max_entry=max_entry)
-        return pkg.run_suite(op.label, params).dumps().encode()
+        report = pkg.run_suite(op.label, params).dumps().encode()
+        return time.process_time() - start, report
     return trial
 
 
+def stamp(path: Path):
+    """The ``st_mtime_ns`` and size of ``path``, or None if nothing is there."""
+    try:
+        status = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return status.st_mtime_ns, status.st_size
+
+
 def cli_runner(pkg):
-    """A function that runs one CLI request on ``pkg`` and returns its exit
-    code, output file and stderr, each length-prefixed."""
+    """A function that runs one CLI request on ``pkg`` and returns the CPU
+    seconds of its ``main`` call, and its exit code, output file and
+    stderr, each length-prefixed.  The output file of an earlier call is
+    written over, not removed; its mtime is set to 0 first, so a write
+    shows even where the file system's clock is coarser than two calls."""
     main = importlib.import_module(pkg.__name__ + ".cli").main
 
-    def request(op) -> bytes:
+    def request(op) -> tuple:
         out = Path(op.payload["argv"][-1])
-        out.unlink(missing_ok=True)
+        if out.exists():
+            os.utime(out, ns=(0, 0))
+        before = stamp(out)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
+            start = time.process_time()
             code = main(op.payload["argv"])
-        parts = [str(code).encode(), out.read_bytes() if out.exists() else b"", err.getvalue().encode()]
-        return b"".join(len(part).to_bytes(8, "big") + part for part in parts)
+            seconds = time.process_time() - start
+        wrote = stamp(out) != before
+        parts = [str(code).encode(), out.read_bytes() if wrote else b"", err.getvalue().encode()]
+        return seconds, b"".join(len(part).to_bytes(8, "big") + part for part in parts)
     return request
 
 
@@ -189,9 +216,8 @@ def main(argv=None) -> int:
                 order = SIDES if done % 2 == 0 else SIDES[::-1]
                 outputs = {}
                 for side in order:
-                    start = time.process_time()
-                    outputs[side] = runners[side](op)
-                    cpu[side] += time.process_time() - start
+                    seconds, outputs[side] = runners[side](op)
+                    cpu[side] += seconds
                     outputs[side] += instances_digest(pkgs[side], instances[side]).encode()
                     instances[side].clear()
                 if outputs["a"] != outputs["b"]:

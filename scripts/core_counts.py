@@ -155,9 +155,12 @@ def main(argv=None) -> int:
 
             def output(op):
                 label = op.label.encode()
-                return len(label).to_bytes(8, "big") + label + request(op)
+                return len(label).to_bytes(8, "big") + label + request(op)[1]
         else:
-            size, hashed, output = {"trials": len(ops)}, "reports_sha256", harness_runner(koszulkit, args.workload)
+            size, hashed, trial = {"trials": len(ops)}, "reports_sha256", harness_runner(koszulkit, args.workload)
+
+            def output(op):
+                return trial(op)[1]
         counts = count_matrix_work()
         start = time.process_time()
         for op in ops:

@@ -158,10 +158,10 @@ def _degree(key) -> int:
 
 def element_from_json(ring: Ring, data):
     if ring.token == "Z":
+        if type(data) is int:
+            return data
         if isinstance(data, bool):
             raise InvalidInputError("boolean is not a ring element")
-        if isinstance(data, int):
-            return data
         if isinstance(data, str):
             try:
                 return _parse_int(data)
@@ -215,7 +215,8 @@ def matrix_from_json(ring: Ring, data) -> Matrix:
         if not isinstance(row, list) or len(row) != cols:
             raise InvalidInputError("matrix JSON has a ragged row")
         parsed.append([element_from_json(ring, x) for x in row])
-    return Matrix(ring, parsed) if rows else Matrix.zeros(ring, 0, cols)
+    # element_from_json has checked and normalized every entry already.
+    return Matrix._raw(ring, rows, cols, parsed) if rows else Matrix.zeros(ring, 0, cols)
 
 
 def _ring(data, what: str) -> Ring:

@@ -1,6 +1,8 @@
+import errno
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -285,6 +287,77 @@ def test_out_flag_writes_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "snf", "--in", in_path, "--out", str(out_path))
     assert code == 0 and out == ""
     assert json.loads(out_path.read_text())["divisors"] == [4]
+
+
+# The fixed requests of the wire pins: one or more of every subcommand.
+WIRE_REQUESTS = json.loads((FIXTURES / "wire_requests.json").read_text())
+each_wire_request = pytest.mark.parametrize("request_", WIRE_REQUESTS, ids=[r["label"] for r in WIRE_REQUESTS])
+
+
+def wire_argv(tmp_path, request_) -> list:
+    return [*request_["argv"], "--in", write_json(tmp_path, "in.json", request_["input"])]
+
+
+@each_wire_request
+def test_out_file_holds_the_stdout_text(tmp_path, capsys, request_):
+    argv = wire_argv(tmp_path, request_)
+    code, text, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    longer, shorter, new = tmp_path / "longer.json", tmp_path / "shorter.json", tmp_path / "new.json"
+    longer.write_bytes(b"x" * (2 * len(text) + 4096))
+    shorter.write_bytes(b"x" * 3)
+    for dst in (longer, shorter, new):
+        assert run_cli(capsys, *argv, "--out", str(dst)) == (0, "", "")
+        assert dst.read_bytes() == text.encode()
+
+
+@each_wire_request
+def test_out_dev_null_exits_0(tmp_path, capsys, request_):
+    assert run_cli(capsys, *wire_argv(tmp_path, request_), "--out", os.devnull) == (0, "", "")
+
+
+def refuse_read_only_opens(monkeypatch):
+    """Make ``os.open`` refuse to open a file without write bits for
+    writing, as the kernel does for a process without the privilege to
+    bypass file permissions."""
+    real = os.open
+
+    def open_(path, flags, *args, **kwargs):
+        if flags & (os.O_WRONLY | os.O_RDWR) and os.path.isfile(path) and not os.stat(path).st_mode & 0o222:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real(path, flags, *args, **kwargs)
+    monkeypatch.setattr(os, "open", open_)
+
+
+@each_wire_request
+def test_unwritable_out_exits_2_and_keeps_its_bytes(tmp_path, capsys, monkeypatch, request_):
+    argv = wire_argv(tmp_path, request_)
+    locked, directory = tmp_path / "locked.json", tmp_path / "dir"
+    locked.write_bytes(b"kept bytes")
+    locked.chmod(0o444)
+    directory.mkdir()
+    if os.access(locked, os.W_OK):  # a privileged process opens it anyway
+        refuse_read_only_opens(monkeypatch)
+    for dst in (locked, directory):
+        code, out, err = run_cli(capsys, *argv, "--out", str(dst))
+        assert code == 2 and out == "" and err.startswith("koszulkit: ") and err.count("\n") == 1, dst
+    assert locked.read_bytes() == b"kept bytes"
+    assert list(directory.iterdir()) == []
+
+
+@each_wire_request
+@pytest.mark.parametrize("mask", [0o022, 0o077, 0o002])
+def test_new_out_file_gets_the_mode_of_open(tmp_path, capsys, request_, mask):
+    argv = wire_argv(tmp_path, request_)
+    new, reference = tmp_path / "new.json", tmp_path / "reference.json"
+    previous = os.umask(mask)
+    try:
+        code = main([*argv, "--out", str(new)])
+        open(reference, "w").close()
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode) == 0o666 & ~mask
 
 
 def test_invalid_json_exits_2(tmp_path, capsys):

@@ -3,7 +3,9 @@
 TypeError on anything else, and the same bytes as ``json.dumps`` on the
 output of every CLI subcommand."""
 
+import enum
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,8 @@ from koszulkit.generators import (  # noqa: E402
     gen_matrix,
     trial_rng,
 )
+from koszulkit.errors import InvalidInputError  # noqa: E402
+from koszulkit.matrices import Matrix  # noqa: E402
 from koszulkit.rings import ZZ, fpx  # noqa: E402
 
 
@@ -115,3 +119,52 @@ def test_every_subcommand_writes_the_bytes_of_json_dumps(tmp_path):
     assert main(["suite", "lemma2_4", "--trials", "2", "--out", str(dst)]) == 0
     text = dst.read_text(encoding="utf-8")
     assert text == reference(json.loads(text)) + "\n"
+
+
+WIRE_REQUESTS = json.loads((Path(__file__).parent / "fixtures" / "wire_requests.json").read_text())
+SNF_REQUESTS = [request["input"] for request in WIRE_REQUESTS if request["argv"][0] == "snf"]
+
+
+@pytest.mark.parametrize("ring", [ZZ, fpx(2), fpx(3)], ids=["Z", "fpx2", "fpx3"])
+def test_matrix_from_json_validates_no_entry_again(call_log, ring):
+    # element_from_json checks and normalizes each entry; the matrix is
+    # packed from those, with no second validation.
+    polynomial = ring is not ZZ
+    documents = [doc for doc in SNF_REQUESTS
+                 if any(isinstance(x, list) for row in doc["entries"] for x in row) == polynomial]
+    entries = [x for doc in documents for row in doc["entries"] for x in row]
+    assert entries
+    validated = call_log(ring, "validate")
+    parsed = [jsonio.matrix_from_json(ring, doc) for doc in documents]
+    assert validated == []
+    for doc, matrix in zip(documents, parsed):
+        expected = [[jsonio.element_from_json(ring, x) for x in row] for row in doc["entries"]]
+        assert matrix == Matrix(ring, expected) and matrix.entries == tuple(map(tuple, expected))
+
+
+# Matrix documents that the CLI refuses (tests/test_cli.py, BAD_JSON),
+# with the whole message.
+BAD_MATRICES = [
+    (ZZ, {"rows": 1, "cols": 1, "entries": [[True]]}, "boolean is not a ring element"),
+    (ZZ, {"rows": 1, "cols": 1, "entries": [[1.5]]}, "bad integer entry 1.5"),
+    (fpx(3), {"rows": 1, "cols": 1, "entries": [["x"]]}, "bad polynomial entry 'x'"),
+    (ZZ, [[1]], "matrix JSON must be an object"),
+    (ZZ, {"rows": 1, "cols": 1}, "matrix JSON needs rows, cols, entries"),
+    (ZZ, {"rows": 2, "cols": 1, "entries": [[1]]}, "matrix JSON has the wrong number of rows"),
+    (ZZ, {"rows": 1, "cols": 2, "entries": [[1]]}, "matrix JSON has a ragged row"),
+    (fpx(2), {"rows": 1, "cols": 1, "entries": [[[1, True]]]}, "bad polynomial entry [1, True]"),
+]
+
+
+@pytest.mark.parametrize("ring, document, message", BAD_MATRICES)
+def test_bad_matrix_documents_are_refused(ring, document, message):
+    with pytest.raises(InvalidInputError) as refused:
+        jsonio.matrix_from_json(ring, document)
+    assert str(refused.value) == message
+
+
+def test_an_int_subclass_entry_is_refused_not_stored():
+    # json never makes one; a Python caller's IntEnum is not a Z element.
+    entry = enum.IntEnum("Small", "ONE")(1)
+    with pytest.raises(InvalidInputError, match="bad integer entry"):
+        jsonio.matrix_from_json(ZZ, {"rows": 1, "cols": 1, "entries": [[entry]]})
