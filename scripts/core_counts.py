@@ -24,6 +24,9 @@ the script prints:
   packed rings of F_2[x] and of F_p[x] for odd p), each the rows of one
   product: every ``Matrix.__mul__`` makes one, and so does each law
   check that compares work rows without building a matrix;
+* ``row_operations``: calls of the same work rings' ``submul`` and
+  ``combine``, each one row operation on work rows (most of them in the
+  elimination kernel ``matrices._echelon``);
 * ``empty_operand_products``: those calls where an operand has no rows
   or no columns;
 * ``raw_calls``: calls of ``Matrix._from_work``, the constructor every
@@ -94,6 +97,12 @@ COUNTERS = (
     (rings.IntegerRing, "product", "row_products", None),
     (rings._PackedF2Ring, "product", "row_products", None),
     (rings._PackedFpRing, "product", "row_products", None),
+    (rings.IntegerRing, "submul", "row_operations", None),
+    (rings.IntegerRing, "combine", "row_operations", None),
+    (rings._PackedF2Ring, "submul", "row_operations", None),
+    (rings._PackedF2Ring, "combine", "row_operations", None),
+    (rings._PackedFpRing, "submul", "row_operations", None),
+    (rings._PackedFpRing, "combine", "row_operations", None),
     (Matrix, "__mul__", "empty_operand_products", lambda self, other: isinstance(other, Matrix) and not (
         self.rows and self.cols and other.rows and other.cols)),
     (Matrix, "_from_work", "raw_calls", None),

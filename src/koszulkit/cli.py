@@ -31,10 +31,16 @@ from .suites import SUITES, run_suite
 
 
 def _read_input(args) -> object:
+    """The JSON document of ``--in`` or of stdin.  A file is read as bytes,
+    unbuffered, and decoded here, with line ends translated as text mode
+    would, so every error message reads as it would in text mode."""
     try:
         if args.infile:
-            with open(args.infile, "r", encoding="utf-8") as handle:
-                return json.load(handle)
+            with open(args.infile, "rb", buffering=0) as handle:
+                text = handle.read().decode("utf-8")
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            return json.loads(text)
         return json.load(sys.stdin)
     except ValueError as error:  # not UTF-8, not JSON, or an integer past Python's digit limit
         raise InvalidInputError(str(error)) from None
@@ -181,8 +187,10 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; ``parse_args`` leaves it unchanged."""
+def _build_parser() -> tuple:
+    """The one parser of the process, and each subcommand's parser by
+    name (``choices`` of the subparsers action); parsing leaves them
+    unchanged."""
     parser = argparse.ArgumentParser(prog="koszulkit",
                                      description="Exact chain-complex calculator over a PID")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -209,11 +217,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", default="Z", help="Z or fpx:<p>")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The arguments as the two-level parse of ``_build_parser`` gives
+    them, messages and exit codes included, with each argument parsed
+    once: a known subcommand's arguments go straight to its parser, and
+    the top-level parser only reports what that leaves over.  Top-level
+    options (``--help``), a missing command and an unknown one take the
+    two-level parse."""
+    parser, commands = _build_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.command == "suite":
             status = _cmd_suite(args)

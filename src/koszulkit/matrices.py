@@ -5,8 +5,9 @@ the library.  It builds the Hermite normal form of a list of vectors by
 adding them one at a time to a fully reduced basis (Kannan and Bachem,
 1979): pivots are canonical associates and every entry in a pivot
 column is reduced modulo its pivot, so intermediate entries stay as
-small as the Hermite forms they pass through.  It repeats its row
-operations on a transform only when the caller passes one.
+small as the Hermite forms they pass through.  It does transform work
+only when the caller passes a transform, whose rows it joins to the
+ends of their rows, so each row operation is one kernel call.
 
 On top of it, ``snf`` alternates the kernel on rows and columns until
 the matrix is diagonal and returns the full witness (U, D, V) with
@@ -20,8 +21,9 @@ and row operations run on the ring's kernels (``Ring.product``,
 reduce mod p once per output entry, not once per term.  Matrices
 with zero rows or columns are first-class throughout; empty complexes
 and vanishing truncations depend on them.  Determinants use Bareiss
-fraction-free elimination so the unimodularity check never divides
-inexactly.
+fraction-free elimination, one row kernel call per row and step, so
+the unimodularity check never divides inexactly; ``SnfCertificate.verify``
+checks U*A*V == D on work rows, with no matrix built.
 
 A matrix keeps its rows in the work form of its ring (``Ring.work``):
 over F_p[x] each entry is one int that packs its coefficients (over
@@ -434,7 +436,8 @@ class SnfCertificate(NamedTuple):
 
     def verify(self, source: Matrix) -> bool:
         """Whether this certifies ``source``; False when ``source``, U
-        or V is of another ring or shape than D requires.
+        or V is of another ring or shape than D requires, or a divisor is
+        not an element of that ring.
 
         For an m x n A, U must be m x m and V n x n over the ring of A;
         then U*A*V == D is checked exactly, so
@@ -445,33 +448,42 @@ class SnfCertificate(NamedTuple):
         input entries proves it, with det D the product of the checked
         divisors.  For a non-square A or a singular D, det U and det V
         are taken.
+
+        The checks run on work rows: U*A*V is two ``product`` calls
+        compared with D's work rows, D's off-diagonal zeros and its
+        diagonal are read from its work rows, and the divisors are packed
+        once; no matrix is built and no entry unpacked.
         """
         ring, m, n = source.ring, source.rows, source.cols
         shapes = [(x.ring, x.rows, x.cols) for x in (self.U, self.D, self.V)]
         if shapes != [(ring, m, m), (ring, m, n), (ring, n, n)]:
             return False
-        if self.U * source * self.V != self.D:
+        work, d_rows = ring.work, self.D._work
+        if not _same_rows(work.product(work.product(self.U._work, source._work, n), self.V._work, n), d_rows):
             return False
-        for i, row in enumerate(self.D.entries):
-            for j, x in enumerate(row):
-                if i != j and not ring.is_zero(x):
-                    return False
-        diag = [self.D.entries[i][i] for i in range(min(self.D.rows, self.D.cols))]
-        if tuple(diag[: len(self.divisors)]) != self.divisors:
+        if not _is_diagonal(d_rows):
             return False
-        if any(not ring.is_zero(d) for d in diag[len(self.divisors):]):
+        try:
+            divisors = [ring.validate(d) for d in self.divisors]
+        except DomainMismatchError:
             return False
-        for d in self.divisors:
-            if ring.is_zero(d) or ring.normalize(d)[1] != d:
-                return False
-        for a, b in zip(self.divisors, self.divisors[1:]):
-            if not ring.divides(a, b):
-                return False
-        if source.is_square() and self.rank == source.rows:
-            det_d = ring.one
-            for d in self.divisors:
-                det_d = ring.mul(det_d, d)
-            return ring.normalize(det_d)[1] == ring.normalize(det(source))[1]
+        if ring.pack is not None:
+            divisors = list(map(ring.pack, divisors))
+        r = len(divisors)
+        diag = [d_rows[i][i] for i in range(min(m, n))]
+        if diag[:r] != divisors or any(diag[r:]):
+            return False
+        if not all(divisors) or any(work.normalize(d)[1] != d for d in divisors):
+            return False
+        if not all(map(work.divides, divisors, divisors[1:])):
+            return False
+        if m == n and r == m:
+            det_d, det_a = work.one, det(source)
+            for d in divisors:
+                det_d = work.mul(det_d, d)
+            if ring.pack is not None:
+                det_a = ring.pack(det_a)
+            return work.normalize(det_d)[1] == work.normalize(det_a)[1]
         return is_unimodular(self.U) and is_unimodular(self.V)
 
 
@@ -534,12 +546,11 @@ def _from_columns(ring: Ring, height: int, cols: list) -> Matrix:
 # as their zero test; row arithmetic goes through the ring's row kernels.
 
 
-def _reduce(ring: Ring, row: list, pivots: list, basis: list, first: int = 0,
-            trans: Optional[list] = None, btrans: Optional[list] = None):
+def _reduce(ring: Ring, row: list, pivots: list, basis: list, first: int = 0):
     """Reduce ``row`` modulo the echelon rows ``basis[first:]``.
 
     Afterwards each entry of ``row`` in one of their pivot columns is a
-    remainder of division by that pivot; ``trans`` follows along.
+    remainder of division by that pivot.
     """
     divmod_, submul = ring.divmod, ring.submul
     for k in range(first, len(pivots)):
@@ -549,8 +560,6 @@ def _reduce(ring: Ring, row: list, pivots: list, basis: list, first: int = 0,
             q = divmod_(x, basis[k][c])[0]
             if q:
                 submul(row, q, basis[k], c)
-                if trans is not None:
-                    submul(trans, q, btrans[k])
 
 
 def _echelon(ring: Ring, rows: list, width: int, trans: Optional[list] = None):
@@ -565,23 +574,30 @@ def _echelon(ring: Ring, rows: list, width: int, trans: Optional[list] = None):
     an exact multiple of the basis row when the pivot divides its entry
     and by a 2x2 gcd transform otherwise.
 
-    ``rows`` is consumed.  ``trans``, when given, holds one row per
-    input row (identity rows, or a transform built so far) and every
-    row operation is repeated on it; without it no transform work is
-    done.  Returns ``(pivots, basis, basis_trans, null_trans)``: the
+    ``rows`` is consumed, and each row has ``width`` entries.
+    ``trans``, when given, holds one row per input row (identity rows,
+    or a transform built so far): each transform row is joined to the
+    end of its row, pivots are sought in the first ``width`` entries
+    only, and so every row operation (``submul``, ``combine``, the unit
+    scaling) is one kernel call on the joined row.  At the end the
+    joined rows are split again.  Without ``trans`` no transform work
+    is done.  Returns ``(pivots, basis, basis_trans, null_trans)``: the
     pivot columns in increasing order, the echelon rows, their
     transform rows, and the transform rows of the input rows that
     became zero, which for identity ``trans`` are a basis of the left
     kernel.
     """
     tracking = trans is not None
+    if tracking:
+        for row, t in zip(rows, trans):
+            row.extend(t)
     divmod_, neg, submul, combine = ring.divmod, ring.neg, ring.submul, ring.combine
-    pivots, basis, btrans, null = [], [], [], []
+    pivots, basis, null = [], [], []
 
     def settle(k):
         # basis[k] is new or has a new pivot: restore full reduction.
         row = basis[k]
-        _reduce(ring, row, pivots, basis, k + 1, btrans[k] if tracking else None, btrans)
+        _reduce(ring, row, pivots, basis, k + 1)
         c = pivots[k]
         p = row[c]
         for j in range(k):
@@ -590,19 +606,16 @@ def _echelon(ring: Ring, rows: list, width: int, trans: Optional[list] = None):
                 q = divmod_(x, p)[0]
                 if q:
                     submul(basis[j], q, row, c)
-                    if tracking:
-                        submul(btrans[j], q, btrans[k])
-                    _reduce(ring, basis[j], pivots, basis, k + 1, btrans[j] if tracking else None, btrans)
+                    _reduce(ring, basis[j], pivots, basis, k + 1)
 
-    for i, row in enumerate(rows):
-        t = trans[i] if tracking else None
+    for row in rows:
         c = k = 0
         while True:
             while c < width and not row[c]:
                 c += 1
             if c == width:
                 if tracking:
-                    null.append(t)
+                    null.append(row[width:])
                 break
             while k < len(pivots) and pivots[k] < c:
                 k += 1
@@ -611,12 +624,8 @@ def _echelon(ring: Ring, rows: list, width: int, trans: Optional[list] = None):
                 if unit != ring.one:
                     inv = ring.unit_inverse(unit)
                     row = [ring.mul(inv, x) for x in row]
-                    if tracking:
-                        t = [ring.mul(inv, x) for x in t]
                 pivots.insert(k, c)
                 basis.insert(k, row)
-                if tracking:
-                    btrans.insert(k, t)
                 settle(k)
                 break
             h = basis[k]
@@ -624,19 +633,16 @@ def _echelon(ring: Ring, rows: list, width: int, trans: Optional[list] = None):
             q, rem = divmod_(x, p)
             if not rem:
                 submul(row, q, h, c)
-                if tracking:
-                    submul(t, q, btrans[k])
             else:
                 g, s, u = ring.ext_gcd(p, x)
                 a, b = neg(divmod_(p, g)[0]), divmod_(x, g)[0]
                 basis[k], row = combine(s, h, u, row), combine(b, h, a, row)
-                if tracking:
-                    bt = btrans[k]
-                    btrans[k], t = combine(s, bt, u, t), combine(b, bt, a, t)
                 settle(k)
             c += 1
             k += 1
-    return pivots, basis, (btrans if tracking else None), null
+    if tracking:
+        return pivots, [row[:width] for row in basis], [row[width:] for row in basis], null
+    return pivots, basis, None, null
 
 
 def _is_diagonal(vecs: list) -> bool:
@@ -686,11 +692,11 @@ def _chain(ring: Ring, diagonal: list, u: Optional[list] = None, v: Optional[lis
     columns i, j of V; pairs already in order are left alone, so a
     diagonal that is a chain costs no transform work.
     """
-    mul = ring.mul
+    divides, mul = ring.divides, ring.mul
     for i in range(len(diagonal)):
         for j in range(i + 1, len(diagonal)):
             a, b = diagonal[i], diagonal[j]
-            if ring.divides(a, b):
+            if divides(a, b):
                 continue
             g, s, t = ring.ext_gcd(a, b)
             aq, bq = ring.div_exact(a, g), ring.div_exact(b, g)
@@ -739,31 +745,55 @@ def rank(mat: Matrix) -> int:
 
 
 def det(mat: Matrix):
-    """Determinant by Bareiss fraction-free elimination (exact division only)."""
+    """Determinant by Bareiss fraction-free elimination (exact division
+    only), on the work rows: each step is ``_bareiss_step``, and only the
+    value is unpacked."""
     if not mat.is_square():
         raise DimensionError("determinant of a non-square matrix")
-    ring = mat.ring.work
-    n = mat.rows
-    if n == 0:
-        return mat.ring.one
-    a = [list(row) for row in mat._work]
-    is_zero = ring.is_zero
+    ring = mat.ring
+    work = ring.work
+    if not mat.rows:
+        return ring.one
+    rows = [list(row) for row in mat._work]
     sign = False
-    prev = ring.one
-    for k in range(n - 1):
-        if is_zero(a[k][k]):
-            swap = next((i for i in range(k + 1, n) if not is_zero(a[i][k])), None)
+    prev = work.one
+    while len(rows) > 1:
+        if not rows[0][0]:
+            swap = next((i for i, row in enumerate(rows) if row[0]), None)
             if swap is None:
-                return mat.ring.zero
-            a[k], a[swap] = a[swap], a[k]
+                return ring.zero
+            rows[0], rows[swap] = rows[swap], rows[0]
             sign = not sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = ring.sub(ring.mul(a[i][j], a[k][k]), ring.mul(a[i][k], a[k][j]))
-                a[i][j] = ring.div_exact(num, prev)
-        prev = a[k][k]
-    d = ring.neg(a[n - 1][n - 1]) if sign else a[n - 1][n - 1]
-    return d if mat.ring.unpack is None else mat.ring.unpack(d)
+        pivot = rows[0][0]
+        rows = _bareiss_step(work, rows, prev)
+        prev = pivot
+    d = work.neg(rows[0][0]) if sign else rows[0][0]
+    return d if ring.unpack is None else ring.unpack(d)
+
+
+def _bareiss_step(work: Ring, rows: list, prev) -> list:
+    """One Bareiss step on the work rows of the active block, whose first
+    row is the pivot row: every later row becomes
+    (p * row - row[0] * pivot) / prev on the entries after the first,
+    for p the pivot and ``prev`` the pivot of the step before.  Each row
+    is one ``combine`` call, then an exact division by ``prev`` entry by
+    entry.  Over a domain that division is exact (Sylvester's
+    identity), so a remainder raises ``AssertionError``."""
+    pivot = rows[0]
+    p, tail = pivot[0], pivot[1:]
+    out = []
+    combine, divmod_, neg, one = work.combine, work.divmod, work.neg, work.one
+    for row in rows[1:]:
+        new = combine(p, row[1:], neg(row[0]), tail)
+        if prev != one:
+            for j, v in enumerate(new):
+                if v:
+                    q, r = divmod_(v, prev)
+                    if r:
+                        raise AssertionError("Bareiss step: the previous pivot does not divide")
+                    new[j] = q
+        out.append(new)
+    return out
 
 
 def is_unimodular(mat: Matrix) -> bool:

@@ -281,6 +281,103 @@ def test_python_dash_m_runs_the_cli_from_the_source_tree(tmp_path):
     assert bad.returncode == 2
 
 
+def _outcome(capsys, call):
+    """(exit code, stdout, stderr) of ``call()``, argparse's exits included."""
+    try:
+        code = call()
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _run_dash_m(argv):
+    """(exit code, stdout, stderr) of ``python -m koszulkit`` on ``argv``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "koszulkit", *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.fixture(params=["in-process", "python-m"])
+def cli(request, capsys, monkeypatch):
+    """Runs the CLI on an argv, in process or as ``python -m koszulkit``,
+    with help text wrapped at 80 columns either way."""
+    monkeypatch.setenv("COLUMNS", "80")
+    if request.param == "python-m":
+        return _run_dash_m
+    return lambda argv: _outcome(capsys, lambda: main(argv))
+
+
+# The usage paths.  A known subcommand's arguments go to its own parser
+# alone; every one of these must read as the two-level parse of the
+# top-level parser reads it: exit code, stdout and stderr.
+USAGE = {
+    "no-command": [],
+    "unknown-command": ["bogus"],
+    "help": ["--help"],
+    **{f"{name}-help": [name, "--help"] for name in _build_parser()[1]},
+    "split-without-degree": ["split"],
+    "truncate-side-x": ["truncate", "--degree", "0", "--side", "x"],
+    "snf-ring-without-value": ["snf", "--ring"],
+    "snf-bogus": ["snf", "--bogus"],
+    "snf-after-double-dash": ["snf", "--", "x"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE.values(), ids=USAGE)
+def test_usage_reads_as_the_two_level_parse(capsys, cli, argv):
+    want = _outcome(capsys, lambda: _build_parser()[0].parse_args(argv))
+    code, out, err = want
+    assert (code, bool(out), bool(err)) in ((0, True, False), (2, False, True))
+    assert cli(argv) == want
+
+
+def test_unrecognized_arguments_are_reported_by_the_top_level_parser(cli):
+    code, out, err = cli(["snf", "--bogus"])
+    assert (code, out) == (2, "") and err.startswith("usage: koszulkit [-h]")
+    assert err.endswith("\nkoszulkit: error: unrecognized arguments: --bogus\n")
+
+
+# The input paths of ``--in``: the file's bytes (None: no file, "dir": a
+# directory) and the stderr line, with {path} for the path.
+BAD_INPUT = {
+    "missing": (None, "koszulkit: [Errno 2] No such file or directory: '{path}'\n"),
+    "directory": ("dir", "koszulkit: [Errno 21] Is a directory: '{path}'\n"),
+    "not-utf-8": (b'{"ring": "\xff"}',
+                  "koszulkit: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte\n"),
+    "utf-8-bom": (b'\xef\xbb\xbf{"rows": 1, "cols": 1, "entries": [[4]]}',
+                  "koszulkit: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"),
+    # Line ends count as text mode reads them: CRLF and a lone CR as one "\n".
+    "crlf-unclosed": (b'{"rows": 1,\r\n "cols": 1,\r\n "entries": [[4]\r\n',
+                      "koszulkit: Expecting ',' delimiter: line 4 column 1 (char 41)\n"),
+    "cr-unclosed": (b'{"rows": 1,\r "cols": 1,\r "entries": [[4]\r',
+                    "koszulkit: Expecting ',' delimiter: line 4 column 1 (char 41)\n"),
+    "empty": (b"", "koszulkit: Expecting value: line 1 column 1 (char 0)\n"),
+}
+
+
+@pytest.mark.parametrize("data, message", BAD_INPUT.values(), ids=BAD_INPUT)
+def test_unreadable_input_file_exits_2_with_the_text_mode_message(tmp_path, cli, data, message):
+    path = tmp_path / "in.json"
+    if data == "dir":
+        path.mkdir()
+    elif data is not None:
+        path.write_bytes(data)
+    assert cli(["snf", "--in", str(path)]) == (2, "", message.format(path=path))
+
+
+def test_crlf_input_reads_as_lf_input(tmp_path, cli):
+    lf, crlf = tmp_path / "lf.json", tmp_path / "crlf.json"
+    lf.write_bytes(b'{"rows": 2,\n "cols": 2,\n "entries": [[2, 0],\n [0, 3]]}\n')
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    code, out, err = cli(["snf", "--in", str(crlf)])
+    assert (code, err) == (0, "") and json.loads(out)["divisors"] == [1, 6]
+    assert cli(["snf", "--in", str(lf)]) == (code, out, err)
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     in_path = write_json(tmp_path, "m.json", {"rows": 1, "cols": 1, "entries": [[4]]})
     out_path = tmp_path / "res.json"

@@ -16,10 +16,13 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from koszulkit.fgmodules import cokernel  # noqa: E402
 from koszulkit.matrices import (  # noqa: E402
     Matrix,
+    _echelon,
+    _identity_rows,
     elementary_divisors,
     hstack,
     image_basis,
     inverse,
+    is_unimodular,
     kernel_basis,
     rank,
     snf,
@@ -144,6 +147,28 @@ def test_inverse_of_the_certificate_transforms(a):
     cert = snf(a)
     for u in (cert.U, cert.V):
         assert inverse(u) * u == Matrix.identity(a.ring, u.rows)
+
+
+@PROPERTY
+@given(matrices())
+@at_the_largest_shape(12)
+def test_transform_rows_ride_on_their_rows(a):
+    """With identity transform rows joined to them, the kernel finds the
+    pivots and basis of the untracked call; the transform rows times the
+    input are the basis, row by row, and the rows - rank null rows
+    annihilate the input.  Together they are a unimodular transform."""
+    work = a.ring.work
+    pivots, basis, none, _ = _echelon(work, [list(row) for row in a._work], a.cols)
+    assert none is None
+    t_pivots, t_basis, trans, null = _echelon(work, [list(row) for row in a._work], a.cols,
+                                              _identity_rows(work, a.rows))
+    assert t_pivots == pivots and t_basis == basis
+    assert len(trans) == len(basis) and len(null) == a.rows - len(pivots)
+    assert all(len(t) == a.rows for t in trans + null)
+    assert work.product(trans, a._work, a.cols) == basis
+    assert not any(map(any, work.product(null, a._work, a.cols)))
+    if a.rows:
+        assert is_unimodular(Matrix._from_work(a.ring, a.rows, a.rows, trans + null))
 
 
 class _TupleRing(PrimeFieldPolynomialRing):

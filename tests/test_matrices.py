@@ -187,6 +187,39 @@ def test_det_against_permanent_expansion():
         n = rng.randint(0, 3)
         a = rand_poly_matrix(rng, n, n, degree=2)
         assert det(a) == _brute_det(a)
+    # Up to 4 x 4 on both packed work rings, whose Bareiss steps run on ``combine``.
+    for ring in (F2, fpx(3)):
+        for _ in range(30):
+            n = rng.randint(0, 4)
+            a = Matrix(ring, [[ring.poly([rng.randrange(ring.p) for _ in range(rng.randint(0, 3))])
+                               for _ in range(n)] for _ in range(n)])
+            assert det(a) == _brute_det(a)
+
+
+def test_det_against_sympy_on_wide_integer_entries():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(43)
+    for _ in range(40):
+        n = rng.randint(0, 8)
+        # Zero-heavy rows and a repeated row bring pivot swaps and singular matrices in.
+        rows = [[rng.choice([0, rng.randint(-2 ** 64, 2 ** 64)]) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            rows[-1] = list(rows[0])
+        a = Matrix(ZZ, rows)
+        assert det(a) == (sympy.Matrix(rows).det() if n else 1)
+
+
+@pytest.mark.parametrize("ring, rows, prev", [
+    # 2 * 1 - 1 * 1 = 1 is no multiple of 3.
+    (ZZ, [[2, 1], [1, 1]], 3),
+    # 1 * 1 - 0 * x = 1 is no multiple of x over F_3[x].
+    (fpx(3), [[(1,), (0, 1)], [(), (1,)]], (0, 1)),
+], ids=["Z", "F3x"])
+def test_bareiss_step_refuses_an_inexact_division(ring, rows, prev):
+    pack = ring.pack or (lambda x: x)
+    work_rows = [[pack(x) for x in row] for row in rows]
+    with pytest.raises(AssertionError, match="previous pivot"):
+        matrices._bareiss_step(ring.work, work_rows, pack(prev))
 
 
 def test_solve_examples():
@@ -520,7 +553,7 @@ def test_verify_refuses_a_foreign_source():
 
 
 @pytest.mark.parametrize("case", ["product", "off-diagonal", "divisors", "dropped-divisor",
-                                  "non-canonical", "chain", "U-shape", "V-ring"])
+                                  "non-canonical", "chain", "U-shape", "V-ring", "float-divisor"])
 def test_verify_rejects_a_forged_certificate(case):
     a = Matrix(ZZ, [[2, 4], [6, 8]])
     cert = snf(a)
@@ -535,6 +568,8 @@ def test_verify_rejects_a_forged_certificate(case):
         "chain": (diag(2, 3), cert._replace(U=eye, V=eye, D=diag(2, 3), divisors=(2, 3))),
         "U-shape": (a, cert._replace(U=Matrix.identity(ZZ, 3))),
         "V-ring": (a, cert._replace(V=Matrix.identity(fpx(3), 2))),
+        # 2.0 == 2, but a float is no element of Z.
+        "float-divisor": (a, cert._replace(divisors=(2.0, 4))),
     }[case]
     assert cert.verify(a) and not forged.verify(source)
 

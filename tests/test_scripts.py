@@ -13,7 +13,8 @@ from pathlib import Path
 import koszulkit
 
 ROOT = Path(__file__).resolve().parents[1]
-COUNTS = ["workload", "requests", "products", "row_products", "empty_operand_products", "raw_calls", "negations",
+COUNTS = ["workload", "requests", "products", "row_products", "row_operations",
+          "empty_operand_products", "raw_calls", "negations",
           "zero_negations", "packs", "unpacks", "checked_chain_maps", "cone_layouts", "solves",
           "checked_sequences", "fgmodule_makes", "factorization_ranks", "cpu_s", "outputs_sha256",
           "instances_sha256"]
