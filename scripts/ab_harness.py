@@ -35,8 +35,13 @@ report's JSON, or the CLI request's exit code, output file and stderr,
 followed by the digest of the instances that the side's ``gen_*``
 functions returned during the operation (``instances_digest``, taken
 after the timed run), since a passing report holds no values.  It
-prints one JSON object: each side's CPU seconds summed over the
-operations, the ratio B/A, and the number of operations.
+prints one JSON object: the number of operation runs, each side's CPU
+seconds summed over them and the ratio B/A, and beside those each
+side's p50 and p90 (nearest rank, as ``perfbench`` takes them) over the
+operations of the median CPU time of each operation over the passes,
+in ms, with the ratio B/A of the p50s.  The benchmark's latency metrics
+are percentiles of this kind, so a change that moves the ops near the
+p50 shows there even when the sums hardly move.
 
 An A/A run reads within about 2 %, where separate benchmark processes on
 a shared host spread by up to ±20 %.  So the script sizes a change
@@ -58,6 +63,7 @@ import json
 import os
 import random
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -69,6 +75,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run  # noqa: E402
+import summary  # noqa: E402
 import workloads  # noqa: E402
 
 SIDES = ("a", "b")
@@ -209,22 +216,28 @@ def main(argv=None) -> int:
             for side in SIDES:
                 runners[side](op)
                 instances[side].clear()
-        cpu = dict.fromkeys(SIDES, 0.0)
+        cpu = {side: [[] for _ in ops] for side in SIDES}
         done = 0
         for _ in range(args.passes):
-            for op in ops:
+            for index, op in enumerate(ops):
                 order = SIDES if done % 2 == 0 else SIDES[::-1]
                 outputs = {}
                 for side in order:
                     seconds, outputs[side] = runners[side](op)
-                    cpu[side] += seconds
+                    cpu[side][index].append(seconds)
                     outputs[side] += instances_digest(pkgs[side], instances[side]).encode()
                     instances[side].clear()
                 if outputs["a"] != outputs["b"]:
                     raise SystemExit(f"ab_harness: outputs differ on {op.label} {op.payload.get('seed', '')}")
                 done += 1
-    print(json.dumps({"workload": args.workload, "ops": done, "a_cpu_s": round(cpu["a"], 3),
-                      "b_cpu_s": round(cpu["b"], 3), "b_over_a": round(cpu["b"] / cpu["a"], 4)}))
+    total = {side: sum(map(sum, cpu[side])) for side in SIDES}
+    medians = {side: [1e3 * statistics.median(times) for times in cpu[side]] for side in SIDES}
+    p50, p90 = ({side: summary.percentile(medians[side], q) for side in SIDES} for q in (0.5, 0.9))
+    print(json.dumps({"workload": args.workload, "ops": done, "a_cpu_s": round(total["a"], 3),
+                      "b_cpu_s": round(total["b"], 3), "b_over_a": round(total["b"] / total["a"], 4),
+                      "a_p50_ms": round(p50["a"], 4), "a_p90_ms": round(p90["a"], 4),
+                      "b_p50_ms": round(p50["b"], 4), "b_p90_ms": round(p90["b"], 4),
+                      "p50_b_over_a": round(p50["b"] / p50["a"], 4)}))
     return 0
 
 

@@ -6,6 +6,17 @@ failures was emitted), 2 invalid input.
 
 Only ``snf`` and ``suite`` take ``--ring``; every other input names its
 own ring in its ``"ring"`` token.
+
+A request passes through no generic layer it does not need.  Its argv,
+when it has the plain form (``--option value`` pairs, each option
+spelled out in full and given once, no value starting with ``-``), is
+read by ``_read_plain`` from the subcommand parser's own actions,
+without argparse; any other argv (``-h``, abbreviations, ``--opt=v``,
+repeated options, ``--``, a value starting with ``-``, a bad value, a
+missing option, ``suite``'s positional name) goes to argparse, so every
+message and exit code is argparse's.  Each handler returns its payload
+as library values, a dict with str keys where it adds fields of its
+own, and ``jsonio._dumps`` writes its text straight from them.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from . import jsonio
 from .complexes import cone, homology, homology_table, structure_maps, truncate_ge, truncate_le, truncation_splitting
 from .errors import InvalidInputError, KoszulkitError
 from .generators import GenParams
-from .jsonio import chain_map_from_json, complex_from_json, matrix_from_json, presented_koszul_from_json, value_to_json
+from .jsonio import chain_map_from_json, complex_from_json, matrix_from_json, presented_koszul_from_json
 from .k0 import class_kos_isom
 from .koszul import cellular_factorization, e_functor, kappa, resolve_in_kos1
 from .matrices import snf
@@ -76,7 +87,7 @@ def _write_output(args, payload: dict):
 def _cmd_snf(args):
     mat = matrix_from_json(ring_from_token(args.ring), _read_input(args))
     cert = snf(mat)
-    return {**value_to_json(cert), "verified": cert.verify(mat)}
+    return {**jsonio._layout(cert), "verified": cert.verify(mat)}
 
 
 def _cmd_homology(args):
@@ -85,63 +96,63 @@ def _cmd_homology(args):
         table = {args.degree: homology(complex_, args.degree)}
     else:
         table = homology_table(complex_)
-    return value_to_json({"homology": table})
+    return {"homology": {str(n): module for n, module in table.items()}}
 
 
 def _cmd_cone(args):
     built = cone(chain_map_from_json(_read_input(args)))
-    return value_to_json({"cone": built.complex, "inclusion": built.inclusion, "projection": built.projection})
+    return {"cone": built.complex, "inclusion": built.inclusion, "projection": built.projection}
 
 
 def _cmd_cyl(args):
-    return value_to_json(structure_maps(chain_map_from_json(_read_input(args))))
+    return structure_maps(chain_map_from_json(_read_input(args)))
 
 
 def _cmd_truncate(args):
     complex_ = complex_from_json(_read_input(args))
     truncate = truncate_ge if args.side == "ge" else truncate_le
-    return value_to_json(truncate(complex_, args.degree))
+    return truncate(complex_, args.degree)
 
 
 def _cmd_split(args):
     splitting = truncation_splitting(complex_from_json(_read_input(args)), args.degree)
     triple = splitting.triple
-    return value_to_json({"upper": triple.upper, "lower": triple.lower, "incl": triple.incl, "proj": triple.proj,
-                          "u": splitting.u, "v": splitting.v, "identities_hold": splitting.identities_hold()})
+    return {"upper": triple.upper, "lower": triple.lower, "incl": triple.incl, "proj": triple.proj,
+            "u": splitting.u, "v": splitting.v, "identities_hold": splitting.identities_hold()}
 
 
 def _cmd_factorize(args):
     f = chain_map_from_json(_read_input(args))
     factorization = cellular_factorization(f)
-    return value_to_json({
-        "stages": factorization.stages,
-        "subquotients": factorization.subquotients,
-        "spherical_degrees": factorization.spherical_degrees,
+    return {
+        "stages": list(factorization.stages),
+        "subquotients": list(factorization.subquotients),
+        "spherical_degrees": list(map(jsonio._integer, factorization.spherical_degrees)),
         "final": factorization.final,
         "composite_equals_input": factorization.composite() == f,
-    })
+    }
 
 
 def _cmd_kappa(args):
     result = kappa(complex_from_json(_read_input(args)))
-    return value_to_json({"retract": result.kos, "u": result.u, "v": result.v,
-                          "u_is_quasi_iso": result.u_is_quasi_iso, "v_is_quasi_iso": result.v_is_quasi_iso})
+    return {"retract": result.kos, "u": result.u, "v": result.v,
+            "u_is_quasi_iso": result.u_is_quasi_iso, "v_is_quasi_iso": result.v_is_quasi_iso}
 
 
 def _cmd_resolve(args):
-    return value_to_json(resolve_in_kos1(presented_koszul_from_json(_read_input(args))))
+    return resolve_in_kos1(presented_koszul_from_json(_read_input(args)))
 
 
 def _cmd_efunctor(args):
     seq = e_functor(presented_koszul_from_json(_read_input(args)))
-    return value_to_json({"left": seq.left, "middle": seq.middle, "right": seq.right,
-                          "mono": {1: seq.mono.degree1.matrix, 0: seq.mono.degree0.matrix},
-                          "epi": {1: seq.epi.degree1.matrix, 0: seq.epi.degree0.matrix}})
+    return {"left": seq.left, "middle": seq.middle, "right": seq.right,
+            "mono": {"1": seq.mono.degree1.matrix, "0": seq.mono.degree0.matrix},
+            "epi": {"1": seq.epi.degree1.matrix, "0": seq.epi.degree0.matrix}}
 
 
 def _cmd_excise(args):
     cert = excision_epi(chain_map_from_json(_read_input(args)))
-    return value_to_json({
+    return {
         "target": cert.target,
         "q": cert.q,
         "retraction0": cert.retraction0,
@@ -149,15 +160,15 @@ def _cmd_excise(args):
         "kernel": cert.kernel,
         "kernel_inclusion": cert.kernel_inclusion,
         "verified": cert.verifies(),
-    })
+    }
 
 
 def _cmd_eddecompose(args):
-    return value_to_json(ed_decompose(complex_from_json(_read_input(args))))
+    return ed_decompose(complex_from_json(_read_input(args)))
 
 
 def _cmd_k0(args):
-    return value_to_json(class_kos_isom(complex_from_json(_read_input(args))))
+    return class_kos_isom(complex_from_json(_read_input(args)))
 
 
 def _cmd_suite(args):
@@ -188,9 +199,9 @@ _COMMANDS = {
 
 @functools.cache
 def _build_parser() -> tuple:
-    """The one parser of the process, and each subcommand's parser by
-    name (``choices`` of the subparsers action); parsing leaves them
-    unchanged."""
+    """The one parser of the process, each subcommand's parser by name
+    (``choices`` of the subparsers action) and each subcommand's
+    ``_plain_form``; parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(prog="koszulkit",
                                      description="Exact chain-complex calculator over a PID")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -217,23 +228,71 @@ def _build_parser() -> tuple:
     p.add_argument("--ring", default="Z", help="Z or fpx:<p>")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
-    return parser, sub.choices
+    return parser, sub.choices, {name: _plain_form(p) for name, p in sub.choices.items()}
+
+
+def _plain_form(sub: argparse.ArgumentParser) -> tuple:
+    """What ``_read_plain`` needs of a subcommand's parser, taken from its
+    own actions: each option that stores one value, by its full option
+    string; the default of every destination that has one; and the
+    destinations that must be given."""
+    options, defaults, required = {}, {}, set()
+    for action in sub._actions:
+        if isinstance(action, argparse._StoreAction) and action.option_strings:
+            options.update(dict.fromkeys(action.option_strings, action))
+        if action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+        if action.required:
+            required.add(action.dest)
+    return options, defaults, required
+
+
+def _read_plain(form: tuple, argv: list):
+    """The namespace that ``parse_known_args`` gives for ``argv``, when
+    ``argv`` has the plain form: ``--option value`` pairs only, each
+    option spelled out in full and given once, no value starting with
+    ``-``, each value of its option's type and among its choices, and
+    every required option given.  None for any other ``argv``, which
+    then takes argparse's own path and its messages."""
+    options, defaults, required = form
+    if len(argv) % 2:
+        return None
+    values = {}
+    for option, text in zip(argv[::2], argv[1::2]):
+        action = options.get(option)
+        if action is None or action.dest in values or text[:1] == "-":
+            return None
+        value = text
+        if action.type is not None:
+            try:
+                value = action.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required.issubset(values):
+        return None
+    return argparse.Namespace(**{**defaults, **values})
 
 
 def _parse(argv: list) -> argparse.Namespace:
     """The arguments as the two-level parse of ``_build_parser`` gives
-    them, messages and exit codes included, with each argument parsed
-    once: a known subcommand's arguments go straight to its parser, and
-    the top-level parser only reports what that leaves over.  Top-level
-    options (``--help``), a missing command and an unknown one take the
-    two-level parse."""
-    parser, commands = _build_parser()
+    them, messages and exit codes included, with each argument read
+    once.  A known subcommand's arguments in the plain form are read by
+    ``_read_plain`` without argparse; any other arguments of a known
+    subcommand go straight to its parser, and the top-level parser only
+    reports what that leaves over.  Top-level options (``--help``), a
+    missing command and an unknown one take the two-level parse."""
+    parser, commands, forms = _build_parser()
     sub = commands.get(argv[0]) if argv else None
     if sub is None:
         return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
+    args = _read_plain(forms[argv[0]], argv[1:])
+    if args is None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
     args.command = argv[0]
     return args
 

@@ -1,15 +1,33 @@
 """JSON encoding of every wire format the CLI speaks.
 
-One encoder, ``value_to_json``, turns any library value into wire data,
-dispatching on its exact type: matrices, complexes, presented modules
-and complexes, modules, K0 classes, SNF certificates and
-elementary-divisor decompositions have their own layouts; any other
-record, chain maps and module maps among them, is written as the dict
-of its fields, so its field names are its wire keys; dicts, lists and
-tuples are encoded item by item.  ``complex_to_json``,
+Each library type has one wire layout.  A matrix is its shape and its
+entries.  Complexes, presented modules and complexes, modules, K0
+classes, SNF certificates and elementary-divisor decompositions have
+their own layouts in one private table, ``_LAYOUTS``; any other record,
+chain maps and module maps among them, is the dict of its fields, so its
+field names are its wire keys; dicts, lists and tuples are encoded item
+by item.
+
+One writer, ``_dumps``, writes every document (CLI output and suite
+reports) as text, straight from the values it is given, in one walk
+that dispatches once per value.  On plain wire data (dicts with str
+keys, lists, str, int, bool, None) its text is exactly that of
+``json.dumps(x, indent=2, sort_keys=True)``; on a library value, that of
+``json.dumps`` of ``value_to_json(x)``; anything else is a
+``TypeError``.  A matrix is written from its rows: over Z, one join
+per row whose entries all lie inside ±2^53.
+``json.dumps`` is not used because its C encoder does not take
+``indent``: with an indent, every value goes through the pure-Python
+encoder's generators.  Strings are escaped with the same function as
+``json`` (``encode_basestring_ascii``).
+
+``value_to_json`` builds the same wire data as a tree of dicts and
+lists, from the same layouts, for callers that want the data rather
+than the text: the request files of the benchmark, the instances of a
+failed suite trial, the scripts and the tests.  ``complex_to_json``,
 ``chain_map_to_json``, ``presented_koszul_to_json``, ``matrix_to_json``
-and ``snf_certificate_to_json`` are other names of the same function,
-kept because the benchmark in ``perfbench/`` calls them.
+and ``snf_certificate_to_json`` are other names of it, kept because the
+benchmark in ``perfbench/`` calls them.
 
 Integers ride as JSON numbers up to 53 bits and as decimal strings
 beyond that; polynomial elements ride as little-endian coefficient
@@ -18,14 +36,6 @@ arrays of JSON numbers.  A string integer must be plain ASCII decimal
 so no two keys name the same degree.  Certificates serialize with all
 their matrices, so an external tool can re-verify them without this
 library.
-
-Every document leaves through ``_dumps``, which returns exactly the text
-of ``json.dumps(x, indent=2, sort_keys=True)`` for the types the library
-emits (dicts with str keys, lists, str, int, bool, None).  ``json.dumps``
-is not used because its C encoder does not take ``indent``: with an
-indent, every value goes through the pure-Python encoder's generators.
-``_dumps`` joins a list of scalars in one step and escapes strings with
-the same function as ``json`` (``encode_basestring_ascii``).
 """
 
 from __future__ import annotations
@@ -58,71 +68,131 @@ _DIGIT_CHUNK = 3000
 _MAX_COUNT = 1 << 12
 
 
-def _scalar(value) -> str:
+_SCALARS = frozenset((str, int, bool, type(None)))
+_INTS = {int}
+
+
+def _integer_text(value: int) -> str:
+    """The text of ``_integer(value)``."""
+    return int.__repr__(value) if -_SAFE_INT < value < _SAFE_INT else '"' + _int_to_decimal(value) + '"'
+
+
+def _scalar(value, lib: bool) -> str:
+    """The text of a value of a type in ``_SCALARS``; ``lib`` writes an
+    int as ``value_to_json`` gives it."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
-        return int.__repr__(value)
+        return _integer_text(value) if lib else int.__repr__(value)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    raise TypeError(f"{kind.__name__} is not a wire type")
+    return "true" if value else "false"
 
 
-def _write(value, newline: str, out: list):
+def _matrix_text(m: Matrix, newline: str) -> str:
+    """The text of ``value_to_json(m)``, written from the rows.  Over Z,
+    a row whose entries all lie inside ±2^53 is joined in one step, any
+    other one entry at a time."""
+    inner = newline + "  "
+    entries = "[]"
+    if m.rows:
+        row_nl = inner + "  "
+        next_row = "," + row_nl
+        entry_nl = row_nl + "  "
+        head, sep, tail = "[" + entry_nl, "," + entry_nl, row_nl + "]"
+        work = m.entries
+        if not m.cols:
+            rows = next_row.join(["[]"] * m.rows)
+        elif m.ring.token != "Z":
+            coefficient_nl = entry_nl + "  "
+            first, between, last = "[" + coefficient_nl, "," + coefficient_nl, entry_nl + "]"
+            rows = next_row.join([head + sep.join([first + between.join(map(int.__repr__, x)) + last if x else "[]"
+                                                   for x in row]) + tail for row in work])
+        else:
+            rows = next_row.join([head + sep.join(map(int.__repr__ if -_SAFE_INT < min(row) and max(row) < _SAFE_INT
+                                                      else _integer_text, row)) + tail for row in work])
+        entries = "[" + row_nl + rows + inner + "]"
+    return f'{{{inner}"cols": {m.cols},{inner}"entries": {entries},{inner}"rows": {m.rows}{newline}}}'
+
+
+def _write(value, newline: str, out: list, lib: bool):
     """Append the indented text of ``value`` to ``out``; ``newline`` is
-    a line break followed by the current indent."""
+    a line break followed by the current indent.  ``lib`` is set inside
+    a library value, where ints, dict keys and tuples are written as
+    ``value_to_json`` gives them; outside one, as ``json.dumps`` does,
+    which refuses tuples and non-str keys."""
     kind = type(value)
-    if kind is list:
+    if kind is dict or kind is _Table:
+        if lib or kind is _Table:
+            _write_object({str(k): v for k, v in value.items()}, newline, out, True)
+        else:
+            _write_object(value, newline, out, False)
+    elif kind is list or lib and kind is tuple:
         if not value:
             out.append("[]")
             return
         inner = newline + "  "
         kinds = set(map(type, value))
-        if dict in kinds or list in kinds:
+        if kinds <= _SCALARS:
+            if kinds == _INTS and (not lib or -_SAFE_INT < min(value) and max(value) < _SAFE_INT):
+                text = map(int.__repr__, value)
+            else:
+                text = [_scalar(item, lib) for item in value]
+            out.append("[" + inner + ("," + inner).join(text) + newline + "]")
+        else:
             lead = "[" + inner
             for item in value:
                 out.append(lead)
-                _write(item, inner, out)
+                _write(item, inner, out, lib)
                 lead = "," + inner
             out.append(newline + "]")
-        else:
-            text = map(int.__repr__, value) if kinds == {int} else map(_scalar, value)
-            out.append("[" + inner + ("," + inner).join(text) + newline + "]")
-    elif kind is dict:
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        lead = "{" + inner
-        for key in sorted(value):
-            if type(key) is not str:
-                raise TypeError(f"key {key!r} is not a str")
-            out.append(lead + encode_basestring_ascii(key) + ": ")
-            _write(value[key], inner, out)
-            lead = "," + inner
-        out.append(newline + "}")
+    elif kind is Matrix:
+        out.append(_matrix_text(value, newline))
+    elif kind in _SCALARS:
+        out.append(_scalar(value, lib))
+    elif kind in _LAYOUTS:
+        # Fields not passed through ``encode`` are wire data: written as they are.
+        _write_object(_layout(value), newline, out, False)
     else:
-        out.append(_scalar(value))
+        fields = getattr(value, "_fields", None)
+        if fields is None:
+            raise TypeError(f"{kind.__name__} is not a wire type")
+        _write_object({name: getattr(value, name) for name in fields}, newline, out, True)
+
+
+def _write_object(items: dict, newline: str, out: list, lib: bool):
+    """Append the text of a dict, its keys sorted; TypeError on a key
+    that is not a str."""
+    if not items:
+        out.append("{}")
+        return
+    inner = newline + "  "
+    lead = "{" + inner
+    for key in sorted(items):
+        if type(key) is not str:
+            raise TypeError(f"key {key!r} is not a str")
+        out.append(lead + encode_basestring_ascii(key) + ": ")
+        _write(items[key], inner, out, lib)
+        lead = "," + inner
+    out.append(newline + "}")
 
 
 def _dumps(value) -> str:
-    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` for
-    the wire types; TypeError on any other type or a non-str key."""
+    """The wire text of ``value``: ``json.dumps(value, indent=2,
+    sort_keys=True)`` for plain wire data, that of
+    ``value_to_json(value)`` for a library value; TypeError on any other
+    type or a non-str key outside a library value."""
     out = []
-    _write(value, "\n", out)
+    _write(value, "\n", out, False)
     return "".join(out)
 
 
 def _int_to_decimal(value: int) -> str:
-    if value < 0:
-        return "-" + _int_to_decimal(-value)
     if value.bit_length() <= 3 * _DIGIT_CHUNK:
         return str(value)
+    if value < 0:
+        return "-" + _int_to_decimal(-value)
     k = value.bit_length() * 3 // 20  # about half the decimal digits
     high, low = divmod(value, 10 ** k)
     return _int_to_decimal(high) + _int_to_decimal(low).zfill(k)
@@ -275,54 +345,75 @@ def _element_writer(ring: Ring):
     return _integer if ring.token == "Z" else list
 
 
-def value_to_json(value):
-    """The wire form of ``value``, by its exact type.
+def _k0_layout(value: K0KosClass, encode) -> dict:
+    write = _element_writer(value.torsion.ring)
+    return {"rank": value.rank, "torsion": [{"prime": write(p), "mult": m} for p, m in value.torsion.counts]}
 
-    Library types have their own layouts; any other record (a NamedTuple
-    or a checked value such as a chain map) becomes the dict of its
-    fields.  A dict, or a checked value's read-only table, keeps its
-    keys as ``str(k)``; a list or tuple is encoded item by item, an int
-    is a JSON number below 2^53 in absolute value and a decimal string
-    beyond; anything else is returned as it is, for ``_dumps`` to write
-    or refuse.
+
+# The layout of each library type but Matrix that has its own: the dict
+# of its wire fields, given the value and ``encode``.  Every field that
+# holds a library value is passed through ``encode``: ``value_to_json``
+# to build the data view, ``_same`` to write the text; every other field
+# is wire data already.  The divisors of a certificate and of a
+# decomposition are bare ring elements: they are written with the ring
+# of the matrices beside them.
+_LAYOUTS = {
+    ChainComplex: lambda c, encode: {"ring": c.ring.token, "ranks": encode(c.ranks),
+                                     "differentials": encode(c.diffs)},
+    PresentedModule: lambda m, encode: {"gens": m.gens, "relations": encode(m.relations)},
+    PresentedKoszul: lambda k, encode: {
+        "ring": k.top.ring.token, "ranks": {"1": k.top.gens, "0": k.bottom.gens},
+        "differentials": {"1": encode(k.d.matrix)},
+        "presentations": {"1": encode(k.top.relations), "0": encode(k.bottom.relations)}},
+    FgModule: lambda m, encode: {"free_rank": m.free_rank,
+                                 "torsion": list(map(_element_writer(m.ring), m.torsion))},
+    K0KosClass: _k0_layout,
+    SnfCertificate: lambda c, encode: {"U": encode(c.U), "D": encode(c.D), "V": encode(c.V),
+                                       "divisors": list(map(_element_writer(c.D.ring), c.divisors))},
+    EdDecomposition: lambda e, encode: {
+        "nonunit_part": encode(e.nonunit_part), "unit_part": encode(e.unit_part), "iso": encode(e.iso),
+        "divisors": list(map(_element_writer(e.source.ring), e.nonunit_divisors))},
+}
+
+
+def _same(value):
+    return value
+
+
+def _layout(value) -> dict:
+    """The wire fields of ``value``, of a type in ``_LAYOUTS``, as
+    ``_dumps`` writes them: library values as they are."""
+    return _LAYOUTS[type(value)](value, _same)
+
+
+def value_to_json(value):
+    """The wire data of ``value``, the tree whose text ``_dumps`` writes,
+    by its exact type.
+
+    A matrix is its shape and entries, and the types of ``_LAYOUTS``
+    their layouts; any other record (a NamedTuple or a checked value
+    such as a chain map) becomes the dict of its fields.  A dict, or a
+    checked value's read-only table, keeps its keys as ``str(k)``; a
+    list or tuple is encoded item by item, an int is a JSON number below
+    2^53 in absolute value and a decimal string beyond; anything else is
+    returned as it is, for ``_dumps`` to write or refuse.
     """
     kind = type(value)
     if kind is int:
         return _integer(value)
-    if kind is dict or kind is _Table:
-        return {str(k): value_to_json(v) for k, v in value.items()}
-    if kind is list or kind is tuple:
-        return [value_to_json(v) for v in value]
     if kind is Matrix:
         write = _element_writer(value.ring)
         return {"rows": value.rows, "cols": value.cols,
                 "entries": [list(map(write, row)) for row in value.entries]}
-    if kind is ChainComplex:
-        return {"ring": value.ring.token, "ranks": value_to_json(value.ranks),
-                "differentials": value_to_json(value.diffs)}
-    if kind is PresentedModule:
-        return {"gens": value.gens, "relations": value_to_json(value.relations)}
-    if kind is PresentedKoszul:
-        top, bottom = value.top, value.bottom
-        return {"ring": top.ring.token, "ranks": {"1": top.gens, "0": bottom.gens},
-                "differentials": {"1": value_to_json(value.d.matrix)},
-                "presentations": {"1": value_to_json(top.relations), "0": value_to_json(bottom.relations)}}
-    if kind is FgModule:
-        return {"free_rank": value.free_rank, "torsion": list(map(_element_writer(value.ring), value.torsion))}
-    if kind is K0KosClass:
-        write = _element_writer(value.torsion.ring)
-        return {"rank": value.rank, "torsion": [{"prime": write(p), "mult": m} for p, m in value.torsion.counts]}
-    # The divisors of these two are bare ring elements: they are written
-    # with the ring of the matrices beside them.
-    if kind is SnfCertificate:
-        return {"U": value_to_json(value.U), "D": value_to_json(value.D), "V": value_to_json(value.V),
-                "divisors": list(map(_element_writer(value.D.ring), value.divisors))}
-    if kind is EdDecomposition:
-        return {"nonunit_part": value_to_json(value.nonunit_part), "unit_part": value_to_json(value.unit_part),
-                "iso": value_to_json(value.iso),
-                "divisors": list(map(_element_writer(value.source.ring), value.nonunit_divisors))}
+    if kind is dict or kind is _Table:
+        return {str(k): value_to_json(v) for k, v in value.items()}
+    layout = _LAYOUTS.get(kind)
+    if layout is not None:
+        return layout(value, value_to_json)
+    if kind is list or kind is tuple:
+        return [value_to_json(v) for v in value]
     fields = getattr(value, "_fields", None)
-    if fields is not None:  # any other record: a NamedTuple or a checked value
+    if fields is not None:
         return {name: value_to_json(getattr(value, name)) for name in fields}
     return value
 

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import errno
 import io
 import json
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from koszulkit import jsonio, rings
-from koszulkit.cli import _build_parser, main
+from koszulkit.cli import _build_parser, _parse, _read_plain, main
 from koszulkit.complexes import ChainMap, ComplexSes, direct_sum, kernel_image_sequences, two_term, zero_complex
 from koszulkit.errors import HypothesisNotMetError, InvalidInputError
 from koszulkit.jsonio import chain_map_from_json
@@ -333,6 +335,105 @@ def test_usage_reads_as_the_two_level_parse(capsys, cli, argv):
     code, out, err = want
     assert (code, bool(out), bool(err)) in ((0, True, False), (2, False, True))
     assert cli(argv) == want
+
+
+# The plain-form reader against argparse.  Each argv is a subcommand's
+# own options in a random order, each with a value drawn for it, then
+# up to two tokens put in anywhere: other options, abbreviations,
+# ``--opt=v``, ``--``, ``-h``.  Values include negative, empty, non-int
+# and out-of-choice ones.
+def _plain_argvs():
+    from hypothesis import strategies as st
+
+    commands = _build_parser()[1]
+    values = {
+        "--degree": ["0", "7", " 2", "-1", "", "1.5", "x"],
+        "--side": ["ge", "le", "x", "", "GE", "-1"],
+        "--seed": ["0", "3", "-1", "", "x"],
+        "--trials": ["1", "0", "-5", "", "x"],
+    }
+    others = ["a.json", "Z", "fpx:3", "", "-", "-1", "--in", "lemma2_4"]
+    noise = ["-h", "--help", "--", "--i", "--deg", "--si", "--s", "--degree=1", "--side=ge", "--ring=Z",
+             "--ring", "--degree", "--side", "--in", "--bogus", "x", "-1", "lemma2_4"]
+
+    @st.composite
+    def argvs(draw):
+        name = draw(st.sampled_from(sorted(commands)))
+        own = sorted(option for action in commands[name]._actions for option in action.option_strings
+                     if option.startswith("--") and option != "--help")
+        options = draw(st.permutations(own))
+        options = options[:draw(st.integers(max(len(options) - 2, 0), len(options)))]
+        argv = []
+        for option in options:
+            argv += [option, draw(st.sampled_from(values.get(option, others)))]
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(noise)))
+        return name, argv
+    return argvs()
+
+
+def _argparse_reading(name, argv):
+    """``parse_known_args`` of subcommand ``name`` on ``argv``, or None
+    where argparse exits."""
+    stream = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(stream):
+            return _build_parser()[1][name].parse_known_args(argv)
+    except SystemExit:
+        return None
+
+
+def _check_plain_reader(name, argv):
+    plain = _read_plain(_build_parser()[2][name], argv)
+    reading = _argparse_reading(name, argv)
+    if reading is None:
+        assert plain is None, (name, argv)
+    elif plain is not None:
+        assert reading == (plain, []), (name, argv)
+    return plain
+
+
+try:
+    from hypothesis import example, given, settings
+except ImportError:
+    @pytest.mark.skip(reason="needs hypothesis (the ``test`` extra)")
+    def test_plain_reader_defers_or_agrees_with_argparse():
+        pass
+else:
+    @settings(max_examples=600, deadline=None)
+    @example(("truncate", ["--degree", "0", "--side", "x"]))
+    @example(("truncate", ["--degree", "x", "--side", "ge"]))
+    @example(("split", ["--in", "a.json"]))
+    @example(("homology", ["--degree", "-1"]))
+    @example(("snf", ["--ring", "Z", "--ring", "fpx:3"]))
+    @example(("snf", ["--ring", ""]))
+    @example(("suite", ["--seed", "1"]))
+    @given(_plain_argvs())
+    def test_plain_reader_defers_or_agrees_with_argparse(case):
+        _check_plain_reader(*case)
+
+
+# Requests of the plain form, as perfbench's cli-requests workload and
+# most callers write them; each is read without argparse.
+PLAIN_REQUESTS = [
+    ("snf", ["--ring", "fpx:3", "--in", "a.json", "--out", "b.json"]),
+    ("snf", ["--in", "a.json"]),
+    ("homology", ["--in", "a.json", "--degree", "3", "--out", "b.json"]),
+    ("truncate", ["--side", "le", "--degree", "0", "--in", "a.json"]),
+    ("split", ["--degree", "2"]),
+    ("k0", []),
+    ("eddecompose", ["--out", ""]),
+]
+
+
+@pytest.mark.parametrize("name, argv", PLAIN_REQUESTS)
+def test_plain_requests_skip_argparse(monkeypatch, name, argv):
+    want = _argparse_reading(name, argv)
+    assert _check_plain_reader(name, argv) is not None
+    parsers = [_build_parser()[0], *_build_parser()[1].values()]
+    for parser in parsers:
+        monkeypatch.setattr(parser, "parse_known_args", None)
+    assert _parse([name, *argv]) == argparse.Namespace(**vars(want[0]), command=name)
 
 
 def test_unrecognized_arguments_are_reported_by_the_top_level_parser(cli):

@@ -1,10 +1,12 @@
 """The one JSON writer, ``jsonio._dumps``: the exact text of
-``json.dumps(x, indent=2, sort_keys=True)`` on the wire types, a
-TypeError on anything else, and the same bytes as ``json.dumps`` on the
-output of every CLI subcommand."""
+``json.dumps(x, indent=2, sort_keys=True)`` on the wire types, the
+text of ``json.dumps`` of ``value_to_json(x)`` on every library value,
+a TypeError on anything else, and the same bytes as ``json.dumps`` on
+the output of every CLI subcommand."""
 
 import enum
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -13,8 +15,17 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from koszulkit import GenParams, jsonio  # noqa: E402
+from koszulkit.complexes import ChainMap, two_term, zero_complex  # noqa: E402
+from koszulkit.fgmodules import FgModule  # noqa: E402
+from koszulkit.k0 import class_kos_isom  # noqa: E402
+from koszulkit.koszul import PresentedKoszul  # noqa: E402
+from koszulkit.matrices import snf  # noqa: E402
+from koszulkit.sfiltering import ed_decompose  # noqa: E402
+from test_records import BUILDERS  # noqa: E402
 from koszulkit.cli import _COMMANDS, main  # noqa: E402
 from koszulkit.generators import (  # noqa: E402
+    AObjectSample,
+    KoszulSample,
     gen_a_object,
     gen_admissible_mono,
     gen_c_object,
@@ -68,6 +79,83 @@ def test_writer_on_edge_shapes(value):
     (1, 2), {"a": {3, 4}}, b"bytes",
 ], ids=repr)
 def test_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        jsonio._dumps(value)
+
+
+def _text_or_type_error(write):
+    try:
+        return write()
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_writer_on_every_record_type(name):
+    # Two records hold a ring object, which is no wire type: both ways of
+    # writing them refuse it.
+    value = BUILDERS[name]()
+    text = _text_or_type_error(lambda: jsonio._dumps(value))
+    assert text == _text_or_type_error(lambda: reference(jsonio.value_to_json(value)))
+    assert (text is TypeError) == (name in ("GenParams", "K0TorsionClass"))
+
+
+BIG_P = fpx(2 ** 64 + 13)
+SAFE = 2 ** 53
+DIGITS = 10 ** 4400 + 7  # past the interpreter's 4300-digit limit
+
+
+def _library_values():
+    """Library values at the edges of the encoding, by name."""
+    edges = Matrix(ZZ, [[SAFE - 1, -(SAFE - 1)], [SAFE, -SAFE], [SAFE + 1, 0]])
+    big_p = Matrix(BIG_P, [[(2 ** 64, 1), (3,)], [(), (2 ** 63, 0, 2 ** 60)]])
+    complex_ = two_term(Matrix(ZZ, [[2, 0], [1, 3]]))
+    return {
+        "Z-safe-edges": Matrix(ZZ, [[SAFE - 1, -(SAFE - 1)], [0, 1]]),
+        "Z-unsafe-edges": edges,
+        "Z-past-digit-limit": Matrix(ZZ, [[DIGITS, -DIGITS], [1, 2]]),
+        "Z-snf-big": snf(edges),
+        "Z-module-big": FgModule(ZZ, 1, (SAFE, DIGITS)),
+        "fpx-big-p-matrix": big_p,
+        "fpx-big-p-snf": snf(big_p),
+        "fpx-big-p-module": FgModule(BIG_P, 0, ((2 ** 60, 1), (1, 2 ** 63, 1))),
+        "fpx-big-p-k0": class_kos_isom(two_term(Matrix(BIG_P, [[(2 ** 62, 1)]]))),
+        "fpx-big-p-koszul": PresentedKoszul.from_free(two_term(Matrix(BIG_P, [[(2 ** 62, 0, 1)]]))),
+        "fpx3-ed": ed_decompose(two_term(Matrix(fpx(3), [[(1, 1), (2,)], [(0, 1), (1,)]]))),
+        "0xn": Matrix.zeros(ZZ, 0, 3),
+        "nx0": Matrix.zeros(ZZ, 3, 0),
+        "fpx-nx0": Matrix.zeros(fpx(3), 2, 0),
+        "0x0": Matrix.zeros(ZZ, 0, 0),
+        "empty-tables": ChainMap.identity(zero_complex(ZZ)),
+        "no-torsion": FgModule(ZZ, 2, ()),
+        "one-complex-at-two-depths": ChainMap.identity(complex_),
+        # Ints of a record's fields, alone and in tuples and tables.
+        "record-with-big-ints": KoszulSample(complex_, (SAFE - 1, -SAFE, DIGITS)),
+        "record-with-big-int-table": AObjectSample(complex_, {SAFE: (SAFE, 2), -1: (3, "x", -SAFE - 1)}),
+        "wire-data-beside-library-values": {"x": complex_, "y": [ChainMap.identity(complex_), {"z": complex_}],
+                                            "n": [1, -2], "ok": True, "none": None},
+    }
+
+
+LIBRARY_VALUES = _library_values()
+
+
+@pytest.mark.parametrize("name", LIBRARY_VALUES)
+def test_writer_equals_json_dumps_of_value_to_json(name):
+    value = LIBRARY_VALUES[name]
+    text = jsonio._dumps(value)
+    assert text == reference(jsonio.value_to_json(value))
+    if name.startswith("fpx-big-p"):
+        # Coefficients stay JSON numbers, whatever the size of p.
+        assert re.search(r'"-?[0-9]+"(?!:)', text) is None  # no decimal string but degree keys
+        assert max(map(int, re.findall(r"^ *([0-9]+),?$", text, re.M))) >= SAFE
+
+
+@pytest.mark.parametrize("value", [
+    {"a": Matrix(ZZ, [[1]]), 1: "int key"}, [Matrix(ZZ, [[1]]), 1.5], (Matrix(ZZ, [[1]]),),
+    {"a": [two_term(Matrix(ZZ, [[2]])), {2: "int key"}]},
+], ids=["int-key-beside-a-matrix", "float-beside-a-matrix", "tuple-of-matrices", "int-key-below-a-complex"])
+def test_writer_refuses_other_types_beside_library_values(value):
     with pytest.raises(TypeError):
         jsonio._dumps(value)
 

@@ -38,7 +38,9 @@ def test_core_counts_and_an_a_a_run_see_the_same_core():
     assert len(counts["instances_sha256"]) == 64 and counts["instances_sha256"] != hashlib.sha256().hexdigest()
     # ab_harness stops with an error when the two sides' outputs differ.
     same = _script("scripts/ab_harness.py", str(ROOT), str(ROOT))
-    assert list(same) == ["workload", "ops", "a_cpu_s", "b_cpu_s", "b_over_a"]
+    assert list(same) == ["workload", "ops", "a_cpu_s", "b_cpu_s", "b_over_a",
+                          "a_p50_ms", "a_p90_ms", "b_p50_ms", "b_p90_ms", "p50_b_over_a"]
+    assert 0 < same["a_p50_ms"] <= same["a_p90_ms"] and 0 < same["b_p50_ms"] <= same["b_p90_ms"]
     assert same["ops"] == counts["requests"]
 
 
