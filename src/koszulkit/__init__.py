@@ -32,7 +32,7 @@ from .matrices import (
     snf,
     solve,
 )
-from .fgmodules import FgModule, cokernel, length_at, module_iso
+from .fgmodules import FgModule, cokernel, module_iso
 from .presented import (
     PresentedMap,
     PresentedModule,
@@ -43,7 +43,6 @@ from .presented import (
     nine_term_sequences,
     pullback,
     pushout,
-    pushout_of_span,
 )
 from .complexes import (
     ChainComplex,
@@ -68,7 +67,6 @@ from .complexes import (
     truncation_splitting,
     truncation_triple,
     two_term,
-    zero_complex,
 )
 from .koszul import (
     PresentedKoszul,

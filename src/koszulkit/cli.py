@@ -7,16 +7,18 @@ failures was emitted), 2 invalid input.
 Only ``snf`` and ``suite`` take ``--ring``; every other input names its
 own ring in its ``"ring"`` token.
 
-A request passes through no generic layer it does not need.  Its argv,
-when it has the plain form (``--option value`` pairs, each option
-spelled out in full and given once, no value starting with ``-``), is
-read by ``_read_plain`` from the subcommand parser's own actions,
-without argparse; any other argv (``-h``, abbreviations, ``--opt=v``,
-repeated options, ``--``, a value starting with ``-``, a bad value, a
-missing option, ``suite``'s positional name) goes to argparse, so every
-message and exit code is argparse's.  Each handler returns its payload
-as library values, a dict with str keys where it adds fields of its
-own, and ``jsonio._dumps`` writes its text straight from them.
+A request passes through no generic layer it does not need.  Its argv
+takes one of two paths.  A known subcommand's argv in the plain form
+(``--option value`` pairs, each option spelled out in full and given
+once, no value starting with ``-``) is read by ``_read_plain`` from the
+subcommand parser's own actions, without argparse.  Any other argv
+(``-h``, abbreviations, ``--opt=v``, repeated options, ``--``, a value
+starting with ``-``, a bad value, a missing option, ``suite``'s
+positional name, a missing or unknown command) goes whole to the
+top-level parser's ``parse_args``, so every message and exit code is
+argparse's.  Each handler returns its payload as library values, a dict
+with str keys where it adds fields of its own, and ``jsonio._dumps``
+writes its text straight from them.
 """
 
 from __future__ import annotations
@@ -199,9 +201,8 @@ _COMMANDS = {
 
 @functools.cache
 def _build_parser() -> tuple:
-    """The one parser of the process, each subcommand's parser by name
-    (``choices`` of the subparsers action) and each subcommand's
-    ``_plain_form``; parsing leaves them unchanged."""
+    """The one parser of the process and each subcommand's
+    ``_plain_form`` by name; parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(prog="koszulkit",
                                      description="Exact chain-complex calculator over a PID")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -228,7 +229,7 @@ def _build_parser() -> tuple:
     p.add_argument("--ring", default="Z", help="Z or fpx:<p>")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
-    return parser, sub.choices, {name: _plain_form(p) for name, p in sub.choices.items()}
+    return parser, {name: _plain_form(p) for name, p in sub.choices.items()}
 
 
 def _plain_form(sub: argparse.ArgumentParser) -> tuple:
@@ -248,7 +249,7 @@ def _plain_form(sub: argparse.ArgumentParser) -> tuple:
 
 
 def _read_plain(form: tuple, argv: list):
-    """The namespace that ``parse_known_args`` gives for ``argv``, when
+    """The namespace that the subcommand's parser gives for ``argv``, when
     ``argv`` has the plain form: ``--option value`` pairs only, each
     option spelled out in full and given once, no value starting with
     ``-``, each value of its option's type and among its choices, and
@@ -278,21 +279,14 @@ def _read_plain(form: tuple, argv: list):
 
 def _parse(argv: list) -> argparse.Namespace:
     """The arguments as the two-level parse of ``_build_parser`` gives
-    them, messages and exit codes included, with each argument read
-    once.  A known subcommand's arguments in the plain form are read by
-    ``_read_plain`` without argparse; any other arguments of a known
-    subcommand go straight to its parser, and the top-level parser only
-    reports what that leaves over.  Top-level options (``--help``), a
-    missing command and an unknown one take the two-level parse."""
-    parser, commands, forms = _build_parser()
-    sub = commands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args = _read_plain(forms[argv[0]], argv[1:])
+    them, messages and exit codes included.  A known subcommand's
+    arguments in the plain form are read by ``_read_plain`` without
+    argparse; every other argv goes whole to the top-level parser."""
+    parser, forms = _build_parser()
+    form = forms.get(argv[0]) if argv else None
+    args = None if form is None else _read_plain(form, argv[1:])
     if args is None:
-        args, extras = sub.parse_known_args(argv[1:])
-        if extras:
-            parser.error("unrecognized arguments: " + " ".join(extras))
+        return parser.parse_args(argv)
     args.command = argv[0]
     return args
 

@@ -278,10 +278,6 @@ class ChainComplex(_Checked):
         return ring, clean, _nonzero_blocks(
             ring, diffs, lambda n: (clean.get(n - 1, 0), clean.get(n, 0)), "differential")
 
-    @property
-    def support(self) -> tuple:
-        return tuple(self.ranks)
-
     def rank(self, n: int) -> int:
         return self.ranks.get(n, 0)
 
@@ -296,18 +292,8 @@ class ChainComplex(_Checked):
             return range(0)
         return range(min(self.ranks), max(self.ranks) + 1)
 
-    def is_zero_complex(self) -> bool:
-        return not self.ranks
-
-    def euler_characteristic(self) -> int:
-        return sum(r if n % 2 == 0 else -r for n, r in self.ranks.items())
-
     def __repr__(self):
         return f"ChainComplex({self.ring.token}, ranks={self.ranks})"
-
-
-def zero_complex(ring: Ring) -> ChainComplex:
-    return ChainComplex._trusted(ring, {}, {})
 
 
 def two_term(mat: Matrix, top_degree: int = 1) -> ChainComplex:

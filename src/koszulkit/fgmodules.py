@@ -7,11 +7,8 @@ canonical and only loses its units (``_from_chain``); other divisor
 lists are re-normalized by the gcd/lcm repair that also orders SNF
 diagonals (``FgModule.make``), so no divisor is ever factored and
 isomorphism testing is a plain equality of canonical forms.  Primes
-enter only through ``length_at``, which checks its argument with a
-primality test (``Ring.is_canonical_prime``: strong probable primes, a
-proof below 3.317e24, over Z; Rabin's irreducibility test over F_p[x])
-and factors nothing, and through the K0 classes, which factor each
-divisor with ``Ring.factor``.
+enter only through the K0 classes, which factor each divisor with
+``Ring.factor`` when they are read prime by prime.
 """
 
 from __future__ import annotations
@@ -80,21 +77,3 @@ def module_iso(first: FgModule, second: FgModule) -> bool:
     if first.ring != second.ring:
         raise InvalidInputError("modules over different rings")
     return first == second
-
-
-def length_at(module: FgModule, p) -> int:
-    """Total multiplicity of the prime p across the torsion divisors."""
-    ring = module.ring
-    if not module.is_torsion():
-        raise InvalidInputError("length is defined for torsion modules only")
-    if not ring.is_canonical_prime(p):
-        raise InvalidInputError(f"{p!r} is not a canonical prime")
-    total = 0
-    for t in module.torsion:
-        while True:
-            q = ring.div_exact(t, p)
-            if q is None:
-                break
-            total += 1
-            t = q
-    return total

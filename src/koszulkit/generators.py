@@ -79,9 +79,6 @@ class GenParams(_Checked):
         if max_entry < 1 or max_rank < 1 or trials < 0:
             raise InvalidInputError("generator bounds need max_entry >= 1, max_rank >= 1 and trials >= 0")
 
-    def with_seed(self, seed: int) -> "GenParams":
-        return self._replace(seed=seed)
-
 
 def trial_rng(params: GenParams, trial: int) -> random.Random:
     return random.Random(f"{params.ring.token}/{params.seed}/{trial}")
@@ -249,12 +246,6 @@ def rand_unimodular(rng: random.Random, ring: Ring, n: int):
     moves = _draw_unimodular(rng, ring, n)
     eye = Matrix.identity(ring, n)
     return _conjugate(moves, eye, ()), _conjugate((), eye, moves)
-
-
-def gen_matrix(params: GenParams, trial: int, max_dim: int = 6, bound: Optional[int] = None) -> Matrix:
-    rng = trial_rng(params, trial)
-    rows, cols = _below(rng, max_dim + 1), _below(rng, max_dim + 1)
-    return rand_matrix(rng, params.ring, rows, cols, bound if bound is not None else params.max_entry)
 
 
 # ---------------------------------------------------------------------------

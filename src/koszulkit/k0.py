@@ -29,7 +29,6 @@ from .koszul import (
     PresentedSes,
     h0,
     in_kos1,
-    retraction_q,
 )
 from .rings import Ring
 
@@ -42,16 +41,6 @@ class K0TorsionClass(NamedTuple):
     ring: Ring
     num: object
     den: object
-
-    @classmethod
-    def make(cls, ring: Ring, counts: dict) -> "K0TorsionClass":
-        def power(sign):
-            return reduce(ring.mul, (p for p, m in counts.items() for _ in range(sign * m)), ring.one)
-        return cls(ring, power(1), power(-1))
-
-    @classmethod
-    def zero(cls, ring: Ring) -> "K0TorsionClass":
-        return cls(ring, ring.one, ring.one)
 
     @property
     def counts(self) -> tuple:
@@ -73,9 +62,6 @@ class K0TorsionClass(NamedTuple):
         num, den = ring.mul(self.num, other.num), ring.mul(self.den, other.den)
         g = ring.gcd(num, den)
         return K0TorsionClass(ring, ring.div_exact(num, g), ring.div_exact(den, g))
-
-    def is_zero(self) -> bool:
-        return self.num == self.den == self.ring.one
 
 
 class K0KosClass(NamedTuple):
@@ -107,14 +93,6 @@ def class_kos_qis(complex_: ChainComplex) -> K0TorsionClass:
 def class_kos_isom(complex_: ChainComplex) -> K0KosClass:
     """Isomorphism-level class: (rank of the degree-one part, H0 class)."""
     return K0KosClass(complex_.rank(1), class_kos_qis(complex_))
-
-
-def class_acyclic(complex_: ChainComplex) -> int:
-    """Class of an acyclic Koszul complex: the rank of its degree-one part."""
-    retract = retraction_q(complex_)
-    if not retract.comparison_is_iso:
-        raise InvalidInputError("complex is not acyclic")
-    return complex_.rank(1)
 
 
 def class_presented(x: PresentedKoszul) -> K0KosClass:

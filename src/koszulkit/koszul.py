@@ -19,17 +19,15 @@ additivity, truncation of a spherical sequence) take them as they are.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .complexes import (
     ChainComplex,
     ChainMap,
     ComplexSes,
     Homotopy,
-    chain_retraction,
     cone,
     homology_table,
-    homotopy_between,
     quasi_iso_degree,
     shift,
     shift_map,
@@ -141,11 +139,6 @@ def h0_augmentation(complex_: ChainComplex) -> Augmentation:
     return Augmentation(complex_, target, degree0, degree1)
 
 
-def h0_map(f: ChainMap) -> PresentedMap:
-    """Induced map on degree-zero homology presentations."""
-    return PresentedMap(h0_presentation(f.source), h0_presentation(f.target), f.at(0))
-
-
 # ---------------------------------------------------------------------------
 # The two-sided truncation retraction.
 
@@ -233,45 +226,6 @@ def factor_step(f: ChainMap, n: int) -> FactorStep:
     if h.compose(g) != f:
         raise AssertionError("factor step lost exact equality with the input map")
     return FactorStep(g=g, h=h, witness=witness, upper=upper)
-
-
-class EquivalenceWitness(NamedTuple):
-    """Explicit homotopy-equivalence data between the cone of the second
-    factor and the truncated cone it reproduces."""
-
-    into: ChainMap       # truncated cone -> cone of h, a split quasi-iso
-    back: ChainMap       # chain retraction of ``into``
-    homotopy: Homotopy   # id (cone of h) ~ into . back
-
-
-def factor_step_equivalence(step: FactorStep) -> Optional[EquivalenceWitness]:
-    """Upgrade the homology-level comparison of a factor step to explicit
-    homotopy-equivalence data.
-
-    The canonical summand inclusion of the truncated cone into the cone
-    of h is a chain map; a chain-level retraction is solved for, and the
-    identity is connected to the round trip by a solved homotopy.  Over
-    these coefficient rings the solves always succeed on valid steps.
-
-    Size: for f: X -> Y the cone of h has total rank N <= rank X +
-    3 rank Y, and each of the two solves is one stacked linear system
-    with up to N^2 unknowns and N^2 equations, so callers guard by width.
-    """
-    upper = step.upper
-    mapping_cone = cone(step.h).complex
-    above = step.h.target.rank
-    # Degree n of the cone of h is target_{n-1} (+) upper_n (+) target_n.
-    into = ChainMap(upper, mapping_cone, {
-        n: _selection(upper.ring, mapping_cone.rank(n), range(above(n - 1), above(n - 1) + r))
-        for n, r in upper.ranks.items()
-    })
-    back = chain_retraction(into)
-    if back is None:
-        return None
-    witness = homotopy_between(ChainMap.identity(mapping_cone), into.compose(back))
-    if witness is None:
-        return None
-    return EquivalenceWitness(into=into, back=back, homotopy=witness)
 
 
 class CellularFactorization(NamedTuple):
@@ -436,8 +390,9 @@ def tau_maps_spherical_check(seq: ComplexSes, k: int, spherical: int) -> bool:
 class PresentedKoszul(_Checked):
     """Two-term complex of presented modules with injective boundary.
 
-    The degree-zero homology must be torsion.  Free-coordinate Koszul
-    complexes embed via ``from_free``.
+    The degree-zero homology must be torsion.  A free Koszul complex X
+    is the one with free ``top`` and ``bottom`` of ranks X_1 and X_0 and
+    boundary d_1.
     """
 
     __slots__ = ("top", "bottom", "d")
@@ -450,16 +405,6 @@ class PresentedKoszul(_Checked):
             raise InvalidInputError("boundary map is not injective")
         if self.h0().canonical_form().free_rank:
             raise InvalidInputError("degree-zero homology is not torsion")
-
-    @classmethod
-    def from_free(cls, complex_: ChainComplex) -> "PresentedKoszul":
-        member = in_kos1(complex_)
-        if not member:
-            raise InvalidInputError("complex is not a free Koszul complex")
-        ring = complex_.ring
-        top = PresentedModule.free(ring, complex_.rank(1))
-        bottom = PresentedModule.free(ring, complex_.rank(0))
-        return cls(top, bottom, PresentedMap._trusted(top, bottom, complex_.d(1)))
 
     def h0(self) -> PresentedModule:
         return self.d.cokernel_module()

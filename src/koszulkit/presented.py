@@ -174,17 +174,6 @@ def pushout(left: PresentedMap, right: PresentedMap) -> tuple[PresentedModule, P
     return obj, leg_a, leg_b
 
 
-def pushout_of_span(first: Matrix, second: Matrix) -> tuple[PresentedModule, PresentedMap, PresentedMap]:
-    """Pushout of two maps of free modules sharing their source dimension."""
-    if first.cols != second.cols:
-        raise DimensionError("span legs must share their source dimension")
-    ring = first.ring
-    src = PresentedModule.free(ring, first.cols)
-    f = PresentedMap._trusted(src, PresentedModule.free(ring, first.rows), first)
-    a = PresentedMap._trusted(src, PresentedModule.free(ring, second.rows), second)
-    return pushout(f, a)
-
-
 def pullback(left: PresentedMap, right: PresentedMap) -> tuple[PresentedModule, PresentedMap, PresentedMap, PresentedMap]:
     """Pullback of a cospan left: A -> C, right: B -> C.
 

@@ -20,7 +20,6 @@ from koszulkit.generators import (
     GenParams,
     gen_a_object,
     gen_chain_map,
-    gen_matrix,
     trial_rng,
 )
 from koszulkit.matrices import snf
@@ -34,6 +33,7 @@ from koszulkit.suites import (
     k0_qis_pair_trial,
     run_suite,
 )
+from constructions import gen_matrix
 
 
 def _report(number, text):

@@ -13,12 +13,13 @@ import pytest
 
 from koszulkit import jsonio, rings
 from koszulkit.cli import _build_parser, _parse, _read_plain, main
-from koszulkit.complexes import ChainMap, ComplexSes, direct_sum, kernel_image_sequences, two_term, zero_complex
+from koszulkit.complexes import ChainMap, ComplexSes, direct_sum, kernel_image_sequences, two_term
 from koszulkit.errors import HypothesisNotMetError, InvalidInputError
 from koszulkit.jsonio import chain_map_from_json
 from koszulkit.matrices import Matrix
 from koszulkit.rings import ZZ, IntegerRing, ring_from_token
 from koszulkit.sfiltering import idempotent_split
+from constructions import zero_complex
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -313,9 +314,9 @@ def cli(request, capsys, monkeypatch):
     return lambda argv: _outcome(capsys, lambda: main(argv))
 
 
-# The usage paths.  A known subcommand's arguments go to its own parser
-# alone; every one of these must read as the two-level parse of the
-# top-level parser reads it: exit code, stdout and stderr.
+# The usage paths.  None of these argvs is plain, so each goes whole to
+# the top-level parser, and each must read as its two-level parse: exit
+# code, stdout and stderr.
 USAGE = {
     "no-command": [],
     "unknown-command": ["bogus"],
@@ -337,6 +338,12 @@ def test_usage_reads_as_the_two_level_parse(capsys, cli, argv):
     assert cli(argv) == want
 
 
+def _subparsers() -> dict:
+    """Each subcommand's own argparse parser, by name."""
+    action = next(a for a in _build_parser()[0]._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
 # The plain-form reader against argparse.  Each argv is a subcommand's
 # own options in a random order, each with a value drawn for it, then
 # up to two tokens put in anywhere: other options, abbreviations,
@@ -345,7 +352,7 @@ def test_usage_reads_as_the_two_level_parse(capsys, cli, argv):
 def _plain_argvs():
     from hypothesis import strategies as st
 
-    commands = _build_parser()[1]
+    commands = _subparsers()
     values = {
         "--degree": ["0", "7", " 2", "-1", "", "1.5", "x"],
         "--side": ["ge", "le", "x", "", "GE", "-1"],
@@ -378,13 +385,13 @@ def _argparse_reading(name, argv):
     stream = io.StringIO()
     try:
         with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(stream):
-            return _build_parser()[1][name].parse_known_args(argv)
+            return _subparsers()[name].parse_known_args(argv)
     except SystemExit:
         return None
 
 
 def _check_plain_reader(name, argv):
-    plain = _read_plain(_build_parser()[2][name], argv)
+    plain = _read_plain(_build_parser()[1][name], argv)
     reading = _argparse_reading(name, argv)
     if reading is None:
         assert plain is None, (name, argv)
@@ -430,7 +437,7 @@ PLAIN_REQUESTS = [
 def test_plain_requests_skip_argparse(monkeypatch, name, argv):
     want = _argparse_reading(name, argv)
     assert _check_plain_reader(name, argv) is not None
-    parsers = [_build_parser()[0], *_build_parser()[1].values()]
+    parsers = [_build_parser()[0], *_subparsers().values()]
     for parser in parsers:
         monkeypatch.setattr(parser, "parse_known_args", None)
     assert _parse([name, *argv]) == argparse.Namespace(**vars(want[0]), command=name)

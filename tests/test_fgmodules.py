@@ -3,11 +3,12 @@ import pytest
 from koszulkit import rings
 from koszulkit.complexes import homology_table, two_term
 from koszulkit.errors import InvalidInputError
-from koszulkit.fgmodules import FgModule, cokernel, length_at, module_iso
-from koszulkit.generators import GenParams, gen_a_object, gen_koszul, gen_matrix
+from koszulkit.fgmodules import FgModule, cokernel, module_iso
+from koszulkit.generators import GenParams, gen_a_object, gen_koszul
 from koszulkit.koszul import in_A, in_kos1
 from koszulkit.matrices import Matrix, elementary_divisors
 from koszulkit.rings import ZZ, IntegerRing, PrimeFieldPolynomialRing, fpx
+from constructions import gen_matrix, length_at
 
 F2 = fpx(2)
 

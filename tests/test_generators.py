@@ -15,7 +15,6 @@ from koszulkit.generators import (
     gen_chain_map,
     gen_idempotent,
     gen_koszul,
-    gen_matrix,
     gen_module_ses,
     gen_quasi_iso_pair,
     gen_ses_of_complexes,
@@ -41,6 +40,7 @@ from koszulkit.matrices import Matrix, is_unimodular
 from koszulkit.presented import is_short_exact
 from koszulkit.rings import ZZ, fpx
 from pinning import digest
+from constructions import gen_matrix
 
 PARAMS = GenParams(ring=ZZ, seed=42)
 POLY_PARAMS = GenParams(ring=fpx(2), seed=42, max_entry=3)
@@ -56,7 +56,7 @@ def test_determinism():
 
 
 def test_seed_changes_output():
-    assert gen_koszul(PARAMS, 1).complex != gen_koszul(PARAMS.with_seed(43), 1).complex
+    assert gen_koszul(PARAMS, 1).complex != gen_koszul(PARAMS._replace(seed=43), 1).complex
 
 
 # SHA-256 of the value-only JSON of each generator's outputs (see

@@ -15,10 +15,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from koszulkit import GenParams, jsonio  # noqa: E402
-from koszulkit.complexes import ChainMap, two_term, zero_complex  # noqa: E402
+from koszulkit.complexes import ChainMap, two_term  # noqa: E402
 from koszulkit.fgmodules import FgModule  # noqa: E402
 from koszulkit.k0 import class_kos_isom  # noqa: E402
-from koszulkit.koszul import PresentedKoszul  # noqa: E402
 from koszulkit.matrices import snf  # noqa: E402
 from koszulkit.sfiltering import ed_decompose  # noqa: E402
 from test_records import BUILDERS  # noqa: E402
@@ -31,12 +30,12 @@ from koszulkit.generators import (  # noqa: E402
     gen_c_object,
     gen_chain_map,
     gen_koszul,
-    gen_matrix,
     trial_rng,
 )
 from koszulkit.errors import InvalidInputError  # noqa: E402
 from koszulkit.matrices import Matrix  # noqa: E402
 from koszulkit.rings import ZZ, fpx  # noqa: E402
+from constructions import gen_matrix, presented_from_free, zero_complex  # noqa: E402
 
 
 def reference(value) -> str:
@@ -120,7 +119,7 @@ def _library_values():
         "fpx-big-p-snf": snf(big_p),
         "fpx-big-p-module": FgModule(BIG_P, 0, ((2 ** 60, 1), (1, 2 ** 63, 1))),
         "fpx-big-p-k0": class_kos_isom(two_term(Matrix(BIG_P, [[(2 ** 62, 1)]]))),
-        "fpx-big-p-koszul": PresentedKoszul.from_free(two_term(Matrix(BIG_P, [[(2 ** 62, 0, 1)]]))),
+        "fpx-big-p-koszul": presented_from_free(two_term(Matrix(BIG_P, [[(2 ** 62, 0, 1)]]))),
         "fpx3-ed": ed_decompose(two_term(Matrix(fpx(3), [[(1, 1), (2,)], [(0, 1), (1,)]]))),
         "0xn": Matrix.zeros(ZZ, 0, 3),
         "nx0": Matrix.zeros(ZZ, 3, 0),

@@ -14,7 +14,6 @@ from koszulkit.complexes import (
     is_acyclic,
     quasi_iso_degree,
     two_term,
-    zero_complex,
 )
 from koszulkit.errors import InvalidInputError, NotAComplexError
 from koszulkit.fgmodules import FgModule, cokernel, module_iso
@@ -36,11 +35,9 @@ from koszulkit.koszul import (
     cellular_factorization,
     e_functor,
     factor_step,
-    factor_step_equivalence,
     h0,
     h0_additive,
     h0_augmentation,
-    h0_map,
     in_A,
     in_A_n,
     in_kos1,
@@ -52,6 +49,7 @@ from koszulkit.koszul import (
 from koszulkit.matrices import Matrix, elementary_divisors, is_exact_at
 from koszulkit.presented import PresentedMap, PresentedModule, is_short_exact
 from koszulkit.rings import ZZ, fpx
+from constructions import h0_map, presented_from_free, zero_complex
 
 Z2 = two_term(Matrix(ZZ, [[2]]))
 Z6 = two_term(Matrix(ZZ, [[6]]))
@@ -162,7 +160,7 @@ def test_factor_step_quasi_iso_above_support():
     ident = ChainMap.identity(Z2)
     step = factor_step(ident, 5)
     assert step.h.compose(step.g) == ident
-    assert step.upper.is_zero_complex()
+    assert not step.upper.ranks
     # with nothing to truncate the intermediate complex is the target itself
     assert step.g.target == Z2
 
@@ -190,10 +188,6 @@ def test_factor_step_cone_comparison():
     built = cone(step.h).complex
     for n in set(built.degree_range()) | set(step.upper.degree_range()):
         assert module_iso(homology(built, n), homology(step.upper, n))
-    witness = factor_step_equivalence(step)
-    assert witness is not None
-    assert witness.back.compose(witness.into) == ChainMap.identity(step.upper)
-    assert quasi_iso_degree(witness.into) == math.inf
 
 
 def test_factor_step_random_postconditions():
@@ -212,11 +206,6 @@ def test_factor_step_random_postconditions():
         built = cone(step.h).complex
         for k in set(built.degree_range()) | set(step.upper.degree_range()):
             assert module_iso(homology(built, k), homology(step.upper, k))
-        degrees = set(x.ranks) | set(y.ranks)
-        if degrees and max(degrees) - min(degrees) + 1 <= 3:
-            witness = factor_step_equivalence(step)
-            assert witness is not None
-            assert witness.back.compose(witness.into) == ChainMap.identity(step.upper)
 
 
 def test_cellular_factorization_of_quasi_iso():
@@ -441,7 +430,7 @@ def test_tau_maps_spherical_check():
         assert tau_maps_spherical_check(seq, k, 0)
 
 
-X2 = PresentedKoszul.from_free(Z2)
+X2 = presented_from_free(Z2)
 TRIPLE = e_functor(X2)
 NOT_KOSZUL = two_term(Matrix.zeros(ZZ, 1, 1))
 
@@ -451,7 +440,7 @@ REFUSALS = {
     "h0-of-three-terms": lambda: h0(padded_0_spherical()),
     "augmentation-of-non-koszul": lambda: h0_augmentation(NOT_KOSZUL),
     "retraction-of-non-koszul": lambda: retraction_q(NOT_KOSZUL),
-    "from-free-of-non-koszul": lambda: PresentedKoszul.from_free(NOT_KOSZUL),
+    "from-free-of-non-koszul": lambda: presented_from_free(NOT_KOSZUL),
     "boundary-endpoints": lambda: PresentedKoszul(X2.top, X2.bottom, PresentedMap.identity(PresentedModule.free(ZZ, 2))),
     "map-squares": lambda: PresentedKoszulMap(X2, X2, PresentedMap.identity(X2.top),
                                               PresentedMap.zero(X2.bottom, X2.bottom)),
@@ -463,7 +452,7 @@ REFUSALS = {
         X2, X2, PresentedMap(PresentedModule.cyclic(ZZ, 3), X2.top, Matrix(ZZ, [[0]])),
         PresentedMap.zero(X2.bottom, X2.bottom)),
     "rows-not-consecutive": lambda: PresentedSes(
-        TRIPLE.mono, e_functor(PresentedKoszul.from_free(two_term(Matrix(ZZ, [[-2]])))).epi),
+        TRIPLE.mono, e_functor(presented_from_free(two_term(Matrix(ZZ, [[-2]])))).epi),
 }
 
 
@@ -483,18 +472,6 @@ def test_tau_maps_spherical_check_fails_off_its_hypothesis():
     seq = ComplexSes(ChainMap(point, line, {0: Matrix(ZZ, [[1]])}),
                         ChainMap(line, ChainComplex(ZZ, {1: 1}, {}), {1: Matrix(ZZ, [[1]])}))
     assert not tau_maps_spherical_check(seq, 1, 0)
-
-
-def test_factor_step_equivalence_of_a_forged_step():
-    step = factor_step(ChainMap.identity(Z2), 5)
-    point = ChainComplex(ZZ, {0: 1}, {})
-    # upper: Z in degree 0 inside the acyclic cone [Z =1= Z]: no chain retraction
-    line = ChainComplex(ZZ, {0: 1, -1: 1}, {0: Matrix(ZZ, [[1]])})
-    assert factor_step_equivalence(step._replace(h=ChainMap.zero(line, zero_complex(ZZ)), upper=point)) is None
-    # upper: zero inside the cone Z: the identity of Z is not null-homotopic
-    shifted = ChainComplex(ZZ, {-1: 1}, {})
-    forged = step._replace(h=ChainMap.zero(shifted, zero_complex(ZZ)), upper=zero_complex(ZZ))
-    assert factor_step_equivalence(forged) is None
 
 
 def test_presented_koszul_validation():
@@ -519,7 +496,7 @@ def test_resolve_in_kos1_example():
 
 
 def test_resolve_in_kos1_free_input():
-    target = PresentedKoszul.from_free(Z6)
+    target = presented_from_free(Z6)
     res = resolve_in_kos1(target)
     assert in_kos1(res.cover)
     assert res.e0.is_surjective() and res.e1.is_surjective()
@@ -530,12 +507,12 @@ def test_resolve_zero_object():
     zero_mod = PresentedModule.free(ZZ, 0)
     target = PresentedKoszul(zero_mod, zero_mod, PresentedMap.zero(zero_mod, zero_mod))
     res = resolve_in_kos1(target)
-    assert res.cover.is_zero_complex()
-    assert res.kernel.is_zero_complex()
+    assert not res.cover.ranks
+    assert not res.kernel.ranks
 
 
 def test_e_functor_example():
-    target = PresentedKoszul.from_free(Z2)
+    target = presented_from_free(Z2)
     triple = e_functor(target)
     assert triple.left.is_acyclic()
     assert triple.middle == target
@@ -545,7 +522,7 @@ def test_e_functor_example():
 
 
 def test_e_functor_acyclic_input():
-    target = PresentedKoszul.from_free(two_term(Matrix(ZZ, [[1]])))
+    target = presented_from_free(two_term(Matrix(ZZ, [[1]])))
     triple = e_functor(target)
     assert triple.right.h0().canonical_form().is_zero()
 

@@ -15,7 +15,6 @@ from koszulkit.presented import (
     nine_term_sequences,
     pullback,
     pushout,
-    pushout_of_span,
 )
 from koszulkit.rings import ZZ, fpx
 
@@ -105,12 +104,12 @@ def test_pushout_identity_leg():
 
 
 def test_pushout_of_span_example():
-    obj, leg_a, leg_b = pushout_of_span(Matrix(ZZ, [[2]]), Matrix(ZZ, [[3]]))
+    f = pmap(free(1), free(1), [[2]])
+    a = pmap(free(1), free(1), [[3]])
+    obj, leg_a, leg_b = pushout(f, a)
     assert obj.gens == 2
     assert obj.relations == Matrix(ZZ, [[2], [-3]])
     assert obj.canonical_form() == FgModule(ZZ, 1, ())
-    f = pmap(free(1), free(1), [[2]])
-    a = pmap(free(1), free(1), [[3]])
     assert leg_a.compose(f).equals(leg_b.compose(a))
 
 
@@ -252,8 +251,6 @@ REFUSALS = {
                          InvalidInputError),
     "maps-that-do-not-compose": (lambda: ID1.compose(PresentedMap.identity(free(2))), DimensionError),
     "pushout-of-unshared-source": (lambda: pushout(ID1, PresentedMap.identity(cyclic(2))), InvalidInputError),
-    "span-of-unshared-dimension": (lambda: pushout_of_span(Matrix(ZZ, [[1]]), Matrix(ZZ, [[1, 2]])),
-                                   DimensionError),
     "pullback-of-unshared-target": (lambda: pullback(ID1, PresentedMap.identity(cyclic(2))), InvalidInputError),
     "sequence-not-consecutive": (lambda: is_short_exact(ID1, PresentedMap.identity(free(2))), InvalidInputError),
     "bottom-row-not-exact": (lambda: SesMorphism(*Z2_ROW, Z2_ROW[0], NOT_ONTO, ID1, ID1,

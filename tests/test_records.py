@@ -42,7 +42,6 @@ from koszulkit.complexes import (
     truncation_splitting,
     truncation_triple,
     two_term,
-    zero_complex,
 )
 from koszulkit.fgmodules import FgModule
 from koszulkit.generators import (
@@ -58,11 +57,9 @@ from koszulkit.generators import (
 from koszulkit.jsonio import chain_map_from_json, complex_from_json, presented_koszul_from_json, value_to_json
 from koszulkit.k0 import class_kos_isom, class_torsion
 from koszulkit.koszul import (
-    PresentedKoszul,
     cellular_factorization,
     e_functor,
     factor_step,
-    factor_step_equivalence,
     h0_augmentation,
     in_kos1,
     kappa,
@@ -74,6 +71,7 @@ from koszulkit.presented import PresentedMap, PresentedModule
 from koszulkit.rings import ZZ, fpx
 from koszulkit.sfiltering import ed_decompose, excision_epi, idempotent_split, image_factorization
 from koszulkit.suites import run_suite
+from constructions import presented_from_free, zero_complex
 
 PARAMS = GenParams(ring=ZZ, seed=5)
 UNIT = two_term(Matrix(ZZ, [[1]]))
@@ -119,12 +117,11 @@ BUILDERS = {
     "Augmentation": lambda: h0_augmentation(Z6),
     "KappaResult": lambda: kappa(Z6),
     "FactorStep": lambda: factor_step(ZERO_INTO_Z2, -1),
-    "EquivalenceWitness": lambda: factor_step_equivalence(factor_step(ZERO_INTO_Z2, -1)),
     "CellularFactorization": lambda: cellular_factorization(ZERO_INTO_Z2),
-    "PresentedKoszul": lambda: PresentedKoszul.from_free(Z6),
-    "PresentedKoszulMap": lambda: e_functor(PresentedKoszul.from_free(Z6)).mono,
-    "PresentedSes": lambda: e_functor(PresentedKoszul.from_free(Z6)),
-    "Resolution": lambda: resolve_in_kos1(PresentedKoszul.from_free(Z6)),
+    "PresentedKoszul": lambda: presented_from_free(Z6),
+    "PresentedKoszulMap": lambda: e_functor(presented_from_free(Z6)).mono,
+    "PresentedSes": lambda: e_functor(presented_from_free(Z6)),
+    "Resolution": lambda: resolve_in_kos1(presented_from_free(Z6)),
     "AcyclicRetract": lambda: retraction_q(Z6),
     "ImageFactorization": lambda: image_factorization(ChainMap.identity(UNIT)),
     "EdDecomposition": lambda: ed_decompose(two_term(Matrix(ZZ, [[2, 4], [6, 8]]))),
@@ -282,7 +279,7 @@ def test_a_checked_differential_cannot_be_replaced():
 @pytest.mark.parametrize("read, value", [
     (complex_from_json, two_term(Matrix(ZZ, [[2, 0], [1, 3]]))),
     (chain_map_from_json, ChainMap(Z2, Z6, {1: Matrix(ZZ, [[1]]), 0: Matrix(ZZ, [[3]])})),
-    (presented_koszul_from_json, PresentedKoszul.from_free(Z6)),
+    (presented_koszul_from_json, presented_from_free(Z6)),
 ], ids=["complex", "chain-map", "presented-koszul"])
 def test_parsed_copies_are_equal(read, value):
     data = value_to_json(value)

@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,3 +77,21 @@ def test_cli_runner_writes_over_the_previous_output_and_reads_no_write_as_empty(
     code, output, err = _parts(failed)
     assert code == b"2" and output == b"" and err.startswith(b"koszulkit: ")
     assert json.loads(out.read_bytes())["divisors"] == [6]
+
+
+def test_surface_check_finds_no_unlisted_function(monkeypatch):
+    done = subprocess.run([sys.executable, "scripts/reach.py", "--surface"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    summary = done.stdout.splitlines()[-1]
+    assert summary.endswith("never entered; 0 not in the surface ledger, 0 stale surface ledger entries, "
+                            "0 failed calls")
+    # Each ledger entry quotes the label of a README "Public surface" item,
+    # and that item names the function.
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    reach = importlib.import_module("reach")
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    section = readme[readme.index("## Public surface"):readme.index("## Install")]
+    for (_, name), label in reach.SURFACE.items():
+        assert f"**{label}.**" in section, label
+        assert re.search(rf"`(\w+\.)?{re.escape(name.rsplit('.', 1)[-1])}`", section), name

@@ -7,7 +7,6 @@ from koszulkit.complexes import (
     homology,
     is_acyclic,
     two_term,
-    zero_complex,
 )
 from koszulkit.errors import InvalidInputError
 from koszulkit.fgmodules import module_iso
@@ -32,6 +31,7 @@ from koszulkit.sfiltering import (
     image_factorization,
     kernel_complex,
 )
+from constructions import zero_complex
 
 PARAMS = GenParams(ring=ZZ, seed=12)
 UNIT = two_term(Matrix(ZZ, [[1]]))
@@ -41,7 +41,7 @@ Z2 = two_term(Matrix(ZZ, [[2]]))
 def test_image_factorization_zero_map():
     f = ChainMap.zero(UNIT, Z2)
     factorization = image_factorization(f)
-    assert factorization.image.is_zero_complex()
+    assert not factorization.image.ranks
     assert factorization.verifies(f)
 
 
@@ -99,7 +99,7 @@ def test_extension_closure_random():
 def test_ed_decompose_acyclic():
     unimod = two_term(Matrix(ZZ, [[1, 2], [0, -1]]))
     decomposition = ed_decompose(unimod)
-    assert decomposition.nonunit_part.is_zero_complex()
+    assert not decomposition.nonunit_part.ranks
     assert decomposition.unit_part.ranks == {1: 2, 0: 2}
     assert decomposition.iso.is_chain_iso()
 
@@ -188,10 +188,10 @@ def test_idempotent_trivial_splits():
     x = direct_sum(UNIT, two_term(Matrix(ZZ, [[-1]]))).complex
     ident = ChainMap.identity(x)
     split = idempotent_split(ident)
-    assert split.complement_part.is_zero_complex()
+    assert not split.complement_part.ranks
     assert split.rank_additive()
     split = idempotent_split(ChainMap.zero(x, x))
-    assert split.image_part.is_zero_complex()
+    assert not split.image_part.ranks
     assert split.rank_additive()
 
 
