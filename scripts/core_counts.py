@@ -24,9 +24,6 @@ the script prints:
   packed rings of F_2[x] and of F_p[x] for odd p), each the rows of one
   product: every ``Matrix.__mul__`` makes one, and so does each law
   check that compares work rows without building a matrix;
-* ``row_operations``: calls of the same work rings' ``submul`` and
-  ``combine``, each one row operation on work rows (most of them in the
-  elimination kernel ``matrices._echelon``);
 * ``empty_operand_products``: those calls where an operand has no rows
   or no columns;
 * ``raw_calls``: calls of ``Matrix._from_work``, the constructor every
@@ -50,6 +47,11 @@ the script prints:
   re-normalized into a chain;
 * ``factorization_ranks``: the total rank of ``final.source``, summed
   over the results of ``koszul.cellular_factorization``;
+* ``row_operations``, ``entry_operations``, ``largest_bits`` and
+  ``largest_degree``: the counted work of the same work rings' row
+  kernels, as ``scripts/work.py`` counts it (``row_operations`` are the
+  calls of ``submul`` and ``combine``, most of them in the elimination
+  kernel ``matrices._echelon``);
 * ``cpu_s``: the process CPU time of the core, counters included;
 * ``reports_sha256`` (harness workloads): SHA-256 of the concatenated
   JSON suite reports;
@@ -82,6 +84,7 @@ import time
 # ab_harness puts this checkout's src/ and perfbench/ on the path.
 from ab_harness import cli_runner, core_and_warmup, harness_runner, instances_digest, rebind, record_instances
 from run import WORKLOADS
+from work import counted_work
 
 import koszulkit
 from koszulkit import complexes, koszul, matrices, rings
@@ -97,12 +100,6 @@ COUNTERS = (
     (rings.IntegerRing, "product", "row_products", None),
     (rings._PackedF2Ring, "product", "row_products", None),
     (rings._PackedFpRing, "product", "row_products", None),
-    (rings.IntegerRing, "submul", "row_operations", None),
-    (rings.IntegerRing, "combine", "row_operations", None),
-    (rings._PackedF2Ring, "submul", "row_operations", None),
-    (rings._PackedF2Ring, "combine", "row_operations", None),
-    (rings._PackedFpRing, "submul", "row_operations", None),
-    (rings._PackedFpRing, "combine", "row_operations", None),
     (Matrix, "__mul__", "empty_operand_products", lambda self, other: isinstance(other, Matrix) and not (
         self.rows and self.cols and other.rows and other.cols)),
     (Matrix, "_from_work", "raw_calls", None),
@@ -171,11 +168,12 @@ def main(argv=None) -> int:
             def output(op):
                 return trial(op)[1]
         counts = count_matrix_work()
-        start = time.process_time()
-        for op in ops:
-            digest.update(output(op))
-        cpu = time.process_time() - start
-    counts = dict(counts)  # hashing the instances below reads matrices, which some counters see
+        with counted_work() as work:
+            start = time.process_time()
+            for op in ops:
+                digest.update(output(op))
+            cpu = time.process_time() - start
+    counts = {**counts, **work}  # hashing the instances below reads matrices, which some counters see
     print(json.dumps({"workload": args.workload, **size, **counts, "cpu_s": round(cpu, 3),
                       hashed: digest.hexdigest(),
                       "instances_sha256": instances_digest(koszulkit, instances)}))

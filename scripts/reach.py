@@ -60,12 +60,6 @@ LEDGER = {
     ("koszul.py", "cellular_factorization",
      'raise AssertionError("cellular factorization failed to terminate")'):
         "invariant: each stage raises the cone-vanishing degree, so width + 1 stages end it",
-    ("sfiltering.py", "ed_decompose",
-     'raise AssertionError("decomposition transforms are not invertible")'):
-        "invariant: both components are a permutation times a unimodular SNF transform",
-    ("sfiltering.py", "idempotent_split",
-     'raise AssertionError("idempotent images do not recombine to the input")'):
-        "invariant: X is the direct sum of the images of e and 1 - e",
     ("complexes.py", "_retraction_onto_upper",
      'raise InvalidInputError("epimorphism is not degreewise split")'):
         "invariant: the corestriction onto an image basis maps onto a free module, so it has a section",

@@ -75,6 +75,8 @@ none, "stored retraction/section fails" when a check fails or a given
 dict lacks one of those degrees or holds a block of another shape or
 ring there, and "... where the split side is zero"
 when a given witness at another degree is not the empty block there.
+A result bundle checking its own witnesses has the last two raised as
+``WitnessError``, the subclass that says the bundle broke its law.
 ``split_retractions`` returns None where the step raises.
 
 Homotopy solving.  ``homotopy_between``, ``nullhomotopy`` and
@@ -119,6 +121,7 @@ from .errors import (
     HypothesisNotMetError,
     InvalidInputError,
     NotAComplexError,
+    WitnessError,
 )
 from .fgmodules import FgModule, _from_chain
 from .matrices import (
@@ -645,30 +648,30 @@ def truncation_triple(complex_: ChainComplex, n: int) -> TruncationTriple:
     return TruncationTriple(upper, lower, incl, proj)
 
 
-class TruncationSplitting(NamedTuple):
+class TruncationSplitting(_Checked):
     """Chain-level splitting of the canonical truncation sequence.
 
     ``u`` retracts the inclusion of the upper truncation and ``v``
-    sections the projection onto the lower one; the five identities
-    g.v == id, u.f == id, u.v == 0, g.f == 0, f.u + v.g == id hold
-    exactly (f = incl, g = proj).
+    sections the projection onto the lower one.  The law, checked when it
+    is built (else ``WitnessError``): the five identities g.v == id,
+    u.f == id, u.v == 0, g.f == 0, f.u + v.g == id (f = incl, g = proj).
     """
 
-    triple: TruncationTriple
-    u: ChainMap
-    v: ChainMap
+    __slots__ = ("triple", "u", "v")
 
-    def identities_hold(self) -> bool:
-        f, g = self.triple.incl, self.triple.proj
-        u, v = self.u, self.v
+    def __init__(self, triple: TruncationTriple, u: ChainMap, v: ChainMap):
+        self._store(triple, u, v)
+        f, g = triple.incl, triple.proj
         X = f.target
-        return (
-            g.compose(v) == ChainMap.identity(self.triple.lower)
-            and u.compose(f) == ChainMap.identity(self.triple.upper)
-            and u.compose(v).is_zero_map()
-            and g.compose(f).is_zero_map()
-            and f.compose(u) + v.compose(g) == ChainMap.identity(X)
-        )
+        # The five composites and the sum are defined exactly when u and v
+        # run back along f and g.
+        if not (g.source == X and u.source == X and u.target == f.source and v.source == g.target and v.target == X
+                and g.compose(v) == ChainMap.identity(triple.lower)
+                and u.compose(f) == ChainMap.identity(triple.upper)
+                and u.compose(v).is_zero_map()
+                and g.compose(f).is_zero_map()
+                and f.compose(u) + v.compose(g) == ChainMap.identity(X)):
+            raise WitnessError("u and v do not split the truncation sequence")
 
 
 def truncation_splitting(complex_: ChainComplex, n: int) -> TruncationSplitting:
@@ -920,10 +923,10 @@ def _splits(mat: Matrix, w: Optional[Matrix], retract: bool) -> bool:
     return _same_rows(rows, Matrix.identity(mat.ring, len(rows))._work)
 
 
-def _splitting(f: ChainMap, witnesses: Optional[Mapping[int, Matrix]], retract: bool) -> _Table:
+def _splitting(f: ChainMap, witnesses: Optional[Mapping[int, Matrix]], retract: bool, error=InvalidInputError):
     """The checked retractions (``retract``) or sections of ``f``, as the
     module docstring's "Split monomorphisms and quotients" says; all are
-    solved before any is checked."""
+    solved before any is checked, and a failing one raises ``error``."""
     what = "retraction" if retract else "section"
     split = (f.source if retract else f.target).ranks
     if witnesses is None:
@@ -934,10 +937,10 @@ def _splitting(f: ChainMap, witnesses: Optional[Mapping[int, Matrix]], retract: 
                 raise InvalidInputError(f"{'mono' if retract else 'epi'}morphism is not degreewise split")
     for n in split:
         if not _splits(f.at(n), witnesses.get(n), retract):
-            raise InvalidInputError(f"stored {what} fails")
+            raise error(f"stored {what} fails")
     for n, w in witnesses.items():
         if n not in split and not (isinstance(w, Matrix) and (w.rows, w.cols) == (f.source.rank(n), f.target.rank(n))):
-            raise InvalidInputError(f"{what} at degree {n}, where the split side is zero, is not empty")
+            raise error(f"{what} at degree {n}, where the split side is zero, is not empty")
     return _table((n, witnesses[n]) for n in split)
 
 

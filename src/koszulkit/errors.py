@@ -25,5 +25,9 @@ class InvalidInputError(KoszulkitError, ValueError):
     """Input violates a documented precondition."""
 
 
+class WitnessError(InvalidInputError):
+    """A result bundle's witnesses break the law it checks when it is built."""
+
+
 class HypothesisNotMetError(KoszulkitError):
     """An exactness check's hypothesis fails; the check is skipped, not asserted."""

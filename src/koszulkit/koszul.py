@@ -37,13 +37,13 @@ from .complexes import (
     _cone_layout,
     _restrict,
     _retraction_onto_upper,
+    _splitting,
     _subcomplex,
-    _table,
     _tau_ge,
     _tau_le,
     _vanishing_degree,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, WitnessError
 from .fgmodules import FgModule
 from .matrices import (
     Matrix,
@@ -228,25 +228,32 @@ def factor_step(f: ChainMap, n: int) -> FactorStep:
     return FactorStep(g=g, h=h, witness=witness, upper=upper)
 
 
-class CellularFactorization(NamedTuple):
+class CellularFactorization(_Checked):
     """Chain of degreewise split monos with spherical subquotients.
 
     ``stages[i]`` includes stage i into stage i+1; ``subquotients[i]``
     is its quotient complex, spherical in degree ``spherical_degrees[i]``;
-    ``final`` is a quasi-isomorphism, and final . stages == the input.
+    ``final`` is a quasi-isomorphism.  The law, checked at construction:
+    ``final`` after the stages is ``map`` on the nose, and
+    ``retractions[i]`` retracts ``stages[i]`` at every degree where its
+    source is nonzero.  Else ``WitnessError``.
     """
 
-    stages: tuple
-    retractions: tuple
-    subquotients: tuple
-    spherical_degrees: tuple
-    final: ChainMap
+    __slots__ = ("map", "stages", "retractions", "subquotients", "spherical_degrees", "final")
 
-    def composite(self) -> ChainMap:
-        out = self.final
-        for stage in reversed(self.stages):
-            out = out.compose(stage)
-        return out
+    def __init__(self, map: ChainMap, stages: tuple, retractions: tuple, subquotients: tuple,
+                 spherical_degrees: tuple, final: ChainMap):
+        composite = final
+        for stage in reversed(stages):
+            if stage.target != composite.source:
+                raise WitnessError("stages do not compose back to the input")
+            composite = composite.compose(stage)
+        if composite != map:
+            raise WitnessError("stages do not compose back to the input")
+        if len(retractions) != len(stages):
+            raise WitnessError("stage retraction fails")
+        checked = tuple(_splitting(stage, r, True, WitnessError) for stage, r in zip(stages, retractions))
+        self._store(map, stages, checked, subquotients, spherical_degrees, final)
 
 
 def cellular_factorization(f: ChainMap) -> CellularFactorization:
@@ -301,10 +308,11 @@ def cellular_factorization(f: ChainMap) -> CellularFactorization:
         stages.append(stage)
         # The stage's components are selection matrices, so their
         # transposes are retractions.
-        retractions.append(_table((k, stage.at(k).transpose()) for k in stage.source.ranks))
+        retractions.append({k: stage.at(k).transpose() for k in stage.source.ranks})
         subquotients.append(quotient)
         spherical.append(n + 1)
     return CellularFactorization(
+        map=f,
         stages=tuple(stages),
         retractions=tuple(retractions),
         subquotients=tuple(subquotients),

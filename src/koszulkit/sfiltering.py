@@ -5,29 +5,30 @@ category; a Koszul complex decomposes by elementary divisors into an
 identity-boundary part and a diagonal non-unit part; and for every
 degreewise split mono out of an acyclic complex there is an explicit
 epimorphism under which the mono becomes a split inclusion into an
-acyclic complex.  Every construction returns a certificate whose pieces
-re-verify independently.
+acyclic complex.  Every construction returns a bundle that checks the
+law its docstring states once, when it is built (``complexes._Checked``).
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .complexes import (
     ChainComplex,
     ChainMap,
     ComplexSes,
-    direct_sum,
     is_acyclic,
     two_term,
+    _Checked,
     _restrict,
     _split_quotient,
     _splitting,
     _subcomplex,
     _sum_layout,
     _table,
+    _witness,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, WitnessError
 from .koszul import in_kos1
 from .matrices import (
     Matrix,
@@ -62,26 +63,26 @@ def kernel_complex(f: ChainMap):
     return _subcomplex(f.source, {n: kernel_basis(f.at(n)) for n in f.source.ranks})
 
 
-class ImageFactorization(NamedTuple):
-    """Acyclic image factorization of a map out of an acyclic Koszul complex."""
+class ImageFactorization(_Checked):
+    """Acyclic image factorization of a map out of an acyclic Koszul complex.
 
-    image: ChainComplex
-    epi: ChainMap
-    mono: ChainMap
-    sections: dict
-    kernel: ChainComplex
-    kernel_inclusion: ChainMap
+    The law, checked at construction: ``mono . epi == map`` with ``epi``
+    onto ``image``; ``image`` and ``kernel`` are acyclic Koszul
+    complexes; and ``sections`` are sections of ``epi`` at exactly the
+    degrees where the image is nonzero.  Else ``WitnessError``.
+    """
 
-    def verifies(self, f: ChainMap) -> bool:
-        if self.epi.target != self.image or self.mono.compose(self.epi) != f:
-            return False
-        if not in_kos1(self.image) or not is_acyclic(self.image):
-            return False
-        try:
-            _splitting(self.epi, self.sections, False)
-        except InvalidInputError:
-            return False
-        return bool(in_kos1(self.kernel)) and is_acyclic(self.kernel)
+    __slots__ = ("map", "image", "epi", "mono", "sections", "kernel", "kernel_inclusion")
+
+    def __init__(self, map: ChainMap, image: ChainComplex, epi: ChainMap, mono: ChainMap, sections: dict,
+                 kernel: ChainComplex, kernel_inclusion: ChainMap):
+        if epi.target != image or mono.source != image or mono.compose(epi) != map:
+            raise WitnessError("image factorization does not compose to its map")
+        if not in_kos1(image) or not is_acyclic(image):
+            raise WitnessError("image is not an acyclic Koszul complex")
+        self._store(map, image, epi, mono, _splitting(epi, sections, False, WitnessError), kernel, kernel_inclusion)
+        if not in_kos1(kernel) or not is_acyclic(kernel):
+            raise WitnessError("kernel is not an acyclic Koszul complex")
 
 
 def image_factorization(f: ChainMap) -> ImageFactorization:
@@ -96,9 +97,10 @@ def image_factorization(f: ChainMap) -> ImageFactorization:
     if not is_acyclic(f.source):
         raise InvalidInputError("source is not acyclic")
     image, epi, mono = image_complex(f)
-    sections = _splitting(epi, None, False)
+    # Solved here, checked once by the bundle.
+    sections = {n: _witness(epi.at(n), False) for n in image.ranks}
     kernel, incl = kernel_complex(f)
-    return ImageFactorization(image, epi, mono, sections, kernel, incl)
+    return ImageFactorization(f, image, epi, mono, sections, kernel, incl)
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +121,24 @@ def extension_closure_check(seq: ComplexSes) -> bool:
 # Elementary-divisor decomposition of a Koszul complex.
 
 
-class EdDecomposition(NamedTuple):
+class EdDecomposition(_Checked):
     """Split a Koszul complex as (diagonal non-unit part) (+) (identity part).
 
     ``iso`` is an explicit chain isomorphism from the source onto the
     direct sum, built from the diagonalization transforms; the non-unit
     diagonal is the canonical divisor chain, and the identity part has
-    as many columns as the boundary has unit divisors.
+    as many columns as the boundary has unit divisors.  The law, checked
+    at construction: ``iso`` is a chain isomorphism from ``source`` onto
+    the direct sum of the two parts; else ``WitnessError``.
     """
 
-    source: ChainComplex
-    nonunit_part: ChainComplex
-    unit_part: ChainComplex
-    iso: ChainMap
+    __slots__ = ("source", "nonunit_part", "unit_part", "iso")
+
+    def __init__(self, source: ChainComplex, nonunit_part: ChainComplex, unit_part: ChainComplex, iso: ChainMap):
+        self._store(source, nonunit_part, unit_part, iso)
+        if iso.source != source or iso.target != _sum_layout((nonunit_part, unit_part)).complex \
+                or not iso.is_chain_iso():
+            raise WitnessError("decomposition iso is not a chain isomorphism onto the sum of the parts")
 
     @property
     def nonunit_divisors(self) -> tuple:
@@ -152,50 +159,41 @@ def ed_decompose(complex_: ChainComplex) -> EdDecomposition:
     nonunit = two_term(Matrix.diagonal(ring, [cert.divisors[i] for i in nonunits]))
     unit = two_term(Matrix.identity(ring, len(units)))
     total = _sum_layout((nonunit, unit)).complex
-    iso = ChainMap(complex_, total, {1: phi1, 0: phi0})
-    if not iso.is_chain_iso():
-        raise AssertionError("decomposition transforms are not invertible")
-    return EdDecomposition(complex_, nonunit, unit, iso)
+    return EdDecomposition(complex_, nonunit, unit, ChainMap(complex_, total, {1: phi1, 0: phi0}))
 
 
 # ---------------------------------------------------------------------------
 # The excision epimorphism.
 
 
-class ExcisionCertificate(NamedTuple):
+class ExcisionCertificate(_Checked):
     """Witnesses that a split mono from an acyclic complex excises.
 
     ``q`` maps the ambient complex onto (acyclic source) (+) (identity
-    part of the quotient); composing with the mono gives the split
-    inclusion (id; 0), both components of q admit verified sections,
-    and the kernel of q is a Koszul complex.
+    part of the quotient).  The law, checked at construction: ``target``
+    is acyclic, q composed with the mono is the split inclusion (id; 0)
+    of the source into ``target``, ``sections`` are sections of q, and
+    ``kernel`` is a Koszul complex.  Else ``WitnessError``.
     """
 
-    mono: ChainMap
-    retraction0: Matrix
-    target: ChainComplex
-    q: ChainMap
-    sections: dict
-    kernel: ChainComplex
-    kernel_inclusion: ChainMap
-    decomposition: EdDecomposition
+    __slots__ = ("mono", "retraction0", "target", "q", "sections", "kernel", "kernel_inclusion", "decomposition")
 
-    def verifies(self) -> bool:
-        ring = self.mono.source.ring
-        X = self.mono.source
-        Z = self.target
-        incl = ChainMap(X, Z, {n: _selection(ring, Z.rank(n), range(r)) for n, r in X.ranks.items()})
-        if self.q.compose(self.mono) != incl:
-            return False
-        try:
-            _splitting(self.q, self.sections, False)
-        except InvalidInputError:
-            return False
-        if not in_kos1(self.kernel):
-            return False
-        if not is_acyclic(Z):
-            return False
-        return True
+    def __init__(self, mono: ChainMap, retraction0: Matrix, target: ChainComplex, q: ChainMap, sections: dict,
+                 kernel: ChainComplex, kernel_inclusion: ChainMap, decomposition: EdDecomposition):
+        X = mono.source
+        if q.source != mono.target or q.target != target or any(target.rank(n) < r for n, r in X.ranks.items()):
+            raise WitnessError("q does not map the mono's target onto the certificate's target")
+        incl = ChainMap(X, target, {n: _selection(X.ring, target.rank(n), range(r)) for n, r in X.ranks.items()})
+        if q.compose(mono) != incl:
+            raise WitnessError("q does not restrict to the split inclusion of the source")
+        _splitting(q, sections, False, WitnessError)
+        if not in_kos1(kernel):
+            raise WitnessError("kernel of q is not a Koszul complex")
+        if not is_acyclic(target):
+            raise WitnessError("target is not acyclic")
+        # The given table is kept whole: the wire writes its empty blocks too.
+        self._store(mono, retraction0, target, q, _table(sorted(sections.items())), kernel, kernel_inclusion,
+                    decomposition)
 
 
 def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> ExcisionCertificate:
@@ -208,7 +206,7 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
     unimodular boundary of the target (applied by exact solving, never
     by fractions).  Sections of both components are assembled from a
     solved section of the quotient projection and the off-diagonal
-    block correction, then verified entrywise.
+    block correction; the certificate checks them.
     """
     X, Y = mono.source, mono.target
     ring = X.ring
@@ -239,39 +237,27 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
             mu = (q.at(degree) * lam).take_rows(range(X.rank(degree)))
             lam = lam - mono.at(degree) * mu
         pairs.append((degree, hstack([mono.at(degree), lam])))
-    sections = _table(pairs)
-    _splitting(q, sections, False)
-
     kernel, kernel_incl = kernel_complex(q)
-    return ExcisionCertificate(
-        mono=mono,
-        retraction0=h,
-        target=target,
-        q=q,
-        sections=sections,
-        kernel=kernel,
-        kernel_inclusion=kernel_incl,
-        decomposition=decomposition,
-    )
+    return ExcisionCertificate(mono, h, target, q, dict(pairs), kernel, kernel_incl, decomposition)
 
 
 # ---------------------------------------------------------------------------
 # Idempotent splitting in the acyclic subcategory.
 
 
-class IdempotentSplit(NamedTuple):
-    """X decomposed as (image of e) (+) (image of 1 - e)."""
+class IdempotentSplit(_Checked):
+    """X decomposed as (image of e) (+) (image of 1 - e).
 
-    image_part: ChainComplex
-    complement_part: ChainComplex
-    iso: ChainMap
+    The law, checked at construction: ``iso`` is a chain isomorphism
+    from the direct sum of the two parts onto X; else ``WitnessError``.
+    """
 
-    def rank_additive(self) -> bool:
-        X = self.iso.target
-        return all(
-            self.image_part.rank(n) + self.complement_part.rank(n) == X.rank(n)
-            for n in X.ranks
-        )
+    __slots__ = ("image_part", "complement_part", "iso")
+
+    def __init__(self, image_part: ChainComplex, complement_part: ChainComplex, iso: ChainMap):
+        self._store(image_part, complement_part, iso)
+        if iso.source != _sum_layout((image_part, complement_part)).complex or not iso.is_chain_iso():
+            raise WitnessError("idempotent images do not recombine to the input")
 
 
 def idempotent_split(endo: ChainMap) -> IdempotentSplit:
@@ -289,8 +275,6 @@ def idempotent_split(endo: ChainMap) -> IdempotentSplit:
         raise InvalidInputError("endomorphism is not idempotent")
     image, image_mono = _image(endo)
     complement, complement_mono = _image(ChainMap.identity(X) - endo)
-    total = direct_sum(image, complement)
-    iso = ChainMap(total.complex, X, {n: hstack([image_mono.at(n), complement_mono.at(n)]) for n in X.ranks})
-    if not iso.is_chain_iso():
-        raise AssertionError("idempotent images do not recombine to the input")
-    return IdempotentSplit(image, complement, iso)
+    total = _sum_layout((image, complement)).complex
+    return IdempotentSplit(image, complement, ChainMap(
+        total, X, {n: hstack([image_mono.at(n), complement_mono.at(n)]) for n in X.ranks}))

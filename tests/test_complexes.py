@@ -29,7 +29,7 @@ from koszulkit.complexes import (
     truncation_triple,
     two_term,
 )
-from koszulkit.errors import DimensionError, HypothesisNotMetError, InvalidInputError, NotAComplexError
+from koszulkit.errors import DimensionError, HypothesisNotMetError, InvalidInputError, NotAComplexError, WitnessError
 from koszulkit.fgmodules import FgModule, module_iso
 from koszulkit.generators import GenParams, gen_a_object, gen_chain_map, trial_rng
 from koszulkit.matrices import Matrix
@@ -257,13 +257,28 @@ def test_truncation_splitting_examples():
     splitting = truncation_splitting(Z2, 0)
     assert not splitting.triple.upper.ranks
     assert splitting.u.is_zero_map()
-    assert splitting.identities_hold()
     # a complex with torsion homology in two degrees, all degrees
     x = three_term()
     for n in (-1, 0, 1, 2):
-        splitting = truncation_splitting(x, n)
-        assert splitting.identities_hold()
-        assert splitting.triple.degreewise_exact()
+        assert truncation_splitting(x, n).triple.degreewise_exact()
+
+
+def test_forged_truncation_splittings_do_not_verify():
+    """The five identities are checked at construction."""
+    splitting = truncation_splitting(three_term(), 0)
+    assert splitting._replace() == splitting
+    u, v = splitting.u, splitting.v
+    forgeries = [
+        {"u": u + u},
+        {"v": v + v},
+        {"u": ChainMap.zero(u.source, u.target)},
+        # maps that do not run back along the sequence
+        {"u": ChainMap.identity(u.source)},
+        {"triple": truncation_triple(three_term(), 1)},
+    ]
+    for changes in forgeries:
+        with pytest.raises(WitnessError):
+            splitting._replace(**changes)
 
 
 def test_truncation_splitting_refuses_free_homology():
@@ -279,7 +294,7 @@ def test_truncation_splitting_random():
         sample = gen_a_object(PARAMS, trial).complex
         degrees = sample.degree_range()
         for n in range(degrees.start - 1, degrees.stop + 1):
-            assert truncation_splitting(sample, n).identities_hold()
+            assert truncation_splitting(sample, n).triple.degreewise_exact()
 
 
 def test_nullhomotopy_examples():

@@ -15,7 +15,7 @@ from koszulkit.complexes import (
     quasi_iso_degree,
     two_term,
 )
-from koszulkit.errors import InvalidInputError, NotAComplexError
+from koszulkit.errors import InvalidInputError, NotAComplexError, WitnessError
 from koszulkit.fgmodules import FgModule, cokernel, module_iso
 from koszulkit.generators import (
     GenParams,
@@ -223,8 +223,31 @@ def test_cellular_factorization_example():
     quotient = factorization.subquotients[0]
     assert in_A_n(quotient, 0)
     assert module_iso(homology(quotient, 0), FgModule(ZZ, 0, (2,)))
-    assert factorization.composite() == f
+    assert factorization.map == f
     assert quasi_iso_degree(factorization.final) == math.inf
+
+
+def test_forged_cellular_factorizations_do_not_verify():
+    """The law is checked at construction: the final map after the stages
+    is the input map, and each retraction retracts its stage."""
+    f = ChainMap.zero(Z2, Z6)
+    factorization = cellular_factorization(f)
+    assert len(factorization.stages) == 2 and factorization._replace() == factorization
+    stage = factorization.stages[0]
+    doubled = {n: r.scale(2) for n, r in factorization.retractions[0].items()}
+    forgeries = [
+        {"map": ChainMap.identity(Z2)},
+        {"map": ChainMap.zero(Z2, Z2)},
+        # the stages in the wrong order do not compose
+        {"stages": factorization.stages[::-1]},
+        {"retractions": (doubled, factorization.retractions[1])},
+        {"retractions": factorization.retractions[:1]},
+        {"retractions": ({}, factorization.retractions[1])},
+    ]
+    assert stage.source.ranks  # so an empty retraction table misses a degree
+    for changes in forgeries:
+        with pytest.raises(WitnessError):
+            factorization._replace(**changes)
 
 
 def test_cellular_factorization_random():
@@ -235,7 +258,7 @@ def test_cellular_factorization_random():
         y = gen_a_object(params, trial, rng=rng).complex
         f = gen_chain_map(rng, x, y, terms=1)
         factorization = cellular_factorization(f)
-        assert factorization.composite() == f
+        assert factorization.map == f
         assert quasi_iso_degree(factorization.final) == math.inf
         for quotient, degree in zip(factorization.subquotients, factorization.spherical_degrees):
             assert in_A_n(quotient, degree)

@@ -9,8 +9,12 @@ Value semantics hold for copies built separately from equal inputs, not
 only for copies built from the very same field objects.  A checked value
 holds its degree tables as read-only tables, which refuse item
 assignment, deletion, a second ``__init__`` and the dict methods that
-change a dict, so every checked value can be hashed.  The witness tables
-of the result bundles (``ImageFactorization.sections``,
+change a dict, so every checked value can be hashed.  The six witness
+bundles (``TruncationSplitting``, ``CellularFactorization``,
+``ImageFactorization``, ``EdDecomposition``, ``ExcisionCertificate`` and
+``IdempotentSplit``) are checked values: each checks its law when it is
+built, also when ``_replace``, a copy or a pickle builds it again, and
+their witness tables (``ImageFactorization.sections``,
 ``CellularFactorization.retractions`` and
 ``ExcisionCertificate.sections``) are such tables too.  Only two
 NamedTuple bundles hold a plain list or dict and cannot be hashed:
@@ -243,10 +247,31 @@ def test_checked_tables_refuse_every_change(name):
     checked value hashes, and twins built separately hash equal."""
     record = BUILDERS[name]()
     tables = {n: getattr(record, n) for n in record._fields if isinstance(getattr(record, n), dict)}
-    assert bool(tables) == (name in {"ChainComplex", "ChainMap", "Homotopy", "ComplexSes"})
+    assert bool(tables) == (name in {"ChainComplex", "ChainMap", "Homotopy", "ComplexSes",
+                                     "ImageFactorization", "ExcisionCertificate"})
     for table in tables.values():
         _assert_read_only(table)
     assert hash(record) == hash(BUILDERS[name]())
+
+
+# The witness bundles, which check their law in their constructor.
+BUNDLES = ["CellularFactorization", "EdDecomposition", "ExcisionCertificate", "IdempotentSplit",
+           "ImageFactorization", "TruncationSplitting"]
+
+
+def test_every_witness_bundle_is_a_checked_value():
+    assert set(BUNDLES) < set(CHECKED)
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_checked_replace_builds_an_equal_checked_value(name):
+    """``_replace`` runs the constructor again: with no change, or with a
+    field set to an equal value built separately, it gives an equal value
+    of the same type."""
+    record, twin = BUILDERS[name](), BUILDERS[name]()
+    for changes in ({}, {record._fields[0]: getattr(twin, twin._fields[0])}):
+        again = record._replace(**changes)
+        assert type(again) is type(record) and again is not record and again == record
 
 
 # The witness tables of each result bundle that holds them, all nonempty.

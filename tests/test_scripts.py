@@ -2,6 +2,7 @@
 in a subprocess, since ``core_counts`` leaves its counters installed;
 ``ab_harness``'s CLI runner is also called in process, on one request."""
 
+import contextlib
 import hashlib
 import importlib
 import json
@@ -14,11 +15,11 @@ from pathlib import Path
 import koszulkit
 
 ROOT = Path(__file__).resolve().parents[1]
-COUNTS = ["workload", "requests", "products", "row_products", "row_operations",
+COUNTS = ["workload", "requests", "products", "row_products",
           "empty_operand_products", "raw_calls", "negations",
           "zero_negations", "packs", "unpacks", "checked_chain_maps", "cone_layouts", "solves",
-          "checked_sequences", "fgmodule_makes", "factorization_ranks", "cpu_s", "outputs_sha256",
-          "instances_sha256"]
+          "checked_sequences", "fgmodule_makes", "factorization_ranks", "row_operations", "entry_operations",
+          "largest_bits", "largest_degree", "cpu_s", "outputs_sha256", "instances_sha256"]
 
 
 def _script(*argv) -> dict:
@@ -95,3 +96,33 @@ def test_surface_check_finds_no_unlisted_function(monkeypatch):
     for (_, name), label in reach.SURFACE.items():
         assert f"**{label}.**" in section, label
         assert re.search(rf"`(\w+\.)?{re.escape(name.rsplit('.', 1)[-1])}`", section), name
+
+
+# The exponent of each family's entry operations and largest entry between
+# its two smallest sizes, as BENCH_work.json records it, rounded up to the
+# next half.  A change that raises one raises its bound here, and says why.
+WORK_BOUNDS = {
+    "snf_z": {"entry_operations": 3.5, "largest_entry": 1.5},
+    "snf_f3x": {"entry_operations": 3.0, "largest_entry": 1.5},
+    "nullhomotopy": {"entry_operations": 7.0, "largest_entry": 3.0},
+}
+
+
+def test_counted_work_of_the_two_smallest_sizes_stays_within_its_exponents(monkeypatch, cpu_time_limit):
+    """Counts do not depend on the host, so the bounds hold on any host,
+    and under ``reach.py``'s tracer too.  The run takes under 2 s of CPU
+    time (about 0.4 s); under a tracer, which slows every line many times
+    over, only the counts are checked."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    work = importlib.import_module("work")
+    assert set(WORK_BOUNDS) == set(work.FAMILIES)
+    kernels = [getattr(owner, name) for owner, _, _ in work.WORK_RINGS for name in ("product", "submul", "combine")]
+    with cpu_time_limit(2) if sys.gettrace() is None else contextlib.nullcontext():
+        measured = {name: work.measure(name, work.FAMILIES[name][1][:2]) for name in work.FAMILIES}
+    for name, bounds in WORK_BOUNDS.items():
+        for key, bound in bounds.items():
+            [exponent] = measured[name]["exponents"][key]
+            assert exponent <= bound, (name, key, exponent)
+    # The counters are off again: every kernel is the original.
+    assert kernels == [getattr(owner, name) for owner, _, _ in work.WORK_RINGS
+                       for name in ("product", "submul", "combine")]

@@ -8,7 +8,7 @@ from koszulkit.complexes import (
     is_acyclic,
     two_term,
 )
-from koszulkit.errors import InvalidInputError
+from koszulkit.errors import InvalidInputError, WitnessError
 from koszulkit.fgmodules import module_iso
 from koszulkit.generators import (
     GenParams,
@@ -42,7 +42,7 @@ def test_image_factorization_zero_map():
     f = ChainMap.zero(UNIT, Z2)
     factorization = image_factorization(f)
     assert not factorization.image.ranks
-    assert factorization.verifies(f)
+    assert factorization.map == f
 
 
 def test_image_factorization_identity():
@@ -50,7 +50,7 @@ def test_image_factorization_identity():
     factorization = image_factorization(f)
     assert factorization.image == UNIT
     assert factorization.epi == ChainMap.identity(UNIT)
-    assert factorization.verifies(f)
+    assert factorization.map == f
 
 
 def test_image_factorization_rank_one_example():
@@ -59,7 +59,7 @@ def test_image_factorization_rank_one_example():
     factorization = image_factorization(f)
     assert factorization.image.ranks == {1: 1, 0: 1}
     assert is_acyclic(factorization.image)
-    assert factorization.verifies(f)
+    assert factorization.mono.compose(factorization.epi) == f
     # the kernel stays in the category and is acyclic
     assert in_kos1(factorization.kernel) and is_acyclic(factorization.kernel)
 
@@ -76,7 +76,7 @@ def test_image_factorization_random():
         source = gen_koszul(PARAMS, trial, acyclic=True, rng=rng).complex
         target = gen_koszul(PARAMS, trial, rng=rng).complex
         f = gen_chain_map(rng, source, target, terms=1)
-        assert image_factorization(f).verifies(f)
+        assert image_factorization(f).map == f
 
 
 def test_extension_closure_examples():
@@ -138,7 +138,6 @@ def test_excision_projection_case():
     mono = total.inclusions[0]
     cert = excision_epi(mono)
     assert cert.target == UNIT
-    assert cert.verifies()
     # q is the X-projection up to the stored retraction
     assert cert.q.compose(mono) == ChainMap.identity(UNIT)
 
@@ -147,7 +146,6 @@ def test_excision_pipeline_example():
     target = two_term(Matrix(ZZ, [[1, 0], [0, 2]]))
     mono = ChainMap(UNIT, target, {1: Matrix(ZZ, [[1], [0]]), 0: Matrix(ZZ, [[1], [0]])})
     cert = excision_epi(mono)
-    assert cert.verifies()
     assert cert.target == UNIT  # the quotient [Z -> 2Z] has no unit part
     # the kernel is Koszul but NOT acyclic here: it carries H0 of the ambient complex
     assert in_kos1(cert.kernel)
@@ -160,7 +158,6 @@ def test_excision_from_the_zero_complex():
     # The zero source has no degree-0 retraction; the target is the unit part.
     ambient = two_term(Matrix(ZZ, [[1, 0], [0, 3]]))
     cert = excision_epi(ChainMap.zero(zero_complex(ZZ), ambient))
-    assert cert.verifies()
     assert cert.target == UNIT
     assert (cert.retraction0.rows, cert.retraction0.cols) == (0, 2)
     assert in_kos1(cert.kernel)
@@ -171,7 +168,6 @@ def test_excision_random():
     for trial in range(25):
         sample = gen_admissible_mono(PARAMS, trial)
         cert = excision_epi(sample.sequence.mono, sample.sequence.retractions)
-        assert cert.verifies()
         closure = ComplexSes(cert.kernel_inclusion, cert.q)
         assert extension_closure_check(closure)
         # kernel acyclicity tracks ambient acyclicity exactly
@@ -188,18 +184,15 @@ def test_idempotent_trivial_splits():
     x = direct_sum(UNIT, two_term(Matrix(ZZ, [[-1]]))).complex
     ident = ChainMap.identity(x)
     split = idempotent_split(ident)
-    assert not split.complement_part.ranks
-    assert split.rank_additive()
+    assert not split.complement_part.ranks and split.image_part == x
     split = idempotent_split(ChainMap.zero(x, x))
-    assert not split.image_part.ranks
-    assert split.rank_additive()
+    assert not split.image_part.ranks and split.complement_part == x
 
 
 def test_idempotent_conjugated_projector():
     for trial in range(10):
         x, endo = gen_idempotent(PARAMS, trial)
         split = idempotent_split(endo)
-        assert split.rank_additive()
         for part in (split.image_part, split.complement_part):
             assert in_kos1(part) and is_acyclic(part)
         assert split.iso.is_chain_iso()
@@ -235,30 +228,73 @@ def test_forged_image_factorizations_do_not_verify():
     target = two_term(Matrix(ZZ, [[1, 0], [0, 2]]))
     f = ChainMap(UNIT, target, {1: Matrix(ZZ, [[1], [0]]), 0: Matrix(ZZ, [[1], [0]])})
     factorization = image_factorization(f)
-    assert factorization.verifies(f)
-    assert not factorization.verifies(ChainMap.zero(UNIT, target))
-    assert not factorization._replace(image=Z2).verifies(f)
-    # an acyclic Koszul complex that is not the target of the epi
-    assert not factorization._replace(image=direct_sum(UNIT, UNIT).complex).verifies(f)
-    # consistent maps of the zero map through Z/2, which is not acyclic
-    through_z2 = factorization._replace(image=Z2, epi=ChainMap.zero(UNIT, Z2), mono=ChainMap.zero(Z2, target))
-    assert not through_z2.verifies(ChainMap.zero(UNIT, target))
-    assert not factorization._replace(sections={}).verifies(f)
+    assert factorization._replace() == factorization
+    forgeries = [
+        {"map": ChainMap.zero(UNIT, target)},
+        {"image": Z2},
+        # an acyclic Koszul complex that is not the target of the epi
+        {"image": direct_sum(UNIT, UNIT).complex},
+        # consistent maps of the zero map through Z/2, which is not acyclic
+        {"map": ChainMap.zero(UNIT, target), "image": Z2, "epi": ChainMap.zero(UNIT, Z2),
+         "mono": ChainMap.zero(Z2, target)},
+        {"sections": {}},
+        {"kernel": Z2},
+    ]
+    for changes in forgeries:
+        with pytest.raises(WitnessError):
+            factorization._replace(**changes)
 
 
 def test_forged_excision_certificates_do_not_verify():
     cert = excision_epi(direct_sum(UNIT, Z2).inclusions[0])
-    assert cert.verifies()
+    assert cert._replace() == cert
     one = Matrix.identity(ZZ, 1)
     forgeries = [
-        cert._replace(mono=-cert.mono),
-        cert._replace(sections={}),
-        cert._replace(kernel=NOT_KOSZUL),
+        {"mono": -cert.mono},
+        {"sections": {}},
+        {"kernel": NOT_KOSZUL},
         # all consistent, but the target Z/2 is not acyclic
-        cert._replace(mono=ChainMap.identity(Z2), target=Z2, q=ChainMap.identity(Z2),
-                      sections={0: one, 1: one}, kernel=UNIT),
+        {"mono": ChainMap.identity(Z2), "target": Z2, "q": ChainMap.identity(Z2),
+         "sections": {0: one, 1: one}, "kernel": UNIT},
+        # q onto a target too small to hold the source
+        {"target": zero_complex(ZZ), "q": ChainMap.zero(cert.q.source, zero_complex(ZZ))},
     ]
-    assert not any(forged.verifies() for forged in forgeries)
+    for changes in forgeries:
+        with pytest.raises(WitnessError):
+            cert._replace(**changes)
+
+
+def test_forged_ed_decompositions_do_not_verify():
+    decomposition = ed_decompose(two_term(Matrix(ZZ, [[2, 1], [0, 3]])))
+    assert decomposition._replace() == decomposition
+    iso = decomposition.iso
+    doubled = ChainMap(iso.source, iso.target, {n: m.scale(2) for n, m in iso.components.items()})
+    forgeries = [
+        # a chain map onto the sum that is not invertible
+        {"iso": doubled},
+        # the parts swapped: the iso no longer lands in their sum
+        {"nonunit_part": decomposition.unit_part, "unit_part": decomposition.nonunit_part},
+        {"source": UNIT},
+    ]
+    for changes in forgeries:
+        with pytest.raises(WitnessError):
+            decomposition._replace(**changes)
+
+
+def test_forged_idempotent_splits_do_not_verify():
+    x = direct_sum(UNIT, UNIT).complex
+    split = idempotent_split(ChainMap.identity(x))
+    assert split._replace() == split
+    doubled = ChainMap(x, x, {n: Matrix.identity(ZZ, x.rank(n)).scale(2) for n in x.ranks})
+    forgeries = [
+        # a chain map of the right ends that is not invertible
+        {"iso": doubled},
+        # ranks that do not add up to X
+        {"complement_part": UNIT},
+    ]
+    for changes in forgeries:
+        with pytest.raises(WitnessError):
+            split._replace(**changes)
 
 
 def test_kernel_complex():

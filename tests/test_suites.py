@@ -3,6 +3,7 @@ import json
 import pytest
 
 from koszulkit import jsonio, suites
+from koszulkit.complexes import ChainMap, two_term
 from koszulkit.errors import HypothesisNotMetError, InvalidInputError
 from koszulkit.generators import (
     GenParams,
@@ -152,6 +153,67 @@ def test_failed_trial_records_its_instance(monkeypatch, name, ring):
         assert "crashed" not in failure
         assert failure["instance"] == instance(params, trial)
     assert report.dumps() == json.dumps(report.to_json(), indent=2, sort_keys=True)
+
+
+NOT_KOSZUL = two_term(Matrix.zeros(ZZ, 1, 1))
+
+# For each suite builder of a witness bundle: the suite, a forged change
+# to the bundle it returns, and the failure that the refusal becomes.
+REFUSED_BUNDLES = {
+    "truncation_splitting": ("remark3_2", {"v": ChainMap.identity(NOT_KOSZUL)},
+                             "splitting identities fail at -1: u and v do not split the truncation sequence"),
+    "cellular_factorization": ("prop3_4", {"map": ChainMap.identity(NOT_KOSZUL)},
+                               "factorization witnesses fail: stages do not compose back to the input"),
+    "excision_epi": ("appendix_a2", {"kernel": NOT_KOSZUL},
+                     "excision certificate failed: kernel of q is not a Koszul complex"),
+    "idempotent_split": ("appendix_a2", {"image_part": NOT_KOSZUL},
+                         "idempotent split failed: idempotent images do not recombine to the input"),
+    "image_factorization": ("appendix_a2", {"kernel": NOT_KOSZUL},
+                            "image factorization certificate failed: kernel is not an acyclic Koszul complex"),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(REFUSED_BUNDLES))
+def test_a_refused_bundle_fails_its_trial_with_its_instance(monkeypatch, builder):
+    """Each bundle checks its law when it is built; a builder whose bundle
+    is refused fails the trial with the check's message and keeps the
+    instance it was given, the builder's first argument."""
+    suite, changes, message = REFUSED_BUNDLES[builder]
+    real, given = getattr(suites, builder), []
+
+    def forging(*args):
+        given.append(args[0])
+        return real(*args)._replace(**changes)
+
+    monkeypatch.setattr(suites, builder, forging)
+    report = run_suite(suite, GenParams(ring=ZZ, seed=0, trials=1))
+    assert report.failures == [{"seed": "Z/0/0", "instance": jsonio.value_to_json(given[0]),
+                                "assertion": message}]
+
+
+# For each suite builder of a witness bundle: the suite, an input that the
+# builder refuses before any bundle is built, and the refusal.
+REFUSED_INPUTS = {
+    "truncation_splitting": ("remark3_2", (NOT_KOSZUL, 0), "homology at degree 0 is not torsion"),
+    "cellular_factorization": ("prop3_4", (ChainMap.identity(NOT_KOSZUL),), "both ends must have torsion homology"),
+    "excision_epi": ("appendix_a2", (ChainMap.identity(NOT_KOSZUL),), "both ends must be free Koszul complexes"),
+    "idempotent_split": ("appendix_a2", (ChainMap.identity(NOT_KOSZUL),),
+                         "idempotents split inside the acyclic subcategory"),
+    "image_factorization": ("appendix_a2", (ChainMap.identity(NOT_KOSZUL),),
+                            "both ends must be free Koszul complexes"),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(REFUSED_INPUTS))
+def test_a_refused_builder_input_aborts_the_trial(monkeypatch, builder):
+    """Only a bundle's refusal of its own witnesses fails the trial as a
+    witness failure; a builder that refuses its input aborts the trial,
+    as any refused input does."""
+    suite, forged, message = REFUSED_INPUTS[builder]
+    real = getattr(suites, builder)
+    monkeypatch.setattr(suites, builder, lambda *args: real(*forged))
+    report = run_suite(suite, GenParams(ring=ZZ, seed=0, trials=1))
+    assert report.failures == [{"seed": "Z/0/0", "instance": None, "assertion": f"trial aborted: {message}"}]
 
 
 @pytest.mark.parametrize("ring", [ZZ, fpx(2)], ids=lambda ring: ring.token)
