@@ -121,7 +121,9 @@ def record_instances(pkg) -> list:
 
 def instances_digest(pkg, values: list) -> str:
     """The hex SHA-256 over ``jsonio._dumps(value_to_json(x))`` of each of
-    ``values``, in order."""
+    ``values``, in order: the writer's text of x read as a library value,
+    so that a plain tuple that a generator returns is written as a list.
+    Both calls exist in every tree that the script compares."""
     jsonio = importlib.import_module(pkg.__name__ + ".jsonio")
     digest = hashlib.sha256()
     for value in values:

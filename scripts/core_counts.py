@@ -58,10 +58,11 @@ the script prints:
 * ``outputs_sha256`` (``cli-requests``): SHA-256 over each request's
   label, exit code, output file bytes and stderr, each length-prefixed;
 * ``instances_sha256``: SHA-256 over ``jsonio._dumps(value_to_json(x))``
-  of every value x that a ``gen_*`` function of ``koszulkit.generators``
-  returns, nested calls included, in order: during the core on the
-  harness workloads, and while the request files are drawn on
-  ``cli-requests``.  A passing suite report holds no values, so this is
+  (the writer's text of x read as a library value, a plain tuple as a
+  list) of every value x that a ``gen_*`` function of
+  ``koszulkit.generators`` returns, nested calls included, in order:
+  during the core on the harness workloads, and while the request files
+  are drawn on ``cli-requests``.  A passing suite report holds no values, so this is
   the hash that sees a drawn instance change.  The values are kept and
   hashed after the core, so hashing moves no count.
 

@@ -14,12 +14,11 @@ hypothesis switches tracing off while it runs.  Code run in a subprocess
 executable line of a function or class body that did not run and is not in
 ``LEDGER``, and every ledger entry that no longer names an unexecuted line.
 
-A test that fails under the tracer is run again, with the others that
-failed, by pytest in a subprocess without the tracer.  The tracer slows
-the run about fourfold, so a CPU-time limit can expire under it alone
-(``test_factor_gates``); the script names each such tracer-only failure.
-It exits 0 when no line is unlisted, no ledger entry is stale and every
-failed test passes without the tracer, and 1 otherwise.
+The tracer slows the run about fourfold, so the ``cpu_time_limit``
+fixture of ``tests/conftest.py`` arms no limit under it, and every test
+runs under the tracer as it does without it.  The script exits 0 when
+no line is unlisted, no ledger entry is stale and pytest passes, and 1
+otherwise.
 
 ``LEDGER`` maps (file, function, stripped source line) to the reason why no
 test runs that line.
@@ -43,7 +42,6 @@ from __future__ import annotations
 import inspect
 import json
 import linecache
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -110,9 +108,6 @@ SURFACE = {
     ("fgmodules.py", "FgModule.__repr__"): RECORDS,
     ("generators.py", "rand_unimodular"): OPERATIONS,
     ("generators.py", "scramble_complex"): OPERATIONS,
-    ("generators.py", "KoszulSample.expected_h0"): OUTPUTS,
-    ("generators.py", "AObjectSample.expected_homology"): OUTPUTS,
-    ("generators.py", "CObjectSample.expected_h0"): OUTPUTS,
     ("jsonio.py", "value_to_json"): OUTPUTS,
     ("k0.py", "K0TorsionClass.as_dict"): OPERATIONS,
     ("koszul.py", "h0_augmentation"): OPERATIONS,
@@ -157,18 +152,6 @@ def executable_lines() -> dict:
     for path in sorted(SRC.glob("*.py")):
         walk(compile(path.read_text(), str(path), "exec"))
     return owners
-
-
-def untraced_failures(nodeids: list) -> tuple:
-    """(exit status, set of node ids named as failed) of pytest run on
-    ``nodeids`` in a subprocess, without the tracer."""
-    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *nodeids],
-                          cwd=ROOT, capture_output=True, text=True)
-    if done.returncode != 0:
-        print(done.stdout, done.stderr, sep="")
-    named = {line.split(" ", 1)[1].split(" - ", 1)[0] for line in done.stdout.splitlines()
-             if line.startswith(("FAILED ", "ERROR "))}
-    return done.returncode, named
 
 
 def functions() -> dict:
@@ -238,7 +221,6 @@ def main(argv: list) -> int:
     if argv == ["--surface"]:
         return surface()
     ran: set = set()
-    failed: list = []
     prefix = str(SRC)
 
     def local(frame, event, arg):
@@ -253,12 +235,6 @@ def main(argv: list) -> int:
         @pytest.hookimpl(tryfirst=True)
         def pytest_runtest_setup(self, item):
             sys.settrace(tracer)
-
-        def pytest_runtest_logreport(self, report):
-            if report.failed and report.nodeid not in failed:
-                failed.append(report.nodeid)
-
-        pytest_collectreport = pytest_runtest_logreport
 
     sys.settrace(tracer)
     status = pytest.main(["-q", "-p", "no:cacheprovider", *argv], plugins=[Reinstall()])
@@ -275,16 +251,9 @@ def main(argv: list) -> int:
         print(f"unexecuted {name}:{','.join(map(str, at))} {owner}: {text}")
     for key in stale:
         print(f"ledger entry runs or is gone: {key}")
-    broken = status != 0 and not failed  # e.g. a usage error: no test to run again
-    if failed:
-        again, named = untraced_failures(failed)
-        broken = again != 0
-        for nodeid in failed:
-            print(f"fails {'without the tracer too' if nodeid in named else 'only under the tracer'}: {nodeid}")
     print(f"{sum(map(len, missed.values()))} unexecuted lines; {len(unlisted)} sources not in the ledger, "
-          f"{len(stale)} stale ledger entries; pytest exit status {int(status)} under the tracer, "
-          f"{len(failed)} failed, {'some' if broken else 'none'} failing without it")
-    return 1 if unlisted or stale or broken else 0
+          f"{len(stale)} stale ledger entries; pytest exit status {int(status)}")
+    return 1 if unlisted or stale or status != 0 else 0
 
 
 if __name__ == "__main__":

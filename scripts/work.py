@@ -1,4 +1,4 @@
-"""Counted work of three families of operations, by size: ``BENCH_work.json``.
+"""Counted work of five families of operations, by size: ``BENCH_work.json``.
 
 Usage, from the root of a source checkout (koszulkit is imported from
 ``src/``):
@@ -16,7 +16,15 @@ family runs one operation at three sizes, on inputs drawn from
   degree 2 (a nonzero leading coefficient), n = 8, 16, 32;
 * ``nullhomotopy``: ``nullhomotopy(ChainMap.identity(C))`` for C the
   cone of the identity of X = [Z^n -> Z^n], entries of X in [-3, 3], by
-  the total rank 4n of C: 16, 24, 32.
+  the total rank 4n of C: 16, 24, 32;
+* ``snf_z_bits``: ``snf`` of a 16 x 16 matrix over Z with entries in
+  [-2^b, 2^b], by the entry bits b = 8, 32, 128;
+* ``cellular_bits``: ``cellular_factorization(c f)`` for c = 2^k + 1 and
+  f one chain map drawn as the ``prop3_4`` suite draws one (between two
+  ``gen_a_object`` complexes over Z, ``max_rank`` 5), by k = 4, 16, 64.
+
+The elimination caches are emptied before each operation, so each count
+is that of the operation alone, whatever ran before it in the process.
 
 ``counted_work`` wraps the row kernels ``product``, ``submul`` and
 ``combine`` of the three work rings (Z, the packed rings of F_2[x] and of
@@ -54,9 +62,11 @@ import sys
 from ab_harness import ROOT, rebind
 
 import koszulkit
-from koszulkit import rings
+from koszulkit import GenParams, rings
 from koszulkit.complexes import ChainMap, cone, nullhomotopy, two_term
-from koszulkit.matrices import Matrix, snf
+from koszulkit.generators import gen_a_object, gen_chain_map
+from koszulkit.koszul import cellular_factorization
+from koszulkit.matrices import Matrix, _column_form, elementary_divisors, snf
 from koszulkit.rings import ZZ, fpx
 
 F3 = fpx(3)
@@ -154,12 +164,28 @@ def _nullhomotopy(rng: random.Random, rank: int):
     return lambda: nullhomotopy(identity)
 
 
+def _snf_z_bits(rng: random.Random, bits: int):
+    a = _square(rng, ZZ, 16, lambda r: r.randint(-2 ** bits, 2 ** bits))
+    return lambda: snf(a)
+
+
+def _cellular_bits(rng: random.Random, k: int):
+    params = GenParams(ring=ZZ, max_rank=5)
+    source = gen_a_object(params, 0, rng=rng).complex
+    target = gen_a_object(params, 0, rng=rng).complex
+    f = gen_chain_map(rng, source, target, bound=2, terms=1)
+    scaled = ChainMap(source, target, {n: m.scale(2 ** k + 1) for n, m in f.components.items()})
+    return lambda: cellular_factorization(scaled)
+
+
 # Each family: the count that reads its largest entry, its sizes, and the
 # function that draws the input of one size and returns the operation.
 FAMILIES = {
     "snf_z": ("largest_bits", (16, 32, 64), _snf_z),
     "snf_f3x": ("largest_degree", (8, 16, 32), _snf_f3x),
     "nullhomotopy": ("largest_bits", (16, 24, 32), _nullhomotopy),
+    "snf_z_bits": ("largest_bits", (8, 32, 128), _snf_z_bits),
+    "cellular_bits": ("largest_bits", (4, 16, 64), _cellular_bits),
 }
 
 
@@ -175,6 +201,8 @@ def measure(name: str, sizes=None) -> dict:
     rows = []
     for size in sizes:
         operation = draw(random.Random(1), size)
+        elementary_divisors.cache_clear()
+        _column_form.cache_clear()
         with counted_work() as counts:
             operation()
         rows.append({"size": size, "row_operations": counts["row_operations"],

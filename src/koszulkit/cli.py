@@ -89,7 +89,7 @@ def _write_output(args, payload: dict):
 def _cmd_snf(args):
     mat = matrix_from_json(ring_from_token(args.ring), _read_input(args))
     cert = snf(mat)
-    return {**jsonio._layout(cert), "verified": cert.verify(mat)}
+    return {**jsonio._LAYOUTS[type(cert)](cert), "verified": cert.verify(mat)}
 
 
 def _cmd_homology(args):

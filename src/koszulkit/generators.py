@@ -58,7 +58,6 @@ from .complexes import (
     two_term,
 )
 from .errors import InvalidInputError
-from .fgmodules import FgModule
 from .koszul import PresentedKoszul
 from .matrices import Matrix, _product_sum, _selection, block, block_diag, hstack, inverse, vstack
 from .presented import PresentedMap, PresentedModule, SesMorphism, ThreeByThree, direct_sum_modules
@@ -285,17 +284,13 @@ def scramble_complex(rng: random.Random, complex_: ChainComplex):
 # Koszul complexes and torsion-homology complexes.
 
 
-# The samples keep the divisors they were built from and make their
-# expected modules on each read, since only tests compare against them.
+# The samples keep the divisors they were built from; only the tests
+# build the expected modules from them (tests/constructions.py).
 
 
 class KoszulSample(NamedTuple):
     complex: ChainComplex
     block_divisors: tuple
-
-    @property
-    def expected_h0(self) -> FgModule:
-        return FgModule.make(self.complex.ring, 0, self.block_divisors)
 
 
 def gen_koszul(params: GenParams, trial: int, acyclic: bool = False,
@@ -318,12 +313,6 @@ class AObjectSample(NamedTuple):
     complex: ChainComplex
     # degree -> the nonunit divisors of the blocks whose homology sits there
     homology_divisors: dict
-
-    @property
-    def expected_homology(self) -> dict:
-        ring = self.complex.ring
-        return {n: FgModule.make(ring, 0, self.homology_divisors.get(n, ()))
-                for n in self.complex.degree_range()}
 
 
 def gen_a_object(params: GenParams, trial: int, spherical: Optional[int] = None,
@@ -507,10 +496,6 @@ def gen_quasi_iso_pair(params: GenParams, trial: int,
 class CObjectSample(NamedTuple):
     object: PresentedKoszul
     h0_divisors: tuple
-
-    @property
-    def expected_h0(self) -> FgModule:
-        return FgModule.make(self.object.top.ring, 0, self.h0_divisors)
 
 
 def _change_basis(module: PresentedModule, moves: list) -> PresentedModule:

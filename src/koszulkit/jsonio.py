@@ -12,21 +12,22 @@ One writer, ``_dumps``, writes every document (CLI output and suite
 reports) as text, straight from the values it is given, in one walk
 that dispatches once per value.  On plain wire data (dicts with str
 keys, lists, str, int, bool, None) its text is exactly that of
-``json.dumps(x, indent=2, sort_keys=True)``; on a library value, that of
-``json.dumps`` of ``value_to_json(x)``; anything else is a
-``TypeError``.  A matrix is written from its rows: over Z, one join
-per row whose entries all lie inside ±2^53.
-``json.dumps`` is not used because its C encoder does not take
+``json.dumps(x, indent=2, sort_keys=True)``; a library value is written
+by its layout; anything else is a ``TypeError``.  A matrix is written
+from its rows: over Z, one join per row whose entries all lie inside
+±2^53.  ``json.dumps`` is not used because its C encoder does not take
 ``indent``: with an indent, every value goes through the pure-Python
 encoder's generators.  Strings are escaped with the same function as
 ``json`` (``encode_basestring_ascii``).
 
-``value_to_json`` builds the same wire data as a tree of dicts and
-lists, from the same layouts, for callers that want the data rather
-than the text: the request files of the benchmark, the instances of a
-failed suite trial, the scripts and the tests.  ``complex_to_json``,
-``chain_map_to_json``, ``presented_koszul_to_json``, ``matrix_to_json``
-and ``snf_certificate_to_json`` are other names of it, kept because the
+``value_to_json`` is the same wire data as a tree of dicts and lists,
+for callers that want the data rather than the text (the instances of a
+failed suite trial, the scripts, the tests and the request files of the
+benchmark): ``json.loads`` of the writer's text, with the whole value
+read as a library value, so a tuple is a list and a key is ``str(k)``.
+``complex_to_json``, ``chain_map_to_json``,
+``presented_koszul_to_json``, ``matrix_to_json`` and
+``snf_certificate_to_json`` are other names of it, kept because the
 benchmark in ``perfbench/`` calls them.
 
 Integers ride as JSON numbers up to 53 bits and as decimal strings
@@ -40,6 +41,7 @@ library.
 
 from __future__ import annotations
 
+import json
 import re
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -79,7 +81,7 @@ def _integer_text(value: int) -> str:
 
 def _scalar(value, lib: bool) -> str:
     """The text of a value of a type in ``_SCALARS``; ``lib`` writes an
-    int as ``value_to_json`` gives it."""
+    int past ±2^53 as a decimal string."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -91,7 +93,7 @@ def _scalar(value, lib: bool) -> str:
 
 
 def _matrix_text(m: Matrix, newline: str) -> str:
-    """The text of ``value_to_json(m)``, written from the rows.  Over Z,
+    """The text of the layout of ``m``, written from the rows.  Over Z,
     a row whose entries all lie inside ±2^53 is joined in one step, any
     other one entry at a time."""
     inner = newline + "  "
@@ -119,9 +121,11 @@ def _matrix_text(m: Matrix, newline: str) -> str:
 def _write(value, newline: str, out: list, lib: bool):
     """Append the indented text of ``value`` to ``out``; ``newline`` is
     a line break followed by the current indent.  ``lib`` is set inside
-    a library value, where ints, dict keys and tuples are written as
-    ``value_to_json`` gives them; outside one, as ``json.dumps`` does,
-    which refuses tuples and non-str keys."""
+    a library value, where a tuple is written as a list, a key as
+    ``str(k)`` and an int past ±2^53 as a decimal string.  Outside one,
+    only wire data is written, as ``json.dumps`` writes it; a tuple or a
+    non-str key there is refused, since its text would read back as a
+    list or a str key, not as the value the caller gave."""
     kind = type(value)
     if kind is dict or kind is _Table:
         if lib or kind is _Table:
@@ -152,8 +156,7 @@ def _write(value, newline: str, out: list, lib: bool):
     elif kind in _SCALARS:
         out.append(_scalar(value, lib))
     elif kind in _LAYOUTS:
-        # Fields not passed through ``encode`` are wire data: written as they are.
-        _write_object(_layout(value), newline, out, False)
+        _write_object(_LAYOUTS[kind](value), newline, out, False)
     else:
         fields = getattr(value, "_fields", None)
         if fields is None:
@@ -180,9 +183,9 @@ def _write_object(items: dict, newline: str, out: list, lib: bool):
 
 def _dumps(value) -> str:
     """The wire text of ``value``: ``json.dumps(value, indent=2,
-    sort_keys=True)`` for plain wire data, that of
-    ``value_to_json(value)`` for a library value; TypeError on any other
-    type or a non-str key outside a library value."""
+    sort_keys=True)`` for plain wire data, its layout for a library
+    value; TypeError on any other type, or on a tuple or a non-str key
+    outside a library value."""
     out = []
     _write(value, "\n", out, False)
     return "".join(out)
@@ -345,77 +348,41 @@ def _element_writer(ring: Ring):
     return _integer if ring.token == "Z" else list
 
 
-def _k0_layout(value: K0KosClass, encode) -> dict:
+def _k0_layout(value: K0KosClass) -> dict:
     write = _element_writer(value.torsion.ring)
     return {"rank": value.rank, "torsion": [{"prime": write(p), "mult": m} for p, m in value.torsion.counts]}
 
 
 # The layout of each library type but Matrix that has its own: the dict
-# of its wire fields, given the value and ``encode``.  Every field that
-# holds a library value is passed through ``encode``: ``value_to_json``
-# to build the data view, ``_same`` to write the text; every other field
-# is wire data already.  The divisors of a certificate and of a
-# decomposition are bare ring elements: they are written with the ring
-# of the matrices beside them.
+# of its wire fields.  A field that holds a library value is written by
+# the writer as a library value; every other field is wire data already.
+# The divisors of a certificate and of a decomposition are bare ring
+# elements: they are written with the ring of the matrices beside them.
 _LAYOUTS = {
-    ChainComplex: lambda c, encode: {"ring": c.ring.token, "ranks": encode(c.ranks),
-                                     "differentials": encode(c.diffs)},
-    PresentedModule: lambda m, encode: {"gens": m.gens, "relations": encode(m.relations)},
-    PresentedKoszul: lambda k, encode: {
+    ChainComplex: lambda c: {"ring": c.ring.token, "ranks": c.ranks, "differentials": c.diffs},
+    PresentedModule: lambda m: {"gens": m.gens, "relations": m.relations},
+    PresentedKoszul: lambda k: {
         "ring": k.top.ring.token, "ranks": {"1": k.top.gens, "0": k.bottom.gens},
-        "differentials": {"1": encode(k.d.matrix)},
-        "presentations": {"1": encode(k.top.relations), "0": encode(k.bottom.relations)}},
-    FgModule: lambda m, encode: {"free_rank": m.free_rank,
-                                 "torsion": list(map(_element_writer(m.ring), m.torsion))},
+        "differentials": {"1": k.d.matrix}, "presentations": {"1": k.top.relations, "0": k.bottom.relations}},
+    FgModule: lambda m: {"free_rank": m.free_rank, "torsion": list(map(_element_writer(m.ring), m.torsion))},
     K0KosClass: _k0_layout,
-    SnfCertificate: lambda c, encode: {"U": encode(c.U), "D": encode(c.D), "V": encode(c.V),
-                                       "divisors": list(map(_element_writer(c.D.ring), c.divisors))},
-    EdDecomposition: lambda e, encode: {
-        "nonunit_part": encode(e.nonunit_part), "unit_part": encode(e.unit_part), "iso": encode(e.iso),
+    SnfCertificate: lambda c: {"U": c.U, "D": c.D, "V": c.V,
+                               "divisors": list(map(_element_writer(c.D.ring), c.divisors))},
+    EdDecomposition: lambda e: {
+        "nonunit_part": e.nonunit_part, "unit_part": e.unit_part, "iso": e.iso,
         "divisors": list(map(_element_writer(e.source.ring), e.nonunit_divisors))},
 }
 
 
-def _same(value):
-    return value
-
-
-def _layout(value) -> dict:
-    """The wire fields of ``value``, of a type in ``_LAYOUTS``, as
-    ``_dumps`` writes them: library values as they are."""
-    return _LAYOUTS[type(value)](value, _same)
-
-
 def value_to_json(value):
-    """The wire data of ``value``, the tree whose text ``_dumps`` writes,
-    by its exact type.
-
-    A matrix is its shape and entries, and the types of ``_LAYOUTS``
-    their layouts; any other record (a NamedTuple or a checked value
-    such as a chain map) becomes the dict of its fields.  A dict, or a
-    checked value's read-only table, keeps its keys as ``str(k)``; a
-    list or tuple is encoded item by item, an int is a JSON number below
-    2^53 in absolute value and a decimal string beyond; anything else is
-    returned as it is, for ``_dumps`` to write or refuse.
-    """
-    kind = type(value)
-    if kind is int:
-        return _integer(value)
-    if kind is Matrix:
-        write = _element_writer(value.ring)
-        return {"rows": value.rows, "cols": value.cols,
-                "entries": [list(map(write, row)) for row in value.entries]}
-    if kind is dict or kind is _Table:
-        return {str(k): value_to_json(v) for k, v in value.items()}
-    layout = _LAYOUTS.get(kind)
-    if layout is not None:
-        return layout(value, value_to_json)
-    if kind is list or kind is tuple:
-        return [value_to_json(v) for v in value]
-    fields = getattr(value, "_fields", None)
-    if fields is not None:
-        return {name: value_to_json(getattr(value, name)) for name in fields}
-    return value
+    """The wire data of ``value``: ``json.loads`` of the writer's text
+    of it, with the whole value read as a library value.  A tuple is a
+    list, a key is ``str(k)`` and an int is a JSON number below 2^53 in
+    absolute value and a decimal string beyond; TypeError on a value
+    that is no wire type, such as a ring."""
+    out = []
+    _write(value, "\n", out, True)
+    return json.loads("".join(out))
 
 
 # Other names of the encoder, which the benchmark in perfbench/ calls.

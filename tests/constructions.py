@@ -11,7 +11,8 @@ from functools import reduce
 from koszulkit.complexes import ChainComplex, ChainMap
 from koszulkit.errors import InvalidInputError
 from koszulkit.fgmodules import FgModule
-from koszulkit.generators import GenParams, _below, rand_matrix, trial_rng
+from koszulkit.generators import (AObjectSample, CObjectSample, GenParams, KoszulSample, _below, rand_matrix,
+                                  trial_rng)
 from koszulkit.k0 import K0TorsionClass
 from koszulkit.koszul import PresentedKoszul, h0_presentation
 from koszulkit.presented import PresentedMap, PresentedModule
@@ -28,6 +29,22 @@ def euler_characteristic(complex_: ChainComplex) -> int:
 def h0_map(f: ChainMap) -> PresentedMap:
     """The map that ``f`` induces on the degree-zero homology presentations."""
     return PresentedMap(h0_presentation(f.source), h0_presentation(f.target), f.at(0))
+
+
+def expected_h0(sample: KoszulSample | CObjectSample) -> FgModule:
+    """The H_0 that a ``gen_koszul`` or ``gen_c_object`` sample was built
+    to have: the cyclic modules of its divisors."""
+    if isinstance(sample, KoszulSample):
+        return FgModule.make(sample.complex.ring, 0, sample.block_divisors)
+    return FgModule.make(sample.object.top.ring, 0, sample.h0_divisors)
+
+
+def expected_homology(sample: AObjectSample) -> dict:
+    """degree -> the homology module that a ``gen_a_object`` sample was
+    built to have there, over the degrees of its complex."""
+    ring = sample.complex.ring
+    return {n: FgModule.make(ring, 0, sample.homology_divisors.get(n, ()))
+            for n in sample.complex.degree_range()}
 
 
 def presented_from_free(complex_: ChainComplex) -> PresentedKoszul:

@@ -7,7 +7,10 @@ from koszulkit import generators
 from koszulkit.complexes import ChainComplex, homology_table, is_acyclic, quasi_iso_degree
 from koszulkit.fgmodules import module_iso
 from koszulkit.generators import (
+    AObjectSample,
+    CObjectSample,
     GenParams,
+    KoszulSample,
     gen_a_object,
     gen_admissible_mono,
     gen_admissible_ses,
@@ -40,7 +43,7 @@ from koszulkit.matrices import Matrix, is_unimodular
 from koszulkit.presented import is_short_exact
 from koszulkit.rings import ZZ, fpx
 from pinning import digest
-from constructions import gen_matrix
+from constructions import expected_h0, expected_homology, gen_matrix
 
 PARAMS = GenParams(ring=ZZ, seed=42)
 POLY_PARAMS = GenParams(ring=fpx(2), seed=42, max_entry=3)
@@ -85,8 +88,9 @@ PINNED = {
         "9e99aac45ee2965f96331c08b3b5241fa18923f6835ad7bc50441210849abdd4",
 }
 
-# The expected modules a sample builds when read.
-EXPECTED_MODULES = ("expected_h0", "expected_homology")
+# The expected modules of each sample type, under the names they are pinned by.
+EXPECTED_MODULES = {KoszulSample: {"expected_h0": expected_h0}, CObjectSample: {"expected_h0": expected_h0},
+                    AObjectSample: {"expected_homology": expected_homology}}
 
 
 def _pinned_outputs(name: str) -> str:
@@ -94,7 +98,8 @@ def _pinned_outputs(name: str) -> str:
     outputs = [generate(GenParams(ring=ring, seed=seed, max_entry=bound), trial)
                for ring, bound in ((ZZ, 9), (fpx(2), 3), (fpx(5), 3))
                for seed in (0, 1) for trial in range(4)]
-    return digest([[out, {k: getattr(out, k) for k in EXPECTED_MODULES if hasattr(out, k)}] for out in outputs])
+    return digest([[out, {name: build(out) for name, build in EXPECTED_MODULES.get(type(out), {}).items()}]
+                   for out in outputs])
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -269,7 +274,7 @@ def test_gen_koszul_bookkeeping():
         for trial in range(20):
             sample = gen_koszul(params, trial)
             assert in_kos1(sample.complex)
-            assert module_iso(h0(sample.complex), sample.expected_h0)
+            assert module_iso(h0(sample.complex), expected_h0(sample))
         acyclic = gen_koszul(params, 3, acyclic=True)
         assert is_acyclic(acyclic.complex)
 
@@ -279,7 +284,7 @@ def test_gen_a_object_homology():
         sample = gen_a_object(PARAMS, trial)
         assert in_A(sample.complex)
         table = homology_table(sample.complex)
-        for n, expected in sample.expected_homology.items():
+        for n, expected in expected_homology(sample).items():
             assert module_iso(table[n], expected)
 
 
@@ -325,7 +330,7 @@ def test_gen_c_object():
     for params in (PARAMS, POLY_PARAMS):
         for trial in range(8):
             sample = gen_c_object(params, trial)
-            assert module_iso(sample.object.h0().canonical_form(), sample.expected_h0)
+            assert module_iso(sample.object.h0().canonical_form(), expected_h0(sample))
 
 
 def test_gen_idempotent():

@@ -1,10 +1,11 @@
 """The one JSON writer, ``jsonio._dumps``: the exact text of
-``json.dumps(x, indent=2, sort_keys=True)`` on the wire types, the
-text of ``json.dumps`` of ``value_to_json(x)`` on every library value,
-a TypeError on anything else, and the same bytes as ``json.dumps`` on
-the output of every CLI subcommand."""
+``json.dumps(x, indent=2, sort_keys=True)`` on the wire types, pinned
+text on library values, a TypeError on anything else, and the same
+bytes as ``json.dumps`` on the output of every CLI subcommand; and
+``value_to_json``, the data that the writer's text parses to."""
 
 import enum
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -30,6 +31,7 @@ from koszulkit.generators import (  # noqa: E402
     gen_c_object,
     gen_chain_map,
     gen_koszul,
+    gen_module_ses,
     trial_rng,
 )
 from koszulkit.errors import InvalidInputError  # noqa: E402
@@ -89,14 +91,67 @@ def _text_or_type_error(write):
         return TypeError
 
 
+def _sha256(text) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of the writer's text of each record, or None where it is
+# refused.  These and ``LIBRARY_TEXT_SHA256`` below were taken from a
+# tree whose ``value_to_json`` walked values on its own, apart from the
+# writer, and whose tests held that both gave the same text.  Now that
+# ``value_to_json`` parses the writer's text, the pins are the reference
+# that does not come from the writer.
+RECORD_TEXT_SHA256 = {
+    "ChainComplex": "f95b4d9eb2689ef182c20e56d925cbdf897880fd7da36e88880c45ec6c0a6def",
+    "ChainMap": "f808fa16345d74e1f14372dc8fbc569bda2d1f3a9f74c1810109d89c139f3517",
+    "Homotopy": "3dad95e928382f2ec0d6f66e57956f9e13d59328c9758709f6bb5724128013a8",
+    "ComplexSes": "9f188d38458478107eabee39d25f03198a7145b8731b175bd28b5043b5ed4812",
+    "PresentedMap": "b3fbfd2104e09784d981b52c695deee06bddea54fe2ab84ddf9f0f6c0398d3fb",
+    "SnfCertificate": "c39f2779c8898e95a61e6e56c8ef5dfd76402efcf8a04abab8b98e740456a62b",
+    "FgModule": "f83b03fa0c322907e7828c44484df796998cc78fc5763edb614dc5290d66a0db",
+    "PresentedModule": "e36a304c8521cd3dd436169a52867ce5c208e654bc46ebe194e5b4b6d6329cc4",
+    "Cone": "533478015d6e3d03ff766417aec9ba43526905e66e8bf7fc7642d737a9f5667d",
+    "StructureMaps": "b1a0dd9c3c75fefce00437a20a3518e587f81ba63d752341db3c56f52d7682c3",
+    "DirectSum": "214ddbac11215dc7b24b2ca4533d8a24416ce1075c9b81fb6094a3191d06efed",
+    "TruncationTriple": "537211b11b9a0d849760b56fa492f90f56722a064b0a101bdb124c75ac3eef5f",
+    "TruncationSplitting": "14a9077636cbffca06ad7d8463fd30408f4b881b2f08bd319bc1ad817e856aa4",
+    "Kos1Membership": "9eb0ce4aa3fcc0764a570a569a1a0bb839dc672d770393770375390ab90d27e2",
+    "Augmentation": "361544c9b0e68c29d8bd57a53d9b8655d817ed2842fa31641d99eb06bef85dae",
+    "KappaResult": "06c3a200bd9221e65eef00b71077e586892d53935f157ac2ec12412d706a0813",
+    "FactorStep": "32d1bcdf2c412578b83df86c3b38096f7025530cf1c74f7d1c8806e998ed0ef1",
+    "CellularFactorization": "e53059817d594254b803b2dff93089d4e2768c786e83d9c783c486ad4cc4277f",
+    "PresentedKoszul": "939ae468df924b37f5bd639ac86541d0fd62504d349d19173d97f1e450cf78b4",
+    "PresentedKoszulMap": "638a3bad89490f33a8ae305977a5b0da1b11bde0d1e682f8b35e9d172d27f2bd",
+    "PresentedSes": "1b03172920b1d119ee9498f9bf8d9dba3b85cfc4fb60598a8fd2ebb7d7cde265",
+    "Resolution": "b0a8039871dfb0f12aa89eb5dad0e87e33ce472c3fe29cc90be18d213003fa7d",
+    "AcyclicRetract": "1a45f02a44c41a87e0d4d29799cc45f84f6aa003e172cc7bc1920cb684326edf",
+    "ImageFactorization": "ecbb64d14de7b7b070cc9e83285839a8050a5fc3ec039d9bfa6dac0126ce7444",
+    "EdDecomposition": "fbf57352e61808d3fcfae0f0688b646b317595be45bbd99059f7bf65619635e8",
+    "ExcisionCertificate": "5911b7fcd22c6b5e704b56f3c86cac9d44e94abe3793fc1622ca18e6819e9336",
+    "IdempotentSplit": "4562b93761b65c6fb8f4fa7dff9511bc4441d6a37443d30884f4c8338453fdc9",
+    "K0TorsionClass": None,
+    "K0KosClass": "4ce638bfd61512cb0605378b08f3068dde7338058074be3cd8d4b8113b5c203a",
+    "GenParams": None,
+    "KoszulSample": "c5a743a056535bc9bb33eb9910e9f6e6d7ff2095298fcfe52912f5a03e31253c",
+    "AObjectSample": "b325ee00a0b68c3002091d216ef3d86a7c1269c5ce01b55b169f95f45973c728",
+    "SesSample": "b3afc703c0aad3e7f7b17c1caea9190d30509fb347556f719575151c876a7098",
+    "QuasiIsoPair": "ff673e3039aa4621f0a110a4b34ca46456a747e434f7ed28033020041943a0a2",
+    "CObjectSample": "80821c04d53fec95519358715f002002143441e33b8ced6a4ddda5f64bdb8fb6",
+    "SesMorphism": "8e905e174d5a54eb957d7d273636538ae6fbb8d58e1ac33b7250cc981f5c2ecc",
+    "ThreeByThree": "a67249705b3b89fa24b5f93981457e49cab071c8bafbf3f36ca93665a741e67b",
+    "SuiteReport": "7ad78c7705bf282e501e33d496c7c9582ed3c01f016e268d9469b57673e0856d",
+}
+
+
 @pytest.mark.parametrize("name", BUILDERS)
 def test_writer_on_every_record_type(name):
-    # Two records hold a ring object, which is no wire type: both ways of
-    # writing them refuse it.
+    # Two records hold a ring object, which is no wire type: the writer
+    # and value_to_json both refuse it.
     value = BUILDERS[name]()
     text = _text_or_type_error(lambda: jsonio._dumps(value))
     assert text == _text_or_type_error(lambda: reference(jsonio.value_to_json(value)))
     assert (text is TypeError) == (name in ("GenParams", "K0TorsionClass"))
+    assert (None if text is TypeError else _sha256(text)) == RECORD_TEXT_SHA256[name]
 
 
 BIG_P = fpx(2 ** 64 + 13)
@@ -137,17 +192,65 @@ def _library_values():
 
 
 LIBRARY_VALUES = _library_values()
+LIBRARY_TEXT_SHA256 = {
+    "Z-safe-edges": "bf1223becdcf3e5d94cb6b2e7a489d0e9d50784b518f6789c38ba8dfb61e5ef4",
+    "Z-unsafe-edges": "15cfa544bb27c9eb6ba822844bb4d7a4a4bc98a4845fdc67eb98e1fbbcbeabdd",
+    "Z-past-digit-limit": "b8162c94e8a50a49272746f98b76fabc0d5a141cdff253abc281a1632f350c1d",
+    "Z-snf-big": "c3de4a743fd6451eb6d0fdd01e53ebdf4e08f41bec278c970b5b04da42c8d4c4",
+    "Z-module-big": "7b53b19c7bd05dce3bc080498734827084a9de650bcf0bf7315e77a8f0ef69e4",
+    "fpx-big-p-matrix": "21b3b6157853e2f5ab09994eb5b079a5891b2073f071c6d67491859da2d69230",
+    "fpx-big-p-snf": "1b6308e8dbdb7b71c11ea4a5ddad28354d73a9ef9edca1ccec4dcd8eb917797f",
+    "fpx-big-p-module": "8c57d2c0117293ca6c6e4134aa91613cd8a8c61519ede28efb5dc7c51c3a25de",
+    "fpx-big-p-k0": "11ab12260cb78ead316e03a86d3776879ff46a760818559225212f1b8b7447a7",
+    "fpx-big-p-koszul": "84aeaf9e3d03be61b847d693b81fbccd3b28cd24475bebf1659c5586a16ffb32",
+    "fpx3-ed": "0c300f873f12bde9ba334de38be5ffe9d0f04aebf90ca5bff4df552d2961fc4b",
+    "0xn": "20870be8df9ca58f1fd9b7c0412d8b647786da69903568ffddf8b921f71ef7f3",
+    "nx0": "b734559b1bb319b8d94dc049f26732f6a0896dd7bff8b609387bf85728a8538c",
+    "fpx-nx0": "25c0a8eaa9b7a188ba35fb3d7c8c2e3b08719743e54b8f9e1e5e024edc3efe5d",
+    "0x0": "d6f1e7ddd1b03ff71d0b239626f8e8f044270b5b1341c18dc5bbef611762aee0",
+    "empty-tables": "a9efa87f8503e6c256d07c6b2acd7942deab974cf7b9bd771a2c32e0fb30cee4",
+    "no-torsion": "46057ae8b685c07186487b92a8eb756cbc77a97e1e16f42c8423dacddb805f5e",
+    "one-complex-at-two-depths": "6439c7f31d4a1333218336aee857fd3158b6d2cec0920b22cf9048861cdeb2f1",
+    "record-with-big-ints": "084a4ed1a2c81b3973a773290d48018d83ba60cfc2f399b751a50bea105eaa1d",
+    "record-with-big-int-table": "a258d579dcd7280eced8f8be03b2b7598e718a7e5b20742932f043d8d094aa69",
+    "wire-data-beside-library-values": "d357264f54f6983c07e8c549258bbd1090cd07e99405176eb8749f538cf5a593",
+}
 
 
 @pytest.mark.parametrize("name", LIBRARY_VALUES)
 def test_writer_equals_json_dumps_of_value_to_json(name):
     value = LIBRARY_VALUES[name]
     text = jsonio._dumps(value)
+    assert _sha256(text) == LIBRARY_TEXT_SHA256[name]
     assert text == reference(jsonio.value_to_json(value))
+    if name == "Z-unsafe-edges":
+        # Past ±2^53 an integer rides as a decimal string, inside it as a number.
+        assert f'"{SAFE}"' in text and f'"{-SAFE}"' in text and f'"{SAFE + 1}"' in text
+        assert re.search(rf"^ *{SAFE - 1},?$", text, re.M)
+    if name == "Z-past-digit-limit":
+        # Past the interpreter's 4300-digit limit too.
+        digits = "1" + "0" * 4399 + "7"
+        assert f'"{digits}"' in text and f'"-{digits}"' in text
     if name.startswith("fpx-big-p"):
         # Coefficients stay JSON numbers, whatever the size of p.
         assert re.search(r'"-?[0-9]+"(?!:)', text) is None  # no decimal string but degree keys
         assert max(map(int, re.findall(r"^ *([0-9]+),?$", text, re.M))) >= SAFE
+
+
+def test_value_to_json_reads_a_plain_tuple_and_int_keys_at_the_top():
+    # Suite instances such as gen_module_ses's are plain tuples, which the
+    # writer refuses outside a library value.
+    complex_ = two_term(Matrix(ZZ, [[2]]))
+    complex_data = {"ring": "Z", "ranks": {"0": 1, "1": 1},
+                    "differentials": {"1": {"rows": 1, "cols": 1, "entries": [[2]]}}}
+    assert jsonio.value_to_json((1, -SAFE, "x", None, (SAFE - 1,))) == [1, str(-SAFE), "x", None, [SAFE - 1]]
+    assert jsonio.value_to_json({SAFE: (3,), -1: complex_, "k": True}) == {
+        str(SAFE): [3], "-1": complex_data, "k": True}
+    instance = gen_module_ses(GenParams(ring=ZZ, seed=0), 0)
+    assert type(instance) is tuple
+    assert jsonio.value_to_json(instance) == [jsonio.value_to_json(part) for part in instance]
+    with pytest.raises(TypeError):
+        jsonio._dumps(instance)
 
 
 @pytest.mark.parametrize("value", [

@@ -2,7 +2,6 @@
 in a subprocess, since ``core_counts`` leaves its counters installed;
 ``ab_harness``'s CLI runner is also called in process, on one request."""
 
-import contextlib
 import hashlib
 import importlib
 import json
@@ -100,24 +99,26 @@ def test_surface_check_finds_no_unlisted_function(monkeypatch):
 
 # The exponent of each family's entry operations and largest entry between
 # its two smallest sizes, as BENCH_work.json records it, rounded up to the
-# next half.  A change that raises one raises its bound here, and says why.
+# next half (an exponent of 0 to 0.5).  A change that raises one raises its
+# bound here, and says why.
 WORK_BOUNDS = {
     "snf_z": {"entry_operations": 3.5, "largest_entry": 1.5},
     "snf_f3x": {"entry_operations": 3.0, "largest_entry": 1.5},
     "nullhomotopy": {"entry_operations": 7.0, "largest_entry": 3.0},
+    "snf_z_bits": {"entry_operations": 0.5, "largest_entry": 1.0},
+    "cellular_bits": {"entry_operations": 0.5, "largest_entry": 1.0},
 }
 
 
 def test_counted_work_of_the_two_smallest_sizes_stays_within_its_exponents(monkeypatch, cpu_time_limit):
     """Counts do not depend on the host, so the bounds hold on any host,
     and under ``reach.py``'s tracer too.  The run takes under 2 s of CPU
-    time (about 0.4 s); under a tracer, which slows every line many times
-    over, only the counts are checked."""
+    time."""
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     work = importlib.import_module("work")
     assert set(WORK_BOUNDS) == set(work.FAMILIES)
     kernels = [getattr(owner, name) for owner, _, _ in work.WORK_RINGS for name in ("product", "submul", "combine")]
-    with cpu_time_limit(2) if sys.gettrace() is None else contextlib.nullcontext():
+    with cpu_time_limit(2):
         measured = {name: work.measure(name, work.FAMILIES[name][1][:2]) for name in work.FAMILIES}
     for name, bounds in WORK_BOUNDS.items():
         for key, bound in bounds.items():
