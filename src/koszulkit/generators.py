@@ -54,6 +54,7 @@ from .complexes import (
     _Layout,
     _negated,
     _sum_layout,
+    _table,
     direct_sum,
     two_term,
 )
@@ -311,7 +312,8 @@ def gen_koszul(params: GenParams, trial: int, acyclic: bool = False,
 
 class AObjectSample(NamedTuple):
     complex: ChainComplex
-    # degree -> the nonunit divisors of the blocks whose homology sits there
+    # degree -> the nonunit divisors of the blocks whose homology sits
+    # there, a read-only table in increasing degree
     homology_divisors: dict
 
 
@@ -353,7 +355,7 @@ def gen_a_object(params: GenParams, trial: int, spherical: Optional[int] = None,
     for base, div in blocks:
         if not ring.is_unit(div):
             expected.setdefault(base, []).append(div)
-    return AObjectSample(twisted, expected)
+    return AObjectSample(twisted, _table((base, tuple(divs)) for base, divs in sorted(expected.items())))
 
 
 def gen_chain_map(rng: random.Random, source: ChainComplex, target: ChainComplex,

@@ -143,19 +143,25 @@ def h0_augmentation(complex_: ChainComplex) -> Augmentation:
 # The two-sided truncation retraction.
 
 
-class KappaResult(NamedTuple):
+class KappaResult(_Checked):
     """Retraction of a 0-spherical complex onto a Koszul complex.
 
     ``u`` maps the upper truncation at 0 back into the input, ``v``
-    projects it onto the retract; both are quasi-isomorphisms on
-    0-spherical input, and the retract of a Koszul complex is itself.
+    projects it onto the retract ``kos``, and the retract of a Koszul
+    complex is itself.  The law, checked when it is built (else
+    ``WitnessError``): u and v leave one complex, v onto ``kos``, and
+    both are quasi-isomorphisms.
     """
 
-    kos: ChainComplex
-    u: ChainMap
-    v: ChainMap
-    u_is_quasi_iso: bool
-    v_is_quasi_iso: bool
+    __slots__ = ("kos", "u", "v")
+
+    def __init__(self, kos: ChainComplex, u: ChainMap, v: ChainMap):
+        self._store(kos, u, v)
+        if u.source != v.source or v.target != kos:
+            raise WitnessError("u and v do not leave one complex for the retract")
+        for name, comparison in (("u", u), ("v", v)):
+            if quasi_iso_degree(comparison) != math.inf:
+                raise WitnessError(f"{name} is not a quasi-isomorphism")
 
 
 def kappa(complex_: ChainComplex) -> KappaResult:
@@ -163,31 +169,28 @@ def kappa(complex_: ChainComplex) -> KappaResult:
         raise InvalidInputError("input is not 0-spherical with torsion homology")
     upper, incl = _tau_ge(complex_, 0)
     kos, proj = _tau_le(upper, 0)
-    return KappaResult(
-        kos=kos,
-        u=incl,
-        v=proj,
-        u_is_quasi_iso=quasi_iso_degree(incl) == math.inf,
-        v_is_quasi_iso=quasi_iso_degree(proj) == math.inf,
-    )
+    return KappaResult(kos, incl, proj)
 
 
 # ---------------------------------------------------------------------------
 # Cellular factorization.
 
 
-class FactorStep(NamedTuple):
-    """One factorization step f = h . g through an intermediate complex.
+class FactorStep(_Checked):
+    """One factorization step map = h . g through an intermediate complex.
 
     ``witness`` is the degreewise homotopy built from the source-summand
     inclusion into the cone, ``upper`` the upper truncation of the cone
-    whose homology the cone of h reproduces.
+    whose homology the cone of h reproduces.  The law, checked when it is
+    built (else ``WitnessError``): h . g == map on the nose.
     """
 
-    g: ChainMap
-    h: ChainMap
-    witness: Homotopy
-    upper: ChainComplex
+    __slots__ = ("map", "g", "h", "witness", "upper")
+
+    def __init__(self, map: ChainMap, g: ChainMap, h: ChainMap, witness: Homotopy, upper: ChainComplex):
+        self._store(map, g, h, witness, upper)
+        if g.target != h.source or h.compose(g) != map:
+            raise WitnessError("h . g is not the input map")
 
 
 def factor_step(f: ChainMap, n: int) -> FactorStep:
@@ -223,9 +226,7 @@ def factor_step(f: ChainMap, n: int) -> FactorStep:
     # g's chain-map law below is the homotopy identity of the witness.
     witness = Homotopy._trusted(composite.compose(f), ChainMap.zero(X, upper), witness_components)
     g = ChainMap(X, intermediate, {m: vstack([f.at(m), witness.at(m)]) for m in X.ranks})
-    if h.compose(g) != f:
-        raise AssertionError("factor step lost exact equality with the input map")
-    return FactorStep(g=g, h=h, witness=witness, upper=upper)
+    return FactorStep(f, g, h, witness, upper)
 
 
 class CellularFactorization(_Checked):

@@ -137,10 +137,7 @@ def remark_3_2_trial(params: GenParams, trial: int):
     sample = gen_a_object(params, trial)
     degrees = sample.complex.degree_range()
     for n in range(degrees.start - 1, degrees.stop + 1):
-        splitting = _built(truncation_splitting, f"splitting identities fail at {n}", sample.complex,
-                           sample.complex, n)
-        _require(splitting.triple.degreewise_exact(),
-                 f"truncation triple not exact at {n}", sample.complex)
+        _built(truncation_splitting, f"splitting identities fail at {n}", sample.complex, sample.complex, n)
 
 
 def prop_3_4_trial(params: GenParams, trial: int):
@@ -197,10 +194,8 @@ def cor_3_8_trial(params: GenParams, trial: int):
                                 window_bottom=rng.choice((-1, 0)), rng=rng).complex
     else:
         complex_ = gen_koszul(params, trial, rng=rng).complex
-    result = kappa(complex_)
+    result = _built(kappa, "comparisons fail", complex_, complex_)
     _require(bool(in_kos1(result.kos)), "retract left the category", complex_)
-    _require(result.u_is_quasi_iso, "inclusion comparison is not a quasi-iso", complex_)
-    _require(result.v_is_quasi_iso, "projection comparison is not a quasi-iso", complex_)
     if in_kos1(complex_):
         _require(result.kos == complex_, "retraction moved a two-term complex", complex_)
         _require(result.u == ChainMap.identity(complex_)

@@ -246,25 +246,31 @@ def test_truncations_outside_support():
 
 
 def test_truncation_triple_exact():
+    """Each truncation sequence is a ``ComplexSes``, so building it proves it exact."""
     for trial in range(15):
         sample = gen_a_object(PARAMS, trial).complex
         for n in range(sample.degree_range().start - 1, sample.degree_range().stop + 1):
-            assert truncation_triple(sample, n).degreewise_exact()
+            triple = truncation_triple(sample, n)
+            assert type(triple) is ComplexSes and triple.middle == sample
+            assert triple.left == truncate_ge(sample, n + 1) and triple.right == truncate_le(sample, n)
 
 
 def test_truncation_splitting_examples():
     # two-term at n = 0: upper truncation vanishes, v is an isomorphism
     splitting = truncation_splitting(Z2, 0)
-    assert not splitting.triple.upper.ranks
+    assert not splitting.triple.left.ranks
     assert splitting.u.is_zero_map()
-    # a complex with torsion homology in two degrees, all degrees
+    # a complex with torsion homology in two degrees, all degrees: the
+    # triple's witnesses are the components of u and v
     x = three_term()
     for n in (-1, 0, 1, 2):
-        assert truncation_splitting(x, n).triple.degreewise_exact()
+        splitting = truncation_splitting(x, n)
+        assert splitting.triple == truncation_triple(x, n)._replace(
+            retractions=splitting.u.components, sections=splitting.v.components)
 
 
 def test_forged_truncation_splittings_do_not_verify():
-    """The five identities are checked at construction."""
+    """The law that the triple does not prove is checked at construction."""
     splitting = truncation_splitting(three_term(), 0)
     assert splitting._replace() == splitting
     u, v = splitting.u, splitting.v
@@ -281,6 +287,23 @@ def test_forged_truncation_splittings_do_not_verify():
             splitting._replace(**changes)
 
 
+def test_a_splitting_whose_u_and_v_compose_to_nonzero_is_refused():
+    """u + t.proj still retracts the inclusion and v still sections the
+    projection, so the triple built on them is exact, but u.v == t != 0."""
+    splitting = truncation_splitting(three_term(), 0)
+    triple, v = splitting.triple, splitting.v
+    # lower is [Z -2-> Z] in degrees (1, 0), upper [Z -3-> Z] in (2, 1)
+    t = ChainMap(triple.right, triple.left, {1: Matrix(ZZ, [[1]])})
+    u = splitting.u + t.compose(triple.epi)
+    forged = ComplexSes(triple.mono, triple.epi, u.components, v.components)
+    assert u.compose(triple.mono) == ChainMap.identity(triple.left)
+    assert not u.compose(v).is_zero_map()
+    with pytest.raises(WitnessError, match="do not split"):
+        type(splitting)(forged, u, v)
+    with pytest.raises(WitnessError, match="do not split"):
+        splitting._replace(triple=forged, u=u)
+
+
 def test_truncation_splitting_refuses_free_homology():
     # kernel in the top degree is free homology: outside the torsion class
     x = ChainComplex(ZZ, {2: 1, 1: 1, 0: 1},
@@ -290,11 +313,15 @@ def test_truncation_splitting_refuses_free_homology():
 
 
 def test_truncation_splitting_random():
+    """Each splitting is built, so its sequence is exact and u.v == 0;
+    then f.u + v.g is the identity, as for every split exact sequence."""
     for trial in range(25):
         sample = gen_a_object(PARAMS, trial).complex
         degrees = sample.degree_range()
         for n in range(degrees.start - 1, degrees.stop + 1):
-            assert truncation_splitting(sample, n).triple.degreewise_exact()
+            splitting = truncation_splitting(sample, n)
+            f, g = splitting.triple.mono, splitting.triple.epi
+            assert f.compose(splitting.u) + splitting.v.compose(g) == ChainMap.identity(sample)
 
 
 def test_nullhomotopy_examples():

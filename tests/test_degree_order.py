@@ -71,7 +71,7 @@ def _outputs(x: ChainComplex, f: ChainMap, spherical: ChainComplex) -> str:
             "homology": homology_table(x),
             "cone": [built.complex, built.inclusion, built.projection],
             "cyl": [maps.cylinder, maps.j1, maps.j2, maps.p],
-            "split": [splitting.triple.incl, splitting.triple.proj, splitting.u, splitting.v],
+            "split": [splitting.triple.mono, splitting.triple.epi, splitting.u, splitting.v],
             "factorize": factorization.stages + (factorization.final,),
         }),
         "kappa": _cli("kappa", jsonio.value_to_json(spherical)),

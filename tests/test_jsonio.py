@@ -100,7 +100,10 @@ def _sha256(text) -> str:
 # tree whose ``value_to_json`` walked values on its own, apart from the
 # writer, and whose tests held that both gave the same text.  Now that
 # ``value_to_json`` parses the writer's text, the pins are the reference
-# that does not come from the writer.
+# that does not come from the writer.  The pins of ``TruncationSplitting``,
+# ``KappaResult`` and ``FactorStep`` were taken from the writer when those
+# bundles changed their fields; each field is written by a layout that
+# the other pins cover.
 RECORD_TEXT_SHA256 = {
     "ChainComplex": "f95b4d9eb2689ef182c20e56d925cbdf897880fd7da36e88880c45ec6c0a6def",
     "ChainMap": "f808fa16345d74e1f14372dc8fbc569bda2d1f3a9f74c1810109d89c139f3517",
@@ -113,12 +116,11 @@ RECORD_TEXT_SHA256 = {
     "Cone": "533478015d6e3d03ff766417aec9ba43526905e66e8bf7fc7642d737a9f5667d",
     "StructureMaps": "b1a0dd9c3c75fefce00437a20a3518e587f81ba63d752341db3c56f52d7682c3",
     "DirectSum": "214ddbac11215dc7b24b2ca4533d8a24416ce1075c9b81fb6094a3191d06efed",
-    "TruncationTriple": "537211b11b9a0d849760b56fa492f90f56722a064b0a101bdb124c75ac3eef5f",
-    "TruncationSplitting": "14a9077636cbffca06ad7d8463fd30408f4b881b2f08bd319bc1ad817e856aa4",
+    "TruncationSplitting": "af6cf2fa0e2fef6201fbe7f17ecf461f9f1cf5750e0f2b8b461566c352ece685",
     "Kos1Membership": "9eb0ce4aa3fcc0764a570a569a1a0bb839dc672d770393770375390ab90d27e2",
     "Augmentation": "361544c9b0e68c29d8bd57a53d9b8655d817ed2842fa31641d99eb06bef85dae",
-    "KappaResult": "06c3a200bd9221e65eef00b71077e586892d53935f157ac2ec12412d706a0813",
-    "FactorStep": "32d1bcdf2c412578b83df86c3b38096f7025530cf1c74f7d1c8806e998ed0ef1",
+    "KappaResult": "5406fa098f591c89c2c5fb1597368b3c94fbe2c4dabb48a1b4eff8af5111e098",
+    "FactorStep": "b6e81c5daf9639154defa5e92f6175ab4787acac7f59819b641aa8fe2c7d9ddf",
     "CellularFactorization": "e53059817d594254b803b2dff93089d4e2768c786e83d9c783c486ad4cc4277f",
     "PresentedKoszul": "939ae468df924b37f5bd639ac86541d0fd62504d349d19173d97f1e450cf78b4",
     "PresentedKoszulMap": "638a3bad89490f33a8ae305977a5b0da1b11bde0d1e682f8b35e9d172d27f2bd",

@@ -129,7 +129,6 @@ def test_kappa_on_koszul_is_identity():
     assert result.kos == Z2
     assert result.u == ChainMap.identity(Z2)
     assert result.v == ChainMap.identity(Z2)
-    assert result.u_is_quasi_iso and result.v_is_quasi_iso
 
 
 def test_kappa_on_padded_object():
@@ -137,7 +136,7 @@ def test_kappa_on_padded_object():
     result = kappa(x)
     assert in_kos1(result.kos)
     assert homology(result.kos, 0) == FgModule(ZZ, 0, (2,))
-    assert result.u_is_quasi_iso and result.v_is_quasi_iso
+    assert quasi_iso_degree(result.u) == quasi_iso_degree(result.v) == math.inf
 
 
 def test_kappa_random_certificates():
@@ -147,13 +146,43 @@ def test_kappa_random_certificates():
                          rng=rng).complex
         result = kappa(x)
         assert in_kos1(result.kos)
-        assert result.u_is_quasi_iso and result.v_is_quasi_iso
+        assert quasi_iso_degree(result.u) == quasi_iso_degree(result.v) == math.inf
 
 
 def test_kappa_refuses_non_spherical():
     spherical1 = ChainComplex(ZZ, {2: 1, 1: 1}, {2: Matrix(ZZ, [[3]])})
     with pytest.raises(InvalidInputError):
         kappa(spherical1)
+
+
+def test_forged_kappa_results_do_not_verify():
+    """A comparison that is not a quasi-isomorphism, or that leaves
+    another complex, is refused at construction and through ``_replace``."""
+    result = kappa(padded_0_spherical())
+    assert result._replace() == result
+    u, v, kos = result.u, result.v, result.kos
+    not_quasi_iso = ChainMap.zero(v.source, kos)  # H0(kos) is Z/2
+    with pytest.raises(WitnessError, match="v is not a quasi-isomorphism"):
+        type(result)(kos, u, not_quasi_iso)
+    with pytest.raises(WitnessError, match="v is not a quasi-isomorphism"):
+        result._replace(v=not_quasi_iso)
+    with pytest.raises(WitnessError, match="u is not a quasi-isomorphism"):
+        result._replace(u=ChainMap.zero(u.source, u.target))
+    with pytest.raises(WitnessError, match="one complex"):
+        result._replace(v=ChainMap.identity(kos))
+
+
+def test_forged_factor_steps_do_not_verify():
+    """A step whose h . g is not its map is refused at construction and
+    through ``_replace``."""
+    step = factor_step(ChainMap.identity(Z2), 5)
+    assert step._replace() == step
+    with pytest.raises(WitnessError, match="h . g is not the input map"):
+        type(step)(ChainMap.zero(Z2, Z2), step.g, step.h, step.witness, step.upper)
+    with pytest.raises(WitnessError, match="h . g is not the input map"):
+        step._replace(g=step.g + step.g)
+    with pytest.raises(WitnessError, match="h . g is not the input map"):
+        step._replace(h=ChainMap.identity(Z6))
 
 
 def test_factor_step_quasi_iso_above_support():

@@ -9,17 +9,17 @@ Value semantics hold for copies built separately from equal inputs, not
 only for copies built from the very same field objects.  A checked value
 holds its degree tables as read-only tables, which refuse item
 assignment, deletion, a second ``__init__`` and the dict methods that
-change a dict, so every checked value can be hashed.  The six witness
-bundles (``TruncationSplitting``, ``CellularFactorization``,
-``ImageFactorization``, ``EdDecomposition``, ``ExcisionCertificate`` and
-``IdempotentSplit``) are checked values: each checks its law when it is
-built, also when ``_replace``, a copy or a pickle builds it again, and
-their witness tables (``ImageFactorization.sections``,
-``CellularFactorization.retractions`` and
-``ExcisionCertificate.sections``) are such tables too.  Only two
-NamedTuple bundles hold a plain list or dict and cannot be hashed:
-``SuiteReport`` (``failures``) and ``AObjectSample``
-(``homology_divisors``).
+change a dict, so every checked value can be hashed.  The eight result
+bundles (``TruncationSplitting``, ``KappaResult``, ``FactorStep``,
+``CellularFactorization``, ``ImageFactorization``, ``EdDecomposition``,
+``ExcisionCertificate`` and ``IdempotentSplit``) are checked values:
+each checks its law when it is built, also when ``_replace``, a copy or
+a pickle builds it again, and their witness tables
+(``ImageFactorization.sections``, ``CellularFactorization.retractions``
+and ``ExcisionCertificate.sections``) are such tables too.  The
+generator samples hold tuples and read-only tables
+(``AObjectSample.homology_divisors``).  Only one record holds a plain
+container and cannot be hashed: ``SuiteReport`` (``failures``).
 """
 
 import copy
@@ -44,7 +44,6 @@ from koszulkit.complexes import (
     homotopy_between,
     structure_maps,
     truncation_splitting,
-    truncation_triple,
     two_term,
 )
 from koszulkit.fgmodules import FgModule
@@ -115,7 +114,6 @@ BUILDERS = {
     "Cone": lambda: cone(ChainMap.identity(Z2)),
     "StructureMaps": lambda: structure_maps(ChainMap.identity(Z2)),
     "DirectSum": lambda: direct_sum(Z2, Z6),
-    "TruncationTriple": lambda: truncation_triple(Z6, 0),
     "TruncationSplitting": lambda: truncation_splitting(Z6, 0),
     "Kos1Membership": lambda: in_kos1(Z6),
     "Augmentation": lambda: h0_augmentation(Z6),
@@ -254,9 +252,9 @@ def test_checked_tables_refuse_every_change(name):
     assert hash(record) == hash(BUILDERS[name]())
 
 
-# The witness bundles, which check their law in their constructor.
-BUNDLES = ["CellularFactorization", "EdDecomposition", "ExcisionCertificate", "IdempotentSplit",
-           "ImageFactorization", "TruncationSplitting"]
+# The result bundles, which check their law in their constructor.
+BUNDLES = ["CellularFactorization", "EdDecomposition", "ExcisionCertificate", "FactorStep", "IdempotentSplit",
+           "ImageFactorization", "KappaResult", "TruncationSplitting"]
 
 
 def test_every_witness_bundle_is_a_checked_value():

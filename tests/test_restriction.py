@@ -65,20 +65,37 @@ def _results(bundle):
     return namedtuple(type(bundle).__name__, names)(*[getattr(bundle, name) for name in names])
 
 
+# The bundles laid out as the records the pin was taken from: the
+# truncation sequence as its four maps and complexes, and the law of a
+# kappa result as the two flags that held it.
+_Triple = namedtuple("TruncationTriple", "upper lower incl proj")
+_Splitting = namedtuple("TruncationSplitting", "triple u v")
+_Kappa = namedtuple("KappaResult", "kos u v u_is_quasi_iso v_is_quasi_iso")
+
+
+def _splitting(bundle):
+    seq = bundle.triple
+    return _Splitting(_Triple(seq.left, seq.right, seq.mono, seq.epi), bundle.u, bundle.v)
+
+
+def _kappa(bundle):
+    return _Kappa(bundle.kos, bundle.u, bundle.v, True, True)
+
+
 def _outputs(params: GenParams, trial: int) -> dict:
     """Every subcomplex and induced-map construction on the instances of
     one trial, as the property suites draw them."""
     out = {}
     a_object = gen_a_object(params, trial).complex
-    out["truncation_splitting"] = [truncation_splitting(a_object, n) for n in _around(a_object)]
+    out["truncation_splitting"] = [_splitting(truncation_splitting(a_object, n)) for n in _around(a_object)]
 
     seq = gen_ses_of_complexes(params, trial, acyclic_side="none").sequence
     out["tau_maps"] = [[tau_ge_map(f, k), tau_le_map(f, k)]
                        for f in (seq.mono, seq.epi) for k in _around(seq.middle)]
 
     rng = trial_rng(params, trial)
-    out["kappa"] = [kappa(gen_a_object(params, trial, spherical=0, window_bottom=-1, rng=rng).complex),
-                    kappa(gen_koszul(params, trial, rng=rng).complex)]
+    out["kappa"] = [_kappa(kappa(gen_a_object(params, trial, spherical=0, window_bottom=-1, rng=rng).complex)),
+                    _kappa(kappa(gen_koszul(params, trial, rng=rng).complex))]
 
     rng = trial_rng(params, trial)
     source = gen_a_object(params, trial, rng=rng).complex

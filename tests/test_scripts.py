@@ -107,6 +107,8 @@ WORK_BOUNDS = {
     "nullhomotopy": {"entry_operations": 7.0, "largest_entry": 3.0},
     "snf_z_bits": {"entry_operations": 0.5, "largest_entry": 1.0},
     "cellular_bits": {"entry_operations": 0.5, "largest_entry": 1.0},
+    "elementary_divisors": {"entry_operations": 3.5, "largest_entry": 1.5},
+    "chain_retraction": {"entry_operations": 6.0, "largest_entry": 2.0},
 }
 
 

@@ -157,11 +157,14 @@ def test_failed_trial_records_its_instance(monkeypatch, name, ring):
 
 NOT_KOSZUL = two_term(Matrix.zeros(ZZ, 1, 1))
 
-# For each suite builder of a witness bundle: the suite, a forged change
-# to the bundle it returns, and the failure that the refusal becomes.
+# For each suite builder of a result bundle: the suite, a forged change
+# to the bundle it returns (or the function of the bundle that gives it),
+# and the failure that the refusal becomes.
 REFUSED_BUNDLES = {
     "truncation_splitting": ("remark3_2", {"v": ChainMap.identity(NOT_KOSZUL)},
                              "splitting identities fail at -1: u and v do not split the truncation sequence"),
+    "kappa": ("cor3_8", lambda bundle: {"v": ChainMap.zero(bundle.v.source, bundle.kos)},
+              "comparisons fail: v is not a quasi-isomorphism"),
     "cellular_factorization": ("prop3_4", {"map": ChainMap.identity(NOT_KOSZUL)},
                                "factorization witnesses fail: stages do not compose back to the input"),
     "excision_epi": ("appendix_a2", {"kernel": NOT_KOSZUL},
@@ -183,7 +186,8 @@ def test_a_refused_bundle_fails_its_trial_with_its_instance(monkeypatch, builder
 
     def forging(*args):
         given.append(args[0])
-        return real(*args)._replace(**changes)
+        bundle = real(*args)
+        return bundle._replace(**(changes(bundle) if callable(changes) else changes))
 
     monkeypatch.setattr(suites, builder, forging)
     report = run_suite(suite, GenParams(ring=ZZ, seed=0, trials=1))
@@ -191,10 +195,11 @@ def test_a_refused_bundle_fails_its_trial_with_its_instance(monkeypatch, builder
                                 "assertion": message}]
 
 
-# For each suite builder of a witness bundle: the suite, an input that the
+# For each suite builder of a result bundle: the suite, an input that the
 # builder refuses before any bundle is built, and the refusal.
 REFUSED_INPUTS = {
     "truncation_splitting": ("remark3_2", (NOT_KOSZUL, 0), "homology at degree 0 is not torsion"),
+    "kappa": ("cor3_8", (NOT_KOSZUL,), "input is not 0-spherical with torsion homology"),
     "cellular_factorization": ("prop3_4", (ChainMap.identity(NOT_KOSZUL),), "both ends must have torsion homology"),
     "excision_epi": ("appendix_a2", (ChainMap.identity(NOT_KOSZUL),), "both ends must be free Koszul complexes"),
     "idempotent_split": ("appendix_a2", (ChainMap.identity(NOT_KOSZUL),),
