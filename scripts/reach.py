@@ -78,11 +78,6 @@ SURFACE = {
     ("complexes.py", "_Table._refuse"): RECORDS,
     ("complexes.py", "_Table.__hash__"): RECORDS,
     ("complexes.py", "_Table.__reduce__"): RECORDS,
-    ("complexes.py", "_Checked._replace"): RECORDS,
-    ("complexes.py", "_Checked.__setattr__"): RECORDS,
-    ("complexes.py", "_Checked.__reduce__"): RECORDS,
-    ("complexes.py", "_Checked.__hash__"): RECORDS,
-    ("complexes.py", "_Checked.__repr__"): RECORDS,
     ("complexes.py", "ChainComplex.__repr__"): RECORDS,
     ("complexes.py", "ChainMap.zero"): OPERATIONS,
     ("complexes.py", "ChainMap.__add__"): OPERATIONS,
@@ -119,6 +114,11 @@ SURFACE = {
     ("matrices.py", "Matrix.__repr__"): RECORDS,
     ("matrices.py", "Matrix.scale"): OPERATIONS,
     ("matrices.py", "_kron"): SOLVER,
+    ("matrices.py", "_Checked._replace"): RECORDS,
+    ("matrices.py", "_Checked.__setattr__"): RECORDS,
+    ("matrices.py", "_Checked.__reduce__"): RECORDS,
+    ("matrices.py", "_Checked.__hash__"): RECORDS,
+    ("matrices.py", "_Checked.__repr__"): RECORDS,
     ("matrices.py", "SnfCertificate.rank"): OPERATIONS,
     ("matrices.py", "rank"): OPERATIONS,
     ("matrices.py", "is_exact_at"): OPERATIONS,

@@ -1,4 +1,4 @@
-"""Counted work of seven families of operations, by size: ``BENCH_work.json``.
+"""Counted work of nine families of operations, by size: ``BENCH_work.json``.
 
 Usage, from the root of a source checkout (koszulkit is imported from
 ``src/``):
@@ -26,7 +26,14 @@ family runs one operation at three sizes, on inputs drawn from
   over Z with entries in [-16, 16], n = 16, 32, 64;
 * ``chain_retraction``: ``chain_retraction`` of the first summand
   inclusion of X into X (+) Cone(id_X), X as in ``nullhomotopy``, by the
-  total rank 6n of the sum: 12, 24, 36.
+  total rank 6n of the sum: 12, 24, 36;
+* ``snf_fp20x`` and ``snf_fp60x``: ``snf`` of an n x n matrix over
+  F_p[x] whose entries have degree 2, for p the first prime above
+  10^19 + 12345 (20 digits) and above 10^59 + 12345 (60 digits),
+  n = 4, 8, 16.
+
+Every ``snf`` count includes the check that the certificate runs when it
+is built (two products and one or three determinants).
 
 The elimination caches are emptied before each operation, so each count
 is that of the operation alone, whatever ran before it in the process.
@@ -72,9 +79,20 @@ from koszulkit.complexes import ChainMap, chain_retraction, cone, direct_sum, nu
 from koszulkit.generators import gen_a_object, gen_chain_map
 from koszulkit.koszul import cellular_factorization
 from koszulkit.matrices import Matrix, _column_form, elementary_divisors, snf
-from koszulkit.rings import ZZ, fpx
+from koszulkit.rings import ZZ, fpx, is_prime
 
 F3 = fpx(3)
+
+
+def _prime_above(n: int) -> int:
+    n += 1
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+FP20 = fpx(_prime_above(10 ** 19 + 12345))
+FP60 = fpx(_prime_above(10 ** 59 + 12345))
 
 
 def _bits(ring, entries) -> int:
@@ -162,6 +180,17 @@ def _snf_f3x(rng: random.Random, n: int):
     return lambda: snf(a)
 
 
+def _snf_fpx(ring):
+    """The draw of an n x n matrix over ``ring`` = F_p[x] whose entries
+    have degree 2, and its ``snf``."""
+    p = ring.p
+
+    def draw(rng: random.Random, n: int):
+        a = _square(rng, ring, n, lambda r: ring.poly([r.randrange(p), r.randrange(p), r.randrange(1, p)]))
+        return lambda: snf(a)
+    return draw
+
+
 def _nullhomotopy(rng: random.Random, rank: int):
     n = rank // 4
     x = two_term(_square(rng, ZZ, n, lambda r: r.randint(-3, 3)))
@@ -204,6 +233,8 @@ FAMILIES = {
     "cellular_bits": ("largest_bits", (4, 16, 64), _cellular_bits),
     "elementary_divisors": ("largest_bits", (16, 32, 64), _elementary_divisors),
     "chain_retraction": ("largest_bits", (12, 24, 36), _chain_retraction),
+    "snf_fp20x": ("largest_degree", (4, 8, 16), _snf_fpx(FP20)),
+    "snf_fp60x": ("largest_degree", (4, 8, 16), _snf_fpx(FP60)),
 }
 
 

@@ -128,6 +128,7 @@ from .errors import (
 from .fgmodules import FgModule, _from_chain
 from .matrices import (
     Matrix,
+    _Checked,
     _kron,
     _product_rows,
     _rows_agree,
@@ -194,70 +195,6 @@ def _table(items) -> _Table:
     out = dict.__new__(_Table)
     dict.update(out, items)
     return out
-
-
-class _Checked:
-    """Immutable value that checks itself: ``__init__`` and ``_trusted``
-    both set the fields with ``_store``, which runs the class's
-    ``_normalize`` (shapes, rings, normalization) and stores what it
-    returns, each degree table already a read-only ``_Table``;
-    ``__init__`` then checks the law.
-
-    The fields are the ``__slots__`` of the class and its bases, in
-    declaration order.  From them every subclass gets equality and
-    hashing by value, a ``Name(field=value, ...)`` repr, and
-    ``_replace``, which builds a checked copy with some fields changed.
-    """
-
-    __slots__ = ()
-    _fields = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
-        # Bound once: ``_store`` runs for every value built, and the slot
-        # setters skip the lookups of ``object.__setattr__``.
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
-
-    @classmethod
-    def _trusted(cls, *args):
-        out = object.__new__(cls)
-        out._store(*args)
-        return out
-
-    def _normalize(self, *values) -> tuple:
-        return values
-
-    def _store(self, *values):
-        for set_field, value in zip(self._setters, self._normalize(*values), strict=True):
-            set_field(self, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def _replace(self, **changes):
-        return type(self)(**dict(zip(self._fields, self._values()), **changes))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        # copy and pickle would restore the fields by assignment, which is refused
-        return type(self), self._values()
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
 
 
 class ChainComplex(_Checked):

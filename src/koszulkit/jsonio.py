@@ -2,7 +2,8 @@
 
 Each library type has one wire layout.  A matrix is its shape and its
 entries.  Complexes, presented modules and complexes, modules, K0
-classes, SNF certificates and elementary-divisor decompositions have
+classes, SNF certificates (without their source), elementary-divisor
+decompositions and the generator samples that hold bare divisors have
 their own layouts in one private table, ``_LAYOUTS``; any other record,
 chain maps and module maps among them, is the dict of its fields, so its
 field names are its wire keys; dicts, lists and tuples are encoded item
@@ -49,6 +50,7 @@ from json.encoder import encode_basestring_ascii
 from .complexes import ChainComplex, ChainMap, _Table
 from .errors import InvalidInputError
 from .fgmodules import FgModule
+from .generators import AObjectSample, CObjectSample, KoszulSample
 from .k0 import K0KosClass
 from .koszul import PresentedKoszul
 from .matrices import Matrix, SnfCertificate
@@ -353,24 +355,33 @@ def _k0_layout(value: K0KosClass) -> dict:
     return {"rank": value.rank, "torsion": [{"prime": write(p), "mult": m} for p, m in value.torsion.counts]}
 
 
+def _elements(ring: Ring, values) -> list:
+    """The bare elements ``values`` of ``ring``, each by ``_element_writer(ring)``."""
+    return list(map(_element_writer(ring), values))
+
+
 # The layout of each library type but Matrix that has its own: the dict
 # of its wire fields.  A field that holds a library value is written by
 # the writer as a library value; every other field is wire data already.
-# The divisors of a certificate and of a decomposition are bare ring
-# elements: they are written with the ring of the matrices beside them.
+# The divisors of a module, a certificate, a decomposition and a
+# generator sample are bare ring elements: they are written with the
+# ring of the values beside them.
 _LAYOUTS = {
     ChainComplex: lambda c: {"ring": c.ring.token, "ranks": c.ranks, "differentials": c.diffs},
     PresentedModule: lambda m: {"gens": m.gens, "relations": m.relations},
     PresentedKoszul: lambda k: {
         "ring": k.top.ring.token, "ranks": {"1": k.top.gens, "0": k.bottom.gens},
         "differentials": {"1": k.d.matrix}, "presentations": {"1": k.top.relations, "0": k.bottom.relations}},
-    FgModule: lambda m: {"free_rank": m.free_rank, "torsion": list(map(_element_writer(m.ring), m.torsion))},
+    FgModule: lambda m: {"free_rank": m.free_rank, "torsion": _elements(m.ring, m.torsion)},
     K0KosClass: _k0_layout,
-    SnfCertificate: lambda c: {"U": c.U, "D": c.D, "V": c.V,
-                               "divisors": list(map(_element_writer(c.D.ring), c.divisors))},
+    SnfCertificate: lambda c: {"U": c.U, "D": c.D, "V": c.V, "divisors": _elements(c.source.ring, c.divisors)},
     EdDecomposition: lambda e: {
         "nonunit_part": e.nonunit_part, "unit_part": e.unit_part, "iso": e.iso,
-        "divisors": list(map(_element_writer(e.source.ring), e.nonunit_divisors))},
+        "divisors": _elements(e.source.ring, e.nonunit_divisors)},
+    KoszulSample: lambda s: {"complex": s.complex, "block_divisors": _elements(s.complex.ring, s.block_divisors)},
+    AObjectSample: lambda s: {"complex": s.complex, "homology_divisors": {
+        str(n): _elements(s.complex.ring, divisors) for n, divisors in s.homology_divisors.items()}},
+    CObjectSample: lambda s: {"object": s.object, "h0_divisors": _elements(s.object.top.ring, s.h0_divisors)},
 }
 
 

@@ -48,13 +48,13 @@ from .fgmodules import FgModule
 from .matrices import (
     Matrix,
     _selection,
+    _smith,
     block,
     elementary_divisors,
     hstack,
     image_basis,
     inverse,
     kernel_basis,
-    snf,
     solve,
     vstack,
 )
@@ -263,8 +263,8 @@ def cellular_factorization(f: ChainMap) -> CellularFactorization:
     Each pass kills the lowest homology of the cone of the current map
     g: X -> Y by attaching cells to X.  Let the cone C (degree k is
     X_{k-1} (+) Y_k) have homology vanishing in degrees <= n.  With K a
-    basis of the cycles of C_{n+1} and C.d(n+2) = K B, ``snf`` gives
-    U B V = D.  For each non-unit divisor d_i, z_i = K U^-1 e_i = (x_i, y_i)
+    basis of the cycles of C_{n+1} and C.d(n+2) = K B, the Smith form
+    gives U B V = D.  For each non-unit divisor d_i, z_i = K U^-1 e_i = (x_i, y_i)
     is a cycle and w_i = V e_i = (a_i, b_i) has boundary d_i z_i; the
     classes of the z_i generate H_{n+1}(C) with annihilators (d_i).  The
     new source is X (+) <e_i in degree n+1, c_i in degree n+2> with
@@ -329,14 +329,14 @@ def _attach_cells(g: ChainMap, mapping_cone: ChainComplex, n: int):
     X, Y = g.source, g.target
     ring = X.ring
     cycles = kernel_basis(mapping_cone.d(n + 1))
-    cert = snf(solve(cycles, mapping_cone.d(n + 2)))
-    killed = [i for i, d in enumerate(cert.divisors) if not ring.is_unit(d)]
+    u, _, v, elementary = _smith(solve(cycles, mapping_cone.d(n + 2)))
+    killed = [i for i, d in enumerate(elementary) if not ring.is_unit(d)]
     r = len(killed)
-    z = (cycles * inverse(cert.U)).take_cols(killed)
-    w = cert.V.take_cols(killed)
+    z = (cycles * inverse(u)).take_cols(killed)
+    w = v.take_cols(killed)
     x, y = z.take_rows(range(X.rank(n))), z.take_rows(range(X.rank(n), z.rows))
     a, b = w.take_rows(range(X.rank(n + 1))), w.take_rows(range(X.rank(n + 1), w.rows))
-    divisors = Matrix.diagonal(ring, [cert.divisors[i] for i in killed])
+    divisors = Matrix.diagonal(ring, [elementary[i] for i in killed])
     ranks = dict(X.ranks)
     ranks[n + 1] = X.rank(n + 1) + r
     ranks[n + 2] = X.rank(n + 2) + r

@@ -9,21 +9,23 @@ small as the Hermite forms they pass through.  It does transform work
 only when the caller passes a transform, whose rows it joins to the
 ends of their rows, so each row operation is one kernel call.
 
-On top of it, ``snf`` alternates the kernel on rows and columns until
-the matrix is diagonal and returns the full witness (U, D, V) with
-U*A*V == D, a divisibility chain on the diagonal, and canonical
-divisors; ``elementary_divisors`` and ``rank`` take the same path
-without building U or V.  Solving, kernel and image bases and inverses
-read their answer off one echelon form and its transform; the
-exactness test ``is_exact_at`` reads elementary divisors alone.  Products
+On top of it, ``_smith`` alternates the kernel on rows and columns
+until the matrix is diagonal and returns the full witness (U, D, V)
+with U*A*V == D, a divisibility chain on the diagonal, and canonical
+divisors; ``snf`` returns it as an ``SnfCertificate``, a checked value
+(``_Checked``, the base of every value that checks itself) that proves
+its law when it is built.  ``elementary_divisors`` and ``rank`` take
+the same path without building U or V.  Solving, kernel and image bases
+and inverses read their answer off one echelon form and its transform;
+the exactness test ``is_exact_at`` reads elementary divisors alone.  Products
 and row operations run on the ring's kernels (``Ring.product``,
 ``submul`` and ``combine``), which skip zero entries and, over F_p[x],
 reduce mod p once per output entry, not once per term.  Matrices
 with zero rows or columns are first-class throughout; empty complexes
 and vanishing truncations depend on them.  Determinants use Bareiss
 fraction-free elimination, one row kernel call per row and step, so
-the unimodularity check never divides inexactly; ``SnfCertificate.verify``
-checks U*A*V == D on work rows, with no matrix built.
+the unimodularity check never divides inexactly; the certificate
+checks U*A*V == D on work rows, with no matrix formed.
 
 A matrix keeps its rows in the work form of its ring (``Ring.work``):
 over F_p[x] each entry is one int that packs its coefficients (over
@@ -73,12 +75,12 @@ matrix the module computes goes through that constructor.
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
 from itertools import chain, repeat
 from operator import add, eq
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionError, DomainMismatchError, InvalidInputError, NotAComplexError
+from .errors import DimensionError, DomainMismatchError, InvalidInputError, NotAComplexError, WitnessError
 from .rings import Ring
 
 # Entries kept by the LRU cache of each memoized elimination function.
@@ -418,73 +420,118 @@ def block_diag(ring: Ring, mats: Sequence[Matrix]) -> Matrix:
     return block(ring, grid, row_sizes, col_sizes)
 
 
-class SnfCertificate(NamedTuple):
-    """Diagonalization witness: U*A*V == D with unimodular U, V.
+class _Checked:
+    """Immutable value that checks itself: ``__init__`` and ``_trusted``
+    both set the fields with ``_store``, which runs the class's
+    ``_normalize`` (shapes, rings, normalization) and stores what it
+    returns, each degree table of ``complexes`` already a read-only
+    ``_Table``; ``__init__`` then checks the law.
 
-    ``divisors`` lists the nonzero diagonal of D as canonical associates
-    forming a divisibility chain d1 | d2 | ... | dr.
+    The fields are the ``__slots__`` of the class and its bases, in
+    declaration order.  From them every subclass gets equality and
+    hashing by value, a ``Name(field=value, ...)`` repr, and
+    ``_replace``, which builds a checked copy with some fields changed.
     """
 
-    U: Matrix
-    D: Matrix
-    V: Matrix
-    divisors: tuple
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+        # Bound once: ``_store`` runs for every value built, and the slot
+        # setters skip the lookups of ``object.__setattr__``.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    @classmethod
+    def _trusted(cls, *args):
+        out = object.__new__(cls)
+        out._store(*args)
+        return out
+
+    def _normalize(self, *values) -> tuple:
+        return values
+
+    def _store(self, *values):
+        for set_field, value in zip(self._setters, self._normalize(*values), strict=True):
+            set_field(self, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle would restore the fields by assignment, which is refused
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class SnfCertificate(_Checked):
+    """Diagonalization witness of ``source``, A: U*A*V == D with U, V
+    unimodular and D diagonal, its nonzero diagonal ``divisors`` a
+    divisibility chain d1 | d2 | ... | dr of canonical associates.
+
+    The law is checked at construction, else ``WitnessError``: the rings
+    and shapes of U, D, V and the divisors first, then U*A*V == D exactly
+    on work rows (two ``product`` calls, no matrix built), D's diagonal
+    and the chain.  As det U * det A * det V == det D, when A is square
+    and D has full rank, U and V are both unimodular exactly when det D,
+    the product of the divisors, and det A are associates, so one
+    determinant of A proves it; otherwise det U and det V are taken.
+    """
+
+    __slots__ = ("source", "U", "D", "V", "divisors")
+
+    def __init__(self, source: Matrix, U: Matrix, D: Matrix, V: Matrix, divisors: tuple):
+        self._store(source, U, D, V, divisors)
+        ring, m, n = source.ring, source.rows, source.cols
+        if [(x.ring, x.rows, x.cols) for x in (U, D, V)] != [(ring, m, m), (ring, m, n), (ring, n, n)]:
+            raise WitnessError("U, D or V is of another ring or shape than the source requires")
+        work, d_rows = ring.work, D._work
+        if not _same_rows(work.product(work.product(U._work, source._work, n), V._work, n), d_rows):
+            raise WitnessError("U*A*V != D")
+        try:
+            packed = [ring.validate(d) for d in divisors]
+        except DomainMismatchError:
+            raise WitnessError("a divisor is not an element of the ring") from None
+        if ring.pack is not None:
+            packed = list(map(ring.pack, packed))
+        r = len(packed)
+        diag = [d_rows[i][i] for i in range(min(m, n))]
+        if not _is_diagonal(d_rows) or diag[:r] != packed or any(diag[r:]):
+            raise WitnessError("D is not diagonal with the divisors on its diagonal")
+        if not all(packed) or any(work.normalize(d)[1] != d for d in packed) \
+                or not all(map(work.divides, packed, packed[1:])):
+            raise WitnessError("the divisors are not a chain of nonzero canonical associates")
+        if m == n and r == m:
+            det_a = det(source) if ring.pack is None else ring.pack(det(source))
+            unimodular = work.normalize(reduce(work.mul, packed, work.one))[1] == work.normalize(det_a)[1]
+        else:
+            unimodular = is_unimodular(U) and is_unimodular(V)
+        if not unimodular:
+            raise WitnessError("U or V is not unimodular")
 
     @property
     def rank(self) -> int:
         return len(self.divisors)
-
-    def verify(self, source: Matrix) -> bool:
-        """Whether this certifies ``source``; False when ``source``, U
-        or V is of another ring or shape than D requires, or a divisor is
-        not an element of that ring.
-
-        For an m x n A, U must be m x m and V n x n over the ring of A;
-        then U*A*V == D is checked exactly, so
-        det U * det A * det V == det D.  When A is
-        square and D has full rank, det D != 0 and so det A != 0; then U
-        and V are both unimodular exactly when det D / det A is a unit,
-        i.e. det D and det A are associates.  One determinant of the
-        input entries proves it, with det D the product of the checked
-        divisors.  For a non-square A or a singular D, det U and det V
-        are taken.
-
-        The checks run on work rows: U*A*V is two ``product`` calls
-        compared with D's work rows, D's off-diagonal zeros and its
-        diagonal are read from its work rows, and the divisors are packed
-        once; no matrix is built and no entry unpacked.
-        """
-        ring, m, n = source.ring, source.rows, source.cols
-        shapes = [(x.ring, x.rows, x.cols) for x in (self.U, self.D, self.V)]
-        if shapes != [(ring, m, m), (ring, m, n), (ring, n, n)]:
-            return False
-        work, d_rows = ring.work, self.D._work
-        if not _same_rows(work.product(work.product(self.U._work, source._work, n), self.V._work, n), d_rows):
-            return False
-        if not _is_diagonal(d_rows):
-            return False
-        try:
-            divisors = [ring.validate(d) for d in self.divisors]
-        except DomainMismatchError:
-            return False
-        if ring.pack is not None:
-            divisors = list(map(ring.pack, divisors))
-        r = len(divisors)
-        diag = [d_rows[i][i] for i in range(min(m, n))]
-        if diag[:r] != divisors or any(diag[r:]):
-            return False
-        if not all(divisors) or any(work.normalize(d)[1] != d for d in divisors):
-            return False
-        if not all(map(work.divides, divisors, divisors[1:])):
-            return False
-        if m == n and r == m:
-            det_d, det_a = work.one, det(source)
-            for d in divisors:
-                det_d = work.mul(det_d, d)
-            if ring.pack is not None:
-                det_a = ring.pack(det_a)
-            return work.normalize(det_d)[1] == work.normalize(det_a)[1]
-        return is_unimodular(self.U) and is_unimodular(self.V)
 
 
 def _memoized(fn):
@@ -714,7 +761,14 @@ def _chain(ring: Ring, diagonal: list, u: Optional[list] = None, v: Optional[lis
 
 
 def snf(mat: Matrix) -> SnfCertificate:
-    """Smith normal form with transform certificate.
+    """Smith normal form of ``mat`` with its checked transform certificate."""
+    return SnfCertificate(mat, *_smith(mat))
+
+
+def _smith(mat: Matrix) -> tuple:
+    """(U, D, V, divisors) of the Smith normal form of ``mat``, unchecked:
+    ``ed_decompose`` and the cellular factorization call it, since their
+    own checked values prove what they use of it.
 
     The kernel alternates on rows and columns until the matrix is
     diagonal; the diagonal is then made a divisibility chain.  U and V
@@ -724,12 +778,8 @@ def snf(mat: Matrix) -> SnfCertificate:
     ring = mat.ring
     diagonal, u, v = _diagonal_form(mat, track=True)
     _chain(ring.work, diagonal, u, v)
-    return SnfCertificate(
-        U=Matrix._from_work(ring, mat.rows, mat.rows, u),
-        D=_diagonal(ring, diagonal, mat.rows, mat.cols),
-        V=_from_columns(ring, mat.cols, v),
-        divisors=_unpacked(ring, diagonal),
-    )
+    return (Matrix._from_work(ring, mat.rows, mat.rows, u), _diagonal(ring, diagonal, mat.rows, mat.cols),
+            _from_columns(ring, mat.cols, v), _unpacked(ring, diagonal))
 
 
 @_memoized

@@ -33,11 +33,11 @@ from .koszul import in_kos1
 from .matrices import (
     Matrix,
     _selection,
+    _smith,
     hstack,
     image_basis,
     inverse,
     kernel_basis,
-    snf,
     vstack,
 )
 
@@ -149,14 +149,14 @@ def ed_decompose(complex_: ChainComplex) -> EdDecomposition:
     if not in_kos1(complex_):
         raise InvalidInputError("input is not a free Koszul complex")
     ring = complex_.ring
-    cert = snf(complex_.d(1))
-    units = [i for i, d in enumerate(cert.divisors) if ring.is_unit(d)]
-    nonunits = [i for i, d in enumerate(cert.divisors) if not ring.is_unit(d)]
+    u, _, v, divisors = _smith(complex_.d(1))
+    units = [i for i, d in enumerate(divisors) if ring.is_unit(d)]
+    nonunits = [i for i, d in enumerate(divisors) if not ring.is_unit(d)]
     order = nonunits + units
     perm = _selection(ring, len(order), order).transpose()
-    phi1 = perm * inverse(cert.V)
-    phi0 = perm * cert.U
-    nonunit = two_term(Matrix.diagonal(ring, [cert.divisors[i] for i in nonunits]))
+    phi1 = perm * inverse(v)
+    phi0 = perm * u
+    nonunit = two_term(Matrix.diagonal(ring, [divisors[i] for i in nonunits]))
     unit = two_term(Matrix.identity(ring, len(units)))
     total = _sum_layout((nonunit, unit)).complex
     return EdDecomposition(complex_, nonunit, unit, ChainMap(complex_, total, {1: phi1, 0: phi0}))

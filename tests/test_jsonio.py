@@ -9,6 +9,7 @@ import hashlib
 import json
 import re
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -156,6 +157,11 @@ def test_writer_on_every_record_type(name):
     assert (None if text is TypeError else _sha256(text)) == RECORD_TEXT_SHA256[name]
 
 
+class _Record(NamedTuple):
+    complex: object
+    homology_divisors: dict
+
+
 BIG_P = fpx(2 ** 64 + 13)
 SAFE = 2 ** 53
 DIGITS = 10 ** 4400 + 7  # past the interpreter's 4300-digit limit
@@ -185,9 +191,11 @@ def _library_values():
         "empty-tables": ChainMap.identity(zero_complex(ZZ)),
         "no-torsion": FgModule(ZZ, 2, ()),
         "one-complex-at-two-depths": ChainMap.identity(complex_),
-        # Ints of a record's fields, alone and in tuples and tables.
+        # Ints of a record's fields, alone and in tuples and tables: the
+        # divisors of a sample by its layout, and a record with no layout
+        # (its fields are those of AObjectSample, its table no divisors).
         "record-with-big-ints": KoszulSample(complex_, (SAFE - 1, -SAFE, DIGITS)),
-        "record-with-big-int-table": AObjectSample(complex_, {SAFE: (SAFE, 2), -1: (3, "x", -SAFE - 1)}),
+        "record-with-big-int-table": _Record(complex_, {SAFE: (SAFE, 2), -1: (3, "x", -SAFE - 1)}),
         "wire-data-beside-library-values": {"x": complex_, "y": [ChainMap.identity(complex_), {"z": complex_}],
                                             "n": [1, -2], "ok": True, "none": None},
     }
@@ -237,6 +245,23 @@ def test_writer_equals_json_dumps_of_value_to_json(name):
         # Coefficients stay JSON numbers, whatever the size of p.
         assert re.search(r'"-?[0-9]+"(?!:)', text) is None  # no decimal string but degree keys
         assert max(map(int, re.findall(r"^ *([0-9]+),?$", text, re.M))) >= SAFE
+
+
+@pytest.mark.parametrize("generate, key", [(gen_koszul, "block_divisors"), (gen_a_object, "homology_divisors"),
+                                           (gen_c_object, "h0_divisors")], ids=["koszul", "a-object", "c-object"])
+def test_sample_divisors_write_big_coefficients_as_numbers(generate, key):
+    """The bare F_p[x] divisors of a generator sample ride as coefficient
+    lists of JSON numbers, as its matrices do, also past 2^53, and read
+    back as the sample's divisors."""
+    ring = fpx(10 ** 20 + 39)
+    sample = generate(GenParams(ring=ring), 0)
+    written, held = jsonio.value_to_json(sample)[key], getattr(sample, key)
+    if isinstance(sample, AObjectSample):
+        assert list(written) == [str(n) for n in held]
+        written, held = [d for ds in written.values() for d in ds], [d for ds in held.values() for d in ds]
+    assert written and all(type(c) is int for d in written for c in d)
+    assert max(c for d in written for c in d) >= SAFE
+    assert [jsonio.element_from_json(ring, d) for d in written] == list(held)
 
 
 def test_value_to_json_reads_a_plain_tuple_and_int_keys_at_the_top():

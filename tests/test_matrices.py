@@ -1,12 +1,15 @@
 import gc
 import itertools
+import pickle
 import random
 
 import pytest
 
 from koszulkit import matrices
-from koszulkit.errors import DimensionError, DomainMismatchError, InvalidInputError, NotAComplexError
+from koszulkit.complexes import ChainMap, two_term
+from koszulkit.errors import DimensionError, DomainMismatchError, InvalidInputError, NotAComplexError, WitnessError
 from koszulkit.generators import rand_matrix
+from koszulkit.koszul import cellular_factorization
 from koszulkit.matrices import (
     MEMO_SIZE,
     Matrix,
@@ -29,6 +32,7 @@ from koszulkit.matrices import (
     vstack,
 )
 from koszulkit.rings import ZZ, fpx
+from koszulkit.sfiltering import ed_decompose
 
 F2 = fpx(2)
 
@@ -58,7 +62,7 @@ def test_snf_diag_2_3():
     a = Matrix(ZZ, [[2, 0], [0, 3]])
     cert = snf(a)
     assert cert.divisors == (1, 6)
-    assert cert.verify(a)
+    assert cert.source is a
 
 
 def test_snf_identity():
@@ -66,30 +70,30 @@ def test_snf_identity():
     cert = snf(a)
     assert cert.divisors == (1, 1, 1, 1)
     assert cert.D == a
-    assert cert.verify(a)
+    assert cert.source is a
 
 
 def test_snf_zero_matrix():
     a = Matrix.zeros(ZZ, 3, 2)
     cert = snf(a)
     assert cert.divisors == ()
-    assert cert.verify(a)
+    assert cert.source is a
 
 
 @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
 def test_snf_empty_shapes(rows, cols):
     a = Matrix.zeros(ZZ, rows, cols)
-    assert snf(a).verify(a)
+    assert snf(a).source is a
 
 
 def test_snf_random_certificates():
     rng = random.Random(11)
     for _ in range(150):
         a = rand_int_matrix(rng, rng.randint(0, 5), rng.randint(0, 5))
-        assert snf(a).verify(a)
+        assert snf(a).source is a
     for _ in range(60):
         a = rand_poly_matrix(rng, rng.randint(0, 4), rng.randint(0, 4))
-        assert snf(a).verify(a)
+        assert snf(a).source is a
 
 
 def test_snf_agrees_with_sympy():
@@ -146,7 +150,7 @@ def test_fpx_snf_agrees_with_sympy(p):
         theirs = tuple(monic(d) for d in invariant_factors(entries, domain=domain) if d != 0)
         cert = snf(a)
         assert cert.divisors == matrices.elementary_divisors(a) == theirs, (p, trial)
-        assert cert.verify(a)
+        assert cert.source is a
 
 
 def test_snf_invariant_under_unimodular_transport():
@@ -524,7 +528,7 @@ def test_polynomial_snf_example():
     a = Matrix._raw(F2, 2, 2, [[F2.poly([0, 1]), F2.zero], [F2.zero, F2.poly([1, 1])]])
     cert = snf(a)
     assert cert.divisors == (F2.one, F2.poly([0, 1, 1]))
-    assert cert.verify(a)
+    assert cert.source is a
 
 
 def test_product_with_a_non_matrix_is_a_type_error():
@@ -543,13 +547,27 @@ def test_diagonal_must_fit_the_shape():
     assert Matrix.diagonal(ZZ, [], 0, 2) == Matrix.zeros(ZZ, 0, 2)
 
 
+def _assert_refused(base, **changes):
+    """The certificate ``base`` with ``changes`` is refused with
+    ``WitnessError`` when built directly, through ``_replace`` and on
+    unpickling a copy built past the check."""
+    fields = {**dict(zip(base._fields, base._values())), **changes}
+    with pytest.raises(WitnessError):
+        SnfCertificate(**fields)
+    with pytest.raises(WitnessError):
+        base._replace(**changes)
+    forged = SnfCertificate._trusted(*fields.values())
+    with pytest.raises(WitnessError):
+        pickle.loads(pickle.dumps(forged))
+
+
 def test_verify_refuses_a_foreign_source():
     a = Matrix(ZZ, [[2, 4], [6, 8]])
     cert = snf(a)
-    assert cert.verify(a)
-    assert not cert.verify(Matrix(ZZ, [[2, 4, 1], [6, 8, 1]]))
-    assert not cert.verify(Matrix(ZZ, [[2, 4]]))
-    assert not cert.verify(Matrix(F2, [[F2.one, F2.zero], [F2.zero, F2.one]]))
+    assert cert.source is a
+    for source in (Matrix(ZZ, [[2, 4, 1], [6, 8, 1]]), Matrix(ZZ, [[2, 4]]),
+                   Matrix(F2, [[F2.one, F2.zero], [F2.zero, F2.one]])):
+        _assert_refused(cert, source=source)
 
 
 @pytest.mark.parametrize("case", ["product", "off-diagonal", "divisors", "dropped-divisor",
@@ -559,22 +577,23 @@ def test_verify_rejects_a_forged_certificate(case):
     cert = snf(a)
     eye = Matrix.identity(ZZ, 2)
     diag = lambda *d: Matrix.diagonal(ZZ, d)
-    source, forged = {
-        "product": (a, cert._replace(D=diag(2, 8))),
-        "off-diagonal": (a, cert._replace(U=eye, V=eye, D=a)),
-        "divisors": (a, cert._replace(divisors=(1, 8))),
-        "dropped-divisor": (a, cert._replace(divisors=cert.divisors[:1])),
-        "non-canonical": (diag(-2, 4), cert._replace(U=eye, V=eye, D=diag(-2, 4), divisors=(-2, 4))),
-        "chain": (diag(2, 3), cert._replace(U=eye, V=eye, D=diag(2, 3), divisors=(2, 3))),
-        "U-shape": (a, cert._replace(U=Matrix.identity(ZZ, 3))),
-        "V-ring": (a, cert._replace(V=Matrix.identity(fpx(3), 2))),
+    changes = {
+        "product": dict(D=diag(2, 8)),
+        "off-diagonal": dict(U=eye, V=eye, D=a),
+        "divisors": dict(divisors=(1, 8)),
+        "dropped-divisor": dict(divisors=cert.divisors[:1]),
+        "non-canonical": dict(source=diag(-2, 4), U=eye, V=eye, D=diag(-2, 4), divisors=(-2, 4)),
+        "chain": dict(source=diag(2, 3), U=eye, V=eye, D=diag(2, 3), divisors=(2, 3)),
+        "U-shape": dict(U=Matrix.identity(ZZ, 3)),
+        "V-ring": dict(V=Matrix.identity(fpx(3), 2)),
         # 2.0 == 2, but a float is no element of Z.
-        "float-divisor": (a, cert._replace(divisors=(2.0, 4))),
+        "float-divisor": dict(divisors=(2.0, 4)),
     }[case]
-    assert cert.verify(a) and not forged.verify(source)
+    assert cert.source is a
+    _assert_refused(cert, **changes)
 
 
-# SnfCertificate.verify must reject a U or V that is not unimodular even
+# An SnfCertificate must refuse a U or V that is not unimodular even
 # when U*A*V == D holds and D is a valid Smith form.  Each case is
 # (source, U, D, V) over a ring where ``s`` is a nonunit scalar.
 F3 = fpx(3)
@@ -609,7 +628,19 @@ def test_verify_rejects_a_non_unimodular_transform(ring, s, case):
     a, u, d, v = _non_unimodular_certificates(ring, s)[case]
     assert u * a * v == d
     divisors = tuple(x for x in (d.entries[i][i] for i in range(min(d.rows, d.cols))) if not ring.is_zero(x))
-    assert not SnfCertificate(u, d, v, divisors).verify(a)
+    _assert_refused(snf(a), U=u, D=d, V=v, divisors=divisors)
+
+
+def test_only_snf_builds_a_certificate(call_log):
+    """The elementary-divisor split and the cellular factorization take
+    the Smith form unchecked, since their own bundles check what they use."""
+    built = call_log(SnfCertificate, "__init__")
+    a = Matrix(ZZ, [[2, 4], [6, 8]])
+    ed_decompose(two_term(a))
+    assert len(cellular_factorization(ChainMap.zero(two_term(Matrix(ZZ, [[2]])), two_term(a))).stages) == 2
+    assert built == []
+    snf(a)
+    assert len(built) == 1
 
 
 def test_verify_accepts_a_unit_ratio_of_determinants():
@@ -618,7 +649,7 @@ def test_verify_accepts_a_unit_ratio_of_determinants():
     a = Matrix.diagonal(F3, [two, F3.one])
     u = Matrix.diagonal(F3, [two, F3.one])
     eye = Matrix.identity(F3, 2)
-    assert SnfCertificate(u, eye, eye, (F3.one, F3.one)).verify(a)
+    assert SnfCertificate(a, u, eye, eye, (F3.one, F3.one)).source is a
 
 
 def test_verify_takes_one_determinant_on_a_square_nonsingular_source(call_log):
@@ -626,7 +657,8 @@ def test_verify_takes_one_determinant_on_a_square_nonsingular_source(call_log):
     a = rand_int_matrix(rng, 5, 5)
     while det(a) == 0:
         a = rand_int_matrix(rng, 5, 5)
-    cert = snf(a)
     seen = call_log(matrices, "det")
-    assert cert.verify(a)
+    cert = snf(a)
     assert seen == [(a,)]
+    assert cert._replace() == cert
+    assert seen == [(a,), (a,)]

@@ -4,16 +4,16 @@ library refuses assignment, compares and hashes by value, and prints as
 pickle round trip of it is an equal value.
 
 The records are NamedTuples or values that check themselves (subclasses
-of ``complexes._Checked``); both list their field names in ``_fields``.
+of ``matrices._Checked``, which ``complexes`` imports); both list their field names in ``_fields``.
 Value semantics hold for copies built separately from equal inputs, not
 only for copies built from the very same field objects.  A checked value
 holds its degree tables as read-only tables, which refuse item
 assignment, deletion, a second ``__init__`` and the dict methods that
-change a dict, so every checked value can be hashed.  The eight result
-bundles (``TruncationSplitting``, ``KappaResult``, ``FactorStep``,
-``CellularFactorization``, ``ImageFactorization``, ``EdDecomposition``,
-``ExcisionCertificate`` and ``IdempotentSplit``) are checked values:
-each checks its law when it is built, also when ``_replace``, a copy or
+change a dict, so every checked value can be hashed.  The nine result
+bundles (``SnfCertificate``, ``TruncationSplitting``, ``KappaResult``,
+``FactorStep``, ``CellularFactorization``, ``ImageFactorization``,
+``EdDecomposition``, ``ExcisionCertificate`` and ``IdempotentSplit``)
+are checked values: each checks its law when it is built, also when ``_replace``, a copy or
 a pickle builds it again, and their witness tables
 (``ImageFactorization.sections``, ``CellularFactorization.retractions``
 and ``ExcisionCertificate.sections``) are such tables too.  The
@@ -254,7 +254,7 @@ def test_checked_tables_refuse_every_change(name):
 
 # The result bundles, which check their law in their constructor.
 BUNDLES = ["CellularFactorization", "EdDecomposition", "ExcisionCertificate", "FactorStep", "IdempotentSplit",
-           "ImageFactorization", "KappaResult", "TruncationSplitting"]
+           "ImageFactorization", "KappaResult", "SnfCertificate", "TruncationSplitting"]
 
 
 def test_every_witness_bundle_is_a_checked_value():

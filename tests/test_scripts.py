@@ -109,6 +109,8 @@ WORK_BOUNDS = {
     "cellular_bits": {"entry_operations": 0.5, "largest_entry": 1.0},
     "elementary_divisors": {"entry_operations": 3.5, "largest_entry": 1.5},
     "chain_retraction": {"entry_operations": 6.0, "largest_entry": 2.0},
+    "snf_fp20x": {"entry_operations": 3.0, "largest_entry": 1.5},
+    "snf_fp60x": {"entry_operations": 3.0, "largest_entry": 1.5},
 }
 
 
