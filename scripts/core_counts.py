@@ -47,11 +47,11 @@ the script prints:
   re-normalized into a chain;
 * ``factorization_ranks``: the total rank of ``final.source``, summed
   over the results of ``koszul.cellular_factorization``;
-* ``row_operations``, ``entry_operations``, ``largest_bits`` and
-  ``largest_degree``: the counted work of the same work rings' row
-  kernels, as ``scripts/work.py`` counts it (``row_operations`` are the
-  calls of ``submul`` and ``combine``, most of them in the elimination
-  kernel ``matrices._echelon``);
+* ``row_operations``, ``entry_operations``, ``largest_bits``,
+  ``largest_degree`` and ``limb_cost`` (rounded): the counted work of the
+  same work rings' row kernels, as ``scripts/work.py`` counts it
+  (``row_operations`` are the calls of ``submul`` and ``combine``, most
+  of them in the elimination kernel ``matrices._echelon``);
 * ``cpu_s``: the process CPU time of the core, counters included;
 * ``reports_sha256`` (harness workloads): SHA-256 of the concatenated
   JSON suite reports;
@@ -174,7 +174,7 @@ def main(argv=None) -> int:
             for op in ops:
                 digest.update(output(op))
             cpu = time.process_time() - start
-    counts = {**counts, **work}  # hashing the instances below reads matrices, which some counters see
+    counts = {**counts, **work, "limb_cost": round(work["limb_cost"])}  # hashing the instances below reads matrices, which some counters see
     print(json.dumps({"workload": args.workload, **size, **counts, "cpu_s": round(cpu, 3),
                       hashed: digest.hexdigest(),
                       "instances_sha256": instances_digest(koszulkit, instances)}))

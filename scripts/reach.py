@@ -123,6 +123,7 @@ SURFACE = {
     ("matrices.py", "rank"): OPERATIONS,
     ("matrices.py", "is_exact_at"): OPERATIONS,
     ("presented.py", "PresentedMap.image"): OPERATIONS,
+    ("sfiltering.py", "EdDecomposition.__init__"): RECORDS,
     ("rings.py", "_jacobi"): LARGE,
     ("rings.py", "_strong_lucas"): LARGE,
     ("rings.py", "Ring.is_canonical_prime"): OPERATIONS,

@@ -1,4 +1,4 @@
-"""Counted work of nine families of operations, by size: ``BENCH_work.json``.
+"""Counted work of eleven families of operations, by size: ``BENCH_work.json``.
 
 Usage, from the root of a source checkout (koszulkit is imported from
 ``src/``):
@@ -27,10 +27,12 @@ family runs one operation at three sizes, on inputs drawn from
 * ``chain_retraction``: ``chain_retraction`` of the first summand
   inclusion of X into X (+) Cone(id_X), X as in ``nullhomotopy``, by the
   total rank 6n of the sum: 12, 24, 36;
-* ``snf_fp20x`` and ``snf_fp60x``: ``snf`` of an n x n matrix over
-  F_p[x] whose entries have degree 2, for p the first prime above
-  10^19 + 12345 (20 digits) and above 10^59 + 12345 (60 digits),
-  n = 4, 8, 16.
+* ``snf_fp20x``, ``snf_fp60x`` and ``snf_fp200x``: ``snf`` of an n x n
+  matrix over F_p[x] whose entries have degree 2, for p the first prime
+  above 10^19 + 12345 (20 digits), above 10^59 + 12345 (60 digits) and
+  above 10^199 + 12345 (200 digits), n = 4, 8, 16;
+* ``smith_decomposition``: ``smith_decomposition`` of the complex C of
+  ``nullhomotopy``, by its total rank: 16, 24, 32.
 
 Every ``snf`` count includes the check that the certificate runs when it
 is built (two products and one or three determinants).
@@ -49,33 +51,54 @@ F_p[x] for odd p) through ``ab_harness.rebind`` and counts:
   ``start`` on, a ``combine`` the entries of the row it returns;
 * ``largest_bits`` and ``largest_degree``: the largest entry that any
   call returns or leaves in its row, in bits over Z and as a degree over
-  F_p[x].
+  F_p[x];
+* ``limb_cost``: the cost of the int products each call makes, which
+  sees the size of the entries and of p where entry operations do not.
+  A product of two nonzero ints of a <= b digits of ``DIGIT_BITS`` (30)
+  bits costs M(a, b) = a b up to CPython's Karatsuba cut-off of
+  ``KARATSUBA_CUTOFF`` (70) digits, and (b / a) a^1.585 70^0.415 above
+  it (Karatsuba on a-digit pieces of the longer operand; the two agree
+  at a = 70).  Over Z and F_p[x] a ``product`` multiplies each nonzero
+  entry of a left row by each nonzero entry of the matching right row, a
+  ``submul`` its q by each nonzero entry of the other row from ``start``
+  on, and a ``combine`` a and b by each nonzero entry of their rows.
+  Over F_p[x] a ``submul`` also negates q, one product by p - 1, and
+  every Barrett reduction of an x inside a call (``_PackedFpRing._reduce``)
+  costs M(x, m) + M(x, p), since its quotient is no longer than x.
+  F_2[x] multiplies no ints: its kernels shift and XOR.
 
 The counters are off unless ``counted_work`` is entered, and the kernels
 are the originals again when it exits.  Each family records its counts
 at each size and, for each count, the exponent between neighbouring
 sizes, log(count ratio) / log(size ratio).  Entry operations follow CPU
-time; a bare count of row operations reads too low.  The file holds the
-commit (``git describe --always --dirty``) and the Python version, and no
-time, so two runs of one tree write the same bytes.
+time on small entries, and the limb cost on long ones; a bare count of
+row operations reads too low.  The file holds ``sources_sha256``, a
+SHA-256 over the bytes of ``scripts/work.py`` and ``src/koszulkit/*.py``
+in sorted path order, and the Python version, and no time, so two runs
+of one tree write the same bytes, and so does a run at the commit that
+holds the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import math
 import platform
 import random
-import subprocess
 import sys
+from itertools import repeat
+from operator import add, floordiv
 
 from ab_harness import ROOT, rebind
 
 import koszulkit
 from koszulkit import GenParams, rings
-from koszulkit.complexes import ChainMap, chain_retraction, cone, direct_sum, nullhomotopy, two_term
+from koszulkit.complexes import (
+    ChainMap, chain_retraction, cone, direct_sum, nullhomotopy, smith_decomposition, two_term,
+)
 from koszulkit.generators import gen_a_object, gen_chain_map
 from koszulkit.koszul import cellular_factorization
 from koszulkit.matrices import Matrix, _column_form, elementary_divisors, snf
@@ -93,6 +116,44 @@ def _prime_above(n: int) -> int:
 
 FP20 = fpx(_prime_above(10 ** 19 + 12345))
 FP60 = fpx(_prime_above(10 ** 59 + 12345))
+FP200 = fpx(_prime_above(10 ** 199 + 12345))
+
+# CPython's int digits, and the length above which it multiplies by
+# Karatsuba (``KARATSUBA_CUTOFF`` in Objects/longobject.c).
+DIGIT_BITS = 30
+KARATSUBA_CUTOFF = 70
+
+
+def _digits(x: int) -> int:
+    return -(-x.bit_length() // DIGIT_BITS)
+
+
+def _limb_product(a: int, b: int) -> float:
+    """M(a, b) for two operands of a and b digits."""
+    if a > b:
+        a, b = b, a
+    return a * b if a <= KARATSUBA_CUTOFF else b / a * a ** 1.585 * KARATSUBA_CUTOFF ** 0.415
+
+
+def _limb_lengths(row) -> tuple:
+    """The bit lengths of the entries of ``row`` (0 for a zero), the most
+    of them, and the sum of their digits."""
+    bits = list(map(int.bit_length, row))
+    top = max(bits, default=0)
+    if top <= DIGIT_BITS:  # every nonzero entry is one digit
+        return bits, top, len(bits) - bits.count(0)
+    return bits, top, sum(map(floordiv, map(add, bits, repeat(DIGIT_BITS - 1)), repeat(DIGIT_BITS)))
+
+
+def _limb_row(a: int, lengths: tuple) -> float:
+    """The limb cost of an a-digit int times each nonzero entry of the row
+    of ``_limb_lengths`` ``lengths``: a times their digits while a or the
+    longest entry is within the cut-off, so each product is a schoolbook
+    one."""
+    bits, top, total = lengths
+    if a <= KARATSUBA_CUTOFF or top <= KARATSUBA_CUTOFF * DIGIT_BITS:
+        return a * total
+    return sum(_limb_product(a, -(-b // DIGIT_BITS)) for b in bits if b)
 
 
 def _bits(ring, entries) -> int:
@@ -113,52 +174,85 @@ WORK_RINGS = (
     (rings._PackedF2Ring, "largest_degree", _f2_degree),
     (rings._PackedFpRing, "largest_degree", _fp_degree),
 )
-COUNTS = ("row_operations", "entry_operations", "largest_bits", "largest_degree")
+COUNTS = ("row_operations", "entry_operations", "largest_bits", "largest_degree", "limb_cost")
 
 
 @contextlib.contextmanager
 def counted_work():
     """Count the row kernels of every work ring while the block runs;
-    yields the counts, a dict that the calls update."""
+    yields the counts, a dict that the calls update.  ``limb_cost`` is a
+    float; ``measure`` rounds it."""
     counts = dict.fromkeys(COUNTS, 0)
+    inside = [0]  # kernel calls running: reductions count only inside one
 
-    def wrappers(largest, size):
+    def wrappers(owner, largest, size):
+        multiplies = owner is not rings._PackedF2Ring
+
         def keep(ring, entries):
             if entries:
                 counts[largest] = max(counts[largest], size(ring, entries))
+
+        def kernel(call):
+            def counted(*args):
+                inside[0] += 1
+                try:
+                    return call(*args)
+                finally:
+                    inside[0] -= 1
+            return counted
 
         def product(original):
             def call(ring, left, right, width):
                 out = original(ring, left, right, width)
                 counts["entry_operations"] += width * sum(len(row) - row.count(0) for row in left)
+                if multiplies:
+                    lengths = [_limb_lengths(r) for r in right]
+                    counts["limb_cost"] += sum(_limb_row(_digits(a), r) for row in left
+                                               for a, r in zip(row, lengths) if a)
                 for row in out:
                     keep(ring, row)
                 return out
-            return call
+            return kernel(call)
 
         def submul(original):
             def call(ring, row, q, other, start=0):
                 original(ring, row, q, other, start)
                 counts["row_operations"] += 1
                 counts["entry_operations"] += len(other) - start
+                if multiplies:
+                    counts["limb_cost"] += _limb_row(_digits(q), _limb_lengths(other[start:]))
+                    if owner is rings._PackedFpRing:  # nq = q (p - 1), reduced
+                        counts["limb_cost"] += _limb_product(_digits(q), _digits(ring.p))
                 keep(ring, row[start:])
-            return call
+            return kernel(call)
 
         def combine(original):
             def call(ring, a, x, b, y):
                 out = original(ring, a, x, b, y)
                 counts["row_operations"] += 1
                 counts["entry_operations"] += len(out)
+                if multiplies:
+                    counts["limb_cost"] += (_limb_row(_digits(a), _limb_lengths(x))
+                                            + _limb_row(_digits(b), _limb_lengths(y)))
                 keep(ring, out)
                 return out
-            return call
+            return kernel(call)
         return {"product": product, "submul": submul, "combine": combine}
 
+    def reduce(original):
+        def call(ring, x):
+            if inside[0]:
+                n = _digits(x)
+                counts["limb_cost"] += _limb_product(n, _digits(ring._m)) + _limb_product(n, _digits(ring.p))
+            return original(ring, x)
+        return call
+
+    kernels = [(owner, name, wrap) for owner, *kinds in WORK_RINGS
+               for name, wrap in wrappers(owner, *kinds).items()]
     originals = []
-    for owner, largest, size in WORK_RINGS:
-        for name, wrap in wrappers(largest, size).items():
-            originals.append((owner, name, getattr(owner, name)))
-            rebind(koszulkit, owner, name, wrap)
+    for owner, name, wrap in [*kernels, (rings._PackedFpRing, "_reduce", reduce)]:
+        originals.append((owner, name, getattr(owner, name)))
+        rebind(koszulkit, owner, name, wrap)
     try:
         yield counts
     finally:
@@ -214,6 +308,12 @@ def _snf_z_bits(rng: random.Random, bits: int):
     return lambda: snf(a)
 
 
+def _smith_decomposition(rng: random.Random, rank: int):
+    x = two_term(_square(rng, ZZ, rank // 4, lambda r: r.randint(-3, 3)))
+    c = cone(ChainMap.identity(x)).complex
+    return lambda: smith_decomposition(c)
+
+
 def _cellular_bits(rng: random.Random, k: int):
     params = GenParams(ring=ZZ, max_rank=5)
     source = gen_a_object(params, 0, rng=rng).complex
@@ -235,7 +335,10 @@ FAMILIES = {
     "chain_retraction": ("largest_bits", (12, 24, 36), _chain_retraction),
     "snf_fp20x": ("largest_degree", (4, 8, 16), _snf_fpx(FP20)),
     "snf_fp60x": ("largest_degree", (4, 8, 16), _snf_fpx(FP60)),
+    "snf_fp200x": ("largest_degree", (4, 8, 16), _snf_fpx(FP200)),
+    "smith_decomposition": ("largest_bits", (16, 24, 32), _smith_decomposition),
 }
+MEASURED = ("row_operations", "entry_operations", "largest_entry", "limb_cost")
 
 
 def _exponent(a: int, b: int, size_a: int, size_b: int):
@@ -255,9 +358,10 @@ def measure(name: str, sizes=None) -> dict:
         with counted_work() as counts:
             operation()
         rows.append({"size": size, "row_operations": counts["row_operations"],
-                     "entry_operations": counts["entry_operations"], "largest_entry": counts[largest]})
+                     "entry_operations": counts["entry_operations"], "largest_entry": counts[largest],
+                     "limb_cost": round(counts["limb_cost"])})
     exponents = {key: [_exponent(a[key], b[key], a["size"], b["size"]) for a, b in zip(rows, rows[1:])]
-                 for key in ("row_operations", "entry_operations", "largest_entry")}
+                 for key in MEASURED}
     return {"largest_entry_in": "bits" if largest == "largest_bits" else "degree", "counts": rows,
             "exponents": exponents}
 
@@ -266,9 +370,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_work.json"))
     args = parser.parse_args(argv)
-    commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT, capture_output=True,
-                            text=True, check=True).stdout.strip()
-    record = {"commit": commit, "python": platform.python_version(),
+    digest = hashlib.sha256()
+    for path in sorted([ROOT / "scripts" / "work.py", *(ROOT / "src" / "koszulkit").glob("*.py")]):
+        digest.update(path.read_bytes())
+    record = {"sources_sha256": digest.hexdigest(), "python": platform.python_version(),
               "families": {name: measure(name) for name in FAMILIES}}
     with open(args.out, "w") as handle:
         handle.write(json.dumps(record, indent=2) + "\n")

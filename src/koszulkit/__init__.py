@@ -49,6 +49,7 @@ from .complexes import (
     ChainMap,
     ComplexSes,
     Homotopy,
+    SmithDecomposition,
     cone,
     cylinder,
     cyl_functorial,
@@ -61,6 +62,7 @@ from .complexes import (
     nullhomotopy,
     quasi_iso_degree,
     shift,
+    smith_decomposition,
     structure_maps,
     truncate_ge,
     truncate_le,

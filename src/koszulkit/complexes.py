@@ -41,6 +41,12 @@ relies on the d.d == 0 invariant that every ``ChainComplex`` carries.
 Kernel bases and solving remain where a construction needs actual maps:
 truncations, splittings, lifts and the kernel/image sequences.
 
+Smith bases.  ``smith_decomposition`` returns a complex in Smith bases,
+a checked ``SmithDecomposition``, from one stage per degree,
+``_smith_stage``, the only Smith basis relative to cycles in the
+package: ``ed_decompose`` and the cellular factorization read theirs
+from it.
+
 Short exact sequences.  Over a PID a short exact sequence of free
 modules splits, because its quotient is free, so ``ComplexSes`` proves
 exactness by its degreewise splitting and no elimination (see its
@@ -129,14 +135,18 @@ from .fgmodules import FgModule, _from_chain
 from .matrices import (
     Matrix,
     _Checked,
+    _divisor_chain,
     _kron,
     _product_rows,
     _rows_agree,
     _same_rows,
     _selection,
+    _smith,
     block,
     elementary_divisors,
+    hstack,
     image_basis,
+    inverse,
     is_unimodular,
     kernel_basis,
     solve,
@@ -503,6 +513,91 @@ def homology_table(complex_: ChainComplex) -> dict:
 
 def is_acyclic(complex_: ChainComplex) -> bool:
     return all(homology(complex_, n).is_zero() for n in complex_.degree_range())
+
+
+# ---------------------------------------------------------------------------
+# Smith bases.
+
+
+class SmithDecomposition(_Checked):
+    """``complex`` in Smith bases: over a PID, after a change of basis in
+    each degree, a bounded free complex is a direct sum of pieces
+    [R -delta-> R] from a degree n to n-1 and free generators R
+    (Kaczynski, Mischaikow and Mrozek, *Computational Homology*, 2004,
+    ch. 3).  At each degree n: ``bases[n]`` is the change of basis P_n,
+    ``inverses[n]`` its inverse (the new basis as columns),
+    ``divisors[n]`` the chain of the pieces from n to n-1 and
+    ``free_ranks[n]`` the number of free generators.  The new basis of
+    degree n lists the targets of the pieces from n+1, then the free
+    generators, then the sources of the pieces to n-1, each in chain
+    order, so the differential D_n in the new bases maps the i-th source
+    to delta_i times the i-th target.  The nonunit divisors at n+1 and
+    the free rank at n are those of H_n.  The law, checked on work rows
+    with no elimination when the value is built (else ``WitnessError``):
+    the divisors are chains, the counts fill each degree,
+    P_n . P_n^-1 == I and D_n . P_n == P_(n-1) . d_n.
+    """
+
+    __slots__ = ("complex", "bases", "inverses", "divisors", "free_ranks")
+
+    def __init__(self, complex: ChainComplex, bases: dict, inverses: dict, divisors: dict, free_ranks: dict):
+        self._store(complex, bases, inverses, divisors, free_ranks)
+        ring, work = complex.ring, complex.ring.work
+        packed = {n: _divisor_chain(ring, d) for n, d in self.divisors.items()}
+        for n, r in complex.ranks.items():
+            p, q, s, below = self.bases[n], self.inverses[n], len(packed[n]), complex.rank(n - 1)
+            if not (isinstance(q, Matrix) and (q.ring, q.rows, q.cols) == (ring, r, r) and _splits(q, p, True)) \
+                    or len(packed.get(n + 1, ())) + self.free_ranks[n] + s != r or s > below:
+                raise WitnessError(f"P_{n} is not a change of basis of degree {n} with its inverse")
+            # Row i < s of D_n . P_n is delta_i times the row of P_n of the i-th source; the rest are zero.
+            left = [[work.mul(d, x) for x in row] for d, row in zip(packed[n], p._work[r - s:])]
+            if not _rows_agree(ring, [left + [[work.zero] * r] * (below - s)],
+                               [_product_rows(self.bases.get(n - 1), complex.diffs.get(n))]):
+                raise WitnessError(f"D_{n} . P_{n} != P_{n - 1} . d_{n}")
+
+    def _normalize(self, complex, *tables):
+        return complex, *(_table((n, table.get(n)) for n in complex.ranks) for table in tables)
+
+
+def _smith_stage(complex_: ChainComplex, n: int) -> tuple:
+    """The Smith basis of the boundaries into degree n relative to the
+    cycles there, ``(Z, U, V, divisors)``: with K the Hermite basis of the
+    cycles of d_n (the identity where d_n is zero) and d_(n+1) == K B, the
+    Smith form U B V == D gives the new cycle basis Z == K U^-1, and
+    d_(n+1) V e_i == delta_i Z e_i for each divisor delta_i, while the
+    other columns of V span the cycles of degree n+1.  Where every cycle
+    is such a target, Z is read off those products by exact division,
+    with no inverse."""
+    boundaries, ring = complex_.d(n + 1), complex_.ring
+    cycles = kernel_basis(complex_.diffs[n]) if n in complex_.diffs else None
+    u, _, v, divisors = _smith(boundaries if cycles is None else solve(cycles, boundaries))
+    s = len(divisors)
+    if s < (boundaries.rows if cycles is None else cycles.cols):
+        return inverse(u) if cycles is None else cycles * inverse(u), u, v, divisors
+    packed = _divisor_chain(ring, divisors)
+    z = [list(map(ring.work.div_exact, row, packed)) for row in (boundaries * v.take_cols(range(s)))._work]
+    return Matrix._from_work(ring, boundaries.rows, s, z), u, v, divisors
+
+
+def smith_decomposition(complex_: ChainComplex) -> SmithDecomposition:
+    """``complex_`` in Smith bases, from one ``_smith_stage`` per degree
+    with cycles, in increasing degree.  The new basis of degree n is the
+    stage's Z, then the first s_n columns of the V of degree n-1 (the
+    sources of its s_n pieces), which span a complement of the cycles
+    since the other columns of V span them.  With no piece to n-1, d_n
+    is zero and P_n is U itself; with no cycles, the basis is that V.
+    """
+    bases, inverses, divisors, free, sources = {}, {}, {}, {}, {}
+    for n, r in complex_.ranks.items():
+        s, above, parts = len(divisors.setdefault(n, ())), (), [sources[n]] if n in sources else []
+        if s < r:
+            cycles, u, v, above = _smith_stage(complex_, n)
+            parts.insert(0, cycles)
+            divisors[n + 1], sources[n + 1] = above, v.take_cols(range(len(above)))
+        inverses[n] = hstack(parts)
+        bases[n] = inverse(inverses[n]) if s else u
+        free[n] = r - s - len(above)
+    return SmithDecomposition(complex_, bases, inverses, divisors, free)
 
 
 # ---------------------------------------------------------------------------

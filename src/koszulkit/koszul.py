@@ -37,6 +37,7 @@ from .complexes import (
     _cone_layout,
     _restrict,
     _retraction_onto_upper,
+    _smith_stage,
     _splitting,
     _subcomplex,
     _tau_ge,
@@ -48,14 +49,10 @@ from .fgmodules import FgModule
 from .matrices import (
     Matrix,
     _selection,
-    _smith,
     block,
     elementary_divisors,
     hstack,
     image_basis,
-    inverse,
-    kernel_basis,
-    solve,
     vstack,
 )
 from .presented import PresentedModule, PresentedMap, is_short_exact
@@ -264,7 +261,8 @@ def cellular_factorization(f: ChainMap) -> CellularFactorization:
     g: X -> Y by attaching cells to X.  Let the cone C (degree k is
     X_{k-1} (+) Y_k) have homology vanishing in degrees <= n.  With K a
     basis of the cycles of C_{n+1} and C.d(n+2) = K B, the Smith form
-    gives U B V = D.  For each non-unit divisor d_i, z_i = K U^-1 e_i = (x_i, y_i)
+    gives U B V = D (``complexes._smith_stage`` of C at n+1).  For each
+    non-unit divisor d_i, z_i = K U^-1 e_i = (x_i, y_i)
     is a cycle and w_i = V e_i = (a_i, b_i) has boundary d_i z_i; the
     classes of the z_i generate H_{n+1}(C) with annihilators (d_i).  The
     new source is X (+) <e_i in degree n+1, c_i in degree n+2> with
@@ -328,11 +326,10 @@ def _attach_cells(g: ChainMap, mapping_cone: ChainComplex, n: int):
     ``mapping_cone`` has homology vanishing in degrees <= n."""
     X, Y = g.source, g.target
     ring = X.ring
-    cycles = kernel_basis(mapping_cone.d(n + 1))
-    u, _, v, elementary = _smith(solve(cycles, mapping_cone.d(n + 2)))
+    cycles, _, v, elementary = _smith_stage(mapping_cone, n + 1)
     killed = [i for i, d in enumerate(elementary) if not ring.is_unit(d)]
     r = len(killed)
-    z = (cycles * inverse(u)).take_cols(killed)
+    z = cycles.take_cols(killed)
     w = v.take_cols(killed)
     x, y = z.take_rows(range(X.rank(n))), z.take_rows(range(X.rank(n), z.rows))
     a, b = w.take_rows(range(X.rank(n + 1))), w.take_rows(range(X.rank(n + 1), w.rows))

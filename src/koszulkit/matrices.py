@@ -491,10 +491,10 @@ class SnfCertificate(_Checked):
 
     The law is checked at construction, else ``WitnessError``: the rings
     and shapes of U, D, V and the divisors first, then U*A*V == D exactly
-    on work rows (two ``product`` calls, no matrix built), D's diagonal
-    and the chain.  As det U * det A * det V == det D, when A is square
-    and D has full rank, U and V are both unimodular exactly when det D,
-    the product of the divisors, and det A are associates, so one
+    on work rows (two ``product`` calls, no matrix built), the divisor
+    chain and D's diagonal.  As det U * det A * det V == det D, when A is
+    square and D has full rank, U and V are both unimodular exactly when
+    det D, the product of the divisors, and det A are associates, so one
     determinant of A proves it; otherwise det U and det V are taken.
     """
 
@@ -508,19 +508,11 @@ class SnfCertificate(_Checked):
         work, d_rows = ring.work, D._work
         if not _same_rows(work.product(work.product(U._work, source._work, n), V._work, n), d_rows):
             raise WitnessError("U*A*V != D")
-        try:
-            packed = [ring.validate(d) for d in divisors]
-        except DomainMismatchError:
-            raise WitnessError("a divisor is not an element of the ring") from None
-        if ring.pack is not None:
-            packed = list(map(ring.pack, packed))
+        packed = _divisor_chain(ring, divisors)
         r = len(packed)
         diag = [d_rows[i][i] for i in range(min(m, n))]
         if not _is_diagonal(d_rows) or diag[:r] != packed or any(diag[r:]):
             raise WitnessError("D is not diagonal with the divisors on its diagonal")
-        if not all(packed) or any(work.normalize(d)[1] != d for d in packed) \
-                or not all(map(work.divides, packed, packed[1:])):
-            raise WitnessError("the divisors are not a chain of nonzero canonical associates")
         if m == n and r == m:
             det_a = det(source) if ring.pack is None else ring.pack(det(source))
             unimodular = work.normalize(reduce(work.mul, packed, work.one))[1] == work.normalize(det_a)[1]
@@ -532,6 +524,23 @@ class SnfCertificate(_Checked):
     @property
     def rank(self) -> int:
         return len(self.divisors)
+
+
+def _divisor_chain(ring: Ring, divisors) -> list:
+    """The work forms of ``divisors``, checked to be elements of ``ring``
+    that form a divisibility chain of nonzero canonical associates; else
+    ``WitnessError``."""
+    try:
+        packed = [ring.validate(d) for d in divisors]
+    except DomainMismatchError:
+        raise WitnessError("a divisor is not an element of the ring") from None
+    if ring.pack is not None:
+        packed = list(map(ring.pack, packed))
+    work = ring.work
+    if not all(packed) or any(work.normalize(d)[1] != d for d in packed) \
+            or not all(map(work.divides, packed, packed[1:])):
+        raise WitnessError("the divisors are not a chain of nonzero canonical associates")
+    return packed
 
 
 def _memoized(fn):
@@ -767,8 +776,8 @@ def snf(mat: Matrix) -> SnfCertificate:
 
 def _smith(mat: Matrix) -> tuple:
     """(U, D, V, divisors) of the Smith normal form of ``mat``, unchecked:
-    ``ed_decompose`` and the cellular factorization call it, since their
-    own checked values prove what they use of it.
+    ``complexes._smith_stage`` calls it, since the values built on the
+    stage prove what they use of it.
 
     The kernel alternates on rows and columns until the matrix is
     diagonal; the diagonal is then made a divisibility chain.  U and V

@@ -6,7 +6,9 @@ identity-boundary part and a diagonal non-unit part; and for every
 degreewise split mono out of an acyclic complex there is an explicit
 epimorphism under which the mono becomes a split inclusion into an
 acyclic complex.  Every construction returns a bundle that checks the
-law its docstring states once, when it is built (``complexes._Checked``).
+law its docstring states once, when it is built (``complexes._Checked``);
+the elementary-divisor decomposition is read off a checked
+``complexes.SmithDecomposition``, which proves that law already.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .complexes import (
     ChainMap,
     ComplexSes,
     is_acyclic,
+    smith_decomposition,
     two_term,
     _Checked,
     _restrict,
@@ -33,10 +36,8 @@ from .koszul import in_kos1
 from .matrices import (
     Matrix,
     _selection,
-    _smith,
     hstack,
     image_basis,
-    inverse,
     kernel_basis,
     vstack,
 )
@@ -130,6 +131,8 @@ class EdDecomposition(_Checked):
     as many columns as the boundary has unit divisors.  The law, checked
     at construction: ``iso`` is a chain isomorphism from ``source`` onto
     the direct sum of the two parts; else ``WitnessError``.
+    ``ed_decompose`` builds it unchecked, since there the law follows from
+    the checked ``SmithDecomposition`` it reads the iso off.
     """
 
     __slots__ = ("source", "nonunit_part", "unit_part", "iso")
@@ -146,20 +149,24 @@ class EdDecomposition(_Checked):
 
 
 def ed_decompose(complex_: ChainComplex) -> EdDecomposition:
+    """The decomposition read off ``complexes.smith_decomposition``: the
+    iso's components are P_1 and P_0 under the one permutation that puts
+    the nonunit pieces first, so both laws follow from that checked
+    decomposition, and the iso and the bundle are built unchecked."""
     if not in_kos1(complex_):
         raise InvalidInputError("input is not a free Koszul complex")
     ring = complex_.ring
-    u, _, v, divisors = _smith(complex_.d(1))
+    smith = smith_decomposition(complex_)
+    divisors = smith.divisors.get(1, ())
     units = [i for i, d in enumerate(divisors) if ring.is_unit(d)]
     nonunits = [i for i, d in enumerate(divisors) if not ring.is_unit(d)]
     order = nonunits + units
     perm = _selection(ring, len(order), order).transpose()
-    phi1 = perm * inverse(v)
-    phi0 = perm * u
     nonunit = two_term(Matrix.diagonal(ring, [divisors[i] for i in nonunits]))
     unit = two_term(Matrix.identity(ring, len(units)))
     total = _sum_layout((nonunit, unit)).complex
-    return EdDecomposition(complex_, nonunit, unit, ChainMap(complex_, total, {1: phi1, 0: phi0}))
+    iso = ChainMap._trusted(complex_, total, {n: perm * p for n, p in smith.bases.items()})
+    return EdDecomposition._trusted(complex_, nonunit, unit, iso)
 
 
 # ---------------------------------------------------------------------------

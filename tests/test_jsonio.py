@@ -103,8 +103,9 @@ def _sha256(text) -> str:
 # ``value_to_json`` parses the writer's text, the pins are the reference
 # that does not come from the writer.  The pins of ``TruncationSplitting``,
 # ``KappaResult`` and ``FactorStep`` were taken from the writer when those
-# bundles changed their fields; each field is written by a layout that
-# the other pins cover.
+# bundles changed their fields, and that of ``SmithDecomposition`` when
+# the type was added; each field is written by a layout that the other
+# pins cover.
 RECORD_TEXT_SHA256 = {
     "ChainComplex": "f95b4d9eb2689ef182c20e56d925cbdf897880fd7da36e88880c45ec6c0a6def",
     "ChainMap": "f808fa16345d74e1f14372dc8fbc569bda2d1f3a9f74c1810109d89c139f3517",
@@ -130,6 +131,7 @@ RECORD_TEXT_SHA256 = {
     "AcyclicRetract": "1a45f02a44c41a87e0d4d29799cc45f84f6aa003e172cc7bc1920cb684326edf",
     "ImageFactorization": "ecbb64d14de7b7b070cc9e83285839a8050a5fc3ec039d9bfa6dac0126ce7444",
     "EdDecomposition": "fbf57352e61808d3fcfae0f0688b646b317595be45bbd99059f7bf65619635e8",
+    "SmithDecomposition": "eb5576827c2fc34f19bfc9a945ee863c7dc4a35f2c94a7c26351492b69325d64",
     "ExcisionCertificate": "5911b7fcd22c6b5e704b56f3c86cac9d44e94abe3793fc1622ca18e6819e9336",
     "IdempotentSplit": "4562b93761b65c6fb8f4fa7dff9511bc4441d6a37443d30884f4c8338453fdc9",
     "K0TorsionClass": None,

@@ -9,11 +9,11 @@ Value semantics hold for copies built separately from equal inputs, not
 only for copies built from the very same field objects.  A checked value
 holds its degree tables as read-only tables, which refuse item
 assignment, deletion, a second ``__init__`` and the dict methods that
-change a dict, so every checked value can be hashed.  The nine result
-bundles (``SnfCertificate``, ``TruncationSplitting``, ``KappaResult``,
-``FactorStep``, ``CellularFactorization``, ``ImageFactorization``,
-``EdDecomposition``, ``ExcisionCertificate`` and ``IdempotentSplit``)
-are checked values: each checks its law when it is built, also when ``_replace``, a copy or
+change a dict, so every checked value can be hashed.  The ten result
+bundles (``SnfCertificate``, ``SmithDecomposition``,
+``TruncationSplitting``, ``KappaResult``, ``FactorStep``,
+``CellularFactorization``, ``ImageFactorization``, ``EdDecomposition``,
+``ExcisionCertificate`` and ``IdempotentSplit``) are checked values: each checks its law when it is built, also when ``_replace``, a copy or
 a pickle builds it again, and their witness tables
 (``ImageFactorization.sections``, ``CellularFactorization.retractions``
 and ``ExcisionCertificate.sections``) are such tables too.  The
@@ -42,6 +42,7 @@ from koszulkit.complexes import (
     cone,
     direct_sum,
     homotopy_between,
+    smith_decomposition,
     structure_maps,
     truncation_splitting,
     two_term,
@@ -127,6 +128,7 @@ BUILDERS = {
     "AcyclicRetract": lambda: retraction_q(Z6),
     "ImageFactorization": lambda: image_factorization(ChainMap.identity(UNIT)),
     "EdDecomposition": lambda: ed_decompose(two_term(Matrix(ZZ, [[2, 4], [6, 8]]))),
+    "SmithDecomposition": lambda: smith_decomposition(cone(ChainMap.identity(Z6)).complex),
     "ExcisionCertificate": lambda: excision_epi(direct_sum(UNIT, Z2).inclusions[0]),
     "IdempotentSplit": lambda: idempotent_split(_idempotent()),
     "K0TorsionClass": lambda: class_torsion(FgModule.make(ZZ, 0, (2, 12))),
@@ -246,7 +248,7 @@ def test_checked_tables_refuse_every_change(name):
     record = BUILDERS[name]()
     tables = {n: getattr(record, n) for n in record._fields if isinstance(getattr(record, n), dict)}
     assert bool(tables) == (name in {"ChainComplex", "ChainMap", "Homotopy", "ComplexSes",
-                                     "ImageFactorization", "ExcisionCertificate"})
+                                     "ImageFactorization", "ExcisionCertificate", "SmithDecomposition"})
     for table in tables.values():
         _assert_read_only(table)
     assert hash(record) == hash(BUILDERS[name]())
@@ -254,7 +256,7 @@ def test_checked_tables_refuse_every_change(name):
 
 # The result bundles, which check their law in their constructor.
 BUNDLES = ["CellularFactorization", "EdDecomposition", "ExcisionCertificate", "FactorStep", "IdempotentSplit",
-           "ImageFactorization", "KappaResult", "SnfCertificate", "TruncationSplitting"]
+           "ImageFactorization", "KappaResult", "SmithDecomposition", "SnfCertificate", "TruncationSplitting"]
 
 
 def test_every_witness_bundle_is_a_checked_value():

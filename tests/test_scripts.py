@@ -18,7 +18,7 @@ COUNTS = ["workload", "requests", "products", "row_products",
           "empty_operand_products", "raw_calls", "negations",
           "zero_negations", "packs", "unpacks", "checked_chain_maps", "cone_layouts", "solves",
           "checked_sequences", "fgmodule_makes", "factorization_ranks", "row_operations", "entry_operations",
-          "largest_bits", "largest_degree", "cpu_s", "outputs_sha256", "instances_sha256"]
+          "largest_bits", "largest_degree", "limb_cost", "cpu_s", "outputs_sha256", "instances_sha256"]
 
 
 def _script(*argv) -> dict:
@@ -97,37 +97,46 @@ def test_surface_check_finds_no_unlisted_function(monkeypatch):
         assert re.search(rf"`(\w+\.)?{re.escape(name.rsplit('.', 1)[-1])}`", section), name
 
 
-# The exponent of each family's entry operations and largest entry between
-# its two smallest sizes, as BENCH_work.json records it, rounded up to the
-# next half (an exponent of 0 to 0.5).  A change that raises one raises its
-# bound here, and says why.
+# The exponent of each family's entry operations, largest entry and limb
+# cost between its two smallest sizes, as BENCH_work.json records it,
+# rounded up to the next half (an exponent of 0 to 0.5).  A change that
+# raises one raises its bound here, and says why.
 WORK_BOUNDS = {
-    "snf_z": {"entry_operations": 3.5, "largest_entry": 1.5},
-    "snf_f3x": {"entry_operations": 3.0, "largest_entry": 1.5},
-    "nullhomotopy": {"entry_operations": 7.0, "largest_entry": 3.0},
-    "snf_z_bits": {"entry_operations": 0.5, "largest_entry": 1.0},
-    "cellular_bits": {"entry_operations": 0.5, "largest_entry": 1.0},
-    "elementary_divisors": {"entry_operations": 3.5, "largest_entry": 1.5},
-    "chain_retraction": {"entry_operations": 6.0, "largest_entry": 2.0},
-    "snf_fp20x": {"entry_operations": 3.0, "largest_entry": 1.5},
-    "snf_fp60x": {"entry_operations": 3.0, "largest_entry": 1.5},
+    "snf_z": {"entry_operations": 3.5, "largest_entry": 1.5, "limb_cost": 5.0},
+    "snf_f3x": {"entry_operations": 3.0, "largest_entry": 1.5, "limb_cost": 5.0},
+    "nullhomotopy": {"entry_operations": 7.0, "largest_entry": 3.0, "limb_cost": 8.5},
+    "snf_z_bits": {"entry_operations": 0.5, "largest_entry": 1.0, "limb_cost": 2.0},
+    "cellular_bits": {"entry_operations": 0.5, "largest_entry": 1.0, "limb_cost": 0.5},
+    "elementary_divisors": {"entry_operations": 3.5, "largest_entry": 1.5, "limb_cost": 5.0},
+    "chain_retraction": {"entry_operations": 6.0, "largest_entry": 2.0, "limb_cost": 5.5},
+    "snf_fp20x": {"entry_operations": 3.0, "largest_entry": 1.5, "limb_cost": 5.0},
+    "snf_fp60x": {"entry_operations": 3.0, "largest_entry": 1.5, "limb_cost": 4.5},
+    "snf_fp200x": {"entry_operations": 3.0, "largest_entry": 1.5, "limb_cost": 4.5},
+    "smith_decomposition": {"entry_operations": 3.0, "largest_entry": 2.0, "limb_cost": 3.0},
 }
 
 
 def test_counted_work_of_the_two_smallest_sizes_stays_within_its_exponents(monkeypatch, cpu_time_limit):
     """Counts do not depend on the host, so the bounds hold on any host,
     and under ``reach.py``'s tracer too.  The run takes under 2 s of CPU
-    time."""
+    time.  The limb cost sees the size of p where entry operations do
+    not: at each n the 60-digit family costs at least three times the
+    20-digit one."""
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     work = importlib.import_module("work")
     assert set(WORK_BOUNDS) == set(work.FAMILIES)
     kernels = [getattr(owner, name) for owner, _, _ in work.WORK_RINGS for name in ("product", "submul", "combine")]
+    reduce = koszulkit.rings._PackedFpRing._reduce
     with cpu_time_limit(2):
         measured = {name: work.measure(name, work.FAMILIES[name][1][:2]) for name in work.FAMILIES}
     for name, bounds in WORK_BOUNDS.items():
         for key, bound in bounds.items():
             [exponent] = measured[name]["exponents"][key]
             assert exponent <= bound, (name, key, exponent)
+    for low, high in zip(measured["snf_fp20x"]["counts"], measured["snf_fp60x"]["counts"]):
+        assert low["entry_operations"] == high["entry_operations"]
+        assert high["limb_cost"] >= 3 * low["limb_cost"] > 0, (low, high)
     # The counters are off again: every kernel is the original.
     assert kernels == [getattr(owner, name) for owner, _, _ in work.WORK_RINGS
                        for name in ("product", "submul", "combine")]
+    assert koszulkit.rings._PackedFpRing._reduce is reduce
