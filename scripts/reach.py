@@ -91,7 +91,6 @@ SURFACE = {
     ("complexes.py", "cylinder"): OPERATIONS,
     ("complexes.py", "cyl_functorial"): OPERATIONS,
     ("complexes.py", "truncation_triple"): OPERATIONS,
-    ("complexes.py", "_solve_degreewise"): SOLVER,
     ("complexes.py", "homotopy_between"): SOLVER,
     ("complexes.py", "nullhomotopy"): SOLVER,
     ("complexes.py", "chain_retraction"): SOLVER,
@@ -113,7 +112,6 @@ SURFACE = {
     ("matrices.py", "Matrix.__reduce__"): RECORDS,
     ("matrices.py", "Matrix.__repr__"): RECORDS,
     ("matrices.py", "Matrix.scale"): OPERATIONS,
-    ("matrices.py", "_kron"): SOLVER,
     ("matrices.py", "_Checked._replace"): RECORDS,
     ("matrices.py", "_Checked.__setattr__"): RECORDS,
     ("matrices.py", "_Checked.__reduce__"): RECORDS,

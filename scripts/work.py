@@ -65,7 +65,9 @@ F_p[x] for odd p) through ``ab_harness.rebind`` and counts:
   Over F_p[x] a ``submul`` also negates q, one product by p - 1, and
   every Barrett reduction of an x inside a call (``_PackedFpRing._reduce``)
   costs M(x, m) + M(x, p), since its quotient is no longer than x.
-  F_2[x] multiplies no ints: its kernels shift and XOR.
+  F_2[x] multiplies no ints: its kernels XOR a row shifted once for each
+  set bit of its scalar, so an a (or q) by a row costs popcount(a) times
+  the digits of the nonzero entries of the row.
 
 The counters are off unless ``counted_work`` is entered, and the kernels
 are the originals again when it exits.  Each family records its counts
@@ -186,7 +188,12 @@ def counted_work():
     inside = [0]  # kernel calls running: reductions count only inside one
 
     def wrappers(owner, largest, size):
-        multiplies = owner is not rings._PackedF2Ring
+        if owner is rings._PackedF2Ring:
+            def scaled_row(a, lengths):  # one shifted XOR of the row per set bit of a
+                return a.bit_count() * lengths[2]
+        else:
+            def scaled_row(a, lengths):
+                return _limb_row(_digits(a), lengths)
 
         def keep(ring, entries):
             if entries:
@@ -205,10 +212,8 @@ def counted_work():
             def call(ring, left, right, width):
                 out = original(ring, left, right, width)
                 counts["entry_operations"] += width * sum(len(row) - row.count(0) for row in left)
-                if multiplies:
-                    lengths = [_limb_lengths(r) for r in right]
-                    counts["limb_cost"] += sum(_limb_row(_digits(a), r) for row in left
-                                               for a, r in zip(row, lengths) if a)
+                lengths = [_limb_lengths(r) for r in right]
+                counts["limb_cost"] += sum(scaled_row(a, r) for row in left for a, r in zip(row, lengths) if a)
                 for row in out:
                     keep(ring, row)
                 return out
@@ -219,10 +224,9 @@ def counted_work():
                 original(ring, row, q, other, start)
                 counts["row_operations"] += 1
                 counts["entry_operations"] += len(other) - start
-                if multiplies:
-                    counts["limb_cost"] += _limb_row(_digits(q), _limb_lengths(other[start:]))
-                    if owner is rings._PackedFpRing:  # nq = q (p - 1), reduced
-                        counts["limb_cost"] += _limb_product(_digits(q), _digits(ring.p))
+                counts["limb_cost"] += scaled_row(q, _limb_lengths(other[start:]))
+                if owner is rings._PackedFpRing:  # nq = q (p - 1), reduced
+                    counts["limb_cost"] += _limb_product(_digits(q), _digits(ring.p))
                 keep(ring, row[start:])
             return kernel(call)
 
@@ -231,9 +235,7 @@ def counted_work():
                 out = original(ring, a, x, b, y)
                 counts["row_operations"] += 1
                 counts["entry_operations"] += len(out)
-                if multiplies:
-                    counts["limb_cost"] += (_limb_row(_digits(a), _limb_lengths(x))
-                                            + _limb_row(_digits(b), _limb_lengths(y)))
+                counts["limb_cost"] += scaled_row(a, _limb_lengths(x)) + scaled_row(b, _limb_lengths(y))
                 keep(ring, out)
                 return out
             return kernel(call)

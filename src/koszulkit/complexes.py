@@ -87,16 +87,28 @@ A result bundle checking its own witnesses has the last two raised as
 ``WitnessError``, the subclass that says the bundle broke its law.
 ``split_retractions`` returns None where the step raises.
 
-Homotopy solving.  ``homotopy_between``, ``nullhomotopy`` and
-``chain_retraction`` each ask for one matrix X_n per degree subject to
-equations sum(A . X_n . B) == C.  One private solver answers all three:
-under row-major vectorization vec(A X B) == (A (x) B^T) vec(X)
-(Henderson and Searle, 1981), so each term is a Kronecker block, the
-blocks assemble into one system and the memoized ``solve`` runs once.
-All degrees are solved jointly, since a greedy degree-by-degree pass
-can commit to choices that block the next degree.  The unknowns are
-stacked in increasing degree, each row-major, and ``solve`` returns the
-canonical solution of that system, so the witnesses are deterministic.
+Homotopy solving.  ``homotopy_between`` solves dH + Hd == phi, for
+phi = u - v from X to Y, in the Smith bases of X and Y, where each is a
+sum of pieces [R -delta-> R] and free generators, so the Hom complex is
+a sum of small ones (Kaczynski, Mischaikow and Mrozek, 2004, ch. 3;
+Weibel, 1994, section 1.4).  Conjugated there
+(phi'_n = P^Y_n . phi_n . P^X_n^-1), the equation splits into one
+equation per entry y of phi'_n, of at most two unknowns.  With beta the
+divisor of the piece of Y whose target is the row and alpha that of the
+piece of X whose source is the column (0 where there is none), it reads
+beta x + alpha z == y, x an entry of H'_n and z one of H'_(n-1).  For
+(g, s, t) the work ring's ``ext_gcd(beta, alpha)``, the witness takes
+x == s . y/g and z == t . y/g, every other entry of H' is 0, and
+H_n == P^Y_(n+1)^-1 . H'_n . P^X_n; the answer is None at the first
+entry that g does not divide (among them a nonzero entry between two
+free generators, where g is 0).  An unknown that two entries share is
+the only unknown of both, and the chain-map law of phi makes the two
+quotients agree; an unknown of a two-unknown entry is in no other.  So
+the answer is None exactly when no homotopy exists, the witness is a
+deterministic function of the maps, and the checked ``Homotopy``
+constructor certifies it.
+``nullhomotopy`` is its case v == 0, and ``chain_retraction`` reduces
+to one ``nullhomotopy`` (see its docstring).
 
 Sign conventions.  The shift negates differentials degree by degree for
 odd shifts.  The cone of f : X -> Y has degree-n part X_{n-1} (+) Y_n
@@ -121,7 +133,6 @@ maps (the cellular factorization) builds the layout once.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import (
@@ -136,7 +147,6 @@ from .matrices import (
     Matrix,
     _Checked,
     _divisor_chain,
-    _kron,
     _product_rows,
     _rows_agree,
     _same_rows,
@@ -753,45 +763,35 @@ def tau_le_map(f: ChainMap, n: int) -> ChainMap:
 # Homotopy solving.
 
 
-def _solve_degreewise(ring: Ring, shapes: Mapping[int, tuple], equations) -> Optional[dict]:
-    """Solve jointly for one matrix X_n per degree; None iff no exact solution.
-
-    ``shapes`` maps each degree with an unknown to its (rows, cols), in
-    the order the unknowns are stacked.  An equation is a pair
-    (terms, rhs) asking that the sum of left . X_n . right over its terms
-    (left, n, right), at most one per degree, equal rhs; a term in a
-    degree without an unknown has a zero dimension and drops out.
-    """
-    grid = []
-    target = []
-    for terms, rhs in equations:
-        cells = dict.fromkeys(shapes)
-        for left, n, right in terms:
-            if n in cells:
-                cells[n] = _kron(left, right.transpose())
-        grid.append(list(cells.values()))
-        target.extend([x] for row in rhs.entries for x in row)
-    heights = [rhs.rows * rhs.cols for _, rhs in equations]
-    system = block(ring, grid, heights, [rows * cols for rows, cols in shapes.values()])
-    sol = solve(system, Matrix._raw(ring, len(target), 1, target))
-    if sol is None:
-        return None
-    flat = iter([row[0] for row in sol.entries])
-    return {n: Matrix._raw(ring, rows, cols, [[next(flat) for _ in range(cols)] for _ in range(rows)])
-            for n, (rows, cols) in shapes.items()}
-
-
 def homotopy_between(u: ChainMap, v: ChainMap) -> Optional[Homotopy]:
-    """Solve dH + Hd == u - v in all degrees at once; None iff no exact solution exists."""
-    diff = u - v
+    """Solve dH + Hd == u - v through the Smith bases of source and
+    target, as the module docstring's "Homotopy solving" says; None iff
+    no exact solution exists."""
+    phi = u - v
     X, Y = u.source, u.target
     ring = X.ring
-    eye = partial(Matrix.identity, ring)
-    shapes = {n: (Y.rank(n + 1), r) for n, r in X.ranks.items() if Y.rank(n + 1)}
-    equations = [([(Y.d(n + 1), n, eye(r)), (eye(Y.rank(n)), n - 1, X.d(n))], diff.at(n))
-                 for n, r in X.ranks.items() if Y.rank(n)]
-    comps = _solve_degreewise(ring, shapes, equations)
-    return None if comps is None else Homotopy(u, v, comps)
+    work = ring.work
+    sx = smith_decomposition(X)
+    sy = sx if Y == X else smith_decomposition(Y)
+    solved = {n: [[work.zero] * r for _ in range(Y.rank(n + 1))] for n, r in X.ranks.items()}
+    for n, f in phi.components.items():
+        beta, alpha = _divisor_chain(ring, sy.divisors.get(n + 1, ())), _divisor_chain(ring, sx.divisors[n])
+        top, first = Y.rank(n + 1) - len(beta), X.rank(n) - len(alpha)
+        for a, row in enumerate((sy.bases[n] * f * sx.inverses[n])._work):
+            left = beta[a] if a < len(beta) else work.zero
+            for b, y in enumerate(row):
+                if y:
+                    i = b - first
+                    g, s, t = work.ext_gcd(left, alpha[i] if i >= 0 else work.zero)
+                    q = work.div_exact(y, g)
+                    if q is None:
+                        return None
+                    if left:
+                        solved[n][top + a][b] = work.mul(s, q)
+                    if i >= 0:
+                        solved[n - 1][a][i] = work.mul(t, q)
+    return Homotopy(u, v, {n: sy.inverses[n + 1] * Matrix._from_work(ring, len(h), X.rank(n), h) * sx.bases[n]
+                           for n, h in solved.items() if any(map(any, h))})
 
 
 def nullhomotopy(u: ChainMap) -> Optional[Homotopy]:
@@ -800,23 +800,22 @@ def nullhomotopy(u: ChainMap) -> Optional[Homotopy]:
 
 
 def chain_retraction(incl: ChainMap) -> Optional[ChainMap]:
-    """Solve for a chain map r with r . incl == id on the source.
-
-    The chain-map law and the retraction identity are solved jointly,
-    so the result is a genuine chain-level retraction.
-    """
+    """A chain map r with r . incl == id on the source; None iff none
+    exists.  From the degreewise retractions r0 of ``split_retractions``
+    (None if there are none), the quotient C with its projection p and
+    sections s of p (``_split_quotient``), so id == incl . r0 + s . p: a
+    chain retraction is r0 + k . p exactly when k : C -> A solves
+    dA . k - k . dC == -(dA . r0 - r0 . dB) . s, which is a nullhomotopy
+    of that right side read as a chain map shift(C, 1) -> A."""
+    r0 = split_retractions(incl)
+    if r0 is None:
+        return None
     A, B = incl.source, incl.target
-    ring = A.ring
-    eye = partial(Matrix.identity, ring)
-    shapes = {n: (A.rank(n), r) for n, r in B.ranks.items() if A.rank(n)}
-    equations = []
-    for n in set(A.ranks) | set(B.ranks):
-        # dA(n) . r_n - r_{n-1} . dB(n) == 0 and r_n . incl_n == id
-        equations.append(([(A.d(n), n, eye(B.rank(n))), (eye(A.rank(n - 1)), n - 1, -B.d(n))],
-                          Matrix.zeros(ring, A.rank(n - 1), B.rank(n))))
-        equations.append(([(eye(A.rank(n)), n, incl.at(n))], eye(A.rank(n))))
-    comps = _solve_degreewise(ring, shapes, equations)
-    return None if comps is None else ChainMap(B, A, comps)
+    quotient, projs, sections = _split_quotient(incl, r0)
+    at = lambda n: r0.get(n, Matrix.zeros(A.ring, A.rank(n), B.rank(n)))
+    k = nullhomotopy(ChainMap(shift(quotient, 1), A, {
+        n - 1: (at(n - 1) * B.d(n) - A.d(n) * at(n)) * s for n, s in sections.items() if s.cols}))
+    return None if k is None else ChainMap(B, A, {n: at(n) + k.at(n - 1) * p for n, p in projs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -980,13 +979,14 @@ def quotient_by_split_mono(incl: ChainMap, retractions: Optional[dict] = None):
     projector per degree; its image basis carries the quotient
     coordinates.
     """
-    quotient, projs = _split_quotient(incl, _splitting(incl, retractions, True))
+    quotient, projs, _ = _split_quotient(incl, _splitting(incl, retractions, True))
     return quotient, ChainMap(incl.target, quotient, {n: m for n, m in projs.items() if quotient.rank(n)})
 
 
 def _split_quotient(incl: ChainMap, retractions: dict):
-    """The quotient complex of ``quotient_by_split_mono`` and its
-    projection's components by degree, without building the projection;
+    """The quotient complex of ``quotient_by_split_mono``, its
+    projection's components by degree, without building the projection,
+    and the image bases, which are sections of those components;
     ``retractions`` are checked."""
     B = incl.target
     ring = B.ring
@@ -1003,7 +1003,7 @@ def _split_quotient(incl: ChainMap, retractions: dict):
     for n in bases:
         if n - 1 in bases and ranks[n] and ranks[n - 1]:
             diffs[n] = projs[n - 1] * B.d(n) * bases[n]
-    return ChainComplex(ring, ranks, diffs), projs
+    return ChainComplex(ring, ranks, diffs), projs, bases
 
 
 # ---------------------------------------------------------------------------

@@ -402,17 +402,6 @@ def _shared_selection(ring: Ring, height: int, positions: tuple) -> Matrix:
     return Matrix._from_work(ring, height, len(positions), rows)
 
 
-def _kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product: block (i, k) is a[i][k] * b.
-
-    Under row-major vectorization vec(a * X * b^T) == _kron(a, b) * vec(X).
-    """
-    mul, zero = a.ring.work.mul, a.ring.work.zero
-    return Matrix._from_work(a.ring, a.rows * b.rows, a.cols * b.cols,
-                             [[mul(x, y) if x and y else zero for x in arow for y in brow]
-                              for arow in a._work for brow in b._work])
-
-
 def block_diag(ring: Ring, mats: Sequence[Matrix]) -> Matrix:
     row_sizes = [m.rows for m in mats]
     col_sizes = [m.cols for m in mats]

@@ -152,12 +152,18 @@ def ed_decompose(complex_: ChainComplex) -> EdDecomposition:
     """The decomposition read off ``complexes.smith_decomposition``: the
     iso's components are P_1 and P_0 under the one permutation that puts
     the nonunit pieces first, so both laws follow from that checked
-    decomposition, and the iso and the bundle are built unchecked."""
-    if not in_kos1(complex_):
+    decomposition, and the iso and the bundle are built unchecked.  Kos1
+    membership (``koszul.in_kos1``) is read off the same decomposition,
+    with no second elimination of d_1: the complex lies in degrees
+    {0, 1}, and its pieces from 1 to 0 number rank 1 (d_1 is injective)
+    and rank 0 (H_0 is torsion)."""
+    if any(n not in (0, 1) for n in complex_.ranks):
         raise InvalidInputError("input is not a free Koszul complex")
     ring = complex_.ring
     smith = smith_decomposition(complex_)
     divisors = smith.divisors.get(1, ())
+    if not complex_.rank(1) == len(divisors) == complex_.rank(0):
+        raise InvalidInputError("input is not a free Koszul complex")
     units = [i for i, d in enumerate(divisors) if ring.is_unit(d)]
     nonunits = [i for i, d in enumerate(divisors) if not ring.is_unit(d)]
     order = nonunits + units
@@ -222,7 +228,7 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
     if not is_acyclic(X):
         raise InvalidInputError("source of the mono is not acyclic")
     retractions = _splitting(mono, retractions, True)
-    quotient, projs = _split_quotient(mono, retractions)
+    quotient, projs, _ = _split_quotient(mono, retractions)
     projection = ChainMap(Y, quotient, {n: m for n, m in projs.items() if quotient.rank(n)})
     decomposition = ed_decompose(quotient)
     flat = decomposition.iso.compose(projection)

@@ -6,7 +6,7 @@ for ``gen_matrix``), and none of them skips a check that the library
 would make.
 """
 
-from functools import reduce
+from functools import partial, reduce
 
 from koszulkit.complexes import ChainComplex, ChainMap
 from koszulkit.errors import InvalidInputError
@@ -15,6 +15,7 @@ from koszulkit.generators import (AObjectSample, CObjectSample, GenParams, Koszu
                                   trial_rng)
 from koszulkit.k0 import K0TorsionClass
 from koszulkit.koszul import PresentedKoszul, h0_presentation
+from koszulkit.matrices import Matrix, block, solve
 from koszulkit.presented import PresentedMap, PresentedModule
 
 
@@ -88,3 +89,72 @@ def gen_matrix(params: GenParams, trial: int, max_dim: int = 6, bound=None):
     rng = trial_rng(params, trial)
     rows, cols = _below(rng, max_dim + 1), _below(rng, max_dim + 1)
     return rand_matrix(rng, params.ring, rows, cols, bound if bound is not None else params.max_entry)
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product: block (i, k) is a[i][k] * b.  Under row-major
+    vectorization vec(a . X . b^T) == kron(a, b) . vec(X) (Henderson and
+    Searle, 1981)."""
+    ring = a.ring
+    return Matrix._raw(ring, a.rows * b.rows, a.cols * b.cols,
+                       [[ring.mul(x, y) for x in arow for y in brow] for arow in a.entries for brow in b.entries])
+
+
+def solve_degreewise(ring, shapes: dict, equations):
+    """Solve jointly for one matrix X_n per degree, as one stacked
+    Kronecker system and one ``solve``; None iff no exact solution.
+
+    ``shapes`` maps each degree with an unknown to its (rows, cols), in
+    the order the unknowns are stacked.  An equation is a pair
+    (terms, rhs) asking that the sum of left . X_n . right over its terms
+    (left, n, right), at most one per degree, equal rhs; a term in a
+    degree without an unknown has a zero dimension and drops out.  The
+    homotopy solver of ``complexes`` is held to this reference.
+    """
+    grid = []
+    target = []
+    for terms, rhs in equations:
+        cells = dict.fromkeys(shapes)
+        for left, n, right in terms:
+            if n in cells:
+                cells[n] = kron(left, right.transpose())
+        grid.append(list(cells.values()))
+        target.extend([x] for row in rhs.entries for x in row)
+    heights = [rhs.rows * rhs.cols for _, rhs in equations]
+    system = block(ring, grid, heights, [rows * cols for rows, cols in shapes.values()])
+    sol = solve(system, Matrix._raw(ring, len(target), 1, target))
+    if sol is None:
+        return None
+    flat = iter([row[0] for row in sol.entries])
+    return {n: Matrix._raw(ring, rows, cols, [[next(flat) for _ in range(cols)] for _ in range(rows)])
+            for n, (rows, cols) in shapes.items()}
+
+
+def reference_homotopy(u: ChainMap, v: ChainMap):
+    """The components H_n with dH + Hd == u - v that ``solve_degreewise``
+    finds, all degrees at once; None iff there are none."""
+    X, Y = u.source, u.target
+    ring = X.ring
+    diff = u - v
+    shapes = {n: (Y.rank(n + 1), r) for n, r in X.ranks.items() if Y.rank(n + 1)}
+    equations = [([(Y.d(n + 1), n, Matrix.identity(ring, r)), (Matrix.identity(ring, Y.rank(n)), n - 1, X.d(n))],
+                  diff.at(n))
+                 for n, r in X.ranks.items() if Y.rank(n)]
+    return solve_degreewise(ring, shapes, equations)
+
+
+def reference_retraction(incl: ChainMap):
+    """The components of a chain map r with r . incl == id that
+    ``solve_degreewise`` finds, the chain-map law and the retraction
+    identity solved jointly; None iff there is none."""
+    A, B = incl.source, incl.target
+    ring = A.ring
+    eye = partial(Matrix.identity, ring)
+    shapes = {n: (A.rank(n), r) for n, r in B.ranks.items() if A.rank(n)}
+    equations = []
+    for n in set(A.ranks) | set(B.ranks):
+        # dA(n) . r_n - r_{n-1} . dB(n) == 0 and r_n . incl_n == id
+        equations.append(([(A.d(n), n, eye(B.rank(n))), (eye(A.rank(n - 1)), n - 1, -B.d(n))],
+                          Matrix.zeros(ring, A.rank(n - 1), B.rank(n))))
+        equations.append(([(eye(A.rank(n)), n, incl.at(n))], eye(A.rank(n))))
+    return solve_degreewise(ring, shapes, equations)

@@ -353,18 +353,16 @@ def test_nullhomotopy_of_identity_iff_acyclic_over_f3x():
 
 def test_nullhomotopy_components_are_pinned():
     # An acyclic Z^2 -> Z^4 -> Z^2 whose contracting homotopies are not
-    # unique.  The solver stacks the unknowns H_0, H_1 in increasing
-    # degree, each row-major, and returns the canonical solution of that
-    # system, whatever order the ranks were given in; stacking H_1 first
-    # gives another homotopy, and reading the solution back column-major
-    # breaks the homotopy identity.
+    # unique.  The solver reads the homotopy off the Smith bases of the
+    # complex, which depend on its values only, so it returns the same
+    # one whatever order the ranks were given in.
     diffs = {
         2: Matrix(ZZ, [[1, 0], [3, 0], [4, 1], [1, 3]]),
         1: Matrix(ZZ, [[-10, 7, -3, 1], [-7, 6, -3, 1]]),
     }
     pinned = {
-        1: Matrix(ZZ, [[1, 0, 0, 0], [-4, 0, 1, 0]]),
-        0: Matrix(ZZ, [[0, 0], [1, -1], [0, 0], [-6, 7]]),
+        1: Matrix(ZZ, [[0, 15, -12, 4], [0, -5, 4, -1]]),
+        0: Matrix(ZZ, [[9, -13], [28, -40], [35, -50], [0, 0]]),
     }
     for ranks in ({2: 2, 1: 4, 0: 2}, {0: 2, 1: 4, 2: 2}):
         sample = ChainComplex(ZZ, ranks, diffs)

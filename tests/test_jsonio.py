@@ -103,13 +103,14 @@ def _sha256(text) -> str:
 # ``value_to_json`` parses the writer's text, the pins are the reference
 # that does not come from the writer.  The pins of ``TruncationSplitting``,
 # ``KappaResult`` and ``FactorStep`` were taken from the writer when those
-# bundles changed their fields, and that of ``SmithDecomposition`` when
-# the type was added; each field is written by a layout that the other
-# pins cover.
+# bundles changed their fields, that of ``SmithDecomposition`` when the
+# type was added, and that of ``Homotopy`` when the solver moved to Smith
+# bases and returned another witness (its constructor checks the law);
+# each field is written by a layout that the other pins cover.
 RECORD_TEXT_SHA256 = {
     "ChainComplex": "f95b4d9eb2689ef182c20e56d925cbdf897880fd7da36e88880c45ec6c0a6def",
     "ChainMap": "f808fa16345d74e1f14372dc8fbc569bda2d1f3a9f74c1810109d89c139f3517",
-    "Homotopy": "3dad95e928382f2ec0d6f66e57956f9e13d59328c9758709f6bb5724128013a8",
+    "Homotopy": "1192bb7c4d7e456a16c07e633c4eede777ca2df81eeda88f5cc55b59819dfd56",
     "ComplexSes": "9f188d38458478107eabee39d25f03198a7145b8731b175bd28b5043b5ed4812",
     "PresentedMap": "b3fbfd2104e09784d981b52c695deee06bddea54fe2ab84ddf9f0f6c0398d3fb",
     "SnfCertificate": "c39f2779c8898e95a61e6e56c8ef5dfd76402efcf8a04abab8b98e740456a62b",

@@ -14,7 +14,6 @@ from koszulkit.matrices import (
     MEMO_SIZE,
     Matrix,
     SnfCertificate,
-    _kron,
     _selection,
     _shared_selection,
     block,
@@ -244,20 +243,6 @@ def test_solve_random_systems():
         b = a * x0
         x = solve(a, b)
         assert x is not None and a * x == b
-
-
-def vec(mat):
-    """Row-major vectorization: entry (i, j) goes to row i * cols + j."""
-    return Matrix._raw(mat.ring, mat.rows * mat.cols, 1, [[x] for row in mat.entries for x in row])
-
-
-@pytest.mark.parametrize("ring", [ZZ, fpx(3)], ids=["Z", "F3[x]"])
-def test_kron_vectorizes_two_sided_products(ring):
-    # vec(A X B) == (A (x) B^T) vec(X), the identity the homotopy solver stacks on
-    rng = random.Random(61)
-    for p, q, s, t in [(2, 3, 4, 1), (3, 1, 2, 4), (1, 4, 3, 2), (4, 2, 1, 3)]:
-        a, x, b = (rand_matrix(rng, ring, rows, cols, 5) for rows, cols in ((p, q), (q, s), (s, t)))
-        assert _kron(a, b.transpose()) * vec(x) == vec(a * x * b)
 
 
 # Operands over two rings or of shapes that do not fit, each with the

@@ -213,6 +213,7 @@ NOT_KOSZUL = two_term(Matrix.zeros(ZZ, 1, 1))
 REFUSALS = {
     "image-factorization-of-non-koszul": lambda: image_factorization(ChainMap.zero(NOT_KOSZUL, Z2)),
     "ed-decompose-of-non-koszul": lambda: ed_decompose(NOT_KOSZUL),
+    "ed-decompose-outside-degrees-0-and-1": lambda: ed_decompose(two_term(Matrix(ZZ, [[2]]), 2)),
     "excision-into-non-koszul": lambda: excision_epi(ChainMap.zero(zero_complex(ZZ), NOT_KOSZUL)),
     "idempotent-of-non-endomorphism": lambda: idempotent_split(ChainMap.zero(UNIT, Z2)),
 }
