@@ -55,9 +55,6 @@ LEDGER = {
     ("koszul.py", "cellular_factorization",
      'raise AssertionError("cellular factorization failed to terminate")'):
         "invariant: each stage raises the cone-vanishing degree, so width + 1 stages end it",
-    ("complexes.py", "_retraction_onto_upper",
-     'raise InvalidInputError("epimorphism is not degreewise split")'):
-        "invariant: the corestriction onto an image basis maps onto a free module, so it has a section",
     ("rings.py", "_perfect_power", "return None"):
         "no valid input of modest size: the loop ends only for n >= 1000**997 = 10**2991",
 }

@@ -73,11 +73,12 @@ Split monomorphisms and quotients.  Split monos, split epis and
 and the caller's witnesses or None, and returns a new read-only table
 of witnesses at exactly the degrees where the split side (the source
 of a mono, the target of an epi) is nonzero; ``ComplexSes`` stores it
-as it is, and the result bundles of ``koszul`` and ``sfiltering`` hold
-such tables too.  When None, it solves them: a section s_n
-with m_n . s_n == id, and a retraction as a transposed section.  It
-checks every witness it returns, given or solved, since anything built
-from solved data keeps its check.  Its errors are ``InvalidInputError``s:
+as it is, and the image factorization and excision certificate of
+``sfiltering`` hold such tables of sections too.  When None, it solves
+them: a section s_n with m_n . s_n == id, and a retraction as a
+transposed section.  It checks every witness it returns, given or
+solved, since anything built from solved data keeps its check.  Its
+errors are ``InvalidInputError``s:
 "monomorphism/epimorphism is not degreewise split" when a solve finds
 none, "stored retraction/section fails" when a check fails or a given
 dict lacks one of those degrees or holds a block of another shape or
@@ -709,35 +710,23 @@ def truncation_splitting(complex_: ChainComplex, n: int) -> TruncationSplitting:
     Requires torsion homology in every degree (free kernels are
     automatic over a PID).  The only degree needing work is n+1, where a
     section of the image corestriction is solved exactly and the
-    complementary projector is rewritten in kernel coordinates.
+    complementary projector is rewritten in kernel coordinates; the
+    sequence checks the section.
     """
-    lower, proj = _tau_le(complex_, n)
-    upper, incl, u, section = _retraction_onto_upper(complex_, n, proj.at(n + 1))
-    ring = complex_.ring
-    v_comps = {m: Matrix.identity(ring, complex_.rank(m)) for m in complex_.ranks if m <= n}
-    v_comps[n + 1] = section
-    v = ChainMap(lower, complex_, v_comps)
-    return TruncationSplitting(ComplexSes(incl, proj, u.components, v.components), u, v)
-
-
-def _retraction_onto_upper(complex_: ChainComplex, n: int, corestriction: Matrix):
-    """The upper truncation at n+1 with its inclusion, the retraction u
-    of that inclusion and the degree-(n+1) component of the section v,
-    as in ``truncation_splitting``, from the corestriction of d_{n+1}
-    onto its image basis; no lower truncation is built."""
     ring = complex_.ring
     for m in complex_.degree_range():
         if homology(complex_, m).free_rank:
             raise InvalidInputError(f"homology at degree {m} is not torsion")
-    mid = n + 1
-    upper, incl = _tau_ge(complex_, mid)
-    section = _witness(corestriction, False)
-    if not _splits(corestriction, section, False):
-        raise InvalidInputError("epimorphism is not degreewise split")
-    complement = Matrix.identity(ring, complex_.rank(mid)) - section * corestriction
-    u_comps = {m: Matrix.identity(ring, complex_.rank(m)) for m in complex_.ranks if m > mid}
-    u_comps[mid] = _restrict(complement, target=incl.at(mid))
-    return upper, incl, ChainMap(complex_, upper, u_comps), section
+    lower, proj = _tau_le(complex_, n)
+    upper, incl = _tau_ge(complex_, n + 1)
+    section = _witness(proj.at(n + 1), False)
+    complement = Matrix.identity(ring, complex_.rank(n + 1)) - section * proj.at(n + 1)
+    u_comps = {m: Matrix.identity(ring, r) for m, r in complex_.ranks.items() if m > n + 1}
+    u_comps[n + 1] = _restrict(complement, target=incl.at(n + 1))
+    v_comps = {m: Matrix.identity(ring, r) for m, r in complex_.ranks.items() if m <= n}
+    v_comps[n + 1] = section
+    u, v = ChainMap(complex_, upper, u_comps), ChainMap(lower, complex_, v_comps)
+    return TruncationSplitting(ComplexSes(incl, proj, u.components, v.components), u, v)
 
 
 def tau_ge_map(f: ChainMap, n: int) -> ChainMap:

@@ -33,12 +33,10 @@ from .complexes import (
     shift_map,
     tau_ge_map,
     tau_le_map,
+    truncation_splitting,
     _Checked,
     _cone_layout,
-    _restrict,
-    _retraction_onto_upper,
     _smith_stage,
-    _splitting,
     _subcomplex,
     _tau_ge,
     _tau_le,
@@ -209,9 +207,7 @@ def factor_step(f: ChainMap, n: int) -> FactorStep:
     mapping_cone = cone(f)
     if _vanishing_degree(mapping_cone.complex) < n:
         raise InvalidInputError(f"map does not vanish in cone degrees <= {n}")
-    boundary = mapping_cone.complex.d(n + 2)
-    corestriction = _restrict(boundary, target=image_basis(boundary))
-    upper, _, a, _ = _retraction_onto_upper(mapping_cone.complex, n + 1, corestriction)
+    a = truncation_splitting(mapping_cone.complex, n + 1).u  # onto the upper truncation at n + 2
     composite = a.compose(mapping_cone.inclusion)
     cone_of_composite = cone(composite)
     intermediate = shift(cone_of_composite.complex, 1)
@@ -221,26 +217,27 @@ def factor_step(f: ChainMap, n: int) -> FactorStep:
     witness_components = {m: -a.components[m + 1].take_cols(range(X.rank(m)))
                           for m in X.ranks if m + 1 in a.components}
     # g's chain-map law below is the homotopy identity of the witness.
-    witness = Homotopy._trusted(composite.compose(f), ChainMap.zero(X, upper), witness_components)
+    witness = Homotopy._trusted(composite.compose(f), ChainMap.zero(X, a.target), witness_components)
     g = ChainMap(X, intermediate, {m: vstack([f.at(m), witness.at(m)]) for m in X.ranks})
-    return FactorStep(f, g, h, witness, upper)
+    return FactorStep(f, g, h, witness, a.target)
 
 
 class CellularFactorization(_Checked):
     """Chain of degreewise split monos with spherical subquotients.
 
-    ``stages[i]`` includes stage i into stage i+1; ``subquotients[i]``
-    is its quotient complex, spherical in degree ``spherical_degrees[i]``;
+    ``stages[i]`` includes stage i into stage i+1 as its first summand;
     ``final`` is a quasi-isomorphism.  The law, checked at construction:
-    ``final`` after the stages is ``map`` on the nose, and
-    ``retractions[i]`` retracts ``stages[i]`` at every degree where its
-    source is nonzero.  Else ``WitnessError``.
+    ``final`` after the stages is ``map`` on the nose, and each component
+    of a stage is the first-summand selection (``matrices._selection``),
+    so its transpose retracts it and the coordinates past stage i carry
+    the quotient.  Else ``WitnessError``.  ``subquotients`` and
+    ``spherical_degrees`` are read off the stages.
     """
 
-    __slots__ = ("map", "stages", "retractions", "subquotients", "spherical_degrees", "final")
+    __slots__ = ("map", "stages", "final")
 
-    def __init__(self, map: ChainMap, stages: tuple, retractions: tuple, subquotients: tuple,
-                 spherical_degrees: tuple, final: ChainMap):
+    def __init__(self, map: ChainMap, stages: tuple, final: ChainMap):
+        self._store(map, stages, final)
         composite = final
         for stage in reversed(stages):
             if stage.target != composite.source:
@@ -248,10 +245,25 @@ class CellularFactorization(_Checked):
             composite = composite.compose(stage)
         if composite != map:
             raise WitnessError("stages do not compose back to the input")
-        if len(retractions) != len(stages):
-            raise WitnessError("stage retraction fails")
-        checked = tuple(_splitting(stage, r, True, WitnessError) for stage, r in zip(stages, retractions))
-        self._store(map, stages, checked, subquotients, spherical_degrees, final)
+        for stage in stages:
+            Y = stage.target
+            if any(Y.rank(k) < r or stage.components.get(k) != _selection(Y.ring, Y.rank(k), range(r))
+                   for k, r in stage.source.ranks.items()):
+                raise WitnessError("a stage is not the inclusion of a first summand")
+
+    @property
+    def subquotients(self) -> tuple:
+        """Stage i+1 over stage i: the differentials of stage i+1 on the
+        coordinates past stage i, a complex since stage i is a subcomplex."""
+        return tuple(ChainComplex._trusted(Y.ring, {k: r - X.rank(k) for k, r in Y.ranks.items()}, {
+            k: d.take_rows(range(X.rank(k - 1), Y.rank(k - 1))).take_cols(range(X.rank(k), Y.rank(k)))
+            for k, d in Y.diffs.items()}) for X, Y in ((stage.source, stage.target) for stage in self.stages))
+
+    @property
+    def spherical_degrees(self) -> tuple:
+        """The lowest degree of each subquotient, where its homology lies."""
+        return tuple(min(k for k, r in stage.target.ranks.items() if r > stage.source.rank(k))
+                     for stage in self.stages)
 
 
 def cellular_factorization(f: ChainMap) -> CellularFactorization:
@@ -286,9 +298,6 @@ def cellular_factorization(f: ChainMap) -> CellularFactorization:
     if not in_A(f.source) or not in_A(f.target):
         raise InvalidInputError("both ends must have torsion homology")
     stages = []
-    retractions = []
-    subquotients = []
-    spherical = []
     current = f
     degrees = set(f.source.ranks) | set(f.target.ranks)
     width = (max(degrees) - min(degrees) + 1) if degrees else 0
@@ -303,27 +312,15 @@ def cellular_factorization(f: ChainMap) -> CellularFactorization:
         if guard == 0:
             raise AssertionError("cellular factorization failed to terminate")
         guard -= 1
-        stage, current, quotient = _attach_cells(current, mapping_cone, n)
+        stage, current = _attach_cells(current, mapping_cone, n)
         stages.append(stage)
-        # The stage's components are selection matrices, so their
-        # transposes are retractions.
-        retractions.append({k: stage.at(k).transpose() for k in stage.source.ranks})
-        subquotients.append(quotient)
-        spherical.append(n + 1)
-    return CellularFactorization(
-        map=f,
-        stages=tuple(stages),
-        retractions=tuple(retractions),
-        subquotients=tuple(subquotients),
-        spherical_degrees=tuple(spherical),
-        final=current,
-    )
+    return CellularFactorization(f, tuple(stages), current)
 
 
 def _attach_cells(g: ChainMap, mapping_cone: ChainComplex, n: int):
     """One stage of ``cellular_factorization``: (inclusion X -> X', the
-    extended map X' -> Y, the subquotient X'/X) for g: X -> Y whose cone
-    ``mapping_cone`` has homology vanishing in degrees <= n."""
+    extended map X' -> Y) for g: X -> Y whose cone ``mapping_cone`` has
+    homology vanishing in degrees <= n."""
     X, Y = g.source, g.target
     ring = X.ring
     cycles, _, v, elementary = _smith_stage(mapping_cone, n + 1)
@@ -350,8 +347,7 @@ def _attach_cells(g: ChainMap, mapping_cone: ChainComplex, n: int):
     extended = ChainMap(attached, Y, components)
     # X is a subcomplex of X' by the block form of its differentials.
     stage = ChainMap._trusted(X, attached, {k: _selection(ring, ranks[k], range(rk)) for k, rk in X.ranks.items()})
-    quotient = ChainComplex._trusted(ring, {n + 1: r, n + 2: r}, {n + 2: divisors})
-    return stage, extended, quotient
+    return stage, extended
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .errors import InvalidInputError, WitnessError
 from .koszul import in_kos1
 from .matrices import (
     Matrix,
+    _divisor_chain,
     _selection,
     hstack,
     image_basis,
@@ -129,23 +130,31 @@ class EdDecomposition(_Checked):
     direct sum, built from the diagonalization transforms; the non-unit
     diagonal is the canonical divisor chain, and the identity part has
     as many columns as the boundary has unit divisors.  The law, checked
-    at construction: ``iso`` is a chain isomorphism from ``source`` onto
-    the direct sum of the two parts; else ``WitnessError``.
+    at construction: ``nonunit_part`` is ``two_term`` of the diagonal of
+    a chain of nonunit canonical associates, ``unit_part`` is ``two_term``
+    of an identity, and ``iso`` is a chain isomorphism from ``source``
+    onto the direct sum of the two parts; else ``WitnessError``.
     ``ed_decompose`` builds it unchecked, since there the law follows from
-    the checked ``SmithDecomposition`` it reads the iso off.
+    the checked ``SmithDecomposition`` it reads the iso and the divisors off.
     """
 
     __slots__ = ("source", "nonunit_part", "unit_part", "iso")
 
     def __init__(self, source: ChainComplex, nonunit_part: ChainComplex, unit_part: ChainComplex, iso: ChainMap):
         self._store(source, nonunit_part, unit_part, iso)
+        ring, divisors = source.ring, self.nonunit_divisors
+        _divisor_chain(ring, divisors)
+        if any(map(ring.is_unit, divisors)) or nonunit_part != two_term(Matrix.diagonal(ring, divisors)) \
+                or unit_part != two_term(Matrix.identity(ring, unit_part.rank(1))):
+            raise WitnessError("the parts are not the diagonal of nonunit divisors and an identity")
         if iso.source != source or iso.target != _sum_layout((nonunit_part, unit_part)).complex \
                 or not iso.is_chain_iso():
             raise WitnessError("decomposition iso is not a chain isomorphism onto the sum of the parts")
 
     @property
     def nonunit_divisors(self) -> tuple:
-        return tuple(self.nonunit_part.d(1).entries[i][i] for i in range(self.nonunit_part.rank(1)))
+        d = self.nonunit_part.d(1)
+        return tuple(d.entries[i][i] for i in range(min(d.rows, d.cols)))
 
 
 def ed_decompose(complex_: ChainComplex) -> EdDecomposition:
@@ -186,13 +195,14 @@ class ExcisionCertificate(_Checked):
     part of the quotient).  The law, checked at construction: ``target``
     is acyclic, q composed with the mono is the split inclusion (id; 0)
     of the source into ``target``, ``sections`` are sections of q, and
-    ``kernel`` is a Koszul complex.  Else ``WitnessError``.
+    ``kernel`` is a Koszul complex.  Else ``WitnessError``.  So the top
+    rows of q_0, ``retraction0``, retract the mono in degree 0.
     """
 
-    __slots__ = ("mono", "retraction0", "target", "q", "sections", "kernel", "kernel_inclusion", "decomposition")
+    __slots__ = ("mono", "target", "q", "sections", "kernel", "kernel_inclusion")
 
-    def __init__(self, mono: ChainMap, retraction0: Matrix, target: ChainComplex, q: ChainMap, sections: dict,
-                 kernel: ChainComplex, kernel_inclusion: ChainMap, decomposition: EdDecomposition):
+    def __init__(self, mono: ChainMap, target: ChainComplex, q: ChainMap, sections: dict,
+                 kernel: ChainComplex, kernel_inclusion: ChainMap):
         X = mono.source
         if q.source != mono.target or q.target != target or any(target.rank(n) < r for n, r in X.ranks.items()):
             raise WitnessError("q does not map the mono's target onto the certificate's target")
@@ -205,8 +215,11 @@ class ExcisionCertificate(_Checked):
         if not is_acyclic(target):
             raise WitnessError("target is not acyclic")
         # The given table is kept whole: the wire writes its empty blocks too.
-        self._store(mono, retraction0, target, q, _table(sorted(sections.items())), kernel, kernel_inclusion,
-                    decomposition)
+        self._store(mono, target, q, _table(sorted(sections.items())), kernel, kernel_inclusion)
+
+    @property
+    def retraction0(self) -> Matrix:
+        return self.q.at(0).take_rows(range(self.mono.source.rank(0)))
 
 
 def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> ExcisionCertificate:
@@ -242,16 +255,15 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
     q0 = vstack([h, flat.at(0).take_rows(unit_rows)])
     q = ChainMap(Y, target, {0: q0, 1: _restrict(q0, Y.d(1), target.d(1))})
 
-    flat_sections = _splitting(flat, None, False)
     pairs = []
     for degree in (0, 1):
-        lam = flat_sections.get(degree, Matrix.zeros(ring, Y.rank(degree), 0)).take_cols(unit_rows)
+        lam = _witness(flat.at(degree), False).take_cols(unit_rows)
         if lam.cols:  # else there is no unit part to correct
             mu = (q.at(degree) * lam).take_rows(range(X.rank(degree)))
             lam = lam - mono.at(degree) * mu
         pairs.append((degree, hstack([mono.at(degree), lam])))
     kernel, kernel_incl = kernel_complex(q)
-    return ExcisionCertificate(mono, h, target, q, dict(pairs), kernel, kernel_incl, decomposition)
+    return ExcisionCertificate(mono, target, q, dict(pairs), kernel, kernel_incl)
 
 
 # ---------------------------------------------------------------------------

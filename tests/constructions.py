@@ -3,13 +3,17 @@
 The library never runs these, so they live beside the tests.  Each is
 built from the public API (and the generators' private draw helpers,
 for ``gen_matrix``), and none of them skips a check that the library
-would make.
+would make.  ``assert_refused`` is the one assertion that the forgery
+tests of the checked values share.
 """
 
+import pickle
 from functools import partial, reduce
 
+import pytest
+
 from koszulkit.complexes import ChainComplex, ChainMap
-from koszulkit.errors import InvalidInputError
+from koszulkit.errors import InvalidInputError, WitnessError
 from koszulkit.fgmodules import FgModule
 from koszulkit.generators import (AObjectSample, CObjectSample, GenParams, KoszulSample, _below, rand_matrix,
                                   trial_rng)
@@ -158,3 +162,18 @@ def reference_retraction(incl: ChainMap):
                           Matrix.zeros(ring, A.rank(n - 1), B.rank(n))))
         equations.append(([(eye(A.rank(n)), n, incl.at(n))], eye(A.rank(n))))
     return solve_degreewise(ring, shapes, equations)
+
+
+def assert_refused(base, **changes):
+    """The checked value ``base`` with ``changes`` is refused with
+    ``WitnessError`` when built directly, through ``_replace`` and on
+    unpickling a copy built past the check."""
+    cls = type(base)
+    fields = {**dict(zip(base._fields, base._values())), **changes}
+    with pytest.raises(WitnessError):
+        cls(**fields)
+    with pytest.raises(WitnessError):
+        base._replace(**changes)
+    forged = cls._trusted(*fields.values())
+    with pytest.raises(WitnessError):
+        pickle.loads(pickle.dumps(forged))

@@ -106,6 +106,9 @@ def _sha256(text) -> str:
 # bundles changed their fields, that of ``SmithDecomposition`` when the
 # type was added, and that of ``Homotopy`` when the solver moved to Smith
 # bases and returned another witness (its constructor checks the law);
+# those of ``CellularFactorization`` and ``ExcisionCertificate`` were
+# taken when they dropped the fields that their laws imply or never read,
+# and the text of each field they kept was the same as before;
 # each field is written by a layout that the other pins cover.
 RECORD_TEXT_SHA256 = {
     "ChainComplex": "f95b4d9eb2689ef182c20e56d925cbdf897880fd7da36e88880c45ec6c0a6def",
@@ -124,7 +127,7 @@ RECORD_TEXT_SHA256 = {
     "Augmentation": "361544c9b0e68c29d8bd57a53d9b8655d817ed2842fa31641d99eb06bef85dae",
     "KappaResult": "5406fa098f591c89c2c5fb1597368b3c94fbe2c4dabb48a1b4eff8af5111e098",
     "FactorStep": "b6e81c5daf9639154defa5e92f6175ab4787acac7f59819b641aa8fe2c7d9ddf",
-    "CellularFactorization": "e53059817d594254b803b2dff93089d4e2768c786e83d9c783c486ad4cc4277f",
+    "CellularFactorization": "8b471352f77cd6114f586741f4a1cbb411a92cb8e920d12a73a99543626ce6ec",
     "PresentedKoszul": "939ae468df924b37f5bd639ac86541d0fd62504d349d19173d97f1e450cf78b4",
     "PresentedKoszulMap": "638a3bad89490f33a8ae305977a5b0da1b11bde0d1e682f8b35e9d172d27f2bd",
     "PresentedSes": "1b03172920b1d119ee9498f9bf8d9dba3b85cfc4fb60598a8fd2ebb7d7cde265",
@@ -133,7 +136,7 @@ RECORD_TEXT_SHA256 = {
     "ImageFactorization": "ecbb64d14de7b7b070cc9e83285839a8050a5fc3ec039d9bfa6dac0126ce7444",
     "EdDecomposition": "fbf57352e61808d3fcfae0f0688b646b317595be45bbd99059f7bf65619635e8",
     "SmithDecomposition": "eb5576827c2fc34f19bfc9a945ee863c7dc4a35f2c94a7c26351492b69325d64",
-    "ExcisionCertificate": "5911b7fcd22c6b5e704b56f3c86cac9d44e94abe3793fc1622ca18e6819e9336",
+    "ExcisionCertificate": "91f4aa5ba14d4134969d35061c72d544cf0b890f4cb4389f13584b201034b431",
     "IdempotentSplit": "4562b93761b65c6fb8f4fa7dff9511bc4441d6a37443d30884f4c8338453fdc9",
     "K0TorsionClass": None,
     "K0KosClass": "4ce638bfd61512cb0605378b08f3068dde7338058074be3cd8d4b8113b5c203a",

@@ -49,7 +49,7 @@ from koszulkit.koszul import (
 from koszulkit.matrices import Matrix, elementary_divisors, is_exact_at
 from koszulkit.presented import PresentedMap, PresentedModule, is_short_exact
 from koszulkit.rings import ZZ, fpx
-from constructions import h0_map, presented_from_free, zero_complex
+from constructions import assert_refused, h0_map, presented_from_free, zero_complex
 
 Z2 = two_term(Matrix(ZZ, [[2]]))
 Z6 = two_term(Matrix(ZZ, [[6]]))
@@ -258,25 +258,44 @@ def test_cellular_factorization_example():
 
 def test_forged_cellular_factorizations_do_not_verify():
     """The law is checked at construction: the final map after the stages
-    is the input map, and each retraction retracts its stage."""
+    is the input map."""
     f = ChainMap.zero(Z2, Z6)
     factorization = cellular_factorization(f)
     assert len(factorization.stages) == 2 and factorization._replace() == factorization
-    stage = factorization.stages[0]
-    doubled = {n: r.scale(2) for n, r in factorization.retractions[0].items()}
     forgeries = [
         {"map": ChainMap.identity(Z2)},
         {"map": ChainMap.zero(Z2, Z2)},
         # the stages in the wrong order do not compose
         {"stages": factorization.stages[::-1]},
-        {"retractions": (doubled, factorization.retractions[1])},
-        {"retractions": factorization.retractions[:1]},
-        {"retractions": ({}, factorization.retractions[1])},
     ]
-    assert stage.source.ranks  # so an empty retraction table misses a degree
     for changes in forgeries:
         with pytest.raises(WitnessError):
             factorization._replace(**changes)
+
+
+def test_a_stage_that_is_not_a_first_summand_inclusion_is_refused():
+    """The last stage negated is a chain map, and the negated final map
+    keeps the composite equal to the input map, but the stage is no
+    longer the first-summand selection that its subquotient is read off."""
+    factorization = cellular_factorization(ChainMap.zero(Z2, Z6))
+    first, last = factorization.stages
+    assert_refused(factorization, stages=(first, -last), final=-factorization.final)
+    # A stage into a complex too small to hold its source.
+    nothing = zero_complex(ZZ)
+    assert_refused(factorization, map=ChainMap.zero(Z2, Z6), stages=(ChainMap.zero(Z2, nothing),),
+                   final=ChainMap.zero(nothing, Z6))
+
+
+def test_cellular_factorization_stores_only_what_its_law_proves():
+    """The subquotients, their spherical degrees and the retractions of
+    the stages are read off the stages, so none of them can be forged."""
+    factorization = cellular_factorization(ChainMap.zero(Z2, Z6))
+    assert type(factorization)._fields == ("map", "stages", "final")
+    assert factorization.spherical_degrees == (0, 1)
+    assert factorization.subquotients == (Z6, two_term(Matrix(ZZ, [[2]]), 2))
+    for field, value in (("subquotients", (Z2, Z2)), ("spherical_degrees", (7, 7)), ("retractions", ({}, {}))):
+        with pytest.raises(TypeError):
+            factorization._replace(**{field: value})
 
 
 def test_cellular_factorization_random():
@@ -317,9 +336,9 @@ def test_cellular_factorization_builds_one_cone_per_degree_evaluation(call_log):
 
 @pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS)
 def test_stage_subquotients_are_the_split_quotients(ring):
-    """Each stage stores the two-term complex of its attached cells as its
-    subquotient, which is the complex that ``_split_quotient`` finds by
-    elimination on id - stage . retraction, with the stored retractions."""
+    """The subquotient read off each stage is the complex that
+    ``_split_quotient`` finds by elimination on id - stage . retraction,
+    with the transposed stage as the retraction."""
     params = GenParams(ring=ring, seed=8, max_rank=2, support_width=3, max_entry=3)
     checked = multi_stage = 0
     for trial in range(6):
@@ -328,9 +347,9 @@ def test_stage_subquotients_are_the_split_quotients(ring):
         y = gen_a_object(params, trial, rng=rng).complex
         f = gen_chain_map(rng, x, y, terms=1)
         factorization = cellular_factorization(f)
-        for stage, retractions, quotient in zip(factorization.stages, factorization.retractions,
-                                                factorization.subquotients):
-            assert quotient == complexes._split_quotient(stage, retractions)[0]
+        for stage, quotient in zip(factorization.stages, factorization.subquotients):
+            transposes = {k: stage.at(k).transpose() for k in stage.source.ranks}
+            assert quotient == complexes._split_quotient(stage, transposes)[0]
         checked += len(factorization.stages)
         multi_stage += len(factorization.stages) > 1
     assert checked and multi_stage

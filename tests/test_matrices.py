@@ -1,13 +1,12 @@
 import gc
 import itertools
-import pickle
 import random
 
 import pytest
 
 from koszulkit import matrices
 from koszulkit.complexes import ChainMap, two_term
-from koszulkit.errors import DimensionError, DomainMismatchError, InvalidInputError, NotAComplexError, WitnessError
+from koszulkit.errors import DimensionError, DomainMismatchError, InvalidInputError, NotAComplexError
 from koszulkit.generators import rand_matrix
 from koszulkit.koszul import cellular_factorization
 from koszulkit.matrices import (
@@ -32,6 +31,7 @@ from koszulkit.matrices import (
 )
 from koszulkit.rings import ZZ, fpx
 from koszulkit.sfiltering import ed_decompose
+from constructions import assert_refused
 
 F2 = fpx(2)
 
@@ -532,27 +532,13 @@ def test_diagonal_must_fit_the_shape():
     assert Matrix.diagonal(ZZ, [], 0, 2) == Matrix.zeros(ZZ, 0, 2)
 
 
-def _assert_refused(base, **changes):
-    """The certificate ``base`` with ``changes`` is refused with
-    ``WitnessError`` when built directly, through ``_replace`` and on
-    unpickling a copy built past the check."""
-    fields = {**dict(zip(base._fields, base._values())), **changes}
-    with pytest.raises(WitnessError):
-        SnfCertificate(**fields)
-    with pytest.raises(WitnessError):
-        base._replace(**changes)
-    forged = SnfCertificate._trusted(*fields.values())
-    with pytest.raises(WitnessError):
-        pickle.loads(pickle.dumps(forged))
-
-
 def test_verify_refuses_a_foreign_source():
     a = Matrix(ZZ, [[2, 4], [6, 8]])
     cert = snf(a)
     assert cert.source is a
     for source in (Matrix(ZZ, [[2, 4, 1], [6, 8, 1]]), Matrix(ZZ, [[2, 4]]),
                    Matrix(F2, [[F2.one, F2.zero], [F2.zero, F2.one]])):
-        _assert_refused(cert, source=source)
+        assert_refused(cert, source=source)
 
 
 @pytest.mark.parametrize("case", ["product", "off-diagonal", "divisors", "dropped-divisor",
@@ -575,7 +561,7 @@ def test_verify_rejects_a_forged_certificate(case):
         "float-divisor": dict(divisors=(2.0, 4)),
     }[case]
     assert cert.source is a
-    _assert_refused(cert, **changes)
+    assert_refused(cert, **changes)
 
 
 # An SnfCertificate must refuse a U or V that is not unimodular even
@@ -613,7 +599,7 @@ def test_verify_rejects_a_non_unimodular_transform(ring, s, case):
     a, u, d, v = _non_unimodular_certificates(ring, s)[case]
     assert u * a * v == d
     divisors = tuple(x for x in (d.entries[i][i] for i in range(min(d.rows, d.cols))) if not ring.is_zero(x))
-    _assert_refused(snf(a), U=u, D=d, V=v, divisors=divisors)
+    assert_refused(snf(a), U=u, D=d, V=v, divisors=divisors)
 
 
 def test_only_snf_builds_a_certificate(call_log):

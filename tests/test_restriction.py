@@ -36,6 +36,7 @@ from koszulkit.koszul import cellular_factorization, kappa, resolve_in_kos1
 from koszulkit.matrices import Matrix, _column_form, elementary_divisors
 from koszulkit.rings import ZZ, fpx
 from koszulkit.sfiltering import (
+    ed_decompose,
     excision_epi,
     idempotent_split,
     image_complex,
@@ -66,11 +67,16 @@ def _results(bundle):
 
 
 # The bundles laid out as the records the pin was taken from: the
-# truncation sequence as its four maps and complexes, and the law of a
-# kappa result as the two flags that held it.
+# truncation sequence as its four maps and complexes, the law of a kappa
+# result as the two flags that held it, the cellular retractions as the
+# transposes of the stages, and the excision decomposition as that of the
+# quotient by the mono with the retractions the certificate was given.
 _Triple = namedtuple("TruncationTriple", "upper lower incl proj")
 _Splitting = namedtuple("TruncationSplitting", "triple u v")
 _Kappa = namedtuple("KappaResult", "kos u v u_is_quasi_iso v_is_quasi_iso")
+_Cellular = namedtuple("CellularFactorization", "stages retractions subquotients spherical_degrees final")
+_Excision = namedtuple("ExcisionCertificate",
+                       "mono retraction0 target q sections kernel kernel_inclusion decomposition")
 
 
 def _splitting(bundle):
@@ -80,6 +86,17 @@ def _splitting(bundle):
 
 def _kappa(bundle):
     return _Kappa(bundle.kos, bundle.u, bundle.v, True, True)
+
+
+def _cellular(bundle):
+    retractions = tuple({k: stage.at(k).transpose() for k in stage.source.ranks} for stage in bundle.stages)
+    return _Cellular(bundle.stages, retractions, bundle.subquotients, bundle.spherical_degrees, bundle.final)
+
+
+def _excision(bundle, retractions):
+    quotient = quotient_by_split_mono(bundle.mono, retractions)[0]
+    return _Excision(bundle.mono, bundle.retraction0, bundle.target, bundle.q, bundle.sections, bundle.kernel,
+                     bundle.kernel_inclusion, ed_decompose(quotient))
 
 
 def _outputs(params: GenParams, trial: int) -> dict:
@@ -101,13 +118,14 @@ def _outputs(params: GenParams, trial: int) -> dict:
     source = gen_a_object(params, trial, rng=rng).complex
     target = gen_a_object(params, trial, rng=rng).complex
     f = gen_chain_map(rng, source, target, bound=2, terms=1)
-    out["cellular_factorization"] = _results(cellular_factorization(f))
+    out["cellular_factorization"] = _cellular(cellular_factorization(f))
 
     sides = [gen_ses_of_complexes(params, trial, acyclic_side=side).sequence for side in ("left", "right")]
     out["kernel_image_sequences"] = [[_verdicts(ses, n) for n in _around(ses.middle)] for ses in sides]
 
     mono_sample = gen_admissible_mono(params, trial).sequence
-    out["excision_epi"] = excision_epi(mono_sample.mono, mono_sample.retractions)
+    out["excision_epi"] = _excision(excision_epi(mono_sample.mono, mono_sample.retractions),
+                                    mono_sample.retractions)
     out["quotient_by_split_mono"] = quotient_by_split_mono(mono_sample.mono)
 
     rng = trial_rng(params, trial)

@@ -31,7 +31,7 @@ from koszulkit.sfiltering import (
     image_factorization,
     kernel_complex,
 )
-from constructions import zero_complex
+from constructions import assert_refused, zero_complex
 
 PARAMS = GenParams(ring=ZZ, seed=12)
 UNIT = two_term(Matrix(ZZ, [[1]]))
@@ -280,6 +280,50 @@ def test_forged_ed_decompositions_do_not_verify():
     for changes in forgeries:
         with pytest.raises(WitnessError):
             decomposition._replace(**changes)
+
+
+def test_an_excision_certificate_stores_no_unchecked_field():
+    """The degree-0 retraction is read off q, whose restriction to the
+    mono the law checks, and no decomposition is stored."""
+    cert = excision_epi(direct_sum(UNIT, Z2).inclusions[0])
+    assert "retraction0" not in cert._fields and "decomposition" not in cert._fields
+    assert cert.retraction0 == cert.q.at(0).take_rows(range(1))
+    assert cert.retraction0 * cert.mono.at(0) == Matrix.identity(ZZ, 1)
+    for field in ("retraction0", "decomposition"):
+        with pytest.raises(TypeError):
+            cert._replace(**{field: None})
+
+
+def test_a_negated_nonunit_part_is_refused():
+    """Row 0 of the iso negated in degree 0 carries the source onto the sum
+    with the nonunit part [Z -(-6)-> Z], whose divisor is no canonical
+    associate."""
+    decomposition = ed_decompose(two_term(Matrix(ZZ, [[2, 0], [0, 3]])))
+    assert decomposition.nonunit_divisors == (6,)
+    iso = decomposition.iso
+    flip = Matrix(ZZ, [[-1, 0], [0, 1]])
+    forged = ChainMap(iso.source, direct_sum(two_term(Matrix(ZZ, [[-6]])), UNIT).complex,
+                      {1: iso.at(1), 0: flip * iso.at(0)})
+    assert forged.is_chain_iso()
+    assert_refused(decomposition, nonunit_part=two_term(Matrix(ZZ, [[-6]])), iso=forged)
+
+
+def test_a_non_diagonal_nonunit_part_is_refused():
+    """[Z^2 -> Z^2] with divisors 2, 4 is a chain iso onto itself plus an
+    empty unit part, but it is not the diagonal of its divisors."""
+    source = two_term(Matrix(ZZ, [[2, 2], [0, 4]]))
+    decomposition = ed_decompose(source)
+    assert decomposition.nonunit_divisors == (2, 4)
+    assert_refused(decomposition, nonunit_part=source, iso=ChainMap.identity(source))
+
+
+def test_a_unit_part_that_is_not_an_identity_is_refused():
+    """[Z -(-1)-> Z] is acyclic, and the identity of the source carries it
+    onto the sum, but the unit part must be an identity."""
+    source = two_term(Matrix(ZZ, [[-1]]))
+    decomposition = ed_decompose(source)
+    assert decomposition.unit_part == UNIT
+    assert_refused(decomposition, unit_part=source, iso=ChainMap.identity(source))
 
 
 def test_forged_idempotent_splits_do_not_verify():

@@ -3,7 +3,6 @@ law when it is built, reads the homology of generated complexes, and its
 per-degree stage is the one Smith basis relative to cycles in the package."""
 
 import ast
-import pickle
 from pathlib import Path
 
 import pytest
@@ -18,12 +17,12 @@ from koszulkit.complexes import (
     smith_decomposition,
     two_term,
 )
-from koszulkit.errors import WitnessError
 from koszulkit.generators import GenParams, gen_a_object, gen_chain_map, gen_koszul, rand_matrix, trial_rng
 from koszulkit.koszul import cellular_factorization
 from koszulkit.matrices import Matrix
 from koszulkit.rings import ZZ, fpx
 from koszulkit.sfiltering import EdDecomposition, ed_decompose
+from constructions import assert_refused
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "koszulkit"
 F2, F3 = fpx(2), fpx(3)
@@ -68,20 +67,6 @@ def test_the_new_basis_lists_targets_free_generators_then_sources():
     assert smith.inverses[1] == Matrix.identity(ZZ, 3)
 
 
-def _assert_refused(base, **changes):
-    """``base`` with ``changes`` is refused with ``WitnessError`` when built
-    directly, through ``_replace`` and on unpickling a copy built past the
-    check."""
-    fields = {**dict(zip(base._fields, base._values())), **changes}
-    with pytest.raises(WitnessError):
-        SmithDecomposition(**fields)
-    with pytest.raises(WitnessError):
-        base._replace(**changes)
-    forged = SmithDecomposition._trusted(*fields.values())
-    with pytest.raises(WitnessError):
-        pickle.loads(pickle.dumps(forged))
-
-
 def _forgeries(smith):
     """Each forged field of the decomposition of [Z^2 -> Z^2] with divisors 2, 4."""
     shear, unshear = Matrix(ZZ, [[1, 1], [0, 1]]), Matrix(ZZ, [[1, -1], [0, 1]])
@@ -104,7 +89,7 @@ def _forgeries(smith):
 def test_a_forged_decomposition_is_refused(case):
     smith = smith_decomposition(two_term(Matrix(ZZ, [[2, 4], [6, 8]])))
     assert dict(smith.divisors) == {0: (), 1: (2, 4)}
-    _assert_refused(smith, **_forgeries(smith)[case])
+    assert_refused(smith, **_forgeries(smith)[case])
 
 
 def test_ed_decompose_reads_its_iso_off_the_decomposition(call_log):
