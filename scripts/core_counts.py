@@ -42,7 +42,9 @@ the script prints:
   (Y, 0) of a mapping cone, one per cone complex constructed;
 * ``solves``: calls of ``matrices.solve``, wherever it is called from;
 * ``checked_sequences``: calls of ``ComplexSes._store``, one per
-  sequence of complexes whose composite and witnesses pass their checks;
+  sequence of complexes whose composite passes its check, and one per
+  kernel sequence that ``sfiltering`` builds unchecked (``_trusted``)
+  for the image factorization or excision certificate that proves it;
 * ``fgmodule_makes``: calls of ``FgModule.make``, each a divisor list
   re-normalized into a chain;
 * ``factorization_ranks``: the total rank of ``final.source``, summed

@@ -102,6 +102,7 @@ SURFACE = {
     ("k0.py", "K0TorsionClass.as_dict"): OPERATIONS,
     ("koszul.py", "h0_augmentation"): OPERATIONS,
     ("koszul.py", "FactorStep.__init__"): FACTOR_STEP,
+    ("koszul.py", "FactorStep.upper"): FACTOR_STEP,
     ("koszul.py", "factor_step"): FACTOR_STEP,
     ("koszul.py", "retraction_q"): OPERATIONS,
     ("matrices.py", "Matrix.__add__"): OPERATIONS,

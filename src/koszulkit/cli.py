@@ -37,7 +37,7 @@ from .generators import GenParams
 from .jsonio import chain_map_from_json, complex_from_json, matrix_from_json, presented_koszul_from_json
 from .k0 import class_kos_isom
 from .koszul import cellular_factorization, e_functor, kappa, resolve_in_kos1
-from .matrices import snf
+from .matrices import Matrix, snf
 from .rings import ring_from_token
 from .sfiltering import ed_decompose, excision_epi
 from .suites import SUITES, run_suite
@@ -151,15 +151,10 @@ def _cmd_efunctor(args):
 
 def _cmd_excise(args):
     cert = excision_epi(chain_map_from_json(_read_input(args)))
-    return {
-        "target": cert.target,
-        "q": cert.q,
-        "retraction0": cert.retraction0,
-        "sections": cert.sections,
-        "kernel": cert.kernel,
-        "kernel_inclusion": cert.kernel_inclusion,
-        "verified": True,
-    }
+    seq = cert.sequence
+    sections = {str(n): seq.sections.get(n, Matrix.zeros(seq.middle.ring, seq.middle.rank(n), 0)) for n in (0, 1)}
+    return {"target": seq.right, "q": seq.epi, "retraction0": cert.retraction0, "sections": sections,
+            "kernel": seq.left, "kernel_inclusion": seq.mono, "verified": True}
 
 
 def _cmd_eddecompose(args):

@@ -73,8 +73,8 @@ Split monomorphisms and quotients.  Split monos, split epis and
 and the caller's witnesses or None, and returns a new read-only table
 of witnesses at exactly the degrees where the split side (the source
 of a mono, the target of an epi) is nonzero; ``ComplexSes`` stores it
-as it is, and the image factorization and excision certificate of
-``sfiltering`` hold such tables of sections too.  When None, it solves
+as it is, also as the kernel sequence of the image factorization and
+excision certificate of ``sfiltering``.  When None, it solves
 them: a section s_n with m_n . s_n == id, and a retraction as a
 transposed section.  It checks every witness it returns, given or
 solved, since anything built from solved data keeps its check.  Its
@@ -84,8 +84,8 @@ none, "stored retraction/section fails" when a check fails or a given
 dict lacks one of those degrees or holds a block of another shape or
 ring there, and "... where the split side is zero"
 when a given witness at another degree is not the empty block there.
-A result bundle checking its own witnesses has the last two raised as
-``WitnessError``, the subclass that says the bundle broke its law.
+``ComplexSes``, checking its witnesses, has the last two raised as
+``WitnessError``, the subclass that says a value broke its law.
 ``split_retractions`` returns None where the step raises.
 
 Homotopy solving.  ``homotopy_between`` solves dH + Hd == phi, for
@@ -845,8 +845,8 @@ class ComplexSes(_Checked):
     of m_n is a direct summand of rank A_n inside the kernel of e_n,
     itself a direct summand of rank B_n - C_n, so the two are equal
     exactly when the ranks agree.  The composite is checked first
-    (``NotAComplexError``), then the witnesses, then the ranks
-    (``InvalidInputError``).
+    (``NotAComplexError``), then the witnesses (``WitnessError`` if a
+    given one fails), then the ranks (``InvalidInputError``).
     """
 
     __slots__ = ("mono", "epi", "retractions", "sections")
@@ -859,7 +859,8 @@ class ComplexSes(_Checked):
             e = epi.components.get(n)
             if e is not None and any(map(any, _product_rows(e, m))):
                 raise NotAComplexError(f"composite of the two maps is nonzero at degree {n}")
-        self._store(mono, epi, _splitting(mono, retractions, True), _splitting(epi, sections, False))
+        self._store(mono, epi, _splitting(mono, retractions, True, WitnessError),
+                    _splitting(epi, sections, False, WitnessError))
         left, middle, right = self.left, self.middle, self.right
         for n in set(left.ranks) | set(middle.ranks) | set(right.ranks):
             if left.rank(n) + right.rank(n) != middle.rank(n):

@@ -174,18 +174,26 @@ def kappa(complex_: ChainComplex) -> KappaResult:
 class FactorStep(_Checked):
     """One factorization step map = h . g through an intermediate complex.
 
-    ``witness`` is the degreewise homotopy built from the source-summand
-    inclusion into the cone, ``upper`` the upper truncation of the cone
-    whose homology the cone of h reproduces.  The law, checked when it is
-    built (else ``WitnessError``): h . g == map on the nose.
+    ``witness`` is the homotopy built from the source-summand inclusion
+    into the cone, and ``upper``, the target of its maps, the upper
+    truncation of the cone whose homology the cone of h reproduces.  The
+    law, checked when it is built (else ``WitnessError``): h . g == map on
+    the nose, and g stacks map over the witness in every degree.
     """
 
-    __slots__ = ("map", "g", "h", "witness", "upper")
+    __slots__ = ("map", "g", "h", "witness")
 
-    def __init__(self, map: ChainMap, g: ChainMap, h: ChainMap, witness: Homotopy, upper: ChainComplex):
-        self._store(map, g, h, witness, upper)
+    def __init__(self, map: ChainMap, g: ChainMap, h: ChainMap, witness: Homotopy):
+        self._store(map, g, h, witness)
         if g.target != h.source or h.compose(g) != map:
             raise WitnessError("h . g is not the input map")
+        degrees = {*map.source.ranks, *map.target.ranks, *g.target.ranks, *(k - 1 for k in self.upper.ranks)}
+        if witness.lhs.source != map.source or any(g.at(m) != vstack([map.at(m), witness.at(m)]) for m in degrees):
+            raise WitnessError("g does not stack the map over the witness")
+
+    @property
+    def upper(self) -> ChainComplex:
+        return self.witness.lhs.target
 
 
 def factor_step(f: ChainMap, n: int) -> FactorStep:
@@ -214,12 +222,11 @@ def factor_step(f: ChainMap, n: int) -> FactorStep:
     h = shift_map(cone_of_composite.projection, 1)
     # Cone degree m+1 starts with the source summand X_m, so a's component
     # there restricts to X_m as its first X.rank(m) columns.
-    witness_components = {m: -a.components[m + 1].take_cols(range(X.rank(m)))
-                          for m in X.ranks if m + 1 in a.components}
-    # g's chain-map law below is the homotopy identity of the witness.
-    witness = Homotopy._trusted(composite.compose(f), ChainMap.zero(X, a.target), witness_components)
-    g = ChainMap(X, intermediate, {m: vstack([f.at(m), witness.at(m)]) for m in X.ranks})
-    return FactorStep(f, g, h, witness, a.target)
+    witness = Homotopy(composite.compose(f), ChainMap.zero(X, a.target), {
+        m: -a.components[m + 1].take_cols(range(X.rank(m))) for m in X.ranks if m + 1 in a.components})
+    # g's chain-map law is the homotopy identity of the witness, checked above.
+    g = ChainMap._trusted(X, intermediate, {m: vstack([f.at(m), witness.at(m)]) for m in X.ranks})
+    return FactorStep(f, g, h, witness)
 
 
 class CellularFactorization(_Checked):

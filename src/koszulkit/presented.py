@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from .complexes import _Checked
 from .errors import DimensionError, InvalidInputError
 from .fgmodules import FgModule, cokernel
-from .matrices import Matrix, _selection, block_diag, hstack, kernel_basis, solve, vstack
+from .matrices import Matrix, _column_form, _selection, block_diag, hstack, kernel_basis, solve, vstack
 from .rings import Ring
 
 
@@ -57,9 +57,6 @@ class PresentedModule(_Checked):
 
     def canonical_form(self) -> FgModule:
         return cokernel(self.relations)
-
-    def is_zero_module(self) -> bool:
-        return self.canonical_form().is_zero()
 
     def contains(self, vectors: Matrix) -> bool:
         """Whether each column is zero in the module (lies in the relations span)."""
@@ -150,7 +147,10 @@ class PresentedMap(_Checked):
         return self.source.contains(self.preimage_of_relations())
 
     def is_surjective(self) -> bool:
-        return self.cokernel_module().is_zero_module()
+        """Whether the Hermite form of [matrix | relations], as ``lift`` reads it, has a unit pivot in each row."""
+        pivots, cols = _column_form(hstack([self.matrix, self.target.relations]))[:2]
+        return len(pivots) == self.target.gens and all(col[c] == self.source.ring.work.one
+                                                       for c, col in zip(pivots, cols))
 
     def is_iso(self) -> bool:
         return self.is_injective() and self.is_surjective()
@@ -196,13 +196,8 @@ def is_short_exact(mono: PresentedMap, epi: PresentedMap) -> bool:
     """Whether 0 -> A -> B -> C -> 0 given by the two maps is exact."""
     if mono.target != epi.source:
         raise InvalidInputError("maps are not consecutive")
-    if not epi.compose(mono).is_zero_map():
-        return False
-    if not mono.is_injective():
-        return False
-    if not epi.is_surjective():
-        return False
-    return mono.lift(epi.preimage_of_relations()) is not None
+    return (epi.compose(mono).is_zero_map() and mono.is_injective() and epi.is_surjective()
+            and mono.lift(epi.preimage_of_relations()) is not None)
 
 
 class SesMorphism(_Checked):

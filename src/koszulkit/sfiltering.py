@@ -28,10 +28,9 @@ from .complexes import (
     _splitting,
     _subcomplex,
     _sum_layout,
-    _table,
     _witness,
 )
-from .errors import InvalidInputError, WitnessError
+from .errors import InvalidInputError, NotAComplexError, WitnessError
 from .koszul import in_kos1
 from .matrices import (
     Matrix,
@@ -65,26 +64,37 @@ def kernel_complex(f: ChainMap):
     return _subcomplex(f.source, {n: kernel_basis(f.at(n)) for n in f.source.ranks})
 
 
+def _proved(sequence: ComplexSes) -> ComplexSes:
+    """``sequence`` proved by the ``ComplexSes`` constructor; a failure is a ``WitnessError``."""
+    try:
+        return ComplexSes(*sequence._values())
+    except (InvalidInputError, NotAComplexError) as error:
+        raise WitnessError(f"kernel sequence fails: {error}") from None
+
+
 class ImageFactorization(_Checked):
     """Acyclic image factorization of a map out of an acyclic Koszul complex.
 
-    The law, checked at construction: ``mono . epi == map`` with ``epi``
-    onto ``image``; ``image`` and ``kernel`` are acyclic Koszul
-    complexes; and ``sections`` are sections of ``epi`` at exactly the
-    degrees where the image is nonzero.  Else ``WitnessError``.
+    ``sequence`` is 0 -> kernel -> source -> image -> 0.  The law, checked
+    at construction: ``sequence`` is short exact (``_proved``); ``mono .
+    epi == map``, and ``map`` has the rank of the image in each degree
+    (the columns of its image basis, a memoized elimination), so ``mono``
+    is injective and the kernel is that of ``map``; and the image and the
+    kernel are acyclic Koszul complexes.  Else ``WitnessError``.
     """
 
-    __slots__ = ("map", "image", "epi", "mono", "sections", "kernel", "kernel_inclusion")
+    __slots__ = ("map", "mono", "sequence")
 
-    def __init__(self, map: ChainMap, image: ChainComplex, epi: ChainMap, mono: ChainMap, sections: dict,
-                 kernel: ChainComplex, kernel_inclusion: ChainMap):
-        if epi.target != image or mono.source != image or mono.compose(epi) != map:
+    def __init__(self, map: ChainMap, mono: ChainMap, sequence: ComplexSes):
+        self._store(map, mono, _proved(sequence))
+        image, epi = self.sequence.right, self.sequence.epi
+        if mono.source != image or mono.compose(epi) != map:
             raise WitnessError("image factorization does not compose to its map")
-        if not in_kos1(image) or not is_acyclic(image):
-            raise WitnessError("image is not an acyclic Koszul complex")
-        self._store(map, image, epi, mono, _splitting(epi, sections, False, WitnessError), kernel, kernel_inclusion)
-        if not in_kos1(kernel) or not is_acyclic(kernel):
-            raise WitnessError("kernel is not an acyclic Koszul complex")
+        if any(image_basis(map.at(n)).cols != r for n, r in image.ranks.items()):
+            raise WitnessError("mono is not injective: the map has a smaller rank than the image")
+        for name, part in (("image", image), ("kernel", self.sequence.left)):
+            if not in_kos1(part) or not is_acyclic(part):
+                raise WitnessError(f"{name} is not an acyclic Koszul complex")
 
 
 def image_factorization(f: ChainMap) -> ImageFactorization:
@@ -98,11 +108,9 @@ def image_factorization(f: ChainMap) -> ImageFactorization:
         raise InvalidInputError("both ends must be free Koszul complexes")
     if not is_acyclic(f.source):
         raise InvalidInputError("source is not acyclic")
-    image, epi, mono = image_complex(f)
-    # Solved here, checked once by the bundle.
-    sections = {n: _witness(epi.at(n), False) for n in image.ranks}
-    kernel, incl = kernel_complex(f)
-    return ImageFactorization(f, image, epi, mono, sections, kernel, incl)
+    _, epi, mono = image_complex(f)
+    # The bundle's proof of the sequence solves its witnesses.
+    return ImageFactorization(f, mono, ComplexSes._trusted(kernel_complex(f)[1], epi, None, None))
 
 
 # ---------------------------------------------------------------------------
@@ -191,35 +199,31 @@ def ed_decompose(complex_: ChainComplex) -> EdDecomposition:
 class ExcisionCertificate(_Checked):
     """Witnesses that a split mono from an acyclic complex excises.
 
-    ``q`` maps the ambient complex onto (acyclic source) (+) (identity
-    part of the quotient).  The law, checked at construction: ``target``
-    is acyclic, q composed with the mono is the split inclusion (id; 0)
-    of the source into ``target``, ``sections`` are sections of q, and
-    ``kernel`` is a Koszul complex.  Else ``WitnessError``.  So the top
-    rows of q_0, ``retraction0``, retract the mono in degree 0.
+    ``sequence`` is 0 -> kernel -> Y -> target -> 0, its epi q mapping Y
+    onto (acyclic source) (+) (identity part of the quotient).  The law,
+    checked at construction: ``sequence`` is short exact (``_proved``), so
+    its mono is the kernel of q; q . mono is the split inclusion (id; 0);
+    the kernel is Koszul; the target is acyclic.  Else ``WitnessError``.  So
+    ``retraction0``, the top rows of q_0, retracts the mono in degree 0.
     """
 
-    __slots__ = ("mono", "target", "q", "sections", "kernel", "kernel_inclusion")
+    __slots__ = ("mono", "sequence")
 
-    def __init__(self, mono: ChainMap, target: ChainComplex, q: ChainMap, sections: dict,
-                 kernel: ChainComplex, kernel_inclusion: ChainMap):
-        X = mono.source
-        if q.source != mono.target or q.target != target or any(target.rank(n) < r for n, r in X.ranks.items()):
+    def __init__(self, mono: ChainMap, sequence: ComplexSes):
+        self._store(mono, _proved(sequence))
+        X, q, target = mono.source, self.sequence.epi, self.sequence.right
+        if q.source != mono.target or any(target.rank(n) < r for n, r in X.ranks.items()):
             raise WitnessError("q does not map the mono's target onto the certificate's target")
-        incl = ChainMap(X, target, {n: _selection(X.ring, target.rank(n), range(r)) for n, r in X.ranks.items()})
-        if q.compose(mono) != incl:
+        if q.compose(mono).components != {n: _selection(X.ring, target.rank(n), range(r)) for n, r in X.ranks.items()}:
             raise WitnessError("q does not restrict to the split inclusion of the source")
-        _splitting(q, sections, False, WitnessError)
-        if not in_kos1(kernel):
+        if not in_kos1(self.sequence.left):
             raise WitnessError("kernel of q is not a Koszul complex")
         if not is_acyclic(target):
             raise WitnessError("target is not acyclic")
-        # The given table is kept whole: the wire writes its empty blocks too.
-        self._store(mono, target, q, _table(sorted(sections.items())), kernel, kernel_inclusion)
 
     @property
     def retraction0(self) -> Matrix:
-        return self.q.at(0).take_rows(range(self.mono.source.rank(0)))
+        return self.sequence.epi.at(0).take_rows(range(self.mono.source.rank(0)))
 
 
 def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> ExcisionCertificate:
@@ -262,8 +266,7 @@ def excision_epi(mono: ChainMap, retractions: Optional[dict] = None) -> Excision
             mu = (q.at(degree) * lam).take_rows(range(X.rank(degree)))
             lam = lam - mono.at(degree) * mu
         pairs.append((degree, hstack([mono.at(degree), lam])))
-    kernel, kernel_incl = kernel_complex(q)
-    return ExcisionCertificate(mono, target, q, dict(pairs), kernel, kernel_incl)
+    return ExcisionCertificate(mono, ComplexSes._trusted(kernel_complex(q)[1], q, None, dict(pairs)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from typing import NamedTuple
 from . import jsonio
 from .complexes import (
     ChainMap,
-    ComplexSes,
     is_acyclic,
     kernel_image_sequences,
     quasi_iso_degree,
@@ -242,8 +241,7 @@ def excision_trial(params: GenParams, trial: int):
     sample = gen_admissible_mono(params, trial)
     mono = sample.sequence.mono
     cert = _built(excision_epi, "excision certificate failed", mono, mono, sample.sequence.retractions)
-    closure = ComplexSes(cert.kernel_inclusion, cert.q)
-    _require(extension_closure_check(closure),
+    _require(extension_closure_check(cert.sequence),
              "kernel sequence violates extension closure", mono)
 
 

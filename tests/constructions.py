@@ -164,16 +164,19 @@ def reference_retraction(incl: ChainMap):
     return solve_degreewise(ring, shapes, equations)
 
 
+def forged(base, **changes):
+    """The checked value ``base`` with ``changes``, built past the check."""
+    return type(base)._trusted(*{**dict(zip(base._fields, base._values())), **changes}.values())
+
+
 def assert_refused(base, **changes):
     """The checked value ``base`` with ``changes`` is refused with
     ``WitnessError`` when built directly, through ``_replace`` and on
     unpickling a copy built past the check."""
-    cls = type(base)
     fields = {**dict(zip(base._fields, base._values())), **changes}
     with pytest.raises(WitnessError):
-        cls(**fields)
+        type(base)(**fields)
     with pytest.raises(WitnessError):
         base._replace(**changes)
-    forged = cls._trusted(*fields.values())
     with pytest.raises(WitnessError):
-        pickle.loads(pickle.dumps(forged))
+        pickle.loads(pickle.dumps(forged(base, **changes)))

@@ -257,6 +257,27 @@ def test_excise_from_the_zero_complex(tmp_path, capsys):
     assert result["target"]["differentials"] == {"1": {"rows": 1, "cols": 1, "entries": [[1]]}}
 
 
+
+def test_excise_of_the_zero_map_writes_both_empty_sections(tmp_path, capsys):
+    """The zero map into [Z --2--> Z]: the target is zero, and the output
+    still holds the section blocks at degrees 0 and 1, each 1x0."""
+    z2 = {"ring": "Z", "ranks": {"0": 1, "1": 1}, "differentials": {"1": {"cols": 1, "entries": [[2]], "rows": 1}}}
+    zero = {"ring": "Z", "ranks": {}, "differentials": {}}
+    mono = {"source": zero, "target": z2, "components": {}}
+    code, out, _ = run_cli(capsys, "excise", "--in", write_json(tmp_path, "mono.json", mono))
+    assert code == 0
+    one, empty = {"cols": 1, "entries": [[1]], "rows": 1}, {"cols": 0, "entries": [[]], "rows": 1}
+    expected = {
+        "kernel": z2,
+        "kernel_inclusion": {"components": {"0": one, "1": one}, "source": z2, "target": z2},
+        "q": {"components": {}, "source": z2, "target": zero},
+        "retraction0": {"cols": 1, "entries": [], "rows": 0},
+        "sections": {"0": empty, "1": empty},
+        "target": zero,
+        "verified": True,
+    }
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
 def test_suite_command(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "suite", "cor3_8", "--ring", "Z",

@@ -108,7 +108,11 @@ def _sha256(text) -> str:
 # bases and returned another witness (its constructor checks the law);
 # those of ``CellularFactorization`` and ``ExcisionCertificate`` were
 # taken when they dropped the fields that their laws imply or never read,
-# and the text of each field they kept was the same as before;
+# and the text of each field they kept was the same as before; and those
+# of ``ImageFactorization``, ``ExcisionCertificate`` and ``FactorStep``
+# were taken again when the first two came to hold their kernel sequence
+# as one ``ComplexSes`` field and ``FactorStep`` came to read ``upper``
+# off its witness, and again each field they kept wrote the same text;
 # each field is written by a layout that the other pins cover.
 RECORD_TEXT_SHA256 = {
     "ChainComplex": "f95b4d9eb2689ef182c20e56d925cbdf897880fd7da36e88880c45ec6c0a6def",
@@ -126,17 +130,17 @@ RECORD_TEXT_SHA256 = {
     "Kos1Membership": "9eb0ce4aa3fcc0764a570a569a1a0bb839dc672d770393770375390ab90d27e2",
     "Augmentation": "361544c9b0e68c29d8bd57a53d9b8655d817ed2842fa31641d99eb06bef85dae",
     "KappaResult": "5406fa098f591c89c2c5fb1597368b3c94fbe2c4dabb48a1b4eff8af5111e098",
-    "FactorStep": "b6e81c5daf9639154defa5e92f6175ab4787acac7f59819b641aa8fe2c7d9ddf",
+    "FactorStep": "6941c3c612671948a5c352c23caf839f397e04613a8d3c3e176d09d570b529a7",
     "CellularFactorization": "8b471352f77cd6114f586741f4a1cbb411a92cb8e920d12a73a99543626ce6ec",
     "PresentedKoszul": "939ae468df924b37f5bd639ac86541d0fd62504d349d19173d97f1e450cf78b4",
     "PresentedKoszulMap": "638a3bad89490f33a8ae305977a5b0da1b11bde0d1e682f8b35e9d172d27f2bd",
     "PresentedSes": "1b03172920b1d119ee9498f9bf8d9dba3b85cfc4fb60598a8fd2ebb7d7cde265",
     "Resolution": "b0a8039871dfb0f12aa89eb5dad0e87e33ce472c3fe29cc90be18d213003fa7d",
     "AcyclicRetract": "1a45f02a44c41a87e0d4d29799cc45f84f6aa003e172cc7bc1920cb684326edf",
-    "ImageFactorization": "ecbb64d14de7b7b070cc9e83285839a8050a5fc3ec039d9bfa6dac0126ce7444",
+    "ImageFactorization": "e926ac811f4c60b656e4a89d2eda7e2a98e8dbbced94e14ca00c68a1eb2a40cd",
     "EdDecomposition": "fbf57352e61808d3fcfae0f0688b646b317595be45bbd99059f7bf65619635e8",
     "SmithDecomposition": "eb5576827c2fc34f19bfc9a945ee863c7dc4a35f2c94a7c26351492b69325d64",
-    "ExcisionCertificate": "91f4aa5ba14d4134969d35061c72d544cf0b890f4cb4389f13584b201034b431",
+    "ExcisionCertificate": "84ad78ee21675641afd326468de0f5ec53275ea024bc21f3c3d85a11197611ed",
     "IdempotentSplit": "4562b93761b65c6fb8f4fa7dff9511bc4441d6a37443d30884f4c8338453fdc9",
     "K0TorsionClass": None,
     "K0KosClass": "4ce638bfd61512cb0605378b08f3068dde7338058074be3cd8d4b8113b5c203a",

@@ -8,6 +8,7 @@ from koszulkit.complexes import (
     ChainComplex,
     ChainMap,
     ComplexSes,
+    Homotopy,
     cone,
     direct_sum,
     homology,
@@ -178,12 +179,26 @@ def test_forged_factor_steps_do_not_verify():
     step = factor_step(ChainMap.identity(Z2), 5)
     assert step._replace() == step
     with pytest.raises(WitnessError, match="h . g is not the input map"):
-        type(step)(ChainMap.zero(Z2, Z2), step.g, step.h, step.witness, step.upper)
+        type(step)(ChainMap.zero(Z2, Z2), step.g, step.h, step.witness)
     with pytest.raises(WitnessError, match="h . g is not the input map"):
         step._replace(g=step.g + step.g)
     with pytest.raises(WitnessError, match="h . g is not the input map"):
         step._replace(h=ChainMap.identity(Z6))
 
+
+
+def test_a_factor_step_reads_upper_off_its_witness():
+    """``upper`` is the target of the witness's two maps, and each
+    component of g stacks the map over the witness, so a witness that is
+    a homotopy but not the lower block of g is refused."""
+    step = factor_step(ChainMap.zero(two_term(Matrix(ZZ, [[1]])), Z2), -1)
+    assert type(step)._fields == ("map", "g", "h", "witness")
+    assert step.upper == step.witness.lhs.target == step.witness.rhs.target
+    with pytest.raises(TypeError):
+        step._replace(upper=Z2)
+    witness = step.witness
+    doubled = Homotopy(witness.lhs, witness.rhs, {n: m.scale(2) for n, m in witness.components.items()})
+    assert_refused(step, witness=doubled)
 
 def test_factor_step_quasi_iso_above_support():
     ident = ChainMap.identity(Z2)

@@ -13,10 +13,15 @@ change a dict, so every checked value can be hashed.  The ten result
 bundles (``SnfCertificate``, ``SmithDecomposition``,
 ``TruncationSplitting``, ``KappaResult``, ``FactorStep``,
 ``CellularFactorization``, ``ImageFactorization``, ``EdDecomposition``,
-``ExcisionCertificate`` and ``IdempotentSplit``) are checked values: each checks its law when it is built, also when ``_replace``, a copy or
-a pickle builds it again, and their witness tables
-(``ImageFactorization.sections`` and ``ExcisionCertificate.sections``)
-are such tables too.  The
+``ExcisionCertificate`` and ``IdempotentSplit``) are checked values: each
+checks its law when it is built, also when ``_replace``, a copy or a
+pickle builds it again, and each field it stores is proved by that law:
+taken from a bundle of the same type built from another input, it is
+refused.  The image factorization and the excision certificate hold
+their sections in their kernel sequence, a ``ComplexSes``, so no bundle
+holds a table of its own, and their witness tables
+(``ImageFactorization.sequence.sections`` and
+``ExcisionCertificate.sequence.sections``) are such tables too.  The
 generator samples hold tuples and read-only tables
 (``AObjectSample.homology_divisors``).  Only one record holds a plain
 container and cannot be hashed: ``SuiteReport`` (``failures``).
@@ -37,8 +42,10 @@ from koszulkit import (
     cli, complexes, fgmodules, generators, jsonio, k0, koszul, matrices, presented, rings, sfiltering, suites,
 )
 from koszulkit.complexes import (
+    ChainComplex,
     ChainMap,
     ComplexSes,
+    Homotopy,
     cone,
     direct_sum,
     homotopy_between,
@@ -47,6 +54,7 @@ from koszulkit.complexes import (
     truncation_splitting,
     two_term,
 )
+from koszulkit.errors import WitnessError
 from koszulkit.fgmodules import FgModule
 from koszulkit.generators import (
     GenParams,
@@ -75,7 +83,7 @@ from koszulkit.presented import PresentedMap, PresentedModule
 from koszulkit.rings import ZZ, fpx
 from koszulkit.sfiltering import ed_decompose, excision_epi, idempotent_split, image_factorization
 from koszulkit.suites import run_suite
-from constructions import presented_from_free, zero_complex
+from constructions import assert_refused, forged, presented_from_free, zero_complex
 
 PARAMS = GenParams(ring=ZZ, seed=5)
 UNIT = two_term(Matrix(ZZ, [[1]]))
@@ -247,8 +255,9 @@ def test_checked_tables_refuse_every_change(name):
     checked value hashes, and twins built separately hash equal."""
     record = BUILDERS[name]()
     tables = {n: getattr(record, n) for n in record._fields if isinstance(getattr(record, n), dict)}
-    assert bool(tables) == (name in {"ChainComplex", "ChainMap", "Homotopy", "ComplexSes",
-                                     "ImageFactorization", "ExcisionCertificate", "SmithDecomposition"})
+    # The image factorization and the excision certificate hold their
+    # sections in their kernel sequence, a ComplexSes, not as a table.
+    assert bool(tables) == (name in {"ChainComplex", "ChainMap", "Homotopy", "ComplexSes", "SmithDecomposition"})
     for table in tables.values():
         _assert_read_only(table)
     assert hash(record) == hash(BUILDERS[name]())
@@ -276,14 +285,70 @@ def test_checked_replace_builds_an_equal_checked_value(name):
 
 # The witness table of each result bundle that holds one, nonempty.
 WITNESS_TABLES = {
-    "ImageFactorization": lambda: BUILDERS["ImageFactorization"]().sections,
-    "ExcisionCertificate": lambda: BUILDERS["ExcisionCertificate"]().sections,
+    "ImageFactorization": lambda: BUILDERS["ImageFactorization"]().sequence.sections,
+    "ExcisionCertificate": lambda: BUILDERS["ExcisionCertificate"]().sequence.sections,
 }
 
 
 @pytest.mark.parametrize("name", WITNESS_TABLES)
 def test_bundle_witness_tables_refuse_every_change(name):
     _assert_read_only(WITNESS_TABLES[name]())
+
+
+# A second input for each result bundle, of another shape or value than
+# the one ``BUILDERS`` gives it.
+OTHER_INPUTS = {
+    "CellularFactorization": lambda: cellular_factorization(ChainMap.zero(Z2, Z6)),
+    "EdDecomposition": lambda: ed_decompose(two_term(Matrix(ZZ, [[2, 1], [0, 3]]))),
+    "ExcisionCertificate": lambda: excision_epi(ChainMap.zero(zero_complex(ZZ), direct_sum(UNIT, Z6).complex)),
+    "FactorStep": lambda: factor_step(ChainMap.zero(UNIT, Z2), -1),
+    "IdempotentSplit": lambda: idempotent_split(ChainMap.identity(two_term(Matrix(ZZ, [[-1]])))),
+    "ImageFactorization": lambda: image_factorization(ChainMap.identity(direct_sum(UNIT, UNIT).complex)),
+    "KappaResult": lambda: kappa(Z2),
+    "SmithDecomposition": lambda: smith_decomposition(
+        ChainComplex(ZZ, {2: 1, 1: 2, 0: 1}, {2: Matrix(ZZ, [[3], [0]])})),
+    "SnfCertificate": lambda: snf(Matrix(ZZ, [[3, 0, 1]])),
+    "TruncationSplitting": lambda: truncation_splitting(Z2, 0),
+}
+BUNDLE_TYPES = {name: value for module in MODULES for name, value in vars(module).items() if name in BUNDLES}
+FIELDS = [(name, field) for name in BUNDLES for field in BUNDLE_TYPES[name]._fields]
+
+
+@pytest.mark.parametrize("name, field", FIELDS, ids=[".".join(pair) for pair in FIELDS])
+def test_a_field_of_another_bundle_is_refused(name, field):
+    """Each field of a result bundle is proved by its law: taken from a
+    bundle of the same type built from another input, it is refused,
+    unless the two values are equal."""
+    record, other = BUILDERS[name](), OTHER_INPUTS[name]()
+    value = getattr(other, field)
+    if value == getattr(record, field):
+        assert record._replace(**{field: value}) == record
+    else:
+        with pytest.raises(WitnessError):
+            record._replace(**{field: value})
+
+
+def test_a_kernel_or_upper_truncation_that_the_law_does_not_prove_is_refused():
+    """A kernel with a zero inclusion, and a witness that reads another
+    upper truncation, are refused when built directly, through
+    ``_replace`` and on unpickling."""
+    cert = excision_epi(direct_sum(UNIT, Z2).inclusions[0])
+    seq = cert.sequence
+    assert seq.left.rank(0) == seq.left.rank(1) == 1
+    assert_refused(cert, sequence=forged(seq, mono=ChainMap.zero(Z2, seq.middle)))
+    # The kernel of the zero map out of UNIT is UNIT itself.
+    factorization = image_factorization(ChainMap.zero(UNIT, Z2))
+    seq = factorization.sequence
+    assert seq.mono == ChainMap.identity(UNIT)
+    assert_refused(factorization, sequence=forged(seq, mono=ChainMap.zero(UNIT, UNIT)))
+    step = factor_step(ChainMap.zero(UNIT, Z2), -1)
+    assert step.upper != Z2
+    assert_refused(step, witness=Homotopy(ChainMap.zero(UNIT, Z2), ChainMap.zero(UNIT, Z2), {}))
+    # The same components into the upper truncation plus a free generator
+    # in degree 3, where the source is zero.
+    wider = direct_sum(step.upper, ChainComplex(ZZ, {3: 1}, {})).complex
+    witness = Homotopy(ChainMap.zero(UNIT, wider), ChainMap.zero(UNIT, wider), step.witness.components)
+    assert_refused(step, witness=witness)
 
 
 def test_a_checked_differential_cannot_be_replaced():

@@ -59,22 +59,19 @@ def _verdicts(seq: ComplexSes, n: int):
         return None
 
 
-def _results(bundle):
-    """The fields of ``bundle`` but its input ``map``: the pin covers what
-    a construction returns, not what it was given."""
-    names = [name for name in bundle._fields if name != "map"]
-    return namedtuple(type(bundle).__name__, names)(*[getattr(bundle, name) for name in names])
-
-
 # The bundles laid out as the records the pin was taken from: the
 # truncation sequence as its four maps and complexes, the law of a kappa
 # result as the two flags that held it, the cellular retractions as the
-# transposes of the stages, and the excision decomposition as that of the
-# quotient by the mono with the retractions the certificate was given.
+# transposes of the stages, the kernel sequences of the image
+# factorization and the excision certificate as their parts (the
+# excision sections at degrees 0 and 1, empty where the target is zero),
+# and the excision decomposition as that of the quotient by the mono
+# with the retractions the certificate was given.
 _Triple = namedtuple("TruncationTriple", "upper lower incl proj")
 _Splitting = namedtuple("TruncationSplitting", "triple u v")
 _Kappa = namedtuple("KappaResult", "kos u v u_is_quasi_iso v_is_quasi_iso")
 _Cellular = namedtuple("CellularFactorization", "stages retractions subquotients spherical_degrees final")
+_Image = namedtuple("ImageFactorization", "image epi mono sections kernel kernel_inclusion")
 _Excision = namedtuple("ExcisionCertificate",
                        "mono retraction0 target q sections kernel kernel_inclusion decomposition")
 
@@ -93,10 +90,17 @@ def _cellular(bundle):
     return _Cellular(bundle.stages, retractions, bundle.subquotients, bundle.spherical_degrees, bundle.final)
 
 
+def _image(bundle):
+    seq = bundle.sequence
+    return _Image(seq.right, seq.epi, bundle.mono, seq.sections, seq.left, seq.mono)
+
+
 def _excision(bundle, retractions):
+    seq = bundle.sequence
+    sections = {n: seq.sections.get(n, Matrix.zeros(seq.middle.ring, seq.middle.rank(n), 0)) for n in (0, 1)}
     quotient = quotient_by_split_mono(bundle.mono, retractions)[0]
-    return _Excision(bundle.mono, bundle.retraction0, bundle.target, bundle.q, bundle.sections, bundle.kernel,
-                     bundle.kernel_inclusion, ed_decompose(quotient))
+    return _Excision(bundle.mono, bundle.retraction0, seq.right, seq.epi, sections, seq.left, seq.mono,
+                     ed_decompose(quotient))
 
 
 def _outputs(params: GenParams, trial: int) -> dict:
@@ -133,7 +137,7 @@ def _outputs(params: GenParams, trial: int) -> dict:
     f = gen_chain_map(rng, acyclic, gen_koszul(params, trial, rng=rng).complex, bound=2, terms=1)
     out["image_complex"] = image_complex(f)
     out["kernel_complex"] = kernel_complex(f)
-    out["image_factorization"] = _results(image_factorization(f))
+    out["image_factorization"] = _image(image_factorization(f))
     out["idempotent_split"] = idempotent_split(gen_idempotent(params, trial)[1])
 
     out["resolve_in_kos1"] = resolve_in_kos1(gen_c_object(params, trial).object)

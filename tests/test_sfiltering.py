@@ -31,7 +31,7 @@ from koszulkit.sfiltering import (
     image_factorization,
     kernel_complex,
 )
-from constructions import assert_refused, zero_complex
+from constructions import assert_refused, forged, zero_complex
 
 PARAMS = GenParams(ring=ZZ, seed=12)
 UNIT = two_term(Matrix(ZZ, [[1]]))
@@ -41,15 +41,17 @@ Z2 = two_term(Matrix(ZZ, [[2]]))
 def test_image_factorization_zero_map():
     f = ChainMap.zero(UNIT, Z2)
     factorization = image_factorization(f)
-    assert not factorization.image.ranks
+    assert not factorization.sequence.right.ranks
     assert factorization.map == f
+    # the whole source is the kernel
+    assert factorization.sequence.mono == ChainMap.identity(UNIT)
 
 
 def test_image_factorization_identity():
     f = ChainMap.identity(UNIT)
     factorization = image_factorization(f)
-    assert factorization.image == UNIT
-    assert factorization.epi == ChainMap.identity(UNIT)
+    assert factorization.sequence.right == UNIT
+    assert factorization.sequence.epi == ChainMap.identity(UNIT)
     assert factorization.map == f
 
 
@@ -57,11 +59,12 @@ def test_image_factorization_rank_one_example():
     target = two_term(Matrix(ZZ, [[1, 0], [0, 2]]))
     f = ChainMap(UNIT, target, {1: Matrix(ZZ, [[1], [0]]), 0: Matrix(ZZ, [[1], [0]])})
     factorization = image_factorization(f)
-    assert factorization.image.ranks == {1: 1, 0: 1}
-    assert is_acyclic(factorization.image)
-    assert factorization.mono.compose(factorization.epi) == f
+    seq = factorization.sequence
+    assert seq.right.ranks == {1: 1, 0: 1}
+    assert is_acyclic(seq.right)
+    assert factorization.mono.compose(seq.epi) == f
     # the kernel stays in the category and is acyclic
-    assert in_kos1(factorization.kernel) and is_acyclic(factorization.kernel)
+    assert in_kos1(seq.left) and is_acyclic(seq.left)
 
 
 def test_image_factorization_requires_acyclic_source():
@@ -137,41 +140,39 @@ def test_excision_projection_case():
     total = direct_sum(UNIT, Z2)
     mono = total.inclusions[0]
     cert = excision_epi(mono)
-    assert cert.target == UNIT
+    assert cert.sequence.right == UNIT
     # q is the X-projection up to the stored retraction
-    assert cert.q.compose(mono) == ChainMap.identity(UNIT)
+    assert cert.sequence.epi.compose(mono) == ChainMap.identity(UNIT)
 
 
 def test_excision_pipeline_example():
     target = two_term(Matrix(ZZ, [[1, 0], [0, 2]]))
     mono = ChainMap(UNIT, target, {1: Matrix(ZZ, [[1], [0]]), 0: Matrix(ZZ, [[1], [0]])})
-    cert = excision_epi(mono)
-    assert cert.target == UNIT  # the quotient [Z -> 2Z] has no unit part
+    seq = excision_epi(mono).sequence
+    assert seq.right == UNIT  # the quotient [Z -> 2Z] has no unit part
     # the kernel is Koszul but NOT acyclic here: it carries H0 of the ambient complex
-    assert in_kos1(cert.kernel)
-    assert module_iso(homology(cert.kernel, 0), homology(target, 0))
-    closure = ComplexSes(cert.kernel_inclusion, cert.q)
-    assert extension_closure_check(closure)
+    assert in_kos1(seq.left)
+    assert module_iso(homology(seq.left, 0), homology(target, 0))
+    assert extension_closure_check(seq)
 
 
 def test_excision_from_the_zero_complex():
     # The zero source has no degree-0 retraction; the target is the unit part.
     ambient = two_term(Matrix(ZZ, [[1, 0], [0, 3]]))
     cert = excision_epi(ChainMap.zero(zero_complex(ZZ), ambient))
-    assert cert.target == UNIT
+    assert cert.sequence.right == UNIT
     assert (cert.retraction0.rows, cert.retraction0.cols) == (0, 2)
-    assert in_kos1(cert.kernel)
-    assert module_iso(homology(cert.kernel, 0), homology(ambient, 0))
+    assert in_kos1(cert.sequence.left)
+    assert module_iso(homology(cert.sequence.left, 0), homology(ambient, 0))
 
 
 def test_excision_random():
     for trial in range(25):
         sample = gen_admissible_mono(PARAMS, trial)
-        cert = excision_epi(sample.sequence.mono, sample.sequence.retractions)
-        closure = ComplexSes(cert.kernel_inclusion, cert.q)
-        assert extension_closure_check(closure)
+        seq = excision_epi(sample.sequence.mono, sample.sequence.retractions).sequence
+        assert extension_closure_check(seq)
         # kernel acyclicity tracks ambient acyclicity exactly
-        assert is_acyclic(cert.kernel) == is_acyclic(sample.sequence.middle)
+        assert is_acyclic(seq.left) == is_acyclic(sample.sequence.middle)
 
 
 def test_excision_requires_acyclic_source():
@@ -230,39 +231,53 @@ def test_forged_image_factorizations_do_not_verify():
     f = ChainMap(UNIT, target, {1: Matrix(ZZ, [[1], [0]]), 0: Matrix(ZZ, [[1], [0]])})
     factorization = image_factorization(f)
     assert factorization._replace() == factorization
+    seq = factorization.sequence
+    zero_image = image_factorization(ChainMap.zero(UNIT, target))
+    into_target = ChainMap(Z2, target, {1: Matrix(ZZ, [[0], [1]]), 0: Matrix(ZZ, [[0], [1]])})
     forgeries = [
         {"map": ChainMap.zero(UNIT, target)},
-        {"image": Z2},
-        # an acyclic Koszul complex that is not the target of the epi
-        {"image": direct_sum(UNIT, UNIT).complex},
-        # consistent maps of the zero map through Z/2, which is not acyclic
-        {"map": ChainMap.zero(UNIT, target), "image": Z2, "epi": ChainMap.zero(UNIT, Z2),
-         "mono": ChainMap.zero(Z2, target)},
-        {"sections": {}},
-        {"kernel": Z2},
+        # a mono out of another complex than the image
+        {"mono": ChainMap.zero(Z2, target)},
+        # the inclusion of Z/2 as its own image, which is not acyclic
+        {"map": into_target, "mono": into_target,
+         "sequence": ComplexSes(ChainMap.zero(zero_complex(ZZ), Z2), ChainMap.identity(Z2))},
+        # the kernel sequence of another map, with the kernel UNIT
+        {"map": ChainMap.zero(UNIT, target), "mono": zero_image.mono,
+         "sequence": forged(zero_image.sequence, mono=ChainMap.zero(UNIT, UNIT))},
+        {"sequence": forged(seq, sections={})},
+        {"sequence": forged(seq, epi=-seq.epi)},
+        # the zero map into Z/2 through UNIT by a zero mono: the kernel is UNIT, not zero
+        {"map": ChainMap.zero(UNIT, Z2), "mono": ChainMap.zero(UNIT, Z2),
+         "sequence": ComplexSes(ChainMap.zero(zero_complex(ZZ), UNIT), ChainMap.identity(UNIT))},
     ]
     for changes in forgeries:
-        with pytest.raises(WitnessError):
-            factorization._replace(**changes)
+        assert_refused(factorization, **changes)
+    with pytest.raises(WitnessError, match="mono is not injective"):
+        factorization._replace(**forgeries[-1])
 
 
 def test_forged_excision_certificates_do_not_verify():
     cert = excision_epi(direct_sum(UNIT, Z2).inclusions[0])
     assert cert._replace() == cert
+    seq = cert.sequence
     one = Matrix.identity(ZZ, 1)
     forgeries = [
         {"mono": -cert.mono},
-        {"sections": {}},
-        {"kernel": NOT_KOSZUL},
+        {"sequence": forged(seq, sections={})},
+        {"sequence": forged(seq, retractions={})},
+        # the kernel Z/2 with a zero inclusion
+        {"sequence": forged(seq, mono=ChainMap.zero(Z2, seq.middle))},
+        # consistent, but the kernel of q onto the zero target is not a Koszul complex
+        {"mono": ChainMap.zero(zero_complex(ZZ), NOT_KOSZUL),
+         "sequence": ComplexSes(ChainMap.identity(NOT_KOSZUL), ChainMap.zero(NOT_KOSZUL, zero_complex(ZZ)))},
         # all consistent, but the target Z/2 is not acyclic
-        {"mono": ChainMap.identity(Z2), "target": Z2, "q": ChainMap.identity(Z2),
-         "sections": {0: one, 1: one}, "kernel": UNIT},
+        {"mono": ChainMap.identity(Z2),
+         "sequence": ComplexSes(ChainMap.zero(zero_complex(ZZ), Z2), ChainMap.identity(Z2), {}, {0: one, 1: one})},
         # q onto a target too small to hold the source
-        {"target": zero_complex(ZZ), "q": ChainMap.zero(cert.q.source, zero_complex(ZZ))},
+        {"sequence": ComplexSes(ChainMap.identity(seq.middle), ChainMap.zero(seq.middle, zero_complex(ZZ)))},
     ]
     for changes in forgeries:
-        with pytest.raises(WitnessError):
-            cert._replace(**changes)
+        assert_refused(cert, **changes)
 
 
 def test_forged_ed_decompositions_do_not_verify():
@@ -284,12 +299,14 @@ def test_forged_ed_decompositions_do_not_verify():
 
 def test_an_excision_certificate_stores_no_unchecked_field():
     """The degree-0 retraction is read off q, whose restriction to the
-    mono the law checks, and no decomposition is stored."""
+    mono the law checks; the kernel, its inclusion, q, its target and
+    its sections are those of the proved kernel sequence, and no
+    decomposition is stored."""
     cert = excision_epi(direct_sum(UNIT, Z2).inclusions[0])
-    assert "retraction0" not in cert._fields and "decomposition" not in cert._fields
-    assert cert.retraction0 == cert.q.at(0).take_rows(range(1))
+    assert type(cert)._fields == ("mono", "sequence")
+    assert cert.retraction0 == cert.sequence.epi.at(0).take_rows(range(1))
     assert cert.retraction0 * cert.mono.at(0) == Matrix.identity(ZZ, 1)
-    for field in ("retraction0", "decomposition"):
+    for field in ("retraction0", "decomposition", "target", "q", "sections", "kernel", "kernel_inclusion"):
         with pytest.raises(TypeError):
             cert._replace(**{field: None})
 
@@ -302,10 +319,10 @@ def test_a_negated_nonunit_part_is_refused():
     assert decomposition.nonunit_divisors == (6,)
     iso = decomposition.iso
     flip = Matrix(ZZ, [[-1, 0], [0, 1]])
-    forged = ChainMap(iso.source, direct_sum(two_term(Matrix(ZZ, [[-6]])), UNIT).complex,
-                      {1: iso.at(1), 0: flip * iso.at(0)})
-    assert forged.is_chain_iso()
-    assert_refused(decomposition, nonunit_part=two_term(Matrix(ZZ, [[-6]])), iso=forged)
+    negated = ChainMap(iso.source, direct_sum(two_term(Matrix(ZZ, [[-6]])), UNIT).complex,
+                       {1: iso.at(1), 0: flip * iso.at(0)})
+    assert negated.is_chain_iso()
+    assert_refused(decomposition, nonunit_part=two_term(Matrix(ZZ, [[-6]])), iso=negated)
 
 
 def test_a_non_diagonal_nonunit_part_is_refused():

@@ -167,12 +167,12 @@ REFUSED_BUNDLES = {
               "comparisons fail: v is not a quasi-isomorphism"),
     "cellular_factorization": ("prop3_4", {"map": ChainMap.identity(NOT_KOSZUL)},
                                "factorization witnesses fail: stages do not compose back to the input"),
-    "excision_epi": ("appendix_a2", {"kernel": NOT_KOSZUL},
-                     "excision certificate failed: kernel of q is not a Koszul complex"),
+    "excision_epi": ("appendix_a2", {"mono": ChainMap.identity(NOT_KOSZUL)},
+                     "excision certificate failed: q does not map the mono's target onto the certificate's target"),
     "idempotent_split": ("appendix_a2", {"image_part": NOT_KOSZUL},
                          "idempotent split failed: idempotent images do not recombine to the input"),
-    "image_factorization": ("appendix_a2", {"kernel": NOT_KOSZUL},
-                            "image factorization certificate failed: kernel is not an acyclic Koszul complex"),
+    "image_factorization": ("appendix_a2", {"mono": ChainMap.identity(NOT_KOSZUL)},
+                            "image factorization certificate failed: image factorization does not compose to its map"),
 }
 
 
