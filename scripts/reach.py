@@ -103,6 +103,8 @@ SURFACE = {
     ("koszul.py", "h0_augmentation"): OPERATIONS,
     ("koszul.py", "FactorStep.__init__"): FACTOR_STEP,
     ("koszul.py", "FactorStep.upper"): FACTOR_STEP,
+    ("koszul.py", "FactorStep.g"): FACTOR_STEP,
+    ("koszul.py", "FactorStep.h"): FACTOR_STEP,
     ("koszul.py", "factor_step"): FACTOR_STEP,
     ("koszul.py", "retraction_q"): OPERATIONS,
     ("matrices.py", "Matrix.__add__"): OPERATIONS,

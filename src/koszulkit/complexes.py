@@ -259,9 +259,9 @@ class ChainComplex(_Checked):
         return f"ChainComplex({self.ring.token}, ranks={self.ranks})"
 
 
-def two_term(mat: Matrix, top_degree: int = 1) -> ChainComplex:
-    """The complex [R^cols -> R^rows] with ``mat`` in degree ``top_degree``."""
-    return ChainComplex._trusted(mat.ring, {top_degree: mat.cols, top_degree - 1: mat.rows}, {top_degree: mat})
+def two_term(mat: Matrix) -> ChainComplex:
+    """The complex [R^cols -> R^rows] with ``mat`` in degree 1."""
+    return ChainComplex._trusted(mat.ring, {1: mat.cols, 0: mat.rows}, {1: mat})
 
 
 class ChainMap(_Checked):

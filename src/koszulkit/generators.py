@@ -50,7 +50,6 @@ from .complexes import (
     ChainComplex,
     ChainMap,
     ComplexSes,
-    _Checked,
     _Layout,
     _negated,
     _sum_layout,
@@ -60,7 +59,7 @@ from .complexes import (
 )
 from .errors import InvalidInputError
 from .koszul import PresentedKoszul
-from .matrices import Matrix, _product_sum, _selection, block, block_diag, hstack, inverse, vstack
+from .matrices import Matrix, _Checked, _product_sum, _selection, block, block_diag, hstack, inverse, vstack
 from .presented import PresentedMap, PresentedModule, SesMorphism, ThreeByThree, direct_sum_modules
 from .rings import Ring, ZZ
 
@@ -403,7 +402,6 @@ class SesSample(NamedTuple):
 
 def gen_admissible_ses(params: GenParams, trial: int,
                        left_acyclic: Optional[bool] = None,
-                       right_acyclic: Optional[bool] = None,
                        rng: Optional[random.Random] = None) -> SesSample:
     """Extension-twisted direct sum of two Koszul complexes, scrambled.
 
@@ -416,8 +414,7 @@ def gen_admissible_ses(params: GenParams, trial: int,
     ring = params.ring
     if left_acyclic is None:
         left_acyclic = rng.random() < 0.5
-    if right_acyclic is None:
-        right_acyclic = rng.random() < 0.5
+    right_acyclic = rng.random() < 0.5
     left = gen_koszul(params, trial, acyclic=left_acyclic, rng=rng).complex
     right = gen_koszul(params, trial, acyclic=right_acyclic, rng=rng).complex
     layout = _extension(left, right, {1: rand_matrix(rng, ring, left.rank(0), right.rank(1), 2)})
@@ -568,7 +565,7 @@ def gen_c_object(params: GenParams, trial: int,
     top = _change_basis(top, top_moves)
     bottom = _change_basis(bottom, bottom_moves)
     boundary = _conjugate(bottom_moves, boundary, top_moves)
-    obj = PresentedKoszul(top, bottom, PresentedMap(top, bottom, boundary))
+    obj = PresentedKoszul(PresentedMap(top, bottom, boundary))
     return CObjectSample(obj, tuple(expected))
 
 

@@ -335,7 +335,7 @@ def presented_koszul_from_json(data) -> PresentedKoszul:
         raise InvalidInputError("boundary map is not injective")
     bottom = PresentedModule(ring, g0, pres[0] if 0 in pres else Matrix.zeros(ring, g0, 0))
     boundary = diffs[1] if 1 in diffs else Matrix.zeros(ring, g0, g1)
-    return PresentedKoszul(top, bottom, PresentedMap(top, bottom, boundary))
+    return PresentedKoszul(PresentedMap(top, bottom, boundary))
 
 
 def _integer(value: int):

@@ -14,6 +14,11 @@ a quasi-isomorphism.
 Short exact sequences of free complexes are ``complexes.ComplexSes``,
 proved exact by their degreewise splitting; the checks here (H0
 additivity, truncation of a spherical sequence) take them as they are.
+
+Each result stores only what it is built from: ``FactorStep`` reads
+g, h and ``upper`` off its map, composite and witness, ``KappaResult``
+its retract off v and ``PresentedKoszul`` its modules off its boundary,
+and ``retraction_q`` returns its comparison, whose source is the retract.
 """
 
 from __future__ import annotations
@@ -60,27 +65,15 @@ from .presented import PresentedModule, PresentedMap, is_short_exact
 # Membership predicates.
 
 
-class Kos1Membership(NamedTuple):
-    ok: bool
-    concentrated: bool
-    injective: bool
-    torsion_h0: bool
-
-    def __bool__(self):
-        return self.ok
-
-
-def in_kos1(complex_: ChainComplex) -> Kos1Membership:
+def in_kos1(complex_: ChainComplex) -> bool:
     """Two-term in degrees {1, 0}, injective boundary, torsion H0.
 
     Both are read off the divisor count of d_1: it is injective when the
     count is rank(1), and its cokernel is torsion when the count is rank(0).
     """
-    concentrated = all(n in (0, 1) for n in complex_.ranks)
-    count = len(elementary_divisors(complex_.d(1))) if concentrated else None
-    injective = count == complex_.rank(1)
-    torsion = count == complex_.rank(0)
-    return Kos1Membership(injective and torsion, concentrated, injective, torsion)
+    if any(n not in (0, 1) for n in complex_.ranks):
+        return False
+    return complex_.rank(1) == len(elementary_divisors(complex_.d(1))) == complex_.rank(0)
 
 
 def in_A(complex_: ChainComplex) -> bool:
@@ -122,12 +115,11 @@ class Augmentation(NamedTuple):
 
 def h0_augmentation(complex_: ChainComplex) -> Augmentation:
     ring = complex_.ring
-    membership = in_kos1(complex_)
-    if not membership:
+    if not in_kos1(complex_):
         raise InvalidInputError("augmentation needs a Koszul complex")
     bottom = h0_presentation(complex_)
     zero_mod = PresentedModule.free(ring, 0)
-    target = PresentedKoszul(zero_mod, bottom, PresentedMap.zero(zero_mod, bottom))
+    target = PresentedKoszul(PresentedMap.zero(zero_mod, bottom))
     degree0 = PresentedMap._trusted(PresentedModule.free(ring, complex_.rank(0)), bottom,
                                     Matrix.identity(ring, complex_.rank(0)))
     degree1 = PresentedMap.zero(PresentedModule.free(ring, complex_.rank(1)), zero_mod)
@@ -142,29 +134,32 @@ class KappaResult(_Checked):
     """Retraction of a 0-spherical complex onto a Koszul complex.
 
     ``u`` maps the upper truncation at 0 back into the input, ``v``
-    projects it onto the retract ``kos``, and the retract of a Koszul
-    complex is itself.  The law, checked when it is built (else
-    ``WitnessError``): u and v leave one complex, v onto ``kos``, and
-    both are quasi-isomorphisms.
+    projects it onto the retract ``kos``, read as the target of ``v``, and
+    the retract of a Koszul complex is itself.  The law, checked when it
+    is built (else ``WitnessError``): u and v leave one complex, and both
+    are quasi-isomorphisms.
     """
 
-    __slots__ = ("kos", "u", "v")
+    __slots__ = ("u", "v")
 
-    def __init__(self, kos: ChainComplex, u: ChainMap, v: ChainMap):
-        self._store(kos, u, v)
-        if u.source != v.source or v.target != kos:
-            raise WitnessError("u and v do not leave one complex for the retract")
+    def __init__(self, u: ChainMap, v: ChainMap):
+        self._store(u, v)
+        if u.source != v.source:
+            raise WitnessError("u and v do not leave one complex")
         for name, comparison in (("u", u), ("v", v)):
             if quasi_iso_degree(comparison) != math.inf:
                 raise WitnessError(f"{name} is not a quasi-isomorphism")
+
+    @property
+    def kos(self) -> ChainComplex:
+        return self.v.target
 
 
 def kappa(complex_: ChainComplex) -> KappaResult:
     if not in_A_n(complex_, 0):
         raise InvalidInputError("input is not 0-spherical with torsion homology")
     upper, incl = _tau_ge(complex_, 0)
-    kos, proj = _tau_le(upper, 0)
-    return KappaResult(kos, incl, proj)
+    return KappaResult(incl, _tau_le(upper, 0)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -174,26 +169,38 @@ def kappa(complex_: ChainComplex) -> KappaResult:
 class FactorStep(_Checked):
     """One factorization step map = h . g through an intermediate complex.
 
-    ``witness`` is the homotopy built from the source-summand inclusion
-    into the cone, and ``upper``, the target of its maps, the upper
-    truncation of the cone whose homology the cone of h reproduces.  The
-    law, checked when it is built (else ``WitnessError``): h . g == map on
-    the nose, and g stacks map over the witness in every degree.
+    ``composite`` maps the target of ``map`` into ``upper``, the upper
+    truncation of the cone of ``map``, and ``witness`` is a nullhomotopy
+    of the composite after ``map``.  The intermediate complex is the
+    shifted cone of ``composite``; g stacks ``map`` over the witness in
+    every degree and h is the shifted projection of that cone, so the
+    three are read off the fields.  The law, checked when it is built
+    (else ``WitnessError``): the witness's maps are ``composite . map``
+    and zero.  Then g is a chain map by the witness's homotopy identity,
+    and h . g == map on the nose by block algebra.
     """
 
-    __slots__ = ("map", "g", "h", "witness")
+    __slots__ = ("map", "composite", "witness")
 
-    def __init__(self, map: ChainMap, g: ChainMap, h: ChainMap, witness: Homotopy):
-        self._store(map, g, h, witness)
-        if g.target != h.source or h.compose(g) != map:
-            raise WitnessError("h . g is not the input map")
-        degrees = {*map.source.ranks, *map.target.ranks, *g.target.ranks, *(k - 1 for k in self.upper.ranks)}
-        if witness.lhs.source != map.source or any(g.at(m) != vstack([map.at(m), witness.at(m)]) for m in degrees):
-            raise WitnessError("g does not stack the map over the witness")
+    def __init__(self, map: ChainMap, composite: ChainMap, witness: Homotopy):
+        self._store(map, composite, witness)
+        if composite.source != map.target or witness.lhs != composite.compose(map) \
+                or not witness.rhs.is_zero_map():
+            raise WitnessError("the witness is not a nullhomotopy of the composite after the map")
 
     @property
     def upper(self) -> ChainComplex:
-        return self.witness.lhs.target
+        return self.composite.target
+
+    @property
+    def g(self) -> ChainMap:
+        X = self.map.source
+        return ChainMap._trusted(X, shift(cone(self.composite).complex, 1), {
+            m: vstack([self.map.at(m), self.witness.at(m)]) for m in X.ranks})
+
+    @property
+    def h(self) -> ChainMap:
+        return shift_map(cone(self.composite).projection, 1)
 
 
 def factor_step(f: ChainMap, n: int) -> FactorStep:
@@ -217,16 +224,11 @@ def factor_step(f: ChainMap, n: int) -> FactorStep:
         raise InvalidInputError(f"map does not vanish in cone degrees <= {n}")
     a = truncation_splitting(mapping_cone.complex, n + 1).u  # onto the upper truncation at n + 2
     composite = a.compose(mapping_cone.inclusion)
-    cone_of_composite = cone(composite)
-    intermediate = shift(cone_of_composite.complex, 1)
-    h = shift_map(cone_of_composite.projection, 1)
     # Cone degree m+1 starts with the source summand X_m, so a's component
     # there restricts to X_m as its first X.rank(m) columns.
     witness = Homotopy(composite.compose(f), ChainMap.zero(X, a.target), {
         m: -a.components[m + 1].take_cols(range(X.rank(m))) for m in X.ranks if m + 1 in a.components})
-    # g's chain-map law is the homotopy identity of the witness, checked above.
-    g = ChainMap._trusted(X, intermediate, {m: vstack([f.at(m), witness.at(m)]) for m in X.ranks})
-    return FactorStep(f, g, h, witness)
+    return FactorStep(f, composite, witness)
 
 
 class CellularFactorization(_Checked):
@@ -399,21 +401,28 @@ def tau_maps_spherical_check(seq: ComplexSes, k: int, spherical: int) -> bool:
 class PresentedKoszul(_Checked):
     """Two-term complex of presented modules with injective boundary.
 
-    The degree-zero homology must be torsion.  A free Koszul complex X
-    is the one with free ``top`` and ``bottom`` of ranks X_1 and X_0 and
-    boundary d_1.
+    It is its boundary ``d``: ``top`` is the source of d and ``bottom``
+    its target.  The degree-zero homology must be torsion.  A free
+    Koszul complex X is the one with free ``top`` and ``bottom`` of ranks
+    X_1 and X_0 and boundary d_1.
     """
 
-    __slots__ = ("top", "bottom", "d")
+    __slots__ = ("d",)
 
-    def __init__(self, top: PresentedModule, bottom: PresentedModule, d: PresentedMap):
-        self._store(top, bottom, d)
-        if d.source != top or d.target != bottom:
-            raise InvalidInputError("boundary map endpoints do not match")
-        if not self.d.is_injective():
+    def __init__(self, d: PresentedMap):
+        self._store(d)
+        if not d.is_injective():
             raise InvalidInputError("boundary map is not injective")
         if self.h0().canonical_form().free_rank:
             raise InvalidInputError("degree-zero homology is not torsion")
+
+    @property
+    def top(self) -> PresentedModule:
+        return self.d.source
+
+    @property
+    def bottom(self) -> PresentedModule:
+        return self.d.target
 
     def h0(self) -> PresentedModule:
         return self.d.cokernel_module()
@@ -507,10 +516,10 @@ def resolve_in_kos1(target: PresentedKoszul) -> Resolution:
 def e_functor(x: PresentedKoszul) -> PresentedSes:
     """Decompose X as [X1 = X1] >--> X -->> [0 -> H0 X], degreewise short exact."""
     ring = x.top.ring
-    left = PresentedKoszul(x.top, x.top, PresentedMap.identity(x.top))
+    left = PresentedKoszul(PresentedMap.identity(x.top))
     h0_module = x.h0()
     zero_mod = PresentedModule.free(ring, 0)
-    right = PresentedKoszul(zero_mod, h0_module, PresentedMap.zero(zero_mod, h0_module))
+    right = PresentedKoszul(PresentedMap.zero(zero_mod, h0_module))
     mono = PresentedKoszulMap(left, x, PresentedMap.identity(x.top), x.d)
     epi = PresentedKoszulMap(
         x, right,
@@ -523,23 +532,13 @@ def e_functor(x: PresentedKoszul) -> PresentedSes:
 # The acyclic retraction on Koszul complexes.
 
 
-class AcyclicRetract(NamedTuple):
-    """[X1 = X1] with the canonical comparison (id, d) into the input.
-
-    The comparison is a chain isomorphism exactly when the input is
-    acyclic (square unimodular boundary).
-    """
-
-    complex: ChainComplex
-    comparison: ChainMap
-    comparison_is_iso: bool
-
-
-def retraction_q(complex_: ChainComplex) -> AcyclicRetract:
+def retraction_q(complex_: ChainComplex) -> ChainMap:
+    """The canonical comparison (id, d) from the retract [X1 = X1] into
+    the input: its source is the retract, and it is a chain isomorphism
+    exactly when the input is acyclic (square unimodular boundary)."""
     if not in_kos1(complex_):
         raise InvalidInputError("input is not a free Koszul complex")
     ring = complex_.ring
     r1 = complex_.rank(1)
     retract = ChainComplex(ring, {1: r1, 0: r1}, {1: Matrix.identity(ring, r1)})
-    comparison = ChainMap(retract, complex_, {1: Matrix.identity(ring, r1), 0: complex_.d(1)})
-    return AcyclicRetract(retract, comparison, comparison.is_chain_iso())
+    return ChainMap(retract, complex_, {1: Matrix.identity(ring, r1), 0: complex_.d(1)})

@@ -167,14 +167,10 @@ class Matrix:
         return Matrix._from_work(ring, n, n, _identity_rows(ring.work, n))
 
     @classmethod
-    def diagonal(cls, ring: Ring, diag: Sequence, rows: int | None = None, cols: int | None = None) -> "Matrix":
-        n = len(diag)
-        rows = n if rows is None else rows
-        cols = n if cols is None else cols
-        if n > min(rows, cols):
-            raise DimensionError(f"a diagonal of length {n} does not fit in {rows}x{cols}")
+    def diagonal(cls, ring: Ring, diag: Sequence) -> "Matrix":
+        """The square matrix with ``diag`` on its diagonal."""
         diag = [ring.validate(d) for d in diag]
-        return _diagonal(ring, diag if ring.pack is None else list(map(ring.pack, diag)), rows, cols)
+        return _diagonal(ring, diag if ring.pack is None else list(map(ring.pack, diag)), len(diag), len(diag))
 
     def __eq__(self, other):
         if self is other:

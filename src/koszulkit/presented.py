@@ -26,10 +26,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .complexes import _Checked
 from .errors import DimensionError, InvalidInputError
 from .fgmodules import FgModule, cokernel
-from .matrices import Matrix, _column_form, _selection, block_diag, hstack, kernel_basis, solve, vstack
+from .matrices import Matrix, _Checked, _column_form, _selection, block_diag, hstack, kernel_basis, solve, vstack
 from .rings import Ring
 
 

@@ -8,7 +8,8 @@ epimorphism under which the mono becomes a split inclusion into an
 acyclic complex.  Every construction returns a bundle that checks the
 law its docstring states once, when it is built (``complexes._Checked``);
 the elementary-divisor decomposition is read off a checked
-``complexes.SmithDecomposition``, which proves that law already.
+``complexes.SmithDecomposition``, which proves that law already, and
+reads the decomposed complex off its iso rather than storing it.
 """
 
 from __future__ import annotations
@@ -140,24 +141,28 @@ class EdDecomposition(_Checked):
     as many columns as the boundary has unit divisors.  The law, checked
     at construction: ``nonunit_part`` is ``two_term`` of the diagonal of
     a chain of nonunit canonical associates, ``unit_part`` is ``two_term``
-    of an identity, and ``iso`` is a chain isomorphism from ``source``
-    onto the direct sum of the two parts; else ``WitnessError``.
+    of an identity, and ``iso`` is a chain isomorphism onto the direct
+    sum of the two parts; else ``WitnessError``.  ``source``, the
+    decomposed complex, is read as the source of ``iso``.
     ``ed_decompose`` builds it unchecked, since there the law follows from
     the checked ``SmithDecomposition`` it reads the iso and the divisors off.
     """
 
-    __slots__ = ("source", "nonunit_part", "unit_part", "iso")
+    __slots__ = ("nonunit_part", "unit_part", "iso")
 
-    def __init__(self, source: ChainComplex, nonunit_part: ChainComplex, unit_part: ChainComplex, iso: ChainMap):
-        self._store(source, nonunit_part, unit_part, iso)
-        ring, divisors = source.ring, self.nonunit_divisors
+    def __init__(self, nonunit_part: ChainComplex, unit_part: ChainComplex, iso: ChainMap):
+        self._store(nonunit_part, unit_part, iso)
+        ring, divisors = nonunit_part.ring, self.nonunit_divisors
         _divisor_chain(ring, divisors)
         if any(map(ring.is_unit, divisors)) or nonunit_part != two_term(Matrix.diagonal(ring, divisors)) \
                 or unit_part != two_term(Matrix.identity(ring, unit_part.rank(1))):
             raise WitnessError("the parts are not the diagonal of nonunit divisors and an identity")
-        if iso.source != source or iso.target != _sum_layout((nonunit_part, unit_part)).complex \
-                or not iso.is_chain_iso():
+        if iso.target != _sum_layout((nonunit_part, unit_part)).complex or not iso.is_chain_iso():
             raise WitnessError("decomposition iso is not a chain isomorphism onto the sum of the parts")
+
+    @property
+    def source(self) -> ChainComplex:
+        return self.iso.source
 
     @property
     def nonunit_divisors(self) -> tuple:
@@ -189,7 +194,7 @@ def ed_decompose(complex_: ChainComplex) -> EdDecomposition:
     unit = two_term(Matrix.identity(ring, len(units)))
     total = _sum_layout((nonunit, unit)).complex
     iso = ChainMap._trusted(complex_, total, {n: perm * p for n, p in smith.bases.items()})
-    return EdDecomposition._trusted(complex_, nonunit, unit, iso)
+    return EdDecomposition._trusted(nonunit, unit, iso)
 
 
 # ---------------------------------------------------------------------------

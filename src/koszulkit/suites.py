@@ -194,7 +194,7 @@ def cor_3_8_trial(params: GenParams, trial: int):
     else:
         complex_ = gen_koszul(params, trial, rng=rng).complex
     result = _built(kappa, "comparisons fail", complex_, complex_)
-    _require(bool(in_kos1(result.kos)), "retract left the category", complex_)
+    _require(in_kos1(result.kos), "retract left the category", complex_)
     if in_kos1(complex_):
         _require(result.kos == complex_, "retraction moved a two-term complex", complex_)
         _require(result.u == ChainMap.identity(complex_)
@@ -206,14 +206,14 @@ def lemma_4_2_trial(params: GenParams, trial: int):
     sample = gen_c_object(params, trial)
     target = sample.object
     res = resolve_in_kos1(target)
-    _require(bool(in_kos1(res.cover)), "cover is not a free Koszul complex", target)
+    _require(in_kos1(res.cover), "cover is not a free Koszul complex", target)
     _require(res.e0.is_surjective(), "degree-0 component is not surjective", target)
     _require(res.e1.is_surjective(), "degree-1 component is not surjective", target)
     lifted = target.d.compose(res.e1)
     pushed = res.e0.matrix * res.cover.d(1)
     _require(target.bottom.contains(lifted.matrix - pushed),
              "cover map does not commute with boundaries", target)
-    _require(bool(in_kos1(res.kernel)), "kernel is not a free Koszul complex", target)
+    _require(in_kos1(res.kernel), "kernel is not a free Koszul complex", target)
     for degree, e_map in ((1, res.e1), (0, res.e0)):
         incl = res.kernel_inclusion.at(degree)
         _require(e_map.target.contains(e_map.matrix * incl),
@@ -249,7 +249,7 @@ def idempotent_trial(params: GenParams, trial: int):
     complex_, endo = gen_idempotent(params, trial)
     split = _built(idempotent_split, "idempotent split failed", endo, endo)
     for part in (split.image_part, split.complement_part):
-        _require(bool(in_kos1(part)) and is_acyclic(part),
+        _require(in_kos1(part) and is_acyclic(part),
                  "split part left the acyclic subcategory", endo)
 
 

@@ -59,7 +59,7 @@ def presented_from_free(complex_: ChainComplex) -> PresentedKoszul:
     ring = complex_.ring
     top = PresentedModule.free(ring, complex_.rank(1))
     bottom = PresentedModule.free(ring, complex_.rank(0))
-    return PresentedKoszul(top, bottom, PresentedMap(top, bottom, complex_.d(1)))
+    return PresentedKoszul(PresentedMap(top, bottom, complex_.d(1)))
 
 
 def torsion_class(ring, counts: dict) -> K0TorsionClass:

@@ -13,7 +13,7 @@ import pytest
 
 from koszulkit import jsonio, rings
 from koszulkit.cli import _build_parser, _parse, _read_plain, main
-from koszulkit.complexes import ChainMap, ComplexSes, direct_sum, kernel_image_sequences, two_term
+from koszulkit.complexes import ChainComplex, ChainMap, ComplexSes, direct_sum, kernel_image_sequences
 from koszulkit.errors import HypothesisNotMetError, InvalidInputError
 from koszulkit.jsonio import chain_map_from_json
 from koszulkit.matrices import Matrix
@@ -191,7 +191,7 @@ def test_factorize_output_is_small_on_the_m7_request(tmp_path, capsys, cpu_time_
     """The zero map into the sum of the copies k < 7 of [Z -2-> Z] in
     degrees k+1 and k factors through 7 stages of one pair of cells each,
     so the answer takes well under a second and 100 KB."""
-    target = direct_sum(*(two_term(Matrix(ZZ, [[2]]), k + 1) for k in range(7))).complex
+    target = direct_sum(*(ChainComplex(ZZ, {k + 1: 1, k: 1}, {k + 1: Matrix(ZZ, [[2]])}) for k in range(7))).complex
     path = write_json(tmp_path, "f.json", jsonio.value_to_json(ChainMap.zero(zero_complex(ZZ), target)))
     with cpu_time_limit(1):
         code, out, _ = run_cli(capsys, "factorize", "--in", path)

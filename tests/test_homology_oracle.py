@@ -22,13 +22,11 @@ from koszulkit.complexes import (  # noqa: E402
     homology,
     homology_table,
     truncation_splitting,
-    two_term,
 )
 from koszulkit.errors import DimensionError, NotAComplexError  # noqa: E402
 from koszulkit.fgmodules import cokernel  # noqa: E402
 from koszulkit.generators import GenParams, gen_a_object  # noqa: E402
-from koszulkit.koszul import in_kos1  # noqa: E402
-from koszulkit.matrices import Matrix, is_exact_at, kernel_basis, solve  # noqa: E402
+from koszulkit.matrices import Matrix, elementary_divisors, is_exact_at, kernel_basis, solve  # noqa: E402
 from koszulkit.rings import ZZ, fpx  # noqa: E402
 
 F3 = fpx(3)
@@ -182,8 +180,7 @@ def matrices(draw):
 @PROPERTY
 @given(matrices())
 def test_injectivity_matches_an_empty_kernel(mat):
-    injective = kernel_basis(mat).cols == 0
-    assert in_kos1(two_term(mat)).injective == injective
+    assert (len(elementary_divisors(mat)) == mat.cols) == (kernel_basis(mat).cols == 0)
 
 
 def test_exactness_keeps_its_shape_and_composite_checks():

@@ -9,6 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from koszulkit.complexes import (  # noqa: E402
+    ChainComplex,
     ChainMap,
     Homotopy,
     chain_retraction,
@@ -36,7 +37,9 @@ def _complex(rng: random.Random, params: GenParams, trial: int):
     if rng.random() < 0.5:
         return gen_a_object(params, trial, rng=rng).complex
     rows, cols = 1 + rng.randrange(params.max_rank), 1 + rng.randrange(params.max_rank)
-    return two_term(rand_matrix(rng, params.ring, rows, cols, params.max_entry), rng.choice((0, 1, 2)))
+    mat = rand_matrix(rng, params.ring, rows, cols, params.max_entry)
+    top = rng.choice((0, 1, 2))
+    return ChainComplex(params.ring, {top: cols, top - 1: rows}, {top: mat})
 
 
 def _scaled(rng: random.Random, x):

@@ -113,7 +113,11 @@ def _sha256(text) -> str:
 # were taken again when the first two came to hold their kernel sequence
 # as one ``ComplexSes`` field and ``FactorStep`` came to read ``upper``
 # off its witness, and again each field they kept wrote the same text;
-# each field is written by a layout that the other pins cover.
+# and those of ``KappaResult`` and ``FactorStep`` once more when the
+# first came to read ``kos`` off v and the second to keep its composite
+# and read g, h and ``upper`` off it (each field kept, and g, h, ``upper``
+# and ``kos``, wrote the same text as before); each field is written by
+# a layout that the other pins cover.
 RECORD_TEXT_SHA256 = {
     "ChainComplex": "f95b4d9eb2689ef182c20e56d925cbdf897880fd7da36e88880c45ec6c0a6def",
     "ChainMap": "f808fa16345d74e1f14372dc8fbc569bda2d1f3a9f74c1810109d89c139f3517",
@@ -127,16 +131,14 @@ RECORD_TEXT_SHA256 = {
     "StructureMaps": "b1a0dd9c3c75fefce00437a20a3518e587f81ba63d752341db3c56f52d7682c3",
     "DirectSum": "214ddbac11215dc7b24b2ca4533d8a24416ce1075c9b81fb6094a3191d06efed",
     "TruncationSplitting": "af6cf2fa0e2fef6201fbe7f17ecf461f9f1cf5750e0f2b8b461566c352ece685",
-    "Kos1Membership": "9eb0ce4aa3fcc0764a570a569a1a0bb839dc672d770393770375390ab90d27e2",
     "Augmentation": "361544c9b0e68c29d8bd57a53d9b8655d817ed2842fa31641d99eb06bef85dae",
-    "KappaResult": "5406fa098f591c89c2c5fb1597368b3c94fbe2c4dabb48a1b4eff8af5111e098",
-    "FactorStep": "6941c3c612671948a5c352c23caf839f397e04613a8d3c3e176d09d570b529a7",
+    "KappaResult": "bbdb53e57c2fb14e43053bf4fa43140e88fe9b5fa58faa38398f5697055c0d32",
+    "FactorStep": "a84917b25b3e587111611a2a009a849241ec35f375505174cae11c0142ebf3cc",
     "CellularFactorization": "8b471352f77cd6114f586741f4a1cbb411a92cb8e920d12a73a99543626ce6ec",
     "PresentedKoszul": "939ae468df924b37f5bd639ac86541d0fd62504d349d19173d97f1e450cf78b4",
     "PresentedKoszulMap": "638a3bad89490f33a8ae305977a5b0da1b11bde0d1e682f8b35e9d172d27f2bd",
     "PresentedSes": "1b03172920b1d119ee9498f9bf8d9dba3b85cfc4fb60598a8fd2ebb7d7cde265",
     "Resolution": "b0a8039871dfb0f12aa89eb5dad0e87e33ce472c3fe29cc90be18d213003fa7d",
-    "AcyclicRetract": "1a45f02a44c41a87e0d4d29799cc45f84f6aa003e172cc7bc1920cb684326edf",
     "ImageFactorization": "e926ac811f4c60b656e4a89d2eda7e2a98e8dbbced94e14ca00c68a1eb2a40cd",
     "EdDecomposition": "fbf57352e61808d3fcfae0f0688b646b317595be45bbd99059f7bf65619635e8",
     "SmithDecomposition": "eb5576827c2fc34f19bfc9a945ee863c7dc4a35f2c94a7c26351492b69325d64",

@@ -523,13 +523,9 @@ def test_product_with_a_non_matrix_is_a_type_error():
         3 * Matrix(ZZ, [[1, 2]])
 
 
-def test_diagonal_must_fit_the_shape():
-    with pytest.raises(DimensionError):
-        Matrix.diagonal(ZZ, [1, 2], 1, 1)
-    with pytest.raises(DimensionError):
-        Matrix.diagonal(ZZ, [1, 2], 3, 1)
-    assert Matrix.diagonal(ZZ, [1, 2], 2, 3) == Matrix(ZZ, [[1, 0, 0], [0, 2, 0]])
-    assert Matrix.diagonal(ZZ, [], 0, 2) == Matrix.zeros(ZZ, 0, 2)
+def test_diagonal_is_square():
+    assert Matrix.diagonal(ZZ, [1, 2]) == Matrix(ZZ, [[1, 0], [0, 2]])
+    assert Matrix.diagonal(ZZ, []) == Matrix.zeros(ZZ, 0, 0)
 
 
 def test_verify_refuses_a_foreign_source():
@@ -584,12 +580,10 @@ def _non_unimodular_certificates(ring, s):
         "singular-U": (diag(one, zero), diag(one, s), diag(one, zero), eye(2)),
         "singular-V": (diag(one, zero), eye(2), diag(one, zero), diag(one, s)),
         # non-square A
-        "wide-U": (Matrix.diagonal(ring, [one, one], 2, 3), diag(one, s),
-                   Matrix.diagonal(ring, [one, s], 2, 3), eye(3)),
-        "wide-V": (Matrix.diagonal(ring, [one], 1, 2), eye(1),
-                   Matrix.diagonal(ring, [one], 1, 2), diag(one, s)),
-        "tall-U": (Matrix.diagonal(ring, [one], 2, 1), diag(one, s),
-                   Matrix.diagonal(ring, [one], 2, 1), eye(1)),
+        "wide-U": (Matrix(ring, [[one, zero, zero], [zero, one, zero]]), diag(one, s),
+                   Matrix(ring, [[one, zero, zero], [zero, s, zero]]), eye(3)),
+        "wide-V": (Matrix(ring, [[one, zero]]), eye(1), Matrix(ring, [[one, zero]]), diag(one, s)),
+        "tall-U": (Matrix(ring, [[one], [zero]]), diag(one, s), Matrix(ring, [[one], [zero]]), eye(1)),
     }
 
 

@@ -186,7 +186,7 @@ def test_packed_f2_matrices_compare_by_value_and_show_tuples():
     assert built.entries is built.entries  # the view is built once
     assert built == Matrix._raw(F2, 2, 3, built.entries)
     assert repr(built) == "Matrix(fpx:2, 2x3, [[(1, 1), (), (1,)], [(), (1, 0, 1), (0, 1)]])"
-    assert Matrix.diagonal(F2, [(0, 1)], 2, 3) == Matrix(F2, [[(0, 1), (), ()], [(), (), ()]])
+    assert Matrix.diagonal(F2, [(0, 1), ()]) == Matrix(F2, [[(0, 1), ()], [(), ()]])
     assert built.scale((1, 1)) == Matrix(F2, [[(1, 0, 1), (), (1, 1)], [(), (1, 1, 1, 1), (0, 1, 1)]])
     # Equal public entries over F_3[x] are a different matrix, however built.
     for other in (Matrix(F3, rows), Matrix._raw(F3, 2, 3, rows)):

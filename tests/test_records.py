@@ -49,6 +49,7 @@ from koszulkit.complexes import (
     cone,
     direct_sum,
     homotopy_between,
+    quasi_iso_degree,
     smith_decomposition,
     structure_maps,
     truncation_splitting,
@@ -73,10 +74,8 @@ from koszulkit.koszul import (
     e_functor,
     factor_step,
     h0_augmentation,
-    in_kos1,
     kappa,
     resolve_in_kos1,
-    retraction_q,
 )
 from koszulkit.matrices import Matrix, snf
 from koszulkit.presented import PresentedMap, PresentedModule
@@ -124,7 +123,6 @@ BUILDERS = {
     "StructureMaps": lambda: structure_maps(ChainMap.identity(Z2)),
     "DirectSum": lambda: direct_sum(Z2, Z6),
     "TruncationSplitting": lambda: truncation_splitting(Z6, 0),
-    "Kos1Membership": lambda: in_kos1(Z6),
     "Augmentation": lambda: h0_augmentation(Z6),
     "KappaResult": lambda: kappa(Z6),
     "FactorStep": lambda: factor_step(ZERO_INTO_Z2, -1),
@@ -133,7 +131,6 @@ BUILDERS = {
     "PresentedKoszulMap": lambda: e_functor(presented_from_free(Z6)).mono,
     "PresentedSes": lambda: e_functor(presented_from_free(Z6)),
     "Resolution": lambda: resolve_in_kos1(presented_from_free(Z6)),
-    "AcyclicRetract": lambda: retraction_q(Z6),
     "ImageFactorization": lambda: image_factorization(ChainMap.identity(UNIT)),
     "EdDecomposition": lambda: ed_decompose(two_term(Matrix(ZZ, [[2, 4], [6, 8]]))),
     "SmithDecomposition": lambda: smith_decomposition(cone(ChainMap.identity(Z6)).complex),
@@ -328,6 +325,19 @@ def test_a_field_of_another_bundle_is_refused(name, field):
             record._replace(**{field: value})
 
 
+# The values that a record reads off its fields: none of them is a field.
+READ_OFF = [("FactorStep", "g"), ("FactorStep", "h"), ("FactorStep", "upper"), ("KappaResult", "kos"),
+            ("EdDecomposition", "source"), ("PresentedKoszul", "top"), ("PresentedKoszul", "bottom")]
+
+
+@pytest.mark.parametrize("name, field", READ_OFF, ids=[".".join(pair) for pair in READ_OFF])
+def test_a_value_read_off_the_fields_cannot_be_replaced(name, field):
+    record = BUILDERS[name]()
+    assert field not in record._fields
+    with pytest.raises(TypeError):
+        record._replace(**{field: getattr(record, field)})
+
+
 def test_a_kernel_or_upper_truncation_that_the_law_does_not_prove_is_refused():
     """A kernel with a zero inclusion, and a witness that reads another
     upper truncation, are refused when built directly, through
@@ -349,6 +359,20 @@ def test_a_kernel_or_upper_truncation_that_the_law_does_not_prove_is_refused():
     wider = direct_sum(step.upper, ChainComplex(ZZ, {3: 1}, {})).complex
     witness = Homotopy(ChainMap.zero(UNIT, wider), ChainMap.zero(UNIT, wider), step.witness.components)
     assert_refused(step, witness=witness)
+
+
+def test_a_factor_step_from_a_zero_source_cannot_read_another_upper_truncation():
+    """Where the source is zero the witness has no components.  A witness
+    into another complex with the ranks of the upper truncation
+    [Z -3-> Z] in degrees 2, 1, or a composite onto one, is refused, so g
+    and h are built on the upper truncation that the composite reaches."""
+    target = ChainComplex(ZZ, {2: 1, 1: 2, 0: 1}, {2: Matrix(ZZ, [[3], [0]]), 1: Matrix(ZZ, [[0, 2]])})
+    f = ChainMap.zero(zero_complex(ZZ), target)
+    step = factor_step(f, quasi_iso_degree(f))
+    assert step.upper == ChainComplex(ZZ, {2: 1, 1: 1}, {2: Matrix(ZZ, [[3]])})
+    other = ChainComplex(ZZ, {2: 1, 1: 1}, {2: Matrix(ZZ, [[15]])})
+    assert_refused(step, witness=Homotopy(ChainMap.zero(f.source, other), ChainMap.zero(f.source, other), {}))
+    assert_refused(step, composite=ChainMap.zero(target, other))
 
 
 def test_a_checked_differential_cannot_be_replaced():

@@ -66,7 +66,7 @@ def _verdicts(seq: ComplexSes, n: int):
 # factorization and the excision certificate as their parts (the
 # excision sections at degrees 0 and 1, empty where the target is zero),
 # and the excision decomposition as that of the quotient by the mono
-# with the retractions the certificate was given.
+# with the retractions the certificate was given, its source first.
 _Triple = namedtuple("TruncationTriple", "upper lower incl proj")
 _Splitting = namedtuple("TruncationSplitting", "triple u v")
 _Kappa = namedtuple("KappaResult", "kos u v u_is_quasi_iso v_is_quasi_iso")
@@ -74,6 +74,7 @@ _Cellular = namedtuple("CellularFactorization", "stages retractions subquotients
 _Image = namedtuple("ImageFactorization", "image epi mono sections kernel kernel_inclusion")
 _Excision = namedtuple("ExcisionCertificate",
                        "mono retraction0 target q sections kernel kernel_inclusion decomposition")
+_Ed = namedtuple("EdDecomposition", "source nonunit_part unit_part iso")
 
 
 def _splitting(bundle):
@@ -98,9 +99,9 @@ def _image(bundle):
 def _excision(bundle, retractions):
     seq = bundle.sequence
     sections = {n: seq.sections.get(n, Matrix.zeros(seq.middle.ring, seq.middle.rank(n), 0)) for n in (0, 1)}
-    quotient = quotient_by_split_mono(bundle.mono, retractions)[0]
+    decomposition = ed_decompose(quotient_by_split_mono(bundle.mono, retractions)[0])
     return _Excision(bundle.mono, bundle.retraction0, seq.right, seq.epi, sections, seq.left, seq.mono,
-                     ed_decompose(quotient))
+                     _Ed(decomposition.source, *decomposition._values()))
 
 
 def _outputs(params: GenParams, trial: int) -> dict:
